@@ -1,0 +1,142 @@
+//! What a run leaves behind: the one-line result the driver reads, and a
+//! report file written on FAIL as well as PASS.
+
+use crate::spec::spec;
+use crate::workloads::Check;
+use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
+
+/// Version of the report layout.
+pub const SCHEMA: u32 = 1;
+
+#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+pub struct MetricValue {
+    pub value: f64,
+    pub unit: String,
+}
+
+/// Metric values by name. Inserting looks the name up in
+/// `BENCHMARK.json`, so only listed metrics can be reported, each with
+/// the unit the file gives it.
+#[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq)]
+#[serde(transparent)]
+pub struct Metrics(pub BTreeMap<String, MetricValue>);
+
+impl Metrics {
+    pub fn set(&mut self, name: &str, value: f64) {
+        let unit = spec()
+            .metric(name)
+            .unwrap_or_else(|| panic!("metric {name:?} is not listed in BENCHMARK.json"))
+            .unit
+            .clone();
+        // A metric with nothing to divide by reads 0, never NaN.
+        let value = if value.is_finite() { value } else { 0.0 };
+        self.0.insert(name.to_string(), MetricValue { value, unit });
+    }
+}
+
+/// The last line of standard output.
+#[derive(Debug, Serialize)]
+pub struct ResultLine<'a> {
+    pub correct: bool,
+    pub attempted: u64,
+    pub failed: u64,
+    pub metrics: &'a Metrics,
+}
+
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct PhaseReport {
+    pub name: String,
+    /// `open` (paced from a schedule) or `closed` (back to back).
+    pub loop_kind: String,
+    pub traced: bool,
+    pub threads: usize,
+    pub seconds: f64,
+    pub ops: u64,
+    pub attempted_units: u64,
+    pub failed_units: u64,
+    pub latency_samples: usize,
+}
+
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct Report {
+    pub schema: u32,
+    pub workload: String,
+    pub seed: u64,
+    pub trace: bool,
+    /// Every output check passed and the run finished.
+    pub correct: bool,
+    /// Set when the run could not finish.
+    pub error: Option<String>,
+    pub git_sha: String,
+    pub rustc: String,
+    pub kernel: String,
+    /// CPUs available when the process started.
+    pub available_parallelism: usize,
+    /// The one CPU the run was confined to (`None`: could not pin).
+    pub pinned_cpu: Option<usize>,
+    /// Whether an idle-priority spinner kept that CPU from halting.
+    pub idle_spinner: bool,
+    pub callers: usize,
+    pub paced_threads: usize,
+    pub transport: String,
+    /// Filesystem type under the journals (the fsync cost is its).
+    pub journal_fs: String,
+    pub rate_ops_s: f64,
+    pub slo_ms: f64,
+    pub seconds: u64,
+    pub warmup_seconds: f64,
+    pub setups: Vec<f64>,
+    /// The sandbox's speed between slices (`src/reference.rs`): µs per
+    /// loopback TCP round trip and ms per fixed arithmetic loop.
+    pub reference_tcp_rtt_us: Vec<f64>,
+    pub reference_cpu_ms: Vec<f64>,
+    pub phases: Vec<PhaseReport>,
+    /// Tail latency of the plain paced ops (median over slices): the 99th
+    /// percentile, or where a slice holds fewer than 1000 samples the
+    /// highest percentile with ten samples beyond it — the weakest slice's
+    /// percentile and count follow. Not gated; `load.lat_p99_ms` in a
+    /// traced run is the same quantity.
+    pub lat_tail_ms: f64,
+    pub tail_quantile: f64,
+    pub tail_samples_beyond: usize,
+    pub attempted: u64,
+    pub failed: u64,
+    /// `throughput_ops_s × 86400`, next to the paper's "millions of jobs
+    /// per day" (`submit_*` only).
+    pub jobs_per_day: Option<f64>,
+    pub end_to_end: Metrics,
+    pub per_layer: Metrics,
+    /// Per-layer metrics this workload does not exercise (reported as 0).
+    pub not_applicable: Vec<String>,
+    pub checks: Vec<Check>,
+    /// Median self time (duration minus what child spans cover) of the
+    /// traced run's spans, by span name, in µs.
+    pub span_self_time_us: BTreeMap<String, f64>,
+    /// File, next to the report, holding the traced run's spans, if any.
+    pub spans_file: Option<String>,
+}
+
+impl Report {
+    pub fn file_name(&self) -> String {
+        format!(
+            "report-{}-seed{}-trace{}.json",
+            self.workload, self.seed, self.trace as u8
+        )
+    }
+
+    pub fn write(&self, dir: &Path) -> std::io::Result<PathBuf> {
+        std::fs::create_dir_all(dir)?;
+        let path = dir.join(self.file_name());
+        let text = serde_json::to_string_pretty(self).map_err(std::io::Error::other)?;
+        std::fs::write(&path, text + "\n")?;
+        Ok(path)
+    }
+
+    pub fn read(path: &Path) -> std::io::Result<Report> {
+        let text = std::fs::read_to_string(path)?;
+        serde_json::from_str(&text)
+            .map_err(|e| std::io::Error::other(format!("{}: {e}", path.display())))
+    }
+}
