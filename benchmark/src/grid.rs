@@ -1,6 +1,6 @@
 //! The Figure-1 grid the `submit_*` workloads drive: one FS, one
 //! AppSpector and four FDs on loopback, in this process. `submit_repl`
-//! adds per-FD fsynced journals, sync-replicated to two follower daemons.
+//! adds per-FD journals, sync-replicated to two follower daemons.
 
 use faucets_core::daemon::FaucetsDaemon;
 use faucets_core::ids::ClusterId;
@@ -30,6 +30,15 @@ pub const FOLLOWERS: usize = 2;
 /// under 1 % of bids at saturation (`snappy_mix` jobs ask for ≤ 32 PEs
 /// and run for a fraction of a wall second at [`SPEEDUP`]).
 pub const PES: u32 = 4096;
+
+/// Whether `submit_repl`'s journals, primary and followers, flush to the
+/// disk at each commit. They do not: every record is written, framed,
+/// shipped and acknowledged as it would be, but the sandbox's disk is the
+/// host's shared device, and waiting for it the workload read anything
+/// from 120 to 356 jobs/s within ten minutes: it measured the neighbours
+/// (README, "`submit_repl` does not flush"). `store.append_fsync_us` and
+/// `replica.commit_*_us` still time real flushes, in isolation.
+pub const FSYNC: bool = false;
 
 /// The name a follower daemon must host for an FD's journal.
 pub fn repl_service(cluster: ClusterId) -> String {
@@ -76,7 +85,10 @@ pub fn spawn(seed: u64, journal_root: Option<&Path>) -> io::Result<Grid> {
             followers.push(spawn_replica(
                 "127.0.0.1:0",
                 &services,
-                ReplicaOptions::default(),
+                ReplicaOptions {
+                    no_fsync: !FSYNC,
+                    ..ReplicaOptions::default()
+                },
             )?);
         }
     }
@@ -98,6 +110,7 @@ pub fn spawn(seed: u64, journal_root: Option<&Path>) -> io::Result<Grid> {
             opts.store = Some(dir.clone());
             opts.store_opts = StoreOptions {
                 service: "fd".into(),
+                no_fsync: !FSYNC,
                 ..StoreOptions::default()
             };
             opts.replication = Some(ReplicationConfig {

@@ -4,6 +4,7 @@
 //! returns.
 
 use crate::procinfo;
+use crate::reference::Pinger;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -52,6 +53,9 @@ pub struct Phase {
     pub service_ms: Vec<f64>,
     /// Open loop only: how long after its due instant each op started.
     pub lateness_ms: Vec<f64>,
+    /// Open loop only: latency, from the due instant, of each reference
+    /// round trip that rode in the schedule.
+    pub reference_ms: Vec<f64>,
 }
 
 impl Phase {
@@ -72,6 +76,7 @@ impl Phase {
             all.latency_ms.extend(&part.latency_ms);
             all.service_ms.extend(&part.service_ms);
             all.lateness_ms.extend(&part.lateness_ms);
+            all.reference_ms.extend(&part.reference_ms);
         }
         all
     }
@@ -128,20 +133,50 @@ pub fn poisson_offsets(seed: u64, rate_per_s: f64, length: Duration) -> Vec<Dura
     }
 }
 
-/// Run `body` once per op on a thread of its own. Returns each caller's
-/// part, in the order of `ops`; every part carries the phase's wall time
-/// and the process CPU time it consumed.
-fn run<'a>(ops: &mut [Op<'a>], body: impl Fn(&mut Op<'a>, &mut Phase) + Sync) -> Vec<Phase> {
+/// One arrival of an open-loop schedule: an op of the workload, or a
+/// reference round trip ([`Pinger::ping`]) timed the same way.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Arrival {
+    pub at: Duration,
+    pub reference: bool,
+}
+
+/// Two independent Poisson processes over `length`, merged by due offset:
+/// ops at `rate_per_s` from `seed`, reference round trips at
+/// `reference_per_s` (0 for none).
+pub fn schedule(
+    seed: u64,
+    rate_per_s: f64,
+    reference_per_s: f64,
+    length: Duration,
+) -> Vec<Arrival> {
+    let tag = |reference| move |at| Arrival { at, reference };
+    let mut all: Vec<Arrival> = poisson_offsets(seed, rate_per_s, length)
+        .into_iter()
+        .map(tag(false))
+        .collect();
+    if reference_per_s > 0.0 {
+        let offsets = poisson_offsets(!seed, reference_per_s, length);
+        all.extend(offsets.into_iter().map(tag(true)));
+        all.sort_by_key(|a| a.at);
+    }
+    all
+}
+
+/// Run `body` once per caller on a thread of its own. Returns each
+/// caller's part, in the order of `callers`; every part carries the
+/// phase's wall time and the process CPU time it consumed.
+fn run<C: Send>(callers: &mut [C], body: impl Fn(&mut C, &mut Phase) + Sync) -> Vec<Phase> {
     let cpu0 = procinfo::cpu_seconds();
     let start = Instant::now();
     let mut parts: Vec<Phase> = std::thread::scope(|s| {
         let body = &body;
-        let handles: Vec<_> = ops
+        let handles: Vec<_> = callers
             .iter_mut()
-            .map(|op| {
+            .map(|caller| {
                 s.spawn(move || {
                     let mut part = Phase::default();
-                    body(op, &mut part);
+                    body(caller, &mut part);
                     part
                 })
             })
@@ -161,21 +196,38 @@ fn run<'a>(ops: &mut [Op<'a>], body: impl Fn(&mut Op<'a>, &mut Phase) + Sync) ->
     parts
 }
 
-/// Fire one op per entry of `offsets` (ascending, relative to now), each
-/// from whichever caller is free first, regardless of how the previous
-/// ops fared. `tickets` numbers the ops across phases.
-pub fn open_loop(offsets: &[Duration], ops: &mut [Op<'_>], tickets: &AtomicU64) -> Vec<Phase> {
+/// Serve one arrival per entry of `arrivals` (ascending, relative to now),
+/// each from whichever caller is free first, regardless of how the
+/// previous ones fared. `pingers` holds one reference connection per
+/// caller, or none if the schedule has no reference arrivals. `tickets`
+/// numbers the ops across phases.
+pub fn open_loop(
+    arrivals: &[Arrival],
+    ops: &mut [Op<'_>],
+    pingers: &mut [Pinger],
+    tickets: &AtomicU64,
+) -> Vec<Phase> {
     let next = AtomicU64::new(0);
     let start = Instant::now();
-    run(ops, |op, part| loop {
+    let mut pingers: Vec<Option<&mut Pinger>> = pingers.iter_mut().map(Some).collect();
+    pingers.resize_with(ops.len(), || None);
+    let mut callers: Vec<_> = ops.iter_mut().zip(pingers).collect();
+    run(&mut callers, |(op, pinger), part| loop {
         let slot = next.fetch_add(1, Ordering::Relaxed) as usize;
-        let Some(offset) = offsets.get(slot) else {
+        let Some(arrival) = arrivals.get(slot) else {
             break;
         };
-        let due = start + *offset;
+        let due = start + arrival.at;
         let now = Instant::now();
         if due > now {
             std::thread::sleep(due - now);
+        }
+        if arrival.reference {
+            let pinger = pinger.as_mut().expect("a pinger per caller");
+            if pinger.ping().is_ok() {
+                part.reference_ms.push(due.elapsed().as_secs_f64() * 1e3);
+            }
+            continue;
         }
         let begun = Instant::now();
         part.lateness_ms
@@ -215,12 +267,47 @@ mod tests {
     }
 
     #[test]
+    fn reference_round_trips_ride_in_the_schedule() {
+        let length = Duration::from_millis(200);
+        let arrivals = schedule(3, 500.0, 1000.0, length);
+        assert!(arrivals.windows(2).all(|w| w[0].at <= w[1].at), "ascending");
+        let ops: Vec<Duration> = arrivals
+            .iter()
+            .filter(|a| !a.reference)
+            .map(|a| a.at)
+            .collect();
+        assert_eq!(
+            ops,
+            poisson_offsets(3, 500.0, length),
+            "the ops' own schedule is untouched"
+        );
+        let references = arrivals.len() - ops.len();
+        assert!(
+            (150..250).contains(&references),
+            "{references} reference arrivals"
+        );
+
+        let tickets = AtomicU64::new(0);
+        let op: Op = Box::new(|_| Outcome::ok(1));
+        let mut pingers = [Pinger::new().expect("loopback pair")];
+        let phase = Phase::merged(&open_loop(&arrivals, &mut [op], &mut pingers, &tickets));
+        assert_eq!(phase.ops as usize, ops.len());
+        assert_eq!(phase.reference_ms.len(), references);
+        assert!(phase.reference_ms.iter().all(|ms| *ms > 0.0));
+    }
+
+    #[test]
     fn stalled_op_charges_queueing_to_later_ops() {
         // One caller, ops due every 2 ms; the first stalls for 60 ms. An
         // open loop keeps the later ops' due instants, so they start late
         // and their latency includes the wait — a closed loop would have
         // hidden it by simply issuing them later.
-        let offsets: Vec<Duration> = (0..20).map(|i| Duration::from_millis(2 * i)).collect();
+        let arrivals: Vec<Arrival> = (0..20)
+            .map(|i| Arrival {
+                at: Duration::from_millis(2 * i),
+                reference: false,
+            })
+            .collect();
         let tickets = AtomicU64::new(0);
         let op: Op = Box::new(|ticket| {
             if ticket == 0 {
@@ -228,7 +315,7 @@ mod tests {
             }
             Outcome::ok(1)
         });
-        let phase = Phase::merged(&open_loop(&offsets, &mut [op], &tickets));
+        let phase = Phase::merged(&open_loop(&arrivals, &mut [op], &mut [], &tickets));
         assert_eq!(phase.ops, 20);
         assert_eq!(phase.ok_units, 20);
         let late = stats::sorted(phase.lateness_ms.clone());

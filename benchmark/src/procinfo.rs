@@ -6,31 +6,40 @@ use std::process::Command;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
-/// Kernel clock ticks per second for `/proc/<pid>/stat` times. Linux has
-/// reported 100 on every architecture since 2.6 (`USER_HZ`); without a
-/// libc crate `sysconf(_SC_CLK_TCK)` is out of reach.
-const USER_HZ: f64 = 100.0;
-
-/// User + system CPU seconds charged in a `/proc/…/stat` file.
-fn stat_cpu_seconds(path: &str) -> f64 {
-    let stat = std::fs::read_to_string(path).unwrap_or_default();
-    // Fields after the parenthesised command name; utime and stime are
-    // fields 14 and 15 of the whole line.
-    let after = stat.rsplit_once(") ").map_or("", |(_, rest)| rest);
-    let mut fields = after.split(' ').skip(11);
-    let utime: f64 = fields.next().and_then(|f| f.parse().ok()).unwrap_or(0.0);
-    let stime: f64 = fields.next().and_then(|f| f.parse().ok()).unwrap_or(0.0);
-    (utime + stime) / USER_HZ
-}
-
-/// User + system CPU seconds this process has consumed, not counting the
-/// [`IdleSpinner`]'s.
+/// User + system CPU seconds this process has consumed, to the
+/// nanosecond (`CLOCK_PROCESS_CPUTIME_ID`; `/proc/self/stat` counts in
+/// 10 ms ticks, too coarse for a slice of a tenth of a second), not
+/// counting the [`IdleSpinner`]'s.
 pub fn cpu_seconds() -> f64 {
+    const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
     let spinner = match SPINNER_TID.load(Ordering::Relaxed) {
         0 => 0.0,
-        tid => stat_cpu_seconds(&format!("/proc/self/task/{tid}/stat")),
+        tid => thread_cpu_seconds(tid as i32),
     };
-    stat_cpu_seconds("/proc/self/stat") - spinner
+    clock_seconds(CLOCK_PROCESS_CPUTIME_ID) - spinner
+}
+
+fn clock_seconds(clock: i32) -> f64 {
+    let mut ts = [0i64; 2];
+    // SAFETY: `ts` has the layout of a `struct timespec` on 64-bit Linux
+    // (seconds, nanoseconds), which the call fills in.
+    unsafe { clock_gettime(clock, &mut ts) };
+    ts[0] as f64 + ts[1] as f64 * 1e-9
+}
+
+/// CPU seconds the thread `tid` of this process has consumed, to the
+/// nanosecond.
+pub fn thread_cpu_seconds(tid: i32) -> f64 {
+    // The kernel's id for a thread's CPU-time clock: the complement of
+    // the thread id above three flag bits, of which "scheduler clock" (2)
+    // and "per thread" (4) are set (`MAKE_THREAD_CPUCLOCK`).
+    clock_seconds((!tid << 3) | 6)
+}
+
+/// The calling thread's id.
+pub fn thread_id() -> i32 {
+    // SAFETY: `gettid` takes no arguments and cannot fail.
+    unsafe { gettid() }
 }
 
 /// Peak resident set size (`VmHWM`) in MiB.
@@ -44,7 +53,9 @@ pub fn rss_peak_mib() -> f64 {
 }
 
 extern "C" {
+    fn clock_gettime(clock: i32, ts: *mut [i64; 2]) -> i32;
     fn gettid() -> i32;
+    fn prctl(option: i32, ...) -> i32;
     fn sched_setscheduler(pid: i32, policy: i32, param: *const i32) -> i32;
     fn sched_getaffinity(pid: i32, cpusetsize: usize, mask: *mut u64) -> i32;
     fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
@@ -73,6 +84,31 @@ pub fn pin_to_one_cpu() -> Option<usize> {
         cpu
     };
     Some(cpu)
+}
+
+/// Give the calling thread — and every thread spawned from it later, the
+/// services' included — the `SCHED_BATCH` policy: a thread that wakes up
+/// never preempts the one that is running, which keeps the CPU until it
+/// blocks or its time slice ends. With some three hundred threads on one
+/// CPU, whether the default policy lets a woken thread preempt depends on
+/// scheduler state that differs from one set of connections to the next,
+/// and throughput with it (README, "One CPU"). Returns whether the kernel
+/// agreed.
+pub fn batch_policy() -> bool {
+    const SCHED_BATCH: i32 = 3;
+    // SAFETY: pid 0 is the calling thread; the parameter is a
+    // `struct sched_param`, a single int, which must be 0 for SCHED_BATCH.
+    unsafe { sched_setscheduler(0, SCHED_BATCH, &0) == 0 }
+}
+
+/// Let this thread's timed sleeps — and those of every thread spawned
+/// from it later — end when they are due: by default the kernel may
+/// stretch each by 50 µs to batch timer interrupts, which the paced phase
+/// would count as latency on every op.
+pub fn precise_timers() -> bool {
+    const PR_SET_TIMERSLACK: i32 = 29;
+    // SAFETY: the option takes one integer argument, the slack in ns.
+    unsafe { prctl(PR_SET_TIMERSLACK, 1u64) == 0 }
 }
 
 /// Thread id of the running [`IdleSpinner`], 0 when there is none.

@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// Version of the report layout.
-pub const SCHEMA: u32 = 1;
+pub const SCHEMA: u32 = 2;
 
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct MetricValue {
@@ -45,6 +45,8 @@ pub struct ResultLine<'a> {
     pub metrics: &'a Metrics,
 }
 
+/// One kind of phase: its slices added up, and what each slice read —
+/// as measured, nothing scaled.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PhaseReport {
     pub name: String,
@@ -52,11 +54,22 @@ pub struct PhaseReport {
     pub loop_kind: String,
     pub traced: bool,
     pub threads: usize,
+    pub slices: usize,
     pub seconds: f64,
     pub ops: u64,
     pub attempted_units: u64,
     pub failed_units: u64,
     pub latency_samples: usize,
+    /// Per slice: median op latency in ms (open loop) or successful units
+    /// per second (closed loop).
+    pub slice_values: Vec<f64>,
+    /// Per slice: process CPU ms per successful unit.
+    pub slice_cpu_ms_per_op: Vec<f64>,
+    /// Per slice of an untraced run, the reference round trip in µs: the
+    /// median of those that rode in an open-loop slice's schedule, or the
+    /// mean of the back-to-back readings before and after a closed-loop
+    /// slice.
+    pub slice_reference_us: Vec<f64>,
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -76,6 +89,8 @@ pub struct Report {
     pub available_parallelism: usize,
     /// The one CPU the run was confined to (`None`: could not pin).
     pub pinned_cpu: Option<usize>,
+    /// Whether every thread ran under `SCHED_BATCH` (no wakeup preemption).
+    pub sched_batch: bool,
     /// Whether an idle-priority spinner kept that CPU from halting.
     pub idle_spinner: bool,
     pub callers: usize,
@@ -86,16 +101,29 @@ pub struct Report {
     pub rate_ops_s: f64,
     pub slo_ms: f64,
     pub seconds: u64,
+    /// The warm-up serves as many units as `rate_ops_s` offers in this
+    /// long.
     pub warmup_seconds: f64,
+    /// Every set-up as timed, in seconds, and the back-to-back reference
+    /// round trip (µs) read around it.
     pub setups: Vec<f64>,
-    /// The sandbox's speed between slices (`src/reference.rs`): µs per
-    /// loopback TCP round trip and ms per fixed arithmetic loop.
-    pub reference_tcp_rtt_us: Vec<f64>,
+    pub setup_reference_us: Vec<f64>,
+    /// What the reference round trips are scaled to (`src/reference.rs`).
+    pub reference_busy_nominal_us: f64,
+    pub reference_paced_nominal_us: f64,
+    /// A fixed arithmetic loop, in ms, timed now and then: the part of the
+    /// sandbox's speed that its slow spells leave alone.
     pub reference_cpu_ms: Vec<f64>,
     pub phases: Vec<PhaseReport>,
-    /// Tail latency of the plain paced ops (median over slices): the 99th
-    /// percentile, or where a slice holds fewer than 1000 samples the
-    /// highest percentile with ten samples beyond it — the weakest slice's
+    /// The end-to-end metrics as the clock read them, before scaling to
+    /// the reference's nominal length (untraced runs).
+    pub end_to_end_unscaled: BTreeMap<String, f64>,
+    /// `VmHWM` in MiB when the run ended (`rss_peak_mb` is read when the
+    /// paced phase ends).
+    pub rss_end_mb: f64,
+    /// Tail latency of the plain paced ops, all slices together and as
+    /// the clock read it: the 99th percentile, or with fewer than 1000
+    /// samples the highest percentile with ten samples beyond it — that
     /// percentile and count follow. Not gated; `load.lat_p99_ms` in a
     /// traced run is the same quantity.
     pub lat_tail_ms: f64,

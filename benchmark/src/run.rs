@@ -6,6 +6,7 @@
 use crate::layers::{self, Values, Window};
 use crate::loadgen::{self, Op, Phase};
 use crate::procinfo;
+use crate::reference::{self, Pinger};
 use crate::report::{Metrics, PhaseReport, Report, ResultLine, SCHEMA};
 use crate::spec::spec;
 use crate::stats;
@@ -18,17 +19,28 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-/// Discarded closed-loop traffic before anything is timed: connections
-/// dialled, pools warm, allocator and page cache settled.
+/// Discarded closed-loop traffic before anything is timed — connections
+/// dialled, pools warm, allocator and page cache settled: as many units as
+/// the paced phase offers in this long (a count and not a time, so that
+/// the work done before `rss_peak_mb` is read does not depend on how fast
+/// the sandbox happened to be).
 const WARMUP: Duration = Duration::from_secs(3);
-/// `setup_s` is the median over at least [`MIN_SETUPS`] set-ups, and as
-/// many more (up to [`MAX_SETUPS`]) as fit in [`SETUP_BUDGET`]: a set-up
-/// that takes a millisecond needs many repeats to read steadily.
-const MIN_SETUPS: usize = 5;
-const MAX_SETUPS: usize = 200;
-const SETUP_BUDGET: Duration = Duration::from_millis(1500);
-/// Target length of one measured slice of an untraced run.
-const SLICE: Duration = Duration::from_secs(3);
+/// `setup_s` is the median over this many set-ups (a fixed count: the
+/// peak memory of a run depends on how many services it has spawned).
+const SETUPS: usize = 30;
+/// Length of a paced slice of an untraced run, unless the paced rate needs
+/// longer for [`SLICE_ARRIVALS`] …
+const PACED_SLICE: Duration = Duration::from_millis(250);
+/// … arrivals, which a slice must hold for its median latency to mean much.
+const SLICE_ARRIVALS: f64 = 100.0;
+/// Reference round trips per second that ride in a paced slice's schedule.
+const REFERENCE_PER_S: f64 = 1000.0;
+/// Length of a saturate slice: short next to the sandbox's slow spells
+/// (tenths of a second), so that the reference readings on either side of
+/// a slice were mostly taken in the spell the slice ran in.
+const SATURATE_SLICE: Duration = Duration::from_millis(100);
+/// Slices between two readings of the arithmetic reference.
+const CPU_REFERENCE_EVERY: usize = 20;
 /// On/off slice pairs the traced run's saturate phase is cut into.
 const SATURATE_ROUNDS: u32 = 3;
 /// Open-loop generator threads per closed-loop caller. Arrivals come from
@@ -84,51 +96,121 @@ fn mixed_ops<'a>(w: &'a dyn Workload, tracers: &'a mut [Tracer]) -> Vec<Op<'a>> 
     ops
 }
 
+/// One measured slice and the reference round trip read with it, in µs.
+struct Slice {
+    phase: Phase,
+    reference_us: f64,
+}
+
 /// A run in progress: the report being filled in, and what the measured
 /// phases produced beyond it.
 struct Measured {
     report: Report,
-    /// The plain paced and saturate ops the end-to-end metrics read, one
-    /// `Phase` per slice.
-    paced: Vec<Phase>,
-    saturate: Vec<Phase>,
+    /// The plain paced and saturate ops the end-to-end metrics read.
+    paced: Vec<Slice>,
+    saturate: Vec<Slice>,
+    /// `VmHWM` when the paced phase ended.
+    rss_after_paced_mib: f64,
     per_layer: Option<Values>,
     spans: Vec<SpanRec>,
 }
 
 impl Measured {
-    fn reference(&mut self) {
-        self.report
-            .reference_cpu_ms
-            .push(crate::reference::cpu_ms());
-        if let Ok(us) = crate::reference::tcp_rtt_us() {
-            self.report.reference_tcp_rtt_us.push(us);
-        }
-    }
-
-    fn log(&mut self, name: &str, open: bool, traced: bool, threads: usize, p: &Phase) {
+    /// Add a slice, and the reference reading that goes with it, to its
+    /// kind of phase in the report.
+    fn log(
+        &mut self,
+        name: &str,
+        open: bool,
+        traced: bool,
+        threads: usize,
+        p: &Phase,
+        reference_us: f64,
+    ) {
         self.report.attempted += p.attempted_units();
         self.report.failed += p.failed_units;
-        self.report.phases.push(PhaseReport {
-            name: name.into(),
-            loop_kind: if open { "open" } else { "closed" }.into(),
-            traced,
-            threads,
-            seconds: p.wall_s,
-            ops: p.ops,
-            attempted_units: p.attempted_units(),
-            failed_units: p.failed_units,
-            latency_samples: p.latency_ms.len(),
+        let phases = &mut self.report.phases;
+        let kind = match phases
+            .iter()
+            .position(|k| k.name == name && k.traced == traced)
+        {
+            Some(i) => &mut phases[i],
+            None => {
+                phases.push(PhaseReport {
+                    name: name.into(),
+                    loop_kind: if open { "open" } else { "closed" }.into(),
+                    traced,
+                    threads,
+                    slices: 0,
+                    seconds: 0.0,
+                    ops: 0,
+                    attempted_units: 0,
+                    failed_units: 0,
+                    latency_samples: 0,
+                    slice_values: vec![],
+                    slice_cpu_ms_per_op: vec![],
+                    slice_reference_us: vec![],
+                });
+                phases.last_mut().expect("just pushed")
+            }
+        };
+        kind.slices += 1;
+        kind.seconds += p.wall_s;
+        kind.ops += p.ops;
+        kind.attempted_units += p.attempted_units();
+        kind.failed_units += p.failed_units;
+        kind.latency_samples += p.latency_ms.len();
+        kind.slice_values.push(if open {
+            stats::median(&p.latency_ms)
+        } else {
+            p.throughput()
         });
+        kind.slice_cpu_ms_per_op.push(cpu_ms_per_op(p));
+        kind.slice_reference_us.push(reference_us);
     }
 }
 
+/// Which way a reading moves when the sandbox slows down.
+#[derive(Clone, Copy)]
+enum Kind {
+    Time,
+    Rate,
+}
+
+/// The median over `slices` of what `f` reads in each: as the clock read
+/// it, and as it would have read with the reference round trip at its
+/// nominal length — with the sandbox `reference ÷ nominal` times slower, a
+/// time is that much too long and a rate that much too low.
+fn over(slices: &[Slice], nominal_us: f64, kind: Kind, f: &dyn Fn(&Phase) -> f64) -> (f64, f64) {
+    let median = |scaled: bool| {
+        let values = slices.iter().filter(|s| s.reference_us > 0.0).map(|s| {
+            let slowdown = if scaled {
+                s.reference_us / nominal_us
+            } else {
+                1.0
+            };
+            match kind {
+                Kind::Time => f(&s.phase) / slowdown,
+                Kind::Rate => f(&s.phase) * slowdown,
+            }
+        });
+        stats::median(&values.collect::<Vec<f64>>())
+    };
+    (median(false), median(true))
+}
+
+fn cpu_ms_per_op(p: &Phase) -> f64 {
+    p.cpu_s * 1e3 / p.ok_units.max(1) as f64
+}
+
 fn measure(m: &mut Measured, args: &Args, knobs: Knobs, tmp: &Path) -> std::io::Result<()> {
-    // Set-up, over and over; the last one is kept and measured.
+    // Set-up, over and over, a reference reading before and after each;
+    // the last one is kept and measured.
     let mut kept: Option<Box<dyn Workload>> = None;
-    let budget = Instant::now() + SETUP_BUDGET;
+    let mut pinger = Pinger::new()?;
+    let mut before = reference::busy_rtt_us(&mut pinger)?;
     let setups = &mut m.report.setups;
-    while setups.len() < MIN_SETUPS || (Instant::now() < budget && setups.len() < MAX_SETUPS) {
+    while setups.len() < SETUPS {
         let dir = tmp.join("journals");
         if kept.take().is_some() {
             // Torn down; its journals go too, so that no set-up pays for
@@ -138,68 +220,116 @@ fn measure(m: &mut Measured, args: &Args, knobs: Knobs, tmp: &Path) -> std::io::
         let begun = Instant::now();
         kept = Some(workloads::setup(knobs.name, args.seed, &dir)?);
         setups.push(begun.elapsed().as_secs_f64());
+        let after = reference::busy_rtt_us(&mut pinger)?;
+        m.report.setup_reference_us.push((before + after) / 2.0);
+        before = after;
     }
+    drop(pinger);
     let workload = kept.expect("at least one set-up");
     let w: &dyn Workload = &*workload;
 
     let tickets = AtomicU64::new(0);
-    loadgen::closed_loop(WARMUP, &mut plain_ops(w, callers()), &tickets);
+    // In slices like the measured phases, the program's span log emptied
+    // before each: left to fill for three seconds it holds as many spans
+    // as the sandbox was fast, and the run's peak memory would say so.
+    let mut warm_ops = plain_ops(w, callers());
+    let mut to_serve = (knobs.rate_ops_s * WARMUP.as_secs_f64()) as u64;
+    while to_serve > 0 {
+        trace::clear();
+        let slice = loadgen::closed_loop(SATURATE_SLICE, &mut warm_ops, &tickets);
+        // A slice that serves nothing still counts: no run waits forever.
+        to_serve = to_serve.saturating_sub(Phase::merged(&slice).ok_units.max(1));
+    }
+    drop(warm_ops);
     if args.trace {
         traced_phases(m, args, knobs, w, &tickets, tmp)?;
     } else {
-        plain_phases(m, args, knobs, w, &tickets);
+        plain_phases(m, args, knobs, w, &tickets)?;
     }
     m.report.checks = workload.finish(m.report.failed);
     Ok(())
 }
 
-fn paced_offsets(seed: u64, knobs: Knobs, length: Duration) -> Vec<Duration> {
-    let ops_per_s = knobs.rate_ops_s / f64::from(knobs.units_per_op);
-    loadgen::poisson_offsets(seed, ops_per_s, length)
+fn paced_ops_per_s(knobs: Knobs) -> f64 {
+    knobs.rate_ops_s / f64::from(knobs.units_per_op)
 }
 
-/// Cut `seconds` into slices of about [`SLICE`]: `(slice length, paced
-/// slices, saturate slices)`, five paced to every three saturate.
-fn slices(seconds: u64) -> (Duration, usize, usize) {
-    let total = Duration::from_secs(seconds);
-    let n = ((total.as_secs_f64() / SLICE.as_secs_f64()).round() as usize).max(2);
-    let paced = (n * 5).div_ceil(8).min(n - 1);
-    (total / n as u32, paced, n - paced)
+/// Cut `seconds` into slices, five eighths of the time paced and three
+/// eighths saturated: `(paced slice length, paced slices, saturate
+/// slices)`.
+fn slices(seconds: u64, knobs: Knobs) -> (Duration, usize, usize) {
+    let paced = PACED_SLICE.max(Duration::from_secs_f64(
+        SLICE_ARRIVALS / paced_ops_per_s(knobs),
+    ));
+    let n = |share: f64, slice: Duration| {
+        ((seconds as f64 * share / slice.as_secs_f64()) as usize).max(1)
+    };
+    (paced, n(5.0 / 8.0, paced), n(3.0 / 8.0, SATURATE_SLICE))
 }
 
-/// The untraced run. Each phase is measured in slices and every
-/// end-to-end metric is the median over its phase's slices, so that a
-/// stall of the sandbox spoils one slice and not the run's numbers.
+/// The untraced run. Each phase is measured in slices, each slice next to
+/// the reference round trip: riding in a paced slice's schedule, read
+/// back to back before and after a saturate slice.
 fn plain_phases(
     m: &mut Measured,
     args: &Args,
     knobs: Knobs,
     w: &dyn Workload,
     tickets: &AtomicU64,
-) {
+) -> std::io::Result<()> {
     let callers = callers();
     let paced_threads = callers * PACED_THREADS_PER_CALLER;
-    let (slice, paced_slices, saturate_slices) = slices(args.seconds);
+    let (paced_slice, paced_slices, saturate_slices) = slices(args.seconds, knobs);
     let mut ops = plain_ops(w, paced_threads);
+    let mut pingers = (0..paced_threads)
+        .map(|_| Pinger::new())
+        .collect::<std::io::Result<Vec<_>>>()?;
     for i in 0..paced_slices {
-        m.reference();
+        if i % CPU_REFERENCE_EVERY == 0 {
+            m.report.reference_cpu_ms.push(reference::cpu_ms());
+        }
         // The span log freezes once full; each slice starts on an empty
         // one so that the serve path does not change mid-slice.
         trace::clear();
-        let offsets = paced_offsets(args.seed.wrapping_add(i as u64), knobs, slice);
-        let paced = Phase::merged(&loadgen::open_loop(&offsets, &mut ops, tickets));
-        m.log("paced", true, false, paced_threads, &paced);
-        m.paced.push(paced);
+        let arrivals = loadgen::schedule(
+            args.seed.wrapping_add(i as u64),
+            paced_ops_per_s(knobs),
+            REFERENCE_PER_S,
+            paced_slice,
+        );
+        let phase = Phase::merged(&loadgen::open_loop(
+            &arrivals,
+            &mut ops,
+            &mut pingers,
+            tickets,
+        ));
+        let reference_us = stats::median(&phase.reference_ms) * 1e3;
+        m.log("paced", true, false, paced_threads, &phase, reference_us);
+        m.paced.push(Slice {
+            phase,
+            reference_us,
+        });
     }
+    m.rss_after_paced_mib = procinfo::rss_peak_mib();
     ops.truncate(callers);
-    for _ in 0..saturate_slices {
-        m.reference();
+    let pinger = &mut pingers[0];
+    let mut before = reference::busy_rtt_us(pinger)?;
+    for i in 0..saturate_slices {
+        if i % CPU_REFERENCE_EVERY == 0 {
+            m.report.reference_cpu_ms.push(reference::cpu_ms());
+        }
         trace::clear();
-        let saturate = Phase::merged(&loadgen::closed_loop(slice, &mut ops, tickets));
-        m.log("saturate", false, false, callers, &saturate);
-        m.saturate.push(saturate);
+        let phase = Phase::merged(&loadgen::closed_loop(SATURATE_SLICE, &mut ops, tickets));
+        let after = reference::busy_rtt_us(pinger)?;
+        let reference_us = (before + after) / 2.0;
+        before = after;
+        m.log("saturate", false, false, callers, &phase, reference_us);
+        m.saturate.push(Slice {
+            phase,
+            reference_us,
+        });
     }
-    m.reference();
+    Ok(())
 }
 
 /// What the poller saw while saturate slices ran: gauges of which the
@@ -261,13 +391,28 @@ fn traced_phases(
     let tracers = |n: usize| -> Vec<Tracer> { (0..n).map(|_| Tracer::new(epoch)).collect() };
     let (mut paced_tracers, mut sat_tracers) = (tracers(half_paced), tracers(half_callers));
 
+    // No reference readings here: a traced run reports no scaled metric,
+    // and each phase goes in as one slice read at the nominal length.
+    let (busy, paced_nominal) = (reference::BUSY_NOMINAL_US, reference::PACED_NOMINAL_US);
     trace::clear();
-    let offsets = paced_offsets(args.seed, knobs, half);
-    let parts = loadgen::open_loop(&offsets, &mut mixed_ops(w, &mut paced_tracers), tickets);
+    let arrivals = loadgen::schedule(args.seed, paced_ops_per_s(knobs), 0.0, half);
+    let parts = loadgen::open_loop(
+        &arrivals,
+        &mut mixed_ops(w, &mut paced_tracers),
+        &mut [],
+        tickets,
+    );
     let paced = Phase::merged(&parts[..half_paced]);
     let paced_traced = Phase::merged(&parts[half_paced..]);
-    m.log("paced", true, false, half_paced, &paced);
-    m.log("paced", true, true, half_paced, &paced_traced);
+    m.log("paced", true, false, half_paced, &paced, paced_nominal);
+    m.log(
+        "paced",
+        true,
+        true,
+        half_paced,
+        &paced_traced,
+        paced_nominal,
+    );
 
     trace::clear();
     let mut polled = Polled::default();
@@ -293,14 +438,15 @@ fn traced_phases(
     }
     let after = global().snapshot();
     let spans_retained = trace::span_count() as f64;
-    m.log("saturate", false, false, half_callers, &saturate);
-    m.log("saturate", false, true, half_callers, &sat_traced);
+    m.log("saturate", false, false, half_callers, &saturate, busy);
+    m.log("saturate", false, true, half_callers, &sat_traced, busy);
     m.log(
         "saturate-telemetry-off",
         false,
         true,
         2 * half_callers,
         &sat_off,
+        busy,
     );
 
     let probes_before = global().snapshot();
@@ -350,7 +496,14 @@ fn traced_phases(
         .chain(sat_tracers)
         .flat_map(|t| t.spans)
         .collect();
-    (m.paced, m.saturate) = (vec![paced], vec![saturate]);
+    m.paced = vec![Slice {
+        phase: paced,
+        reference_us: paced_nominal,
+    }];
+    m.saturate = vec![Slice {
+        phase: saturate,
+        reference_us: busy,
+    }];
     Ok(())
 }
 
@@ -508,6 +661,9 @@ pub fn run(args: &Args) -> u8 {
     // drown what the program itself does (README, "One CPU").
     let cores = parallelism();
     let pinned_cpu = procinfo::pin_to_one_cpu();
+    // … under a scheduling policy with no wakeup preemption …
+    let sched_batch = procinfo::batch_policy();
+    procinfo::precise_timers();
     // … and that CPU never halts while the run lasts.
     let spinner = procinfo::IdleSpinner::start();
     let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -532,6 +688,7 @@ pub fn run(args: &Args) -> u8 {
         kernel: procinfo::kernel(),
         available_parallelism: cores,
         pinned_cpu,
+        sched_batch,
         idle_spinner: spinner.is_some(),
         callers: callers(),
         paced_threads: callers() * PACED_THREADS_PER_CALLER,
@@ -542,9 +699,13 @@ pub fn run(args: &Args) -> u8 {
         seconds: args.seconds,
         warmup_seconds: WARMUP.as_secs_f64(),
         setups: vec![],
+        setup_reference_us: vec![],
+        reference_busy_nominal_us: reference::BUSY_NOMINAL_US,
+        reference_paced_nominal_us: reference::PACED_NOMINAL_US,
         reference_cpu_ms: vec![],
-        reference_tcp_rtt_us: vec![],
         phases: vec![],
+        end_to_end_unscaled: BTreeMap::new(),
+        rss_end_mb: 0.0,
         lat_tail_ms: 0.0,
         tail_quantile: 0.0,
         tail_samples_beyond: 0,
@@ -563,6 +724,7 @@ pub fn run(args: &Args) -> u8 {
         report,
         paced: vec![],
         saturate: vec![],
+        rss_after_paced_mib: 0.0,
         per_layer: None,
         spans: vec![],
     };
@@ -578,36 +740,65 @@ pub fn run(args: &Args) -> u8 {
         mut report,
         paced,
         saturate,
+        rss_after_paced_mib,
         per_layer,
         spans,
     } = measured;
 
-    // Per slice, then the median over slices.
-    let tails: Vec<Option<stats::Tail>> = paced
-        .iter()
-        .map(|p| stats::tail(&stats::sorted(p.latency_ms.clone()), 0.99, 10))
+    let (busy, paced_nominal) = (reference::BUSY_NOMINAL_US, reference::PACED_NOMINAL_US);
+    let setups: Vec<Slice> = (report.setups.iter().zip(&report.setup_reference_us))
+        .map(|(secs, reference_us)| Slice {
+            phase: Phase {
+                wall_s: *secs,
+                ..Phase::default()
+            },
+            reference_us: *reference_us,
+        })
         .collect();
-    let over = |phase: &[Phase], f: &dyn Fn(&Phase) -> f64| {
-        stats::median(&phase.iter().map(f).collect::<Vec<f64>>())
-    };
+    let readings = [
+        ("setup_s", over(&setups, busy, Kind::Time, &|p| p.wall_s)),
+        (
+            "throughput_ops_s",
+            over(&saturate, busy, Kind::Rate, &Phase::throughput),
+        ),
+        (
+            "lat_p50_ms",
+            over(&paced, paced_nominal, Kind::Time, &|p| {
+                stats::median(&p.latency_ms)
+            }),
+        ),
+        (
+            "cpu_ms_per_op",
+            over(&saturate, busy, Kind::Time, &cpu_ms_per_op),
+        ),
+    ];
+    for (name, (unscaled, scaled)) in readings {
+        report.end_to_end.set(name, scaled);
+        report.end_to_end_unscaled.insert(name.into(), unscaled);
+    }
     let e2e = &mut report.end_to_end;
-    e2e.set("setup_s", stats::median(&report.setups));
-    e2e.set("throughput_ops_s", over(&saturate, &Phase::throughput));
+    // Read when the paced phase ended: up to there every run of a seed
+    // has done the same work, while the jobs a saturate phase gets through
+    // — and what the grid's books keep of each — go with the sandbox's
+    // speed. (A traced run reports no end-to-end metric and reads it now.)
+    report.rss_end_mb = procinfo::rss_peak_mib();
     e2e.set(
-        "lat_p50_ms",
-        over(&paced, &|p| stats::median(&p.latency_ms)),
+        "rss_peak_mb",
+        if args.trace {
+            report.rss_end_mb
+        } else {
+            rss_after_paced_mib
+        },
     );
-    e2e.set(
-        "cpu_ms_per_op",
-        over(&saturate, &|p| p.cpu_s * 1e3 / p.ok_units.max(1) as f64),
-    );
-    e2e.set("rss_peak_mb", procinfo::rss_peak_mib());
-    // The least-supported slice says what `lat_p99_ms` can be trusted as.
-    let weakest = tails.iter().flatten().min_by(|a, b| a.q.total_cmp(&b.q));
-    let tail_values: Vec<f64> = tails.iter().map(|t| t.map_or(0.0, |t| t.value)).collect();
-    report.lat_tail_ms = stats::median(&tail_values);
-    report.tail_quantile = weakest.map_or(0.0, |t| t.q);
-    report.tail_samples_beyond = weakest.map_or(0, |t| t.beyond);
+    // The tail needs more samples than a slice holds: all of the phase's.
+    let all_paced: Vec<f64> = (paced.iter())
+        .flat_map(|s| &s.phase.latency_ms)
+        .copied()
+        .collect();
+    let tail = stats::tail(&stats::sorted(all_paced), 0.99, 10);
+    report.lat_tail_ms = tail.map_or(0.0, |t| t.value);
+    report.tail_quantile = tail.map_or(0.0, |t| t.q);
+    report.tail_samples_beyond = tail.map_or(0, |t| t.beyond);
     if knobs.name.starts_with("submit") {
         report.jobs_per_day = Some(e2e.0["throughput_ops_s"].value * 86_400.0);
     }
@@ -674,10 +865,11 @@ fn print_human(r: &Report) {
     );
     for p in &r.phases {
         println!(
-            "  phase {:<22} {:>6} loop {:<7} {:>6.2} s {:>8} ops {:>9} units {:>5} failed {:>7} samples",
+            "  phase {:<22} {:>6} loop {:<7} {:>3} slices {:>6.2} s {:>8} ops {:>9} units {:>5} failed {:>7} samples",
             p.name,
             p.loop_kind,
             if p.traced { "traced" } else { "plain" },
+            p.slices,
             p.seconds,
             p.ops,
             p.attempted_units,
@@ -695,7 +887,14 @@ fn print_human(r: &Report) {
         println!("  {name:<30} {:>16.4} {}{note}", m.value, m.unit);
     }
     if !r.trace {
-        println!("  every metric is the median over its phase's slices");
+        println!(
+            "  every metric but the memory is the median over its phase's slices, each scaled to a \
+             reference round trip of {} us ({} us in the paced phase); as the clock read them:",
+            r.reference_busy_nominal_us, r.reference_paced_nominal_us
+        );
+        for (name, value) in &r.end_to_end_unscaled {
+            println!("  {name:<30} {value:>16.4} unscaled");
+        }
     }
     for (name, own) in &r.span_self_time_us {
         println!("  span {name:<25} {own:>16.1} us median self time");
@@ -704,9 +903,15 @@ fn print_human(r: &Report) {
         "  paced tail latency {:.4} ms: at least the {:.4} quantile, {} samples beyond it (not gated: see README)",
         r.lat_tail_ms, r.tail_quantile, r.tail_samples_beyond
     );
+    for p in r.phases.iter().filter(|p| !p.traced && !r.trace) {
+        println!(
+            "  reference round trip beside the {} slices: {:.1} us (median)",
+            p.name,
+            stats::median(&p.slice_reference_us)
+        );
+    }
     println!(
-        "  sandbox speed between slices: loopback round trip {:.1} us, arithmetic loop {:.2} ms (medians)",
-        stats::median(&r.reference_tcp_rtt_us),
+        "  arithmetic reference: {:.2} ms (median)",
         stats::median(&r.reference_cpu_ms)
     );
     if let Some(per_day) = r.jobs_per_day {
@@ -720,12 +925,13 @@ fn print_human(r: &Report) {
         println!("  check {:<36} {verdict}  {}", c.name, c.detail);
     }
     println!(
-        "  journals on {}, kernel {}, {}, {} cores (pinned to {:?}, idle spinner {}), commit {}",
+        "  journals on {}, kernel {}, {}, {} cores (pinned to {:?}, SCHED_BATCH {}, idle spinner {}), commit {}",
         r.journal_fs,
         r.kernel,
         r.rustc,
         r.available_parallelism,
         r.pinned_cpu,
+        if r.sched_batch { "on" } else { "off" },
         if r.idle_spinner { "on" } else { "off" },
         r.git_sha
     );
@@ -734,6 +940,47 @@ fn print_human(r: &Report) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A sandbox that is twice as slow in one slice as in the other reads
+    /// half the rate and twice the time there; scaled, the two agree.
+    #[test]
+    fn scaling_takes_the_sandbox_speed_out() {
+        let slice = |ok_units, cpu_s, reference_us| Slice {
+            phase: Phase {
+                wall_s: 1.0,
+                cpu_s,
+                ok_units,
+                ..Phase::default()
+            },
+            reference_us,
+        };
+        let nominal = 8.0;
+        let slices = [
+            slice(1000, 0.5, 8.0),
+            slice(500, 0.5, 16.0),
+            slice(1000, 0.5, 8.0),
+        ];
+        let (read, scaled) = over(&slices, nominal, Kind::Rate, &Phase::throughput);
+        assert_eq!((read, scaled), (1000.0, 1000.0));
+        let slow = [
+            slice(500, 0.5, 16.0),
+            slice(400, 0.5, 20.0),
+            slice(250, 0.5, 32.0),
+        ];
+        let (read, scaled) = over(&slow, nominal, Kind::Rate, &Phase::throughput);
+        assert_eq!((read, scaled), (400.0, 1000.0));
+        let (read, scaled) = over(&slow, nominal, Kind::Time, &cpu_ms_per_op);
+        assert_eq!(read, 1.25);
+        assert!((scaled - 0.5).abs() < 1e-12, "{scaled}");
+        // A slice without a reference reading is left out, not divided by.
+        let (_, scaled) = over(
+            &[slice(7, 0.5, 0.0)],
+            nominal,
+            Kind::Rate,
+            &Phase::throughput,
+        );
+        assert_eq!(scaled, 0.0);
+    }
 
     /// A short traced `submit_repl` run goes through every measurement
     /// the harness has. Whatever it emits must be exactly what
