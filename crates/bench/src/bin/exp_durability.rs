@@ -24,77 +24,35 @@
 //! `E21 PASS` when every assertion holds. `--jobs`, `--transfers`,
 //! `--records` resize the run.
 
-use faucets_bench::flag;
+use faucets_bench::{flag, scratch, spawn_daemon};
 use faucets_core::accounting::{AccountId, DurableLedger};
-use faucets_core::daemon::FaucetsDaemon;
 use faucets_core::ids::{ClusterId, UserId};
 use faucets_core::money::Money;
 use faucets_core::qos::{PayoffFn, QosBuilder};
-use faucets_net::fd::{spawn_fd_with, FdHandle, FdOptions};
+use faucets_net::fd::FdOptions;
 use faucets_net::fs::{spawn_fs_durable, FsOptions};
 use faucets_net::prelude::*;
-use faucets_sched::adaptive::ResizeCostModel;
-use faucets_sched::cluster::Cluster;
-use faucets_sched::equipartition::Equipartition;
-use faucets_sched::machine::MachineSpec;
 use faucets_store::{NoopObserver, StoreOptions, Wal, WalOptions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
-use std::net::SocketAddr;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("faucets-e21-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn spawn_daemon(
-    store: Option<PathBuf>,
-    fs: SocketAddr,
-    aspect: SocketAddr,
-    clock: Clock,
-) -> FdHandle {
-    let machine = MachineSpec::commodity(ClusterId(1), "turing", 64);
-    let daemon = FaucetsDaemon::new(
-        machine.server_info("127.0.0.1", 0),
-        ["namd".to_string()],
-        Box::new(faucets_core::market::Baseline),
-        Money::from_units_f64(0.01),
-    );
-    let cluster = Cluster::new(machine, Box::new(Equipartition), ResizeCostModel::default());
-    spawn_fd_with(
-        "127.0.0.1:0",
-        daemon,
-        cluster,
-        fs,
-        aspect,
-        clock,
-        FdOptions {
-            store,
-            ..FdOptions::default()
-        },
-    )
-    .expect("FD")
-}
 
 /// Scenario 1: kill the daemon after `jobs` confirmed awards; restart;
 /// every acknowledged contract completes. Returns (acked, restored,
 /// completed).
 fn fd_kill_restart(jobs: usize) -> (usize, usize, usize) {
     let clock = Clock::new(3_000.0);
-    let store = scratch("fd");
+    let store = scratch("e21", "fd");
     let fs = spawn_fs("127.0.0.1:0", clock.clone(), 71).expect("FS");
     let aspect = spawn_appspector("127.0.0.1:0", fs.service.addr, 32).expect("AS");
-    let fd = spawn_daemon(
-        Some(store.clone()),
-        fs.service.addr,
-        aspect.service.addr,
-        clock.clone(),
-    );
+    let journaled = || FdOptions {
+        store: Some(store.clone()),
+        ..FdOptions::default()
+    };
+    let (fs_addr, as_addr) = (fs.service.addr, aspect.service.addr);
+    let fd = spawn_daemon(1, "turing", fs_addr, as_addr, clock.clone(), journaled());
 
     let mut client = FaucetsClient::register(
         fs.service.addr,
@@ -130,12 +88,7 @@ fn fd_kill_restart(jobs: usize) -> (usize, usize, usize) {
 
     // kill -9: no goodbye, only the journal survives.
     fd.kill();
-    let fd2 = spawn_daemon(
-        Some(store.clone()),
-        fs.service.addr,
-        aspect.service.addr,
-        clock,
-    );
+    let fd2 = spawn_daemon(1, "turing", fs_addr, as_addr, clock, journaled());
     let restored = fd2.active_contracts();
 
     let mut completed = 0;
@@ -158,7 +111,7 @@ fn fd_kill_restart(jobs: usize) -> (usize, usize, usize) {
 /// alone. Returns replayed record count.
 fn fs_kill_restart() -> u64 {
     let clock = Clock::new(1_000.0);
-    let store = scratch("fs");
+    let store = scratch("e21", "fs");
     let opts = || FsOptions {
         store: Some(store.clone()),
         ..FsOptions::default()
@@ -167,7 +120,14 @@ fn fs_kill_restart() -> u64 {
     let addr = fs.service.addr;
     let aspect = spawn_appspector("127.0.0.1:0", addr, 8).expect("AS");
     // A daemon registers (acknowledged = journaled), then dies with the FS.
-    let fd = spawn_daemon(None, addr, aspect.service.addr, clock.clone());
+    let fd = spawn_daemon(
+        1,
+        "turing",
+        addr,
+        aspect.service.addr,
+        clock.clone(),
+        FdOptions::default(),
+    );
     assert!(fs.state.lock().directory.get(ClusterId(1)).is_some());
     fd.kill();
     drop(fs);
@@ -187,7 +147,7 @@ fn fs_kill_restart() -> u64 {
 /// a crash + reopen the recovered balances equal the model exactly.
 /// Returns (acked, nacked).
 fn ledger_storm(transfers: usize) -> (usize, usize) {
-    let dir = scratch("ledger");
+    let dir = scratch("e21", "ledger");
     let accounts: Vec<AccountId> = (0..4)
         .map(|u| AccountId::User(UserId(u)))
         .chain((0..2).map(|c| AccountId::Cluster(ClusterId(c))))
@@ -210,10 +170,10 @@ fn ledger_storm(transfers: usize) -> (usize, usize) {
     let total_before: i64 = model.values().sum();
 
     let mut rng = StdRng::seed_from_u64(0xE21);
-    let mut storm = |ledger: &DurableLedger<Money>,
-                     model: &mut BTreeMap<AccountId, i64>,
-                     n: usize,
-                     rng: &mut StdRng| {
+    let storm = |ledger: &DurableLedger<Money>,
+                 model: &mut BTreeMap<AccountId, i64>,
+                 n: usize,
+                 rng: &mut StdRng| {
         let mut ok = 0;
         let mut nack = 0;
         for i in 0..n {
@@ -307,7 +267,7 @@ fn record(i: usize) -> Vec<u8> {
 /// Scenario 4: WAL appends vs. rewrite-per-change (both fsync-free, as the
 /// seed journal was). Returns (wal_per_sec, rewrite_per_sec, speedup).
 fn throughput(records: usize) -> (f64, f64, f64) {
-    let dir = scratch("bench");
+    let dir = scratch("e21", "bench");
     std::fs::create_dir_all(&dir).expect("bench dir");
 
     // Arm A: the seed behaviour — serialize ALL entries, temp + rename,

@@ -34,7 +34,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 const DAEMONS: usize = 3;
-const PAYOFF_PER_JOB: u64 = 100;
+const PAYOFF_PER_JOB: i64 = 100;
 
 fn make_fd_parts(i: usize) -> (FaucetsDaemon, Cluster) {
     let pes = [64u32, 128, 256][i % 3];
@@ -236,7 +236,7 @@ fn main() {
     for kills in 0..=max_kills {
         for recovery in [true, false] {
             let r = run_arm(seed, jobs, kills, downtime_ms, recovery);
-            let lost = (r.total - r.completed) as u64 * PAYOFF_PER_JOB;
+            let lost = (r.total - r.completed) as i64 * PAYOFF_PER_JOB;
             table.row(vec![
                 kills.to_string(),
                 if recovery {

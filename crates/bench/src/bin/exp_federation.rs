@@ -28,22 +28,13 @@
 //! shape; `--rate`, `--shard-qps`, `--arm-ms`, `--workers`, and `--fds`
 //! resize it.
 
-use faucets_bench::{flag, switch};
-use faucets_core::daemon::FaucetsDaemon;
-use faucets_core::ids::ClusterId;
-use faucets_core::money::Money;
+use faucets_bench::{flag, poisson_class, schedule_for, switch};
 use faucets_core::qos::{QosBuilder, QosContract};
-use faucets_grid::workload::ArrivalProcess;
 use faucets_load::prelude::*;
-use faucets_net::fd::{spawn_fd_with, FdHandle, FdOptions};
+use faucets_net::fd::{FdHandle, FdOptions};
 use faucets_net::federation::FederationOptions;
 use faucets_net::fs::{spawn_fs_durable, FsHandle, FsOptions};
 use faucets_net::prelude::{spawn_appspector, Clock, FaucetsClient, RetryPolicy};
-use faucets_sched::adaptive::ResizeCostModel;
-use faucets_sched::cluster::Cluster;
-use faucets_sched::equipartition::Equipartition;
-use faucets_sched::machine::MachineSpec;
-use faucets_sim::time::SimDuration;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
@@ -108,18 +99,9 @@ fn spawn_daemon(
     let fallbacks: Vec<SocketAddr> = (1..shards.len())
         .map(|j| shards[(home + j) % shards.len()].service.addr)
         .collect();
-    let machine = MachineSpec::commodity(ClusterId(id), &format!("{arm}-cs{id}"), 64);
-    let daemon = FaucetsDaemon::new(
-        machine.server_info("127.0.0.1", 0),
-        ["namd".to_string()],
-        Box::new(faucets_core::market::Baseline),
-        Money::from_units_f64(0.01),
-    );
-    let cluster = Cluster::new(machine, Box::new(Equipartition), ResizeCostModel::default());
-    spawn_fd_with(
-        "127.0.0.1:0",
-        daemon,
-        cluster,
+    faucets_bench::spawn_daemon(
+        id,
+        &format!("{arm}-cs{id}"),
         shards[home].service.addr,
         aspect,
         clock,
@@ -128,23 +110,6 @@ fn spawn_daemon(
             ..FdOptions::default()
         },
     )
-    .expect("FD")
-}
-
-/// A single-class Poisson schedule offering `rate` wall-jobs/second.
-fn schedule_for(seed: u64, users: u32, rate: f64, wall_ms: u64) -> Schedule {
-    Schedule::build(&ScheduleConfig {
-        seed,
-        users,
-        horizon: SimDuration::from_secs_f64(wall_ms as f64 / 1e3 * SPEEDUP),
-        classes: vec![ClassSpec {
-            name: "federated".into(),
-            arrivals: ArrivalProcess::Poisson {
-                mean_interarrival: SimDuration::from_secs_f64(SPEEDUP / rate),
-            },
-            mix: snappy_mix(),
-        }],
-    })
 }
 
 fn qos() -> QosContract {
@@ -201,7 +166,13 @@ fn main() {
             appspector: aspect.service.addr,
             clock: clock.clone(),
         };
-        let sched = schedule_for(2_600 + i as u64, users, rate, arm_ms);
+        let sched = schedule_for(
+            2_600 + i as u64,
+            users,
+            arm_ms,
+            SPEEDUP,
+            vec![poisson_class("federated", rate, SPEEDUP)],
+        );
         let opts = GridRunOptions {
             workers,
             watchers,

@@ -23,36 +23,17 @@
 //! `--users`, `--rate`, `--soak-ms`, `--workers`, `--fds`, and `--smoke`
 //! resize the run (CI uses the smoke shape).
 
-use faucets_bench::{flag, switch};
-use faucets_core::daemon::FaucetsDaemon;
-use faucets_core::ids::ClusterId;
-use faucets_core::money::Money;
+use faucets_bench::{
+    flag, interarrival, overload_counters, poisson_class, schedule_for, spawn_daemon, switch,
+};
 use faucets_grid::workload::{ArrivalProcess, JobMix};
 use faucets_load::prelude::*;
-use faucets_net::fd::{spawn_fd, FdHandle};
+use faucets_net::fd::{FdHandle, FdOptions};
 use faucets_net::prelude::{spawn_appspector, spawn_fs, Clock};
-use faucets_sched::adaptive::ResizeCostModel;
-use faucets_sched::cluster::Cluster;
-use faucets_sched::equipartition::Equipartition;
-use faucets_sched::machine::MachineSpec;
 use faucets_sim::dist::{LogNormal, UniformDist};
-use faucets_sim::time::SimDuration;
-use std::net::SocketAddr;
 use std::time::Duration;
 
 const SPEEDUP: f64 = 600.0;
-
-fn spawn_daemon(id: u64, fs: SocketAddr, aspect: SocketAddr, clock: Clock) -> FdHandle {
-    let machine = MachineSpec::commodity(ClusterId(id), "turing", 64);
-    let daemon = FaucetsDaemon::new(
-        machine.server_info("127.0.0.1", 0),
-        ["namd".to_string()],
-        Box::new(faucets_core::market::Baseline),
-        Money::from_units_f64(0.01),
-    );
-    let cluster = Cluster::new(machine, Box::new(Equipartition), ResizeCostModel::default());
-    spawn_fd("127.0.0.1:0", daemon, cluster, fs, aspect, clock).expect("FD")
-}
 
 /// A moderately heavier batch mix than [`snappy_mix`]: bigger work with
 /// a fatter tail, still sized to complete in under a wall second at the
@@ -68,42 +49,19 @@ fn batch_mix() -> JobMix {
 
 /// Two QoS classes splitting `rate` wall-jobs/second: interactive
 /// (Poisson, light) and batch (day/night-modulated, heavier tail).
-/// Horizon and inter-arrivals are sim time: wall × speedup.
-fn schedule_for(seed: u64, users: u32, rate_per_sec: f64, wall_ms: u64) -> Schedule {
-    let horizon = SimDuration::from_secs_f64(wall_ms as f64 / 1e3 * SPEEDUP);
-    let inter = |share: f64| SimDuration::from_secs_f64(SPEEDUP / (rate_per_sec * share));
-    Schedule::build(&ScheduleConfig {
-        seed,
-        users,
-        horizon,
-        classes: vec![
-            ClassSpec {
-                name: "interactive".into(),
-                arrivals: ArrivalProcess::Poisson {
-                    mean_interarrival: inter(0.7),
-                },
-                mix: snappy_mix(),
+fn two_class_schedule(seed: u64, users: u32, rate_per_sec: f64, wall_ms: u64) -> Schedule {
+    let classes = vec![
+        poisson_class("interactive", rate_per_sec * 0.7, SPEEDUP),
+        ClassSpec {
+            name: "batch".into(),
+            arrivals: ArrivalProcess::DailyCycle {
+                mean_interarrival: interarrival(rate_per_sec * 0.3, SPEEDUP),
+                amplitude: 0.5,
             },
-            ClassSpec {
-                name: "batch".into(),
-                arrivals: ArrivalProcess::DailyCycle {
-                    mean_interarrival: inter(0.3),
-                    amplitude: 0.5,
-                },
-                mix: batch_mix(),
-            },
-        ],
-    })
-}
-
-/// Client-breaker flaps and server-side overload rejections, for deltas
-/// around each run.
-fn overload_counters() -> (u64, u64) {
-    let s = faucets_telemetry::global().snapshot();
-    (
-        s.counter_sum("net_breaker_transitions_total", &[("to", "open")]),
-        s.counter_sum("net_overload_rejections_total", &[]),
-    )
+            mix: batch_mix(),
+        },
+    ];
+    schedule_for(seed, users, wall_ms, SPEEDUP, classes)
 }
 
 fn run(
@@ -146,7 +104,16 @@ fn main() {
     let fs = spawn_fs("127.0.0.1:0", clock.clone(), 125).expect("FS");
     let aspect = spawn_appspector("127.0.0.1:0", fs.service.addr, 32).expect("AS");
     let _fds: Vec<FdHandle> = (1..=fds)
-        .map(|i| spawn_daemon(i, fs.service.addr, aspect.service.addr, clock.clone()))
+        .map(|i| {
+            spawn_daemon(
+                i,
+                "turing",
+                fs.service.addr,
+                aspect.service.addr,
+                clock.clone(),
+                FdOptions::default(),
+            )
+        })
         .collect();
     let target = GridTarget::single(fs.service.addr, aspect.service.addr, clock.clone());
 
@@ -155,7 +122,7 @@ fn main() {
     let multipliers = [0.5, 1.0, 2.0];
     let mut ladder = Vec::new();
     for (i, mult) in multipliers.iter().enumerate() {
-        let sched = schedule_for(200 + i as u64, users, rate * mult, ladder_ms);
+        let sched = two_class_schedule(200 + i as u64, users, rate * mult, ladder_ms);
         let opts = GridRunOptions {
             workers,
             watchers,
@@ -192,7 +159,7 @@ fn main() {
     );
 
     // Phase 2: the soak — full population, calibrated rate, trend slices.
-    let sched = schedule_for(300, users, rate, soak_ms);
+    let sched = two_class_schedule(300, users, rate, soak_ms);
     assert_eq!(sched.users, users);
     let opts = GridRunOptions {
         workers,

@@ -19,14 +19,13 @@
 //! Writes `BENCH_observability.json` with the edge counts, trace size,
 //! retry count, and overhead percentages.
 
-use faucets_bench::flag;
+use faucets_bench::{flag, qos_for};
 use faucets_core::daemon::FaucetsDaemon;
 use faucets_core::directory::{Directory, FilterLevel, ServerInfo, ServerStatus};
 use faucets_core::ids::{ClusterId, ContractId, JobId, UserId};
 use faucets_core::job::JobSpec;
 use faucets_core::money::Money;
-use faucets_core::qos::{PayoffFn, QosBuilder, QosContract};
-use faucets_grid::prelude::*;
+use faucets_core::qos::{QosBuilder, QosContract};
 use faucets_net::prelude::*;
 use faucets_sched::adaptive::ResizeCostModel;
 use faucets_sched::cluster::Cluster;
@@ -61,19 +60,6 @@ fn assert_edge(snap: &MetricsSnapshot, service: &str, endpoint: &str) -> u64 {
     );
     println!("  {service:<12} {endpoint:<16} {n}");
     n
-}
-
-fn qos_for(clock: &Clock, app: &str) -> QosContract {
-    QosBuilder::new(app, 8, 32, 8.0 * 400.0)
-        .efficiency(0.95, 0.8)
-        .adaptive()
-        .payoff(PayoffFn::hard_only(
-            clock.now().saturating_add(SimDuration::from_hours(4)),
-            Money::from_units(100),
-            Money::from_units(10),
-        ))
-        .build()
-        .unwrap()
 }
 
 /// Median-of-runs wall time for `f`, with one warmup.
@@ -240,7 +226,12 @@ fn main() {
     let mut placed = vec![];
     for c in clients.iter_mut() {
         for j in 0..jobs_per_client {
-            let qos = qos_for(&clock, if j % 2 == 0 { "namd" } else { "cfd" });
+            let qos = qos_for(
+                &clock,
+                if j % 2 == 0 { "namd" } else { "cfd" },
+                8.0 * 400.0,
+                4,
+            );
             let sub = c
                 .submit(qos, &[("in.dat".into(), vec![0u8; 1024])])
                 .expect("placed");
@@ -356,7 +347,7 @@ fn main() {
     chaotic.retry = RetryPolicy::standard(0xE20);
     // Under frame drops the submission may or may not land; the telemetry
     // contract is only that every backoff decision is counted.
-    let _ = chaotic.submit(qos_for(&clock, "namd"), &[]);
+    let _ = chaotic.submit(qos_for(&clock, "namd", 8.0 * 400.0, 4), &[]);
     let retries = faucets_telemetry::global()
         .snapshot()
         .counter_sum("net_call_retries_total", &[])

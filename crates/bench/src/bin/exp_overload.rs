@@ -25,20 +25,15 @@
 //! `E22 PASS` when every assertion holds. `--arm-ms` and `--workers`
 //! resize the run.
 
-use faucets_bench::flag;
+use faucets_bench::{flag, percentile, spawn_daemon};
 use faucets_core::auth::SessionToken;
 use faucets_core::bid::BidRequest;
-use faucets_core::daemon::FaucetsDaemon;
-use faucets_core::ids::{ClusterId, JobId, UserId};
+use faucets_core::ids::{JobId, UserId};
 use faucets_core::money::Money;
 use faucets_core::qos::{PayoffFn, QosBuilder, QosContract};
-use faucets_net::fd::{spawn_fd_with, FdHandle, FdOptions};
+use faucets_net::fd::FdOptions;
 use faucets_net::prelude::*;
 use faucets_net::proto::is_overload_error;
-use faucets_sched::adaptive::ResizeCostModel;
-use faucets_sched::cluster::Cluster;
-use faucets_sched::equipartition::Equipartition;
-use faucets_sched::machine::MachineSpec;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -50,34 +45,6 @@ const PROBE_FLOOR: Duration = Duration::from_millis(40);
 const CAPACITY_PER_SEC: f64 = GATE_SLOTS as f64 / 0.040;
 /// Per-call budget the storm's clients give the grid.
 const CALL_DEADLINE: Duration = Duration::from_millis(250);
-
-fn spawn_daemon(fs: SocketAddr, aspect: SocketAddr, clock: Clock) -> FdHandle {
-    let machine = MachineSpec::commodity(ClusterId(1), "turing", 64);
-    let daemon = FaucetsDaemon::new(
-        machine.server_info("127.0.0.1", 0),
-        ["namd".to_string()],
-        Box::new(faucets_core::market::Baseline),
-        Money::from_units_f64(0.01),
-    );
-    let cluster = Cluster::new(machine, Box::new(Equipartition), ResizeCostModel::default());
-    spawn_fd_with(
-        "127.0.0.1:0",
-        daemon,
-        cluster,
-        fs,
-        aspect,
-        clock,
-        FdOptions {
-            bid_gate: GateConfig {
-                max_inflight: GATE_SLOTS,
-                max_queue: 4,
-            },
-            bid_probe_floor: PROBE_FLOOR,
-            ..FdOptions::default()
-        },
-    )
-    .expect("FD")
-}
 
 /// A rich ($100) or poor ($10) contract for 100 CPU-seconds of namd —
 /// payoff rates 1.0 vs 0.1 $/CPU-s at 1 flop/PE/s.
@@ -106,14 +73,6 @@ struct ArmResult {
     goodput_per_sec: f64,
     p50_ms: f64,
     p99_ms: f64,
-}
-
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// Offer `rps` solicitations/second to the FD for `arm_ms`, alternating
@@ -336,7 +295,21 @@ fn main() {
     let clock = Clock::new(600.0);
     let fs = spawn_fs("127.0.0.1:0", clock.clone(), 81).expect("FS");
     let aspect = spawn_appspector("127.0.0.1:0", fs.service.addr, 32).expect("AS");
-    let fd = spawn_daemon(fs.service.addr, aspect.service.addr, clock.clone());
+    let fd = spawn_daemon(
+        1,
+        "turing",
+        fs.service.addr,
+        aspect.service.addr,
+        clock.clone(),
+        FdOptions {
+            bid_gate: GateConfig {
+                max_inflight: GATE_SLOTS,
+                max_queue: 4,
+            },
+            bid_probe_floor: PROBE_FLOOR,
+            ..FdOptions::default()
+        },
+    );
 
     call(
         fs.service.addr,

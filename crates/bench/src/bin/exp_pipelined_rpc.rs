@@ -26,7 +26,7 @@
 //! `E28 PASS` when every assertion holds. `--arm-ms`, `--stall-us`,
 //! `--soak-conns`, and `--smoke` resize the run.
 
-use faucets_bench::{flag, switch};
+use faucets_bench::{flag, percentile, switch};
 use faucets_net::prelude::*;
 use faucets_telemetry::metrics::Registry;
 use std::net::{SocketAddr, TcpStream};
@@ -49,14 +49,6 @@ struct ArmResult {
     per_sec: f64,
     batch_p50_ms: f64,
     batch_p99_ms: f64,
-}
-
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// The soft fd ceiling for this process, read straight from the kernel so

@@ -24,96 +24,22 @@
 //! `E24 PASS` when every assertion holds. `--jobs`, `--burst`,
 //! `--records` resize the run.
 
-use faucets_bench::flag;
-use faucets_core::daemon::FaucetsDaemon;
-use faucets_core::ids::ClusterId;
-use faucets_core::money::Money;
-use faucets_core::qos::{PayoffFn, QosBuilder};
-use faucets_net::fd::{spawn_fd_with, FdHandle, FdOptions};
+use faucets_bench::{flag, follower_daemon, qos_for, scratch, spawn_daemon};
+use faucets_net::fd::FdOptions;
 use faucets_net::prelude::*;
-use faucets_sched::adaptive::ResizeCostModel;
-use faucets_sched::cluster::Cluster;
-use faucets_sched::equipartition::Equipartition;
-use faucets_sched::machine::MachineSpec;
 use faucets_store::{pick_primary, prepare_promotion, Durable, ReplicationMode, StoreOptions};
-use std::net::SocketAddr;
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
-
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("faucets-e24-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// The FD replication service name for ClusterId(1).
 const FD_SVC: &str = "fd-1";
-
-fn spawn_daemon(
-    store: PathBuf,
-    replication: Option<ReplicationConfig>,
-    fs: SocketAddr,
-    aspect: SocketAddr,
-    clock: Clock,
-) -> FdHandle {
-    let machine = MachineSpec::commodity(ClusterId(1), "turing", 64);
-    let daemon = FaucetsDaemon::new(
-        machine.server_info("127.0.0.1", 0),
-        ["namd".to_string()],
-        Box::new(faucets_core::market::Baseline),
-        Money::from_units_f64(0.01),
-    );
-    let cluster = Cluster::new(machine, Box::new(Equipartition), ResizeCostModel::default());
-    spawn_fd_with(
-        "127.0.0.1:0",
-        daemon,
-        cluster,
-        fs,
-        aspect,
-        clock,
-        FdOptions {
-            store: Some(store),
-            replication,
-            ..FdOptions::default()
-        },
-    )
-    .expect("FD")
-}
-
-fn follower_daemon(service: &str, dir: PathBuf) -> ReplicaHandle {
-    spawn_replica(
-        "127.0.0.1:0",
-        &[(service.to_string(), dir)],
-        ReplicaOptions {
-            no_fsync: true,
-            ..ReplicaOptions::default()
-        },
-    )
-    .expect("replica daemon")
-}
-
-fn qos_for(clock: &Clock) -> faucets_core::qos::QosContract {
-    QosBuilder::new("namd", 8, 32, 64.0 * 3_600.0)
-        .efficiency(0.95, 0.8)
-        .adaptive()
-        .payoff(PayoffFn::hard_only(
-            clock
-                .now()
-                .saturating_add(faucets_sim::time::SimDuration::from_hours(24)),
-            Money::from_units(100),
-            Money::from_units(10),
-        ))
-        .build()
-        .expect("qos")
-}
 
 /// Scenario 1: kill -9 a sync-replicated primary FD, run the documented
 /// failover procedure against the follower, and time it. Returns
 /// (acked, restored, completed, post-failover award ok, MTTR seconds).
 fn failover_mttr(jobs: usize) -> (usize, usize, usize, bool, f64) {
     let clock = Clock::new(3_000.0);
-    let primary_dir = scratch("mttr-primary");
-    let follower_dir = scratch("mttr-follower");
+    let primary_dir = scratch("e24", "mttr-primary");
+    let follower_dir = scratch("e24", "mttr-follower");
 
     let fs = spawn_fs("127.0.0.1:0", clock.clone(), 71).expect("FS");
     let fs_addr = fs.service.addr;
@@ -121,15 +47,20 @@ fn failover_mttr(jobs: usize) -> (usize, usize, usize, bool, f64) {
     let follower = follower_daemon(FD_SVC, follower_dir);
 
     let fd = spawn_daemon(
-        primary_dir,
-        Some(ReplicationConfig {
-            followers: vec![follower.addr],
-            mode: ReplicationMode::Sync,
-            ..ReplicationConfig::default()
-        }),
+        1,
+        "turing",
         fs_addr,
         aspect.service.addr,
         clock.clone(),
+        FdOptions {
+            store: Some(primary_dir),
+            replication: Some(ReplicationConfig {
+                followers: vec![follower.addr],
+                mode: ReplicationMode::Sync,
+                ..ReplicationConfig::default()
+            }),
+            ..FdOptions::default()
+        },
     );
 
     let mut client =
@@ -140,7 +71,10 @@ fn failover_mttr(jobs: usize) -> (usize, usize, usize, bool, f64) {
     let mut acked = Vec::new();
     for i in 0..jobs {
         let sub = client
-            .submit(qos_for(&clock), &[("in.dat".into(), vec![i as u8; 32])])
+            .submit(
+                qos_for(&clock, "namd", 64.0 * 3_600.0, 24),
+                &[("in.dat".into(), vec![i as u8; 32])],
+            )
             .expect("award acked");
         acked.push(sub.job);
     }
@@ -155,11 +89,15 @@ fn failover_mttr(jobs: usize) -> (usize, usize, usize, bool, f64) {
     let promoted_dir = follower.release(FD_SVC).expect("release journal");
     prepare_promotion(&promoted_dir, FD_SVC, pos.epoch + 1).expect("promotion");
     let fd2 = spawn_daemon(
-        promoted_dir,
-        None,
+        1,
+        "turing",
         fs_addr,
         aspect.service.addr,
         clock.clone(),
+        FdOptions {
+            store: Some(promoted_dir),
+            ..FdOptions::default()
+        },
     );
     let restored = fd2.active_contracts();
     let mttr = t0.elapsed().as_secs_f64();
@@ -177,7 +115,10 @@ fn failover_mttr(jobs: usize) -> (usize, usize, usize, bool, f64) {
     }
     // And the promoted primary accepts fresh work.
     let new_award = client
-        .submit(qos_for(&clock), &[("post.dat".into(), vec![7u8; 16])])
+        .submit(
+            qos_for(&clock, "namd", 64.0 * 3_600.0, 24),
+            &[("post.dat".into(), vec![7u8; 16])],
+        )
         .is_ok();
 
     fd2.shutdown();
@@ -229,8 +170,8 @@ fn record(i: usize) -> String {
 /// while the shipper drains, then flush. Returns (max observed lag,
 /// flush converged, residual lag after flush).
 fn lag_under_load(burst: usize) -> (u64, bool, u64) {
-    let dir = scratch("lag-primary");
-    let follower = follower_daemon("lag", scratch("lag-follower"));
+    let dir = scratch("e24", "lag-primary");
+    let follower = follower_daemon("lag", scratch("e24", "lag-follower"));
     let cfg = ReplicationConfig {
         followers: vec![follower.addr],
         mode: ReplicationMode::Async,
@@ -268,7 +209,7 @@ fn lag_under_load(burst: usize) -> (u64, bool, u64) {
 /// Async arms are flushed *outside* the timed window — the claim under
 /// test is the commit path the caller waits on.
 fn arm_rate(records: usize, repl: Option<&ReplicationConfig>, tag: &str) -> f64 {
-    let dir = scratch(&format!("arm-{tag}"));
+    let dir = scratch("e24", &format!("arm-{tag}"));
     let (journal, _) =
         Journal::open(&dir, Log::default(), "arm", log_opts(), repl).expect("open arm");
     let t0 = Instant::now();
@@ -287,7 +228,7 @@ fn arm_rate(records: usize, repl: Option<&ReplicationConfig>, tag: &str) -> f64 
 /// Scenario 3: plain vs async vs sync append throughput (best of 3 runs
 /// per arm, fsync-free). Returns (plain/s, async/s, sync/s).
 fn throughput(records: usize) -> (f64, f64, f64) {
-    let follower = follower_daemon("arm", scratch("arm-follower"));
+    let follower = follower_daemon("arm", scratch("e24", "arm-follower"));
     let async_cfg = ReplicationConfig {
         followers: vec![follower.addr],
         mode: ReplicationMode::Async,

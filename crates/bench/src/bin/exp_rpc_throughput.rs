@@ -22,7 +22,7 @@
 //! Writes `BENCH_rpc.json` (uploaded as a CI artifact); prints `E23 PASS`
 //! when every assertion holds. `--arm-ms` resizes the run.
 
-use faucets_bench::flag;
+use faucets_bench::{flag, percentile};
 use faucets_net::prelude::*;
 use faucets_telemetry::metrics::Registry;
 use std::net::SocketAddr;
@@ -42,14 +42,6 @@ struct ArmResult {
     per_sec: f64,
     p50_ms: f64,
     p99_ms: f64,
-}
-
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// Drive `clients` closed-loop callers at `addr` for `arm_ms`, each call

@@ -26,24 +26,16 @@
 //! `--seed` replays a schedule exactly; `--smoke` shrinks the storm for
 //! CI.
 
-use faucets_bench::{flag, switch};
-use faucets_core::daemon::FaucetsDaemon;
-use faucets_core::ids::ClusterId;
-use faucets_core::money::Money;
-use faucets_core::qos::{PayoffFn, QosBuilder};
-use faucets_grid::workload::ArrivalProcess;
+use faucets_bench::{
+    flag, follower_daemon, overload_counters, poisson_class, qos_for, schedule_for, scratch,
+    spawn_daemon, switch,
+};
 use faucets_load::prelude::*;
-use faucets_net::fd::{spawn_fd_with, FdHandle, FdOptions};
+use faucets_net::fd::{FdHandle, FdOptions};
 use faucets_net::prelude::*;
 use faucets_net::sentinel::{spawn_sentinel, SentinelOptions};
-use faucets_sched::adaptive::ResizeCostModel;
-use faucets_sched::cluster::Cluster;
-use faucets_sched::equipartition::Equipartition;
-use faucets_sched::machine::MachineSpec;
-use faucets_sim::time::SimDuration;
 use faucets_store::{pick_primary, prepare_promotion, ReplicationMode};
 use parking_lot::Mutex;
-use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -51,67 +43,14 @@ use std::time::{Duration, Instant};
 
 const SPEEDUP: f64 = 600.0;
 
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("faucets-e27-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn spawn_daemon(
-    cluster_id: u64,
-    store: PathBuf,
-    replication: Option<ReplicationConfig>,
-    fs: SocketAddr,
-    aspect: SocketAddr,
-    clock: Clock,
-) -> FdHandle {
-    let machine = MachineSpec::commodity(ClusterId(cluster_id), "turing", 64);
-    let daemon = FaucetsDaemon::new(
-        machine.server_info("127.0.0.1", 0),
-        ["namd".to_string()],
-        Box::new(faucets_core::market::Baseline),
-        Money::from_units_f64(0.01),
-    );
-    let cluster = Cluster::new(machine, Box::new(Equipartition), ResizeCostModel::default());
-    spawn_fd_with(
-        "127.0.0.1:0",
-        daemon,
-        cluster,
-        fs,
-        aspect,
-        clock,
-        FdOptions {
-            store: Some(store),
-            replication,
-            ..FdOptions::default()
-        },
-    )
-    .expect("FD")
-}
-
-fn follower_daemon(service: &str, dir: PathBuf) -> ReplicaHandle {
-    spawn_replica(
-        "127.0.0.1:0",
-        &[(service.to_string(), dir)],
-        ReplicaOptions {
-            no_fsync: true,
-            ..ReplicaOptions::default()
-        },
-    )
-    .expect("replica daemon")
-}
-
-fn qos_for(clock: &Clock) -> faucets_core::qos::QosContract {
-    QosBuilder::new("namd", 8, 32, 64.0 * 3_600.0)
-        .efficiency(0.95, 0.8)
-        .adaptive()
-        .payoff(PayoffFn::hard_only(
-            clock.now().saturating_add(SimDuration::from_hours(24)),
-            Money::from_units(100),
-            Money::from_units(10),
-        ))
-        .build()
-        .expect("qos")
+/// A journaling FD's options: its store directory and, for a primary, the
+/// followers it ships to.
+fn journaled(store: PathBuf, replication: Option<ReplicationConfig>) -> FdOptions {
+    FdOptions {
+        store: Some(store),
+        replication,
+        ..FdOptions::default()
+    }
 }
 
 /// Phase 1: the E24 operator-driven failover, timed from the kill.
@@ -123,19 +62,22 @@ fn operator_baseline(jobs: usize) -> (usize, usize, f64) {
     let fs = spawn_fs("127.0.0.1:0", clock.clone(), 271).expect("FS");
     let fs_addr = fs.service.addr;
     let aspect = spawn_appspector("127.0.0.1:0", fs_addr, 16).expect("AS");
-    let follower = follower_daemon(SVC, scratch("base-follower"));
+    let follower = follower_daemon(SVC, scratch("e27", "base-follower"));
 
     let fd = spawn_daemon(
         1,
-        scratch("base-primary"),
-        Some(ReplicationConfig {
-            followers: vec![follower.addr],
-            mode: ReplicationMode::Sync,
-            ..ReplicationConfig::default()
-        }),
+        "turing",
         fs_addr,
         aspect.service.addr,
         clock.clone(),
+        journaled(
+            scratch("e27", "base-primary"),
+            Some(ReplicationConfig {
+                followers: vec![follower.addr],
+                mode: ReplicationMode::Sync,
+                ..ReplicationConfig::default()
+            }),
+        ),
     );
 
     let mut client =
@@ -145,7 +87,10 @@ fn operator_baseline(jobs: usize) -> (usize, usize, f64) {
     let mut acked = Vec::new();
     for i in 0..jobs {
         let sub = client
-            .submit(qos_for(&clock), &[("in.dat".into(), vec![i as u8; 32])])
+            .submit(
+                qos_for(&clock, "namd", 64.0 * 3_600.0, 24),
+                &[("in.dat".into(), vec![i as u8; 32])],
+            )
             .expect("award acked");
         acked.push(sub.job);
     }
@@ -158,11 +103,11 @@ fn operator_baseline(jobs: usize) -> (usize, usize, f64) {
     prepare_promotion(&promoted_dir, SVC, pos.epoch + 1).expect("promotion");
     let fd2 = spawn_daemon(
         1,
-        promoted_dir,
-        None,
+        "turing",
         fs_addr,
         aspect.service.addr,
         clock.clone(),
+        journaled(promoted_dir, None),
     );
     let mttr = t0.elapsed().as_secs_f64();
 
@@ -179,31 +124,6 @@ fn operator_baseline(jobs: usize) -> (usize, usize, f64) {
     fd2.shutdown();
     follower.shutdown();
     (acked.len(), completed, mttr)
-}
-
-/// One interactive Poisson class at `rate` wall-jobs/second for
-/// `wall_ms`; sim-time horizon and inter-arrivals follow the E25 recipe.
-fn schedule_for(seed: u64, users: u32, rate_per_sec: f64, wall_ms: u64) -> Schedule {
-    Schedule::build(&ScheduleConfig {
-        seed,
-        users,
-        horizon: SimDuration::from_secs_f64(wall_ms as f64 / 1e3 * SPEEDUP),
-        classes: vec![ClassSpec {
-            name: "interactive".into(),
-            arrivals: ArrivalProcess::Poisson {
-                mean_interarrival: SimDuration::from_secs_f64(SPEEDUP / rate_per_sec),
-            },
-            mix: snappy_mix(),
-        }],
-    })
-}
-
-fn overload_counters() -> (u64, u64) {
-    let s = faucets_telemetry::global().snapshot();
-    (
-        s.counter_sum("net_breaker_transitions_total", &[("to", "open")]),
-        s.counter_sum("net_overload_rejections_total", &[]),
-    )
 }
 
 fn main() {
@@ -246,21 +166,24 @@ fn main() {
     let fs_addr = fs.service.addr;
     let aspect = spawn_appspector("127.0.0.1:0", fs_addr, 32).expect("AS");
     let as_addr = aspect.service.addr;
-    let follower_dir = scratch("storm-follower");
+    let follower_dir = scratch("e27", "storm-follower");
     let follower = follower_daemon(SVC, follower_dir.clone());
     let follower_addr = follower.addr;
 
     let fd = spawn_daemon(
         9,
-        scratch("storm-primary"),
-        Some(ReplicationConfig {
-            followers: vec![follower_addr],
-            mode: ReplicationMode::Sync,
-            ..ReplicationConfig::default()
-        }),
+        "turing",
         fs_addr,
         as_addr,
         clock.clone(),
+        journaled(
+            scratch("e27", "storm-primary"),
+            Some(ReplicationConfig {
+                followers: vec![follower_addr],
+                mode: ReplicationMode::Sync,
+                ..ReplicationConfig::default()
+            }),
+        ),
     );
 
     // The promote callback is the sentinel's only "operator": respawn the
@@ -285,7 +208,14 @@ fn main() {
         vec![follower_addr],
         opts,
         move |dir, _epoch| {
-            let fd2 = spawn_daemon(9, dir, None, fs_addr, as_addr, cb_clock.clone());
+            let fd2 = spawn_daemon(
+                9,
+                "turing",
+                fs_addr,
+                as_addr,
+                cb_clock.clone(),
+                journaled(dir, None),
+            );
             let addr = fd2.service.addr;
             promoted_cb.lock().push(fd2);
             Ok(addr)
@@ -302,7 +232,10 @@ fn main() {
     let mut witnessed = Vec::new();
     for i in 0..jobs {
         let sub = witness
-            .submit(qos_for(&clock), &[("w.dat".into(), vec![i as u8; 32])])
+            .submit(
+                qos_for(&clock, "namd", 64.0 * 3_600.0, 24),
+                &[("w.dat".into(), vec![i as u8; 32])],
+            )
             .expect("witness award acked");
         checker.acked(sub.job);
         witnessed.push(sub.job);
@@ -325,7 +258,13 @@ fn main() {
     // Open-loop load spans the whole storm; the nemesis fires from the
     // main thread while workers submit. The applier is sequential (fire()
     // walks the schedule in order), which the skip rules below rely on.
-    let schedule = schedule_for(seed ^ 0xE27, users, rate, window_ms + 1_500);
+    let schedule = schedule_for(
+        seed ^ 0xE27,
+        users,
+        window_ms + 1_500,
+        SPEEDUP,
+        vec![poisson_class("interactive", rate, SPEEDUP)],
+    );
     let gopts = GridRunOptions {
         workers,
         watchers: 4,
@@ -418,7 +357,10 @@ fn main() {
     }
     // And the promoted primary accepts fresh work.
     let new_award = witness
-        .submit(qos_for(&clock), &[("post.dat".into(), vec![7u8; 16])])
+        .submit(
+            qos_for(&clock, "namd", 64.0 * 3_600.0, 24),
+            &[("post.dat".into(), vec![7u8; 16])],
+        )
         .is_ok();
 
     let events_log = sentinel.events();

@@ -345,46 +345,46 @@ impl FaucetsClient {
     }
 
     /// Call the FS, rotating through [`FaucetsClient::fs_fallbacks`] on
-    /// transport failure. Rotation is sticky: the endpoint that answers
-    /// becomes (or stays) the primary, so a healthy shard is not re-probed
-    /// through a dead one on every call.
+    /// transport failure.
     fn fs_call(&mut self, req: &Request) -> Result<Response, ClientError> {
-        let endpoints = 1 + self.fs_fallbacks.len();
-        let mut last: Option<ClientError> = None;
-        for _ in 0..endpoints {
-            match self.call(self.fs, req) {
-                Err(ClientError::Transport(e)) if !self.fs_fallbacks.is_empty() => {
-                    let next = self.fs_fallbacks.remove(0);
-                    self.fs_fallbacks.push(self.fs);
-                    self.fs = next;
-                    self.m_failovers.inc();
-                    last = Some(ClientError::Transport(e));
-                }
-                other => return other,
-            }
-        }
-        Err(last.unwrap_or_else(|| ClientError::Transport("no FS endpoint".into())))
+        self.rotating_call(false, req)
     }
 
     /// Call AppSpector, rotating through
-    /// [`FaucetsClient::appspector_fallbacks`] on transport failure —
-    /// the same sticky rotation as [`FaucetsClient::fs_call`].
+    /// [`FaucetsClient::appspector_fallbacks`] on transport failure.
     fn as_call(&mut self, req: &Request) -> Result<Response, ClientError> {
-        let endpoints = 1 + self.appspector_fallbacks.len();
-        let mut last: Option<ClientError> = None;
-        for _ in 0..endpoints {
-            match self.call(self.appspector, req) {
-                Err(ClientError::Transport(e)) if !self.appspector_fallbacks.is_empty() => {
-                    let next = self.appspector_fallbacks.remove(0);
-                    self.appspector_fallbacks.push(self.appspector);
-                    self.appspector = next;
-                    self.m_as_failovers.inc();
-                    last = Some(ClientError::Transport(e));
-                }
-                other => return other,
+        self.rotating_call(true, req)
+    }
+
+    /// The rotation under both: sticky, so the endpoint that answers
+    /// becomes (or stays) the primary and a healthy endpoint is not
+    /// re-probed through a dead one on every call.
+    fn rotating_call(&mut self, monitor: bool, req: &Request) -> Result<Response, ClientError> {
+        let opts = self.opts();
+        let (primary, fallbacks, failovers) = match monitor {
+            true => (
+                &mut self.appspector,
+                &mut self.appspector_fallbacks,
+                &self.m_as_failovers,
+            ),
+            false => (&mut self.fs, &mut self.fs_fallbacks, &self.m_failovers),
+        };
+        // Every endpoint gets one try; a full sweep of failures rotates
+        // all the way round, back to the endpoint it started from.
+        let mut tries_left = fallbacks.len();
+        loop {
+            let result = call_with(*primary, req, &opts).map_err(ClientError::from);
+            if !matches!(result, Err(ClientError::Transport(_))) || fallbacks.is_empty() {
+                return result;
             }
+            fallbacks.push(std::mem::replace(primary, fallbacks[0]));
+            fallbacks.remove(0);
+            failovers.inc();
+            if tries_left == 0 {
+                return result;
+            }
+            tries_left -= 1;
         }
-        Err(last.unwrap_or_else(|| ClientError::Transport("no AppSpector endpoint".into())))
     }
 
     /// Re-authenticate after the session died (typically with the shard

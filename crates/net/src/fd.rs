@@ -529,18 +529,22 @@ pub fn spawn_fd_with(
                     let FdState {
                         daemon, cluster, ..
                     } = &mut *s;
-                    daemon.handle_award(spec, contract, &bid, cluster, now)
+                    let outcome = daemon.handle_award(spec, contract, &bid, cluster, now);
+                    // Recorded under the lock acquisition that scheduled
+                    // the job: released in between, the pump can complete
+                    // the job first, and its `contracts.remove` would run
+                    // before this insert and leave the entry behind.
+                    if matches!(outcome, Ok(AwardOutcome::Confirmed)) {
+                        s.owners.insert(job, user);
+                        s.contracts.insert(job, entry);
+                        if journal.is_some() {
+                            s.m_journal_writes.inc();
+                        }
+                    }
+                    outcome
                 };
                 match outcome {
                     Ok(AwardOutcome::Confirmed) => {
-                        {
-                            let mut s = st.lock();
-                            s.owners.insert(job, user);
-                            s.contracts.insert(job, entry);
-                            if journal.is_some() {
-                                s.m_journal_writes.inc();
-                            }
-                        }
                         // The scheduler just gained a job: wake the pump
                         // so it re-paces against the new next completion.
                         pump_signal.notify();
@@ -919,5 +923,114 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(r, Response::Error(_)));
+    }
+
+    /// Regression for the award race: the handler used to release the
+    /// state lock between scheduling the job and recording its contract,
+    /// so the pump could complete a near-instant job in between and the
+    /// contract entry outlived its job. Many concurrent awards of jobs
+    /// that finish within microseconds of wall time must all drain.
+    #[test]
+    fn awards_of_instant_jobs_leave_no_stale_contracts() {
+        const THREADS: u64 = 8;
+        const PER_THREAD: u64 = 40;
+        // 2000x: the 8 h session outlives the test by a wide margin.
+        let clock = Clock::new(2_000.0);
+        let fs = spawn_fs("127.0.0.1:0", clock.clone(), 12).unwrap();
+        let aspect =
+            crate::appspector_srv::spawn_appspector("127.0.0.1:0", fs.service.addr, 8).unwrap();
+        let machine = MachineSpec::commodity(ClusterId(1), "racy", 4096);
+        let daemon = FaucetsDaemon::new(
+            machine.server_info("127.0.0.1", 0),
+            ["namd".to_string()],
+            Box::new(faucets_core::market::Baseline),
+            Money::from_units_f64(0.01),
+        );
+        let cluster = Cluster::new(machine, Box::new(Equipartition), ResizeCostModel::default());
+        let fd = spawn_fd(
+            "127.0.0.1:0",
+            daemon,
+            cluster,
+            fs.service.addr,
+            aspect.service.addr,
+            clock.clone(),
+        )
+        .unwrap();
+        call(
+            fs.service.addr,
+            &Request::CreateUser {
+                user: "u".into(),
+                password: "p".into(),
+            },
+        )
+        .unwrap();
+        let Response::Session { user, token } = call(
+            fs.service.addr,
+            &Request::Login {
+                user: "u".into(),
+                password: "p".into(),
+            },
+        )
+        .unwrap() else {
+            panic!("expected a session")
+        };
+        // A millisecond of CPU on one PE is half a microsecond of wall
+        // time at this clock: the pump completes each job about as soon
+        // as the award handler lets go of the state lock.
+        let qos = QosBuilder::new("namd", 1, 1, 0.001).build().unwrap();
+        let addr = fd.service.addr;
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (token, qos, clock) = (token.clone(), qos.clone(), clock.clone());
+                scope.spawn(move || {
+                    for i in 0..PER_THREAD {
+                        let job = JobId(1 + t * PER_THREAD + i);
+                        let now = clock.now();
+                        let bid = faucets_core::bid::Bid {
+                            id: faucets_core::ids::BidId(job.raw()),
+                            cluster: ClusterId(1),
+                            job,
+                            multiplier: 1.0,
+                            price: Money::from_units(1),
+                            promised_completion: now,
+                            planned_pes: 1,
+                        };
+                        let reply = call(
+                            addr,
+                            &Request::Award {
+                                token: token.clone(),
+                                spec: JobSpec::new(job, user, qos.clone(), now).unwrap(),
+                                contract: ContractId(job.raw()),
+                                bid,
+                            },
+                        )
+                        .unwrap();
+                        assert!(
+                            matches!(
+                                reply,
+                                Response::AwardReply {
+                                    confirmed: true,
+                                    ..
+                                }
+                            ),
+                            "award of {job:?}: {reply:?}"
+                        );
+                    }
+                });
+            }
+        });
+        // Drain: every confirmed job completes, then the pump's last pass
+        // retires its contract.
+        let awarded = THREADS * PER_THREAD;
+        let settle = |done: &dyn Fn() -> bool, limit: Duration| {
+            let until = std::time::Instant::now() + limit;
+            while !done() && std::time::Instant::now() < until {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        };
+        settle(&|| fd.completed() == awarded, Duration::from_secs(20));
+        settle(&|| fd.active_contracts() == 0, Duration::from_secs(2));
+        assert_eq!(fd.completed(), awarded, "every awarded job ran");
+        assert_eq!(fd.active_contracts(), 0, "a contract outlived its job");
     }
 }

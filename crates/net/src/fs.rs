@@ -783,14 +783,14 @@ mod tests {
         // Choke the query bucket at runtime: zero refill, zero capacity.
         fs.query_bucket.set_rate(0.0);
         fs.query_bucket.set_burst(0.0);
-        let r = call(
+        let err = call(
             fs.service.addr,
             &Request::ListClusters {
                 token: faucets_core::auth::SessionToken("x".into()),
             },
         )
-        .unwrap();
-        assert!(matches!(r, Response::Overloaded { .. }), "got {r:?}");
+        .unwrap_err();
+        assert!(crate::proto::is_overload_error(&err), "got {err:?}");
         // Heartbeats and registrations are exempt from the query throttle.
         let r = call(
             fs.service.addr,

@@ -14,8 +14,10 @@
 //!   feeds AppSpector;
 //! * [`appspector_srv`] — buffered monitoring and output download;
 //! * [`client`] — the full §2 submission/monitoring client;
-//! * [`service`] — the shared serve reactor, timeout/retry, and clock
-//!   plumbing;
+//! * [`service`] — shared plumbing, one file per concern:
+//!   `service/time.rs` (clock, stop signal, timeouts, retry policy),
+//!   `service/serve.rs` (the serve reactor) and `service/call.rs` (the
+//!   one client call path: admit → exchange → grade);
 //! * [`reactor`] — the dependency-free epoll wrapper (readiness events,
 //!   eventfd wakeups, incremental frame reassembly) under the serve path;
 //! * [`pool`] — persistent, health-checked client connection pooling (see
@@ -39,12 +41,16 @@
 //!   ([`proto::MAX_FRAME`], 16 MiB) so a garbled or malicious length can
 //!   never drive an unbounded allocation, and returns typed
 //!   [`proto::ProtoError`]s (never panics) on truncated or corrupted
-//!   frames. Both socket directions carry timeouts
-//!   ([`service::Timeouts`]), configurable per service and per call.
+//!   frames. Both directions of a caller's socket carry timeouts
+//!   ([`service::Timeouts`]), configurable per call.
 //! * **Transport** — [`service::call_with`] retries transport failures
 //!   under a bounded [`service::RetryPolicy`] (exponential backoff, capped,
 //!   with deterministic seeded jitter). A received `Response::Error` is an
-//!   answer, not a failure, and is never retried at this layer.
+//!   answer, not a failure, and is never retried at this layer. Every
+//!   attempt — a lone request or a [`service::call_batch`] burst, over
+//!   any transport — is admit (breaker gate) → exchange (the selected
+//!   transport, stale-socket retry included) → grade (breaker and
+//!   overload bookkeeping), written once.
 //! * **Central Server** — the directory grades each daemon
 //!   alive → suspect → dead from heartbeat recency
 //!   (`faucets_core::directory::Liveness`) and evicts dead daemons, so
@@ -247,7 +253,7 @@ pub mod prelude {
         BreakerConfig, BreakerSet, CircuitBreaker, GateConfig, GateVerdict, PayoffGate,
         ServiceLimits, TokenBucket,
     };
-    pub use crate::pool::{ConnPool, MuxConfig, MuxPool, PoolConfig, PooledConn};
+    pub use crate::pool::{ConnPool, MuxConfig, MuxPool, PoolConfig};
     pub use crate::proto::{read_frame, write_frame, Envelope, ProtoError, Request, Response};
     pub use crate::replica::{
         spawn_replica, Journal, RemoteLink, ReplicaHandle, ReplicaOptions, ReplicationConfig,

@@ -5,7 +5,7 @@
 //! per call is pure overhead, because [`crate::service::serve_with`]
 //! already serves frame-by-frame on persistent streams. A [`ConnPool`]
 //! keeps health-checked idle sockets per peer and hands them to
-//! [`crate::service::call_with`] (see [`crate::service::CallOptions::pool`])
+//! [`crate::service::call_with`] (see [`CallOptions::pool`])
 //! so retries, deadlines, breakers, and fault injection all operate
 //! unchanged — the pool swaps only where the bytes flow.
 //!
@@ -21,9 +21,12 @@
 //! under a `pool` label: `net_pool_{hits,misses,evictions,poisoned}_total`
 //! and the `net_pool_open_conns` gauge.
 
+use crate::proto::{Request, Response};
+use crate::reactor::WriteQueue;
+use crate::service::{effective, remaining_ms, round_trip, stamp, CallOptions};
 use faucets_telemetry::metrics::Registry;
 use std::collections::HashMap;
-use std::io::{self, Write};
+use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Weak};
@@ -35,9 +38,10 @@ pub struct PoolConfig {
     /// Idle sockets kept per peer; a returned socket over the bound is
     /// closed instead of cached.
     pub max_idle_per_peer: usize,
-    /// How long an idle socket may sit before eviction. Keep this below
-    /// the serve side's read timeout (10 s default): a socket the server
-    /// is about to reap is worse than a reconnect.
+    /// How long an idle socket may sit before eviction. Servers never
+    /// reap an idle connection, so this only bounds how long an unused
+    /// socket (and the server's parked state for it) is kept, and how
+    /// stale a socket a restarted peer can leave in the cache.
     pub idle_ttl: Duration,
 }
 
@@ -129,16 +133,21 @@ impl ConnPool {
         usable && stream.set_nonblocking(false).is_ok()
     }
 
-    /// Check out a connection to `addr`: a cached idle socket when a
-    /// healthy one exists (most recently used first — warm sockets stay
-    /// warm), otherwise a fresh connect within `connect_timeout`.
-    pub fn checkout(
+    /// Check out a connection to `addr`: unless `fresh` is asked for, a
+    /// cached idle socket when a healthy one exists (most recently used
+    /// first — warm sockets stay warm); otherwise a new connect within
+    /// `connect_timeout`.
+    fn checkout(
         self: &Arc<Self>,
         addr: SocketAddr,
         connect_timeout: Duration,
+        fresh: bool,
         reg: &Registry,
     ) -> io::Result<PooledConn> {
         loop {
+            if fresh {
+                break;
+            }
             let candidate = {
                 let mut idle = self.idle.lock().unwrap();
                 let Some(peer) = idle.get_mut(&addr) else {
@@ -172,16 +181,6 @@ impl ConnPool {
                 .inc();
             self.discard(candidate.stream, reg);
         }
-        self.checkout_fresh(addr, connect_timeout, reg)
-    }
-
-    /// Check out a freshly connected socket, bypassing the idle cache.
-    pub fn checkout_fresh(
-        self: &Arc<Self>,
-        addr: SocketAddr,
-        connect_timeout: Duration,
-        reg: &Registry,
-    ) -> io::Result<PooledConn> {
         reg.counter("net_pool_misses_total", &self.labels()).inc();
         let stream = TcpStream::connect_timeout(&addr, connect_timeout)?;
         self.open.fetch_add(1, Ordering::SeqCst);
@@ -193,35 +192,53 @@ impl ConnPool {
             pool: Arc::clone(self),
         })
     }
+
+    /// One request/response exchange on a pooled socket (a fresh connect
+    /// when `fresh`), after which the socket goes back to the idle cache —
+    /// or, on any failure, is poisoned: after a fault or timeout the stream
+    /// may hold half a frame, and returning it would pay the next caller
+    /// this caller's bytes. Sets `reused` when the socket came out of the
+    /// cache, which gates the call path's one-shot stale retry.
+    pub(crate) fn round_trip(
+        self: &Arc<Self>,
+        addr: SocketAddr,
+        req: &Request,
+        opts: &CallOptions,
+        deadline: Option<Instant>,
+        fresh: bool,
+        reused: &mut bool,
+    ) -> io::Result<Response> {
+        let reg = effective(&opts.registry);
+        let mut conn = self.checkout(addr, opts.connect, fresh, reg)?;
+        *reused |= conn.reused;
+        let stream = conn.stream.as_mut().expect("checked out with a stream");
+        let result = round_trip(stream, req, opts, deadline);
+        match result {
+            Ok(_) => conn.give_back(reg),
+            Err(_) => conn.poison(reg),
+        }
+        result
+    }
 }
 
 /// A connection checked out of a [`ConnPool`]. Exactly one of three things
 /// must happen to it: [`PooledConn::give_back`] after a clean round-trip,
 /// [`PooledConn::poison`] after any failure, or a plain drop (which closes
 /// the socket — the safe default for code paths that bail early).
-pub struct PooledConn {
+struct PooledConn {
     stream: Option<TcpStream>,
     addr: SocketAddr,
+    /// Whether this socket came out of the idle cache (vs a fresh
+    /// connect). A reused socket that fails with a disconnect may be
+    /// retried once on a fresh one — see the call path's `exchange`.
     reused: bool,
     pool: Arc<ConnPool>,
 }
 
 impl PooledConn {
-    /// The live stream.
-    pub fn stream(&mut self) -> &mut TcpStream {
-        self.stream.as_mut().expect("stream taken")
-    }
-
-    /// Whether this socket came out of the idle cache (vs a fresh
-    /// connect). A reused socket that fails with a disconnect may be
-    /// retried once on a fresh one — see `call_with`.
-    pub fn reused(&self) -> bool {
-        self.reused
-    }
-
     /// Return a healthy socket to the pool for reuse. Over the per-peer
     /// idle bound the socket is closed instead (counted as an eviction).
-    pub fn give_back(mut self, reg: &Registry) {
+    fn give_back(mut self, reg: &Registry) {
         let Some(stream) = self.stream.take() else {
             return;
         };
@@ -243,7 +260,7 @@ impl PooledConn {
     /// Close a socket that saw a failure. It must never be reused: after a
     /// frame fault or timeout the stream may hold half a frame, and the
     /// next caller would read the previous caller's bytes.
-    pub fn poison(mut self, reg: &Registry) {
+    fn poison(mut self, reg: &Registry) {
         if let Some(stream) = self.stream.take() {
             reg.counter("net_pool_poisoned_total", &self.pool.labels())
                 .inc();
@@ -314,12 +331,6 @@ impl Ticket {
     pub fn id(&self) -> u64 {
         self.id
     }
-
-    /// Tie this ticket to a connection's in-flight counter so a drop
-    /// without `wait` releases the slot it occupies.
-    fn track_inflight(&mut self, counter: &Arc<AtomicUsize>) {
-        self.inflight = Arc::downgrade(counter);
-    }
 }
 
 impl Drop for Ticket {
@@ -337,7 +348,7 @@ impl Drop for Ticket {
 }
 
 struct Slot {
-    state: parking_lot::Mutex<Option<Result<crate::proto::Response, String>>>,
+    state: parking_lot::Mutex<Option<Result<Response, String>>>,
     cv: parking_lot::Condvar,
 }
 
@@ -380,7 +391,7 @@ impl PendingMap {
     /// Deliver the response for `id`. Returns `false` (an orphan) when no
     /// waiter is registered — the caller already timed out and abandoned
     /// the id, or never existed.
-    pub fn complete(&self, id: u64, resp: crate::proto::Response) -> bool {
+    pub fn complete(&self, id: u64, resp: Response) -> bool {
         let Some(slot) = self.slots.lock().remove(&id) else {
             return false;
         };
@@ -418,11 +429,7 @@ impl PendingMap {
     /// Block until the ticket's slot fills or `timeout` passes. On
     /// timeout the id is abandoned; a response that arrives later is an
     /// orphan, not a wrong answer for the next request.
-    pub fn wait(
-        &self,
-        mut ticket: Ticket,
-        timeout: Duration,
-    ) -> io::Result<crate::proto::Response> {
+    pub fn wait(&self, mut ticket: Ticket, timeout: Duration) -> io::Result<Response> {
         // `wait` consumes the ticket on every path below; its drop must
         // not also abandon the id or release in-flight accounting.
         ticket.armed = false;
@@ -519,53 +526,15 @@ impl MuxConn {
             .shutdown(std::net::Shutdown::Both);
     }
 
-    /// Stamp, serialize, and send one request; returns the ticket to wait
-    /// on. A fault plan may "lose" the frame (nothing written, ticket
-    /// still returned — the caller's wait times out, as on a real lossy
-    /// wire).
-    fn begin(
-        &self,
-        req: &crate::proto::Request,
-        opts: &crate::service::CallOptions,
-        deadline: Option<Instant>,
-    ) -> io::Result<Ticket> {
-        if self.is_dead() {
-            return Err(io::Error::new(
-                io::ErrorKind::ConnectionAborted,
-                "mux connection is dead",
-            ));
-        }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let ticket = self.pending.register(id);
-        let env = crate::service::EnvelopeRef {
-            ctx: faucets_telemetry::trace::current(),
-            deadline_ms: crate::service::remaining_ms(deadline),
-            request_id: Some(id),
-            msg: req,
-        };
-        let mut frame = Vec::new();
-        if let Err(e) = crate::proto::write_frame_with(&mut frame, &env, opts.faults.as_deref()) {
-            // Dropping `ticket` abandons the id.
-            return Err(e.into());
-        }
-        if !frame.is_empty() {
-            let mut w = self.writer.lock().unwrap();
-            if let Err(e) = w.write_all(&frame) {
-                drop(w);
-                self.kill();
-                return Err(e);
-            }
-        }
-        Ok(ticket)
-    }
-
     /// Stamp and serialize a whole batch, then push every frame in one
     /// vectored write burst — the pipelining hot path: one syscall (plus
-    /// short-write continuations) for N requests.
-    pub(crate) fn begin_batch(
+    /// short-write continuations) for N requests. A fault plan may "lose"
+    /// a frame (nothing written, ticket still returned — that caller's
+    /// wait times out, as on a real lossy wire).
+    fn begin_batch(
         &self,
-        reqs: &[crate::proto::Request],
-        opts: &crate::service::CallOptions,
+        reqs: &[Request],
+        opts: &CallOptions,
         deadline: Option<Instant>,
     ) -> io::Result<Vec<Ticket>> {
         if self.is_dead() {
@@ -576,29 +545,19 @@ impl MuxConn {
         }
         let faults = opts.faults.as_deref();
         let ctx = faucets_telemetry::trace::current();
-        let deadline_ms = crate::service::remaining_ms(deadline);
+        let deadline_ms = remaining_ms(deadline);
         let mut tickets = Vec::with_capacity(reqs.len());
-        let mut frames: Vec<Vec<u8>> = Vec::with_capacity(reqs.len());
+        let mut frames = WriteQueue::with_capacity(reqs.len());
         for req in reqs {
             let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-            let env = crate::service::EnvelopeRef {
-                ctx,
-                deadline_ms,
-                request_id: Some(id),
-                msg: req,
-            };
             let mut frame = Vec::new();
-            if let Err(e) = crate::proto::write_frame_with(&mut frame, &env, faults) {
-                // Dropping `tickets` abandons every registered id.
-                return Err(e.into());
-            }
+            // On failure, dropping `tickets` abandons every registered id.
+            stamp(&mut frame, req, Some(id), ctx, deadline_ms, faults)?;
             tickets.push(self.pending.register(id));
-            if !frame.is_empty() {
-                frames.push(frame);
-            }
+            frames.push(frame);
         }
         let mut w = self.writer.lock().unwrap();
-        if let Err(e) = write_all_vectored(&mut w, &frames) {
+        if let Err(e) = frames.flush(&mut *w) {
             drop(w);
             self.kill();
             return Err(e);
@@ -608,76 +567,17 @@ impl MuxConn {
         // and a ticket the caller drops instead releases its own slot.
         self.inflight.fetch_add(tickets.len(), Ordering::SeqCst);
         for t in &mut tickets {
-            t.track_inflight(&self.inflight);
+            t.inflight = Arc::downgrade(&self.inflight);
         }
         Ok(tickets)
     }
 
     /// Wait out one ticket under the caller's read timeout.
-    pub(crate) fn wait(
-        &self,
-        ticket: Ticket,
-        opts: &crate::service::CallOptions,
-    ) -> io::Result<crate::proto::Response> {
+    fn wait(&self, ticket: Ticket, opts: &CallOptions) -> io::Result<Response> {
         let out = self.pending.wait(ticket, opts.timeouts.read);
         self.inflight.fetch_sub(1, Ordering::SeqCst);
         out
     }
-
-    /// One request/response exchange: begin, then wait.
-    pub(crate) fn round_trip(
-        &self,
-        req: &crate::proto::Request,
-        opts: &crate::service::CallOptions,
-        deadline: Option<Instant>,
-    ) -> io::Result<crate::proto::Response> {
-        self.inflight.fetch_add(1, Ordering::SeqCst);
-        match self.begin(req, opts, deadline) {
-            Ok(mut ticket) => {
-                ticket.track_inflight(&self.inflight);
-                self.wait(ticket, opts)
-            }
-            Err(e) => {
-                self.inflight.fetch_sub(1, Ordering::SeqCst);
-                Err(e)
-            }
-        }
-    }
-}
-
-/// Write every buffer with `write_vectored`, continuing across short
-/// writes. The frames boundary-pack into as few syscalls as the kernel
-/// allows (up to 64 iovecs at a time).
-fn write_all_vectored(w: &mut TcpStream, bufs: &[Vec<u8>]) -> io::Result<()> {
-    let total: usize = bufs.iter().map(|b| b.len()).sum();
-    let mut written = 0usize;
-    while written < total {
-        let mut slices: Vec<io::IoSlice<'_>> = Vec::with_capacity(bufs.len().min(64));
-        let mut skip = written;
-        for b in bufs {
-            if skip >= b.len() {
-                skip -= b.len();
-                continue;
-            }
-            slices.push(io::IoSlice::new(&b[skip..]));
-            skip = 0;
-            if slices.len() == 64 {
-                break;
-            }
-        }
-        match w.write_vectored(&slices) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::WriteZero,
-                    "vectored write made no progress",
-                ))
-            }
-            Ok(n) => written += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
 }
 
 fn mux_reader_loop(
@@ -688,10 +588,8 @@ fn mux_reader_loop(
     registry: Option<Arc<Registry>>,
     pool_name: &'static str,
 ) {
-    use crate::proto::{read_frame_with, Envelope, Response};
-    let reg = registry
-        .as_deref()
-        .unwrap_or_else(|| faucets_telemetry::metrics::global());
+    use crate::proto::{read_frame_with, Envelope};
+    let reg = effective(&registry);
     let labels = [("pool", pool_name)];
     let why = loop {
         match read_frame_with::<_, Envelope<Response>>(&mut reader, faults.as_deref()) {
@@ -723,7 +621,7 @@ fn mux_reader_loop(
 /// live connection (dialing up to [`MuxConfig::conns_per_peer`]), stamp a
 /// `request_id`, and wait on the [`PendingMap`] while other callers'
 /// frames interleave on the same socket. Share one `Arc<MuxPool>` per
-/// client — see [`crate::service::CallOptions::mux`] and
+/// client — see [`CallOptions::mux`] and
 /// [`crate::service::call_batch`].
 pub struct MuxPool {
     name: &'static str,
@@ -761,10 +659,10 @@ impl MuxPool {
     /// left). Returns the connection and whether it was reused — fresh
     /// dials report `false`, which gates the caller's one-shot stale
     /// retry exactly as [`ConnPool`] checkouts do.
-    pub(crate) fn checkout(
+    fn checkout(
         &self,
         addr: SocketAddr,
-        opts: &crate::service::CallOptions,
+        opts: &CallOptions,
         reg: &Registry,
     ) -> io::Result<(Arc<MuxConn>, bool)> {
         let labels = [("pool", self.name)];
@@ -806,6 +704,23 @@ impl MuxPool {
         conns.push(Arc::clone(&conn));
         Ok((conn, false))
     }
+
+    /// Pipeline `reqs` on one connection to `addr` and wait every reply
+    /// out, index-aligned. `Err` means nothing went out (no connection, a
+    /// dead one, a failed write); `reused` is set as for [`ConnPool`].
+    pub(crate) fn exchange(
+        &self,
+        addr: SocketAddr,
+        reqs: &[Request],
+        opts: &CallOptions,
+        deadline: Option<Instant>,
+        reused: &mut bool,
+    ) -> io::Result<Vec<io::Result<Response>>> {
+        let (conn, was_reused) = self.checkout(addr, opts, effective(&opts.registry))?;
+        *reused |= was_reused;
+        let tickets = conn.begin_batch(reqs, opts, deadline)?;
+        Ok(tickets.into_iter().map(|t| conn.wait(t, opts)).collect())
+    }
 }
 
 #[cfg(test)]
@@ -827,15 +742,15 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let reg = Registry::new();
         let p = pool(PoolConfig::default());
-        let mut c1 = p.checkout(addr, CONNECT, &reg).unwrap();
-        let first_port = c1.stream().local_addr().unwrap().port();
-        assert!(!c1.reused());
+        let c1 = p.checkout(addr, CONNECT, false, &reg).unwrap();
+        let first_port = c1.stream.as_ref().unwrap().local_addr().unwrap().port();
+        assert!(!c1.reused);
         c1.give_back(&reg);
         assert_eq!(p.idle_count(), 1);
-        let mut c2 = p.checkout(addr, CONNECT, &reg).unwrap();
-        assert!(c2.reused(), "idle socket reused");
+        let c2 = p.checkout(addr, CONNECT, false, &reg).unwrap();
+        assert!(c2.reused, "idle socket reused");
         assert_eq!(
-            c2.stream().local_addr().unwrap().port(),
+            c2.stream.as_ref().unwrap().local_addr().unwrap().port(),
             first_port,
             "the very same socket came back"
         );
@@ -857,11 +772,11 @@ mod tests {
             idle_ttl: Duration::from_millis(20),
             ..PoolConfig::default()
         });
-        let c = p.checkout(addr, CONNECT, &reg).unwrap();
+        let c = p.checkout(addr, CONNECT, false, &reg).unwrap();
         c.give_back(&reg);
         std::thread::sleep(Duration::from_millis(60));
-        let c2 = p.checkout(addr, CONNECT, &reg).unwrap();
-        assert!(!c2.reused(), "expired socket must not be reused");
+        let c2 = p.checkout(addr, CONNECT, false, &reg).unwrap();
+        assert!(!c2.reused, "expired socket must not be reused");
         let snap = reg.snapshot();
         assert_eq!(snap.counter_sum("net_pool_evictions_total", &[]), 1);
         assert_eq!(snap.counter_sum("net_pool_misses_total", &[]), 2);
@@ -874,10 +789,10 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let reg = Registry::new();
         let p = pool(PoolConfig::default());
-        let c = p.checkout(addr, CONNECT, &reg).unwrap();
+        let c = p.checkout(addr, CONNECT, false, &reg).unwrap();
         c.give_back(&reg);
-        // The peer accepts and immediately closes — a server restart or
-        // idle reap from the pool's point of view.
+        // The peer accepts and immediately closes — a server restart
+        // from the pool's point of view.
         let (accepted, _) = listener.accept().unwrap();
         drop(accepted);
         // The FIN races our checkout: poll until the health check
@@ -885,15 +800,15 @@ mod tests {
         // period outruns the kernel.
         let deadline = Instant::now() + Duration::from_secs(5);
         let c2 = loop {
-            let c2 = p.checkout(addr, CONNECT, &reg).unwrap();
-            if !c2.reused() {
+            let c2 = p.checkout(addr, CONNECT, false, &reg).unwrap();
+            if !c2.reused {
                 break c2;
             }
             assert!(Instant::now() < deadline, "FIN never observed");
             c2.give_back(&reg);
             std::thread::sleep(Duration::from_millis(2));
         };
-        assert!(!c2.reused(), "a dead socket failed the health check");
+        assert!(!c2.reused, "a dead socket failed the health check");
         let snap = reg.snapshot();
         assert_eq!(snap.counter_sum("net_pool_evictions_total", &[]), 1);
         assert_eq!(p.open_connections(), 1);
@@ -909,7 +824,7 @@ mod tests {
             ..PoolConfig::default()
         });
         let conns: Vec<PooledConn> = (0..3)
-            .map(|_| p.checkout(addr, CONNECT, &reg).unwrap())
+            .map(|_| p.checkout(addr, CONNECT, false, &reg).unwrap())
             .collect();
         assert_eq!(p.open_connections(), 3);
         for c in conns {
@@ -925,7 +840,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let reg = Registry::new();
         let p = pool(PoolConfig::default());
-        let c = p.checkout(addr, CONNECT, &reg).unwrap();
+        let c = p.checkout(addr, CONNECT, false, &reg).unwrap();
         c.poison(&reg);
         assert_eq!(p.open_connections(), 0);
         assert_eq!(p.idle_count(), 0);
@@ -933,8 +848,8 @@ mod tests {
         assert_eq!(snap.counter_sum("net_pool_poisoned_total", &[]), 1);
         assert_eq!(snap.gauge_sum("net_pool_open_conns", &[]), 0.0);
         // The next checkout gets a fresh socket, not the poisoned one.
-        let c2 = p.checkout(addr, CONNECT, &reg).unwrap();
-        assert!(!c2.reused());
+        let c2 = p.checkout(addr, CONNECT, false, &reg).unwrap();
+        assert!(!c2.reused);
     }
 
     #[test]
@@ -952,9 +867,8 @@ mod tests {
             None,
         )
         .unwrap();
-        let reqs: Vec<crate::proto::Request> =
-            (0..4).map(|_| crate::proto::Request::Metrics).collect();
-        let opts = crate::service::CallOptions::default();
+        let reqs: Vec<Request> = (0..4).map(|_| Request::Metrics).collect();
+        let opts = CallOptions::default();
         let tickets = conn.begin_batch(&reqs, &opts, None).unwrap();
         assert_eq!(conn.inflight(), 4);
         assert_eq!(conn.pending.len(), 4);
@@ -980,7 +894,7 @@ mod tests {
         let live_listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let live = live_listener.local_addr().unwrap();
         let mux = Arc::new(MuxPool::new("lock-test", MuxConfig::default()));
-        let opts = crate::service::CallOptions {
+        let opts = CallOptions {
             connect: Duration::from_secs(3),
             ..Default::default()
         };
@@ -1011,7 +925,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let reg = Registry::new();
         let p = pool(PoolConfig::default());
-        let c = p.checkout(addr, CONNECT, &reg).unwrap();
+        let c = p.checkout(addr, CONNECT, false, &reg).unwrap();
         drop(c);
         assert_eq!(p.open_connections(), 0);
         assert_eq!(p.idle_count(), 0);

@@ -4,7 +4,7 @@
 //! The repo's no-deps discipline rules out `mio`/`tokio`, so this module
 //! declares the handful of syscalls it needs (`epoll_create1`, `epoll_ctl`,
 //! `epoll_wait`, `eventfd`) directly via `extern "C"` — `std` already links
-//! libc, so the symbols resolve without adding a crate. Three pieces live
+//! libc, so the symbols resolve without adding a crate. Four pieces live
 //! here:
 //!
 //! - [`Epoll`]: level-triggered readiness polling over raw fds, each
@@ -15,12 +15,15 @@
 //!   format (`u32` BE length + payload) that turns arbitrary read chunks
 //!   into whole frames, enforcing [`crate::proto::MAX_FRAME`] so a garbage
 //!   prefix cannot balloon the buffer.
+//! - `WriteQueue`: the outbound twin — queued frames flushed with
+//!   vectored writes, for serve-side replies and client request bursts.
 //!
 //! Everything here is serde-free and socket-type-agnostic on purpose: the
 //! unit tests drive it with pipes and hand-rolled byte streams, and the
-//! reactor loop in `service.rs` composes these primitives with the
+//! reactor loop in `service/serve.rs` composes these primitives with the
 //! executor pool.
 
+use std::collections::VecDeque;
 use std::io;
 use std::os::unix::io::RawFd;
 use std::time::Duration;
@@ -345,6 +348,84 @@ impl FrameBuf {
             self.start = 0;
         }
         Ok(Some(payload))
+    }
+}
+
+/// The outbound twin of [`FrameBuf`]: whole frames queued for one socket
+/// and pushed out with vectored writes, continuing across short writes —
+/// a connection's replies on the serve path, a burst of requests on a
+/// multiplexed client.
+#[derive(Default)]
+pub(crate) struct WriteQueue {
+    bufs: VecDeque<Vec<u8>>,
+    /// How much of the front buffer is already on the wire.
+    off: usize,
+    bytes: usize,
+}
+
+impl WriteQueue {
+    /// An empty queue with room for `frames` buffers.
+    pub(crate) fn with_capacity(frames: usize) -> WriteQueue {
+        WriteQueue {
+            bufs: VecDeque::with_capacity(frames),
+            ..WriteQueue::default()
+        }
+    }
+
+    /// Queue one frame behind whatever is still waiting. An empty buffer
+    /// (a frame some fault plan "lost") queues nothing.
+    pub(crate) fn push(&mut self, buf: Vec<u8>) {
+        if !buf.is_empty() {
+            self.bytes += buf.len();
+            self.bufs.push_back(buf);
+        }
+    }
+
+    /// Bytes queued and not yet written.
+    pub(crate) fn bytes(&self) -> usize {
+        self.bytes
+    }
+
+    /// Nothing left to write.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.bufs.is_empty()
+    }
+
+    /// Write until the queue is empty, up to 64 buffers per syscall. Any
+    /// error ends the flush with the unwritten rest still queued —
+    /// `WouldBlock` too, which on a nonblocking socket means "call again
+    /// when writable" and on a blocking one is the write timeout.
+    pub(crate) fn flush(&mut self, w: &mut impl io::Write) -> io::Result<()> {
+        while let Some(front) = self.bufs.front() {
+            let mut slices: Vec<io::IoSlice<'_>> = Vec::with_capacity(self.bufs.len().min(64));
+            slices.push(io::IoSlice::new(&front[self.off..]));
+            slices.extend(
+                self.bufs
+                    .iter()
+                    .skip(1)
+                    .take(63)
+                    .map(|b| io::IoSlice::new(b)),
+            );
+            let mut n = match w.write_vectored(&slices) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            self.bytes -= n;
+            while n > 0 {
+                let front_rem = self.bufs[0].len() - self.off;
+                if n >= front_rem {
+                    n -= front_rem;
+                    self.bufs.pop_front();
+                    self.off = 0;
+                } else {
+                    self.off += n;
+                    n = 0;
+                }
+            }
+        }
+        Ok(())
     }
 }
 

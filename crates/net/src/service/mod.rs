@@ -1,0 +1,15 @@
+//! Shared TCP-service plumbing, one file per concern: `time` ([`Clock`],
+//! [`StopSignal`], client socket [`Timeouts`], the bounded
+//! [`RetryPolicy`]); `serve` (the epoll reactor and executor pool behind
+//! [`serve_with`]); `call` (the client call path — [`call_with`],
+//! [`call_batch`], [`call_many`] — where every request goes admit →
+//! exchange → grade over the transport its [`CallOptions`] select).
+
+mod call;
+mod serve;
+mod time;
+
+pub use call::{call, call_batch, call_many, call_with, CallOptions};
+pub(crate) use call::{effective, remaining_ms, round_trip, stamp};
+pub use serve::{request_deadline, serve, serve_with, ServeOptions, ServiceHandle};
+pub use time::{Clock, RetryPolicy, StopSignal, Timeouts};

@@ -1,0 +1,269 @@
+//! Time plumbing shared by the serve and call paths: the wall-clock →
+//! simulation-clock mapping live services run on, the stop flag background
+//! loops wait on, client socket deadlines, and the bounded retry policy.
+
+use faucets_sim::time::SimTime;
+use parking_lot::{Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
+
+/// A stop flag background loops can *wait on*, so "sleep an interval, then
+/// check the flag" becomes "wait at most an interval, but wake the moment
+/// someone stops (or nudges) us". This is the fix for the fixed-tick sleep
+/// family of bugs: the FD pump, the sentinel probe loop, and the federation
+/// gossip loop all used bare `thread::sleep`, which made every `shutdown()`
+/// eat up to a full interval and (for the 5 ms pump tick) burned 200
+/// wakeups a second per daemon while idle.
+#[derive(Default)]
+pub struct StopSignal {
+    stopped: AtomicBool,
+    lock: Mutex<()>,
+    cv: Condvar,
+}
+
+impl StopSignal {
+    /// A fresh, un-stopped signal.
+    pub fn new() -> StopSignal {
+        StopSignal::default()
+    }
+
+    /// Has [`StopSignal::stop`] been called?
+    pub fn is_stopped(&self) -> bool {
+        self.stopped.load(Ordering::SeqCst)
+    }
+
+    /// Raise the flag and wake every waiter immediately.
+    pub fn stop(&self) {
+        // Flip the flag under the lock so a waiter can't check it, miss
+        // the notify, and then park for its full timeout.
+        let _g = self.lock.lock();
+        self.stopped.store(true, Ordering::SeqCst);
+        self.cv.notify_all();
+    }
+
+    /// Wake waiters *without* stopping — "new work arrived, re-evaluate
+    /// your deadline now" (the FD pump uses this when an award lands).
+    pub fn notify(&self) {
+        let _g = self.lock.lock();
+        self.cv.notify_all();
+    }
+
+    /// Wait up to `timeout` (waking early on [`StopSignal::stop`] or
+    /// [`StopSignal::notify`]); returns whether the signal is stopped.
+    pub fn wait_for(&self, timeout: Duration) -> bool {
+        if self.is_stopped() {
+            return true;
+        }
+        let deadline = Instant::now() + timeout;
+        let mut g = self.lock.lock();
+        if !self.is_stopped() {
+            self.cv.wait_until(&mut g, deadline);
+        }
+        self.is_stopped()
+    }
+}
+
+/// Maps wall-clock time to `SimTime` for live services, with an optional
+/// speedup so demonstrations can run "supercomputer hours" in test seconds.
+#[derive(Debug, Clone)]
+pub struct Clock {
+    start: Instant,
+    speedup: f64,
+}
+
+impl Clock {
+    /// A clock where one wall second is `speedup` simulated seconds.
+    pub fn new(speedup: f64) -> Self {
+        assert!(speedup > 0.0, "speedup must be positive");
+        Clock {
+            start: Instant::now(),
+            speedup,
+        }
+    }
+
+    /// Real time (speedup 1).
+    pub fn realtime() -> Self {
+        Clock::new(1.0)
+    }
+
+    /// The current simulated instant.
+    pub fn now(&self) -> SimTime {
+        SimTime::from_secs_f64(self.start.elapsed().as_secs_f64() * self.speedup)
+    }
+
+    /// How many simulated seconds pass per wall second.
+    pub fn speedup(&self) -> f64 {
+        self.speedup
+    }
+
+    /// Wall-clock duration until the simulated instant `at` (zero if `at`
+    /// is already past). This is the open-loop load harness's conversion:
+    /// arrival schedules are generated in sim time so QoS deadlines
+    /// anchor correctly, then fired at `start + at / speedup` on the wall.
+    pub fn wall_until(&self, at: SimTime) -> Duration {
+        let target = at.as_secs_f64() / self.speedup;
+        let elapsed = self.start.elapsed().as_secs_f64();
+        Duration::from_secs_f64((target - elapsed).max(0.0))
+    }
+}
+
+/// Socket deadlines for client-side calls, in both directions. The seed
+/// system hard-coded a 10 s read timeout and no write timeout at all; a
+/// stalled peer could wedge a writer forever. (Client side only: the
+/// reactor serve path never blocks on a socket, so it has no use for
+/// these; a slow *consumer* is bounded by the per-connection write buffer
+/// cap instead.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Timeouts {
+    /// How long a read may block before the connection is abandoned.
+    pub read: Duration,
+    /// How long a write may block before the connection is abandoned.
+    pub write: Duration,
+}
+
+impl Timeouts {
+    /// Uniform deadline in both directions.
+    pub fn both(d: Duration) -> Self {
+        Timeouts { read: d, write: d }
+    }
+}
+
+impl Default for Timeouts {
+    fn default() -> Self {
+        Timeouts::both(Duration::from_secs(10))
+    }
+}
+
+/// Bounded retry with exponential backoff and deterministic jitter.
+///
+/// The delay before attempt *n* (1-based over retries) is
+/// `base · 2^(n-1)`, capped at `cap`, then scaled by a seeded jitter
+/// factor in `[1 − jitter, 1]` — deterministic per (seed, attempt) so
+/// fault-injection runs reproduce exactly.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RetryPolicy {
+    /// Total attempts, including the first (≥ 1).
+    pub attempts: u32,
+    /// Backoff before the first retry.
+    pub base: Duration,
+    /// Ceiling on any single backoff.
+    pub cap: Duration,
+    /// Jitter fraction in `[0, 1]`: how much of the backoff may be shaved.
+    pub jitter: f64,
+    /// Seed for the jitter sequence.
+    pub seed: u64,
+}
+
+impl RetryPolicy {
+    /// A single attempt — no retries (the seed system's behaviour).
+    pub fn none() -> Self {
+        RetryPolicy {
+            attempts: 1,
+            base: Duration::ZERO,
+            cap: Duration::ZERO,
+            jitter: 0.0,
+            seed: 0,
+        }
+    }
+
+    /// Four attempts, 25 ms → 200 ms exponential backoff, half jitter.
+    pub fn standard(seed: u64) -> Self {
+        RetryPolicy {
+            attempts: 4,
+            base: Duration::from_millis(25),
+            cap: Duration::from_millis(200),
+            jitter: 0.5,
+            seed,
+        }
+    }
+
+    /// The backoff to sleep before retry number `retry` (1-based).
+    pub fn backoff(&self, retry: u32) -> Duration {
+        let exp = self.base.saturating_mul(1u32 << (retry - 1).min(16));
+        let exp = exp.min(self.cap.max(self.base));
+        // SplitMix64-style mix for a deterministic jitter draw.
+        let mut z = self.seed ^ (retry as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        let u = ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64;
+        let scale = 1.0 - self.jitter.clamp(0.0, 1.0) * u;
+        Duration::from_secs_f64(exp.as_secs_f64() * scale)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+
+    #[test]
+    fn clock_advances_with_speedup() {
+        // 40 ms of wall sleep at 1000x is ≥ 40 sim seconds; the wide upper
+        // bound gives a heavily loaded CI machine plenty of headroom.
+        let c = Clock::new(1000.0);
+        std::thread::sleep(Duration::from_millis(40));
+        let t = c.now();
+        assert!(t >= SimTime::from_secs_f64(20.0), "got {t}");
+        assert!(t <= SimTime::from_secs_f64(10_000.0), "got {t}");
+    }
+
+    #[test]
+    fn stop_signal_wakes_waiters_immediately() {
+        let sig = Arc::new(StopSignal::new());
+        let s2 = Arc::clone(&sig);
+        let waiter = std::thread::spawn(move || {
+            let start = Instant::now();
+            let stopped = s2.wait_for(Duration::from_secs(30));
+            (stopped, start.elapsed())
+        });
+        std::thread::sleep(Duration::from_millis(30));
+        sig.stop();
+        let (stopped, waited) = waiter.join().unwrap();
+        assert!(stopped, "wait_for reports the stop");
+        assert!(
+            waited < Duration::from_secs(5),
+            "stop() must interrupt the wait, not let it run the interval: {waited:?}"
+        );
+        // Once stopped, waits return immediately.
+        let t = Instant::now();
+        assert!(sig.wait_for(Duration::from_secs(30)));
+        assert!(t.elapsed() < Duration::from_millis(100));
+    }
+
+    #[test]
+    fn stop_signal_notify_wakes_without_stopping() {
+        let sig = Arc::new(StopSignal::new());
+        let s2 = Arc::clone(&sig);
+        let waiter = std::thread::spawn(move || s2.wait_for(Duration::from_secs(30)));
+        std::thread::sleep(Duration::from_millis(30));
+        sig.notify();
+        assert!(
+            !waiter.join().unwrap(),
+            "notify wakes the waiter but the signal is not stopped"
+        );
+        // And a plain timeout also reports "not stopped".
+        assert!(!sig.wait_for(Duration::from_millis(5)));
+    }
+
+    #[test]
+    fn backoff_grows_is_capped_and_deterministic() {
+        let p = RetryPolicy::standard(9);
+        let b1 = p.backoff(1);
+        let b2 = p.backoff(2);
+        let b3 = p.backoff(3);
+        assert!(b1 <= Duration::from_millis(25));
+        assert!(b2 <= Duration::from_millis(50));
+        assert!(b3 <= Duration::from_millis(100));
+        // Jitter shaves at most half.
+        assert!(b1 >= Duration::from_millis(12));
+        // Cap holds no matter how deep the retry.
+        assert!(p.backoff(30) <= Duration::from_millis(200));
+        // Deterministic per (seed, attempt).
+        assert_eq!(p.backoff(2), RetryPolicy::standard(9).backoff(2));
+        assert_ne!(
+            RetryPolicy::standard(1).backoff(2),
+            RetryPolicy::standard(2).backoff(2),
+            "different seeds jitter differently"
+        );
+    }
+}

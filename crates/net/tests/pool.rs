@@ -18,18 +18,9 @@ use std::time::{Duration, Instant};
 /// checks a *fresh* socket out of the pool and the call succeeds.
 #[test]
 fn faulty_frames_poison_the_pooled_socket_and_calls_recover() {
-    let h = serve_with(
-        "127.0.0.1:0",
-        "chaos",
-        ServeOptions {
-            // Short read deadline so a truncated request releases the
-            // worker (and closes the wedged connection) quickly.
-            timeouts: Timeouts::both(Duration::from_millis(300)),
-            ..ServeOptions::default()
-        },
-        |_| Response::Ok,
-    )
-    .unwrap();
+    // A truncated request parks as a partial frame on the reactor (it
+    // holds no worker); the caller's own read timeout abandons it.
+    let h = serve("127.0.0.1:0", "chaos", |_| Response::Ok).unwrap();
 
     let pool = Arc::new(ConnPool::new("chaos", PoolConfig::default()));
     let reg = Arc::new(Registry::new());

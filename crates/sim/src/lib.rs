@@ -41,9 +41,7 @@ pub mod prelude {
     pub use crate::engine::{RunOutcome, Scheduler, Simulation, World};
     pub use crate::event::{EventId, Scheduled};
     pub use crate::queue::{BinaryHeapQueue, EventQueue};
-    pub use crate::stats::{
-        Counter, LogHistogram, P2Quantile, Replications, Summary, TimeWeighted,
-    };
+    pub use crate::stats::{Counter, P2Quantile, Replications, Summary, TimeWeighted};
     pub use crate::time::{SimDuration, SimTime, MICROS_PER_SEC};
     pub use crate::trace::Trace;
 }

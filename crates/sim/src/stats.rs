@@ -2,8 +2,9 @@
 //!
 //! Experiments run for millions of simulated jobs, so every collector here is
 //! O(1) memory: Welford for mean/variance, the P² algorithm for quantiles,
-//! log-binned histograms, and time-weighted averages for utilization-style
-//! metrics (value × duration integrals over simulated time).
+//! and time-weighted averages for utilization-style metrics (value ×
+//! duration integrals over simulated time). Log-binned histograms live in
+//! `faucets_telemetry::Histogram`.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -324,83 +325,6 @@ impl QuantileSet {
     /// Observations rejected for being NaN or infinite.
     pub fn non_finite(&self) -> u64 {
         self.p50.non_finite()
-    }
-}
-
-/// A histogram with logarithmic (powers-of-two) bins over positive values.
-#[derive(Debug, Clone, Default)]
-pub struct LogHistogram {
-    /// counts[i] covers values in [2^i, 2^(i+1)); counts[0] also catches <1.
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl LogHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        LogHistogram {
-            counts: vec![],
-            total: 0,
-        }
-    }
-
-    fn bin_of(x: f64) -> usize {
-        if x < 1.0 {
-            0
-        } else {
-            (x.log2().floor() as usize).min(63)
-        }
-    }
-
-    /// Record a value (negative values count into bin 0).
-    pub fn record(&mut self, x: f64) {
-        let b = Self::bin_of(x.max(0.0));
-        if b >= self.counts.len() {
-            self.counts.resize(b + 1, 0);
-        }
-        self.counts[b] += 1;
-        self.total += 1;
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Iterate (bin_low, bin_high, count) for non-empty bins.
-    pub fn bins(&self) -> impl Iterator<Item = (f64, f64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| {
-                let lo = if i == 0 { 0.0 } else { (1u64 << i) as f64 };
-                let hi = (1u64 << (i + 1)) as f64;
-                (lo, hi, c)
-            })
-    }
-
-    /// Merge another histogram into this one: the result is exactly the
-    /// histogram of the concatenated streams (bins are fixed, so merging is
-    /// lossless, unlike P²).
-    pub fn merge(&mut self, other: &LogHistogram) {
-        if other.counts.len() > self.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
-        }
-        self.total += other.total;
-    }
-
-    /// Fraction of observations at or below `x` (upper bound via bin edges).
-    pub fn fraction_le(&self, x: f64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let b = Self::bin_of(x.max(0.0));
-        let below: u64 = self.counts.iter().take(b + 1).sum();
-        below as f64 / self.total as f64
     }
 }
 
@@ -728,19 +652,6 @@ mod tests {
         assert!((q.p999() - 0.999).abs() < 0.005, "p999 {}", q.p999());
         q.record(f64::NAN);
         assert_eq!(q.non_finite(), 1);
-    }
-
-    #[test]
-    fn log_histogram_bins_and_cdf() {
-        let mut h = LogHistogram::new();
-        for x in [0.5, 1.5, 3.0, 3.9, 100.0] {
-            h.record(x);
-        }
-        assert_eq!(h.count(), 5);
-        let bins: Vec<_> = h.bins().collect();
-        assert_eq!(bins[0], (0.0, 2.0, 2)); // 0.5 and 1.5
-        assert!(h.fraction_le(4.0) >= 0.8 - 1e-9);
-        assert!((h.fraction_le(1000.0) - 1.0).abs() < 1e-12);
     }
 
     #[test]

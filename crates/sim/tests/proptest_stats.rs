@@ -2,7 +2,7 @@
 //! estimators must stay within tolerance of the exact answers computed from
 //! the retained sample, and merging must behave exactly like concatenation.
 
-use faucets_sim::stats::{LogHistogram, P2Quantile, QuantileSet, Summary};
+use faucets_sim::stats::{P2Quantile, QuantileSet, Summary};
 use proptest::prelude::*;
 
 /// Exact `p`-quantile of an already-sorted sample (nearest-rank).
@@ -50,68 +50,6 @@ proptest! {
         prop_assert!(est >= lo && est <= hi, "estimate {est} outside [{lo}, {hi}]");
         let tol = 0.20 * (hi - lo) + 1e-9;
         prop_assert!((est - exact).abs() <= tol, "est {est}, exact {exact}, tol {tol}");
-    }
-
-    /// The log-binned CDF brackets the exact one: rounding `x` up to its
-    /// bin's top edge can over-count but never under-count, and never past
-    /// the exact fraction below that edge.
-    #[test]
-    fn log_histogram_cdf_brackets_exact(
-        data in proptest::collection::vec(0.0f64..1e6, 1..300),
-        x in 0.0f64..1e6,
-    ) {
-        let mut h = LogHistogram::new();
-        for &v in &data {
-            h.record(v);
-        }
-        let n = data.len() as f64;
-        let exact_le = data.iter().filter(|&&v| v <= x).count() as f64 / n;
-        let top = if x < 1.0 { 2.0 } else { 2f64.powi(x.log2().floor() as i32 + 1) };
-        let exact_lt_top = data.iter().filter(|&&v| v < top).count() as f64 / n;
-        let frac = h.fraction_le(x);
-        prop_assert!(frac + 1e-12 >= exact_le, "frac {frac} < exact {exact_le}");
-        prop_assert!(frac <= exact_lt_top + 1e-12, "frac {frac} > bin-edge bound {exact_lt_top}");
-    }
-
-    /// fraction_le is monotone in its argument.
-    #[test]
-    fn log_histogram_cdf_is_monotone(
-        data in proptest::collection::vec(0.0f64..1e6, 1..200),
-        x in 0.0f64..1e6,
-        y in 0.0f64..1e6,
-    ) {
-        let mut h = LogHistogram::new();
-        for &v in &data {
-            h.record(v);
-        }
-        let (a, b) = if x <= y { (x, y) } else { (y, x) };
-        prop_assert!(h.fraction_le(a) <= h.fraction_le(b) + 1e-12);
-    }
-
-    /// Merging two histograms is *exactly* the histogram of the
-    /// concatenated streams — bin-for-bin, not within tolerance.
-    #[test]
-    fn log_histogram_merge_equals_concat(
-        a in proptest::collection::vec(0.0f64..1e5, 0..200),
-        b in proptest::collection::vec(0.0f64..1e5, 0..200),
-    ) {
-        let mut ha = LogHistogram::new();
-        for &v in &a {
-            ha.record(v);
-        }
-        let mut hb = LogHistogram::new();
-        for &v in &b {
-            hb.record(v);
-        }
-        let mut whole = LogHistogram::new();
-        for &v in a.iter().chain(&b) {
-            whole.record(v);
-        }
-        ha.merge(&hb);
-        prop_assert_eq!(ha.count(), whole.count());
-        let merged: Vec<_> = ha.bins().collect();
-        let exact: Vec<_> = whole.bins().collect();
-        prop_assert_eq!(merged, exact);
     }
 
     /// The p50/p90/p99/p999 battery on *heavy-tailed* streams, verified
@@ -176,21 +114,6 @@ proptest! {
 
 #[test]
 fn empty_collectors_are_sane() {
-    let mut h = LogHistogram::new();
-    assert_eq!(h.count(), 0);
-    assert_eq!(h.fraction_le(5.0), 0.0);
-    h.merge(&LogHistogram::new());
-    assert_eq!(h.count(), 0);
-    assert!(h.bins().next().is_none());
-
-    // Merging data *into* an empty histogram equals the source.
-    let mut src = LogHistogram::new();
-    src.record(3.0);
-    src.record(700.0);
-    h.merge(&src);
-    assert_eq!(h.count(), 2);
-    assert_eq!(h.bins().collect::<Vec<_>>(), src.bins().collect::<Vec<_>>());
-
     assert!(P2Quantile::new(0.5).estimate().is_nan());
     let mut s = Summary::new();
     s.merge(&Summary::new());

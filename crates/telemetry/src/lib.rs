@@ -7,12 +7,11 @@
 //!
 //! * [`metrics`] — a sharded, lock-cheap registry of named, labelled
 //!   collectors: monotone [`Counter`]s, last-value [`Gauge`]s, and
-//!   log-binned [`Histogram`]s (the same powers-of-two binning idiom as
-//!   `faucets_sim::stats::LogHistogram`, here over atomics so the hot path
-//!   is a single relaxed `fetch_add`). A process-global default registry
-//!   ([`global`]) serves code that has no natural place to thread a handle
-//!   through; services expose their registry over the wire via the
-//!   `Metrics` endpoint in `faucets-net`. Snapshots render as both
+//!   log-binned [`Histogram`]s (powers-of-two bins over atomics, so the
+//!   hot path is a single relaxed `fetch_add`). A process-global default
+//!   registry ([`global`]) serves code that has no natural place to thread
+//!   a handle through; services expose their registry over the wire via
+//!   the `Metrics` endpoint in `faucets-net`. Snapshots render as both
 //!   Prometheus-style text and JSON.
 //!
 //! * [`trace`] — cheap distributed tracing. A [`TraceContext`] (trace id,

@@ -147,9 +147,8 @@ fn bin_floor(bin: usize) -> f64 {
     }
 }
 
-/// A log-binned histogram over positive `f64` samples — the same
-/// powers-of-two idiom as `faucets_sim::stats::LogHistogram`, but over
-/// atomics so concurrent services can record without locking.
+/// A log-binned histogram over positive `f64` samples — powers-of-two
+/// bins over atomics, so concurrent services can record without locking.
 #[derive(Clone, Debug, Default)]
 pub struct Histogram(Arc<HistogramCore>);
 
