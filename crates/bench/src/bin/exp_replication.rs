@@ -31,7 +31,7 @@ use faucets_store::{pick_primary, prepare_promotion, Durable, ReplicationMode, S
 use std::time::{Duration, Instant};
 
 /// The FD replication service name for ClusterId(1).
-const FD_SVC: &str = "fd-1";
+const FD_SVC: &str = "fd-cs-1";
 
 /// Scenario 1: kill -9 a sync-replicated primary FD, run the documented
 /// failover procedure against the follower, and time it. Returns

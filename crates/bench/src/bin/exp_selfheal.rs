@@ -57,7 +57,7 @@ fn journaled(store: PathBuf, replication: Option<ReplicationConfig>) -> FdOption
 /// Returns (acked, completed, MTTR seconds) — the baseline the sentinel
 /// is graded against.
 fn operator_baseline(jobs: usize) -> (usize, usize, f64) {
-    const SVC: &str = "fd-1";
+    const SVC: &str = "fd-cs-1";
     let clock = Clock::new(SPEEDUP);
     let fs = spawn_fs("127.0.0.1:0", clock.clone(), 271).expect("FS");
     let fs_addr = fs.service.addr;
@@ -160,7 +160,7 @@ fn main() {
     let mttr_bound = Duration::from_secs_f64(10.0 * baseline.max(0.05));
 
     // ---- Phase 2: the nemesis storm against a sentinel-guarded grid ----
-    const SVC: &str = "fd-9";
+    const SVC: &str = "fd-cs-9";
     let clock = Clock::new(SPEEDUP);
     let fs = spawn_fs("127.0.0.1:0", clock.clone(), 272).expect("FS");
     let fs_addr = fs.service.addr;

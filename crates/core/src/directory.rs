@@ -18,6 +18,7 @@ use faucets_sim::time::{SimDuration, SimTime};
 use faucets_telemetry::Counter;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet};
+use std::net::SocketAddr;
 
 /// Static properties of a Compute Server, as registered by its daemon.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -44,6 +45,14 @@ pub struct ServerInfo {
     /// pre-replication peers.
     #[serde(default)]
     pub replicas: Vec<String>,
+}
+
+impl ServerInfo {
+    /// Where the FD listens, or `None` when `fd_addr` is not an IP literal
+    /// (rows are registered by peers, so the field is unchecked input).
+    pub fn fd_socket_addr(&self) -> Option<SocketAddr> {
+        Some(SocketAddr::new(self.fd_addr.parse().ok()?, self.fd_port))
+    }
 }
 
 /// Dynamic status reported in each poll/heartbeat.
@@ -384,6 +393,21 @@ mod tests {
             fd_addr: "127.0.0.1".into(),
             fd_port: 9000 + id as u16,
             replicas: vec![],
+        }
+    }
+
+    #[test]
+    fn fd_socket_addr_takes_ip_literals_only() {
+        let mut row = info(1, 64, 1024);
+        assert_eq!(
+            row.fd_socket_addr(),
+            Some("127.0.0.1:9001".parse().unwrap())
+        );
+        row.fd_addr = "::1".into();
+        assert_eq!(row.fd_socket_addr(), Some("[::1]:9001".parse().unwrap()));
+        for junk in ["", "turing.example.org", "127.0.0.1:80"] {
+            row.fd_addr = junk.into();
+            assert_eq!(row.fd_socket_addr(), None, "{junk:?}");
         }
     }
 

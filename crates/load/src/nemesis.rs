@@ -166,7 +166,7 @@ impl NemesisPlan {
                     _ => FaultKind::ClockSkew {
                         delta_ms: {
                             let mag = (splitmix(&mut s) % cfg.max_skew_ms.max(1)) as i64;
-                            if splitmix(&mut s) % 2 == 0 {
+                            if splitmix(&mut s).is_multiple_of(2) {
                                 mag
                             } else {
                                 -mag
@@ -326,7 +326,7 @@ impl InvariantReport {
     pub fn holds(&self) -> bool {
         self.lost.is_empty()
             && self.dual_primary_epochs.is_empty()
-            && self.worst_mttr.map_or(true, |m| m <= self.mttr_bound)
+            && self.worst_mttr.is_none_or(|m| m <= self.mttr_bound)
     }
 
     /// One-line human verdict.

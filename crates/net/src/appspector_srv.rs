@@ -8,8 +8,10 @@
 use crate::pool::{ConnPool, PoolConfig};
 use crate::proto::{Request, Response};
 use crate::service::{call_with, serve_with, CallOptions, ServeOptions, ServiceHandle};
+use crate::upstream::FsUpstream;
 use faucets_core::appspector::{AppSpector, GridView, OutputFile};
-use faucets_core::ids::{JobId, UserId};
+use faucets_core::auth::SessionToken;
+use faucets_core::ids::JobId;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io;
@@ -21,39 +23,141 @@ struct AsState {
     outputs: HashMap<JobId, Vec<(String, Vec<u8>)>>,
 }
 
+/// Everything one AppSpector request handler needs, shared across worker
+/// threads (the shape of `FsCore` in [`crate::fs`]).
+struct AsCore {
+    state: Mutex<AsState>,
+    /// Token re-verification and the GridView's directory pull. Token
+    /// checks happen on every Watch/Download, so every outbound call — to
+    /// the FS here, to the FDs through `call` — shares one pool of warm
+    /// sockets instead of reconnecting each time.
+    fs: FsUpstream,
+    call: CallOptions,
+}
+
 /// A running AppSpector service.
 pub struct AsHandle {
     /// The TCP service.
     pub service: ServiceHandle,
-    state: Arc<Mutex<AsState>>,
+    core: Arc<AsCore>,
 }
 
 impl AsHandle {
     /// Number of jobs currently monitored (test/tooling hook).
     pub fn job_count(&self) -> usize {
-        self.state.lock().spector.job_count()
+        self.core.state.lock().spector.job_count()
     }
 }
 
-/// Verify `token` with the FS, returning its user. Rides the AppSpector's
-/// pooled outbound options: token checks happen on every Watch/Download,
-/// so they reuse one warm FS socket instead of reconnecting each time.
-fn verify(
-    fs: SocketAddr,
-    token: &faucets_core::auth::SessionToken,
-    opts: &CallOptions,
-) -> Result<UserId, String> {
-    match call_with(
-        fs,
-        &Request::VerifyToken {
-            token: token.clone(),
-        },
-        opts,
-    ) {
-        Ok(Response::Verified { user }) => Ok(user),
-        Ok(Response::Error(e)) => Err(e),
-        Ok(other) => Err(format!("unexpected FS reply {other:?}")),
-        Err(e) => Err(format!("FS unreachable: {e}")),
+impl AsCore {
+    fn handle(&self, req: Request) -> Response {
+        match req {
+            Request::RegisterJob {
+                job,
+                owner,
+                cluster,
+            } => {
+                self.state.lock().spector.register_job(job, owner, cluster);
+                Response::Ok
+            }
+            Request::PushSample { job, sample } => {
+                match self.state.lock().spector.push_sample(job, sample) {
+                    Ok(()) => Response::Ok,
+                    Err(e) => Response::Error(e.to_string()),
+                }
+            }
+            Request::CompleteJob { job, outputs } => self.complete(job, outputs),
+            Request::Watch { token, job } => self.watch(&token, job),
+            Request::Download { token, job, name } => self.download(&token, job, &name),
+            Request::GridView { token } => self.grid_view(token),
+            other => Response::Error(format!("AppSpector cannot handle {other:?}")),
+        }
+    }
+
+    fn complete(&self, job: JobId, outputs: Vec<(String, Vec<u8>)>) -> Response {
+        let files: Vec<OutputFile> = outputs
+            .iter()
+            .map(|(name, data)| OutputFile {
+                name: name.clone(),
+                size_bytes: data.len() as u64,
+            })
+            .collect();
+        let mut s = self.state.lock();
+        match s.spector.complete_job(job, files) {
+            Ok(()) => {
+                s.outputs.insert(job, outputs);
+                Response::Ok
+            }
+            Err(e) => Response::Error(e.to_string()),
+        }
+    }
+
+    fn watch(&self, token: &SessionToken, job: JobId) -> Response {
+        let user = match self.fs.verify(token) {
+            Ok(u) => u,
+            Err(resp) => return resp,
+        };
+        match self.state.lock().spector.connect(job, user) {
+            Ok(snap) => Response::Snapshot(snap),
+            Err(e) => Response::Error(e.to_string()),
+        }
+    }
+
+    fn download(&self, token: &SessionToken, job: JobId, name: &str) -> Response {
+        let user = match self.fs.verify(token) {
+            Ok(u) => u,
+            Err(resp) => return resp,
+        };
+        let s = self.state.lock();
+        // Ownership check through the monitor.
+        if let Err(e) = s.spector.connect(job, user) {
+            return Response::Error(e.to_string());
+        }
+        let files = s.outputs.get(&job);
+        match files.and_then(|v| v.iter().find(|(n, _)| n == name)) {
+            Some((n, data)) => Response::File {
+                name: n.clone(),
+                data: data.clone(),
+            },
+            None => Response::Error(format!("no output '{name}' for {job}")),
+        }
+    }
+
+    fn grid_view(&self, token: SessionToken) -> Response {
+        if let Err(resp) = self.fs.verify(&token) {
+            return resp;
+        }
+        // Pull the directory and every reachable service's metrics.
+        // Per-source snapshots are kept separate, never summed: services
+        // colocated in one process share a registry and summing would
+        // double-count.
+        let mut services = Vec::new();
+        let mut clusters = Vec::new();
+        if let Ok(Response::Metrics(snap)) = self.fs.call(&Request::Metrics) {
+            services.push(("fs".to_string(), snap));
+        }
+        if let Ok(Response::Clusters(rows)) = self.fs.call(&Request::ListClusters { token }) {
+            clusters = rows;
+        }
+        for row in &clusters {
+            let Some(addr) = row.info.fd_socket_addr() else {
+                continue;
+            };
+            if let Ok(Response::Metrics(snap)) = call_with(addr, &Request::Metrics, &self.call) {
+                services.push((format!("fd:{}", row.info.name), snap));
+            }
+        }
+        services.push((
+            "appspector".to_string(),
+            faucets_telemetry::global().snapshot(),
+        ));
+        let jobs_monitored = self.state.lock().spector.job_count() as u64;
+        Response::Grid(Box::new(GridView {
+            at_secs: faucets_telemetry::trace::wall_secs(),
+            clusters,
+            services,
+            jobs_monitored,
+        }))
     }
 }
 
@@ -70,128 +174,21 @@ pub fn spawn_appspector_with(
     buffer_depth: usize,
     opts: ServeOptions,
 ) -> io::Result<AsHandle> {
-    let state = Arc::new(Mutex::new(AsState {
-        spector: AppSpector::new(buffer_depth),
-        outputs: HashMap::new(),
-    }));
-    let st = Arc::clone(&state);
-    // Every outbound call (token re-verification, GridView aggregation)
-    // shares one pool of warm sockets to the FS and the FDs.
-    let call_opts = CallOptions {
+    let call = CallOptions {
         pool: Some(Arc::new(ConnPool::new("appspector", PoolConfig::default()))),
         ..CallOptions::default()
     };
-
-    let service = serve_with(addr, "appspector", opts, move |req| {
-        match req {
-            Request::RegisterJob {
-                job,
-                owner,
-                cluster,
-            } => {
-                st.lock().spector.register_job(job, owner, cluster);
-                Response::Ok
-            }
-            Request::PushSample { job, sample } => match st.lock().spector.push_sample(job, sample)
-            {
-                Ok(()) => Response::Ok,
-                Err(e) => Response::Error(e.to_string()),
-            },
-            Request::CompleteJob { job, outputs } => {
-                let files: Vec<OutputFile> = outputs
-                    .iter()
-                    .map(|(name, data)| OutputFile {
-                        name: name.clone(),
-                        size_bytes: data.len() as u64,
-                    })
-                    .collect();
-                let mut s = st.lock();
-                match s.spector.complete_job(job, files) {
-                    Ok(()) => {
-                        s.outputs.insert(job, outputs);
-                        Response::Ok
-                    }
-                    Err(e) => Response::Error(e.to_string()),
-                }
-            }
-            Request::Watch { token, job } => {
-                let user = match verify(fs, &token, &call_opts) {
-                    Ok(u) => u,
-                    Err(e) => return Response::Error(e),
-                };
-                match st.lock().spector.connect(job, user) {
-                    Ok(snap) => Response::Snapshot(snap),
-                    Err(e) => Response::Error(e.to_string()),
-                }
-            }
-            Request::Download { token, job, name } => {
-                let user = match verify(fs, &token, &call_opts) {
-                    Ok(u) => u,
-                    Err(e) => return Response::Error(e),
-                };
-                let s = st.lock();
-                // Ownership check through the monitor.
-                if let Err(e) = s.spector.connect(job, user) {
-                    return Response::Error(e.to_string());
-                }
-                match s
-                    .outputs
-                    .get(&job)
-                    .and_then(|v| v.iter().find(|(n, _)| n == &name))
-                {
-                    Some((n, data)) => Response::File {
-                        name: n.clone(),
-                        data: data.clone(),
-                    },
-                    None => Response::Error(format!("no output '{name}' for {job}")),
-                }
-            }
-            Request::GridView { token } => {
-                if let Err(e) = verify(fs, &token, &call_opts) {
-                    return Response::Error(e);
-                }
-                // Pull the directory and every reachable service's metrics.
-                // Per-source snapshots are kept separate, never summed:
-                // services colocated in one process share a registry and
-                // summing would double-count.
-                let mut services = Vec::new();
-                let mut clusters = Vec::new();
-                if let Ok(Response::Metrics(snap)) = call_with(fs, &Request::Metrics, &call_opts) {
-                    services.push(("fs".to_string(), snap));
-                }
-                if let Ok(Response::Clusters(rows)) =
-                    call_with(fs, &Request::ListClusters { token }, &call_opts)
-                {
-                    clusters = rows;
-                }
-                for row in &clusters {
-                    let Ok(addr) = format!("{}:{}", row.info.fd_addr, row.info.fd_port).parse()
-                    else {
-                        continue;
-                    };
-                    if let Ok(Response::Metrics(snap)) =
-                        call_with(addr, &Request::Metrics, &call_opts)
-                    {
-                        services.push((format!("fd:{}", row.info.name), snap));
-                    }
-                }
-                services.push((
-                    "appspector".to_string(),
-                    faucets_telemetry::global().snapshot(),
-                ));
-                let jobs_monitored = st.lock().spector.job_count() as u64;
-                Response::Grid(Box::new(GridView {
-                    at_secs: faucets_telemetry::trace::wall_secs(),
-                    clusters,
-                    services,
-                    jobs_monitored,
-                }))
-            }
-            other => Response::Error(format!("AppSpector cannot handle {other:?}")),
-        }
-    })?;
-
-    Ok(AsHandle { service, state })
+    let core = Arc::new(AsCore {
+        state: Mutex::new(AsState {
+            spector: AppSpector::new(buffer_depth),
+            outputs: HashMap::new(),
+        }),
+        fs: FsUpstream::new(fs, &[], call.clone()),
+        call,
+    });
+    let handler = Arc::clone(&core);
+    let service = serve_with(addr, "appspector", opts, move |req| handler.handle(req))?;
+    Ok(AsHandle { service, core })
 }
 
 #[cfg(test)]
@@ -200,7 +197,7 @@ mod tests {
     use crate::fs::spawn_fs;
     use crate::service::{call, Clock};
     use faucets_core::appspector::TelemetrySample;
-    use faucets_core::ids::ClusterId;
+    use faucets_core::ids::{ClusterId, UserId};
     use faucets_sim::time::SimTime;
 
     fn setup() -> (
@@ -335,9 +332,12 @@ mod tests {
         assert!(view.render().contains("lemieux"));
     }
 
+    /// Every token-bearing endpoint bounces a forged token with the FS's
+    /// own answer to `VerifyToken` — the same reply the FD gives, since
+    /// both go through `FsUpstream::verify`.
     #[test]
     fn forged_tokens_are_rejected() {
-        let (_fs, aspect, _token, user) = setup();
+        let (fs, aspect, _token, user) = setup();
         let addr = aspect.service.addr;
         call(
             addr,
@@ -348,16 +348,27 @@ mod tests {
             },
         )
         .unwrap();
-        let bogus = faucets_core::auth::SessionToken("bogus".into());
-        let r = call(
-            addr,
-            &Request::Watch {
-                token: bogus,
-                job: JobId(1),
+        let token = faucets_core::auth::SessionToken("bogus".into());
+        let verify = Request::VerifyToken {
+            token: token.clone(),
+        };
+        let fs_says = call(fs.service.addr, &verify).unwrap();
+        assert!(matches!(fs_says, Response::Error(_)), "got {fs_says:?}");
+        let job = JobId(1);
+        for req in [
+            Request::Watch {
+                token: token.clone(),
+                job,
             },
-        )
-        .unwrap();
-        assert!(matches!(r, Response::Error(_)));
+            Request::Download {
+                token: token.clone(),
+                job,
+                name: "out.dat".into(),
+            },
+            Request::GridView { token },
+        ] {
+            assert_eq!(call(addr, &req).unwrap(), fs_says, "{req:?}");
+        }
     }
 
     #[test]

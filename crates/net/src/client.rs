@@ -469,6 +469,14 @@ impl FaucetsClient {
         }
     }
 
+    /// Ask the FS (under the current token) for the servers matching `qos`.
+    fn list_servers(&mut self, qos: &QosContract) -> Result<Response, ClientError> {
+        self.fs_call(&Request::ListServers {
+            token: self.token.clone(),
+            qos: qos.clone(),
+        })
+    }
+
     /// One negotiation round: match, solicit, rank, award down the list.
     fn negotiate_once(
         &mut self,
@@ -482,24 +490,15 @@ impl FaucetsClient {
         // session died with the shard that minted it (the failover path
         // just rotated us to a survivor): re-authenticate once and retry
         // before giving up.
-        let list_req = Request::ListServers {
-            token: self.token.clone(),
-            qos: qos.clone(),
-        };
-        let mut servers = match self.fs_call(&list_req)? {
+        let mut reply = self.list_servers(qos)?;
+        if let Response::Error(e) = &reply {
+            self.relogin()
+                .map_err(|_| ClientError::Rejected(e.clone()))?;
+            reply = self.list_servers(qos)?;
+        }
+        let mut servers = match reply {
             Response::Servers(s) => s,
-            Response::Error(e) => {
-                self.relogin()
-                    .map_err(|_| ClientError::Rejected(e.clone()))?;
-                match self.fs_call(&Request::ListServers {
-                    token: self.token.clone(),
-                    qos: qos.clone(),
-                })? {
-                    Response::Servers(s) => s,
-                    Response::Error(e) => return Err(ClientError::Rejected(e)),
-                    other => return Err(ClientError::Protocol(format!("matching: {other:?}"))),
-                }
-            }
+            Response::Error(e) => return Err(ClientError::Rejected(e)),
             other => return Err(ClientError::Protocol(format!("matching: {other:?}"))),
         };
         // During a federated ring transition the same server can be listed
@@ -523,11 +522,7 @@ impl FaucetsClient {
         };
         let addrs: Vec<SocketAddr> = servers
             .iter()
-            .filter_map(|s| {
-                format!("{}:{}", s.info.fd_addr, s.info.fd_port)
-                    .parse()
-                    .ok()
-            })
+            .filter_map(|s| s.info.fd_socket_addr())
             .collect();
         let bid_req = Request::RequestBid {
             token: self.token.clone(),
@@ -574,15 +569,13 @@ impl FaucetsClient {
         for bid in ranked {
             // The §5.3 window between matching and award is real: the
             // bidder may have been evicted meanwhile. Skip, don't panic.
-            let Some(server) = servers.iter().find(|s| s.info.cluster == bid.cluster) else {
-                unlisted += 1;
-                continue;
-            };
-            let Ok(addr) =
-                format!("{}:{}", server.info.fd_addr, server.info.fd_port).parse::<SocketAddr>()
-            else {
-                unlisted += 1;
-                continue;
+            let server = servers.iter().find(|s| s.info.cluster == bid.cluster);
+            let addr = match server.and_then(|s| s.info.fd_socket_addr()) {
+                Some(addr) => addr,
+                None => {
+                    unlisted += 1;
+                    continue;
+                }
             };
             let contract = ContractId(job.raw());
             match self.call(

@@ -10,20 +10,38 @@
 //! files, and runs a pump thread that drives the scheduler clock, reports
 //! completions and telemetry to AppSpector, and heartbeats the FS.
 //!
+//! ## Map
+//!
+//! * **core** — `FdCore`, one `Arc` shared by the serve workers and the
+//!   pump: the `FdState` mutex (daemon, scheduler, staged files, accepted
+//!   contracts), the journal, the bid gate, the clock, the FS endpoints.
+//! * **recover** — `FdCore::recover` replays the journal into the
+//!   scheduler and `renew_lease` stamps the primary claim, both before
+//!   the listener is bound.
+//! * **handlers** — `FdCore::handle` dispatches to one method per
+//!   endpoint: `bid`, `award`, `upload`, `lease_probe`, `fence`.
+//! * **pump** — `FdCore::pump`, one thread: harvest completions, report
+//!   them, heartbeat, sleep until the next due event.
+//!
+//! The state mutex is the only lock here. It is never held across a call
+//! to a peer or a journal commit (a sync-replicated commit is itself a
+//! network round trip), and the clock is read only while holding it, so
+//! scheduler time is monotone across the handlers and the pump.
+//!
 //! ## Crash recovery
 //!
 //! With [`FdOptions::store`] set, the daemon journals every accepted QoS
 //! contract (spec, contract id, price, owner) and every staged input file
-//! to a [`DurableStore`] write-ahead log — one fsynced record per change,
-//! compacted periodically, instead of rewriting a whole snapshot file on
-//! each mutation. The acceptance record is appended *before* the scheduler
-//! sees the award, and the award is NACKed if the append fails, so a
-//! confirmed award is always recoverable. [`spawn_fd_with`] on the same
-//! directory replays the journal: contracts are resubmitted to the
-//! scheduler, jobs re-registered with AppSpector, and the daemon
-//! re-registers with the FS — so a kill + restart loses at most the
-//! *progress* since the last scheduler checkpoint, never the contracts
-//! themselves. Completion records prune the journal best-effort
+//! to a [`faucets_store::DurableStore`] write-ahead log — one fsynced
+//! record per change, compacted periodically, instead of rewriting a whole
+//! snapshot file on each mutation. The acceptance record is appended
+//! *before* the scheduler sees the award, and the award is NACKed if the
+//! append fails, so a confirmed award is always recoverable.
+//! [`spawn_fd_with`] on the same directory replays the journal: contracts
+//! are resubmitted to the scheduler, jobs re-registered with AppSpector,
+//! and the daemon re-registers with the FS — so a kill + restart loses at
+//! most the *progress* since the last scheduler checkpoint, never the
+//! contracts themselves. Completion records prune the journal best-effort
 //! (an unjournaled completion means the job is re-run after restart:
 //! at-least-once, never lost). If the FS evicted the daemon while it was
 //! down, the heartbeat's error reply triggers re-registration from the
@@ -37,24 +55,31 @@ use crate::service::{
     call_with, request_deadline, serve_with, CallOptions, Clock, RetryPolicy, ServeOptions,
     ServiceHandle, StopSignal,
 };
+use crate::upstream::FsUpstream;
 use faucets_core::appspector::TelemetrySample;
+use faucets_core::auth::SessionToken;
+use faucets_core::bid::{Bid, BidRequest};
 use faucets_core::daemon::{AwardOutcome, ClusterManager, FaucetsDaemon};
+use faucets_core::directory::ServerStatus;
 use faucets_core::ids::{ClusterId, ContractId, JobId, UserId};
 use faucets_core::job::JobSpec;
 use faucets_core::market::MarketInfo;
 use faucets_core::money::Money;
 use faucets_sched::cluster::Cluster;
-use faucets_store::{Durable, StoreOptions};
+use faucets_sim::time::{SimDuration, SimTime};
+use faucets_store::{Durable, Lease, ReplicatedStore, StoreError, StoreOptions};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Named files: a job's staged inputs, and at completion its outputs.
+type Files = Vec<(String, Vec<u8>)>;
 
 /// One accepted contract, as journaled.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -66,6 +91,9 @@ struct ContractEntry {
 }
 
 /// One journaled FD mutation.
+// Built once per commit and dropped: boxing the large variant would only
+// add an allocation to every award.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, Serialize, Deserialize)]
 enum FdRecord {
     /// An award was accepted — journaled *before* the scheduler sees it.
@@ -86,7 +114,7 @@ enum FdRecord {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct FdJournal {
     contracts: Vec<ContractEntry>,
-    staged: Vec<(JobId, Vec<(String, Vec<u8>)>)>,
+    staged: Vec<(JobId, Files)>,
 }
 
 impl Durable for FdJournal {
@@ -122,10 +150,6 @@ impl Durable for FdJournal {
     }
 }
 
-/// The FD's contract journal handle: single-node or replicated per
-/// [`FdOptions::replication`].
-type FdStore = Option<Journal<FdJournal>>;
-
 /// Options for [`spawn_fd_with`].
 #[derive(Clone)]
 pub struct FdOptions {
@@ -139,7 +163,7 @@ pub struct FdOptions {
     /// ([`crate::replica::spawn_replica`]); the follower set is advertised
     /// in this FD's directory row so failover tooling can find the
     /// replicas. Only consulted when `store` is set. The service name the
-    /// followers must host is `fd-<cluster id>`.
+    /// followers must host is `fd-<cluster id>` (`fd-cs-1` for cluster 1).
     pub replication: Option<ReplicationConfig>,
     /// Service-side timeouts and fault injection.
     pub serve: ServeOptions,
@@ -151,7 +175,7 @@ pub struct FdOptions {
     /// time.
     pub call: CallOptions,
     /// Heartbeat cadence in *simulated* seconds.
-    pub heartbeat_every: faucets_sim::time::SimDuration,
+    pub heartbeat_every: SimDuration,
     /// Payoff-aware admission gate for the bid pipeline: over
     /// `max_inflight` concurrent solicitations, up to `max_queue` wait and
     /// the lowest payoff-rate request is shed first (§4 profit
@@ -189,7 +213,7 @@ impl Default for FdOptions {
                 pool: Some(Arc::new(ConnPool::new("fd", PoolConfig::default()))),
                 ..CallOptions::default()
             },
-            heartbeat_every: faucets_sim::time::SimDuration::from_secs(30),
+            heartbeat_every: SimDuration::from_secs(30),
             bid_gate: GateConfig::default(),
             bid_probe_floor: Duration::ZERO,
             fs_fallbacks: vec![],
@@ -198,29 +222,396 @@ impl Default for FdOptions {
     }
 }
 
-/// The FS endpoint the daemon currently trusts (rotation index modulo the
-/// endpoint list, shared by the request handlers and the pump).
-fn current_fs(list: &[SocketAddr], idx: &std::sync::atomic::AtomicUsize) -> SocketAddr {
-    list[idx.load(Ordering::Relaxed) % list.len()]
-}
-
-/// Retract a journaled acceptance the scheduler then refused. Best-effort:
-/// if this append fails too, a restart may resubmit a job the client was
-/// told was declined — a narrow window the docs call out.
-fn retract(store: &FdStore, job: JobId) {
-    if let Some(store) = store {
-        let _ = store.commit(&FdRecord::Complete { job });
-    }
-}
-
+/// What the handlers and the pump mutate, behind [`FdCore::state`].
 struct FdState {
     daemon: FaucetsDaemon,
     cluster: Cluster,
-    staged: HashMap<JobId, Vec<(String, Vec<u8>)>>,
-    owners: HashMap<JobId, UserId>,
+    staged: HashMap<JobId, Files>,
     contracts: HashMap<JobId, ContractEntry>,
-    /// Telemetry: successful journal appends (`fd_journal_writes_total`).
+}
+
+/// Everything one FD request handler and the pump need, shared in one
+/// `Arc` (the shape of `FsCore` in [`crate::fs`]).
+struct FdCore {
+    state: Mutex<FdState>,
+    /// The contract journal in `opts.store` (the lease file lives beside
+    /// it): single-node or replicated per [`FdOptions::replication`].
+    journal: Option<Journal<FdJournal>>,
+    /// The name followers and sentinels know that journal by.
+    service_name: String,
+    gate: Arc<PayoffGate>,
+    clock: Clock,
+    fs: FsUpstream,
+    appspector: SocketAddr,
+    /// The pump waits on this between due events; award handlers poke it
+    /// so a freshly scheduled job re-paces the wait, and shutdown stops it.
+    stop: StopSignal,
+    /// As spawned; `call` here is for AppSpector (`fs` has its own copy).
+    opts: FdOptions,
+    cluster_id: ClusterId,
+    /// Fixed at spawn, so the bid path prices a request's payoff rate
+    /// before it takes the state lock.
+    flops_per_pe_sec: f64,
+    total_pes: u32,
+    /// `fd_journal_writes_total`.
     m_journal_writes: faucets_telemetry::Counter,
+    m_fs_failovers: faucets_telemetry::Counter,
+}
+
+impl FdCore {
+    /// Append one record to the journal, if there is one (the record is
+    /// only built then). Never call this holding the state lock: a
+    /// sync-replicated commit is a network round trip, and every bid and
+    /// award on this daemon would wait it out.
+    fn commit(&self, rec: impl FnOnce() -> FdRecord) -> Result<(), StoreError> {
+        match &self.journal {
+            Some(journal) => journal.commit(&rec()).map(|_| ()),
+            None => Ok(()),
+        }
+    }
+
+    /// One append that succeeded and was kept (there is nothing to count
+    /// without a journal).
+    fn count_journal_write(&self) {
+        if self.journal.is_some() {
+            self.m_journal_writes.inc();
+        }
+    }
+
+    /// Retract a journaled acceptance the scheduler then refused.
+    /// Best-effort: if this append fails too, a restart may resubmit a job
+    /// the client was told was declined — a narrow window the docs call
+    /// out.
+    fn retract(&self, job: JobId) {
+        let _ = self.commit(|| FdRecord::Complete { job });
+    }
+
+    /// Replay the journal, if any: accepted contracts are resubmitted to
+    /// the scheduler, staged files re-attached. Returns the restored jobs
+    /// with their owners, for [`FdCore::announce`].
+    fn recover(&self) -> Vec<(JobId, UserId)> {
+        let Some(journal) = &self.journal else {
+            return vec![];
+        };
+        let mut s = self.state.lock();
+        let now = self.clock.now();
+        journal.read(|j| {
+            s.staged.extend(j.staged.iter().cloned());
+            let restore = |e: &ContractEntry| {
+                s.cluster
+                    .submit_job(e.spec.clone(), e.contract, e.price, now);
+                s.contracts.insert(e.spec.id, e.clone());
+                (e.spec.id, e.owner)
+            };
+            j.contracts.iter().map(restore).collect()
+        })
+    }
+
+    /// Stamp the on-disk lease with a fresh claim under the journal's
+    /// current epoch. Renewal clamps against any stamp already on disk, so
+    /// a backwards wall clock never writes an older claim.
+    fn renew_lease(&self, repl: &ReplicatedStore<FdJournal>) {
+        let Some(dir) = &self.opts.store else {
+            return;
+        };
+        let mut lease = Lease {
+            holder: format!("{}@{}", self.service_name, std::process::id()),
+            epoch: repl.epoch(),
+            renewed_unix_ms: faucets_store::read_lease(dir).map_or(0, |l| l.renewed_unix_ms),
+            ttl_ms: self.opts.lease_ttl.as_millis() as u64,
+        };
+        lease.renew(crate::sentinel::unix_ms());
+        let _ = faucets_store::write_lease(dir, &lease);
+    }
+
+    /// Announce this daemon to the FS endpoint currently trusted: at
+    /// start-up, when a heartbeat finds the FS has forgotten it, and after
+    /// rotating to another shard.
+    fn register(&self) {
+        let (info, apps) = {
+            let s = self.state.lock();
+            let apps = s.daemon.exported_apps.iter().cloned().collect();
+            (s.daemon.info.clone(), apps)
+        };
+        let _ = self.fs.call(&Request::RegisterCluster { info, apps });
+    }
+
+    /// Tell AppSpector to monitor `job` on this cluster.
+    fn announce(&self, job: JobId, owner: UserId) {
+        let cluster = self.cluster_id;
+        let req = Request::RegisterJob {
+            job,
+            owner,
+            cluster,
+        };
+        let _ = call_with(self.appspector, &req, &self.opts.call);
+    }
+
+    fn handle(&self, req: Request) -> Response {
+        match req {
+            Request::RequestBid { token, request } => self.bid(&token, &request),
+            Request::Award {
+                token,
+                spec,
+                contract,
+                bid,
+            } => self.award(&token, spec, contract, bid),
+            Request::UploadFile {
+                token,
+                job,
+                name,
+                data,
+            } => self.upload(&token, job, name, data),
+            Request::LeaseProbe { service } => self.lease_probe(&service),
+            Request::Fence { service, epoch } => self.fence(&service, epoch),
+            other => Response::Error(format!("FD cannot handle {other:?}")),
+        }
+    }
+
+    fn bid(&self, token: &SessionToken, request: &BidRequest) -> Response {
+        // Payoff-aware admission (§4 under overload): the gate bounds
+        // concurrent solicitations, sheds the lowest payoff-rate request
+        // when full, and drops doomed ones whose propagated deadline has
+        // already expired.
+        let rate = request.qos.payoff_rate(self.flops_per_pe_sec);
+        let _permit = match self.gate.enter(rate, request_deadline()) {
+            GateVerdict::Served(p) => p,
+            GateVerdict::Shed => return Response::Overloaded { retry_after_ms: 50 },
+            GateVerdict::Doomed => return Response::Overloaded { retry_after_ms: 0 },
+        };
+        // Charge the configured probe floor while holding the permit, so
+        // the gate's inflight bound is a real capacity.
+        if !self.opts.bid_probe_floor.is_zero() {
+            std::thread::sleep(self.opts.bid_probe_floor);
+        }
+        // §2.2: the FD re-checks the client with the FS.
+        if let Err(resp) = self.fs.verify(token) {
+            return resp;
+        }
+        // Read the clock only while holding the lock: the pump also
+        // advances the cluster, and scheduler time must be monotone.
+        let mut guard = self.state.lock();
+        let (s, now) = (&mut *guard, self.clock.now());
+        let market = MarketInfo::default();
+        Response::BidReply(
+            s.daemon
+                .handle_bid_request(request, &mut s.cluster, &market, now),
+        )
+    }
+
+    fn award(
+        &self,
+        token: &SessionToken,
+        spec: JobSpec,
+        contract: ContractId,
+        bid: Bid,
+    ) -> Response {
+        if let Err(resp) = self.fs.verify(token) {
+            return resp;
+        }
+        let (job, owner) = (spec.id, spec.user);
+        let entry = ContractEntry {
+            spec: spec.clone(),
+            contract,
+            price: bid.price,
+            owner,
+        };
+        // Journal the acceptance BEFORE the scheduler sees the award, and
+        // NACK if it cannot be made durable: the client treats the error
+        // as a declined bid and tries the next one, so "accepted" always
+        // means "survives a crash".
+        if let Err(e) = self.commit(|| FdRecord::Accept(entry.clone())) {
+            return Response::Error(format!("award not journaled: {e}"));
+        }
+        let outcome = {
+            let mut guard = self.state.lock();
+            let (s, now) = (&mut *guard, self.clock.now());
+            let outcome = s
+                .daemon
+                .handle_award(spec, contract, &bid, &mut s.cluster, now);
+            // Recorded under the lock acquisition that scheduled the job:
+            // released in between, the pump can complete the job first,
+            // and its `contracts.remove` would run before this insert and
+            // leave the entry behind.
+            if matches!(outcome, Ok(AwardOutcome::Confirmed)) {
+                s.contracts.insert(job, entry);
+            }
+            outcome
+        };
+        match outcome {
+            Ok(AwardOutcome::Confirmed) => {
+                self.count_journal_write();
+                // The scheduler just gained a job: wake the pump so it
+                // re-paces against the new next completion.
+                self.stop.notify();
+                self.announce(job, owner);
+                Response::AwardReply {
+                    confirmed: true,
+                    reason: None,
+                }
+            }
+            Ok(AwardOutcome::Reneged(r)) => {
+                self.retract(job);
+                Response::AwardReply {
+                    confirmed: false,
+                    reason: Some(format!("{r:?}")),
+                }
+            }
+            Err(e) => {
+                self.retract(job);
+                Response::Error(e.to_string())
+            }
+        }
+    }
+
+    fn upload(&self, token: &SessionToken, job: JobId, name: String, data: Vec<u8>) -> Response {
+        if let Err(resp) = self.fs.verify(token) {
+            return resp;
+        }
+        let stage = || FdRecord::Stage {
+            job,
+            name: name.clone(),
+            data: data.clone(),
+        };
+        if let Err(e) = self.commit(stage) {
+            return Response::Error(format!("upload not journaled: {e}"));
+        }
+        self.count_journal_write();
+        let mut s = self.state.lock();
+        s.staged.entry(job).or_default().push((name, data));
+        Response::Ok
+    }
+
+    /// This daemon's replicated journal, if `service` names it: `None` for
+    /// a foreign name or no journal, `Some(None)` for an unreplicated one.
+    fn replicated(&self, service: &str) -> Option<Option<&Arc<ReplicatedStore<FdJournal>>>> {
+        let journal = self.journal.as_ref();
+        let named = journal.filter(|_| service == self.service_name);
+        named.map(Journal::replicated)
+    }
+
+    /// Sentinel liveness probe: answering IS the lease renewal — the
+    /// on-disk claim is re-stamped (clock-clamped) before the reply, so
+    /// "the primary answered" and "the lease is fresh" are the same fact.
+    fn lease_probe(&self, service: &str) -> Response {
+        match self.replicated(service) {
+            Some(Some(repl)) => {
+                self.renew_lease(repl);
+                let (position, fenced) = (repl.position(), repl.is_fenced());
+                Response::Lease { position, fenced }
+            }
+            Some(None) => Response::Error("journal is not replicated".into()),
+            None => Response::Error(format!("no lease held for service {service:?}")),
+        }
+    }
+
+    /// A sentinel promoted a replica: stop acknowledging NOW, not at the
+    /// next shipping round.
+    fn fence(&self, service: &str, epoch: u64) -> Response {
+        match self.replicated(service) {
+            Some(Some(repl)) => {
+                repl.fence(epoch);
+                Response::Ok
+            }
+            Some(None) => Response::Error("journal is not replicated".into()),
+            None => Response::Error(format!("unknown replicated service {service:?}")),
+        }
+    }
+
+    /// Drive the scheduler clock, report completions and telemetry to
+    /// AppSpector, heartbeat the FS; returns once stopped.
+    fn pump(&self) {
+        // Heartbeats are paced in *simulated* time (the FS liveness window
+        // is simulated seconds), so any clock speedup keeps the FD alive.
+        let mut last_heartbeat = SimTime::ZERO;
+        // Event-paced, not tick-paced: each round runs the body, then
+        // sleeps exactly until the next due event — the scheduler's next
+        // completion or the next heartbeat — instead of polling every
+        // 5 ms. An award wakes the wait (the next completion may have
+        // moved closer); stop wakes it for good. The cap bounds clock
+        // drift if a wakeup is ever lost.
+        const PACE_CAP: Duration = Duration::from_millis(500);
+        loop {
+            // Harvest completions under the lock (reading the clock inside
+            // it, to stay monotone with the request handlers) and drop
+            // their contracts and staged files with it; talk to the
+            // journal and to peers outside it.
+            let (now, completed, running, status) = {
+                let mut s = self.state.lock();
+                let now = self.clock.now();
+                let mut completed: Vec<(JobId, Files)> = vec![];
+                for c in s.cluster.on_time(now) {
+                    let job = c.outcome.job;
+                    s.contracts.remove(&job);
+                    completed.push((job, s.staged.remove(&job).unwrap_or_default()));
+                }
+                let running: Vec<(JobId, u32)> = s.cluster.running_jobs().collect();
+                (now, completed, running, s.cluster.status(now))
+            };
+            for (job, mut outputs) in completed {
+                // Prune the journal best-effort: an unjournaled completion
+                // only means the job re-runs after a restart
+                // (at-least-once), never that it is lost.
+                if self.commit(|| FdRecord::Complete { job }).is_ok() {
+                    self.count_journal_write();
+                }
+                let report = format!("completed at {now}").into_bytes();
+                outputs.push(("output.dat".into(), report));
+                let req = Request::CompleteJob { job, outputs };
+                let _ = call_with(self.appspector, &req, &self.opts.call);
+            }
+            // Heartbeat + telemetry on the simulated cadence.
+            let every = self.opts.heartbeat_every;
+            if now.since(last_heartbeat) >= every || last_heartbeat == SimTime::ZERO {
+                last_heartbeat = now;
+                self.heartbeat(now, status, running);
+            }
+            if self.stop.is_stopped() {
+                break;
+            }
+            // Sleep until whichever comes first: the scheduler's next
+            // completion or the next heartbeat, both converted from
+            // simulated to wall time.
+            let next_completion = self.state.lock().cluster.next_completion();
+            let mut wait = self.clock.wall_until(last_heartbeat + every).min(PACE_CAP);
+            if let Some(at) = next_completion {
+                wait = wait.min(self.clock.wall_until(at));
+            }
+            if self.stop.wait_for(wait) {
+                break;
+            }
+        }
+    }
+
+    /// One heartbeat to the FS, then one telemetry sample per running job
+    /// to AppSpector.
+    fn heartbeat(&self, now: SimTime, status: ServerStatus, running: Vec<(JobId, u32)>) {
+        let cluster = self.cluster_id;
+        match self.fs.call(&Request::Heartbeat { cluster, status }) {
+            // "unknown cluster": the FS evicted us as dead (or was itself
+            // restarted). Re-register and carry on.
+            Ok(Response::Error(_)) => self.register(),
+            // The endpoint is dead (not merely overloaded): rotate to the
+            // next federated shard and register there, so bids keep
+            // verifying and the directory keeps listing us.
+            Err(e) if self.fs.rotate_after(&e) => {
+                self.m_fs_failovers.inc();
+                self.register();
+            }
+            _ => {}
+        }
+        for (job, pes) in running {
+            let sample = TelemetrySample {
+                at: now,
+                pes,
+                utilization: pes as f64 / self.total_pes.max(1) as f64,
+                throughput: pes as f64,
+                app_data: format!("t={now}"),
+            };
+            let req = Request::PushSample { job, sample };
+            let _ = call_with(self.appspector, &req, &self.opts.call);
+        }
+    }
 }
 
 /// A running FD service.
@@ -232,30 +623,29 @@ pub struct FdHandle {
     /// The payoff-aware bid admission gate (live knobs and peak-queue
     /// readout — see [`FdOptions::bid_gate`]).
     pub gate: Arc<PayoffGate>,
-    state: Arc<Mutex<FdState>>,
-    stop: Arc<StopSignal>,
+    core: Arc<FdCore>,
     pump: Option<JoinHandle<()>>,
 }
 
 impl FdHandle {
     /// Jobs completed on this cluster so far.
     pub fn completed(&self) -> u64 {
-        self.state.lock().cluster.metrics.completed
+        self.core.state.lock().cluster.metrics.completed
     }
 
     /// Revenue earned at bid prices.
     pub fn revenue(&self) -> Money {
-        self.state.lock().cluster.metrics.revenue_price
+        self.core.state.lock().cluster.metrics.revenue_price
     }
 
     /// Daemon activity counters (requests, bids, declines, confirms).
     pub fn daemon_stats(&self) -> faucets_core::daemon::DaemonStats {
-        self.state.lock().daemon.stats
+        self.core.state.lock().daemon.stats
     }
 
     /// Accepted contracts not yet completed.
     pub fn active_contracts(&self) -> usize {
-        self.state.lock().contracts.len()
+        self.core.state.lock().contracts.len()
     }
 
     /// Stop the pump and the service.
@@ -274,7 +664,7 @@ impl FdHandle {
     fn stop_inner(&mut self) {
         // The condvar inside the signal pops the pump out of its paced
         // wait immediately — shutdown latency is join time, not a tick.
-        self.stop.stop();
+        self.core.stop.stop();
         if let Some(p) = self.pump.take() {
             let _ = p.join();
         }
@@ -284,25 +674,6 @@ impl FdHandle {
 impl Drop for FdHandle {
     fn drop(&mut self) {
         self.stop_inner();
-    }
-}
-
-fn verify(
-    fs: SocketAddr,
-    token: &faucets_core::auth::SessionToken,
-    opts: &CallOptions,
-) -> Result<UserId, String> {
-    match call_with(
-        fs,
-        &Request::VerifyToken {
-            token: token.clone(),
-        },
-        opts,
-    ) {
-        Ok(Response::Verified { user }) => Ok(user),
-        Ok(Response::Error(e)) => Err(e),
-        Ok(other) => Err(format!("unexpected FS reply {other:?}")),
-        Err(e) => Err(format!("FS unreachable: {e}")),
     }
 }
 
@@ -343,487 +714,79 @@ pub fn spawn_fd_with(
     opts: FdOptions,
 ) -> io::Result<FdHandle> {
     let cluster_id = cluster.machine.cluster;
+    let service_name = format!("fd-{cluster_id}");
     let reg = faucets_telemetry::global();
     let cluster_name = cluster.machine.name.clone();
-    let fd_labels = [("cluster", cluster_name.as_str())];
-    let m_journal_writes = reg.counter("fd_journal_writes_total", &fd_labels);
-    let m_restored = reg.counter("fd_journal_restored_contracts_total", &fd_labels);
-    let state = Arc::new(Mutex::new(FdState {
-        daemon: FaucetsDaemon::new(
-            // placeholder; replaced below once the port is known
-            faucets_core::directory::ServerInfo {
-                fd_addr: String::new(),
-                fd_port: 0,
-                ..daemon.info.clone()
-            },
-            std::iter::empty::<String>(),
-            Box::new(faucets_core::market::Baseline),
-            Money::ZERO,
-        ),
-        cluster,
-        staged: HashMap::new(),
-        owners: HashMap::new(),
-        contracts: HashMap::new(),
-        m_journal_writes,
-    }));
-
-    // Recover the journal, if any, before the service can take traffic:
-    // accepted contracts are resubmitted to the scheduler, staged files
-    // re-attached.
-    let store: FdStore = match &opts.store {
-        Some(dir) => Some(
-            Journal::open(
-                dir,
-                FdJournal::default(),
-                &format!("fd-{cluster_id}"),
-                opts.store_opts.clone(),
-                opts.replication.as_ref(),
-            )
-            .map_err(io::Error::other)?
-            .0,
-        ),
+    let labels = [("cluster", cluster_name.as_str())];
+    let journal = match &opts.store {
+        Some(dir) => {
+            let (store_opts, repl) = (opts.store_opts.clone(), opts.replication.as_ref());
+            let open = Journal::open(dir, FdJournal::default(), &service_name, store_opts, repl);
+            Some(open.map_err(io::Error::other)?.0)
+        }
         None => None,
     };
-    let restored: Vec<(JobId, UserId)> = {
-        let mut s = state.lock();
-        let now = clock.now();
-        let mut restored = vec![];
-        if let Some(store) = &store {
-            store.read(|j| {
-                for (job, files) in &j.staged {
-                    s.staged.insert(*job, files.clone());
-                }
-                for e in &j.contracts {
-                    let job = e.spec.id;
-                    s.cluster
-                        .submit_job(e.spec.clone(), e.contract, e.price, now);
-                    s.owners.insert(job, e.owner);
-                    restored.push((job, e.owner));
-                    s.contracts.insert(job, e.clone());
-                }
-            });
-        }
-        m_restored.add(restored.len() as u64);
-        restored
-    };
-
-    // With a replicated journal, (re)assert the on-disk lease before
-    // taking traffic: a restarted or promoted primary immediately holds a
-    // fresh claim. Renewal clamps against any stamp already on disk, so a
-    // backwards wall clock never writes an older claim.
-    let repl_service = format!("fd-{cluster_id}");
-    let lease_holder = format!("{repl_service}@{}", std::process::id());
-    let lease_ttl_ms = opts.lease_ttl.as_millis() as u64;
-    if let (Some(dir), Some(journal)) = (&opts.store, &store) {
-        if let Some(repl) = journal.replicated() {
-            let mut lease =
-                faucets_store::read_lease(dir).unwrap_or_else(|| faucets_store::Lease {
-                    holder: lease_holder.clone(),
-                    epoch: repl.epoch(),
-                    renewed_unix_ms: 0,
-                    ttl_ms: lease_ttl_ms,
-                });
-            lease.holder = lease_holder.clone();
-            lease.epoch = repl.epoch();
-            lease.ttl_ms = lease_ttl_ms;
-            lease.renew(crate::sentinel::unix_ms());
-            let _ = faucets_store::write_lease(dir, &lease);
-        }
-    }
-
-    // The FS endpoint set (primary + federated fallbacks) and the shared
-    // rotation index: handlers verify tokens at whichever endpoint the
-    // pump currently trusts.
-    let fs_list: Arc<Vec<SocketAddr>> = Arc::new(
-        std::iter::once(fs)
-            .chain(opts.fs_fallbacks.iter().copied())
-            .collect(),
-    );
-    let fs_idx = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-    let m_fs_failovers = reg.counter("fd_fs_failovers_total", &fd_labels);
-
-    // Bind the service first so the real port is known.
-    let st = Arc::clone(&state);
-    let journal = store.clone();
-    let clock_handler = clock.clone();
-    let call_opts = opts.call.clone();
-    let fs_list_h = Arc::clone(&fs_list);
-    let fs_idx_h = Arc::clone(&fs_idx);
-    let gate = PayoffGate::new(opts.bid_gate, &cluster_name, reg);
-    let bid_gate = Arc::clone(&gate);
-    let bid_probe_floor = opts.bid_probe_floor;
-    let lease_dir = opts.store.clone();
-    let lease_service = repl_service.clone();
-    let lease_holder_h = lease_holder.clone();
-    let lease_ttl_h = lease_ttl_ms;
-    // The pump waits on this signal between due events; award handlers
-    // poke it so a freshly scheduled job re-paces the wait, and shutdown
-    // stops it.
-    let stop = Arc::new(StopSignal::new());
-    let pump_signal = Arc::clone(&stop);
-    let service = serve_with(addr, "fd", opts.serve.clone(), move |req| {
-        match req {
-            Request::RequestBid { token, request } => {
-                // Payoff-aware admission (§4 under overload): the gate
-                // bounds concurrent solicitations, sheds the lowest
-                // payoff-rate request when full, and drops doomed ones
-                // whose propagated deadline has already expired.
-                let flops = st.lock().daemon.info.flops_per_pe_sec;
-                let rate = request.qos.payoff_rate(flops);
-                let _permit = match bid_gate.enter(rate, request_deadline()) {
-                    GateVerdict::Served(p) => p,
-                    GateVerdict::Shed => return Response::Overloaded { retry_after_ms: 50 },
-                    GateVerdict::Doomed => return Response::Overloaded { retry_after_ms: 0 },
-                };
-                // Charge the configured probe floor while holding the
-                // permit, so the gate's inflight bound is a real capacity.
-                if !bid_probe_floor.is_zero() {
-                    std::thread::sleep(bid_probe_floor);
-                }
-                // §2.2: the FD re-checks the client with the FS.
-                if let Err(e) = verify(current_fs(&fs_list_h, &fs_idx_h), &token, &call_opts) {
-                    return Response::Error(e);
-                }
-                // Read the clock only while holding the lock: the pump also
-                // advances the cluster, and scheduler time must be monotone.
-                let mut s = st.lock();
-                let now = clock_handler.now();
-                let FdState {
-                    daemon, cluster, ..
-                } = &mut *s;
-                Response::BidReply(daemon.handle_bid_request(
-                    &request,
-                    cluster,
-                    &MarketInfo::default(),
-                    now,
-                ))
-            }
-            Request::Award {
-                token,
-                spec,
-                contract,
-                bid,
-            } => {
-                if let Err(e) = verify(current_fs(&fs_list_h, &fs_idx_h), &token, &call_opts) {
-                    return Response::Error(e);
-                }
-                let (job, user) = (spec.id, spec.user);
-                let entry = ContractEntry {
-                    spec: spec.clone(),
-                    contract,
-                    price: bid.price,
-                    owner: user,
-                };
-                // Journal the acceptance BEFORE the scheduler sees the
-                // award, and NACK if it cannot be made durable: the client
-                // treats the error as a declined bid and tries the next
-                // one, so "accepted" always means "survives a crash".
-                if let Some(store) = &journal {
-                    if let Err(e) = store.commit(&FdRecord::Accept(entry.clone())) {
-                        return Response::Error(format!("award not journaled: {e}"));
-                    }
-                }
-                let outcome = {
-                    let mut s = st.lock();
-                    let now = clock_handler.now();
-                    let FdState {
-                        daemon, cluster, ..
-                    } = &mut *s;
-                    let outcome = daemon.handle_award(spec, contract, &bid, cluster, now);
-                    // Recorded under the lock acquisition that scheduled
-                    // the job: released in between, the pump can complete
-                    // the job first, and its `contracts.remove` would run
-                    // before this insert and leave the entry behind.
-                    if matches!(outcome, Ok(AwardOutcome::Confirmed)) {
-                        s.owners.insert(job, user);
-                        s.contracts.insert(job, entry);
-                        if journal.is_some() {
-                            s.m_journal_writes.inc();
-                        }
-                    }
-                    outcome
-                };
-                match outcome {
-                    Ok(AwardOutcome::Confirmed) => {
-                        // The scheduler just gained a job: wake the pump
-                        // so it re-paces against the new next completion.
-                        pump_signal.notify();
-                        let _ = call_with(
-                            appspector,
-                            &Request::RegisterJob {
-                                job,
-                                owner: user,
-                                cluster: cluster_id,
-                            },
-                            &call_opts,
-                        );
-                        Response::AwardReply {
-                            confirmed: true,
-                            reason: None,
-                        }
-                    }
-                    Ok(AwardOutcome::Reneged(r)) => {
-                        retract(&journal, job);
-                        Response::AwardReply {
-                            confirmed: false,
-                            reason: Some(format!("{r:?}")),
-                        }
-                    }
-                    Err(e) => {
-                        retract(&journal, job);
-                        Response::Error(e.to_string())
-                    }
-                }
-            }
-            Request::UploadFile {
-                token,
-                job,
-                name,
-                data,
-            } => {
-                if let Err(e) = verify(current_fs(&fs_list_h, &fs_idx_h), &token, &call_opts) {
-                    return Response::Error(e);
-                }
-                if let Some(store) = &journal {
-                    if let Err(e) = store.commit(&FdRecord::Stage {
-                        job,
-                        name: name.clone(),
-                        data: data.clone(),
-                    }) {
-                        return Response::Error(format!("upload not journaled: {e}"));
-                    }
-                }
-                let mut s = st.lock();
-                s.staged.entry(job).or_default().push((name, data));
-                if journal.is_some() {
-                    s.m_journal_writes.inc();
-                }
-                Response::Ok
-            }
-            // Sentinel liveness probe: answering IS the lease renewal —
-            // the on-disk claim is re-stamped (clock-clamped) before the
-            // reply, so "the primary answered" and "the lease is fresh"
-            // are the same fact.
-            Request::LeaseProbe { service } => match (&journal, &lease_dir) {
-                (Some(j), Some(dir)) if service == lease_service => match j.replicated() {
-                    Some(repl) => {
-                        let mut lease = faucets_store::read_lease(dir).unwrap_or_else(|| {
-                            faucets_store::Lease {
-                                holder: lease_holder_h.clone(),
-                                epoch: repl.epoch(),
-                                renewed_unix_ms: 0,
-                                ttl_ms: lease_ttl_h,
-                            }
-                        });
-                        lease.holder = lease_holder_h.clone();
-                        lease.epoch = repl.epoch();
-                        lease.ttl_ms = lease_ttl_h;
-                        lease.renew(crate::sentinel::unix_ms());
-                        let _ = faucets_store::write_lease(dir, &lease);
-                        Response::Lease {
-                            position: repl.position(),
-                            fenced: repl.is_fenced(),
-                        }
-                    }
-                    None => Response::Error("journal is not replicated".into()),
-                },
-                _ => Response::Error(format!("no lease held for service {service:?}")),
-            },
-            // A sentinel promoted a replica: stop acknowledging NOW, not
-            // at the next shipping round.
-            Request::Fence { service, epoch } => match &journal {
-                Some(j) if service == lease_service => match j.replicated() {
-                    Some(repl) => {
-                        repl.fence(epoch);
-                        Response::Ok
-                    }
-                    None => Response::Error("journal is not replicated".into()),
-                },
-                _ => Response::Error(format!("unknown replicated service {service:?}")),
-            },
-            other => Response::Error(format!("FD cannot handle {other:?}")),
-        }
-    })?;
-
-    // Fix up the registration info with the bound address and register.
-    let bound = service.addr;
-    daemon.info.fd_addr = bound.ip().to_string();
-    daemon.info.fd_port = bound.port();
     // Advertise the replica set in the directory row, so failover tooling
     // (and curious clients) can locate this FD's followers.
-    daemon.info.replicas = opts
-        .replication
-        .as_ref()
-        .map(|r| r.followers.iter().map(|a| a.to_string()).collect())
-        .unwrap_or_default();
-    let info = daemon.info.clone();
-    let apps: Vec<String> = daemon.exported_apps.iter().cloned().collect();
-    state.lock().daemon = daemon;
-    let _ = call_with(
-        current_fs(&fs_list, &fs_idx),
-        &Request::RegisterCluster {
-            info: info.clone(),
-            apps: apps.clone(),
-        },
-        &opts.call,
-    );
-    // Restored jobs are re-announced so AppSpector keeps monitoring them.
-    for (job, owner) in restored {
-        let _ = call_with(
-            appspector,
-            &Request::RegisterJob {
-                job,
-                owner,
-                cluster: cluster_id,
-            },
-            &opts.call,
-        );
+    if let Some(repl) = &opts.replication {
+        daemon.info.replicas = repl.followers.iter().map(|a| a.to_string()).collect();
+    }
+    let core = Arc::new(FdCore {
+        gate: PayoffGate::new(opts.bid_gate, &cluster_name, reg),
+        clock,
+        fs: FsUpstream::new(fs, &opts.fs_fallbacks, opts.call.clone()),
+        appspector,
+        stop: StopSignal::new(),
+        cluster_id,
+        flops_per_pe_sec: daemon.info.flops_per_pe_sec,
+        total_pes: cluster.machine.total_pes,
+        m_journal_writes: reg.counter("fd_journal_writes_total", &labels),
+        m_fs_failovers: reg.counter("fd_fs_failovers_total", &labels),
+        journal,
+        service_name,
+        opts,
+        state: Mutex::new(FdState {
+            daemon,
+            cluster,
+            staged: HashMap::new(),
+            contracts: HashMap::new(),
+        }),
+    });
+
+    // Before the service can take traffic: recover the journal, and with a
+    // replicated one (re)assert the on-disk lease, so a restarted or
+    // promoted primary immediately holds a fresh claim.
+    let restored = core.recover();
+    reg.counter("fd_journal_restored_contracts_total", &labels)
+        .add(restored.len() as u64);
+    if let Some(repl) = core.journal.as_ref().and_then(|j| j.replicated()) {
+        core.renew_lease(repl);
     }
 
-    // Pump: drives the scheduler clock, reports completions/telemetry,
-    // heartbeats the FS.
-    let stop2 = Arc::clone(&stop);
-    let st = Arc::clone(&state);
-    let journal = store;
-    let call_opts = opts.call.clone();
-    let heartbeat_every = opts.heartbeat_every;
+    // Bind, so the real port is known, and register under it.
+    let handler = Arc::clone(&core);
+    let serve = core.opts.serve.clone();
+    let service = serve_with(addr, "fd", serve, move |req| handler.handle(req))?;
+    {
+        let mut s = core.state.lock();
+        s.daemon.info.fd_addr = service.addr.ip().to_string();
+        s.daemon.info.fd_port = service.addr.port();
+    }
+    core.register();
+    // Restored jobs are re-announced so AppSpector keeps monitoring them.
+    for (job, owner) in restored {
+        core.announce(job, owner);
+    }
+
+    let pump_core = Arc::clone(&core);
     let pump = std::thread::Builder::new()
         .name(format!("fd-pump-{cluster_id}"))
-        .spawn(move || {
-            // Heartbeats are paced in *simulated* time (the FS liveness window
-            // is simulated seconds), so any clock speedup keeps the FD alive.
-            let mut last_heartbeat = faucets_sim::time::SimTime::ZERO;
-            // Event-paced, not tick-paced: each round runs the body, then
-            // sleeps exactly until the next due event — the scheduler's
-            // next completion or the next heartbeat — instead of polling
-            // every 5 ms. An award wakes the wait (the next completion
-            // may have moved closer); stop wakes it for good. The cap
-            // bounds clock drift if a wakeup is ever lost.
-            const PACE_CAP: Duration = Duration::from_millis(500);
-            loop {
-                // Harvest completions under the lock (reading the clock inside
-                // it, to stay monotone with the request handlers); talk to
-                // peers outside it.
-                let (now, completions, running, status) = {
-                    let mut s = st.lock();
-                    let now = clock.now();
-                    let completions = s.cluster.on_time(now);
-                    let running: Vec<(JobId, u32)> = s.cluster.running_jobs().collect();
-                    (now, completions, running, s.cluster.status(now))
-                };
-                for c in &completions {
-                    let job = c.outcome.job;
-                    // Prune the journal best-effort: an unjournaled
-                    // completion only means the job re-runs after a
-                    // restart (at-least-once), never that it is lost.
-                    let mut outputs: Vec<(String, Vec<u8>)> = {
-                        let mut s = st.lock();
-                        let outputs = s.staged.remove(&job).unwrap_or_default();
-                        s.contracts.remove(&job);
-                        if let Some(store) = &journal {
-                            if store.commit(&FdRecord::Complete { job }).is_ok() {
-                                s.m_journal_writes.inc();
-                            }
-                        }
-                        outputs
-                    };
-                    outputs.push((
-                        "output.dat".into(),
-                        format!("completed at {now}").into_bytes(),
-                    ));
-                    let _ = call_with(
-                        appspector,
-                        &Request::CompleteJob { job, outputs },
-                        &call_opts,
-                    );
-                }
-                // Heartbeat + telemetry on the simulated cadence.
-                if now.since(last_heartbeat) >= heartbeat_every
-                    || last_heartbeat == faucets_sim::time::SimTime::ZERO
-                {
-                    last_heartbeat = now;
-                    let fs_now = current_fs(&fs_list, &fs_idx);
-                    match call_with(
-                        fs_now,
-                        &Request::Heartbeat {
-                            cluster: cluster_id,
-                            status,
-                        },
-                        &call_opts,
-                    ) {
-                        // "unknown cluster": the FS evicted us as dead (or
-                        // was itself restarted). Re-register and carry on.
-                        Ok(Response::Error(_)) => {
-                            let _ = call_with(
-                                fs_now,
-                                &Request::RegisterCluster {
-                                    info: info.clone(),
-                                    apps: apps.clone(),
-                                },
-                                &call_opts,
-                            );
-                        }
-                        // The endpoint is dead (not merely overloaded):
-                        // rotate to the next federated shard and register
-                        // there, so bids keep verifying and the directory
-                        // keeps listing us.
-                        Err(e) if fs_list.len() > 1 && !crate::proto::is_overload_error(&e) => {
-                            fs_idx.fetch_add(1, Ordering::Relaxed);
-                            m_fs_failovers.inc();
-                            let _ = call_with(
-                                current_fs(&fs_list, &fs_idx),
-                                &Request::RegisterCluster {
-                                    info: info.clone(),
-                                    apps: apps.clone(),
-                                },
-                                &call_opts,
-                            );
-                        }
-                        _ => {}
-                    }
-                    let total = { st.lock().cluster.machine.total_pes };
-                    for (job, pes) in running {
-                        let _ = call_with(
-                            appspector,
-                            &Request::PushSample {
-                                job,
-                                sample: TelemetrySample {
-                                    at: now,
-                                    pes,
-                                    utilization: pes as f64 / total.max(1) as f64,
-                                    throughput: pes as f64,
-                                    app_data: format!("t={now}"),
-                                },
-                            },
-                            &call_opts,
-                        );
-                    }
-                }
-                if stop2.is_stopped() {
-                    break;
-                }
-                // Sleep until whichever comes first: the scheduler's next
-                // completion or the next heartbeat, both converted from
-                // simulated to wall time.
-                let next_completion = st.lock().cluster.next_completion();
-                let mut wait = clock
-                    .wall_until(last_heartbeat + heartbeat_every)
-                    .min(PACE_CAP);
-                if let Some(at) = next_completion {
-                    wait = wait.min(clock.wall_until(at));
-                }
-                if stop2.wait_for(wait) {
-                    break;
-                }
-            }
-        })?;
-
+        .spawn(move || pump_core.pump())?;
     Ok(FdHandle {
         service,
         cluster_id,
-        gate,
-        state,
-        stop,
+        gate: Arc::clone(&core.gate),
+        core,
         pump: Some(pump),
     })
 }
@@ -831,22 +794,30 @@ pub fn spawn_fd_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fs::spawn_fs;
-    use crate::service::call;
-    use faucets_core::bid::BidRequest;
+    use crate::appspector_srv::{spawn_appspector, AsHandle};
+    use crate::fs::{spawn_fs, FsHandle};
+    use crate::service::{call, Timeouts};
     use faucets_core::qos::QosBuilder;
     use faucets_sched::adaptive::ResizeCostModel;
     use faucets_sched::equipartition::Equipartition;
     use faucets_sched::machine::MachineSpec;
+    use faucets_store::WriteFault;
+    use std::sync::mpsc;
 
-    #[test]
-    fn fd_registers_and_answers_bids() {
-        let clock = Clock::new(100.0);
-        let fs = spawn_fs("127.0.0.1:0", clock.clone(), 11).unwrap();
-        let aspect =
-            crate::appspector_srv::spawn_appspector("127.0.0.1:0", fs.service.addr, 8).unwrap();
+    /// One FS, one AppSpector, one Baseline FD (cluster 1, exporting
+    /// `namd` at $0.01/cpu-s) and a logged-in user.
+    struct Grid {
+        fs: FsHandle,
+        _aspect: AsHandle,
+        fd: FdHandle,
+        user: UserId,
+        token: SessionToken,
+    }
 
-        let machine = MachineSpec::commodity(ClusterId(1), "turing", 64);
+    fn grid(clock: &Clock, seed: u64, pes: u32, opts: FdOptions) -> Grid {
+        let fs = spawn_fs("127.0.0.1:0", clock.clone(), seed).unwrap();
+        let aspect = spawn_appspector("127.0.0.1:0", fs.service.addr, 8).unwrap();
+        let machine = MachineSpec::commodity(ClusterId(1), "turing", pes);
         let daemon = FaucetsDaemon::new(
             machine.server_info("127.0.0.1", 0),
             ["namd".to_string()],
@@ -854,57 +825,87 @@ mod tests {
             Money::from_units_f64(0.01),
         );
         let cluster = Cluster::new(machine, Box::new(Equipartition), ResizeCostModel::default());
-        let fd = spawn_fd(
+        let (fs_addr, as_addr) = (fs.service.addr, aspect.service.addr);
+        let fd = spawn_fd_with(
             "127.0.0.1:0",
             daemon,
             cluster,
-            fs.service.addr,
-            aspect.service.addr,
-            clock,
+            fs_addr,
+            as_addr,
+            clock.clone(),
+            opts,
         )
         .unwrap();
+        let (user, password) = ("u".to_string(), "p".to_string());
+        let create = Request::CreateUser {
+            user: user.clone(),
+            password: password.clone(),
+        };
+        call(fs_addr, &create).unwrap();
+        let Response::Session { user, token } =
+            call(fs_addr, &Request::Login { user, password }).unwrap()
+        else {
+            panic!("expected a session")
+        };
+        Grid {
+            fs,
+            _aspect: aspect,
+            fd,
+            user,
+            token,
+        }
+    }
+
+    fn scratch(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("faucets-fd-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// An `Award` of `job` at `now`: one PE, `cpu_seconds` of work.
+    fn award_of(g: &Grid, job: JobId, cpu_seconds: f64, now: SimTime) -> Request {
+        let qos = QosBuilder::new("namd", 1, 1, cpu_seconds).build().unwrap();
+        Request::Award {
+            token: g.token.clone(),
+            spec: JobSpec::new(job, g.user, qos, now).unwrap(),
+            contract: ContractId(job.raw()),
+            bid: Bid {
+                id: faucets_core::ids::BidId(job.raw()),
+                cluster: ClusterId(1),
+                job,
+                multiplier: 1.0,
+                price: Money::from_units(1),
+                promised_completion: now,
+                planned_pes: 1,
+            },
+        }
+    }
+
+    fn bid_request(g: &Grid, token: SessionToken) -> Request {
+        let qos = QosBuilder::new("namd", 4, 16, 100.0).build().unwrap();
+        let request = BidRequest {
+            job: JobId(5),
+            user: g.user,
+            qos,
+            issued_at: SimTime::ZERO,
+        };
+        Request::RequestBid { token, request }
+    }
+
+    #[test]
+    fn fd_registers_and_answers_bids() {
+        let g = grid(&Clock::new(100.0), 11, 64, FdOptions::default());
+        let fd = g.fd.service.addr;
 
         // The FD registered itself (directory has it with the bound port).
         {
-            let s = fs.state.lock();
+            let s = g.fs.state.lock();
             let e = s.directory.get(ClusterId(1)).expect("registered");
-            assert_eq!(e.info.fd_port, fd.service.addr.port());
+            assert_eq!(e.info.fd_port, fd.port());
         }
 
         // A valid user can solicit a bid.
-        call(
-            fs.service.addr,
-            &Request::CreateUser {
-                user: "u".into(),
-                password: "p".into(),
-            },
-        )
-        .unwrap();
-        let Response::Session { user, token } = call(
-            fs.service.addr,
-            &Request::Login {
-                user: "u".into(),
-                password: "p".into(),
-            },
-        )
-        .unwrap() else {
-            panic!()
-        };
-        let qos = QosBuilder::new("namd", 4, 16, 100.0).build().unwrap();
-        let req = BidRequest {
-            job: JobId(5),
-            user,
-            qos,
-            issued_at: faucets_sim::time::SimTime::ZERO,
-        };
-        let Response::BidReply(reply) = call(
-            fd.service.addr,
-            &Request::RequestBid {
-                token,
-                request: req.clone(),
-            },
-        )
-        .unwrap() else {
+        let Response::BidReply(reply) = call(fd, &bid_request(&g, g.token.clone())).unwrap() else {
             panic!("expected bid reply")
         };
         let bid = reply.offer().expect("baseline bids on known apps");
@@ -912,17 +913,15 @@ mod tests {
         // $0.01/cpu-s × 100 cpu-s × 1.0 = $1.
         assert_eq!(bid.price, Money::from_units(1));
 
-        // Forged token is bounced by the FS re-verification.
-        let bogus = faucets_core::auth::SessionToken("bogus".into());
-        let r = call(
-            fd.service.addr,
-            &Request::RequestBid {
-                token: bogus,
-                request: req,
-            },
-        )
-        .unwrap();
-        assert!(matches!(r, Response::Error(_)));
+        // A forged token is bounced by the FS re-verification, in the FS's
+        // own words.
+        let bogus = SessionToken("bogus".into());
+        let verify = Request::VerifyToken {
+            token: bogus.clone(),
+        };
+        let fs_says = call(g.fs.service.addr, &verify).unwrap();
+        assert!(matches!(fs_says, Response::Error(_)), "got {fs_says:?}");
+        assert_eq!(call(fd, &bid_request(&g, bogus)).unwrap(), fs_says);
     }
 
     /// Regression for the award race: the handler used to release the
@@ -936,85 +935,27 @@ mod tests {
         const PER_THREAD: u64 = 40;
         // 2000x: the 8 h session outlives the test by a wide margin.
         let clock = Clock::new(2_000.0);
-        let fs = spawn_fs("127.0.0.1:0", clock.clone(), 12).unwrap();
-        let aspect =
-            crate::appspector_srv::spawn_appspector("127.0.0.1:0", fs.service.addr, 8).unwrap();
-        let machine = MachineSpec::commodity(ClusterId(1), "racy", 4096);
-        let daemon = FaucetsDaemon::new(
-            machine.server_info("127.0.0.1", 0),
-            ["namd".to_string()],
-            Box::new(faucets_core::market::Baseline),
-            Money::from_units_f64(0.01),
-        );
-        let cluster = Cluster::new(machine, Box::new(Equipartition), ResizeCostModel::default());
-        let fd = spawn_fd(
-            "127.0.0.1:0",
-            daemon,
-            cluster,
-            fs.service.addr,
-            aspect.service.addr,
-            clock.clone(),
-        )
-        .unwrap();
-        call(
-            fs.service.addr,
-            &Request::CreateUser {
-                user: "u".into(),
-                password: "p".into(),
-            },
-        )
-        .unwrap();
-        let Response::Session { user, token } = call(
-            fs.service.addr,
-            &Request::Login {
-                user: "u".into(),
-                password: "p".into(),
-            },
-        )
-        .unwrap() else {
-            panic!("expected a session")
-        };
-        // A millisecond of CPU on one PE is half a microsecond of wall
-        // time at this clock: the pump completes each job about as soon
-        // as the award handler lets go of the state lock.
-        let qos = QosBuilder::new("namd", 1, 1, 0.001).build().unwrap();
-        let addr = fd.service.addr;
+        let g = grid(&clock, 12, 4096, FdOptions::default());
+        let addr = g.fd.service.addr;
         std::thread::scope(|scope| {
             for t in 0..THREADS {
-                let (token, qos, clock) = (token.clone(), qos.clone(), clock.clone());
+                let (g, clock) = (&g, &clock);
                 scope.spawn(move || {
                     for i in 0..PER_THREAD {
                         let job = JobId(1 + t * PER_THREAD + i);
-                        let now = clock.now();
-                        let bid = faucets_core::bid::Bid {
-                            id: faucets_core::ids::BidId(job.raw()),
-                            cluster: ClusterId(1),
-                            job,
-                            multiplier: 1.0,
-                            price: Money::from_units(1),
-                            promised_completion: now,
-                            planned_pes: 1,
-                        };
-                        let reply = call(
-                            addr,
-                            &Request::Award {
-                                token: token.clone(),
-                                spec: JobSpec::new(job, user, qos.clone(), now).unwrap(),
-                                contract: ContractId(job.raw()),
-                                bid,
-                            },
-                        )
-                        .unwrap();
-                        assert!(
-                            matches!(
-                                reply,
-                                Response::AwardReply {
-                                    confirmed: true,
-                                    ..
-                                }
-                            ),
-                            "award of {job:?}: {reply:?}"
+                        // A millisecond of CPU on one PE is half a
+                        // microsecond of wall time at this clock: the pump
+                        // completes each job about as soon as the award
+                        // handler lets go of the state lock.
+                        let reply = call(addr, &award_of(g, job, 0.001, clock.now())).unwrap();
+                        let confirmed = matches!(
+                            reply,
+                            Response::AwardReply {
+                                confirmed: true,
+                                ..
+                            }
                         );
+                        assert!(confirmed, "award of {job:?}: {reply:?}");
                     }
                 });
             }
@@ -1028,9 +969,114 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(5));
             }
         };
-        settle(&|| fd.completed() == awarded, Duration::from_secs(20));
-        settle(&|| fd.active_contracts() == 0, Duration::from_secs(2));
-        assert_eq!(fd.completed(), awarded, "every awarded job ran");
-        assert_eq!(fd.active_contracts(), 0, "a contract outlived its job");
+        settle(&|| g.fd.completed() == awarded, Duration::from_secs(20));
+        settle(&|| g.fd.active_contracts() == 0, Duration::from_secs(2));
+        assert_eq!(g.fd.completed(), awarded, "every awarded job ran");
+        assert_eq!(g.fd.active_contracts(), 0, "a contract outlived its job");
+    }
+
+    /// Regression: the pump used to commit `FdRecord::Complete` while
+    /// holding the state lock, so for as long as that commit took (a
+    /// network round trip on a sync-replicated journal) every bid and
+    /// award on the daemon waited. The store's fault hook parks the
+    /// completion's append; a bid must still be answered meanwhile.
+    #[test]
+    fn bids_are_answered_while_a_completion_is_being_journaled() {
+        let dir = scratch("parked");
+        let (parked_tx, parked_rx) = mpsc::channel::<()>();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (parked_tx, release_rx) = (Mutex::new(parked_tx), Mutex::new(release_rx));
+        let hook = move |payload: &[u8]| {
+            if payload.windows(10).any(|w| w == b"\"Complete\"") {
+                let _ = parked_tx.lock().send(());
+                // Parked until the test lets go (or gives up and drops
+                // its end).
+                let _ = release_rx.lock().recv();
+            }
+            WriteFault::Deliver
+        };
+        let mut opts = FdOptions {
+            store: Some(dir.clone()),
+            ..FdOptions::default()
+        };
+        opts.store_opts.fault = Some(Arc::new(hook));
+        let clock = Clock::new(2_000.0);
+        let g = grid(&clock, 13, 64, opts);
+        let fd = g.fd.service.addr;
+
+        // A job that finishes at once: the pump's next pass journals its
+        // completion and parks inside the append.
+        let reply = call(fd, &award_of(&g, JobId(1), 0.001, clock.now())).unwrap();
+        assert!(matches!(
+            reply,
+            Response::AwardReply {
+                confirmed: true,
+                ..
+            }
+        ));
+        parked_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the pump journals the completion");
+
+        let patient = CallOptions {
+            timeouts: Timeouts::both(Duration::from_secs(3)),
+            ..CallOptions::default()
+        };
+        let reply = call_with(fd, &bid_request(&g, g.token.clone()), &patient);
+        // Unpark before judging, so a failure still shuts down cleanly.
+        release_tx.send(()).unwrap();
+        assert!(
+            matches!(reply, Ok(Response::BidReply(_))),
+            "a bid waited on the completion's journal append: {reply:?}"
+        );
+        drop(g);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `LeaseProbe` and `Fence` are for the primary of a *replicated*
+    /// journal, addressed by its service name: anything else is refused
+    /// and leaves no lease behind.
+    #[test]
+    fn lease_and_fence_are_refused_without_a_replicated_journal() {
+        // What the FD says to a `LeaseProbe` and to a `Fence` for `service`.
+        let probe = |fd: &FdHandle, service: &str| {
+            let refusal = |req: Request| match call(fd.service.addr, &req).unwrap() {
+                Response::Error(e) => e,
+                other => panic!("expected a refusal, got {other:?}"),
+            };
+            let service = service.to_string();
+            let lease = refusal(Request::LeaseProbe {
+                service: service.clone(),
+            });
+            (lease, refusal(Request::Fence { service, epoch: 7 }))
+        };
+        let clock = Clock::new(100.0);
+
+        // No journal at all.
+        let g = grid(&clock, 14, 64, FdOptions::default());
+        let (lease, fence) = probe(&g.fd, "fd-cs-1");
+        assert!(lease.starts_with("no lease held for service"), "{lease}");
+        assert!(fence.starts_with("unknown replicated service"), "{fence}");
+        drop(g);
+
+        // A journal, but single-node: its own name, then a foreign one.
+        let dir = scratch("unreplicated");
+        let opts = FdOptions {
+            store: Some(dir.clone()),
+            ..FdOptions::default()
+        };
+        let g = grid(&clock, 15, 64, opts);
+        let (lease, fence) = probe(&g.fd, "fd-cs-1");
+        assert_eq!(lease, "journal is not replicated");
+        assert_eq!(fence, "journal is not replicated");
+        let (lease, fence) = probe(&g.fd, "fd-cs-2");
+        assert!(lease.starts_with("no lease held for service"), "{lease}");
+        assert!(fence.starts_with("unknown replicated service"), "{fence}");
+        assert!(
+            faucets_store::read_lease(&dir).is_none(),
+            "a lease was written"
+        );
+        drop(g);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -7,10 +7,10 @@
 //! ## Durability
 //!
 //! With [`FsOptions::store`] set, cluster registrations are journaled to a
-//! [`DurableStore`] *before* the directory is mutated, so a `RegisterCluster`
-//! that was answered `Ok` survives an FS crash: on restart the journal is
-//! replayed and every registered cluster reappears with its recorded
-//! `last_heard`. If the journal append fails the registration is NACKed
+//! [`faucets_store::DurableStore`] *before* the directory is mutated, so a
+//! `RegisterCluster` that was answered `Ok` survives an FS crash: on
+//! restart the journal is replayed and every registered cluster reappears
+//! with its recorded `last_heard`. If the append fails it is NACKed
 //! (`Response::Error`) and the in-memory directory is left untouched —
 //! "registered" means "durable". Heartbeats are deliberately *not*
 //! journaled: `last_heard`/`ServerStatus` are soft state that the next
@@ -220,26 +220,7 @@ impl Drop for FsHandle {
 
 /// Spawn the FS on `addr` (use port 0 to pick a free port).
 pub fn spawn_fs(addr: &str, clock: Clock, seed: u64) -> io::Result<FsHandle> {
-    spawn_fs_with(addr, clock, seed, ServeOptions::default())
-}
-
-/// [`spawn_fs`], with explicit timeouts and optional fault injection on
-/// the service side (no durability; kept for existing callers).
-pub fn spawn_fs_with(
-    addr: &str,
-    clock: Clock,
-    seed: u64,
-    opts: ServeOptions,
-) -> io::Result<FsHandle> {
-    spawn_fs_durable(
-        addr,
-        clock,
-        seed,
-        FsOptions {
-            serve: opts,
-            ..FsOptions::default()
-        },
-    )
+    spawn_fs_durable(addr, clock, seed, FsOptions::default())
 }
 
 /// Evictions are re-derivable (a stale registration restored after a crash

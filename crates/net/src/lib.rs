@@ -240,6 +240,7 @@ pub mod reactor;
 pub mod replica;
 pub mod sentinel;
 pub mod service;
+mod upstream;
 
 /// Convenient glob import.
 pub mod prelude {
@@ -248,7 +249,7 @@ pub mod prelude {
     pub use crate::fault::{FaultConfig, FaultPlan, FaultStats, FrameFault, Outage};
     pub use crate::fd::{spawn_fd, spawn_fd_with, FdHandle, FdOptions};
     pub use crate::federation::{Federation, FederationOptions, GossipView, Ring};
-    pub use crate::fs::{spawn_fs, spawn_fs_durable, spawn_fs_with, FsHandle, FsOptions};
+    pub use crate::fs::{spawn_fs, spawn_fs_durable, FsHandle, FsOptions};
     pub use crate::overload::{
         BreakerConfig, BreakerSet, CircuitBreaker, GateConfig, GateVerdict, PayoffGate,
         ServiceLimits, TokenBucket,

@@ -279,6 +279,9 @@ impl Request {
 /// The shard-local directory questions one federated FS may ask another
 /// (carried by [`Request::FedQuery`], answered from the receiver's own
 /// shard without further network hops).
+// A wire type, built once per scatter and dropped: boxing `qos` would
+// change nothing on the wire and add an allocation per query.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum FedQuery {
     /// Return this shard's matching servers for a QoS contract

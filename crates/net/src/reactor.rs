@@ -94,19 +94,24 @@ pub struct Event {
 /// Which readiness directions to watch for a registered fd.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Interest {
+    /// Wake when the fd has bytes to read (or a pending accept).
     pub readable: bool,
+    /// Wake when the fd can take more bytes.
     pub writable: bool,
 }
 
 impl Interest {
+    /// Reads only: a connection with nothing queued to send.
     pub const READ: Interest = Interest {
         readable: true,
         writable: false,
     };
+    /// Writes only: a connection whose reads are paused by back-pressure.
     pub const WRITE: Interest = Interest {
         readable: false,
         writable: true,
     };
+    /// Both directions: replies are queued behind a short write.
     pub const BOTH: Interest = Interest {
         readable: true,
         writable: true,
@@ -132,6 +137,7 @@ pub struct Epoll {
 }
 
 impl Epoll {
+    /// A fresh, close-on-exec epoll instance.
     pub fn new() -> io::Result<Epoll> {
         // SAFETY: plain syscall, no pointers.
         let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
@@ -237,6 +243,7 @@ pub struct Waker {
 }
 
 impl Waker {
+    /// A fresh nonblocking, close-on-exec eventfd.
     pub fn new() -> io::Result<Waker> {
         // SAFETY: plain syscall.
         let fd = unsafe { eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC) };
@@ -246,6 +253,7 @@ impl Waker {
         Ok(Waker { fd })
     }
 
+    /// The fd the reactor registers for reads.
     pub fn fd(&self) -> RawFd {
         self.fd
     }
@@ -299,6 +307,7 @@ pub struct FrameBuf {
 }
 
 impl FrameBuf {
+    /// An empty buffer that rejects any frame longer than `max_frame`.
     pub fn new(max_frame: usize) -> FrameBuf {
         FrameBuf {
             buf: Vec::new(),

@@ -30,16 +30,16 @@
 //! required follower quorum, so *any* electable follower has it; in async
 //! mode an `Ok` implies local durability only, and the published lag
 //! (`repl_lag`) bounds what a failover may lose. Election is
-//! deterministic — probe every survivor's [`ReplStatus`] position and pick
-//! the maximum `(epoch, generation, acked)` (ties broken by list order,
-//! see `faucets_store::pick_primary`) — and the deposed primary is fenced
-//! by epoch the moment it talks to any follower that has seen the new
-//! reign.
+//! deterministic — probe every survivor's [`Request::ReplStatus`] position
+//! and pick the maximum `(epoch, generation, acked)` (ties broken by list
+//! order, see `faucets_store::pick_primary`) — and the deposed primary is
+//! fenced by epoch the moment it talks to any follower that has seen the
+//! new reign.
 //!
-//! One sizing caveat: frames travel as JSON inside [`MAX_FRAME`]-bounded
-//! protocol frames, so a single journal record must stay well under the
-//! frame bound once encoded (ample for the row-sized records the FS and
-//! FD journal; [`RemoteLink`] batches small frames and never splits one).
+//! One sizing caveat: frames travel as JSON inside protocol frames bounded
+//! by [`crate::proto::MAX_FRAME`], so a single journal record must stay well
+//! under that bound once encoded (ample for the row-sized records the FS
+//! and FD journal; [`RemoteLink`] batches small frames and never splits one).
 
 use crate::proto::{Request, Response};
 use crate::service::{call_with, serve_with, CallOptions, ServeOptions, ServiceHandle};

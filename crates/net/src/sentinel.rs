@@ -81,7 +81,7 @@ pub(crate) fn unix_ms() -> u64 {
 /// production deployments raise the TTL well above probe latency.
 #[derive(Clone)]
 pub struct SentinelOptions {
-    /// Name of the replicated service the lease guards (e.g. `fd-1` —
+    /// Name of the replicated service the lease guards (e.g. `fd-cs-1` —
     /// must match the journal's service name on primary and replicas).
     pub service: String,
     /// How long the sentinel tolerates missed renewals before declaring

@@ -477,8 +477,7 @@ fn reactor_loop(
             break;
         }
         h_ready.record(events.len() as f64);
-        for i in 0..events.len() {
-            let ev = events[i];
+        for &ev in &events {
             match ev.token {
                 TOK_LISTENER => {
                     let accepted =

@@ -8,8 +8,9 @@
 //! to completion. Sessions are in-memory by design, so the client logs in
 //! again — but the *award* it was acknowledged is never lost.
 
+use faucets_core::bid::BidRequest;
 use faucets_core::daemon::FaucetsDaemon;
-use faucets_core::ids::ClusterId;
+use faucets_core::ids::{ClusterId, JobId};
 use faucets_core::money::Money;
 use faucets_core::qos::{PayoffFn, QosBuilder};
 use faucets_net::fd::{spawn_fd_with, FdHandle, FdOptions};
@@ -147,6 +148,25 @@ fn award_survives_fs_and_fd_restart() {
     let mut client2 =
         FaucetsClient::register(fs_addr, aspect.service.addr, clock.clone(), "erin", "pw")
             .expect("re-login after FS restart");
+    // The restarted daemon is the configured one from its first request
+    // on: it bids on the app it exports, at its own Baseline price
+    // ($0.01/cpu-s x 100 cpu-s), not as a stand-in that knows no app.
+    assert_eq!(fd2.daemon_stats().requests, 0, "no bid served yet");
+    let request = BidRequest {
+        job: JobId(999),
+        user: client2.user,
+        qos: QosBuilder::new("namd", 4, 16, 100.0).build().unwrap(),
+        issued_at: clock.now(),
+    };
+    let token = client2.token.clone();
+    let reply = call(fd2.service.addr, &Request::RequestBid { token, request }).unwrap();
+    let Response::BidReply(reply) = reply else {
+        panic!("expected a bid reply, got {reply:?}")
+    };
+    let bid = reply.offer().expect("the restarted FD exports namd");
+    assert_eq!(bid.price, Money::from_units(1));
+    assert_eq!(fd2.daemon_stats().bids, 1);
+
     let snap = client2
         .wait(sub.job, Duration::from_secs(40))
         .expect("the acknowledged award completes despite the double crash");

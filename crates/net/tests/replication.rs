@@ -41,7 +41,7 @@ fn scratch(name: &str) -> PathBuf {
 }
 
 /// The FD replication service name for ClusterId(1).
-const FD_SVC: &str = "fd-1";
+const FD_SVC: &str = "fd-cs-1";
 
 fn spawn_primary_fd(
     store: PathBuf,
@@ -146,7 +146,6 @@ fn acked_awards_survive_primary_kill_and_promotion() {
         .snapshot()
         .counter("client_negotiation_rounds_total");
     let racer = {
-        let fs_addr = fs_addr;
         let aspect_addr = aspect.service.addr;
         let clock = clock.clone();
         std::thread::spawn(move || {

@@ -113,7 +113,7 @@ fn sentinel_promotes_automatically_after_primary_kill() {
     let clock = Clock::new(2_000.0);
     let fd_store = scratch("auto-primary");
     let follower_store = scratch("auto-follower");
-    const SVC: &str = "fd-1";
+    const SVC: &str = "fd-cs-1";
 
     let fs = spawn_fs("127.0.0.1:0", clock.clone(), 71).unwrap();
     let fs_addr = fs.service.addr;
@@ -221,7 +221,7 @@ fn sentinel_aborts_election_short_of_quorum() {
     let clock = Clock::new(2_000.0);
     let fd_store = scratch("quorum-primary");
     let follower_store = scratch("quorum-follower");
-    const SVC: &str = "fd-2";
+    const SVC: &str = "fd-cs-2";
 
     let fs = spawn_fs("127.0.0.1:0", clock.clone(), 72).unwrap();
     let aspect = spawn_appspector("127.0.0.1:0", fs.service.addr, 16).unwrap();
@@ -284,7 +284,7 @@ fn clock_skew_does_not_depose_a_healthy_primary() {
     let clock = Clock::new(2_000.0);
     let fd_store = scratch("skew-primary");
     let follower_store = scratch("skew-follower");
-    const SVC: &str = "fd-3";
+    const SVC: &str = "fd-cs-3";
 
     let fs = spawn_fs("127.0.0.1:0", clock.clone(), 73).unwrap();
     let aspect = spawn_appspector("127.0.0.1:0", fs.service.addr, 16).unwrap();

@@ -17,19 +17,14 @@ use std::sync::Arc;
 
 /// A clock that is either the process wall clock or a shared cell of
 /// simulated microseconds. Cloning a `Sim` clock shares the cell.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub enum TelemetryClock {
     /// Monotonic wall time from the process epoch (see
     /// [`crate::trace::wall_secs`]).
+    #[default]
     Wall,
     /// Simulated time: microseconds stored by the discrete-event loop.
     Sim(Arc<AtomicU64>),
-}
-
-impl Default for TelemetryClock {
-    fn default() -> Self {
-        TelemetryClock::Wall
-    }
 }
 
 impl TelemetryClock {

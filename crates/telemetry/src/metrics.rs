@@ -130,7 +130,7 @@ impl Default for HistogramCore {
 /// of two of its magnitude, shifted so bin 1 is `[2^-32, 2^-31)` and bin
 /// 64 absorbs everything at or above `2^31`.
 fn bin_of(v: f64) -> usize {
-    if !(v > 0.0) {
+    if v.is_nan() || v <= 0.0 {
         return 0;
     }
     let exp = v.log2().floor() as i64;

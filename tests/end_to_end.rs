@@ -171,7 +171,7 @@ fn several_users_and_jobs_share_the_grid() {
         }
     }
     assert_eq!(subs.len(), 6);
-    for (i, c) in clients.iter().enumerate() {
+    for (i, c) in clients.iter_mut().enumerate() {
         for (owner, sub) in &subs {
             if *owner == c.user {
                 let snap = c.wait(sub.job, Duration::from_secs(30)).expect("completes");
