@@ -18,7 +18,8 @@
 //!    vs. a sync-replicated one, all fsync-free so the disk doesn't mask
 //!    the shipping cost. Acceptance: async costs **≤ 10 %** of baseline
 //!    append throughput (sync buys its stronger contract with a
-//!    round-trip per commit and is reported, not bounded).
+//!    round-trip per commit and is reported, not bounded — but each sync
+//!    arm must dial its follower exactly once: a link keeps its socket).
 //!
 //! Writes `BENCH_replication.json` (uploaded as a CI artifact); prints
 //! `E24 PASS` when every assertion holds. `--jobs`, `--burst`,
@@ -205,6 +206,14 @@ fn lag_under_load(burst: usize) -> (u64, bool, u64) {
     (max_lag, converged, residual)
 }
 
+/// Connections follower daemons have accepted so far: every dial a replica
+/// link makes lands here, whichever transport made it.
+fn replica_dials() -> u64 {
+    faucets_telemetry::global()
+        .snapshot()
+        .counter_sum("net_conns_accepted_total", &[("service", "replica")])
+}
+
 /// Time `records` commits through one journal arm; returns commits/sec.
 /// Async arms are flushed *outside* the timed window — the claim under
 /// test is the commit path the caller waits on.
@@ -234,18 +243,35 @@ fn throughput(records: usize) -> (f64, f64, f64) {
         mode: ReplicationMode::Async,
         ..ReplicationConfig::default()
     };
-    let sync_cfg = ReplicationConfig {
-        mode: ReplicationMode::Sync,
-        ..async_cfg.clone()
-    };
 
     let best = |f: &dyn Fn() -> f64| (0..3).map(|_| f()).fold(0.0f64, f64::max);
     let plain = best(&|| arm_rate(records, None, "plain"));
     let asynch = best(&|| arm_rate(records, Some(&async_cfg), "async"));
-    // Sync pays a wire round-trip per commit; a quarter of the records
-    // keeps the arm honest without dominating the run.
-    let sync = best(&|| arm_rate((records / 4).max(100), Some(&sync_cfg), "sync"));
     follower.shutdown();
+    // Sync pays a wire round-trip per commit; a quarter of the records
+    // keeps the arm honest without dominating the run. A round trip is all
+    // it pays: a link keeps its connection, so a run dials its follower
+    // once — an exact count, which a dial per ship cannot meet.
+    let sync_records = (records / 4).max(100);
+    let sync = best(&|| {
+        // A follower of its own per run. One that an earlier run left
+        // ahead of this run's fresh primary covers every commit before it
+        // is shipped, and the arm times no round trip at all.
+        let follower = follower_daemon("arm", scratch("e24", "arm-sync-follower"));
+        let cfg = ReplicationConfig {
+            followers: vec![follower.addr],
+            mode: ReplicationMode::Sync,
+            ..ReplicationConfig::default()
+        };
+        let dials0 = replica_dials();
+        let rate = arm_rate(sync_records, Some(&cfg), "sync");
+        let dials = replica_dials() - dials0;
+        let shipped = follower.position("arm").map_or(0, |p| p.acked);
+        follower.shutdown();
+        assert_eq!(shipped, sync_records as u64, "every sync commit shipped");
+        assert_eq!(dials, 1, "a sync run dials once per replica link");
+        rate
+    });
     (plain, asynch, sync)
 }
 

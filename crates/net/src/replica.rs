@@ -18,7 +18,14 @@
 //! * [`RemoteLink`] is a [`ReplicaLink`] speaking the same protocol from
 //!   the primary side, through [`call_with`] — so replication traffic
 //!   rides the existing retry, deadline, breaker, and pool stack, and is
-//!   fault-injectable like every other Faucets RPC.
+//!   fault-injectable like every other Faucets RPC. A link is a standing
+//!   relationship, not a call site: it keeps one warm socket to its
+//!   follower in a [`ConnPool`] of its own (unless the caller's
+//!   [`CallOptions`] bring a transport), so a ship costs a round trip, not
+//!   a connect, an accept and a tear-down. The store ships to a follower
+//!   one RPC at a time, which is why one socket is enough; a follower that
+//!   restarted while the socket sat idle is caught by the pool's health
+//!   check or its one-shot stale retry and never surfaces as a ship error.
 //! * [`Journal`] is what the FS/FD journal handle becomes: `Plain` wraps
 //!   the PR-3 [`DurableStore`] unchanged; `Replicated` routes every commit
 //!   through a [`ReplicatedStore`] built from a [`ReplicationConfig`].
@@ -41,6 +48,7 @@
 //! under that bound once encoded (ample for the row-sized records the FS
 //! and FD journal; [`RemoteLink`] batches small frames and never splits one).
 
+use crate::pool::{ConnPool, PoolConfig};
 use crate::proto::{Request, Response};
 use crate::service::{call_with, serve_with, CallOptions, ServeOptions, ServiceHandle};
 use faucets_store::{
@@ -193,7 +201,10 @@ fn repl_response(res: Result<ReplReply, StoreError>) -> Response {
 }
 
 /// A [`ReplicaLink`] that ships frames to a remote follower daemon over
-/// the Faucets RPC stack.
+/// the Faucets RPC stack, on a connection it keeps: the primary ships to a
+/// follower one RPC at a time (`faucets_store::replicate`'s per-link ship
+/// lock), so a link holds exactly one warm socket, checked out of its
+/// [`ConnPool`] for each round trip and returned after it.
 pub struct RemoteLink {
     addr: SocketAddr,
     service: String,
@@ -202,7 +213,14 @@ pub struct RemoteLink {
 
 impl RemoteLink {
     /// Link to the follower at `addr` for the named replicated service.
-    pub fn new(addr: SocketAddr, service: impl Into<String>, call: CallOptions) -> RemoteLink {
+    /// `call` may bring its own transport ([`CallOptions::pool`] or
+    /// [`CallOptions::mux`], e.g. to share one across links); when it
+    /// brings none the link supplies its own pool, so there is no way to
+    /// ask for a dial per ship.
+    pub fn new(addr: SocketAddr, service: impl Into<String>, mut call: CallOptions) -> RemoteLink {
+        if call.pool.is_none() && call.mux.is_none() {
+            call.pool = Some(Arc::new(ConnPool::new("replica", PoolConfig::default())));
+        }
         RemoteLink {
             addr,
             service: service.into(),
@@ -228,23 +246,28 @@ impl RemoteLink {
 
 impl ReplicaLink for RemoteLink {
     fn offer(&self, frames: &[ReplFrame]) -> Result<ReplReply, StoreError> {
+        self.offer_owned(frames.to_vec())
+    }
+
+    /// Ships `frames` in batches that fit a protocol frame, moving them
+    /// into the requests: the usual ship — one batch — copies nothing.
+    fn offer_owned(&self, mut frames: Vec<ReplFrame>) -> Result<ReplReply, StoreError> {
         if frames.is_empty() {
             return self.status();
         }
-        let mut last = None;
-        for chunk in batch(frames) {
+        loop {
+            let rest = frames.split_off(batch_len(&frames));
             let reply = self.roundtrip(&Request::ReplAppend {
                 service: self.service.clone(),
-                frames: chunk.to_vec(),
+                frames,
             })?;
-            match reply {
-                ReplReply::Ok(pos) => last = Some(ReplReply::Ok(pos)),
-                // Fencing and snapshot demands end the batch run: the
-                // shipper re-plans from the reply.
-                other => return Ok(other),
+            // Fencing and snapshot demands end the batch run: the shipper
+            // re-plans from the reply.
+            if rest.is_empty() || !matches!(reply, ReplReply::Ok(_)) {
+                return Ok(reply);
             }
+            frames = rest;
         }
-        Ok(last.expect("at least one batch was shipped"))
     }
 
     fn install(&self, blob: &SnapshotBlob) -> Result<ReplReply, StoreError> {
@@ -261,23 +284,18 @@ impl ReplicaLink for RemoteLink {
     }
 }
 
-/// Split `frames` into batches bounded by payload bytes and frame count.
-/// A single frame is never split, whatever its size.
-fn batch(frames: &[ReplFrame]) -> Vec<&[ReplFrame]> {
-    let mut out = Vec::new();
-    let mut start = 0;
+/// Length of the first batch of `frames` (which is not empty), bounded by
+/// payload bytes and frame count. A single frame is never split, whatever
+/// its size.
+fn batch_len(frames: &[ReplFrame]) -> usize {
     let mut bytes = 0usize;
     for (i, f) in frames.iter().enumerate() {
-        let grown = bytes + f.payload.len();
-        if i > start && (grown > MAX_BATCH_PAYLOAD || i - start >= MAX_BATCH_FRAMES) {
-            out.push(&frames[start..i]);
-            start = i;
-            bytes = 0;
-        }
         bytes += f.payload.len();
+        if i > 0 && (bytes > MAX_BATCH_PAYLOAD || i >= MAX_BATCH_FRAMES) {
+            return i;
+        }
     }
-    out.push(&frames[start..]);
-    out
+    frames.len()
 }
 
 /// How a service's journal is replicated; plugged into
@@ -298,8 +316,12 @@ pub struct ReplicationConfig {
     pub epoch: u64,
     /// Sync mode: acks required per commit; `0` means every follower.
     pub sync_acks: usize,
-    /// RPC options for replication traffic (retry, deadline, breakers,
-    /// pooling all apply).
+    /// RPC options for replication traffic: retry, deadline, breakers and
+    /// fault injection apply as on any call. Pooling always applies — a
+    /// `call` that names no transport gets one [`ConnPool`] per link from
+    /// [`RemoteLink::new`], i.e. one warm socket per follower, re-dialled
+    /// after [`PoolConfig::idle_ttl`] (5 s) without a ship; a restarted
+    /// follower costs one eviction or stale retry, not an error.
     pub call: CallOptions,
 }
 
@@ -633,7 +655,13 @@ mod tests {
                 payload: vec![0u8; 1024],
             })
             .collect();
-        let chunks = batch(&frames);
+        let mut chunks = Vec::new();
+        let mut rest = &frames[..];
+        while !rest.is_empty() {
+            let (chunk, tail) = rest.split_at(batch_len(rest));
+            chunks.push(chunk);
+            rest = tail;
+        }
         let total: usize = chunks.iter().map(|c| c.len()).sum();
         assert_eq!(total, frames.len());
         assert!(chunks.len() >= 3, "count bound should split 2500 frames");
@@ -648,6 +676,6 @@ mod tests {
             seq: 0,
             payload: vec![0u8; MAX_BATCH_PAYLOAD + 1],
         }];
-        assert_eq!(batch(&big).len(), 1);
+        assert_eq!(batch_len(&big), 1);
     }
 }

@@ -31,6 +31,7 @@ use faucets_store::{
 use serde::{Deserialize, Serialize};
 use std::net::SocketAddr;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn scratch(name: &str) -> PathBuf {
@@ -359,4 +360,93 @@ fn lagging_follower_catches_up_via_snapshot_transfer() {
 
     journal.shutdown();
     follower.shutdown();
+}
+
+/// A replica link is a standing connection: sync commits dial each
+/// follower once, however many there are, and a follower that was killed
+/// and restarted on its address between two commits costs its link one
+/// dead socket and one re-dial — no ship error, no NACK.
+#[test]
+fn replica_links_dial_once_and_ride_out_a_follower_restart() {
+    const COMMITS: u64 = 40;
+    let p_dir = scratch("warm-p");
+    let f_dirs = [scratch("warm-f1"), scratch("warm-f2")];
+    let followers: Vec<ReplicaHandle> = f_dirs
+        .iter()
+        .map(|d| follower_daemon("svc", d.clone()))
+        .collect();
+    let addrs: Vec<SocketAddr> = followers.iter().map(|f| f.addr).collect();
+
+    // The links count their pool traffic in a registry of this test's own,
+    // and the store's series carry a service label of its own: the other
+    // tests in this binary ship through the global registry meanwhile.
+    let reg = Arc::new(faucets_telemetry::metrics::Registry::new());
+    let mut cfg = ReplicationConfig {
+        followers: addrs.clone(),
+        mode: ReplicationMode::Sync,
+        ..ReplicationConfig::default()
+    };
+    cfg.call.registry = Some(Arc::clone(&reg));
+    let store_opts = StoreOptions {
+        service: "warm-link".into(),
+        ..log_store_opts(0)
+    };
+    let (journal, _) =
+        Journal::open(&p_dir, Log::default(), "svc", store_opts, Some(&cfg)).expect("journal");
+    let pool = |name: &str| {
+        reg.snapshot()
+            .counter_sum(&format!("net_pool_{name}_total"), &[("pool", "replica")])
+    };
+
+    for i in 0..COMMITS {
+        journal.commit(&format!("entry-{i}")).unwrap();
+    }
+    let links = addrs.len() as u64;
+    assert_eq!(pool("misses"), links, "one dial per link, not per ship");
+    assert!(
+        pool("hits") >= COMMITS * links,
+        "every ship after a link's first round trip reused its socket"
+    );
+    assert_eq!(pool("evictions") + pool("stale_retries"), 0);
+
+    // Bounce both followers on their addresses. Each recovers its journal
+    // directory, so it resumes exactly where the primary believes it is.
+    let followers: Vec<ReplicaHandle> = followers
+        .into_iter()
+        .zip(&f_dirs)
+        .map(|(dead, dir)| {
+            let addr = dead.addr.to_string();
+            dead.kill();
+            spawn_replica(
+                &addr,
+                &[("svc".to_string(), dir.clone())],
+                ReplicaOptions::default(),
+            )
+            .expect("follower restarts on its address")
+        })
+        .collect();
+
+    journal
+        .commit(&"after-the-bounce".to_string())
+        .expect("a restarted follower is invisible to the next commit");
+    assert_eq!(
+        pool("evictions") + pool("stale_retries"),
+        links,
+        "each link lost exactly its one warm socket"
+    );
+    assert_eq!(pool("misses"), 2 * links, "and re-dialled once");
+    assert_eq!(
+        faucets_telemetry::global()
+            .snapshot()
+            .counter_sum("repl_ship_errors_total", &[("service", "warm-link")]),
+        0
+    );
+    for f in &followers {
+        assert_eq!(f.position("svc").unwrap().acked, COMMITS + 1);
+    }
+
+    journal.shutdown();
+    for f in followers {
+        f.shutdown();
+    }
 }

@@ -34,6 +34,21 @@
 //! primary that keeps shipping learns its fate on the first reply, marks
 //! itself fenced, and fails every later commit with
 //! [`StoreError::Fenced`] — split-brain writes cannot be acknowledged.
+//! A reply that *carries* an epoch above the primary's own — the position
+//! in an `Ok`, a status probe's included — fences it the same way: a
+//! probe ships nothing the follower could refuse.
+//!
+//! # One ship in flight per link
+//!
+//! Whoever ships to a follower — a sync commit, the async shipper,
+//! [`ReplicatedStore::flush`], a reconfiguration — holds that link's ship
+//! lock from planning the ship to recording its reply, so replies are
+//! recorded in the order they were asked for and a recorded position
+//! never moves backwards. A committer that waited for the lock usually
+//! finds its frame covered by the ship it waited behind and sends
+//! nothing; one that waited behind a ship which already had its frame in
+//! view and failed takes that failure instead of trying again, so a dead
+//! follower costs its queued committers one timeout, not one each.
 //!
 //! # Promotion
 //!
@@ -148,6 +163,13 @@ pub enum ReplReply {
 pub trait ReplicaLink: Send + Sync {
     /// Ship a batch of consecutive frames; the follower persists then acks.
     fn offer(&self, frames: &[ReplFrame]) -> Result<ReplReply, StoreError>;
+    /// [`ReplicaLink::offer`] for a batch the caller is done with — what
+    /// the primary's shipper calls. A link that must own what it sends
+    /// (the wire link builds its request out of the frames) overrides
+    /// this to take the batch instead of copying it.
+    fn offer_owned(&self, frames: Vec<ReplFrame>) -> Result<ReplReply, StoreError> {
+        self.offer(&frames)
+    }
     /// Ship a full basis (snapshot + records) to rebase the follower.
     fn install(&self, blob: &SnapshotBlob) -> Result<ReplReply, StoreError>;
     /// Ask the follower where it is without shipping anything.
@@ -293,6 +315,8 @@ struct ReplMetrics {
     ship_errors: faucets_telemetry::Counter,
     fenced: faucets_telemetry::Counter,
     reconfigures: faucets_telemetry::Counter,
+    /// Wall time of a sync commit's ship stage (all links, one round).
+    ship: faucets_telemetry::Histogram,
 }
 
 impl ReplMetrics {
@@ -307,6 +331,7 @@ impl ReplMetrics {
             ship_errors: reg.counter("repl_ship_errors_total", labels),
             fenced: reg.counter("repl_fenced_total", labels),
             reconfigures: reg.counter("repl_reconfigures_total", labels),
+            ship: reg.histogram("repl_ship_seconds", labels),
         }
     }
 }
@@ -564,6 +589,22 @@ enum Cohort {
     Both,
 }
 
+/// One follower's ship lock. A ship — plan, network I/O, record the reply
+/// — runs with `failed` held, so a link has at most one in flight: replies
+/// are recorded in the order they were asked for, and a committer that
+/// queued here plans only after the ship ahead of it was recorded, which
+/// usually covers its frame already.
+#[derive(Default)]
+struct ShipGate {
+    /// Ships begun on this link; a shipper reads it *before* queueing on
+    /// the lock, so it can tell which ships began after its frames were
+    /// in the buffer (and therefore planned with them in view).
+    begun: AtomicU64,
+    /// The ship lock. Guards the number (1-based, in `begun`'s count) of
+    /// the latest ship that ended in an error, 0 while none has.
+    failed: Mutex<u64>,
+}
+
 /// Per-link shipping state. The link handle itself lives here so a
 /// membership change is a plain mutation of the guarded state; `id` is a
 /// stable identity that survives reconfigurations shifting indices while
@@ -571,6 +612,7 @@ enum Cohort {
 struct LinkState {
     id: u64,
     link: Arc<dyn ReplicaLink>,
+    gate: Arc<ShipGate>,
     cohort: Cohort,
     /// Last position the follower reported, `None` before the first probe.
     pos: Option<ReplPosition>,
@@ -600,6 +642,7 @@ impl ReplState {
         self.links.push(LinkState {
             id,
             link,
+            gate: Arc::default(),
             cohort,
             pos: None,
             need_snapshot: false,
@@ -607,7 +650,7 @@ impl ReplState {
     }
 }
 
-/// What one shipping step decided to do, planned under the lock and
+/// What one shipping step decided to do, planned under the state lock and
 /// executed (network I/O) outside it. Carries the link handle so the
 /// guarded link list can change while the I/O is in flight.
 enum Plan {
@@ -773,7 +816,9 @@ impl<T: Durable + Send + 'static> ReplicatedStore<T> {
                 Ok(target_count - 1)
             }
             ReplicationMode::Sync => {
+                let t0 = Instant::now();
                 self.ship_round();
+                self.metrics.ship.record(t0.elapsed().as_secs_f64());
                 if self.fenced_flag.load(Ordering::Acquire) {
                     return Err(self.fenced_error());
                 }
@@ -1022,30 +1067,57 @@ impl<T: Durable + Send + 'static> ReplicatedStore<T> {
         self.metrics.lag.set(lag as f64);
     }
 
-    /// Advance every link as far as it will go; transport errors are
-    /// counted and left for the next round. Links are addressed by their
-    /// stable id, so a membership change mid-round cannot misattribute a
-    /// reply to the wrong follower.
+    /// Advance every link as far as it will go; errors are counted and
+    /// left for the next round. Links are addressed by their stable id, so
+    /// a membership change mid-round cannot misattribute a reply to the
+    /// wrong follower. Every caller — sync commit, async shipper, `flush`,
+    /// `finish_reconfigure` — ships through here, one link lock at a time.
     fn ship_round(&self) {
-        let ids: Vec<u64> = {
+        // Read every gate's count before queueing on any of them: whatever
+        // this round was called to ship is in the buffer by now, so a ship
+        // numbered above what we read here planned with it in view.
+        let links: Vec<(u64, Arc<ShipGate>, u64)> = {
             let st = self.repl.lock().expect("repl lock");
-            st.links.iter().map(|l| l.id).collect()
+            st.links
+                .iter()
+                .map(|l| {
+                    let seen = l.gate.begun.load(Ordering::SeqCst);
+                    (l.id, Arc::clone(&l.gate), seen)
+                })
+                .collect()
         };
-        for id in ids {
-            if let Err(e) = self.advance_link(id) {
-                if matches!(e, StoreError::Fenced { .. }) {
-                    return;
-                }
-                self.metrics.ship_errors.inc();
+        for (id, gate, seen) in links {
+            if let Err(StoreError::Fenced { .. }) = self.advance_link(id, &gate, seen) {
+                return;
             }
         }
     }
 
-    /// Drive one follower to the current position: probe it if unknown,
-    /// install a snapshot if it is behind a compaction, otherwise offer
-    /// the frames it is missing. Plans under the lock, talks to the
+    /// Drive one follower to the current position, holding its ship lock
+    /// from the first plan to the last recorded reply. A shipper that
+    /// queued behind a ship which began after `seen` and failed takes that
+    /// failure as its own and sends nothing: k committers stuck behind a
+    /// dead follower cost one connect timeout, not k in series.
+    fn advance_link(&self, id: u64, gate: &ShipGate, seen: u64) -> Result<(), StoreError> {
+        let mut failed = gate.failed.lock().expect("ship lock");
+        if *failed > seen {
+            return Ok(());
+        }
+        let ship = gate.begun.fetch_add(1, Ordering::SeqCst) + 1;
+        let res = self.ship(id);
+        if matches!(&res, Err(e) if !matches!(e, StoreError::Fenced { .. })) {
+            *failed = ship;
+            self.metrics.ship_errors.inc();
+        }
+        res
+    }
+
+    /// One ship, under the link's ship lock: probe the follower if its
+    /// position is unknown, install a snapshot if it is behind a
+    /// compaction, otherwise offer the frames it is missing — until it is
+    /// caught up. Plans and records under the state lock, talks to the
     /// network outside it.
-    fn advance_link(&self, id: u64) -> Result<(), StoreError> {
+    fn ship(&self, id: u64) -> Result<(), StoreError> {
         loop {
             let plan = {
                 let st = self.repl.lock().expect("repl lock");
@@ -1075,9 +1147,19 @@ impl<T: Durable + Send + 'static> ReplicatedStore<T> {
                 Plan::Probe(link) => (link.status()?, 0, false),
                 Plan::Offer(link, frames) => {
                     let n = frames.len() as u64;
-                    (link.offer(&frames)?, n, false)
+                    (link.offer_owned(frames)?, n, false)
                 }
                 Plan::Install(link, blob) => (link.install(&blob)?, 0, true),
+            };
+            // A follower that has adopted an epoch above ours answers to a
+            // newer primary, whatever it says about its position: an `Ok`
+            // from it (a status probe carries no epoch to refuse) must not
+            // count as an ack of this reign's records.
+            let reply = match reply {
+                ReplReply::Ok(pos) | ReplReply::NeedSnapshot(pos) if pos.epoch > self.epoch => {
+                    ReplReply::Fenced { epoch: pos.epoch }
+                }
+                reply => reply,
             };
             let mut st = self.repl.lock().expect("repl lock");
             let Some(slot) = st.links.iter_mut().find(|l| l.id == id) else {
@@ -1400,6 +1482,61 @@ mod tests {
     }
 
     #[test]
+    fn reply_from_a_newer_epoch_fences_even_a_status_probe() {
+        let pdir = scratch("zombie-p");
+        let fdir = scratch("zombie-f");
+        let f = follower(&fdir);
+        let open = || {
+            ReplicatedStore::open(
+                &pdir,
+                Log::default(),
+                repl_opts(
+                    vec![Arc::new(LocalLink(Arc::clone(&f)))],
+                    ReplicationMode::Sync,
+                ),
+            )
+            .unwrap()
+            .0
+        };
+        let store = open();
+        for i in 0..3 {
+            store.commit(&format!("old-{i}")).unwrap();
+        }
+        drop(store);
+
+        // Reign 2 writes one record to the follower while the old primary
+        // is away.
+        f.offer(&[ReplFrame {
+            epoch: 2,
+            generation: 1,
+            seq: 3,
+            payload: b"\"new-reign\"".to_vec(),
+        }])
+        .unwrap();
+
+        // The zombie returns. Its first contact is a status probe, which
+        // the follower answers `Ok` — at a position that happens to cover
+        // the zombie's next record (4 records each). The reply's epoch is
+        // the only evidence of deposition, and it must be enough.
+        let zombie = open();
+        let err = zombie.commit(&"zombie".to_string()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                StoreError::Fenced {
+                    held: 1,
+                    observed: 2
+                }
+            ),
+            "expected Fenced, got {err}"
+        );
+        assert!(zombie.is_fenced());
+        assert_eq!(f.position().acked, 4, "the follower took nothing from it");
+        let _ = fs::remove_dir_all(&pdir);
+        let _ = fs::remove_dir_all(&fdir);
+    }
+
+    #[test]
     fn async_mode_drains_lag_on_flush() {
         let pdir = scratch("async-p");
         let fdir = scratch("async-f");
@@ -1451,6 +1588,215 @@ mod tests {
         // The at-least-once window: the record IS durable locally even
         // though the client was NACKed — exactly like a torn award.
         assert_eq!(store.read(|s| s.entries.len()), 1);
+        let _ = fs::remove_dir_all(&pdir);
+    }
+
+    /// A link to an in-process follower whose replies arrive late, by a
+    /// seeded jitter, and which watches how many ships it has in flight.
+    struct JitterLink {
+        inner: Arc<FollowerStore>,
+        rng: Mutex<u64>,
+        in_flight: AtomicUsize,
+        max_in_flight: AtomicUsize,
+    }
+    impl JitterLink {
+        fn new(inner: Arc<FollowerStore>, seed: u64) -> Arc<JitterLink> {
+            Arc::new(JitterLink {
+                inner,
+                rng: Mutex::new(seed),
+                in_flight: AtomicUsize::new(0),
+                max_in_flight: AtomicUsize::new(0),
+            })
+        }
+        /// Run `f` as one ship, then hold its reply for 0–255 µs.
+        fn late<R>(&self, f: impl FnOnce() -> R) -> R {
+            let now = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+            self.max_in_flight.fetch_max(now, Ordering::SeqCst);
+            let reply = f();
+            let micros = {
+                let mut x = self.rng.lock().unwrap();
+                *x ^= *x << 13;
+                *x ^= *x >> 7;
+                *x ^= *x << 17;
+                *x & 0xff
+            };
+            std::thread::sleep(Duration::from_micros(micros));
+            self.in_flight.fetch_sub(1, Ordering::SeqCst);
+            reply
+        }
+    }
+    impl ReplicaLink for JitterLink {
+        fn offer(&self, frames: &[ReplFrame]) -> Result<ReplReply, StoreError> {
+            self.late(|| self.inner.offer(frames))
+        }
+        fn install(&self, blob: &SnapshotBlob) -> Result<ReplReply, StoreError> {
+            self.late(|| self.inner.install(blob))
+        }
+        fn status(&self) -> Result<ReplReply, StoreError> {
+            self.late(|| Ok(ReplReply::Ok(self.inner.position())))
+        }
+    }
+
+    #[test]
+    fn concurrent_sync_commits_never_nack_spuriously() {
+        const THREADS: usize = 4;
+        const COMMITS: usize = 200;
+        let pdir = scratch("race-p");
+        let fdirs = [scratch("race-f0"), scratch("race-f1")];
+        let links = [
+            JitterLink::new(follower(&fdirs[0]), 0x9e37_79b9_7f4a_7c15),
+            JitterLink::new(follower(&fdirs[1]), 0xd1b5_4a32_d192_ed03),
+        ];
+        let mut opts = repl_opts(
+            links
+                .iter()
+                .map(|l| Arc::clone(l) as Arc<dyn ReplicaLink>)
+                .collect(),
+            ReplicationMode::Sync,
+        );
+        // A service label of its own, so the shipped-frames series below
+        // counts this store only.
+        opts.store.service = "race".into();
+        let (store, _) = ReplicatedStore::open(&pdir, Log::default(), opts).unwrap();
+
+        let done = AtomicBool::new(false);
+        let start = std::sync::Barrier::new(THREADS);
+        let (nacks, regressions) = std::thread::scope(|scope| {
+            // Watch the positions the primary records: per link they may
+            // only move forward.
+            let monitor = scope.spawn(|| {
+                let mut last = [(0u64, 0u64); 2];
+                let mut regressions = 0usize;
+                while !done.load(Ordering::SeqCst) {
+                    let st = store.repl.lock().unwrap();
+                    for (seen, l) in last.iter_mut().zip(&st.links) {
+                        let now = l.pos.map_or((0, 0), |p| (p.generation, p.acked));
+                        regressions += usize::from(now < *seen);
+                        *seen = now;
+                    }
+                }
+                regressions
+            });
+            let committers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (store, start) = (&store, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        (0..COMMITS)
+                            .filter(|i| store.commit(&format!("t{t}-{i}")).is_err())
+                            .count()
+                    })
+                })
+                .collect();
+            let nacks: usize = committers.into_iter().map(|c| c.join().unwrap()).sum();
+            done.store(true, Ordering::SeqCst);
+            (nacks, monitor.join().unwrap())
+        });
+
+        assert_eq!(
+            nacks, 0,
+            "both followers hold every record: nothing to NACK"
+        );
+        assert_eq!(regressions, 0, "a recorded position moved backwards");
+        let frames = (THREADS * COMMITS) as u64;
+        for l in &links {
+            assert_eq!(l.inner.position().acked, frames);
+            assert_eq!(
+                l.max_in_flight.load(Ordering::SeqCst),
+                1,
+                "one ship in flight per link"
+            );
+        }
+        let snap = faucets_telemetry::global().snapshot();
+        assert_eq!(
+            snap.histogram_sum("repl_ship_seconds", &[("service", "race")])
+                .count,
+            frames,
+            "every sync commit's ship stage is timed"
+        );
+        let shipped = snap.counter_sum("repl_shipped_frames_total", &[("service", "race")]);
+        assert!(
+            shipped <= frames * links.len() as u64,
+            "{shipped} frames shipped for {frames} records on {} links: \
+             some frame went to a follower twice",
+            links.len()
+        );
+        let _ = fs::remove_dir_all(&pdir);
+        for d in &fdirs {
+            let _ = fs::remove_dir_all(d);
+        }
+    }
+
+    /// A link whose transport fails, but only after `delay` — a follower
+    /// behind a black-holing network, where every ship costs a connect
+    /// timeout.
+    struct SlowDeadLink {
+        delay: Duration,
+        attempts: AtomicUsize,
+    }
+    impl SlowDeadLink {
+        fn fail(&self) -> Result<ReplReply, StoreError> {
+            self.attempts.fetch_add(1, Ordering::SeqCst);
+            std::thread::sleep(self.delay);
+            Err(StoreError::Io(std::io::Error::other("timed out")))
+        }
+    }
+    impl ReplicaLink for SlowDeadLink {
+        fn offer(&self, _: &[ReplFrame]) -> Result<ReplReply, StoreError> {
+            self.fail()
+        }
+        fn install(&self, _: &SnapshotBlob) -> Result<ReplReply, StoreError> {
+            self.fail()
+        }
+        fn status(&self) -> Result<ReplReply, StoreError> {
+            self.fail()
+        }
+    }
+
+    #[test]
+    fn committers_behind_a_dead_follower_share_one_timeout() {
+        const COMMITTERS: usize = 8;
+        let delay = Duration::from_millis(150);
+        let pdir = scratch("slowdead-p");
+        let link = Arc::new(SlowDeadLink {
+            delay,
+            attempts: AtomicUsize::new(0),
+        });
+        let (store, _) = ReplicatedStore::open(
+            &pdir,
+            Log::default(),
+            repl_opts(
+                vec![Arc::clone(&link) as Arc<dyn ReplicaLink>],
+                ReplicationMode::Sync,
+            ),
+        )
+        .unwrap();
+        let start = std::sync::Barrier::new(COMMITTERS);
+        let t0 = Instant::now();
+        std::thread::scope(|scope| {
+            for t in 0..COMMITTERS {
+                let (store, start) = (&store, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    let err = store.commit(&format!("doomed-{t}")).unwrap_err();
+                    assert!(matches!(err, StoreError::Unreplicated { want: 1, got: 0 }));
+                });
+            }
+        });
+        let elapsed = t0.elapsed();
+        // The first committer's ship fails after one delay and everyone
+        // queued behind it takes that failure. Only a committer whose
+        // frame landed after that ship had begun tries again, and the
+        // rest of those take *its* failure: two ships at most, not eight.
+        let attempts = link.attempts.load(Ordering::SeqCst);
+        assert!(
+            attempts <= 2,
+            "{attempts} ships for {COMMITTERS} committers"
+        );
+        assert!(
+            elapsed < delay * (COMMITTERS as u32) / 2,
+            "{COMMITTERS} committers took {elapsed:?} behind a {delay:?} failure"
+        );
         let _ = fs::remove_dir_all(&pdir);
     }
 
@@ -1705,10 +2051,11 @@ mod tests {
         let (store, _) = ReplicatedStore::open(&pdir, Log::default(), opts).unwrap();
         store.commit(&"steady".to_string()).unwrap();
 
-        // Joint config whose incoming cohort is unreachable: the old
-        // quorum alone must NOT be allowed to acknowledge.
+        // Joint config whose incoming cohort is unreachable (the live
+        // link is retiring, so it counts for the outgoing cohort only):
+        // the old quorum alone must NOT be allowed to acknowledge.
         store
-            .begin_reconfigure(vec![Arc::new(DeadLink)], &[])
+            .begin_reconfigure(vec![Arc::new(DeadLink)], &[0])
             .unwrap();
         let err = store.commit(&"split".to_string()).unwrap_err();
         assert!(matches!(err, StoreError::Unreplicated { want: 1, got: 0 }));
