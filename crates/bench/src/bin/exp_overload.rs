@@ -171,7 +171,7 @@ fn run_arm(
 fn fs_throttle_demo(fs: &faucets_net::fs::FsHandle, token: &SessionToken) -> u64 {
     let before = faucets_telemetry::global()
         .snapshot()
-        .counter("fs_query_throttled_total");
+        .counter_sum("fs_query_throttled_total", &[]);
     fs.query_bucket.set_rate(1.0);
     fs.query_bucket.set_burst(2.0);
     let mut throttled = 0u64;
@@ -195,7 +195,7 @@ fn fs_throttle_demo(fs: &faucets_net::fs::FsHandle, token: &SessionToken) -> u64
     fs.query_bucket.set_burst(2000.0);
     let after = faucets_telemetry::global()
         .snapshot()
-        .counter("fs_query_throttled_total");
+        .counter_sum("fs_query_throttled_total", &[]);
     assert!(throttled > 0, "a choked bucket must throttle the hammer");
     assert!(after > before, "fs_query_throttled_total moved");
     throttled

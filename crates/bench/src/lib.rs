@@ -123,10 +123,7 @@ pub fn follower_daemon(service: &str, dir: PathBuf) -> ReplicaHandle {
     spawn_replica(
         "127.0.0.1:0",
         &[(service.to_string(), dir)],
-        ReplicaOptions {
-            no_fsync: true,
-            ..ReplicaOptions::default()
-        },
+        ReplicaOptions { no_fsync: true },
     )
     .expect("replica daemon")
 }

@@ -32,7 +32,7 @@ use crate::fault::FaultPlan;
 use crate::overload::BreakerSet;
 use crate::pool::{ConnPool, PoolConfig};
 use crate::proto::{Request, Response};
-use crate::service::{call_many, call_with, CallOptions, Clock, RetryPolicy, Timeouts};
+use crate::service::{call_many, call_with, CallOptions, Clock, RetryPolicy};
 use faucets_core::appspector::MonitorSnapshot;
 use faucets_core::auth::SessionToken;
 use faucets_core::bid::{Bid, BidRequest};
@@ -136,41 +136,23 @@ pub struct Submission {
     pub unlisted_skipped: usize,
 }
 
-/// Poll pacing for [`FaucetsClient::wait`]: exponential backoff from
-/// [`WaitBackoff::initial`] doubling to a hard [`WaitBackoff::cap`].
+/// First inter-poll delay of [`FaucetsClient::wait`].
+const WAIT_INITIAL: Duration = Duration::from_millis(5);
+/// Largest inter-poll delay; the schedule clamps here forever after.
+const WAIT_CAP: Duration = Duration::from_millis(250);
+
+/// Poll pacing for [`FaucetsClient::wait`]: the delay following `prev`,
+/// doubling from [`WAIT_INITIAL`] to a hard [`WAIT_CAP`].
 ///
 /// The old fixed 10 ms poll was fine for one interactive client, but
 /// thousands of concurrently-waiting virtual users (the load harness)
 /// would hammer AppSpector into its own overload gate with pure polling
 /// traffic. Backoff keeps the first poll fast (short jobs still complete
-/// in one or two polls) while long waits settle at `cap` per probe.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WaitBackoff {
-    /// First inter-poll delay.
-    pub initial: Duration,
-    /// Largest inter-poll delay; the schedule clamps here forever after.
-    pub cap: Duration,
-}
-
-impl Default for WaitBackoff {
-    /// 5 ms → 10 → 20 → … → 250 ms cap.
-    fn default() -> Self {
-        WaitBackoff {
-            initial: Duration::from_millis(5),
-            cap: Duration::from_millis(250),
-        }
-    }
-}
-
-impl WaitBackoff {
-    /// The delay following `prev` (doubling, clamped to the cap). A zero
-    /// `initial` degenerates to constant-`cap` polling rather than a
-    /// zero-sleep busy loop.
-    pub fn next(&self, prev: Duration) -> Duration {
-        let floor = self.initial.max(Duration::from_millis(1));
-        let cap = self.cap.max(floor);
-        prev.checked_mul(2).unwrap_or(cap).clamp(floor, cap)
-    }
+/// in one or two polls) while long waits settle at the cap per probe.
+fn next_pause(prev: Duration) -> Duration {
+    prev.checked_mul(2)
+        .unwrap_or(WAIT_CAP)
+        .clamp(WAIT_INITIAL, WAIT_CAP)
 }
 
 /// A connected, authenticated Faucets client.
@@ -182,12 +164,6 @@ pub struct FaucetsClient {
     /// talking to the FS the client rotates to the next one — sticky: the
     /// endpoint that answered stays primary until it fails in turn.
     pub fs_fallbacks: Vec<SocketAddr>,
-    /// Alternative AppSpector endpoints. Same sticky rotation as
-    /// [`FaucetsClient::fs_fallbacks`]: a monitoring call that fails at
-    /// the transport layer rotates to the next endpoint, so a watch/wait
-    /// loop survives an AppSpector restart or shard failover without the
-    /// caller noticing anything but latency.
-    pub appspector_fallbacks: Vec<SocketAddr>,
     /// Stored at login so the client can re-authenticate by itself when
     /// its session dies with the shard that minted it.
     credentials: Option<(String, String)>,
@@ -199,8 +175,6 @@ pub struct FaucetsClient {
     pub selection: SelectionPolicy,
     /// Transport retry policy applied to every call.
     pub retry: RetryPolicy,
-    /// Socket deadlines applied to every call.
-    pub timeouts: Timeouts,
     /// Maximum negotiation rounds before giving up on a submission.
     pub max_rounds: u32,
     /// Optional fault injection on this client's own traffic.
@@ -213,12 +187,6 @@ pub struct FaucetsClient {
     /// FS, each FD, and AppSpector are all talked to over warm,
     /// health-checked sockets instead of a fresh connect per request.
     pub pool: Arc<ConnPool>,
-    /// Optional multiplexed connections (default off): when set, calls
-    /// share warm sockets with many requests in flight at once, matched
-    /// back by `request_id` — the bid fan-out pipelines on a handful of
-    /// sockets instead of checking one out per concurrent worker. Takes
-    /// precedence over [`FaucetsClient::pool`].
-    pub mux: Option<Arc<crate::pool::MuxPool>>,
     /// Concurrent connections used by the bid-solicitation fan-out
     /// ([`crate::service::call_many`]).
     pub fan_out: usize,
@@ -226,8 +194,6 @@ pub struct FaucetsClient {
     /// `deadline_ms` (so servers can shed doomed work) and capping the
     /// retry loop's total backoff.
     pub call_deadline: Option<Duration>,
-    /// Poll pacing for [`FaucetsClient::wait`] (exponential, capped).
-    pub wait_backoff: WaitBackoff,
     /// The trace id of the most recent [`FaucetsClient::submit`] call, for
     /// reconstructing that job's end-to-end path from the span log.
     pub last_trace: Option<TraceId>,
@@ -238,7 +204,6 @@ pub struct FaucetsClient {
     m_resolicits: Counter,
     m_overloaded: Counter,
     m_failovers: Counter,
-    m_as_failovers: Counter,
 }
 
 impl FaucetsClient {
@@ -295,21 +260,17 @@ impl FaucetsClient {
                     appspector,
                     clock,
                     fs_fallbacks: vec![],
-                    appspector_fallbacks: vec![],
                     credentials: Some((name.into(), password.into())),
                     token,
                     user,
                     selection: SelectionPolicy::LeastCost,
                     retry: RetryPolicy::standard(user.raw()),
-                    timeouts: Timeouts::default(),
                     max_rounds: 3,
                     faults: None,
                     breakers: Arc::new(BreakerSet::default()),
                     pool: Arc::new(ConnPool::new("client", PoolConfig::default())),
-                    mux: None,
                     fan_out: 8,
                     call_deadline: None,
-                    wait_backoff: WaitBackoff::default(),
                     last_trace: None,
                     next_job: (user.raw() << 32) + 1,
                     m_rounds: reg.counter("client_negotiation_rounds_total", &[]),
@@ -318,7 +279,6 @@ impl FaucetsClient {
                     m_resolicits: reg.counter("client_resolicitations_total", &[]),
                     m_overloaded: reg.counter("client_bids_overloaded_total", &[]),
                     m_failovers: reg.counter("client_fs_failovers_total", &[]),
-                    m_as_failovers: reg.counter("client_as_failovers_total", &[]),
                 })
             }
             Ok(Response::Error(e)) => Err(ClientError::Rejected(e)),
@@ -329,13 +289,11 @@ impl FaucetsClient {
 
     fn opts(&self) -> CallOptions {
         CallOptions {
-            timeouts: self.timeouts,
             retry: self.retry,
             faults: self.faults.clone(),
             deadline: self.call_deadline,
             breakers: Some(Arc::clone(&self.breakers)),
             pool: Some(Arc::clone(&self.pool)),
-            mux: self.mux.clone(),
             ..CallOptions::default()
         }
     }
@@ -345,41 +303,23 @@ impl FaucetsClient {
     }
 
     /// Call the FS, rotating through [`FaucetsClient::fs_fallbacks`] on
-    /// transport failure.
+    /// transport failure. The rotation is sticky: the endpoint that
+    /// answers becomes (or stays) the primary, so a healthy endpoint is
+    /// not re-probed through a dead one on every call.
     fn fs_call(&mut self, req: &Request) -> Result<Response, ClientError> {
-        self.rotating_call(false, req)
-    }
-
-    /// Call AppSpector, rotating through
-    /// [`FaucetsClient::appspector_fallbacks`] on transport failure.
-    fn as_call(&mut self, req: &Request) -> Result<Response, ClientError> {
-        self.rotating_call(true, req)
-    }
-
-    /// The rotation under both: sticky, so the endpoint that answers
-    /// becomes (or stays) the primary and a healthy endpoint is not
-    /// re-probed through a dead one on every call.
-    fn rotating_call(&mut self, monitor: bool, req: &Request) -> Result<Response, ClientError> {
         let opts = self.opts();
-        let (primary, fallbacks, failovers) = match monitor {
-            true => (
-                &mut self.appspector,
-                &mut self.appspector_fallbacks,
-                &self.m_as_failovers,
-            ),
-            false => (&mut self.fs, &mut self.fs_fallbacks, &self.m_failovers),
-        };
         // Every endpoint gets one try; a full sweep of failures rotates
         // all the way round, back to the endpoint it started from.
-        let mut tries_left = fallbacks.len();
+        let mut tries_left = self.fs_fallbacks.len();
         loop {
-            let result = call_with(*primary, req, &opts).map_err(ClientError::from);
-            if !matches!(result, Err(ClientError::Transport(_))) || fallbacks.is_empty() {
+            let result = call_with(self.fs, req, &opts).map_err(ClientError::from);
+            if !matches!(result, Err(ClientError::Transport(_))) || self.fs_fallbacks.is_empty() {
                 return result;
             }
-            fallbacks.push(std::mem::replace(primary, fallbacks[0]));
-            fallbacks.remove(0);
-            failovers.inc();
+            let next = self.fs_fallbacks.remove(0);
+            self.fs_fallbacks
+                .push(std::mem::replace(&mut self.fs, next));
+            self.m_failovers.inc();
             if tries_left == 0 {
                 return result;
             }
@@ -655,10 +595,13 @@ impl FaucetsClient {
 
     /// Fetch the current monitoring snapshot for a job.
     pub fn watch(&mut self, job: JobId) -> Result<MonitorSnapshot, ClientError> {
-        match self.as_call(&Request::Watch {
-            token: self.token.clone(),
-            job,
-        })? {
+        match self.call(
+            self.appspector,
+            &Request::Watch {
+                token: self.token.clone(),
+                job,
+            },
+        )? {
             Response::Snapshot(s) => Ok(s),
             Response::Error(e) => Err(ClientError::Rejected(e)),
             other => Err(ClientError::Protocol(format!("watch: {other:?}"))),
@@ -668,11 +611,11 @@ impl FaucetsClient {
     /// Poll AppSpector until the job completes (or `timeout` wall time).
     /// Transient transport failures while polling are ridden out until the
     /// deadline — a daemon restart mid-wait looks like a long poll, not an
-    /// error. Polls pace out under [`FaucetsClient::wait_backoff`]
-    /// (exponential, capped), never sleeping past the deadline itself.
+    /// error. Polls pace out exponentially (5 ms doubling to a 250 ms
+    /// cap), never sleeping past the deadline itself.
     pub fn wait(&mut self, job: JobId, timeout: Duration) -> Result<MonitorSnapshot, ClientError> {
         let deadline = Instant::now() + timeout;
-        let mut pause = self.wait_backoff.next(Duration::ZERO);
+        let mut pause = next_pause(Duration::ZERO);
         loop {
             match self.watch(job) {
                 Ok(snap) if snap.completed => return Ok(snap),
@@ -684,16 +627,19 @@ impl FaucetsClient {
                 return Err(ClientError::TimedOut(job));
             }
             std::thread::sleep(pause.min(deadline - now));
-            pause = self.wait_backoff.next(pause);
+            pause = next_pause(pause);
         }
     }
 
     /// Fetch the AppSpector grid dashboard: every registered cluster's load
     /// plus per-service metrics snapshots.
     pub fn grid_view(&mut self) -> Result<faucets_core::appspector::GridView, ClientError> {
-        match self.as_call(&Request::GridView {
-            token: self.token.clone(),
-        })? {
+        match self.call(
+            self.appspector,
+            &Request::GridView {
+                token: self.token.clone(),
+            },
+        )? {
             Response::Grid(g) => Ok(*g),
             Response::Error(e) => Err(ClientError::Rejected(e)),
             other => Err(ClientError::Protocol(format!("grid view: {other:?}"))),
@@ -702,11 +648,14 @@ impl FaucetsClient {
 
     /// Download one output file of a completed job.
     pub fn download(&mut self, job: JobId, name: &str) -> Result<Vec<u8>, ClientError> {
-        match self.as_call(&Request::Download {
-            token: self.token.clone(),
-            job,
-            name: name.into(),
-        })? {
+        match self.call(
+            self.appspector,
+            &Request::Download {
+                token: self.token.clone(),
+                job,
+                name: name.into(),
+            },
+        )? {
             Response::File { data, .. } => Ok(data),
             Response::Error(e) => Err(ClientError::Rejected(e)),
             other => Err(ClientError::Protocol(format!("download: {other:?}"))),
@@ -716,42 +665,23 @@ impl FaucetsClient {
 
 #[cfg(test)]
 mod tests {
-    use super::WaitBackoff;
+    use super::{next_pause, WAIT_CAP, WAIT_INITIAL};
     use std::time::Duration;
 
     #[test]
     fn wait_backoff_doubles_to_cap() {
-        let b = WaitBackoff::default();
-        let mut p = b.next(Duration::ZERO);
-        assert_eq!(p, b.initial, "first pause is the configured floor");
+        let mut p = next_pause(Duration::ZERO);
+        assert_eq!(p, WAIT_INITIAL, "first pause is the floor");
         let mut schedule = vec![p];
         for _ in 0..8 {
-            p = b.next(p);
+            p = next_pause(p);
             schedule.push(p);
         }
         assert!(
             schedule.windows(2).all(|w| w[1] >= w[0]),
             "monotone: {schedule:?}"
         );
-        assert_eq!(*schedule.last().unwrap(), b.cap, "settles at the cap");
-        assert_eq!(b.next(b.cap), b.cap, "cap is absorbing");
-    }
-
-    #[test]
-    fn wait_backoff_degenerate_configs_stay_sane() {
-        // Zero initial must not become a zero-sleep busy loop.
-        let zero = WaitBackoff {
-            initial: Duration::ZERO,
-            cap: Duration::from_millis(50),
-        };
-        assert!(zero.next(Duration::ZERO) >= Duration::from_millis(1));
-        // cap < initial clamps to a constant schedule, never panics.
-        let inverted = WaitBackoff {
-            initial: Duration::from_millis(100),
-            cap: Duration::from_millis(10),
-        };
-        let p = inverted.next(Duration::ZERO);
-        assert_eq!(p, Duration::from_millis(100));
-        assert_eq!(inverted.next(p), Duration::from_millis(100));
+        assert_eq!(*schedule.last().unwrap(), WAIT_CAP, "settles at the cap");
+        assert_eq!(next_pause(WAIT_CAP), WAIT_CAP, "cap is absorbing");
     }
 }

@@ -186,7 +186,9 @@ impl std::fmt::Debug for FaultPlan {
 }
 
 /// SplitMix64 — the standard 64-bit finalizer/mixer; tiny and portable.
-fn mix64(mut z: u64) -> u64 {
+/// The crate's one copy: fault verdicts, ring points and retry jitter all
+/// draw from it.
+pub(crate) fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

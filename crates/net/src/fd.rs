@@ -52,8 +52,7 @@ use crate::pool::{ConnPool, PoolConfig};
 use crate::proto::{Request, Response};
 use crate::replica::{Journal, ReplicationConfig};
 use crate::service::{
-    call_with, request_deadline, serve_with, CallOptions, Clock, RetryPolicy, ServeOptions,
-    ServiceHandle, StopSignal,
+    call_with, request_deadline, serve, CallOptions, Clock, RetryPolicy, ServiceHandle, StopSignal,
 };
 use crate::upstream::FsUpstream;
 use faucets_core::appspector::TelemetrySample;
@@ -165,8 +164,6 @@ pub struct FdOptions {
     /// replicas. Only consulted when `store` is set. The service name the
     /// followers must host is `fd-<cluster id>` (`fd-cs-1` for cluster 1).
     pub replication: Option<ReplicationConfig>,
-    /// Service-side timeouts and fault injection.
-    pub serve: ServeOptions,
     /// Options for the FD's own outbound calls (FS verification and
     /// heartbeats, AppSpector pushes). Defaults to bounded retry so a
     /// transiently unreachable FS doesn't poison bid handling, and to a
@@ -174,13 +171,11 @@ pub struct FdOptions {
     /// AppSpector pushes ride warm sockets instead of reconnecting each
     /// time.
     pub call: CallOptions,
-    /// Heartbeat cadence in *simulated* seconds.
-    pub heartbeat_every: SimDuration,
     /// Payoff-aware admission gate for the bid pipeline: over
     /// `max_inflight` concurrent solicitations, up to `max_queue` wait and
     /// the lowest payoff-rate request is shed first (§4 profit
-    /// maximization under overload). Defaults are generous; retune at
-    /// runtime via [`FdHandle::gate`].
+    /// maximization under overload). Read the gate's counters through
+    /// [`FdHandle::gate`].
     pub bid_gate: GateConfig,
     /// Minimum wall-clock cost charged to each admitted bid solicitation
     /// (models the CM probe of §2.2). Zero (the default) adds nothing;
@@ -191,12 +186,16 @@ pub struct FdOptions {
     /// re-registers there, so a daemon survives the death of the shard it
     /// was pointed at. Overload answers never rotate (busy is not dead).
     pub fs_fallbacks: Vec<SocketAddr>,
-    /// TTL stamped into the on-disk lease this FD renews every time it
-    /// answers a sentinel's [`Request::LeaseProbe`] (the lease is the
-    /// primary claim automatic failover revolves around; see
-    /// [`crate::sentinel`]). Only meaningful with replication configured.
-    pub lease_ttl: Duration,
 }
+
+/// Heartbeat cadence in *simulated* time.
+const HEARTBEAT_EVERY: SimDuration = SimDuration::from_secs(30);
+
+/// TTL stamped into the on-disk lease this FD renews every time it
+/// answers a sentinel's [`Request::LeaseProbe`] (the lease is the
+/// primary claim automatic failover revolves around; see
+/// [`crate::sentinel`]). Only meaningful with replication configured.
+const LEASE_TTL: Duration = Duration::from_millis(500);
 
 impl Default for FdOptions {
     fn default() -> Self {
@@ -207,17 +206,14 @@ impl Default for FdOptions {
                 ..StoreOptions::default()
             },
             replication: None,
-            serve: ServeOptions::default(),
             call: CallOptions {
                 retry: RetryPolicy::standard(0x4644),
                 pool: Some(Arc::new(ConnPool::new("fd", PoolConfig::default()))),
                 ..CallOptions::default()
             },
-            heartbeat_every: SimDuration::from_secs(30),
             bid_gate: GateConfig::default(),
             bid_probe_floor: Duration::ZERO,
             fs_fallbacks: vec![],
-            lease_ttl: Duration::from_millis(500),
         }
     }
 }
@@ -318,7 +314,7 @@ impl FdCore {
             holder: format!("{}@{}", self.service_name, std::process::id()),
             epoch: repl.epoch(),
             renewed_unix_ms: faucets_store::read_lease(dir).map_or(0, |l| l.renewed_unix_ms),
-            ttl_ms: self.opts.lease_ttl.as_millis() as u64,
+            ttl_ms: LEASE_TTL.as_millis() as u64,
         };
         lease.renew(crate::sentinel::unix_ms());
         let _ = faucets_store::write_lease(dir, &lease);
@@ -561,8 +557,7 @@ impl FdCore {
                 let _ = call_with(self.appspector, &req, &self.opts.call);
             }
             // Heartbeat + telemetry on the simulated cadence.
-            let every = self.opts.heartbeat_every;
-            if now.since(last_heartbeat) >= every || last_heartbeat == SimTime::ZERO {
+            if now.since(last_heartbeat) >= HEARTBEAT_EVERY || last_heartbeat == SimTime::ZERO {
                 last_heartbeat = now;
                 self.heartbeat(now, status, running);
             }
@@ -573,7 +568,10 @@ impl FdCore {
             // completion or the next heartbeat, both converted from
             // simulated to wall time.
             let next_completion = self.state.lock().cluster.next_completion();
-            let mut wait = self.clock.wall_until(last_heartbeat + every).min(PACE_CAP);
+            let mut wait = self
+                .clock
+                .wall_until(last_heartbeat + HEARTBEAT_EVERY)
+                .min(PACE_CAP);
             if let Some(at) = next_completion {
                 wait = wait.min(self.clock.wall_until(at));
             }
@@ -620,8 +618,8 @@ pub struct FdHandle {
     pub service: ServiceHandle,
     /// The cluster this FD represents.
     pub cluster_id: ClusterId,
-    /// The payoff-aware bid admission gate (live knobs and peak-queue
-    /// readout — see [`FdOptions::bid_gate`]).
+    /// The payoff-aware bid admission gate (peak-queue readout — see
+    /// [`FdOptions::bid_gate`]).
     pub gate: Arc<PayoffGate>,
     core: Arc<FdCore>,
     pump: Option<JoinHandle<()>>,
@@ -765,8 +763,7 @@ pub fn spawn_fd_with(
 
     // Bind, so the real port is known, and register under it.
     let handler = Arc::clone(&core);
-    let serve = core.opts.serve.clone();
-    let service = serve_with(addr, "fd", serve, move |req| handler.handle(req))?;
+    let service = serve(addr, "fd", move |req| handler.handle(req))?;
     {
         let mut s = core.state.lock();
         s.daemon.info.fd_addr = service.addr.ip().to_string();

@@ -7,9 +7,9 @@
 //! gossip round. Views are exchanged push-pull over
 //! [`crate::proto::Request::Gossip`] and merged by `(incarnation,
 //! heartbeat)` dominance — the classic heartbeat-counter failure detector:
-//! a member whose counter stops advancing for
-//! [`crate::federation::FederationOptions::dead_after_rounds`] local
-//! rounds is graded dead and drops off the ring; a later advance (the
+//! a member whose counter stops advancing for ten local rounds
+//! (`DEAD_AFTER_ROUNDS` in `router.rs`) is graded dead and drops off the
+//! ring; a later advance (the
 //! shard was partitioned, not dead, or restarted with a fresh
 //! incarnation) resurrects it.
 //!

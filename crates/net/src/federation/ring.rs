@@ -16,19 +16,12 @@
 //! and deterministic across shards, which is what makes any two shards
 //! with the same membership view agree on every owner.
 
+use crate::fault::mix64;
 use faucets_core::ids::ClusterId;
 
 /// Virtual nodes per member: enough to keep the per-shard key share
 /// within a few percent of 1/N at small N without bloating rebuilds.
 pub const VNODES: usize = 64;
-
-/// splitmix64 finalizer: a cheap, well-mixed 64-bit permutation.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// FNV-1a over a member name, seeding its vnode points.
 fn hash_name(name: &str) -> u64 {

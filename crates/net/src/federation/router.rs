@@ -40,6 +40,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// Gossip rounds without a heartbeat advance before a peer is graded dead
+/// and drops off the ring.
+const DEAD_AFTER_ROUNDS: u64 = 10;
+
+/// Concurrent connections used by a scatter round.
+const SCATTER_FAN_OUT: usize = 8;
+
 /// Knobs for one federated FS shard.
 #[derive(Clone)]
 pub struct FederationOptions {
@@ -52,15 +59,10 @@ pub struct FederationOptions {
     pub seeds: Vec<SocketAddr>,
     /// Wall pause between gossip rounds.
     pub gossip_interval: Duration,
-    /// Rounds without a heartbeat advance before a peer is graded dead
-    /// and drops off the ring.
-    pub dead_after_rounds: u64,
     /// Options for shard-to-shard calls (gossip, forwards, scatters).
     /// Defaults to no retry — the failure detector wants fast verdicts,
     /// and client-visible operations have their own retry above us.
     pub call: CallOptions,
-    /// Concurrent connections used by a scatter round.
-    pub scatter_fan_out: usize,
 }
 
 impl FederationOptions {
@@ -71,13 +73,11 @@ impl FederationOptions {
             name: name.into(),
             seeds: vec![],
             gossip_interval: Duration::from_millis(15),
-            dead_after_rounds: 10,
             call: CallOptions {
                 retry: RetryPolicy::none(),
                 pool: Some(Arc::new(ConnPool::new("federation", PoolConfig::default()))),
                 ..CallOptions::default()
             },
-            scatter_fan_out: 8,
         }
     }
 }
@@ -199,8 +199,7 @@ impl Federation {
     }
 
     /// Stop gossiping and join the thread. A stopped shard's heartbeat
-    /// counter freezes, so peers grade it dead within
-    /// [`FederationOptions::dead_after_rounds`].
+    /// counter freezes, so peers grade it dead within ten gossip rounds.
     pub fn stop(&self) {
         // Wakes the gossip loop mid-interval, so stopping a shard costs
         // a join, not a full gossip round.
@@ -220,7 +219,7 @@ impl Federation {
             let (digest, mut targets) = {
                 let mut st = self.state.lock();
                 st.view.tick();
-                if st.view.grade(self.opts.dead_after_rounds) {
+                if st.view.grade(DEAD_AFTER_ROUNDS) {
                     let epoch = st.ring.epoch();
                     st.rebuild(epoch + 1);
                 }
@@ -312,7 +311,7 @@ impl Federation {
             from: self.opts.name.clone(),
             query,
         };
-        call_many(&peers, &req, &self.opts.call, self.opts.scatter_fan_out)
+        call_many(&peers, &req, &self.opts.call, SCATTER_FAN_OUT)
             .into_iter()
             .filter_map(|r| r.ok())
             .collect()

@@ -41,7 +41,7 @@ use crate::federation::{Federation, FederationOptions};
 use crate::overload::TokenBucket;
 use crate::proto::{FedQuery, Request, Response};
 use crate::replica::{Journal, ReplicationConfig};
-use crate::service::{serve_with, Clock, ServeOptions, ServiceHandle};
+use crate::service::{serve, Clock, ServiceHandle};
 use faucets_core::auth::SessionToken;
 use faucets_core::directory::{ServerInfo, ServerListing};
 use faucets_core::ids::{ClusterId, UserId};
@@ -132,10 +132,6 @@ impl Durable for DirJournal {
 /// Options for [`spawn_fs_durable`].
 #[derive(Clone)]
 pub struct FsOptions {
-    /// Service-side timeouts, fault injection, metrics registry, and the
-    /// worker-pool bound ([`ServeOptions::workers`]) that caps how many
-    /// pooled client connections the FS serves concurrently.
-    pub serve: ServeOptions,
     /// Directory for the durable registration journal. `None` keeps the
     /// directory purely in memory (the seed behaviour).
     pub store: Option<PathBuf>,
@@ -163,7 +159,6 @@ pub struct FsOptions {
 impl Default for FsOptions {
     fn default() -> Self {
         FsOptions {
-            serve: ServeOptions::default(),
             store: None,
             store_opts: StoreOptions {
                 service: "fs".into(),
@@ -509,7 +504,7 @@ pub fn spawn_fs_durable(
         m_throttled: reg.counter("fs_query_throttled_total", &[("shard", &shard_label)]),
         g_dir_size: reg.gauge("fs_directory_size", &[("shard", &shard_label)]),
     });
-    let service = serve_with(addr, "fs", opts.serve, move |req| core.handle(req))?;
+    let service = serve(addr, "fs", move |req| core.handle(req))?;
     if let Some(fed) = &federation {
         // The bound address is only known now (port 0 picks one): fix the
         // advertised self entry, then start gossiping.

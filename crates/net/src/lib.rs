@@ -93,11 +93,12 @@
 //! so every Figure-1 service degrades gracefully instead of queueing
 //! without bound:
 //!
-//! * **Admission** — [`service::serve_with`] bounds per-endpoint inflight
-//!   work ([`overload::ServiceLimits`]); a request over the bound is
-//!   answered [`proto::Response::Overloaded`] immediately (fast-fail), and
-//!   callers surface it as the typed, non-retried
-//!   [`proto::ProtoError::Overloaded`].
+//! * **One typed answer** — whoever sheds (the FS token bucket, the FD's
+//!   payoff gate, deadline shedding, an injected rejection) answers
+//!   [`proto::Response::Overloaded`] immediately, and callers surface it as
+//!   the typed, non-retried [`proto::ProtoError::Overloaded`]. The serve
+//!   layer keeps no inflight counter of its own: its
+//!   [`service::ServeOptions::workers`] executor threads are the bound.
 //! * **Deadlines** — callers stamp their remaining budget into the
 //!   [`proto::Envelope`] (`deadline_ms`); the serve layer sheds work whose
 //!   deadline already expired, and handlers can read
@@ -114,7 +115,7 @@
 //!   profitable contracts survive saturation. The FS throttles directory
 //!   queries with an [`overload::TokenBucket`].
 //!
-//! All limits are runtime-tunable, counted in telemetry (sheds,
+//! All limits are counted in telemetry (sheds,
 //! rejections, breaker transitions, queue-depth gauges), fault-injectable
 //! via [`fault::FaultConfig::reject`], and exercised by experiment E22
 //! (`exp_overload`).
@@ -198,11 +199,9 @@
 //!   a quorum-gated election, a wire-level [`proto::Request::Fence`] of
 //!   the deposed primary, and promotion of the released follower —
 //!   no operator in the loop (experiment E27, `exp_selfheal`).
-//! * **Membership** — the replica set itself changes under joint
-//!   consensus: [`faucets_store::ReplicatedStore::begin_reconfigure`]
-//!   enters a joint configuration where sync commits need a quorum in
-//!   *both* the old and new cohorts, and `finish_reconfigure` retires the
-//!   old cohort only once the incoming replicas have caught up.
+//! * **Membership** — a primary's replica set is fixed when its journal is
+//!   opened; changing it means opening the journal again (a restart, or a
+//!   promotion) with the new follower list.
 //! * **Catch-up** — a follower that is empty, behind a compaction, or has
 //!   a sequence gap answers `NeedSnapshot`; the primary installs its
 //!   snapshot basis plus the live frame tail ([`proto::Request::ReplSnapshot`]),
@@ -245,14 +244,13 @@ mod upstream;
 /// Convenient glob import.
 pub mod prelude {
     pub use crate::appspector_srv::{spawn_appspector, spawn_appspector_with, AsHandle};
-    pub use crate::client::{ClientError, FaucetsClient, Submission, WaitBackoff};
+    pub use crate::client::{ClientError, FaucetsClient, Submission};
     pub use crate::fault::{FaultConfig, FaultPlan, FaultStats, FrameFault, Outage};
     pub use crate::fd::{spawn_fd, spawn_fd_with, FdHandle, FdOptions};
     pub use crate::federation::{Federation, FederationOptions, GossipView, Ring};
     pub use crate::fs::{spawn_fs, spawn_fs_durable, FsHandle, FsOptions};
     pub use crate::overload::{
-        BreakerConfig, BreakerSet, CircuitBreaker, GateConfig, GateVerdict, PayoffGate,
-        ServiceLimits, TokenBucket,
+        BreakerConfig, BreakerSet, CircuitBreaker, GateConfig, GateVerdict, PayoffGate, TokenBucket,
     };
     pub use crate::pool::{ConnPool, MuxConfig, MuxPool, PoolConfig};
     pub use crate::proto::{read_frame, write_frame, Envelope, ProtoError, Request, Response};

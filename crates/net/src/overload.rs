@@ -4,13 +4,9 @@
 //! Servers" and "millions of jobs per day" (§5), which means every service
 //! must keep answering *something* when offered load exceeds capacity —
 //! degrade by shedding the least valuable work, never by letting queues
-//! (and latency) grow without bound. This module holds the four primitives
+//! (and latency) grow without bound. This module holds the three primitives
 //! the rest of the crate threads together:
 //!
-//! * [`ServiceLimits`] — a bounded per-endpoint inflight gate applied by
-//!   [`crate::service::serve_with`]: a request over the bound is answered
-//!   [`crate::proto::Response::Overloaded`] immediately instead of being
-//!   accepted into an unbounded backlog.
 //! * [`TokenBucket`] — a rate limiter (the FS uses one to throttle
 //!   directory queries): admits at most `rate · elapsed + burst` requests
 //!   over any window, runtime-retunable.
@@ -25,12 +21,13 @@
 //!   deadline expires is dropped as doomed work before any CPU is spent
 //!   on it.
 //!
-//! Every limit is a runtime-configurable knob and every decision is
+//! Every limit is set where the primitive is built (the bucket's rate and
+//! burst can also be retuned live) and every decision is
 //! counted in the telemetry registry, so experiments (E22, `exp_overload`)
 //! can assert on sheds, rejections, and breaker transitions instead of
 //! timing.
 //!
-//! All four primitives are transport-agnostic: they sit above the socket,
+//! All three primitives are transport-agnostic: they sit above the socket,
 //! so enabling connection pooling ([`crate::service::CallOptions::pool`])
 //! changes none of their semantics — an `Overloaded` answer on a warm
 //! socket is still a breaker success, and a poisoned pooled stream is
@@ -41,7 +38,7 @@ use faucets_telemetry::{Counter, Gauge};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -133,100 +130,6 @@ impl TokenBucket {
     /// Try to admit one request now (wall clock).
     pub fn try_admit(&self) -> bool {
         self.try_admit_at(self.epoch.elapsed().as_micros() as u64)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Per-endpoint inflight limits (serve side)
-// ---------------------------------------------------------------------------
-
-/// Bounded per-endpoint inflight limits for [`crate::service::serve_with`]:
-/// each endpoint may have at most `max_inflight` requests being handled at
-/// once; the rest are answered [`crate::proto::Response::Overloaded`]
-/// immediately (fast-fail instead of unbounded accept). `0` disables the
-/// bound. Cloning shares the limit and the live counts.
-#[derive(Clone)]
-pub struct ServiceLimits {
-    max_inflight: Arc<AtomicUsize>,
-    counts: Arc<Mutex<HashMap<&'static str, Arc<AtomicUsize>>>>,
-}
-
-impl Default for ServiceLimits {
-    /// A generous default bound (256 per endpoint): high enough that
-    /// normal operation never notices it, low enough that a runaway
-    /// caller cannot exhaust the thread supply.
-    fn default() -> Self {
-        ServiceLimits::new(256)
-    }
-}
-
-impl ServiceLimits {
-    /// Limits with the given per-endpoint inflight bound (`0` = unlimited).
-    pub fn new(max_inflight: usize) -> Self {
-        ServiceLimits {
-            max_inflight: Arc::new(AtomicUsize::new(max_inflight)),
-            counts: Arc::new(Mutex::new(HashMap::new())),
-        }
-    }
-
-    /// Unbounded (the seed behaviour).
-    pub fn unlimited() -> Self {
-        ServiceLimits::new(0)
-    }
-
-    /// The current per-endpoint bound (`0` = unlimited).
-    pub fn max_inflight(&self) -> usize {
-        self.max_inflight.load(Ordering::Relaxed)
-    }
-
-    /// Retune the bound at runtime.
-    pub fn set_max_inflight(&self, max: usize) {
-        self.max_inflight.store(max, Ordering::Relaxed);
-    }
-
-    fn count_for(&self, endpoint: &'static str) -> Arc<AtomicUsize> {
-        Arc::clone(
-            self.counts
-                .lock()
-                .entry(endpoint)
-                .or_insert_with(|| Arc::new(AtomicUsize::new(0))),
-        )
-    }
-
-    /// Requests currently being handled for `endpoint`.
-    pub fn inflight(&self, endpoint: &'static str) -> usize {
-        self.count_for(endpoint).load(Ordering::SeqCst)
-    }
-
-    /// Try to take an inflight slot for `endpoint`. `None` means the
-    /// endpoint is at its bound and the request must be rejected; the
-    /// returned permit releases the slot on drop.
-    pub fn try_enter(&self, endpoint: &'static str) -> Option<InflightPermit> {
-        let max = self.max_inflight();
-        let count = self.count_for(endpoint);
-        loop {
-            let cur = count.load(Ordering::SeqCst);
-            if max > 0 && cur >= max {
-                return None;
-            }
-            if count
-                .compare_exchange(cur, cur + 1, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                return Some(InflightPermit { count });
-            }
-        }
-    }
-}
-
-/// One occupied inflight slot; dropping it releases the slot.
-pub struct InflightPermit {
-    count: Arc<AtomicUsize>,
-}
-
-impl Drop for InflightPermit {
-    fn drop(&mut self) {
-        self.count.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -459,8 +362,7 @@ impl BreakerSet {
 // Payoff-aware admission gate (FD side)
 // ---------------------------------------------------------------------------
 
-/// [`PayoffGate`] tuning; both knobs are runtime-adjustable via
-/// [`PayoffGate::set_config`].
+/// [`PayoffGate`] tuning, fixed when the gate is built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GateConfig {
     /// Bid solicitations evaluated concurrently.
@@ -471,8 +373,12 @@ pub struct GateConfig {
 }
 
 impl Default for GateConfig {
-    /// Generous defaults: wide enough that the existing test suite never
-    /// sheds, tight enough to bound a genuine storm.
+    /// Defaults that never bind behind the serve layer's default 32
+    /// executor threads: a solicitation holds its thread while it is
+    /// served and while it is queued, so at most `workers` are inside the
+    /// gate at once and the reachable queue depth is `workers −
+    /// max_inflight`, not `max_queue`. The gate acts when `max_inflight`
+    /// is set below the executor count (E22 runs 2 slots, queue 4).
     fn default() -> Self {
         GateConfig {
             max_inflight: 64,
@@ -522,7 +428,7 @@ struct GateState {
 /// request whose deadline passes is dropped as doomed. Freed slots go to
 /// the highest-rate waiter.
 pub struct PayoffGate {
-    cfg: Mutex<GateConfig>,
+    cfg: GateConfig,
     state: Mutex<GateState>,
     cond: Condvar,
     m_sheds: Counter,
@@ -540,7 +446,7 @@ impl PayoffGate {
     pub fn new(cfg: GateConfig, cluster: &str, reg: &Registry) -> Arc<Self> {
         let labels = [("cluster", cluster)];
         Arc::new(PayoffGate {
-            cfg: Mutex::new(cfg),
+            cfg,
             state: Mutex::new(GateState::default()),
             cond: Condvar::new(),
             m_sheds: reg.counter("fd_bid_sheds_total", &labels),
@@ -549,17 +455,6 @@ impl PayoffGate {
             g_queue: reg.gauge("fd_bid_queue_depth", &labels),
             g_queue_peak: reg.gauge("fd_bid_queue_peak", &labels),
         })
-    }
-
-    /// The current tuning.
-    pub fn config(&self) -> GateConfig {
-        *self.cfg.lock()
-    }
-
-    /// Retune the gate at runtime (applies to subsequent admissions).
-    pub fn set_config(&self, cfg: GateConfig) {
-        *self.cfg.lock() = cfg;
-        self.cond.notify_all();
     }
 
     fn note_queue(&self, s: &mut GateState) {
@@ -573,7 +468,7 @@ impl PayoffGate {
     /// CPU-second), giving up at `deadline` if one is set. Blocks while
     /// queued; returns the verdict.
     pub fn enter(self: &Arc<Self>, rate: f64, deadline: Option<Instant>) -> GateVerdict {
-        let cfg = self.config();
+        let cfg = self.cfg;
         let mut s = self.state.lock();
         if deadline.is_some_and(|d| Instant::now() >= d) {
             self.m_doomed.inc();
@@ -744,40 +639,6 @@ mod tests {
         assert!(b.try_admit_at(5_000_000));
         // Clock runs backwards: clamped, no refill, no panic.
         assert!(!b.try_admit_at(1_000_000));
-    }
-
-    // ---- inflight limits ----
-
-    #[test]
-    fn limits_bound_and_release() {
-        let l = ServiceLimits::new(2);
-        let a = l.try_enter("Bid").expect("slot 1");
-        let _b = l.try_enter("Bid").expect("slot 2");
-        assert!(l.try_enter("Bid").is_none(), "at the bound");
-        // Other endpoints are independent.
-        assert!(l.try_enter("Match").is_some());
-        assert_eq!(l.inflight("Bid"), 2);
-        drop(a);
-        assert_eq!(l.inflight("Bid"), 1);
-        assert!(l.try_enter("Bid").is_some(), "released slot reusable");
-    }
-
-    #[test]
-    fn limits_zero_means_unlimited() {
-        let l = ServiceLimits::unlimited();
-        let permits: Vec<_> = (0..1000).map(|_| l.try_enter("X").unwrap()).collect();
-        assert_eq!(l.inflight("X"), 1000);
-        drop(permits);
-        assert_eq!(l.inflight("X"), 0);
-    }
-
-    #[test]
-    fn limits_knob_is_live() {
-        let l = ServiceLimits::new(1);
-        let _a = l.try_enter("X").unwrap();
-        assert!(l.try_enter("X").is_none());
-        l.set_max_inflight(2);
-        assert!(l.try_enter("X").is_some(), "raised bound takes effect");
     }
 
     // ---- circuit breaker ----

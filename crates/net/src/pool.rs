@@ -284,24 +284,22 @@ impl Drop for PooledConn {
 // Multiplexed connections: many requests in flight per socket
 // ---------------------------------------------------------------------------
 
+/// Soft in-flight target per multiplexed connection: checkout prefers a
+/// connection under this, and dials a new one (up to
+/// [`MuxConfig::conns_per_peer`]) when every existing one is at or over it.
+const MUX_INFLIGHT_TARGET: usize = 128;
+
 /// Tuning knobs for a [`MuxPool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MuxConfig {
     /// Shared connections dialed per peer before calls start queueing on
     /// the least-loaded one.
     pub conns_per_peer: usize,
-    /// Soft in-flight target per connection: checkout prefers a
-    /// connection under this, and dials a new one (up to
-    /// `conns_per_peer`) when every existing one is at or over it.
-    pub max_inflight_per_conn: usize,
 }
 
 impl Default for MuxConfig {
     fn default() -> Self {
-        MuxConfig {
-            conns_per_peer: 2,
-            max_inflight_per_conn: 128,
-        }
+        MuxConfig { conns_per_peer: 2 }
     }
 }
 
@@ -676,7 +674,7 @@ impl MuxPool {
             let budget = self.cfg.conns_per_peer.max(1);
             let best = conns.iter().min_by_key(|c| c.inflight()).map(Arc::clone);
             if let Some(best) = best {
-                if best.inflight() < self.cfg.max_inflight_per_conn || conns.len() >= budget {
+                if best.inflight() < MUX_INFLIGHT_TARGET || conns.len() >= budget {
                     reg.counter("net_mux_hits_total", &labels).inc();
                     return Ok((best, true));
                 }

@@ -50,7 +50,7 @@
 
 use crate::pool::{ConnPool, PoolConfig};
 use crate::proto::{Request, Response};
-use crate::service::{call_with, serve_with, CallOptions, ServeOptions, ServiceHandle};
+use crate::service::{call_with, serve, CallOptions, ServiceHandle};
 use faucets_store::{
     Durable, DurableStore, FollowerOptions, FollowerStore, RecoveryReport, ReplFrame, ReplOptions,
     ReplPosition, ReplReply, ReplicaLink, ReplicatedStore, ReplicationMode, SnapshotBlob,
@@ -76,8 +76,6 @@ const MAX_BATCH_FRAMES: usize = 1024;
 /// Options for [`spawn_replica`].
 #[derive(Clone, Default)]
 pub struct ReplicaOptions {
-    /// Serve-side options (timeouts, faults, admission limits).
-    pub serve: ServeOptions,
     /// Skip fsync in follower stores (tests/benchmarks only; a follower
     /// that lies about durability voids the sync-mode loss contract).
     pub no_fsync: bool,
@@ -152,7 +150,7 @@ pub fn spawn_replica(
     let stores = Arc::new(Mutex::new(map));
     let st = Arc::clone(&stores);
     let release_dirs = dirs.clone();
-    let service = serve_with(addr, "replica", opts.serve, move |req| {
+    let service = serve(addr, "replica", move |req| {
         let lookup = |service: &str| st.lock().get(service).cloned();
         match req {
             Request::ReplAppend { service, frames } => match lookup(&service) {
@@ -245,13 +243,9 @@ impl RemoteLink {
 }
 
 impl ReplicaLink for RemoteLink {
-    fn offer(&self, frames: &[ReplFrame]) -> Result<ReplReply, StoreError> {
-        self.offer_owned(frames.to_vec())
-    }
-
     /// Ships `frames` in batches that fit a protocol frame, moving them
     /// into the requests: the usual ship — one batch — copies nothing.
-    fn offer_owned(&self, mut frames: Vec<ReplFrame>) -> Result<ReplReply, StoreError> {
+    fn offer(&self, mut frames: Vec<ReplFrame>) -> Result<ReplReply, StoreError> {
         if frames.is_empty() {
             return self.status();
         }
@@ -314,8 +308,6 @@ pub struct ReplicationConfig {
     /// [`faucets_store::prepare_promotion`] — strictly above the old
     /// primary's — or the old reign is not fenced.
     pub epoch: u64,
-    /// Sync mode: acks required per commit; `0` means every follower.
-    pub sync_acks: usize,
     /// RPC options for replication traffic: retry, deadline, breakers and
     /// fault injection apply as on any call. Pooling always applies — a
     /// `call` that names no transport gets one [`ConnPool`] per link from
@@ -331,7 +323,6 @@ impl Default for ReplicationConfig {
             followers: Vec::new(),
             mode: ReplicationMode::Sync,
             epoch: 0,
-            sync_acks: 0,
             call: CallOptions {
                 // Replication is latency-sensitive and has its own
                 // re-planning loop; keep the per-call budget tight.
@@ -367,7 +358,8 @@ impl ReplicationConfig {
                 })
                 .collect(),
             epoch,
-            sync_acks: self.sync_acks,
+            // Every follower must ack a sync commit.
+            sync_acks: 0,
         }
     }
 }
@@ -517,10 +509,7 @@ mod tests {
         let follower = spawn_replica(
             "127.0.0.1:0",
             &[("svc".into(), fdir.clone())],
-            ReplicaOptions {
-                no_fsync: true,
-                ..ReplicaOptions::default()
-            },
+            ReplicaOptions { no_fsync: true },
         )
         .unwrap();
 
@@ -552,10 +541,7 @@ mod tests {
         let follower = spawn_replica(
             "127.0.0.1:0",
             &[("svc".into(), fdir)],
-            ReplicaOptions {
-                no_fsync: true,
-                ..ReplicaOptions::default()
-            },
+            ReplicaOptions { no_fsync: true },
         )
         .unwrap();
         let journal = open_replicated(&pdir, &follower, ReplicationMode::Async);
@@ -579,10 +565,7 @@ mod tests {
         let follower = spawn_replica(
             "127.0.0.1:0",
             &[("svc".into(), fdir)],
-            ReplicaOptions {
-                no_fsync: true,
-                ..ReplicaOptions::default()
-            },
+            ReplicaOptions { no_fsync: true },
         )
         .unwrap();
         let journal = open_replicated(&pdir, &follower, ReplicationMode::Sync);
@@ -628,10 +611,7 @@ mod tests {
         let follower = spawn_replica(
             "127.0.0.1:0",
             &[("svc".into(), fdir)],
-            ReplicaOptions {
-                no_fsync: true,
-                ..ReplicaOptions::default()
-            },
+            ReplicaOptions { no_fsync: true },
         )
         .unwrap();
         let link = RemoteLink::new(follower.addr, "nope", CallOptions::default());

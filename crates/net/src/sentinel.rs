@@ -24,8 +24,8 @@
 //!    forward jump alone cannot depose a primary that is still
 //!    answering — expiry is always "missed renewals", never "bad clock".
 //! 3. **Election** — probe every replica's durable position
-//!    ([`crate::proto::Request::ReplStatus`]). A quorum
-//!    ([`SentinelOptions::min_quorum`], default majority) must answer or
+//!    ([`crate::proto::Request::ReplStatus`]). A majority of the
+//!    configured replica set must answer or
 //!    the election aborts and suspicion restarts — a partitioned
 //!    sentinel must not promote a minority island. The winner is chosen
 //!    by the same deterministic [`faucets_store::pick_primary`] rule the
@@ -90,10 +90,6 @@ pub struct SentinelOptions {
     pub lease_ttl: Duration,
     /// How often to probe the primary's lease.
     pub probe_every: Duration,
-    /// Minimum replica answers required to run an election; `0` means a
-    /// majority of the configured replica set. An election short of
-    /// quorum aborts (counted) and suspicion restarts.
-    pub min_quorum: usize,
     /// RPC options for probes, fences, and releases (retry, timeouts,
     /// pooling, fault injection).
     pub call: CallOptions,
@@ -110,7 +106,6 @@ impl Default for SentinelOptions {
             service: String::new(),
             lease_ttl: Duration::from_millis(500),
             probe_every: Duration::from_millis(50),
-            min_quorum: 0,
             call: CallOptions::default(),
             skew_ms: Arc::new(AtomicI64::new(0)),
         }
@@ -344,11 +339,9 @@ fn run<F>(
                 answers.push((i, pos));
             }
         }
-        let quorum = if opts.min_quorum == 0 {
-            replicas.len() / 2 + 1
-        } else {
-            opts.min_quorum
-        };
+        // An election needs answers from a majority of the configured
+        // replica set.
+        let quorum = replicas.len() / 2 + 1;
         if answers.len() < quorum || answers.is_empty() {
             // Short of quorum this sentinel might be the partitioned
             // minority; promoting here risks dual primaries. Abort and

@@ -571,13 +571,7 @@ mod tests {
             },
         )
         .unwrap();
-        let mux = Arc::new(MuxPool::new(
-            "test-mux",
-            MuxConfig {
-                conns_per_peer: 1,
-                ..MuxConfig::default()
-            },
-        ));
+        let mux = Arc::new(MuxPool::new("test-mux", MuxConfig { conns_per_peer: 1 }));
         let opts = CallOptions {
             mux: Some(Arc::clone(&mux)),
             ..CallOptions::default()

@@ -1,11 +1,10 @@
 //! The serve path: a readiness-driven epoll reactor that owns the
 //! nonblocking listener and every connection's frame state machine, feeding
-//! a bounded executor pool where admission control, deadline shedding,
+//! a bounded executor pool where fault injection, deadline shedding,
 //! tracing and the handler run.
 
 use super::call::effective;
 use crate::fault::FaultPlan;
-use crate::overload::ServiceLimits;
 use crate::proto::{
     apply_receive_faults, parse_payload, write_frame_with, Envelope, Request, Response, MAX_FRAME,
 };
@@ -62,12 +61,6 @@ pub struct ServeOptions {
     /// Metric registry for per-endpoint counters/latency and the `Metrics`
     /// endpoint. `None` uses the process-global registry.
     pub registry: Option<Arc<Registry>>,
-    /// Per-endpoint inflight bounds: a request over the bound is answered
-    /// [`Response::Overloaded`] immediately instead of queueing without
-    /// limit. The default bound is generous (see
-    /// [`ServiceLimits::default`]); retune at runtime through the shared
-    /// handle, or use [`ServiceLimits::unlimited`] for the seed behaviour.
-    pub limits: ServiceLimits,
     /// Executor threads per service (default 32). Connections no longer
     /// pin a thread each — the reactor multiplexes every socket on one
     /// event loop — so this bounds concurrent *handler* executions, not
@@ -94,7 +87,6 @@ impl Default for ServeOptions {
         ServeOptions {
             faults: None,
             registry: None,
-            limits: ServiceLimits::default(),
             workers: 32,
             queue: 1024,
             write_buf: WRITE_BUF_CAP,
@@ -295,7 +287,7 @@ impl Conn {
 /// through a level-triggered epoll set — concurrent connections cost a few
 /// hundred bytes each instead of a thread each. Complete frames hand off
 /// to a bounded executor pool (`workers` threads) where fault injection,
-/// admission control, deadline shedding, tracing, and the handler run
+/// deadline shedding, tracing, and the handler run
 /// exactly as they did on the blocking path; serialized replies return to
 /// the reactor over a completion queue and go out with vectored writes.
 /// Responses carry the request's `request_id`, so pipelined clients may
@@ -657,7 +649,7 @@ fn service_conn(
 
 /// Everything that happens to one request frame once it leaves the
 /// reactor: receive-side fault injection, parsing, the metrics exemption,
-/// admission control, deadline shedding, tracing, the handler itself, and
+/// injected rejection, deadline shedding, tracing, the handler itself, and
 /// reply serialization (with send-side faults). This is the same pipeline
 /// the blocking serve path ran inline, now on an executor thread.
 fn process_frame<F>(job: Job, handler: &F, opts: &ServeOptions, name: &'static str) -> Completion
@@ -692,7 +684,7 @@ where
     };
     // The serve layer answers metrics queries itself, so every service
     // exposes the endpoint without touching its handler. Metrics are
-    // exempt from admission control: observability must keep working
+    // exempt from every shed below: observability must keep working
     // precisely when the service is drowning.
     if matches!(req, Request::Metrics) {
         return encode_reply(
@@ -704,17 +696,9 @@ where
     let endpoint = req.endpoint();
     let labels = [("service", name), ("endpoint", endpoint)];
     reg.counter("net_requests_total", &labels).inc();
-    // Admission control: fault-injected rejections share the real shed
-    // path, then the per-endpoint inflight bound applies. Over the bound
-    // we fast-fail with a typed Overloaded answer instead of queueing
-    // without limit.
-    let injected = faults.is_some_and(|p| p.inject_overload(endpoint.as_bytes()));
-    let permit = if injected {
-        None
-    } else {
-        opts.limits.try_enter(endpoint)
-    };
-    let Some(_permit) = permit else {
+    // The serve layer's own shed, triggered by `FaultConfig::reject`: a
+    // typed `Overloaded` answer, counted, and the handler never runs.
+    if faults.is_some_and(|p| p.inject_overload(endpoint.as_bytes())) {
         reg.counter("net_overload_rejections_total", &labels).inc();
         let env = reply(
             ctx,
@@ -723,9 +707,7 @@ where
             },
         );
         return encode_reply(token, &env, faults);
-    };
-    reg.gauge("net_inflight", &labels)
-        .set(opts.limits.inflight(endpoint) as f64);
+    }
     // Doomed-work elimination: a request whose propagated deadline
     // already expired in flight is shed before the handler spends
     // anything on it — the caller has abandoned the answer.

@@ -2,6 +2,7 @@
 //! simulation-clock mapping live services run on, the stop flag background
 //! loops wait on, client socket deadlines, and the bounded retry policy.
 
+use crate::fault::mix64;
 use faucets_sim::time::SimTime;
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -181,11 +182,12 @@ impl RetryPolicy {
     pub fn backoff(&self, retry: u32) -> Duration {
         let exp = self.base.saturating_mul(1u32 << (retry - 1).min(16));
         let exp = exp.min(self.cap.max(self.base));
-        // SplitMix64-style mix for a deterministic jitter draw.
-        let mut z = self.seed ^ (retry as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        let u = ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64;
+        // A deterministic jitter draw. `mix64` adds the golden-ratio
+        // increment before it mixes; taking it off first keeps every
+        // (seed, retry) on the jitter it has always had.
+        const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+        let z = self.seed ^ (retry as u64).wrapping_mul(GOLDEN);
+        let u = (mix64(z.wrapping_sub(GOLDEN)) >> 11) as f64 / (1u64 << 53) as f64;
         let scale = 1.0 - self.jitter.clamp(0.0, 1.0) * u;
         Duration::from_secs_f64(exp.as_secs_f64() * scale)
     }

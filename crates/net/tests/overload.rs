@@ -2,7 +2,7 @@
 //!
 //! Exercises the E22 machinery end-to-end: the FD's payoff gate shedding
 //! a bid storm, a client treating a saturated daemon as "no bid this
-//! round" (breaker stays closed), the serve layer's inflight bound, the
+//! round" (breaker stays closed), the serve layer's typed shed, the
 //! deadline-shed fast path, and the retry loop's deadline cap.
 
 use faucets_core::auth::SessionToken;
@@ -20,7 +20,7 @@ use faucets_sched::cluster::Cluster;
 use faucets_sched::equipartition::Equipartition;
 use faucets_sched::machine::MachineSpec;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{Arc, Barrier, Condvar, Mutex};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 fn spawn_daemon(fs: SocketAddr, aspect: SocketAddr, clock: Clock, opts: FdOptions) -> FdHandle {
@@ -180,87 +180,42 @@ fn client_treats_overloaded_daemon_as_no_bid_not_dead() {
     fake.shutdown();
 }
 
-/// The serve layer's per-endpoint inflight bound: with one slot held by a
-/// gated handler, a call issued while the slot is provably occupied
-/// fast-fails `Overloaded` and the rejection is counted. The handler
-/// signals entry and blocks on a condition variable until released, so
-/// the test never depends on a fixed sleep outrunning the scheduler.
+/// A serve-layer shed reaches the caller as the typed overload error and
+/// `net_overload_rejections_total{service}` counts it. The trigger is a
+/// fault plan rejecting every request, so the handler must never run.
 #[test]
-fn serve_inflight_bound_fast_fails_excess_calls() {
-    let gate = Arc::new((Mutex::new(false), Condvar::new()));
-    let entered = Arc::new((Mutex::new(false), Condvar::new()));
+fn serve_layer_shed_is_typed_and_counted() {
+    let plan = FaultPlan::new(
+        22,
+        FaultConfig {
+            reject: 1.0,
+            ..FaultConfig::none()
+        },
+    );
     let svc = serve_with(
         "127.0.0.1:0",
-        "slowsvc",
+        "shedsvc",
         ServeOptions {
-            limits: ServiceLimits::new(1),
+            faults: Some(Arc::new(plan)),
             ..ServeOptions::default()
         },
-        {
-            let gate = Arc::clone(&gate);
-            let entered = Arc::clone(&entered);
-            move |_req| {
-                let (flag, cv) = &*entered;
-                *flag.lock().unwrap() = true;
-                cv.notify_all();
-                let (released, cv) = &*gate;
-                let mut open = released.lock().unwrap();
-                while !*open {
-                    let (guard, timeout) = cv.wait_timeout(open, Duration::from_secs(10)).unwrap();
-                    open = guard;
-                    if timeout.timed_out() {
-                        break; // fail-safe: never wedge the worker pool
-                    }
-                }
-                Response::Ok
-            }
-        },
+        |_req| panic!("a shed request must never reach the handler"),
     )
     .unwrap();
-    let addr = svc.addr;
-
-    let holder = std::thread::spawn(move || {
-        call(
-            addr,
-            &Request::Login {
-                user: "x".into(),
-                password: "y".into(),
-            },
-        )
-    });
-    // Wait until the slot is provably held before probing.
-    {
-        let (flag, cv) = &*entered;
-        let mut inside = flag.lock().unwrap();
-        while !*inside {
-            let (guard, timeout) = cv.wait_timeout(inside, Duration::from_secs(10)).unwrap();
-            inside = guard;
-            assert!(!timeout.timed_out(), "handler never entered");
-        }
-    }
     match call(
-        addr,
+        svc.addr,
         &Request::Login {
             user: "x".into(),
             password: "y".into(),
         },
     ) {
         Err(e) if is_overload_error(&e) => {}
-        other => panic!("excess call must be rejected, not queued: {other:?}"),
-    }
-    {
-        let (released, cv) = &*gate;
-        *released.lock().unwrap() = true;
-        cv.notify_all();
-    }
-    match holder.join().unwrap() {
-        Ok(Response::Ok) => {}
-        other => panic!("the slot holder completes: {other:?}"),
+        other => panic!("a shed call must surface as the overload error: {other:?}"),
     }
     let rejections = faucets_telemetry::global()
         .snapshot()
-        .counter_sum("net_overload_rejections_total", &[("service", "slowsvc")]);
-    assert!(rejections >= 1, "rejection counted for slowsvc");
+        .counter_sum("net_overload_rejections_total", &[("service", "shedsvc")]);
+    assert_eq!(rejections, 1, "rejection counted for shedsvc");
     svc.shutdown();
 }
 

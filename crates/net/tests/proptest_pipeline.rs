@@ -188,13 +188,7 @@ fn permuted_reply_schedules_match_batch_slots_over_real_sockets() {
         )
         .unwrap();
 
-        let mux = Arc::new(MuxPool::new(
-            "permuted",
-            MuxConfig {
-                conns_per_peer: 1,
-                ..MuxConfig::default()
-            },
-        ));
+        let mux = Arc::new(MuxPool::new("permuted", MuxConfig { conns_per_peer: 1 }));
         let opts = CallOptions {
             mux: Some(mux),
             timeouts: Timeouts::both(Duration::from_secs(5)),

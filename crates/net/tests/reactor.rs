@@ -166,13 +166,7 @@ fn garbled_replies_poison_the_mux_socket_and_calls_recover() {
     })
     .unwrap();
 
-    let mux = Arc::new(MuxPool::new(
-        "mux-chaos",
-        MuxConfig {
-            conns_per_peer: 1,
-            ..MuxConfig::default()
-        },
-    ));
+    let mux = Arc::new(MuxPool::new("mux-chaos", MuxConfig { conns_per_peer: 1 }));
     let reg = Arc::new(Registry::new());
     let plan = Arc::new(FaultPlan::new(
         0xBADCAB,
@@ -315,13 +309,7 @@ fn reply_bursts_over_the_write_buffer_pause_not_kill() {
     )
     .unwrap();
 
-    let mux = Arc::new(MuxPool::new(
-        "burst",
-        MuxConfig {
-            conns_per_peer: 1,
-            ..MuxConfig::default()
-        },
-    ));
+    let mux = Arc::new(MuxPool::new("burst", MuxConfig { conns_per_peer: 1 }));
     let opts = CallOptions {
         mux: Some(mux),
         timeouts: Timeouts::both(Duration::from_secs(10)),

@@ -450,3 +450,88 @@ fn replica_links_dial_once_and_ride_out_a_follower_restart() {
         f.shutdown();
     }
 }
+
+/// The Central Server's registration journal, sync-replicated
+/// ([`FsOptions::replication`]): an acknowledged registration is on the
+/// follower, one made while the follower is down is NACKed, and an FS
+/// promoted from the follower's directory lists what was acknowledged.
+#[test]
+fn fs_registrations_survive_promotion_of_the_follower() {
+    let clock = Clock::new(1.0);
+    let p_dir = scratch("fs-primary");
+    let f_dir = scratch("fs-follower");
+    let follower = follower_daemon("fs", f_dir.clone());
+    let fs = spawn_fs_durable(
+        "127.0.0.1:0",
+        clock.clone(),
+        73,
+        FsOptions {
+            store: Some(p_dir.clone()),
+            replication: Some(ReplicationConfig {
+                followers: vec![follower.addr],
+                mode: ReplicationMode::Sync,
+                ..ReplicationConfig::default()
+            }),
+            ..FsOptions::default()
+        },
+    )
+    .expect("FS");
+    let fs_addr = fs.service.addr;
+    let register = |id: u64| {
+        let machine = MachineSpec::commodity(ClusterId(id), format!("cs{id}"), 64);
+        let info = machine.server_info("127.0.0.1", 9000 + id as u16);
+        let apps = vec!["namd".to_string()];
+        call(fs_addr, &Request::RegisterCluster { info, apps }).unwrap()
+    };
+
+    for id in [1, 2] {
+        assert!(matches!(register(id), Response::Ok));
+    }
+    let pos = follower.position("fs").expect("the follower hosts fs");
+    assert_eq!(pos.acked, 2, "an acknowledged registration is replicated");
+
+    // With the follower down a registration cannot be made durable on the
+    // quorum, so the daemon is told so and will register again.
+    follower.kill();
+    match register(3) {
+        Response::Error(e) => assert!(e.starts_with("registration not durable"), "{e}"),
+        other => panic!("expected a NACK, got {other:?}"),
+    }
+    drop(fs);
+
+    prepare_promotion(&f_dir, "fs", pos.epoch + 1).unwrap();
+    let promoted = spawn_fs_durable(
+        "127.0.0.1:0",
+        clock,
+        73,
+        FsOptions {
+            store: Some(f_dir.clone()),
+            ..FsOptions::default()
+        },
+    )
+    .expect("promoted FS");
+    assert_eq!(promoted.recovery.as_ref().unwrap().replayed_records, 2);
+    let addr = promoted.service.addr;
+    let (user, password) = ("ops".to_string(), "pw".to_string());
+    call(
+        addr,
+        &Request::CreateUser {
+            user: user.clone(),
+            password: password.clone(),
+        },
+    )
+    .unwrap();
+    let Response::Session { token, .. } = call(addr, &Request::Login { user, password }).unwrap()
+    else {
+        panic!("login at the promoted FS")
+    };
+    let Response::Clusters(rows) = call(addr, &Request::ListClusters { token }).unwrap() else {
+        panic!("cluster rows")
+    };
+    let mut listed: Vec<ClusterId> = rows.iter().map(|r| r.info.cluster).collect();
+    listed.sort();
+    assert_eq!(listed, vec![ClusterId(1), ClusterId(2)]);
+    promoted.shutdown();
+    let _ = std::fs::remove_dir_all(&p_dir);
+    let _ = std::fs::remove_dir_all(&f_dir);
+}

@@ -24,9 +24,11 @@
 //!
 //! Appends go through group commit: writers serialize their `write(2)`
 //! under one lock, then race to a second lock whose holder fsyncs once
-//! for every record written so far — under contention one flush
-//! acknowledges many records, which is what lets the log sustain
-//! "millions of jobs per day" rates on commodity disks (experiment E21).
+//! for every record written so far, so overlapping appends share a flush.
+//! The stores built on the log ([`DurableStore`], [`ReplicatedStore`],
+//! [`FollowerStore`]) each hold their own lock across an append, so
+//! through them appends never overlap and every flush covers one record
+//! (see [`Wal`]).
 //!
 //! # Recovery invariants
 //!

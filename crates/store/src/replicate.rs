@@ -41,7 +41,7 @@
 //! # One ship in flight per link
 //!
 //! Whoever ships to a follower — a sync commit, the async shipper,
-//! [`ReplicatedStore::flush`], a reconfiguration — holds that link's ship
+//! [`ReplicatedStore::flush`] — holds that link's ship
 //! lock from planning the ship to recording its reply, so replies are
 //! recorded in the order they were asked for and a recorded position
 //! never moves backwards. A committer that waited for the lock usually
@@ -56,7 +56,7 @@
 //! the highest wins, ties break to the lowest index — so every surviving
 //! node that sees the same candidate set elects the same new primary.
 //!
-//! # Leases and membership changes
+//! # Leases
 //!
 //! Automatic failover (the `faucets-net` sentinel) rests on two further
 //! primitives here. A [`Lease`] is the primary's liveness claim, persisted
@@ -66,12 +66,8 @@
 //! expiry but never fire it spuriously. [`ReplicatedStore::fence`] is the
 //! out-of-band half of deposition: a sentinel that has promoted a replica
 //! tells the old primary its new epoch directly, so it stops acknowledging
-//! before it ever ships another frame. Replica-set changes go through
-//! [`ReplicatedStore::begin_reconfigure`] /
-//! [`ReplicatedStore::finish_reconfigure`]: while the change is in flight
-//! every sync commit needs its ack quorum in **both** the outgoing and the
-//! incoming configurations (joint consensus), so no window exists where
-//! two disjoint quorums could each acknowledge.
+//! before it ever ships another frame. The replica set itself is fixed at
+//! [`ReplicatedStore::open`].
 
 use crate::durable::{
     list_generations, snap_path, sweep, wal_path, write_snapshot_bytes, Durable, DurableStore,
@@ -162,14 +158,9 @@ pub enum ReplReply {
 /// size cap) — the returned position tells the primary where to resume.
 pub trait ReplicaLink: Send + Sync {
     /// Ship a batch of consecutive frames; the follower persists then acks.
-    fn offer(&self, frames: &[ReplFrame]) -> Result<ReplReply, StoreError>;
-    /// [`ReplicaLink::offer`] for a batch the caller is done with — what
-    /// the primary's shipper calls. A link that must own what it sends
-    /// (the wire link builds its request out of the frames) overrides
-    /// this to take the batch instead of copying it.
-    fn offer_owned(&self, frames: Vec<ReplFrame>) -> Result<ReplReply, StoreError> {
-        self.offer(&frames)
-    }
+    /// The batch is the caller's copy out of the catch-up buffer, handed
+    /// over so the wire link can build its request out of the frames.
+    fn offer(&self, frames: Vec<ReplFrame>) -> Result<ReplReply, StoreError>;
     /// Ship a full basis (snapshot + records) to rebase the follower.
     fn install(&self, blob: &SnapshotBlob) -> Result<ReplReply, StoreError>;
     /// Ask the follower where it is without shipping anything.
@@ -180,8 +171,8 @@ pub trait ReplicaLink: Send + Sync {
 pub struct LocalLink(pub Arc<FollowerStore>);
 
 impl ReplicaLink for LocalLink {
-    fn offer(&self, frames: &[ReplFrame]) -> Result<ReplReply, StoreError> {
-        self.0.offer(frames)
+    fn offer(&self, frames: Vec<ReplFrame>) -> Result<ReplReply, StoreError> {
+        self.0.offer(&frames)
     }
     fn install(&self, blob: &SnapshotBlob) -> Result<ReplReply, StoreError> {
         self.0.install(blob)
@@ -314,7 +305,6 @@ struct ReplMetrics {
     snapshot_transfers: faucets_telemetry::Counter,
     ship_errors: faucets_telemetry::Counter,
     fenced: faucets_telemetry::Counter,
-    reconfigures: faucets_telemetry::Counter,
     /// Wall time of a sync commit's ship stage (all links, one round).
     ship: faucets_telemetry::Histogram,
 }
@@ -330,7 +320,6 @@ impl ReplMetrics {
             snapshot_transfers: reg.counter("repl_snapshot_transfers_total", labels),
             ship_errors: reg.counter("repl_ship_errors_total", labels),
             fenced: reg.counter("repl_fenced_total", labels),
-            reconfigures: reg.counter("repl_reconfigures_total", labels),
             ship: reg.histogram("repl_ship_seconds", labels),
         }
     }
@@ -575,20 +564,6 @@ impl fmt::Debug for ReplOptions {
     }
 }
 
-/// Which configuration(s) a link belongs to while a membership change is
-/// in flight ([`ReplicatedStore::begin_reconfigure`]). Outside a change,
-/// every link is [`Cohort::Both`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Cohort {
-    /// Only in the outgoing configuration — dropped when the change
-    /// completes.
-    Old,
-    /// Only in the incoming configuration.
-    New,
-    /// In both configurations (the steady state).
-    Both,
-}
-
 /// One follower's ship lock. A ship — plan, network I/O, record the reply
 /// — runs with `failed` held, so a link has at most one in flight: replies
 /// are recorded in the order they were asked for, and a committer that
@@ -605,15 +580,17 @@ struct ShipGate {
     failed: Mutex<u64>,
 }
 
-/// Per-link shipping state. The link handle itself lives here so a
-/// membership change is a plain mutation of the guarded state; `id` is a
-/// stable identity that survives reconfigurations shifting indices while
-/// a shipping round is mid-I/O.
-struct LinkState {
-    id: u64,
+/// One follower, fixed at [`ReplicatedStore::open`]: the transport and its
+/// ship lock. What the follower last reported is [`LinkPos`], at the same
+/// index in [`ReplState::links`].
+struct Link {
     link: Arc<dyn ReplicaLink>,
-    gate: Arc<ShipGate>,
-    cohort: Cohort,
+    gate: ShipGate,
+}
+
+/// What the primary knows of one follower's position.
+#[derive(Default)]
+struct LinkPos {
     /// Last position the follower reported, `None` before the first probe.
     pos: Option<ReplPosition>,
     /// The follower asked for a snapshot (or an offer revealed a gap).
@@ -627,37 +604,17 @@ struct ReplState {
     /// Every frame of the current generation, indexed by seq — doubles as
     /// the catch-up buffer and the compaction counter.
     frames: Vec<ReplFrame>,
-    links: Vec<LinkState>,
-    /// A joint configuration is active: sync commits need their ack
-    /// quorum in BOTH the old and new link cohorts.
-    joint: bool,
-    /// Next [`LinkState::id`] to hand out.
-    next_link_id: u64,
-}
-
-impl ReplState {
-    fn push_link(&mut self, link: Arc<dyn ReplicaLink>, cohort: Cohort) {
-        let id = self.next_link_id;
-        self.next_link_id += 1;
-        self.links.push(LinkState {
-            id,
-            link,
-            gate: Arc::default(),
-            cohort,
-            pos: None,
-            need_snapshot: false,
-        });
-    }
+    /// One entry per follower, in the order of [`ReplicatedStore::links`].
+    links: Vec<LinkPos>,
 }
 
 /// What one shipping step decided to do, planned under the state lock and
-/// executed (network I/O) outside it. Carries the link handle so the
-/// guarded link list can change while the I/O is in flight.
+/// executed (network I/O) outside it.
 enum Plan {
     CaughtUp,
-    Probe(Arc<dyn ReplicaLink>),
-    Offer(Arc<dyn ReplicaLink>, Vec<ReplFrame>),
-    Install(Arc<dyn ReplicaLink>, SnapshotBlob),
+    Probe,
+    Offer(Vec<ReplFrame>),
+    Install(SnapshotBlob),
 }
 
 /// The primary side of replication: a [`DurableStore`] whose committed
@@ -672,6 +629,7 @@ pub struct ReplicatedStore<T: Durable> {
     fenced_flag: AtomicBool,
     observed_epoch: AtomicU64,
     stop: AtomicBool,
+    links: Vec<Link>,
     repl: Mutex<ReplState>,
     wake: Condvar,
     metrics: ReplMetrics,
@@ -684,7 +642,7 @@ impl<T: Durable> fmt::Debug for ReplicatedStore<T> {
             .field("dir", &self.inner.dir())
             .field("mode", &self.mode)
             .field("epoch", &self.epoch)
-            .field("links", &self.repl.lock().expect("repl lock").links.len())
+            .field("links", &self.links.len())
             .finish()
     }
 }
@@ -736,17 +694,19 @@ impl<T: Durable + Send + 'static> ReplicatedStore<T> {
             })
             .collect();
 
-        let has_links = !opts.links.is_empty();
-        let mut state = ReplState {
+        let links: Vec<Link> = opts
+            .links
+            .into_iter()
+            .map(|link| Link {
+                link,
+                gate: ShipGate::default(),
+            })
+            .collect();
+        let state = ReplState {
             generation,
             frames,
-            links: Vec::new(),
-            joint: false,
-            next_link_id: 0,
+            links: links.iter().map(|_| LinkPos::default()).collect(),
         };
-        for link in opts.links {
-            state.push_link(link, Cohort::Both);
-        }
 
         let store = Arc::new(ReplicatedStore {
             inner,
@@ -757,13 +717,14 @@ impl<T: Durable + Send + 'static> ReplicatedStore<T> {
             fenced_flag: AtomicBool::new(false),
             observed_epoch: AtomicU64::new(epoch),
             stop: AtomicBool::new(false),
+            links,
             repl: Mutex::new(state),
             wake: Condvar::new(),
             metrics,
             shipper: Mutex::new(None),
         });
 
-        if store.mode == ReplicationMode::Async && has_links {
+        if store.mode == ReplicationMode::Async && !store.links.is_empty() {
             let weak = Arc::downgrade(&store);
             let handle = std::thread::Builder::new()
                 .name("repl-shipper".into())
@@ -865,129 +826,25 @@ impl<T: Durable + Send + 'static> ReplicatedStore<T> {
         newly
     }
 
-    /// Begin a joint-configuration membership change: add the `add` links
-    /// and mark the links at the current indices in `remove` for removal.
-    /// Until [`ReplicatedStore::finish_reconfigure`] completes, every sync
-    /// commit must reach its ack quorum in BOTH the outgoing configuration
-    /// (all current links) and the incoming one (current minus `remove`
-    /// plus `add`) — the overlap rule that makes a >2-replica membership
-    /// change safe: no window exists where two disjoint quorums could each
-    /// acknowledge a commit.
-    pub fn begin_reconfigure(
-        &self,
-        add: Vec<Arc<dyn ReplicaLink>>,
-        remove: &[usize],
-    ) -> Result<(), StoreError> {
-        let mut st = self.repl.lock().expect("repl lock");
-        if st.joint {
-            return Err(StoreError::Corrupt(
-                "a membership change is already in flight".into(),
-            ));
-        }
-        for (i, l) in st.links.iter_mut().enumerate() {
-            l.cohort = if remove.contains(&i) {
-                Cohort::Old
-            } else {
-                Cohort::Both
-            };
-        }
-        for link in add {
-            st.push_link(link, Cohort::New);
-        }
-        st.joint = true;
-        drop(st);
-        self.wake.notify_all();
-        Ok(())
-    }
-
-    /// Complete a membership change: drive shipping until every link of
-    /// the incoming configuration covers the current committed position
-    /// (or `timeout` elapses), then drop the outgoing-only links and leave
-    /// joint mode. On timeout the joint configuration stays in force — the
-    /// safe state — and the caller may retry.
-    pub fn finish_reconfigure(&self, timeout: Duration) -> Result<(), StoreError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            self.wake.notify_all();
-            self.ship_round();
-            {
-                let mut st = self.repl.lock().expect("repl lock");
-                if !st.joint {
-                    return Err(StoreError::Corrupt("no membership change in flight".into()));
-                }
-                let (generation, count) = (st.generation, st.frames.len() as u64);
-                let caught_up = st
-                    .links
-                    .iter()
-                    .filter(|l| matches!(l.cohort, Cohort::New | Cohort::Both))
-                    .all(|l| l.pos.as_ref().is_some_and(|p| covers(p, generation, count)));
-                if caught_up {
-                    st.links.retain(|l| l.cohort != Cohort::Old);
-                    for l in st.links.iter_mut() {
-                        l.cohort = Cohort::Both;
-                    }
-                    st.joint = false;
-                    self.update_lag(&st);
-                    self.metrics.reconfigures.inc();
-                    return Ok(());
-                }
-            }
-            if Instant::now() >= deadline {
-                return Err(StoreError::Io(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    "incoming configuration not caught up before the deadline",
-                )));
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-
-    /// Is a joint-configuration membership change in flight?
-    pub fn is_joint(&self) -> bool {
-        self.repl.lock().expect("repl lock").joint
-    }
-
-    /// Number of follower links currently configured (during a joint
-    /// configuration this counts both cohorts).
-    pub fn link_count(&self) -> usize {
-        self.repl.lock().expect("repl lock").links.len()
-    }
-
-    /// Sync-mode ack check at (`generation`, `count`): in steady state one
-    /// quorum over all links; in a joint configuration a quorum in BOTH
-    /// the old and new cohorts. Returns the worst `(want, got)` shortfall,
-    /// or `None` when satisfied.
+    /// Sync-mode ack check at (`generation`, `count`): one quorum over the
+    /// links. Returns the `(want, got)` shortfall, or `None` when satisfied.
     fn sync_shortfall(
         &self,
         st: &ReplState,
         generation: u64,
         count: u64,
     ) -> Option<(usize, usize)> {
-        let cohort_sets: &[&[Cohort]] = if st.joint {
-            &[&[Cohort::Old, Cohort::Both], &[Cohort::New, Cohort::Both]]
+        let got = st
+            .links
+            .iter()
+            .filter(|l| l.pos.as_ref().is_some_and(|p| covers(p, generation, count)))
+            .count();
+        let want = if self.sync_acks == 0 {
+            st.links.len()
         } else {
-            &[&[Cohort::Old, Cohort::New, Cohort::Both]]
+            self.sync_acks.min(st.links.len())
         };
-        let mut worst: Option<(usize, usize)> = None;
-        for set in cohort_sets {
-            let mut members = 0usize;
-            let mut got = 0usize;
-            for l in st.links.iter().filter(|l| set.contains(&l.cohort)) {
-                members += 1;
-                if l.pos.as_ref().is_some_and(|p| covers(p, generation, count)) {
-                    got += 1;
-                }
-            }
-            let want = if self.sync_acks == 0 {
-                members
-            } else {
-                self.sync_acks.min(members)
-            };
-            if got < want && worst.is_none_or(|(w, g)| want - got > w - g) {
-                worst = Some((want, got));
-            }
-        }
-        worst
+        (got < want).then_some((want, got))
     }
 
     /// The primary's own `(epoch, generation, committed)` position.
@@ -1068,43 +925,37 @@ impl<T: Durable + Send + 'static> ReplicatedStore<T> {
     }
 
     /// Advance every link as far as it will go; errors are counted and
-    /// left for the next round. Links are addressed by their stable id, so
-    /// a membership change mid-round cannot misattribute a reply to the
-    /// wrong follower. Every caller — sync commit, async shipper, `flush`,
-    /// `finish_reconfigure` — ships through here, one link lock at a time.
+    /// left for the next round. Every caller — sync commit, async shipper,
+    /// `flush` — ships through here, one link lock at a time.
     fn ship_round(&self) {
         // Read every gate's count before queueing on any of them: whatever
         // this round was called to ship is in the buffer by now, so a ship
         // numbered above what we read here planned with it in view.
-        let links: Vec<(u64, Arc<ShipGate>, u64)> = {
-            let st = self.repl.lock().expect("repl lock");
-            st.links
-                .iter()
-                .map(|l| {
-                    let seen = l.gate.begun.load(Ordering::SeqCst);
-                    (l.id, Arc::clone(&l.gate), seen)
-                })
-                .collect()
-        };
-        for (id, gate, seen) in links {
-            if let Err(StoreError::Fenced { .. }) = self.advance_link(id, &gate, seen) {
+        let seen: Vec<u64> = self
+            .links
+            .iter()
+            .map(|l| l.gate.begun.load(Ordering::SeqCst))
+            .collect();
+        for (i, seen) in seen.into_iter().enumerate() {
+            if let Err(StoreError::Fenced { .. }) = self.advance_link(i, seen) {
                 return;
             }
         }
     }
 
-    /// Drive one follower to the current position, holding its ship lock
+    /// Drive follower `i` to the current position, holding its ship lock
     /// from the first plan to the last recorded reply. A shipper that
     /// queued behind a ship which began after `seen` and failed takes that
     /// failure as its own and sends nothing: k committers stuck behind a
     /// dead follower cost one connect timeout, not k in series.
-    fn advance_link(&self, id: u64, gate: &ShipGate, seen: u64) -> Result<(), StoreError> {
+    fn advance_link(&self, i: usize, seen: u64) -> Result<(), StoreError> {
+        let gate = &self.links[i].gate;
         let mut failed = gate.failed.lock().expect("ship lock");
         if *failed > seen {
             return Ok(());
         }
         let ship = gate.begun.fetch_add(1, Ordering::SeqCst) + 1;
-        let res = self.ship(id);
+        let res = self.ship(i);
         if matches!(&res, Err(e) if !matches!(e, StoreError::Fenced { .. })) {
             *failed = ship;
             self.metrics.ship_errors.inc();
@@ -1112,44 +963,39 @@ impl<T: Durable + Send + 'static> ReplicatedStore<T> {
         res
     }
 
-    /// One ship, under the link's ship lock: probe the follower if its
-    /// position is unknown, install a snapshot if it is behind a
+    /// One ship to follower `i`, under its ship lock: probe the follower if
+    /// its position is unknown, install a snapshot if it is behind a
     /// compaction, otherwise offer the frames it is missing — until it is
     /// caught up. Plans and records under the state lock, talks to the
     /// network outside it.
-    fn ship(&self, id: u64) -> Result<(), StoreError> {
+    fn ship(&self, i: usize) -> Result<(), StoreError> {
+        let link = &self.links[i].link;
         loop {
             let plan = {
                 let st = self.repl.lock().expect("repl lock");
-                // Removed by a concurrent reconfigure: nothing to drive.
-                let Some(link) = st.links.iter().find(|l| l.id == id) else {
-                    return Ok(());
-                };
-                let handle = Arc::clone(&link.link);
-                match &link.pos {
-                    None => Plan::Probe(handle),
-                    Some(_) if link.need_snapshot => {
-                        Plan::Install(handle, self.snapshot_blob(&st)?)
-                    }
+                let known = &st.links[i];
+                match &known.pos {
+                    None => Plan::Probe,
+                    Some(_) if known.need_snapshot => Plan::Install(self.snapshot_blob(&st)?),
                     Some(p) if p.generation == st.generation => {
                         if p.acked >= st.frames.len() as u64 {
                             Plan::CaughtUp
                         } else {
-                            Plan::Offer(handle, st.frames[p.acked as usize..].to_vec())
+                            Plan::Offer(st.frames[p.acked as usize..].to_vec())
                         }
                     }
                     Some(p) if p.generation > st.generation => Plan::CaughtUp,
-                    Some(_) => Plan::Install(handle, self.snapshot_blob(&st)?),
+                    Some(_) => Plan::Install(self.snapshot_blob(&st)?),
                 }
             };
             let (reply, shipped, installed) = match plan {
                 Plan::CaughtUp => return Ok(()),
-                Plan::Probe(link) => (link.status()?, 0, false),
-                Plan::Offer(link, frames) => {
+                Plan::Probe => (link.status()?, 0, false),
+                Plan::Offer(frames) => {
                     let n = frames.len() as u64;
-                    (link.offer_owned(frames)?, n, false)
+                    (link.offer(frames)?, n, false)
                 }
-                Plan::Install(link, blob) => (link.install(&blob)?, 0, true),
+                Plan::Install(blob) => (link.install(&blob)?, 0, true),
             };
             // A follower that has adopted an epoch above ours answers to a
             // newer primary, whatever it says about its position: an `Ok`
@@ -1162,9 +1008,7 @@ impl<T: Durable + Send + 'static> ReplicatedStore<T> {
                 reply => reply,
             };
             let mut st = self.repl.lock().expect("repl lock");
-            let Some(slot) = st.links.iter_mut().find(|l| l.id == id) else {
-                return Ok(());
-            };
+            let slot = &mut st.links[i];
             match reply {
                 ReplReply::Ok(pos) => {
                     if installed {
@@ -1563,7 +1407,7 @@ mod tests {
     /// A link whose transport always fails.
     struct DeadLink;
     impl ReplicaLink for DeadLink {
-        fn offer(&self, _: &[ReplFrame]) -> Result<ReplReply, StoreError> {
+        fn offer(&self, _: Vec<ReplFrame>) -> Result<ReplReply, StoreError> {
             Err(StoreError::Io(std::io::Error::other("down")))
         }
         fn install(&self, _: &SnapshotBlob) -> Result<ReplReply, StoreError> {
@@ -1626,8 +1470,8 @@ mod tests {
         }
     }
     impl ReplicaLink for JitterLink {
-        fn offer(&self, frames: &[ReplFrame]) -> Result<ReplReply, StoreError> {
-            self.late(|| self.inner.offer(frames))
+        fn offer(&self, frames: Vec<ReplFrame>) -> Result<ReplReply, StoreError> {
+            self.late(|| self.inner.offer(&frames))
         }
         fn install(&self, blob: &SnapshotBlob) -> Result<ReplReply, StoreError> {
             self.late(|| self.inner.install(blob))
@@ -1742,7 +1586,7 @@ mod tests {
         }
     }
     impl ReplicaLink for SlowDeadLink {
-        fn offer(&self, _: &[ReplFrame]) -> Result<ReplReply, StoreError> {
+        fn offer(&self, _: Vec<ReplFrame>) -> Result<ReplReply, StoreError> {
             self.fail()
         }
         fn install(&self, _: &SnapshotBlob) -> Result<ReplReply, StoreError> {
@@ -1886,9 +1730,9 @@ mod tests {
         offers: AtomicUsize,
     }
     impl ReplicaLink for CountingLink {
-        fn offer(&self, frames: &[ReplFrame]) -> Result<ReplReply, StoreError> {
+        fn offer(&self, frames: Vec<ReplFrame>) -> Result<ReplReply, StoreError> {
             self.offers.fetch_add(1, Ordering::Relaxed);
-            self.inner.offer(frames)
+            self.inner.offer(&frames)
         }
         fn install(&self, blob: &SnapshotBlob) -> Result<ReplReply, StoreError> {
             self.inner.install(blob)
@@ -1989,106 +1833,6 @@ mod tests {
                 observed: 4
             }
         ));
-        let _ = fs::remove_dir_all(&pdir);
-        let _ = fs::remove_dir_all(&fdir);
-    }
-
-    #[test]
-    fn joint_reconfigure_adds_a_replica_and_retires_another() {
-        let pdir = scratch("joint-p");
-        let f1dir = scratch("joint-f1");
-        let f2dir = scratch("joint-f2");
-        let f1 = follower(&f1dir);
-        let f2 = follower(&f2dir);
-        let (store, _) = ReplicatedStore::open(
-            &pdir,
-            Log::default(),
-            repl_opts(
-                vec![Arc::new(LocalLink(Arc::clone(&f1)))],
-                ReplicationMode::Sync,
-            ),
-        )
-        .unwrap();
-        for i in 0..5 {
-            store.commit(&format!("e{i}")).unwrap();
-        }
-
-        // Swap f1 out for f2: while joint, commits must cover BOTH
-        // cohorts, so nothing is lost during the handover.
-        store
-            .begin_reconfigure(vec![Arc::new(LocalLink(Arc::clone(&f2)))], &[0])
-            .unwrap();
-        assert!(store.is_joint());
-        store.commit(&"during".to_string()).unwrap();
-        assert_eq!(f1.position().acked, 6, "old cohort still required");
-        assert_eq!(f2.position().acked, 6, "new cohort caught up and required");
-
-        store.finish_reconfigure(Duration::from_secs(5)).unwrap();
-        assert!(!store.is_joint());
-        assert_eq!(store.link_count(), 1);
-        store.commit(&"after".to_string()).unwrap();
-        assert_eq!(f2.position().acked, 7);
-        assert_eq!(
-            f1.position().acked,
-            6,
-            "retired replica no longer shipped to"
-        );
-        let _ = fs::remove_dir_all(&pdir);
-        let _ = fs::remove_dir_all(&f1dir);
-        let _ = fs::remove_dir_all(&f2dir);
-    }
-
-    #[test]
-    fn joint_commit_nacks_when_either_cohort_lacks_quorum() {
-        let pdir = scratch("jointq-p");
-        let fdir = scratch("jointq-f");
-        let f = follower(&fdir);
-        let mut opts = repl_opts(
-            vec![Arc::new(LocalLink(Arc::clone(&f)))],
-            ReplicationMode::Sync,
-        );
-        opts.sync_acks = 1;
-        let (store, _) = ReplicatedStore::open(&pdir, Log::default(), opts).unwrap();
-        store.commit(&"steady".to_string()).unwrap();
-
-        // Joint config whose incoming cohort is unreachable (the live
-        // link is retiring, so it counts for the outgoing cohort only):
-        // the old quorum alone must NOT be allowed to acknowledge.
-        store
-            .begin_reconfigure(vec![Arc::new(DeadLink)], &[0])
-            .unwrap();
-        let err = store.commit(&"split".to_string()).unwrap_err();
-        assert!(matches!(err, StoreError::Unreplicated { want: 1, got: 0 }));
-        assert!(
-            store.finish_reconfigure(Duration::from_millis(50)).is_err(),
-            "cannot leave joint mode before the new cohort catches up"
-        );
-        assert!(store.is_joint(), "timeout keeps the joint (safe) config");
-        let _ = fs::remove_dir_all(&pdir);
-        let _ = fs::remove_dir_all(&fdir);
-    }
-
-    #[test]
-    fn double_begin_reconfigure_is_rejected() {
-        let pdir = scratch("dbl-p");
-        let fdir = scratch("dbl-f");
-        let f = follower(&fdir);
-        let (store, _) = ReplicatedStore::open(
-            &pdir,
-            Log::default(),
-            repl_opts(
-                vec![Arc::new(LocalLink(Arc::clone(&f)))],
-                ReplicationMode::Sync,
-            ),
-        )
-        .unwrap();
-        store.begin_reconfigure(Vec::new(), &[]).unwrap();
-        assert!(store.begin_reconfigure(Vec::new(), &[]).is_err());
-        store.finish_reconfigure(Duration::from_secs(1)).unwrap();
-        assert!(
-            store.finish_reconfigure(Duration::from_secs(1)).is_err(),
-            "finish without begin is an error"
-        );
         let _ = fs::remove_dir_all(&pdir);
         let _ = fs::remove_dir_all(&fdir);
     }

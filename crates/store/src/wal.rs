@@ -333,8 +333,16 @@ struct WalInner {
 /// Appends take two short critical sections: the *write* lock serializes
 /// `write(2)` calls, then the *sync* lock serializes fsync. An appender
 /// that arrives at the sync lock after another thread's fsync already
-/// covered its record returns immediately — that is the group commit: under
-/// contention, one disk flush acknowledges many records.
+/// covered its record returns immediately — that is the group commit: two
+/// appends that overlap share one disk flush.
+///
+/// No caller in this workspace lets two appends overlap.
+/// `DurableStore::commit` / `commit_check`, `ReplicatedStore::commit` and
+/// `FollowerStore::{offer, install}` each hold their own mutex across
+/// `append`, so every flush covers exactly one record and
+/// `store_commit_batch_size` reads 1 on every sample (the repository
+/// benchmark's `store.batch_mean` is 1.0). The batching only acts for a
+/// caller that appends to a bare `Wal` from several threads.
 pub struct Wal {
     path: PathBuf,
     generation: u64,
