@@ -8,7 +8,7 @@
 //! always matches centralized evaluation, and measure the two-phase
 //! fallback under renege pressure.
 
-use faucets_bench::{emit, flag};
+use faucets_bench::{ExitCode, Report};
 use faucets_core::bid::Bid;
 use faucets_core::ids::{BidId, ClusterId, JobId};
 use faucets_core::market::{DistributedEvaluation, SelectionPolicy};
@@ -33,8 +33,9 @@ fn slate(n: usize, rng: &mut StdRng) -> Vec<Bid> {
         .collect()
 }
 
-fn main() {
-    let trials: usize = flag("trials", 200);
+fn main() -> ExitCode {
+    let mut report = Report::new("E17", "agents");
+    let trials: usize = report.flag("trials", 200);
     let flat = PayoffFn::flat(Money::from_units(100_000));
 
     let mut table = Table::new(
@@ -76,7 +77,7 @@ fn main() {
             ]);
         }
     }
-    emit(&table);
+    report.table(&table);
 
     // Two-phase commitment under renege pressure.
     let mut table = Table::new(
@@ -122,7 +123,7 @@ fn main() {
             ]);
         }
     }
-    emit(&table);
+    report.table(&table);
     println!(
         "Shape: the tree is exact (100% winner agreement) while shrinking the\n\
          client's inbox by fanout/k — 160x at 10k servers — answering §5.3's\n\
@@ -130,4 +131,5 @@ fn main() {
          ever re-soliciting at these slate sizes (a 32-leaf slate survives\n\
          even 60% renege churn)."
     );
+    report.finish()
 }

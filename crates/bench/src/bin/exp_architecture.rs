@@ -6,98 +6,15 @@
 //! protocol. The table reports each component's traffic — the figure's
 //! arrows, counted.
 
-use faucets_bench::{emit, flag};
-use faucets_core::daemon::FaucetsDaemon;
-use faucets_core::ids::ClusterId;
-use faucets_core::money::Money;
-use faucets_core::qos::{PayoffFn, QosBuilder};
+use faucets_bench::{figure1_scenario, Bound, ExitCode, Report};
 use faucets_grid::prelude::*;
 use faucets_net::prelude::*;
-use faucets_sched::adaptive::ResizeCostModel;
-use faucets_sched::cluster::Cluster;
-use faucets_sched::equipartition::Equipartition;
-use faucets_sched::machine::MachineSpec;
-use std::time::Duration;
 
-fn main() {
-    let jobs_per_client: usize = flag("jobs", 4);
-    let clock = Clock::new(3_000.0);
-
-    let fs = spawn_fs("127.0.0.1:0", clock.clone(), 1).expect("FS");
-    let aspect = spawn_appspector("127.0.0.1:0", fs.service.addr, 64).expect("AppSpector");
-    let mut fds = vec![];
-    for (i, pes, strat) in [
-        (1u64, 128u32, "baseline"),
-        (2, 256, "util-interp"),
-        (3, 512, "baseline"),
-    ] {
-        let machine = MachineSpec::commodity(ClusterId(i), format!("cs{i}"), pes);
-        let daemon = FaucetsDaemon::new(
-            machine.server_info("127.0.0.1", 0),
-            ["namd".to_string(), "cfd".to_string()],
-            faucets_grid::scenario::strategy_by_name(strat),
-            Money::from_units_f64(0.01),
-        );
-        let cluster = Cluster::new(machine, Box::new(Equipartition), ResizeCostModel::default());
-        fds.push(
-            spawn_fd(
-                "127.0.0.1:0",
-                daemon,
-                cluster,
-                fs.service.addr,
-                aspect.service.addr,
-                clock.clone(),
-            )
-            .expect("FD"),
-        );
-    }
-
-    let mut clients: Vec<FaucetsClient> = (0..2)
-        .map(|i| {
-            FaucetsClient::register(
-                fs.service.addr,
-                aspect.service.addr,
-                clock.clone(),
-                &format!("user{i}"),
-                "pw",
-            )
-            .expect("client")
-        })
-        .collect();
-
-    let mut placed = vec![];
-    for c in clients.iter_mut() {
-        for j in 0..jobs_per_client {
-            let qos = QosBuilder::new(if j % 2 == 0 { "namd" } else { "cfd" }, 8, 32, 8.0 * 400.0)
-                .efficiency(0.95, 0.8)
-                .adaptive()
-                .payoff(PayoffFn::hard_only(
-                    clock
-                        .now()
-                        .saturating_add(faucets_sim::time::SimDuration::from_hours(4)),
-                    Money::from_units(100),
-                    Money::from_units(10),
-                ))
-                .build()
-                .unwrap();
-            let sub = c
-                .submit(qos, &[("in.dat".into(), vec![0u8; 1024])])
-                .expect("placed");
-            placed.push((c.user, sub));
-        }
-    }
-    println!(
-        "Placed {} jobs across the live grid; waiting for completions...\n",
-        placed.len()
-    );
-    for c in clients.iter_mut() {
-        for (owner, sub) in &placed {
-            if *owner == c.user {
-                c.wait(sub.job, Duration::from_secs(60)).expect("completes");
-            }
-        }
-    }
-
+fn main() -> ExitCode {
+    let mut report = Report::new("E1", "architecture");
+    let jobs_per_client: usize = report.flag("jobs", 4);
+    let grid = figure1_scenario(&Clock::new(3_000.0), jobs_per_client);
+    let (fs, aspect, fds) = (&grid.fs, &grid.aspect, &grid.fds);
     let mut table = Table::new(
         "E1: Figure-1 components, live on localhost",
         &["component", "address", "traffic"],
@@ -118,7 +35,7 @@ fn main() {
         aspect.service.addr.to_string(),
         format!("{} jobs monitored", aspect.job_count()),
     ]);
-    for fd in &fds {
+    for fd in fds {
         let d = fd.daemon_stats();
         table.row(vec![
             format!("Faucets Daemon {}", fd.cluster_id),
@@ -134,14 +51,16 @@ fn main() {
             ),
         ]);
     }
-    emit(&table);
+    report.table(&table);
 
     let total: u64 = fds.iter().map(|f| f.completed()).sum();
     println!(
         "All {total} jobs ran to completion through authenticate → match →\n\
          bid → award → stage → execute → monitor → download, over real TCP."
     );
-    for fd in fds {
+    report.gate("jobs_completed", total, Bound::eq(grid.placed));
+    for fd in grid.fds {
         fd.shutdown();
     }
+    report.finish()
 }

@@ -10,7 +10,7 @@
 //! (revenue equivalence), second-price is truthful (asks = costs) while
 //! first-price sellers shade up, and shading shrinks as competition grows.
 
-use faucets_bench::{emit, flag};
+use faucets_bench::{ExitCode, Report};
 use faucets_core::bid::Bid;
 use faucets_core::ids::{BidId, ClusterId, JobId};
 use faucets_core::market::{equilibrium_ask, run_reverse_auction, Mechanism};
@@ -20,8 +20,9 @@ use faucets_sim::time::SimTime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn main() {
-    let rounds: usize = flag("rounds", 20_000);
+fn main() -> ExitCode {
+    let mut report = Report::new("E12", "auction");
+    let rounds: usize = report.flag("rounds", 20_000);
     let cost_lo = Money::from_units(10);
     let cost_hi = Money::from_units(30);
 
@@ -81,11 +82,12 @@ fn main() {
             ]);
         }
     }
-    emit(&table);
+    report.table(&table);
     println!(
         "Shape: both mechanisms select the lowest-cost seller (efficiency\n\
          ~100%) and, with equilibrium shading, client payments converge\n\
          (revenue equivalence); second-price asks are truthful (zero\n\
          shading), first-price shading shrinks as 1/n with competition."
     );
+    report.finish()
 }

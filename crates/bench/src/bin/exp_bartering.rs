@@ -8,12 +8,13 @@
 //! orgs; totals are conserved exactly; starving the credit pool blocks
 //! overflow ("fair usage": you can only consume what you have contributed).
 
-use faucets_bench::{emit, standard_mix};
+use faucets_bench::{market, ExitCode, Report};
 use faucets_core::money::ServiceUnits;
 use faucets_grid::prelude::*;
 use faucets_sim::time::SimDuration;
 
-fn main() {
+fn main() -> ExitCode {
+    let mut report = Report::new("E8", "bartering");
     let mut table = Table::new(
         "E8: bartering with Home Clusters — orgs of 64/128/256 PEs, 24 h",
         &[
@@ -28,18 +29,12 @@ fn main() {
     );
 
     for grant in [500u64, 5_000, 50_000, 500_000] {
-        let sim = ScenarioBuilder::new(888)
+        let sim = market(888, 9, SimDuration::from_secs(90), 24)
             .cluster(64, "equipartition", "baseline")
             .cluster(128, "equipartition", "baseline")
             .cluster(256, "equipartition", "baseline")
-            .users(9)
             .mode(MarketMode::Barter)
             .credits(ServiceUnits::from_units(grant as i64))
-            .arrivals(ArrivalProcess::Poisson {
-                mean_interarrival: SimDuration::from_secs(90),
-            })
-            .mix(standard_mix())
-            .horizon(SimDuration::from_hours(24))
             .build();
         let w = run_scenario(sim);
         let bank = w.bank.as_ref().unwrap();
@@ -64,11 +59,12 @@ fn main() {
             f2(w.stats.wait.mean()),
         ]);
     }
-    emit(&table);
+    report.table(&table);
     println!(
         "Paper shape: with ample credits, capacity-rich org-3 accumulates\n\
          credits from overflowing org-1 users; tiny grants block overflow\n\
          (jobs wait at home instead), raising mean wait. Totals conserve\n\
          exactly at every grant level."
     );
+    report.finish()
 }

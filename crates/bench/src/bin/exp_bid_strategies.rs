@@ -13,28 +13,21 @@
 //! work) and premiums when loaded (earns more per job), beating the
 //! baseline on profit at comparable utilization.
 
-use faucets_bench::{emit, standard_mix};
-use faucets_core::market::SelectionPolicy;
+use faucets_bench::{market, ExitCode, Report};
 use faucets_core::money::Money;
 use faucets_grid::prelude::*;
 use faucets_sim::time::{SimDuration, SimTime};
 
 fn run(strategies: &[String], seed: u64) -> GridWorld {
-    let mut b = ScenarioBuilder::new(seed)
-        .users(10)
-        .mode(MarketMode::Bidding(SelectionPolicy::LeastCost))
-        .arrivals(ArrivalProcess::Poisson {
-            mean_interarrival: SimDuration::from_secs(60),
-        })
-        .mix(standard_mix())
-        .horizon(SimDuration::from_hours(24));
+    let mut b = market(seed, 10, SimDuration::from_secs(60), 24);
     for s in strategies {
         b = b.cluster(256, "equipartition", s);
     }
     run_scenario(b.build())
 }
 
-fn main() {
+fn main() -> ExitCode {
+    let mut report = Report::new("E6", "bid_strategies");
     // Part A: baseline vs the paper's interpolated strategy, 2 v 2.
     let strategies: Vec<String> = vec![
         "baseline".into(),
@@ -80,12 +73,12 @@ fn main() {
         e.0 += revenue;
         e.1 += completed;
     }
-    emit(&table);
+    report.table(&table);
     let mut totals = Table::new("E6a totals by strategy", &["strategy", "jobs", "revenue"]);
     for (s, (rev, jobs)) in &revenue_by {
         totals.row(vec![s.to_string(), jobs.to_string(), rev.to_string()]);
     }
-    emit(&totals);
+    report.table(&totals);
 
     // Part B: (alpha, beta) sweep for one interpolated cluster vs 3 baselines.
     let mut sweep = Table::new(
@@ -126,10 +119,11 @@ fn main() {
             ]);
         }
     }
-    emit(&sweep);
+    report.table(&sweep);
     println!(
         "Paper shape: larger alpha (deeper idle discount) wins more jobs;\n\
          larger beta (steeper busy premium) earns more per job when loaded.\n\
          The paper's (0.5, 2.0) is a middle point of that trade-off."
     );
+    report.finish()
 }

@@ -12,7 +12,7 @@
 //! Paper expectation: the market erases external fragmentation — waiting
 //! drops sharply and load spreads across clusters.
 
-use faucets_bench::{emit, standard_mix};
+use faucets_bench::{market, ExitCode, Report};
 use faucets_core::market::SelectionPolicy;
 use faucets_grid::prelude::*;
 use faucets_sim::time::{SimDuration, SimTime};
@@ -20,22 +20,17 @@ use faucets_sim::time::{SimDuration, SimTime};
 fn build(mode: MarketMode, accounts: usize) -> GridWorld {
     // Three users whose accounts land on clusters 1..3 — the other five
     // machines are "idle but cannot be used" in restricted mode (§1).
-    let mut b = ScenarioBuilder::new(31)
-        .users(3)
+    let mut b = market(31, 3, SimDuration::from_secs(110), 24)
         .accounts_per_user(accounts)
-        .mode(mode)
-        .arrivals(ArrivalProcess::Poisson {
-            mean_interarrival: SimDuration::from_secs(110),
-        })
-        .mix(standard_mix())
-        .horizon(SimDuration::from_hours(24));
+        .mode(mode);
     for _ in 0..8 {
         b = b.cluster(128, "equipartition", "baseline");
     }
     run_scenario(b.build())
 }
 
-fn main() {
+fn main() -> ExitCode {
+    let mut report = Report::new("E3", "external_frag");
     let mut table = Table::new(
         "E3: external fragmentation — 8x128-PE grid, 24 h of jobs",
         &[
@@ -75,10 +70,11 @@ fn main() {
             format!("{idle}/8"),
         ]);
     }
-    emit(&table);
+    report.table(&table);
     println!(
         "Paper shape: with accounts on 1-2 clusters, most of the grid sits\n\
          idle while the account-holding machines queue up; market access\n\
          reaches every machine and erases the waiting."
     );
+    report.finish()
 }

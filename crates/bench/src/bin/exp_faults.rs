@@ -16,54 +16,26 @@
 //! contracts die with their daemons. The same `--seed` reproduces the
 //! same fault schedule byte-for-byte (checked and printed).
 
-use faucets_bench::{emit, flag};
-use faucets_core::daemon::FaucetsDaemon;
-use faucets_core::ids::ClusterId;
+use faucets_bench::{qos_for, register, spawn_cs, ExitCode, GridTarget, Report};
 use faucets_core::money::Money;
-use faucets_core::qos::{PayoffFn, QosBuilder};
 use faucets_grid::prelude::*;
-use faucets_net::fd::FdOptions;
+use faucets_net::fd::{FdHandle, FdOptions};
 use faucets_net::prelude::*;
-use faucets_sched::adaptive::ResizeCostModel;
-use faucets_sched::cluster::Cluster;
-use faucets_sched::equipartition::Equipartition;
-use faucets_sched::machine::MachineSpec;
-use std::net::SocketAddr;
-use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const DAEMONS: usize = 3;
 const PAYOFF_PER_JOB: i64 = 100;
 
-fn make_fd_parts(i: usize) -> (FaucetsDaemon, Cluster) {
-    let pes = [64u32, 128, 256][i % 3];
-    let machine = MachineSpec::commodity(ClusterId(i as u64 + 1), format!("cs{}", i + 1), pes);
-    let daemon = FaucetsDaemon::new(
-        machine.server_info("127.0.0.1", 0),
-        ["namd".to_string(), "cfd".to_string()],
-        faucets_grid::scenario::strategy_by_name("baseline"),
-        Money::from_units_f64(0.01),
-    );
-    let cluster = Cluster::new(machine, Box::new(Equipartition), ResizeCostModel::default());
-    (daemon, cluster)
-}
-
-fn fd_options(store: Option<PathBuf>) -> FdOptions {
-    FdOptions {
-        store,
-        ..FdOptions::default()
-    }
-}
-
-struct ArmResult {
-    completed: usize,
-    total: usize,
-    restores: usize,
-}
-
 /// One arm: fresh stack, `jobs` submissions, then the outage schedule.
-fn run_arm(seed: u64, jobs: usize, kills: usize, downtime_ms: u64, recovery: bool) -> ArmResult {
+/// Returns (jobs completed, contracts restored from journals).
+fn run_arm(
+    seed: u64,
+    jobs: usize,
+    kills: usize,
+    downtime_ms: u64,
+    recovery: bool,
+) -> (usize, usize) {
     let plan = FaultPlan::new(seed, FaultConfig::flaky());
     let clock = Clock::new(500.0);
     let fs = spawn_fs("127.0.0.1:0", clock.clone(), seed).expect("FS");
@@ -79,70 +51,31 @@ fn run_arm(seed: u64, jobs: usize, kills: usize, downtime_ms: u64, recovery: boo
         },
     )
     .expect("AppSpector");
+    let at = GridTarget::single(fs.service.addr, aspect.service.addr, clock.clone());
 
-    let scratch = std::env::temp_dir().join(format!(
-        "faucets-e19-{}-{}-{}-{}",
-        std::process::id(),
-        seed,
-        kills,
-        recovery
-    ));
+    let scratch = faucets_bench::scratch("e19", &format!("{seed}-{kills}-{recovery}"));
     std::fs::create_dir_all(&scratch).expect("scratch dir");
-    let snap_path = |i: usize| recovery.then(|| scratch.join(format!("fd{i}")));
-
-    let spawn = |i: usize, fs: SocketAddr, aspect: SocketAddr, clock: Clock| {
-        let (daemon, cluster) = make_fd_parts(i);
-        faucets_net::fd::spawn_fd_with(
-            "127.0.0.1:0",
-            daemon,
-            cluster,
-            fs,
-            aspect,
-            clock,
-            fd_options(snap_path(i)),
-        )
-        .expect("FD")
+    // With recovery a daemon journals its contracts and replays them on
+    // restart; without, it comes back empty-handed (the seed behaviour).
+    let spawn = |i: usize| -> FdHandle {
+        let opts = FdOptions {
+            store: recovery.then(|| scratch.join(format!("fd{i}"))),
+            ..FdOptions::default()
+        };
+        let (id, pes, apps) = (i as u64 + 1, [64, 128, 256][i % 3], ["namd", "cfd"]);
+        let name = format!("cs{id}");
+        spawn_cs(id, &name, pes, &apps, "baseline", &at, opts)
     };
-    let mut fds: Vec<Option<faucets_net::fd::FdHandle>> = (0..DAEMONS)
-        .map(|i| {
-            Some(spawn(
-                i,
-                fs.service.addr,
-                aspect.service.addr,
-                clock.clone(),
-            ))
-        })
-        .collect();
+    let mut fds: Vec<Option<FdHandle>> = (0..DAEMONS).map(|i| Some(spawn(i))).collect();
 
-    let mut client = FaucetsClient::register(
-        fs.service.addr,
-        aspect.service.addr,
-        clock.clone(),
-        &format!("user-{seed}-{kills}-{recovery}"),
-        "pw",
-    )
-    .expect("client");
+    let user = format!("user-{seed}-{kills}-{recovery}");
+    let mut client = register(&at, &user);
     client.retry = RetryPolicy::standard(seed);
 
     let mut placed = vec![];
     for j in 0..jobs {
-        let qos = QosBuilder::new(
-            if j % 2 == 0 { "namd" } else { "cfd" },
-            8,
-            32,
-            8.0 * 3_600.0,
-        )
-        .efficiency(0.95, 0.8)
-        .adaptive()
-        .payoff(PayoffFn::hard_only(
-            clock
-                .now()
-                .saturating_add(faucets_sim::time::SimDuration::from_hours(24)),
-            Money::from_units(PAYOFF_PER_JOB),
-            Money::from_units(10),
-        ))
-        .build()
-        .unwrap();
+        let app = if j % 2 == 0 { "namd" } else { "cfd" };
+        let qos = qos_for(&clock, app, 8.0 * 3_600.0, 24);
         match client.submit(qos, &[("in.dat".into(), vec![0u8; 512])]) {
             Ok(sub) => placed.push(sub),
             Err(e) => eprintln!("  submit {j} failed: {e}"),
@@ -158,12 +91,7 @@ fn run_arm(seed: u64, jobs: usize, kills: usize, downtime_ms: u64, recovery: boo
             fd.kill();
         }
         std::thread::sleep(Duration::from_millis(outage.downtime_ms));
-        let fd = spawn(
-            outage.victim,
-            fs.service.addr,
-            aspect.service.addr,
-            clock.clone(),
-        );
+        let fd = spawn(outage.victim);
         if recovery {
             restores += fd.active_contracts();
         }
@@ -172,54 +100,44 @@ fn run_arm(seed: u64, jobs: usize, kills: usize, downtime_ms: u64, recovery: boo
 
     // Shared deadline for the whole batch, so lost jobs cost at most one
     // timeout between them.
-    let deadline = std::time::Instant::now() + Duration::from_secs(25);
-    let mut completed = 0usize;
-    for sub in &placed {
-        let left = deadline
-            .saturating_duration_since(std::time::Instant::now())
-            .max(Duration::from_millis(50));
-        if client.wait(sub.job, left).is_ok() {
-            completed += 1;
-        }
-    }
+    let deadline = Instant::now() + Duration::from_secs(25);
+    let completed = placed
+        .iter()
+        .filter(|sub| {
+            let left = deadline
+                .saturating_duration_since(Instant::now())
+                .max(Duration::from_millis(50));
+            client.wait(sub.job, left).is_ok()
+        })
+        .count();
 
     for fd in fds.into_iter().flatten() {
         fd.shutdown();
     }
     let _ = std::fs::remove_dir_all(&scratch);
-    ArmResult {
-        completed,
-        total: jobs,
-        restores,
-    }
+    (completed, restores)
 }
 
-fn main() {
-    let seed: u64 = flag("seed", 19);
-    let jobs: usize = flag("jobs", 8);
-    let max_kills: usize = flag("max-kills", 3);
-    let downtime_ms: u64 = flag("downtime-ms", 150);
+fn main() -> ExitCode {
+    let mut report = Report::new("E19", "faults");
+    let seed: u64 = report.flag("seed", 19);
+    let jobs: usize = report.flag("jobs", 8);
+    let max_kills: usize = report.flag("max-kills", 3);
+    let downtime_ms: u64 = report.flag("downtime-ms", 150);
 
     // The fault schedule is a pure function of the seed: byte-for-byte
     // reproducible across plans, runs, and machines.
-    let plan_a = FaultPlan::new(seed, FaultConfig::flaky());
-    let plan_b = FaultPlan::new(seed, FaultConfig::flaky());
-    let desc = plan_a.schedule_description(DAEMONS, max_kills, 400, downtime_ms);
-    assert_eq!(
-        desc,
-        plan_b.schedule_description(DAEMONS, max_kills, 400, downtime_ms),
-        "same seed must reproduce the same schedule byte-for-byte"
-    );
-    assert_ne!(
-        desc,
-        FaultPlan::new(seed + 1, FaultConfig::flaky()).schedule_description(
+    let describe = |seed| {
+        FaultPlan::new(seed, FaultConfig::flaky()).schedule_description(
             DAEMONS,
             max_kills,
             400,
-            downtime_ms
-        ),
-        "different seeds must diverge"
-    );
+            downtime_ms,
+        )
+    };
+    let desc = describe(seed);
+    report.check("same_seed_same_schedule", desc == describe(seed));
+    report.check("different_seeds_diverge", desc != describe(seed + 1));
     println!("Fault schedule (seed {seed}, reproduced byte-for-byte):\n{desc}");
 
     let mut table = Table::new(
@@ -235,30 +153,27 @@ fn main() {
     );
     for kills in 0..=max_kills {
         for recovery in [true, false] {
-            let r = run_arm(seed, jobs, kills, downtime_ms, recovery);
-            let lost = (r.total - r.completed) as i64 * PAYOFF_PER_JOB;
+            let (completed, restores) = run_arm(seed, jobs, kills, downtime_ms, recovery);
+            let lost = (jobs - completed) as i64 * PAYOFF_PER_JOB;
             table.row(vec![
                 kills.to_string(),
-                if recovery {
-                    "recovery".into()
-                } else {
-                    "no recovery".into()
-                },
-                format!("{}/{}", r.completed, r.total),
-                format!("{:.0}%", 100.0 * r.completed as f64 / r.total.max(1) as f64),
+                if recovery { "recovery" } else { "no recovery" }.into(),
+                format!("{completed}/{jobs}"),
+                format!("{:.0}%", 100.0 * completed as f64 / jobs.max(1) as f64),
                 Money::from_units(lost).to_string(),
                 if recovery {
-                    r.restores.to_string()
+                    restores.to_string()
                 } else {
                     "-".into()
                 },
             ]);
         }
     }
-    emit(&table);
+    report.table(&table);
     println!(
         "\nRecovery (WAL contract journal + client retry + FS eviction) holds the\n\
          completion rate near 100% at every crash count; without it, every\n\
          contract caught on a crashed daemon is payoff lost for good."
     );
+    report.finish()
 }

@@ -23,12 +23,12 @@
 //!    and **every acknowledged submission must still complete** — zero
 //!    acked-award loss.
 //!
-//! Writes `BENCH_federation.json` (uploaded as a CI artifact); prints
-//! `E26 PASS` when every gate holds. `--smoke` shrinks the run to the CI
-//! shape; `--rate`, `--shard-qps`, `--arm-ms`, `--workers`, and `--fds`
-//! resize it.
+//! `--smoke` shrinks the run to the CI shape; `--rate`, `--shard-qps`,
+//! `--arm-ms`, `--workers`, and `--fds` resize it.
 
-use faucets_bench::{flag, poisson_class, schedule_for, switch};
+use faucets_bench::{
+    load_fields, poisson_class, run_load, schedule_for, spawn_daemon, Bound, ExitCode, Report,
+};
 use faucets_core::qos::{QosBuilder, QosContract};
 use faucets_load::prelude::*;
 use faucets_net::fd::{FdHandle, FdOptions};
@@ -36,25 +36,20 @@ use faucets_net::federation::FederationOptions;
 use faucets_net::fs::{spawn_fs_durable, FsHandle, FsOptions};
 use faucets_net::prelude::{spawn_appspector, Clock, FaucetsClient, RetryPolicy};
 use std::net::SocketAddr;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const SPEEDUP: f64 = 600.0;
-
-/// Bounded-deadline convergence wait (the experiment-side twin of the
-/// test suite's deflake helper): poll a federation/directory readout,
-/// never sleep an unconditioned interval.
-fn await_until(what: &str, deadline: Duration, ready: impl Fn() -> bool) {
-    let end = Instant::now() + deadline;
-    while !ready() {
-        assert!(Instant::now() < end, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
 
 /// Spawn a `k`-shard federation (all joined through shard 0) and wait for
 /// full-mesh membership convergence. Each shard's client-facing query
 /// capacity is capped at `shard_qps`.
-fn spawn_federation(k: usize, arm: &str, clock: &Clock, shard_qps: f64) -> Vec<FsHandle> {
+fn spawn_federation(
+    r: &mut Report,
+    k: usize,
+    arm: &str,
+    clock: &Clock,
+    shard_qps: f64,
+) -> Vec<FsHandle> {
     let shards: Vec<FsHandle> = (0..k)
         .map(|i| {
             let opts = FsOptions {
@@ -69,101 +64,92 @@ fn spawn_federation(k: usize, arm: &str, clock: &Clock, shard_qps: f64) -> Vec<F
                 .expect("spawn shard")
         })
         .collect();
+    let fed = |s: &FsHandle| s.federation.clone().expect("federated");
     for s in &shards[1..] {
-        s.federation
-            .as_ref()
-            .expect("federated")
-            .join(shards[0].service.addr);
+        fed(s).join(shards[0].service.addr);
     }
-    for s in &shards {
-        let fed = s.federation.as_ref().expect("federated");
-        await_until(
-            &format!("{} to see all {k} shards", fed.name()),
-            Duration::from_secs(20),
-            || fed.alive_members().len() == k,
-        );
-    }
+    r.wait(&format!("every {arm} shard to see all {k}"), || {
+        shards.iter().all(|s| fed(s).alive_members().len() == k)
+    });
     shards
 }
 
-/// One 64-PE commodity FD homed round-robin across the shards, with the
-/// remaining shards as its heartbeat-failover fallbacks.
-fn spawn_daemon(
-    id: u64,
+/// `fds` 64-PE commodity FDs, each homed round-robin across the shards
+/// with the remaining shards as its heartbeat-failover fallbacks; waits
+/// until every registration has landed on its owning shard.
+fn spawn_daemons(
+    r: &mut Report,
+    fds: u64,
     arm: &str,
     shards: &[FsHandle],
     aspect: SocketAddr,
-    clock: Clock,
-) -> FdHandle {
-    let home = id as usize % shards.len();
-    let fallbacks: Vec<SocketAddr> = (1..shards.len())
-        .map(|j| shards[(home + j) % shards.len()].service.addr)
+    clock: &Clock,
+) -> Vec<FdHandle> {
+    let handles = (1..=fds)
+        .map(|id| {
+            let home = id as usize % shards.len();
+            let fs_fallbacks = (1..shards.len())
+                .map(|j| shards[(home + j) % shards.len()].service.addr)
+                .collect();
+            let at = GridTarget::single(shards[home].service.addr, aspect, clock.clone());
+            let opts = FdOptions {
+                fs_fallbacks,
+                ..FdOptions::default()
+            };
+            spawn_daemon(id, &format!("{arm}-cs{id}"), &at, opts)
+        })
         .collect();
-    faucets_bench::spawn_daemon(
-        id,
-        &format!("{arm}-cs{id}"),
-        shards[home].service.addr,
-        aspect,
-        clock,
-        FdOptions {
-            fs_fallbacks: fallbacks,
-            ..FdOptions::default()
-        },
-    )
+    r.wait(
+        &format!("every {arm} FD registration to land on its owning shard"),
+        || registered(shards) == fds,
+    );
+    handles
+}
+
+/// Directory rows across the shards.
+fn registered(shards: &[FsHandle]) -> u64 {
+    shards
+        .iter()
+        .map(|s| s.state.lock().directory.len() as u64)
+        .sum()
 }
 
 fn qos() -> QosContract {
     QosBuilder::new("namd", 4, 16, 100.0).build().unwrap()
 }
 
-fn main() {
-    let smoke = switch("smoke");
-    let rate = flag("rate", if smoke { 100.0f64 } else { 200.0 });
-    let shard_qps = flag("shard-qps", if smoke { 45.0f64 } else { 60.0 });
-    let arm_ms = flag("arm-ms", if smoke { 3_000u64 } else { 5_000 });
-    let drain_ms = flag("drain-ms", if smoke { 5_000u64 } else { 8_000 });
-    let workers = flag("workers", if smoke { 48usize } else { 96 });
-    let watchers = flag("watchers", if smoke { 4usize } else { 8 });
-    let fds = flag("fds", if smoke { 4u64 } else { 8 });
-    let users = flag("users", 2_000u32);
-    let shard_counts: Vec<usize> = if smoke { vec![1, 2] } else { vec![1, 2, 4] };
+fn main() -> ExitCode {
+    let mut report = Report::new("E26", "federation");
+    let smoke = report.switch("smoke");
+    let rate = report.flag("rate", if smoke { 100.0f64 } else { 200.0 });
+    let shard_qps = report.flag("shard-qps", if smoke { 45.0f64 } else { 60.0 });
+    let arm_ms = report.flag("arm-ms", if smoke { 3_000u64 } else { 5_000 });
+    let drain_ms = report.flag("drain-ms", if smoke { 5_000u64 } else { 8_000 });
+    let workers = report.flag("workers", if smoke { 48usize } else { 96 });
+    let watchers = report.flag("watchers", if smoke { 4usize } else { 8 });
+    let fds = report.flag("fds", if smoke { 4u64 } else { 8 });
+    let users = report.flag("users", 2_000u32);
+    report.knob("speedup", SPEEDUP);
+    let shard_counts: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4] };
     let kmax = *shard_counts.last().unwrap();
-    let ratio_floor = if smoke { 1.4 } else { 2.5 };
-
-    println!(
-        "E26 — federated central server: {rate}/s offered, {shard_qps}/s per-shard query cap, \
-         shards {shard_counts:?}, {fds} FDs, speedup {SPEEDUP}x{}\n",
-        if smoke { " (smoke)" } else { "" }
-    );
+    println!("E26 — federated central server: scale-out ladder, then shard-kill chaos\n");
 
     let clock = Clock::new(SPEEDUP);
 
     // Phase 1: the scale-out ladder — identical offered load, growing
     // shard count. The per-shard query cap makes the single shard the
     // bottleneck, so any scaling must come from the federation.
-    let mut ladder: Vec<(usize, LoadReport)> = Vec::new();
+    let mut submitted = vec![];
     for (i, &k) in shard_counts.iter().enumerate() {
         let arm = format!("e26l{i}");
-        let shards = spawn_federation(k, &arm, &clock, shard_qps);
+        let shards = spawn_federation(&mut report, k, &arm, &clock, shard_qps);
         let aspect = spawn_appspector("127.0.0.1:0", shards[0].service.addr, 32).expect("AS");
-        let fd_handles: Vec<FdHandle> = (1..=fds)
-            .map(|id| spawn_daemon(id, &arm, &shards, aspect.service.addr, clock.clone()))
-            .collect();
-        await_until(
-            "every FD registration to land on its owning shard",
-            Duration::from_secs(20),
-            || {
-                shards
-                    .iter()
-                    .map(|s| s.state.lock().directory.len() as u64)
-                    .sum::<u64>()
-                    == fds
-            },
-        );
+        let as_addr = aspect.service.addr;
+        let _fds = spawn_daemons(&mut report, fds, &arm, &shards, as_addr, &clock);
 
         let target = GridTarget {
             fs: shards.iter().map(|s| s.service.addr).collect(),
-            appspector: aspect.service.addr,
+            appspector: as_addr,
             clock: clock.clone(),
         };
         let sched = schedule_for(
@@ -180,213 +166,110 @@ fn main() {
             account_prefix: format!("{arm}-w"),
             ..GridRunOptions::default()
         };
-        let recorder = Recorder::new(&sched.classes, Duration::ZERO);
-        run_against_grid(&sched, &target, &opts, &recorder).expect("ladder arm");
-        let rep = recorder.report(sched.users, opts.workers, SPEEDUP, 0, 0);
-        println!(
-            "E26: {k} shard(s) — offered {:>5.1}/s, submitted {:>5.1}/s, goodput {:>5.1}/s, \
-             shed {:>4.1}%, submit p99 {:>6.1} ms, transport errs {}",
-            rep.offered_per_sec,
-            rep.submitted_per_sec,
-            rep.goodput_per_sec,
-            rep.shed_rate * 100.0,
-            rep.classes[0].submit_ms.p99,
-            rep.transport_errors,
-        );
-        assert_eq!(
-            rep.transport_errors, 0,
-            "{k}-shard arm must be transport-clean (sheds are fine, errors are not)"
-        );
-        ladder.push((k, rep));
-        drop(fd_handles);
+        let rep = run_load(&sched, &target, &opts, Duration::ZERO);
+        let level = format!("ladder.k{k}");
+        report.metrics(&level, &load_fields(&rep));
+        // Transport-clean at every shard count: sheds are fine, errors are
+        // not.
+        let errors = rep.transport_errors;
+        report.gate(&format!("{level}.transport_errors"), errors, Bound::eq(0));
+        if k == kmax {
+            // The full-capacity arm saw real traffic, at a bounded p99.
+            report.gate("ladder.full.submitted", rep.submitted, Bound::gt(0));
+            report.gate("ladder.full.completed", rep.completed, Bound::gt(0));
+            let p99 = rep.classes[0].submit_ms.p99;
+            report.gate("ladder.full.submit_p99_ms", p99, Bound::lt(5_000));
+        }
+        submitted.push(rep.submitted as f64);
     }
-
-    let thr = |k: usize| {
-        ladder
-            .iter()
-            .find(|(n, _)| *n == k)
-            .map(|(_, r)| r.submitted as f64)
-            .expect("ladder arm")
-    };
-    let ratio = thr(kmax) / thr(1).max(1.0);
-    println!(
-        "\nE26: scale-out {kmax} shards vs 1 — {:.0} vs {:.0} submissions ({ratio:.2}x, floor {ratio_floor}x)",
-        thr(kmax),
-        thr(1)
-    );
-    assert!(
-        ratio >= ratio_floor,
-        "federation must scale the capped directory: {ratio:.2}x < {ratio_floor}x"
-    );
-    let full = &ladder.last().unwrap().1;
-    assert!(
-        full.submitted > 0 && full.completed > 0,
-        "full-capacity arm saw real traffic"
-    );
-    let p99 = full.classes[0].submit_ms.p99;
-    assert!(
-        p99.is_finite() && p99 < 5_000.0,
-        "submit p99 at full capacity must stay bounded, got {p99}"
+    // Throughput must come from adding shards.
+    report.gate(
+        "ladder.scaleout_ratio",
+        submitted[submitted.len() - 1] / submitted[0].max(1.0),
+        Bound::ge(if smoke { 1.4 } else { 2.5 }),
     );
 
     // Phase 2: shard-kill chaos. Generous query cap — this phase tests
     // routing and durability, not capacity.
-    let shards = spawn_federation(kmax, "e26x", &clock, 10_000.0);
+    let mut shards = spawn_federation(&mut report, kmax, "e26x", &clock, 10_000.0);
     let aspect = spawn_appspector("127.0.0.1:0", shards[0].service.addr, 32).expect("AS");
-    let fd_handles: Vec<FdHandle> = (1..=fds)
-        .map(|id| spawn_daemon(id, "e26x", &shards, aspect.service.addr, clock.clone()))
-        .collect();
-    await_until("chaos FDs to register", Duration::from_secs(20), || {
-        shards
-            .iter()
-            .map(|s| s.state.lock().directory.len() as u64)
-            .sum::<u64>()
-            == fds
-    });
+    let as_addr = aspect.service.addr;
+    let fd_handles = spawn_daemons(&mut report, fds, "e26x", &shards, as_addr, &clock);
 
     // The client is homed at the shard we are about to kill; every other
     // shard is its failover list.
     let doomed_idx = if kmax > 1 { 1 } else { 0 };
-    let mut client = FaucetsClient::register(
-        shards[doomed_idx].service.addr,
-        aspect.service.addr,
-        clock.clone(),
-        "e26-chaos",
-        "pw",
-    )
-    .expect("chaos client");
+    let home = shards[doomed_idx].service.addr;
+    let mut client = FaucetsClient::register(home, as_addr, clock.clone(), "e26-chaos", "pw")
+        .expect("chaos client");
     client.fs_fallbacks = shards
         .iter()
-        .enumerate()
-        .filter(|(i, _)| *i != doomed_idx)
-        .map(|(_, s)| s.service.addr)
+        .map(|s| s.service.addr)
+        .filter(|a| *a != home)
         .collect();
     client.retry = RetryPolicy::none(); // fail over on the first refusal
 
     let batch = 30u64;
-    for _ in 0..batch {
-        client
-            .submit(qos(), &[])
-            .expect("pre-kill submission acked");
-    }
+    let mut submit_batch = |gate: &str, report: &mut Report| {
+        let acked = (0..batch)
+            .filter(|_| client.submit(qos(), &[]).is_ok())
+            .count();
+        report.gate(gate, acked, Bound::eq(batch));
+    };
+    submit_batch("chaos.acked_before_the_kill", &mut report);
 
-    let mut shards = shards;
-    let survivors_expected = kmax - 1;
-    let epochs: Vec<u64> = shards
-        .iter()
-        .map(|s| s.federation.as_ref().unwrap().ring_epoch())
-        .collect();
+    let fed = |s: &FsHandle| s.federation.clone().expect("federated");
     let doomed = shards.remove(doomed_idx);
-    let doomed_name = doomed.federation.as_ref().unwrap().name().to_string();
-    println!("\nE26: killing shard {doomed_name} with {batch} acked awards in flight");
+    let epochs: Vec<u64> = shards.iter().map(|s| fed(s).ring_epoch()).collect();
+    println!(
+        "\nE26: killing shard {} with {batch} acked awards in flight",
+        fed(&doomed).name()
+    );
     drop(doomed);
 
-    if survivors_expected > 0 {
-        await_until(
+    if !shards.is_empty() {
+        report.wait(
             "survivors to grade the dead shard and heal the ring",
-            Duration::from_secs(30),
             || {
-                shards.iter().enumerate().all(|(i, s)| {
-                    let fed = s.federation.as_ref().unwrap();
-                    let before = epochs[i + usize::from(i >= doomed_idx)];
-                    fed.alive_members().len() == survivors_expected && fed.ring_epoch() > before
+                shards.iter().zip(&epochs).all(|(s, before)| {
+                    fed(s).alive_members().len() == shards.len() && fed(s).ring_epoch() > *before
                 })
             },
         );
     }
     // Orphaned registrations (rows whose owner died) come back as each FD's
     // heartbeat fails over and re-registers against the healed ring.
-    await_until(
-        "every FD to re-register with a surviving shard",
-        Duration::from_secs(30),
-        || {
-            shards
-                .iter()
-                .map(|s| s.state.lock().directory.len() as u64)
-                .sum::<u64>()
-                == fds
-        },
-    );
+    report.wait("every FD to re-register with a surviving shard", || {
+        registered(&shards) == fds
+    });
 
     // FDs homed at the dead shard verify bid tokens wherever their pump
     // currently points; wait for each to have rotated to a survivor, or
     // the post-kill bids below could still be verified against a corpse.
-    let doomed_homed: Vec<u64> = (1..=fds)
-        .filter(|id| *id as usize % kmax == doomed_idx)
-        .collect();
-    await_until(
+    report.wait(
         "FDs homed at the dead shard to rotate to a survivor",
-        Duration::from_secs(30),
         || {
             let snap = faucets_telemetry::global().snapshot();
-            doomed_homed.iter().all(|id| {
-                let name = format!("e26x-cs{id}");
-                snap.counter_sum("fd_fs_failovers_total", &[("cluster", &name)]) >= 1
-            })
+            (1..=fds)
+                .filter(|id| *id as usize % kmax == doomed_idx)
+                .all(|id| {
+                    let name = format!("e26x-cs{id}");
+                    snap.counter_sum("fd_fs_failovers_total", &[("cluster", &name)]) >= 1
+                })
         },
     );
 
     // The client's account and session died with its shard: submissions
     // must keep succeeding through failover + re-authentication.
-    for _ in 0..batch {
-        client
-            .submit(qos(), &[])
-            .expect("post-kill submission acked");
-    }
+    submit_batch("chaos.acked_after_the_kill", &mut report);
 
     // Zero acked-award loss: everything acknowledged — before or after the
     // kill — runs to completion on some FD.
-    await_until(
-        "every acked submission to complete",
-        Duration::from_secs(60),
-        || fd_handles.iter().map(|f| f.completed()).sum::<u64>() >= 2 * batch,
-    );
-    let completed: u64 = fd_handles.iter().map(|f| f.completed()).sum();
-    println!(
-        "E26: chaos — {} submissions acked across the kill, {completed} completed, \
-         ring epoch healed on {} survivor(s)",
-        2 * batch,
-        shards.len()
-    );
-
-    let chaos = serde_json::json!({
-        "killed_shard": doomed_name,
-        "acked_submissions": 2 * batch,
-        "completed": completed,
-        "survivors": shards.len(),
+    let completed = || fd_handles.iter().map(|f| f.completed()).sum::<u64>();
+    report.wait("every acked submission to complete", || {
+        completed() >= 2 * batch
     });
-    let report = serde_json::json!({
-        "experiment": "E26",
-        "smoke": smoke,
-        "speedup": SPEEDUP,
-        "rate_per_sec": rate,
-        "per_shard_query_cap": shard_qps,
-        "fds": fds,
-        "workers": workers,
-        "ladder": ladder
-            .iter()
-            .map(|(k, rep)| {
-                serde_json::json!({
-                    "shards": k,
-                    "offered_per_sec": rep.offered_per_sec,
-                    "submitted_per_sec": rep.submitted_per_sec,
-                    "goodput_per_sec": rep.goodput_per_sec,
-                    "shed_rate": rep.shed_rate,
-                    "submit_p99_ms": rep.classes[0].submit_ms.p99,
-                    "transport_errors": rep.transport_errors,
-                })
-            })
-            .collect::<Vec<_>>(),
-        "scaleout_ratio": ratio,
-        "scaleout_floor": ratio_floor,
-        "chaos": chaos,
-        "verdict": "PASS",
-    });
-    std::fs::write(
-        "BENCH_federation.json",
-        serde_json::to_vec_pretty(&report).unwrap(),
-    )
-    .expect("write BENCH_federation.json");
-
-    println!("\nE26 PASS — wrote BENCH_federation.json");
+    report.metric("chaos.completed", completed(), "count");
+    report.metric("chaos.survivors", shards.len(), "count");
+    report.finish()
 }

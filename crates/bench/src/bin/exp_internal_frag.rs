@@ -11,7 +11,7 @@
 //! moment A needs more than the free 500 processors, rigid policies hold it
 //! for hours while adaptive ones start it at once.
 
-use faucets_bench::{emit, flag};
+use faucets_bench::{ExitCode, Report};
 use faucets_core::ids::{ClusterId, ContractId, JobId, UserId};
 use faucets_core::job::JobSpec;
 use faucets_core::money::Money;
@@ -46,8 +46,9 @@ fn job_a(at: SimTime, pes: u32) -> JobSpec {
     JobSpec::new(JobId(2), UserId(2), qos, at).unwrap()
 }
 
-fn main() {
-    let resize_scale: f64 = flag("resize-scale", 1.0);
+fn main() -> ExitCode {
+    let mut report = Report::new("E2", "internal_frag");
+    let resize_scale: f64 = report.flag("resize-scale", 1.0);
     let arrival = SimTime::from_secs(60);
 
     let mut table = Table::new(
@@ -93,7 +94,7 @@ fn main() {
             ]);
         }
     }
-    emit(&table);
+    report.table(&table);
     println!(
         "Paper shape: up to 500 PEs everyone starts A immediately; beyond 500,\n\
          rigid policies (fcfs, easy-backfill) make A wait for B's completion\n\
@@ -101,4 +102,5 @@ fn main() {
          once. The profit policy does the same whenever A's payoff covers B's\n\
          delay loss."
     );
+    report.finish()
 }

@@ -14,7 +14,7 @@
 //! the cost of low-priority restarts; fair sharing helps both classes
 //! equally; FCFS makes the VP's job wait behind everyone's batch runs.
 
-use faucets_bench::{emit, standard_mix};
+use faucets_bench::{standard_mix, ExitCode, Report};
 use faucets_core::ids::{ClusterId, ContractId, JobId, UserId};
 use faucets_core::job::JobSpec;
 use faucets_core::money::Money;
@@ -28,7 +28,8 @@ use faucets_sim::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn main() {
+fn main() -> ExitCode {
+    let mut report = Report::new("E13", "intranet");
     let pes = 256u32;
     let horizon = SimTime::ZERO + SimDuration::from_hours(48);
 
@@ -119,7 +120,7 @@ fn main() {
             done.len().to_string(),
         ]);
     }
-    emit(&table);
+    report.table(&table);
     println!(
         "Paper shape (§5.5.4): under rigid scheduling, priorities + preemption\n\
          cut high-priority waiting ~3x below FCFS, with low-priority jobs\n\
@@ -128,4 +129,5 @@ fn main() {
          mechanism — beats both classes of the rigid policies outright,\n\
          which is exactly the argument of §4."
     );
+    report.finish()
 }

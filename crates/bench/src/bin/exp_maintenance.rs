@@ -8,23 +8,15 @@
 //! Server) against the pre-grid behaviour (jobs wait out the window),
 //! sweeping the window length.
 
-use faucets_bench::{emit, standard_mix};
-use faucets_core::market::SelectionPolicy;
+use faucets_bench::{market, ExitCode, Report};
 use faucets_grid::prelude::*;
 use faucets_sim::time::{SimDuration, SimTime};
 
 fn run(window_hours: u64, migrate: bool) -> GridWorld {
-    let sim = ScenarioBuilder::new(1500)
+    let sim = market(1500, 8, SimDuration::from_secs(90), 24)
         .cluster(256, "equipartition", "baseline")
         .cluster(128, "equipartition", "baseline")
         .cluster(128, "equipartition", "baseline")
-        .users(8)
-        .mode(MarketMode::Bidding(SelectionPolicy::LeastCost))
-        .arrivals(ArrivalProcess::Poisson {
-            mean_interarrival: SimDuration::from_secs(90),
-        })
-        .mix(standard_mix())
-        .horizon(SimDuration::from_hours(24))
         .maintenance(
             0,
             SimTime::from_hours(6),
@@ -35,7 +27,8 @@ fn run(window_hours: u64, migrate: bool) -> GridWorld {
     run_scenario(sim)
 }
 
-fn main() {
+fn main() -> ExitCode {
+    let mut report = Report::new("E15", "maintenance");
     let mut table = Table::new(
         "E15: maintenance drain of the big cluster at t=6h — migrate vs wait",
         &[
@@ -67,11 +60,12 @@ fn main() {
             ]);
         }
     }
-    emit(&table);
+    report.table(&table);
     println!(
         "Paper shape: migration keeps response times near the no-maintenance\n\
          level and avoids deadline misses; waiting out the window hurts in\n\
          proportion to its length — the babysitting cost §1 sets out to\n\
          eliminate."
     );
+    report.finish()
 }

@@ -7,20 +7,16 @@
 //!    request counter, read back through each service's `Metrics` endpoint;
 //! 2. reconstructs one awarded job's end-to-end trace (client → FS match →
 //!    RFB fan-out → award → staging) from the span log and prints the tree;
-//! 3. runs a faulted client (seeded frame drops on its own traffic) and
-//!    asserts the PR-1 retry path shows up in `net_call_retries_total`
-//!    instead of being inferred from sleeps;
-//! 4. fetches the AppSpector grid dashboard (`GridView`) and prints it;
+//! 3. fetches the AppSpector grid dashboard (`GridView`) and prints it;
+//! 4. runs a faulted caller (every frame it sends is lost) and asserts the
+//!    PR-1 retry path shows up in `net_call_retries_total`, one count per
+//!    backoff decision, instead of being inferred from sleeps;
 //! 5. A/B-measures collector overhead with the global kill switch on the
 //!    two hot paths the microbenchmarks cover — `Directory::candidates`
 //!    (bench_matching) and the cluster submit→run→complete cycle
 //!    (bench_scheduler) — and asserts < 5 %.
-//!
-//! Writes `BENCH_observability.json` with the edge counts, trace size,
-//! retry count, and overhead percentages.
 
-use faucets_bench::{flag, qos_for};
-use faucets_core::daemon::FaucetsDaemon;
+use faucets_bench::{figure1_scenario, Bound, ExitCode, Report};
 use faucets_core::directory::{Directory, FilterLevel, ServerInfo, ServerStatus};
 use faucets_core::ids::{ClusterId, ContractId, JobId, UserId};
 use faucets_core::job::JobSpec;
@@ -47,61 +43,17 @@ fn metrics_of(addr: SocketAddr) -> MetricsSnapshot {
     }
 }
 
-/// One Figure-1 arrow: requests of `endpoint` served by `service` must have
-/// been counted at least once.
-fn assert_edge(snap: &MetricsSnapshot, service: &str, endpoint: &str) -> u64 {
-    let n = snap.counter_sum(
-        "net_requests_total",
-        &[("service", service), ("endpoint", endpoint)],
-    );
-    assert!(
-        n > 0,
-        "Figure-1 edge {service}/{endpoint} has a zero counter"
-    );
-    println!("  {service:<12} {endpoint:<16} {n}");
-    n
-}
-
-/// Median-of-runs wall time for `f`, with one warmup.
-fn time_secs(mut f: impl FnMut(), runs: usize) -> f64 {
-    f(); // warmup
-    let mut samples: Vec<f64> = (0..runs)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
-}
-
 fn matching_workload() -> (Directory, Vec<QosContract>) {
     let mut d = Directory::new(SimDuration::from_secs(120));
     for i in 0..1_000usize {
         let pes = 16u32 << (i % 6);
-        d.register(
-            ServerInfo {
-                cluster: ClusterId(i as u64),
-                name: format!("cs{i}"),
-                total_pes: pes,
-                mem_per_pe_mb: if i % 3 == 0 { 512 } else { 2048 },
-                cpu_type: "x86-64".into(),
-                flops_per_pe_sec: 1e9,
-                fd_addr: "10.0.0.1".into(),
-                fd_port: 9000,
-                replicas: vec![],
-            },
-            [
-                "namd".to_string(),
-                if i % 2 == 0 {
-                    "cfd".to_string()
-                } else {
-                    "qmc".to_string()
-                },
-            ],
-            SimTime::ZERO,
-        );
+        let info = ServerInfo {
+            mem_per_pe_mb: if i % 3 == 0 { 512 } else { 2048 },
+            ..MachineSpec::commodity(ClusterId(i as u64), format!("cs{i}"), pes)
+                .server_info("10.0.0.1", 9000)
+        };
+        let apps = ["namd", if i % 2 == 0 { "cfd" } else { "qmc" }];
+        d.register(info, apps.map(String::from), SimTime::ZERO);
         d.heartbeat(
             ClusterId(i as u64),
             ServerStatus {
@@ -160,251 +112,166 @@ fn scheduler_pass(cycles: usize) {
     }
 }
 
-/// (enabled_secs, disabled_secs, overhead_pct) for one A/B pair.
+/// (enabled_secs, disabled_secs, overhead_pct) of `f` with the collector
+/// on and off: the medians over `runs` back-to-back pairs, and the median
+/// of the pairs' own on/off ratios. A pair's two runs are milliseconds
+/// apart, so a drift of the box lands on both, the order inside a pair
+/// alternates, and a median does not see the pair a neighbour disturbed:
+/// on a shared 2-core box block medians swung ±14 % and even each arm's
+/// fastest run of 100 swung ±10 %.
 fn ab_overhead(mut f: impl FnMut(), runs: usize) -> (f64, f64, f64) {
-    set_enabled(true);
-    let on = time_secs(&mut f, runs);
-    set_enabled(false);
-    let off = time_secs(&mut f, runs);
-    set_enabled(true);
-    let pct = if off > 0.0 {
-        (on - off) / off * 100.0
-    } else {
-        0.0
+    let mut timed = |enabled: bool| {
+        set_enabled(enabled);
+        let t = Instant::now();
+        f();
+        t.elapsed().as_secs_f64()
     };
-    (on, off, pct)
+    timed(true); // warmup
+    let mut pairs: Vec<(f64, f64)> = (0..runs)
+        .map(|i| match i % 2 {
+            0 => (timed(true), timed(false)),
+            _ => {
+                let off = timed(false);
+                (timed(true), off)
+            }
+        })
+        .collect();
+    set_enabled(true);
+    let mut median = |key: fn(&(f64, f64)) -> f64| {
+        pairs.sort_by(|a, b| key(a).total_cmp(&key(b)));
+        key(&pairs[pairs.len() / 2])
+    };
+    let ratio = median(|(on, off)| on / off.max(1e-12));
+    (median(|p| p.0), median(|p| p.1), (ratio - 1.0) * 100.0)
 }
 
-fn main() {
-    let jobs_per_client: usize = flag("jobs", 3);
-    let overhead_runs: usize = flag("overhead-runs", 5);
+fn main() -> ExitCode {
+    let mut report = Report::new("E20", "observability");
+    let jobs_per_client: usize = report.flag("jobs", 3);
+    let overhead_runs: usize = report.flag("overhead-runs", 100);
     let clock = Clock::new(3_000.0);
 
     // ---- 1. The E1 live stack, telemetry on. -------------------------
-    let fs = spawn_fs("127.0.0.1:0", clock.clone(), 1).expect("FS");
-    let aspect = spawn_appspector("127.0.0.1:0", fs.service.addr, 64).expect("AppSpector");
-    let mut fds = vec![];
-    for (i, pes, strat) in [
-        (1u64, 128u32, "baseline"),
-        (2, 256, "util-interp"),
-        (3, 512, "baseline"),
-    ] {
-        let machine = MachineSpec::commodity(ClusterId(i), format!("cs{i}"), pes);
-        let daemon = FaucetsDaemon::new(
-            machine.server_info("127.0.0.1", 0),
-            ["namd".to_string(), "cfd".to_string()],
-            faucets_grid::scenario::strategy_by_name(strat),
-            Money::from_units_f64(0.01),
-        );
-        let cluster = Cluster::new(machine, Box::new(Equipartition), ResizeCostModel::default());
-        fds.push(
-            spawn_fd(
-                "127.0.0.1:0",
-                daemon,
-                cluster,
-                fs.service.addr,
-                aspect.service.addr,
-                clock.clone(),
-            )
-            .expect("FD"),
-        );
-    }
-
-    let mut clients: Vec<FaucetsClient> = (0..2)
-        .map(|i| {
-            FaucetsClient::register(
-                fs.service.addr,
-                aspect.service.addr,
-                clock.clone(),
-                &format!("user{i}"),
-                "pw",
-            )
-            .expect("client")
-        })
-        .collect();
-
-    let mut placed = vec![];
-    for c in clients.iter_mut() {
-        for j in 0..jobs_per_client {
-            let qos = qos_for(
-                &clock,
-                if j % 2 == 0 { "namd" } else { "cfd" },
-                8.0 * 400.0,
-                4,
-            );
-            let sub = c
-                .submit(qos, &[("in.dat".into(), vec![0u8; 1024])])
-                .expect("placed");
-            placed.push((c.user, sub));
-        }
-    }
-    let awarded_trace = clients[0].last_trace.expect("submit recorded its trace");
-    for c in clients.iter_mut() {
-        for (owner, sub) in &placed {
-            if *owner == c.user {
-                c.wait(sub.job, Duration::from_secs(60)).expect("completes");
-                let _ = c.download(sub.job, "output.dat").expect("output downloads");
-            }
-        }
-    }
+    let mut grid = figure1_scenario(&clock, jobs_per_client);
+    let (fs, aspect) = (grid.fs.service.addr, grid.aspect.service.addr);
+    let awarded_trace = grid.clients[0]
+        .last_trace
+        .expect("submit recorded its trace");
 
     // ---- 2. Every Figure-1 arrow has a nonzero counter. --------------
-    println!("E20: Figure-1 edges (service, endpoint, requests served)");
-    let fs_snap = metrics_of(fs.service.addr);
-    let mut edge_counts = serde_json::Map::new();
-    for (service, endpoint, snap) in [
+    // One arrow: requests of `endpoint` served by `service`, read back
+    // through a Metrics endpoint. The three daemons share this process's
+    // registry, so the first FD answers for all of them.
+    let fs_snap = metrics_of(fs);
+    let fd_snap = metrics_of(grid.fds[0].service.addr);
+    let as_snap = metrics_of(aspect);
+    for (snap, service, endpoints) in [
         // client → FS and FD → FS arrows.
-        ("fs", "CreateUser", &fs_snap),
-        ("fs", "Login", &fs_snap),
-        ("fs", "ListServers", &fs_snap),
-        ("fs", "VerifyToken", &fs_snap),
-        ("fs", "RegisterCluster", &fs_snap),
-        ("fs", "Heartbeat", &fs_snap),
-    ] {
-        edge_counts.insert(
-            format!("{service}/{endpoint}"),
-            assert_edge(snap, service, endpoint).into(),
-        );
-    }
-    let fd_snap = metrics_of(fds[0].service.addr);
-    for (service, endpoint) in [
-        // client → FD arrows (counted across all three daemons — they share
-        // this process's registry).
-        ("fd", "RequestBid"),
-        ("fd", "Award"),
-        ("fd", "UploadFile"),
-    ] {
-        edge_counts.insert(
-            format!("{service}/{endpoint}"),
-            assert_edge(&fd_snap, service, endpoint).into(),
-        );
-    }
-    let as_snap = metrics_of(aspect.service.addr);
-    for (service, endpoint) in [
+        (
+            &fs_snap,
+            "fs",
+            &[
+                "CreateUser",
+                "Login",
+                "ListServers",
+                "VerifyToken",
+                "RegisterCluster",
+                "Heartbeat",
+            ][..],
+        ),
+        // client → FD arrows.
+        (&fd_snap, "fd", &["RequestBid", "Award", "UploadFile"][..]),
         // FD → AS and client → AS arrows.
-        ("appspector", "RegisterJob"),
-        ("appspector", "CompleteJob"),
-        ("appspector", "Watch"),
-        ("appspector", "Download"),
+        (
+            &as_snap,
+            "appspector",
+            &["RegisterJob", "CompleteJob", "Watch", "Download"][..],
+        ),
     ] {
-        edge_counts.insert(
-            format!("{service}/{endpoint}"),
-            assert_edge(&as_snap, service, endpoint).into(),
-        );
+        for endpoint in endpoints {
+            let labels = [("service", service), ("endpoint", *endpoint)];
+            let n = snap.counter_sum("net_requests_total", &labels);
+            let edge = format!("figure1_edge.{service}/{endpoint}");
+            report.gate(&edge, n, Bound::gt(0));
+        }
     }
     let latency = fs_snap.histogram_sum("net_request_seconds", &[("service", "fs")]);
-    assert!(latency.count > 0, "FS latency histogram populated");
-    println!(
-        "  FS served {} requests, mean {:.6}s, p95 {:.6}s",
-        latency.count,
-        latency.mean(),
-        latency.quantile(0.95)
-    );
+    report.gate("fs_latency.samples", latency.count, Bound::gt(0));
+    report.metric("fs_latency.mean_s", latency.mean(), "s");
+    report.metric("fs_latency.p95_s", latency.quantile(0.95), "s");
 
     // ---- 3. Reconstruct the awarded job's end-to-end trace. ----------
     let spans = trace::spans_for(awarded_trace);
-    for needed in ["client", "fs", "fd"] {
-        assert!(
-            spans.iter().any(|s| s.service == needed),
-            "trace {awarded_trace} is missing {needed} spans"
-        );
+    // The match step, the RFB fan-out and the award, each under the one
+    // trace id the client started.
+    for (service, name) in [
+        ("client", None),
+        ("fs", Some("ListServers")),
+        ("fd", Some("RequestBid")),
+        ("fd", Some("Award")),
+    ] {
+        let seen = spans
+            .iter()
+            .any(|s| s.service == service && name.is_none_or(|n| s.name == n));
+        let step = format!("trace.has.{service}/{}", name.unwrap_or("*"));
+        report.check(&step, seen);
     }
-    assert!(
-        spans
-            .iter()
-            .any(|s| s.service == "fs" && s.name == "ListServers"),
-        "trace shows the FS match step"
-    );
-    assert!(
-        spans
-            .iter()
-            .any(|s| s.service == "fd" && s.name == "RequestBid"),
-        "trace shows the RFB fan-out"
-    );
-    assert!(
-        spans.iter().any(|s| s.service == "fd" && s.name == "Award"),
-        "trace shows the award"
-    );
-    println!(
-        "\nE20: end-to-end trace of the first awarded job ({} spans):",
-        spans.len()
-    );
+    report.metric("trace.spans", spans.len(), "count");
+    println!("\nE20: end-to-end trace {awarded_trace} of the first awarded job:");
     print!("{}", trace::render_trace(awarded_trace));
 
-    // ---- 4. Faulted client: retries are counted, not slept-for. ------
-    let retries_before = faucets_telemetry::global()
-        .snapshot()
-        .counter_sum("net_call_retries_total", &[]);
-    let mut chaotic = FaucetsClient::register(
-        fs.service.addr,
-        aspect.service.addr,
-        clock.clone(),
-        "chaos",
-        "pw",
-    )
-    .expect("chaos client");
-    chaotic.faults = Some(Arc::new(FaultPlan::new(0xE20, FaultConfig::flaky())));
-    chaotic.retry = RetryPolicy::standard(0xE20);
-    // Under frame drops the submission may or may not land; the telemetry
-    // contract is only that every backoff decision is counted.
-    let _ = chaotic.submit(qos_for(&clock, "namd", 8.0 * 400.0, 4), &[]);
-    let retries = faucets_telemetry::global()
-        .snapshot()
-        .counter_sum("net_call_retries_total", &[])
-        - retries_before;
-    assert!(retries > 0, "faulted client produced no counted retries");
-    println!("\nE20: faulted client counted {retries} transport retries");
-
-    // ---- 5. The grid dashboard. --------------------------------------
-    let view = clients[0].grid_view().expect("grid view");
-    assert_eq!(
-        view.clusters.len(),
-        3,
-        "all three clusters on the dashboard"
-    );
-    assert!(
-        view.services.len() >= 2,
-        "FS + FDs + AS snapshots aggregated"
-    );
+    // ---- 4. The grid dashboard. --------------------------------------
+    let view = grid.clients[0].grid_view().expect("grid view");
+    // All three clusters, and the FS + FDs + AS snapshots aggregated.
+    report.gate("dashboard.clusters", view.clusters.len(), Bound::eq(3));
+    report.gate("dashboard.services", view.services.len(), Bound::ge(2));
     println!("\n{}", view.render());
 
-    drop(clients);
-    for fd in fds {
+    // ---- 5. Faulted client: retries are counted, not slept-for. ------
+    // A caller that loses every frame it sends (`drop: 1.0`): whatever the
+    // frames' bytes (they carry per-process trace ids, so any plan that
+    // decides by them is seeded in name only), each attempt times out and
+    // every backoff decision is counted: attempts − 1 retries, exactly.
+    let retries = || {
+        faucets_telemetry::global()
+            .snapshot()
+            .counter_sum("net_call_retries_total", &[])
+    };
+    let retries_before = retries();
+    let lossy = FaultConfig {
+        drop: 1.0,
+        ..FaultConfig::none()
+    };
+    let opts = CallOptions {
+        faults: Some(Arc::new(FaultPlan::new(0xE20, lossy))),
+        retry: RetryPolicy::standard(0xE20),
+        timeouts: Timeouts::both(Duration::from_millis(50)),
+        ..CallOptions::default()
+    };
+    let lost = call_with(fs, &Request::Metrics, &opts);
+    report.check("faulted_client.call_failed", lost.is_err());
+    let backoffs = Bound::eq(opts.retry.attempts - 1);
+    report.gate(
+        "faulted_client.counted_retries",
+        retries() - retries_before,
+        backoffs,
+    );
+
+    drop(grid.clients);
+    for fd in grid.fds {
         fd.shutdown();
     }
 
     // ---- 6. Collector overhead A/B on the microbenchmark loops. ------
     let (mut dir, jobs) = matching_workload();
     let (match_on, match_off, match_pct) =
-        ab_overhead(|| matching_pass(&mut dir, &jobs, 20_000), overhead_runs);
-    let (sched_on, sched_off, sched_pct) = ab_overhead(|| scheduler_pass(40), overhead_runs);
-    println!(
-        "E20: overhead — matching {match_pct:+.2}% ({match_on:.4}s vs {match_off:.4}s), \
-         scheduler {sched_pct:+.2}% ({sched_on:.4}s vs {sched_off:.4}s)"
-    );
-    assert!(
-        match_pct < 5.0,
-        "matching overhead {match_pct:.2}% exceeds 5%"
-    );
-    assert!(
-        sched_pct < 5.0,
-        "scheduler overhead {sched_pct:.2}% exceeds 5%"
-    );
-
-    // ---- 7. BENCH_observability.json. --------------------------------
-    let report = serde_json::json!({
-        "experiment": "E20",
-        "figure1_edges": edge_counts,
-        "trace": { "id": format!("{awarded_trace}"), "spans": spans.len() },
-        "faulted_client_retries": retries,
-        "dashboard_clusters": view.clusters.len(),
-        "overhead_pct": { "matching": match_pct, "scheduler": sched_pct },
-        "verdict": "PASS",
-    });
-    std::fs::write(
-        "BENCH_observability.json",
-        serde_json::to_vec_pretty(&report).unwrap(),
-    )
-    .expect("write BENCH_observability.json");
-    println!("\nE20 PASS — wrote BENCH_observability.json");
+        ab_overhead(|| matching_pass(&mut dir, &jobs, 1_000), overhead_runs);
+    let (sched_on, sched_off, sched_pct) = ab_overhead(|| scheduler_pass(10), overhead_runs);
+    report.metric("overhead.matching_on_s", match_on, "s");
+    report.metric("overhead.matching_off_s", match_off, "s");
+    report.metric("overhead.scheduler_on_s", sched_on, "s");
+    report.metric("overhead.scheduler_off_s", sched_off, "s");
+    report.gate("overhead.matching_pct", match_pct, Bound::lt(5));
+    report.gate("overhead.scheduler_pct", sched_pct, Bound::lt(5));
+    report.finish()
 }

@@ -9,15 +9,15 @@
 //! deadline misses low, and earns the most payoff. `--lookahead-mins <m>`
 //! runs the lookahead-depth ablation (plumbed through the policy default).
 
-use faucets_bench::{deadline_tight_mix, emit, flag};
-use faucets_core::market::SelectionPolicy;
+use faucets_bench::{deadline_tight_mix, market, ExitCode, Report};
 use faucets_grid::prelude::*;
 use faucets_grid::workload::Workload;
 use faucets_sim::time::{SimDuration, SimTime};
 
-fn main() {
-    let pes: u32 = flag("pes", 256);
-    let hours: u64 = flag("hours", 48);
+fn main() -> ExitCode {
+    let mut report = Report::new("E5", "profit_sched");
+    let pes: u32 = report.flag("pes", 256);
+    let hours: u64 = report.flag("hours", 48);
     let mix = deadline_tight_mix();
 
     let mut table = Table::new(
@@ -37,15 +37,9 @@ fn main() {
     for rho in [0.8, 1.1, 1.4] {
         let inter = Workload::interarrival_for_load(&mix, rho, pes);
         for policy in ["fcfs", "equipartition", "profit"] {
-            let sim = ScenarioBuilder::new(577)
+            let sim = market(577, 6, inter, hours)
                 .cluster(pes, policy, "baseline")
-                .users(6)
-                .mode(MarketMode::Bidding(SelectionPolicy::LeastCost))
-                .arrivals(ArrivalProcess::Poisson {
-                    mean_interarrival: inter,
-                })
                 .mix(mix.clone())
-                .horizon(SimDuration::from_hours(hours))
                 .build();
             let mut w = run_scenario(sim);
             let node = w.nodes.values_mut().next().unwrap();
@@ -71,7 +65,7 @@ fn main() {
             ]);
         }
     }
-    emit(&table);
+    report.table(&table);
     println!(
         "Paper shape: past saturation (rho > 1), accept-all policies miss\n\
          deadlines wholesale and bleed penalties; the profit scheduler\n\
@@ -79,4 +73,5 @@ fn main() {
          (Rejected = declined at bid time by the admission probe plus\n\
          dropped by the scheduler after acceptance.)"
     );
+    report.finish()
 }

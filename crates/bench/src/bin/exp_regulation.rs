@@ -9,30 +9,25 @@
 //! would pay it). We sweep the regulator: none, reject-outliers, and
 //! clamp-to-band.
 
-use faucets_bench::{emit, standard_mix};
+use faucets_bench::{market, ExitCode, Report};
 use faucets_core::market::{BandAction, Regulator, SelectionPolicy};
 use faucets_grid::prelude::*;
 use faucets_sim::time::SimDuration;
 
 fn run(reg: Option<Regulator>) -> GridWorld {
-    let mut b = ScenarioBuilder::new(1801)
+    let mut b = market(1801, 8, SimDuration::from_secs(90), 24)
         .cluster(256, "equipartition", "baseline")
         .cluster(256, "equipartition", "util-interp")
         .cluster(512, "equipartition", "fixed:40.0") // the gouger: biggest machine
-        .users(8)
-        .mode(MarketMode::Bidding(SelectionPolicy::EarliestCompletion))
-        .arrivals(ArrivalProcess::Poisson {
-            mean_interarrival: SimDuration::from_secs(90),
-        })
-        .mix(standard_mix())
-        .horizon(SimDuration::from_hours(24));
+        .mode(MarketMode::Bidding(SelectionPolicy::EarliestCompletion));
     if let Some(r) = reg {
         b = b.regulator(r);
     }
     run_scenario(b.build())
 }
 
-fn main() {
+fn main() -> ExitCode {
+    let mut report = Report::new("E18", "regulation");
     let mut table = Table::new(
         "E18: price-band regulation vs a 40x gouger (earliest-completion clients, 24 h)",
         &[
@@ -82,7 +77,7 @@ fn main() {
             f2(w.stats.response.mean()),
         ]);
     }
-    emit(&table);
+    report.table(&table);
     println!(
         "Paper shape (§5.5.1): with price-indifferent clients, the gouger\n\
          monetizes its big machine freely; banding the market to 3x of the\n\
@@ -90,4 +85,5 @@ fn main() {
          rejection (work moves to honest servers) or by clamping (the\n\
          gouger serves at a lawful price)."
     );
+    report.finish()
 }

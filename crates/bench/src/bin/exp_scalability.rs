@@ -14,16 +14,16 @@
 //! static+dynamic filtering cuts it by the fraction of servers that cannot
 //! run each job, without changing placement quality.
 
-use faucets_bench::{emit, flag, standard_mix};
+use faucets_bench::{market, standard_mix, ExitCode, Report};
 use faucets_core::directory::FilterLevel;
-use faucets_core::market::SelectionPolicy;
 use faucets_grid::prelude::*;
 use faucets_sim::time::SimDuration;
 use std::time::Instant;
 
-fn main() {
-    let hours: u64 = flag("hours", 6);
-    let interarrival: u64 = flag("interarrival-secs", 30);
+fn main() -> ExitCode {
+    let mut report = Report::new("E9", "scalability");
+    let hours: u64 = report.flag("hours", 6);
+    let interarrival: u64 = report.flag("interarrival-secs", 30);
 
     let mut table = Table::new(
         format!("E9: broker scalability — {hours} h at one job per {interarrival} s"),
@@ -44,18 +44,12 @@ fn main() {
             ("static", FilterLevel::Static),
             ("static+dynamic", FilterLevel::StaticAndDynamic),
         ] {
-            let mut b = ScenarioBuilder::new(901)
-                .users(16)
-                .mode(MarketMode::Bidding(SelectionPolicy::LeastCost))
-                .arrivals(ArrivalProcess::Poisson {
-                    mean_interarrival: SimDuration::from_secs(interarrival),
-                })
+            let mut b = market(901, 16, SimDuration::from_secs(interarrival), hours)
                 .mix(faucets_grid::workload::JobMix {
                     log2_min_pes: (3, 8), // min 8..256 PEs
                     ..standard_mix()
                 })
-                .filter(filter)
-                .horizon(SimDuration::from_hours(hours));
+                .filter(filter);
             // Diverse sizes so static filtering has something to reject:
             // sizes cycle 16..512 against 8..256-PE minimum requests.
             for i in 0..n_servers {
@@ -76,7 +70,7 @@ fn main() {
             ]);
         }
     }
-    emit(&table);
+    report.table(&table);
     println!(
         "Paper shape: broadcast RFBs/job equals the server count; filtering\n\
          removes the servers that cannot run each job. Broker wall-time per\n\
@@ -84,4 +78,5 @@ fn main() {
          faucets-bench` (bench_matching) for the matched-jobs/second\n\
          microbenchmark behind the millions-of-jobs-per-day claim."
     );
+    report.finish()
 }

@@ -9,16 +9,16 @@
 //! the gap widening as ρ grows; backfilling sits between FCFS and adaptive.
 //! `--resize-scale <x>` runs the resize-overhead ablation.
 
-use faucets_bench::{emit, flag, standard_mix};
-use faucets_core::market::SelectionPolicy;
+use faucets_bench::{market, standard_mix, ExitCode, Report};
 use faucets_grid::prelude::*;
 use faucets_grid::workload::Workload;
 use faucets_sim::time::{SimDuration, SimTime};
 
-fn main() {
-    let resize_scale: f64 = flag("resize-scale", 1.0);
-    let pes: u32 = flag("pes", 256);
-    let hours: u64 = flag("hours", 48);
+fn main() -> ExitCode {
+    let mut report = Report::new("E4", "schedulers");
+    let resize_scale: f64 = report.flag("resize-scale", 1.0);
+    let pes: u32 = report.flag("pes", 256);
+    let hours: u64 = report.flag("hours", 48);
     let mix = standard_mix();
 
     let mut table = Table::new(
@@ -45,16 +45,9 @@ fn main() {
             "conservative-backfill",
             "equipartition",
         ] {
-            let sim = ScenarioBuilder::new(401)
+            let sim = market(401, 6, inter, hours)
                 .cluster(pes, policy, "baseline")
-                .users(6)
-                .mode(MarketMode::Bidding(SelectionPolicy::LeastCost))
-                .arrivals(ArrivalProcess::Poisson {
-                    mean_interarrival: inter,
-                })
-                .mix(mix.clone())
                 .resize_cost_scale(resize_scale)
-                .horizon(SimDuration::from_hours(hours))
                 .build();
             let mut w = run_scenario(sim);
             let node = w.nodes.values_mut().next().unwrap();
@@ -74,10 +67,11 @@ fn main() {
             ]);
         }
     }
-    emit(&table);
+    report.table(&table);
     println!(
         "Paper shape ([15]): equipartition delivers the highest utilization and\n\
          the lowest response/slowdown at every load, with the advantage over\n\
          FCFS growing toward saturation; EASY backfilling lands in between."
     );
+    report.finish()
 }

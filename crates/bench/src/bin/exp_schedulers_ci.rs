@@ -5,31 +5,24 @@
 //! and report mean ± 95 % confidence half-widths. A claim only counts as
 //! reproduced if the intervals separate.
 
-use faucets_bench::{emit, flag, standard_mix};
-use faucets_core::market::SelectionPolicy;
+use faucets_bench::{market, standard_mix, ExitCode, Report};
 use faucets_grid::prelude::*;
 use faucets_grid::workload::Workload;
 use faucets_sim::stats::Replications;
 use faucets_sim::time::{SimDuration, SimTime};
 
-fn main() {
-    let reps: u64 = flag("reps", 10);
-    let pes: u32 = flag("pes", 256);
-    let rho: f64 = flag("rho", 0.85);
-    let hours: u64 = flag("hours", 24);
+fn main() -> ExitCode {
+    let mut report = Report::new("E4b", "schedulers_ci");
+    let reps: u64 = report.flag("reps", 10);
+    let pes: u32 = report.flag("pes", 256);
+    let rho: f64 = report.flag("rho", 0.85);
+    let hours: u64 = report.flag("hours", 24);
     let mix = standard_mix();
     let inter = Workload::interarrival_for_load(&mix, rho, pes);
 
     let run = |policy: &'static str, seed: u64| -> (f64, f64) {
-        let sim = ScenarioBuilder::new(seed)
+        let sim = market(seed, 6, inter, hours)
             .cluster(pes, policy, "baseline")
-            .users(6)
-            .mode(MarketMode::Bidding(SelectionPolicy::LeastCost))
-            .arrivals(ArrivalProcess::Poisson {
-                mean_interarrival: inter,
-            })
-            .mix(mix.clone())
-            .horizon(SimDuration::from_hours(hours))
             .build();
         let mut w = run_scenario(sim);
         let util = w
@@ -67,7 +60,7 @@ fn main() {
         ]);
         per_policy.push((policy, runs));
     }
-    emit(&table);
+    report.table(&table);
 
     // Paired-difference test on the shared seeds: does equipartition beat
     // FCFS on every metric with a CI that excludes zero?
@@ -98,4 +91,5 @@ fn main() {
             "CI crosses 0"
         },
     );
+    report.finish()
 }

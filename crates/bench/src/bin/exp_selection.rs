@@ -11,13 +11,14 @@
 //! machine; earliest-completion minimizes waiting but overpays; the
 //! payoff-aware best-value policy nets clients the most (payoff − price).
 
-use faucets_bench::{emit, standard_mix};
+use faucets_bench::{market, ExitCode, Report};
 use faucets_core::market::SelectionPolicy;
 use faucets_core::money::Money;
 use faucets_grid::prelude::*;
 use faucets_sim::time::SimDuration;
 
-fn main() {
+fn main() -> ExitCode {
+    let mut report = Report::new("E7", "selection");
     let policies: [(&str, SelectionPolicy); 4] = [
         ("least-cost", SelectionPolicy::LeastCost),
         ("earliest-completion", SelectionPolicy::EarliestCompletion),
@@ -44,7 +45,7 @@ fn main() {
     );
 
     for (name, policy) in policies {
-        let sim = ScenarioBuilder::new(777)
+        let sim = market(777, 8, SimDuration::from_secs(75), 24)
             .cluster_priced(
                 128,
                 "equipartition",
@@ -63,13 +64,7 @@ fn main() {
                 "baseline",
                 Money::from_units_f64(0.020),
             )
-            .users(8)
             .mode(MarketMode::Bidding(policy))
-            .arrivals(ArrivalProcess::Poisson {
-                mean_interarrival: SimDuration::from_secs(75),
-            })
-            .mix(standard_mix())
-            .horizon(SimDuration::from_hours(24))
             .build();
         let w = run_scenario(sim);
         let net = w.stats.payoff_total - w.stats.paid_total;
@@ -83,7 +78,7 @@ fn main() {
             f2(w.stats.response.mean()),
         ]);
     }
-    emit(&table);
+    report.table(&table);
     println!(
         "Paper shape: least-cost pays the least but piles onto the cheap\n\
          machine (long responses, decayed payoffs); earliest-completion\n\
@@ -92,4 +87,5 @@ fn main() {
          price differences (as here), buying speed pays for itself — the\n\
          trade-off the §5.3 client agents are meant to navigate."
     );
+    report.finish()
 }

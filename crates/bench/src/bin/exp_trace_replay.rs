@@ -10,7 +10,7 @@
 //! with trace-shaped workloads — bursty arrivals and the characteristic
 //! heavy runtime tail — not just clean Poisson assumptions.
 
-use faucets_bench::{emit, flag};
+use faucets_bench::{ExitCode, Report};
 use faucets_core::market::SelectionPolicy;
 use faucets_grid::prelude::*;
 use faucets_sim::dist::Dist;
@@ -48,15 +48,13 @@ fn synthetic_swf() -> String {
     out
 }
 
-fn main() {
-    let text = match std::env::args().position(|a| a == "--trace") {
-        Some(i) => {
-            let path = std::env::args().nth(i + 1).expect("--trace <path>");
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
-        }
-        None => synthetic_swf(),
+fn main() -> ExitCode {
+    let mut report = Report::new("E14", "trace_replay");
+    let text = match report.flag("trace", String::new()).as_str() {
+        "" => synthetic_swf(),
+        path => std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}")),
     };
-    let shrink: u32 = flag("shrink-factor", 2);
+    let shrink: u32 = report.flag("shrink-factor", 2);
 
     let records = parse_swf(&text).expect("valid SWF");
     println!(
@@ -115,7 +113,7 @@ fn main() {
             f2(w.stats.slowdown_p95.estimate()),
         ]);
     }
-    emit(&table);
+    report.table(&table);
     println!(
         "Shape: the adaptive scheduler completes the most trace jobs at the\n\
          lowest mean wait, as in E4. (Backfilling admits more marginal jobs\n\
@@ -123,4 +121,5 @@ fn main() {
          harder population.) Feed a real Parallel Workloads Archive log with\n\
          --trace <file.swf>."
     );
+    report.finish()
 }

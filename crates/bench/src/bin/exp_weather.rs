@@ -13,26 +13,23 @@
 //! they avoid overbidding into a slack market and underbidding into a hot
 //! one — and collect more revenue over the cycle.
 
-use faucets_bench::{emit, standard_mix};
-use faucets_core::market::SelectionPolicy;
+use faucets_bench::{market, ExitCode, Report};
 use faucets_core::money::Money;
 use faucets_grid::prelude::*;
 use faucets_sim::time::{SimDuration, SimTime};
 
-fn main() {
-    let sim = ScenarioBuilder::new(1101)
+fn main() -> ExitCode {
+    let mut report = Report::new("E11", "weather");
+    let mean_interarrival = SimDuration::from_secs(55);
+    let sim = market(1101, 12, mean_interarrival, 72)
         .cluster(256, "equipartition", "util-interp")
         .cluster(256, "equipartition", "weather-aware")
         .cluster(256, "equipartition", "util-interp")
         .cluster(256, "equipartition", "weather-aware")
-        .users(12)
-        .mode(MarketMode::Bidding(SelectionPolicy::LeastCost))
         .arrivals(ArrivalProcess::DailyCycle {
-            mean_interarrival: SimDuration::from_secs(55),
+            mean_interarrival,
             amplitude: 0.9,
         })
-        .mix(standard_mix())
-        .horizon(SimDuration::from_hours(72))
         .build();
     let mut w = run_scenario(sim);
     let end = SimTime::ZERO + SimDuration::from_hours(72);
@@ -58,17 +55,18 @@ fn main() {
         e.0 += m.completed;
         e.1 += m.revenue_price;
     }
-    emit(&table);
+    report.table(&table);
 
     let mut totals = Table::new("E11 totals by strategy", &["strategy", "jobs", "revenue"]);
     for (s, (jobs, rev)) in &by {
         totals.row(vec![s.to_string(), jobs.to_string(), rev.to_string()]);
     }
-    emit(&totals);
+    report.table(&totals);
     println!(
         "Grid price index at the end of the run: {:?}\n\
          Paper shape: the weather-aware pair prices with the market cycle\n\
          instead of only local load, capturing more revenue across the shock.",
         w.server.history.price_index()
     );
+    report.finish()
 }

@@ -120,12 +120,22 @@ struct SessionRecord {
     expires: SimTime,
 }
 
+/// Bits of a [`UserId`] that count a shard's accounts; a federated
+/// shard's tag sits in the [`SHARD_TAG_BITS`] above them.
+const USER_SEQ_BITS: u32 = 16;
+/// Bits of a [`UserId`] that name the shard which minted it. Tag and
+/// sequence together fill the low 32 bits, which is all of a user id that
+/// a client-minted job id (`user << 32 | n`) carries.
+const SHARD_TAG_BITS: u32 = 16;
+
 /// The Faucets Server's user database with salted password storage and
 /// expiring session tokens.
 pub struct UserDb {
     by_name: HashMap<String, UserRecord>,
     sessions: HashMap<SessionToken, SessionRecord>,
+    /// The next id to mint and the end of this database's id range.
     next_user: u64,
+    end_user: u64,
     token_ttl: SimDuration,
 }
 
@@ -136,8 +146,26 @@ impl UserDb {
             by_name: HashMap::new(),
             sessions: HashMap::new(),
             next_user: 0,
+            end_user: 1 << (SHARD_TAG_BITS + USER_SEQ_BITS),
             token_ttl,
         }
+    }
+
+    /// Mint ids that carry `shard`. Every shard of a federated Central
+    /// Server keeps its own accounts, and clients of different shards meet
+    /// at shared Faucets Daemons, where a job id is expected to be
+    /// grid-unique: two shards that both count their users from 0 hand
+    /// their first users the same id, and with it the same job ids. A
+    /// shard's ids are `tag << 16 | n`, the tag being 16 bits of the
+    /// SHA-256 of its name (shard names are unique in a federation; two
+    /// names sharing a tag is a 1-in-65,536 accident per pair). Call before
+    /// the first account is created.
+    pub fn mint_ids_for_shard(&mut self, shard: &str) {
+        assert!(self.by_name.is_empty(), "ids are already being minted");
+        let h = sha256(shard.as_bytes());
+        let tag = u64::from(u16::from_be_bytes([h[0], h[1]]));
+        self.next_user = tag << USER_SEQ_BITS;
+        self.end_user = (tag + 1) << USER_SEQ_BITS;
     }
 
     fn hash_password(salt: &[u8; 16], password: &str) -> [u8; 32] {
@@ -156,6 +184,9 @@ impl UserDb {
     ) -> Result<UserId> {
         if self.by_name.contains_key(name) {
             return Err(FaucetsError::AlreadyExists(format!("user '{name}'")));
+        }
+        if self.next_user == self.end_user {
+            return Err(FaucetsError::UserIdsExhausted);
         }
         let id = UserId(self.next_user);
         self.next_user += 1;

@@ -45,6 +45,8 @@ pub enum FaucetsError {
     BidDeclined(String),
     /// A duplicate registration (user, cluster, application).
     AlreadyExists(String),
+    /// This server (or federated shard) has minted every user id it owns.
+    UserIdsExhausted,
     /// Durable storage failed: the mutation was NOT journaled and must be
     /// NACKed to whoever requested it (rendered from the store error,
     /// which is not `Clone`).
@@ -79,6 +81,7 @@ impl fmt::Display for FaucetsError {
             FaucetsError::UnknownApplication(a) => write!(f, "application '{a}' not exported"),
             FaucetsError::BidDeclined(why) => write!(f, "bid declined: {why}"),
             FaucetsError::AlreadyExists(what) => write!(f, "already exists: {what}"),
+            FaucetsError::UserIdsExhausted => write!(f, "this server has no user id left"),
             FaucetsError::Storage(why) => write!(f, "durable storage failure: {why}"),
         }
     }

@@ -7,7 +7,7 @@
 use std::fmt;
 
 /// A simple column-aligned table.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Table {
     /// Table title (experiment id + description).
     pub title: String,

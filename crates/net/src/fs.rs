@@ -488,6 +488,10 @@ pub fn spawn_fs_durable(
         .federation
         .clone()
         .map(|f| Arc::new(Federation::new(f)));
+    if let Some(fed) = &federation {
+        // Shards keep their own accounts; their clients meet at shared FDs.
+        state.lock().users.mint_ids_for_shard(fed.name());
+    }
     let shard_label = federation
         .as_ref()
         .map(|f| f.name().to_string())

@@ -578,6 +578,16 @@ impl MuxConn {
     }
 }
 
+impl Drop for MuxConn {
+    /// The reader thread holds its own clone of the socket and blocks in a
+    /// read: without the shutdown a dropped pool would leave the thread and
+    /// the connection (as the peer counts it) open for good.
+    fn drop(&mut self) {
+        let writer = self.writer.get_mut().unwrap_or_else(|e| e.into_inner());
+        let _ = writer.shutdown(std::net::Shutdown::Both);
+    }
+}
+
 fn mux_reader_loop(
     mut reader: TcpStream,
     pending: Arc<PendingMap>,

@@ -412,57 +412,56 @@ mod tests {
 
     #[test]
     fn retry_rides_out_dropped_frames() {
-        // A server whose replies are dropped 60% of the time: a single
-        // attempt fails often; four attempts with backoff all but never.
-        // Timeouts are generous multiples of what a loopback round-trip
-        // needs — the retry *count* below is the assertion, not wall time.
+        // A caller that loses half the frames it sends: a single attempt
+        // fails every other time; twelve attempts with backoff all but
+        // never. The plan is on the caller and the calls run under a pinned
+        // (absent) trace context, so every frame's bytes, and with them the
+        // whole drop schedule, are the same in every run: a reply carries
+        // the server span's fresh id, which is why a plan on the server
+        // was seeded in name only. A lost frame costs one read timeout;
+        // the retry *count* below is the assertion, not wall time.
         let plan = Arc::new(FaultPlan::new(
             77,
             FaultConfig {
-                drop: 0.6,
+                drop: 0.5,
                 ..FaultConfig::none()
             },
         ));
-        let h = serve_with(
-            "127.0.0.1:0",
-            "lossy",
-            ServeOptions {
-                faults: Some(Arc::clone(&plan)),
-                ..ServeOptions::default()
-            },
-            |_| Response::Ok,
-        )
-        .unwrap();
+        let h = serve("127.0.0.1:0", "echo", |_| Response::Ok).unwrap();
         let reg = Arc::new(Registry::new());
         let opts = CallOptions {
-            timeouts: Timeouts::both(Duration::from_millis(400)),
+            timeouts: Timeouts::both(Duration::from_millis(150)),
             retry: RetryPolicy {
-                attempts: 8,
+                attempts: 12,
                 ..RetryPolicy::standard(5)
             },
+            faults: Some(Arc::clone(&plan)),
             registry: Some(Arc::clone(&reg)),
             ..CallOptions::default()
         };
-        for i in 0..5 {
-            let r = call_with(
-                h.addr,
-                &Request::Login {
-                    user: format!("u{i}"),
-                    password: "p".into(),
-                },
-                &opts,
-            );
-            assert!(r.is_ok(), "attempt {i} failed: {r:?}");
-        }
+        trace::propagate(None, || {
+            for i in 0..10 {
+                let r = call_with(
+                    h.addr,
+                    &Request::Login {
+                        user: format!("u{i}"),
+                        password: "p".into(),
+                    },
+                    &opts,
+                );
+                assert!(r.is_ok(), "attempt {i} failed: {r:?}");
+            }
+        });
         assert!(plan.stats().dropped > 0, "the plan did inject loss");
         // The backoff decisions went through the caller's registry: every
-        // dropped reply shows up as a counted retry, none as a failure.
+        // lost frame shows up as a counted retry, none as a failure.
         let snap = reg.snapshot();
         assert!(
-            snap.counter_sum("net_call_retries_total", &[("endpoint", "Login")]) > 0,
-            "drops at 60% must force at least one counted retry"
+            snap.counter_sum("net_call_retries_total", &[("endpoint", "Login")])
+                >= plan.stats().dropped,
+            "every lost frame forces a counted retry"
         );
-        assert!(snap.counter_sum("net_call_attempts_total", &[]) >= 5);
+        assert!(snap.counter_sum("net_call_attempts_total", &[]) >= 10);
         assert_eq!(snap.counter_sum("net_call_failures_total", &[]), 0);
         h.shutdown();
     }

@@ -218,45 +218,38 @@ fn silent_daemon_is_evicted_from_matching() {
     let qos = QosBuilder::new("namd", 4, 16, 100.0).build().unwrap();
 
     // While the daemon heartbeats, it is offered.
-    let Response::Servers(servers) = call(
-        fs.service.addr,
-        &Request::ListServers {
+    let offered = || {
+        let list = Request::ListServers {
             token: token.clone(),
             qos: qos.clone(),
-        },
-    )
-    .unwrap() else {
-        panic!("expected server list")
+        };
+        match call(fs.service.addr, &list).unwrap() {
+            Response::Servers(servers) => servers.len(),
+            other => panic!("expected server list, got {other:?}"),
+        }
     };
-    assert_eq!(servers.len(), 1);
+    assert_eq!(offered(), 1);
 
     // Silence it. At 600x the 90 s liveness timeout grades the daemon dead
     // after ~0.45 wall seconds — but a loaded CI box can stretch that
-    // arbitrarily, so instead of sleeping a guessed multiple we poll the
-    // eviction counter until it trips, under a generous hard cap.
+    // arbitrarily, so instead of sleeping a guessed multiple we keep asking
+    // until the row is gone, under a generous hard cap. Asking is what
+    // evicts: only a `ListServers` sweep grades the directory, so a poll of
+    // the eviction counter alone waits for a sweep nobody runs.
     fd.kill();
     let poll_deadline = std::time::Instant::now() + Duration::from_secs(10);
-    loop {
-        let evicted = {
-            let s = fs.state.lock();
-            s.stats.evictions >= 1 && s.directory.get(ClusterId(1)).is_none()
-        };
-        if evicted {
-            break;
-        }
+    let evicted = || {
+        let s = fs.state.lock();
+        s.stats.evictions >= 1 && s.directory.get(ClusterId(1)).is_none()
+    };
+    while offered() > 0 || !evicted() {
         assert!(
             std::time::Instant::now() < poll_deadline,
             "daemon not evicted within 10 s of silence"
         );
         std::thread::sleep(Duration::from_millis(25));
     }
-
-    let Response::Servers(servers) =
-        call(fs.service.addr, &Request::ListServers { token, qos }).unwrap()
-    else {
-        panic!("expected server list")
-    };
-    assert!(servers.is_empty(), "dead daemon no longer offered");
+    assert_eq!(offered(), 0, "dead daemon no longer offered");
 
     // A fresh daemon for the same cluster re-registers cleanly.
     let fd2 = spawn_daemon(None, fs.service.addr, aspect.service.addr, clock);

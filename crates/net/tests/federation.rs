@@ -113,6 +113,33 @@ fn qos() -> QosContract {
     QosBuilder::new("namd", 4, 16, 100.0).build().unwrap()
 }
 
+/// The 64-PE `namd` daemon `fed-cs` (cluster 1), homed at `home` with
+/// `fallback` as its heartbeat failover.
+fn spawn_fd_at(home: &FsHandle, fallback: &FsHandle, aspect: &AsHandle, clock: &Clock) -> FdHandle {
+    let machine = MachineSpec::commodity(ClusterId(1), "fed-cs", 64);
+    let daemon = FaucetsDaemon::new(
+        machine.server_info("127.0.0.1", 0),
+        ["namd".to_string()],
+        Box::new(faucets_core::market::Baseline),
+        Money::from_units_f64(0.01),
+    );
+    let cluster = Cluster::new(machine, Box::new(Equipartition), ResizeCostModel::default());
+    let opts = FdOptions {
+        fs_fallbacks: vec![fallback.service.addr],
+        ..FdOptions::default()
+    };
+    spawn_fd_with(
+        "127.0.0.1:0",
+        daemon,
+        cluster,
+        home.service.addr,
+        aspect.service.addr,
+        clock.clone(),
+        opts,
+    )
+    .expect("FD")
+}
+
 #[test]
 fn registrations_route_to_the_ring_owner_and_queries_see_every_shard() {
     let clock = Clock::realtime();
@@ -291,27 +318,7 @@ fn client_and_fd_fail_over_when_their_home_shard_dies() {
     let aspect = spawn_appspector("127.0.0.1:0", a.service.addr, 32).expect("AS");
 
     // The FD and the client are both homed at b, with a as fallback.
-    let machine = MachineSpec::commodity(ClusterId(1), "fed-cs", 64);
-    let daemon = FaucetsDaemon::new(
-        machine.server_info("127.0.0.1", 0),
-        ["namd".to_string()],
-        Box::new(faucets_core::market::Baseline),
-        Money::from_units_f64(0.01),
-    );
-    let cluster = Cluster::new(machine, Box::new(Equipartition), ResizeCostModel::default());
-    let _fd = spawn_fd_with(
-        "127.0.0.1:0",
-        daemon,
-        cluster,
-        b.service.addr,
-        aspect.service.addr,
-        clock.clone(),
-        FdOptions {
-            fs_fallbacks: vec![a.service.addr],
-            ..FdOptions::default()
-        },
-    )
-    .expect("FD");
+    let _fd = spawn_fd_at(&b, &a, &aspect, &clock);
     await_until("the FD registration to reach its owning shard", || {
         a.state.lock().directory.get(ClusterId(1)).is_some()
             || b.state.lock().directory.get(ClusterId(1)).is_some()
@@ -359,6 +366,50 @@ fn client_and_fd_fail_over_when_their_home_shard_dies() {
         failovers > failovers0,
         "the client must have counted its shard failover"
     );
+}
+
+/// Regression for E26's `job-1 already holds processors`: every shard
+/// keeps its own accounts, and each used to count its users from 0, so the
+/// first users of two shards were both user 0, both minted job 1, and met
+/// at a shared FD. A shard's ids carry the shard.
+#[test]
+fn first_users_of_two_shards_share_one_fd() {
+    let clock = Clock::new(200.0);
+    let a = spawn_shard("ids-a", &clock, 61);
+    let b = spawn_shard("ids-b", &clock, 62);
+    fed(&b).join(a.service.addr);
+    await_members(&a, 2, "ids-a convergence");
+    await_members(&b, 2, "ids-b convergence");
+    let aspect = spawn_appspector("127.0.0.1:0", a.service.addr, 32).expect("AS");
+    let fd = spawn_fd_at(&a, &b, &aspect, &clock);
+    await_until("the FD registration to reach its owning shard", || {
+        a.state.lock().directory.get(ClusterId(1)).is_some()
+            || b.state.lock().directory.get(ClusterId(1)).is_some()
+    });
+
+    let mut clients = [(&a, "first-at-a"), (&b, "first-at-b")].map(|(home, name)| {
+        FaucetsClient::register(
+            home.service.addr,
+            aspect.service.addr,
+            clock.clone(),
+            name,
+            "pw",
+        )
+        .expect("client")
+    });
+    assert_ne!(
+        clients[0].user, clients[1].user,
+        "the first users of two shards must not share an id"
+    );
+    let jobs = clients
+        .each_mut()
+        .map(|c| c.submit(qos(), &[]).expect("award").job);
+    assert_ne!(jobs[0], jobs[1], "nor their first jobs");
+    for (c, job) in clients.iter_mut().zip(jobs) {
+        let done = c.wait(job, Duration::from_secs(30)).expect("watch");
+        assert!(done.completed, "{job} ran to completion on the shared FD");
+    }
+    assert_eq!(fd.completed(), 2);
 }
 
 /// Regression for the bid re-solicitation dedupe: an FS answer that lists

@@ -1,11 +1,14 @@
 #!/bin/sh
-# The two counts ROADMAP item 3 tracks, for a PR description or the CI job
+# The counts ROADMAP items 3 and 4 track, for a PR description or the CI job
 # summary. Report only: nothing here fails a build.
 #   1. non-test lines: the lines before a file's first `#[cfg(test)]`, for
 #      every file of crates/net/src and for crates/store/src/replicate.rs;
 #   2. option fields: the `pub` fields of the option structs a caller fills
 #      in, plus FaucetsClient's configuration fields (its `pub` fields less
-#      the session state: token, user, last_trace).
+#      the session state: token, user, last_trace);
+#   3. the experiment crate: all lines of crates/bench/src, and how often a
+#      result is still serialized by hand (`json!` sites) or an arm result
+#      declared (`struct ArmResult`): one report writer, one driver.
 cd "$(dirname "$0")/.." || exit 1
 
 non_test() { awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"; }
@@ -42,3 +45,11 @@ for s in FdOptions FsOptions ServeOptions CallOptions PoolConfig MuxConfig \
     echo "| $s | $n |"
 done
 echo "| **total** | **$total** |"
+echo
+
+bench=$(find crates/bench/src -name '*.rs' | sort)
+echo "| crates/bench/src | count |"
+echo "|---|---:|"
+echo "| total lines | $(cat $bench | wc -l) |"
+echo "| \`json!\` sites | $(cat $bench | grep -c 'json!') |"
+echo "| \`ArmResult\` declarations | $(cat $bench | grep -c 'struct ArmResult') |"

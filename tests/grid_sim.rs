@@ -225,34 +225,32 @@ fn intranet_priority_policy_in_grid() {
 /// §1 babysitting scenario: when a machine is taken down for maintenance,
 /// jobs are checkpointed and moved to another machine — with migration the
 /// work keeps flowing; without it everything waits out the window.
+///
+/// The comparison is over eight seeds, not one: on a single arrival stream
+/// either mode can come out ahead (the survivor runs every migrated job at
+/// half the grid's capacity), and which one does depends on the generator
+/// behind `StdRng` — the one-seed form of this test held under ChaCha12
+/// and failed under xoshiro256++. The claim is about the mean.
 #[test]
 fn maintenance_migration_keeps_work_flowing() {
-    let build = |migrate: bool| {
-        let sim = base(41)
+    let run = |seed: u64, migrate: bool| {
+        let sim = base(seed)
             .cluster(128, "equipartition", "baseline")
             .cluster(128, "equipartition", "baseline")
             .horizon(SimDuration::from_hours(8))
             .maintenance(0, SimTime::from_hours(2), SimDuration::from_hours(4))
             .migrate_on_maintenance(migrate)
             .build();
-        run_scenario(sim)
+        let w = run_scenario(sim);
+        assert_eq!(w.stats.completed + w.stats.rejected, w.stats.submitted);
+        assert_eq!(w.stats.migrations > 0, migrate, "maintenance migrates work");
+        w.stats.response.mean()
     };
-    let with = build(true);
-    let without = build(false);
-    assert!(with.stats.migrations > 0, "maintenance must migrate work");
-    assert_eq!(
-        with.stats.completed + with.stats.rejected,
-        with.stats.submitted
-    );
-    assert_eq!(
-        without.stats.completed + without.stats.rejected,
-        without.stats.submitted
-    );
+    let mean = |migrate: bool| (41..49).map(|seed| run(seed, migrate)).sum::<f64>() / 8.0;
+    let (with, without) = (mean(true), mean(false));
     assert!(
-        with.stats.response.mean() < without.stats.response.mean(),
-        "migration should beat waiting out a 4 h window: {:.0}s vs {:.0}s",
-        with.stats.response.mean(),
-        without.stats.response.mean()
+        with < without,
+        "migration should beat waiting out a 4 h window: {with:.0}s vs {without:.0}s"
     );
 }
 
