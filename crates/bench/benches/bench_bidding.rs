@@ -3,7 +3,7 @@
 //! the per-request cost each Compute Server pays for participating in the
 //! market.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use faucets_bench::ns_per_iter;
 use faucets_core::bid::BidRequest;
 use faucets_core::daemon::FaucetsDaemon;
 use faucets_core::ids::{ClusterId, ContractId, JobId, UserId};
@@ -19,7 +19,6 @@ use faucets_sched::cluster::Cluster;
 use faucets_sched::equipartition::Equipartition;
 use faucets_sched::machine::MachineSpec;
 use faucets_sim::time::SimTime;
-use std::hint::black_box;
 
 fn request(i: u64) -> BidRequest {
     let min = 4u32 << (i % 4);
@@ -33,7 +32,7 @@ fn request(i: u64) -> BidRequest {
     }
 }
 
-fn bench_strategies(c: &mut Criterion) {
+fn bench_strategies() {
     let view = ClusterView {
         total_pes: 512,
         free_pes: 128,
@@ -54,13 +53,11 @@ fn bench_strategies(c: &mut Criterion) {
         ("deadline-aware", Box::new(DeadlineAware::default())),
         ("weather-aware", Box::new(WeatherAware::default())),
     ];
-    let mut g = c.benchmark_group("strategy_multiplier");
     for (name, s) in &strategies {
-        g.bench_function(*name, |b| {
-            b.iter(|| black_box(s.multiplier(&req, &view, &market)));
+        ns_per_iter(&format!("strategy_multiplier/{name}"), || {
+            s.multiplier(&req, &view, &market)
         });
     }
-    g.finish();
 }
 
 fn loaded_cluster(jobs: usize) -> Cluster {
@@ -80,9 +77,8 @@ fn loaded_cluster(jobs: usize) -> Cluster {
     cluster
 }
 
-fn bench_daemon_bid_path(c: &mut Criterion) {
-    let mut g = c.benchmark_group("daemon_bid_path");
-    for &running in &[8usize, 64, 256] {
+fn bench_daemon_bid_path() {
+    for running in [8usize, 64, 256] {
         let mut cluster = loaded_cluster(running);
         let machine_info = cluster.machine.server_info("10.0.0.1", 9000);
         let mut daemon = FaucetsDaemon::new(
@@ -92,25 +88,15 @@ fn bench_daemon_bid_path(c: &mut Criterion) {
             Money::from_units_f64(0.01),
         );
         let market = MarketInfo::default();
-        g.bench_with_input(
-            BenchmarkId::new("probe+price", running),
-            &running,
-            |b, _| {
-                let mut i = 0u64;
-                b.iter(|| {
-                    i += 1;
-                    black_box(daemon.handle_bid_request(
-                        &request(i),
-                        &mut cluster,
-                        &market,
-                        SimTime::from_secs(1),
-                    ))
-                });
-            },
-        );
+        let mut i = 0u64;
+        ns_per_iter(&format!("daemon_bid_path/probe+price/{running}"), || {
+            i += 1;
+            daemon.handle_bid_request(&request(i), &mut cluster, &market, SimTime::from_secs(1))
+        });
     }
-    g.finish();
 }
 
-criterion_group!(benches, bench_strategies, bench_daemon_bid_path);
-criterion_main!(benches);
+fn main() {
+    bench_strategies();
+    bench_daemon_bid_path();
+}

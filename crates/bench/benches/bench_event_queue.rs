@@ -4,15 +4,15 @@
 //! and measure steady-state pop-then-push pairs, plus raw engine throughput
 //! with a self-rescheduling world. The paper's framework must sustain
 //! millions of events for grid-scale studies; this bench regenerates the
-//! events/second series.
+//! events/second series: a `hold_model` iteration is 50 000 pop-then-push
+//! pairs, an `engine_throughput` iteration 200 000 dispatched events.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use faucets_bench::ns_per_iter;
 use faucets_sim::calendar::CalendarQueue;
 use faucets_sim::engine::{Scheduler, Simulation, World};
 use faucets_sim::event::EventId;
 use faucets_sim::queue::{BinaryHeapQueue, EventQueue};
 use faucets_sim::time::{SimDuration, SimTime};
-use std::hint::black_box;
 
 /// Deterministic pseudo-random inter-event gaps (LCG; no RNG dependency in
 /// the hot loop).
@@ -46,19 +46,16 @@ fn hold_model<Q: EventQueue<u64>>(mut q: Q, n: usize, ops: usize) -> u64 {
     acc
 }
 
-fn bench_hold(c: &mut Criterion) {
-    let mut g = c.benchmark_group("hold_model");
-    for &n in &[1_000usize, 10_000, 100_000] {
+fn bench_hold() {
+    for n in [1_000usize, 10_000, 100_000] {
         let ops = 50_000;
-        g.throughput(Throughput::Elements(ops as u64));
-        g.bench_with_input(BenchmarkId::new("binary_heap", n), &n, |b, &n| {
-            b.iter(|| hold_model(BinaryHeapQueue::new(), n, ops));
+        ns_per_iter(&format!("hold_model/binary_heap/{n}"), || {
+            hold_model(BinaryHeapQueue::new(), n, ops)
         });
-        g.bench_with_input(BenchmarkId::new("calendar", n), &n, |b, &n| {
-            b.iter(|| hold_model(CalendarQueue::new(), n, ops));
+        ns_per_iter(&format!("hold_model/calendar/{n}"), || {
+            hold_model(CalendarQueue::new(), n, ops)
         });
     }
-    g.finish();
 }
 
 /// A world that keeps a fixed population of self-rescheduling timers alive.
@@ -73,24 +70,21 @@ impl World for Timers {
     }
 }
 
-fn bench_engine(c: &mut Criterion) {
-    let mut g = c.benchmark_group("engine_throughput");
+fn bench_engine() {
     let events = 200_000u64;
-    g.throughput(Throughput::Elements(events));
-    for &width in &[16u32, 1024] {
-        g.bench_with_input(BenchmarkId::new("timers", width), &width, |b, &width| {
-            b.iter(|| {
-                let mut sim = Simulation::new(Timers { fired: 0 });
-                for i in 0..width {
-                    sim.scheduler().schedule_at(SimTime(i as u64), i);
-                }
-                sim.run_until(SimTime::MAX, events);
-                black_box(sim.world().fired)
-            });
+    for width in [16u32, 1024] {
+        ns_per_iter(&format!("engine_throughput/timers/{width}"), || {
+            let mut sim = Simulation::new(Timers { fired: 0 });
+            for i in 0..width {
+                sim.scheduler().schedule_at(SimTime(i as u64), i);
+            }
+            sim.run_until(SimTime::MAX, events);
+            sim.world().fired
         });
     }
-    g.finish();
 }
 
-criterion_group!(benches, bench_hold, bench_engine);
-criterion_main!(benches);
+fn main() {
+    bench_hold();
+    bench_engine();
+}

@@ -4,15 +4,15 @@
 //! submitted to the grid per day."* One million jobs/day is ~11.6
 //! matches/second, so the broker has orders of magnitude of headroom if a
 //! single candidate query takes microseconds. This bench measures
-//! `Directory::candidates` across grid sizes and filter levels — divide the
-//! reported throughput into 86 400 to get jobs/day capacity.
+//! `Directory::candidates` across grid sizes and filter levels — one
+//! iteration is one query, so 86 400 × 10⁹ / (ns/iter) is the jobs/day
+//! capacity.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use faucets_bench::ns_per_iter;
 use faucets_core::directory::{Directory, FilterLevel, ServerInfo, ServerStatus};
 use faucets_core::ids::ClusterId;
 use faucets_core::qos::{QosBuilder, QosContract};
 use faucets_sim::time::{SimDuration, SimTime};
-use std::hint::black_box;
 
 fn directory_with(n: usize) -> Directory {
     let mut d = Directory::new(SimDuration::from_secs(120));
@@ -66,29 +66,21 @@ fn sample_jobs() -> Vec<QosContract> {
         .collect()
 }
 
-fn bench_matching(c: &mut Criterion) {
+fn main() {
     let jobs = sample_jobs();
-    let mut g = c.benchmark_group("fs_matching");
-    for &n in &[100usize, 1_000, 10_000] {
+    for n in [100usize, 1_000, 10_000] {
         let mut dir = directory_with(n);
         for (fname, level) in [
             ("broadcast", FilterLevel::None),
             ("static", FilterLevel::Static),
             ("static+dynamic", FilterLevel::StaticAndDynamic),
         ] {
-            g.throughput(Throughput::Elements(jobs.len() as u64));
-            g.bench_with_input(BenchmarkId::new(fname, n), &level, |b, &level| {
-                let mut i = 0usize;
-                b.iter(|| {
-                    let q = &jobs[i % jobs.len()];
-                    i += 1;
-                    black_box(dir.candidates(q, level, SimTime::from_secs(2)).len())
-                });
+            let mut i = 0usize;
+            ns_per_iter(&format!("fs_matching/{fname}/{n}"), || {
+                let q = &jobs[i % jobs.len()];
+                i += 1;
+                dir.candidates(q, level, SimTime::from_secs(2)).len()
             });
         }
     }
-    g.finish();
 }
-
-criterion_group!(benches, bench_matching);
-criterion_main!(benches);

@@ -3,7 +3,7 @@
 //! Cluster Manager — the per-decision costs behind the adaptive scheduler's
 //! "triggered when a new job arrives … and when a running job finishes".
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use faucets_bench::ns_per_iter;
 use faucets_core::ids::{ClusterId, ContractId, JobId, UserId};
 use faucets_core::job::JobSpec;
 use faucets_core::money::Money;
@@ -15,24 +15,20 @@ use faucets_sched::gantt::GanttProfile;
 use faucets_sched::machine::MachineSpec;
 use faucets_sched::policy::equipartition_targets;
 use faucets_sim::time::{SimDuration, SimTime};
-use std::hint::black_box;
 
-fn bench_equipartition_targets(c: &mut Criterion) {
-    let mut g = c.benchmark_group("equipartition_targets");
-    for &n in &[10usize, 100, 1000] {
+fn bench_equipartition_targets() {
+    for n in [10usize, 100, 1000] {
         let bounds: Vec<(u32, u32)> = (0..n)
             .map(|i| (1 + (i % 16) as u32, 8 + (i % 64) as u32 * 4))
             .collect();
-        g.bench_with_input(BenchmarkId::from_parameter(n), &bounds, |b, bounds| {
-            b.iter(|| black_box(equipartition_targets(bounds, 4096)));
+        ns_per_iter(&format!("equipartition_targets/{n}"), || {
+            equipartition_targets(&bounds, 4096)
         });
     }
-    g.finish();
 }
 
-fn bench_gantt(c: &mut Criterion) {
-    let mut g = c.benchmark_group("gantt");
-    for &n in &[10usize, 100, 1000] {
+fn bench_gantt() {
+    for n in [10usize, 100, 1000] {
         let running: Vec<(SimTime, u32)> = (0..n)
             .map(|i| {
                 (
@@ -41,50 +37,35 @@ fn bench_gantt(c: &mut Criterion) {
                 )
             })
             .collect();
-        g.bench_with_input(
-            BenchmarkId::new("earliest_window", n),
-            &running,
-            |b, running| {
-                b.iter(|| {
-                    let gantt = GanttProfile::new(SimTime::ZERO, 4096, 64, running.iter().copied());
-                    black_box(gantt.earliest_window(
-                        512,
-                        SimDuration::from_secs(500),
-                        SimTime::ZERO,
-                    ))
-                });
-            },
-        );
+        ns_per_iter(&format!("gantt/earliest_window/{n}"), || {
+            let gantt = GanttProfile::new(SimTime::ZERO, 4096, 64, running.iter().copied());
+            gantt.earliest_window(512, SimDuration::from_secs(500), SimTime::ZERO)
+        });
     }
-    g.finish();
 }
 
-fn bench_cluster_cycle(c: &mut Criterion) {
-    c.bench_function("cluster_submit_run_complete_x32", |b| {
-        b.iter(|| {
-            let mut cluster = Cluster::new(
-                MachineSpec::commodity(ClusterId(1), "bench", 1024),
-                Box::new(Equipartition),
-                ResizeCostModel::default(),
-            );
-            for i in 0..32u64 {
-                let qos = QosBuilder::new("app", 4, 64, 10_000.0)
-                    .adaptive()
-                    .build()
-                    .unwrap();
-                let spec = JobSpec::new(JobId(i), UserId(1), qos, SimTime::from_secs(i)).unwrap();
-                cluster.submit_job(spec, ContractId(i), Money::ZERO, SimTime::from_secs(i));
-            }
-            let (done, _) = cluster.run_to_idle(SimTime::from_secs(32));
-            black_box(done.len())
-        });
+fn bench_cluster_cycle() {
+    ns_per_iter("cluster_submit_run_complete_x32", || {
+        let mut cluster = Cluster::new(
+            MachineSpec::commodity(ClusterId(1), "bench", 1024),
+            Box::new(Equipartition),
+            ResizeCostModel::default(),
+        );
+        for i in 0..32u64 {
+            let qos = QosBuilder::new("app", 4, 64, 10_000.0)
+                .adaptive()
+                .build()
+                .unwrap();
+            let spec = JobSpec::new(JobId(i), UserId(1), qos, SimTime::from_secs(i)).unwrap();
+            cluster.submit_job(spec, ContractId(i), Money::ZERO, SimTime::from_secs(i));
+        }
+        let (done, _) = cluster.run_to_idle(SimTime::from_secs(32));
+        done.len()
     });
 }
 
-criterion_group!(
-    benches,
-    bench_equipartition_targets,
-    bench_gantt,
-    bench_cluster_cycle
-);
-criterion_main!(benches);
+fn main() {
+    bench_equipartition_targets();
+    bench_gantt();
+    bench_cluster_cycle();
+}

@@ -123,7 +123,7 @@ fn main() -> ExitCode {
     report.table(&table);
     println!(
         "Paper shape (§5.5.4): under rigid scheduling, priorities + preemption\n\
-         cut high-priority waiting ~3x below FCFS, with low-priority jobs\n\
+         cut high-priority waiting well below FCFS, with low-priority jobs\n\
          absorbing the checkpoint/restart cost (\"automatic restart from a\n\
          checkpoint later\"). Adaptive equipartition — the paper's main\n\
          mechanism — beats both classes of the rigid policies outright,\n\

@@ -115,11 +115,10 @@ fn main() -> ExitCode {
     }
     report.table(&table);
     println!(
-        "Shape: the adaptive scheduler completes the most trace jobs at the\n\
-         lowest mean wait, as in E4. (Backfilling admits more marginal jobs\n\
-         than FCFS — compare the rejected column — so its mean wait covers a\n\
-         harder population.) Feed a real Parallel Workloads Archive log with\n\
-         --trace <file.swf>."
+        "Shape: the adaptive scheduler completes the most trace jobs, as in\n\
+         E4. (A policy that admits more marginal jobs — compare the rejected\n\
+         column — reports a mean wait over a harder population.) Feed a\n\
+         real Parallel Workloads Archive log with --trace <file.swf>."
     );
     report.finish()
 }

@@ -63,6 +63,26 @@ where
         .unwrap_or(default)
 }
 
+/// The timing loop behind `cargo bench -p faucets-bench`: double the batch
+/// until one takes 100 ms (the earlier batches are the warm-up), then print
+/// that batch's mean as ns/iter.
+pub fn ns_per_iter<T>(name: &str, mut work: impl FnMut() -> T) {
+    let mut iters = 1u64;
+    loop {
+        let start = Instant::now();
+        for _ in 0..iters {
+            std::hint::black_box(work());
+        }
+        let took = start.elapsed();
+        if took >= Duration::from_millis(100) {
+            let ns = took.as_nanos() as f64 / iters as f64;
+            println!("{name:<44} {ns:>14.1} ns/iter");
+            return;
+        }
+        iters *= 2;
+    }
+}
+
 /// True when `--name` is present as a bare switch.
 pub fn switch(name: &str) -> bool {
     std::env::args().any(|a| a == format!("--{name}"))

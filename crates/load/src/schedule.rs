@@ -229,7 +229,7 @@ mod tests {
         assert!(s.entries.windows(2).all(|w| w[0].at <= w[1].at), "sorted");
         for e in &s.entries {
             assert!(e.at <= SimTime(s.horizon.as_micros()));
-            assert!((e.user as u32) < s.users);
+            assert!(e.user < s.users);
             assert!((e.class as usize) < s.classes.len());
             assert!(e.qos.payoff.soft_deadline > e.at, "deadline after arrival");
             let shifted = e.anchor(SimTime::from_secs(500));

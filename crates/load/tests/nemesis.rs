@@ -25,8 +25,8 @@ fn same_seed_replays_byte_for_byte() {
         replicas: 3,
         ..NemesisConfig::default()
     };
-    let a = NemesisPlan::generate(0xFA0C_E75, &cfg);
-    let b = NemesisPlan::generate(0xFA0C_E75, &cfg);
+    let a = NemesisPlan::generate(0x0FA0_CE75, &cfg);
+    let b = NemesisPlan::generate(0x0FA0_CE75, &cfg);
 
     // The plans are equal as data and as rendered bytes...
     assert_eq!(a, b);

@@ -3,8 +3,9 @@
 
 use faucets_grid::workload::{ArrivalProcess, JobMix};
 use faucets_load::prelude::*;
+use faucets_sim::check::for_seeds;
 use faucets_sim::time::{SimDuration, SimTime};
-use proptest::prelude::*;
+use rand::Rng;
 
 fn config(seed: u64, users: u32, horizon_s: u64, inter_s: u64, daily: bool) -> ScheduleConfig {
     let arrivals = if daily {
@@ -41,65 +42,65 @@ fn config(seed: u64, users: u32, horizon_s: u64, inter_s: u64, daily: bool) -> S
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Same config → byte-identical bytes; and every entry satisfies the
-    /// structural invariants the runner and report rely on.
-    #[test]
-    fn schedules_are_deterministic_and_well_formed(
-        seed in any::<u64>(),
-        users in 1u32..2_000,
-        horizon_s in 60u64..4_000,
-        inter_s in 1u64..120,
-        daily in any::<bool>(),
-    ) {
-        let cfg = config(seed, users, horizon_s, inter_s, daily);
+/// Same config → byte-identical bytes; and every entry satisfies the
+/// structural invariants the runner and report rely on.
+#[test]
+fn schedules_are_deterministic_and_well_formed() {
+    for_seeds(32, |rng| {
+        let users = rng.random_range(1u32..2_000);
+        let cfg = config(
+            rng.random(),
+            users,
+            rng.random_range(60u64..4_000),
+            rng.random_range(1u64..120),
+            rng.random(),
+        );
         let s = Schedule::build(&cfg);
-        prop_assert_eq!(
+        assert_eq!(
             s.to_json_bytes(),
             Schedule::build(&cfg).to_json_bytes(),
             "determinism"
         );
         let horizon = SimTime(s.horizon.as_micros());
-        prop_assert!(s.entries.windows(2).all(|w| w[0].at <= w[1].at), "sorted");
+        assert!(s.entries.windows(2).all(|w| w[0].at <= w[1].at), "sorted");
         for e in &s.entries {
-            prop_assert!(e.at <= horizon, "inside the horizon");
-            prop_assert!(e.user < users, "user index in population");
-            prop_assert!((e.class as usize) < s.classes.len(), "class index valid");
-            prop_assert!(e.qos.validate().is_ok(), "contract validates");
-            prop_assert!(
+            assert!(e.at <= horizon, "inside the horizon");
+            assert!(e.user < users, "user index in population");
+            assert!((e.class as usize) < s.classes.len(), "class index valid");
+            assert!(e.qos.validate().is_ok(), "contract validates");
+            assert!(
                 e.qos.payoff.soft_deadline > e.at,
                 "deadline anchored after arrival"
             );
-            prop_assert!(e.qos.payoff.hard_deadline >= e.qos.payoff.soft_deadline);
+            assert!(e.qos.payoff.hard_deadline >= e.qos.payoff.soft_deadline);
         }
-    }
+    });
+}
 
-    /// Anchoring shifts both deadlines by exactly the base and touches
-    /// nothing else.
-    #[test]
-    fn anchoring_is_a_pure_deadline_shift(
-        seed in any::<u64>(),
-        base_s in 0u64..100_000,
-    ) {
-        let cfg = config(seed, 10, 600, 30, false);
+/// Anchoring shifts both deadlines by exactly the base and touches
+/// nothing else.
+#[test]
+fn anchoring_is_a_pure_deadline_shift() {
+    for_seeds(32, |rng| {
+        let cfg = config(rng.random(), 10, 600, 30, false);
+        let base = SimTime::from_secs(rng.random_range(0u64..100_000));
         let s = Schedule::build(&cfg);
-        prop_assume!(!s.is_empty());
-        let base = SimTime::from_secs(base_s);
+        if s.is_empty() {
+            return;
+        }
         let e = &s.entries[0];
         let anchored = e.anchor(base);
-        prop_assert_eq!(
+        assert_eq!(
             anchored.payoff.soft_deadline.as_micros(),
             e.qos.payoff.soft_deadline.as_micros() + base.as_micros()
         );
-        prop_assert_eq!(
+        assert_eq!(
             anchored.payoff.hard_deadline.as_micros(),
             e.qos.payoff.hard_deadline.as_micros() + base.as_micros()
         );
         let mut unshifted = anchored;
         unshifted.payoff.soft_deadline = e.qos.payoff.soft_deadline;
         unshifted.payoff.hard_deadline = e.qos.payoff.hard_deadline;
-        prop_assert_eq!(&unshifted, &e.qos, "nothing but deadlines changed");
-    }
+        assert_eq!(&unshifted, &e.qos, "nothing but deadlines changed");
+    });
 }

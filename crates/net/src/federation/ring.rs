@@ -5,7 +5,7 @@
 //! by the member whose point is the first at or clockwise-after the key's
 //! hash. Membership changes therefore remap only the keys that fell
 //! between the joining/leaving member's points and their predecessors —
-//! the minimal-disruption law the proptests pin down: adding a shard
+//! the minimal-disruption law `tests/prop_ring.rs` pins down: adding a shard
 //! moves keys *only onto the new shard*, removing one moves *only its own
 //! keys*, and every key always has exactly one live owner.
 //!

@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 /// A classic token bucket: starts full at `burst` tokens, refills at
 /// `rate` tokens per second, each admitted request consumes one token.
 /// Over any window of `t` seconds it therefore admits at most
-/// `rate · t + burst` requests — the property `proptest_overload` checks.
+/// `rate · t + burst` requests — the property `tests/prop_overload.rs` checks.
 ///
 /// Rate and burst are runtime-adjustable ([`TokenBucket::set_rate`],
 /// [`TokenBucket::set_burst`]); the clock is injectable

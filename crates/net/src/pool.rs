@@ -355,7 +355,7 @@ struct Slot {
 /// exactly that slot. Ids make interleaving safe — a late or reordered
 /// response can only ever reach its own caller, never cross wires. Pure
 /// bookkeeping (no sockets), so its matching laws are property-tested
-/// directly in `tests/proptest_pipeline.rs`.
+/// directly in `tests/prop_pipeline.rs`.
 #[derive(Default)]
 pub struct PendingMap {
     slots: parking_lot::Mutex<HashMap<u64, Arc<Slot>>>,

@@ -729,8 +729,7 @@ mod tests {
     #[test]
     fn envelope_deadline_is_optional_on_the_wire() {
         // A frame from a pre-deadline peer (no `deadline_ms` key) parses.
-        let legacy = serde_json::json!({ "ctx": null, "msg": "Ok" });
-        let env: Envelope<Response> = serde_json::from_value(legacy).unwrap();
+        let env: Envelope<Response> = serde_json::from_str(r#"{"ctx":null,"msg":"Ok"}"#).unwrap();
         assert_eq!(env.deadline_ms, None);
         // An unstamped envelope leaves the key off the wire entirely.
         let plain = serde_json::to_string(&Envelope::wrap(Response::Ok)).unwrap();

@@ -587,12 +587,14 @@ mod tests {
         assert_eq!(n, 1);
         assert_eq!(events[0].token, 42);
         assert!(start.elapsed() < Duration::from_secs(5), "wake was prompt");
+        // Both wakes have landed before the drain: the second can trail
+        // the first by a scheduling quantum and would re-arm the eventfd.
+        t.join().unwrap();
         waker.drain();
         // Drained: no residual readiness.
         let n = ep
             .wait(&mut events, Some(Duration::from_millis(10)))
             .unwrap();
         assert_eq!(n, 0, "drain must clear the eventfd");
-        t.join().unwrap();
     }
 }

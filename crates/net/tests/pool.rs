@@ -81,7 +81,7 @@ fn faulty_frames_poison_the_pooled_socket_and_calls_recover() {
 }
 
 /// Per-call connections from many concurrent clients: the reactor keeps
-/// open connections bounded by the live client count (connections are
+/// open connections bounded by twice the live client count (connections are
 /// parked state, not threads, so churn never accumulates handles), the
 /// gauge drains back to zero, and shutdown stays prompt (no poll loop, no
 /// per-connection threads to orphan).
@@ -139,14 +139,15 @@ fn connection_churn_keeps_handles_bounded() {
         sampler.join().unwrap()
     });
 
-    // Each client runs one call at a time on its own socket, so the
-    // reactor can never be tracking more connections than live clients
-    // (the old worker-pool serve path bounded this at WORKERS; the
-    // reactor holds connections as parked state instead, bounded by the
-    // sockets that actually exist).
+    // Each client runs one call at a time on its own socket, but it closes
+    // that socket and dials the next before the reactor has consumed the
+    // first one's EOF, so a client can own one open and one closing
+    // connection at the same instant: twice the live clients is the bound
+    // the reactor keeps (connections are parked state, bounded by the
+    // sockets that actually exist, not by WORKERS).
     assert!(
-        max_open <= CLIENTS as f64,
-        "live connection handles never exceeded the client count: \
+        max_open <= (2 * CLIENTS) as f64,
+        "live connection handles never exceeded twice the client count: \
          saw {max_open}, clients {CLIENTS}"
     );
     let snap = server_reg.snapshot();

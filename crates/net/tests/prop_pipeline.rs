@@ -9,7 +9,9 @@
 
 use faucets_net::pool::PendingMap;
 use faucets_net::prelude::*;
-use proptest::prelude::*;
+use faucets_sim::check::for_seeds;
+use rand::rngs::StdRng;
+use rand::Rng;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -18,29 +20,24 @@ fn payload_for(id: u64) -> Response {
     Response::Error(format!("payload-{id}"))
 }
 
-/// Derive a permutation of `0..n` from proptest-chosen swap indices, so
-/// shrinking stays meaningful (fewer/smaller swaps → closer to identity).
-fn permute(n: usize, swaps: &[(usize, usize)]) -> Vec<usize> {
+/// A permutation of `0..n`: the identity under up to 47 random swaps.
+fn permutation(rng: &mut StdRng, n: usize) -> Vec<usize> {
     let mut order: Vec<usize> = (0..n).collect();
-    for &(a, b) in swaps {
-        order.swap(a % n, b % n);
+    for _ in 0..rng.random_range(0..48) {
+        order.swap(rng.random_range(0..n), rng.random_range(0..n));
     }
     order
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Complete registered requests in an arbitrary order: every waiter
-    /// observes exactly its own payload, no matter the interleaving.
-    #[test]
-    fn out_of_order_completions_reach_their_registrants(
-        n in 1usize..24,
-        swaps in prop::collection::vec((0usize..24, 0usize..24), 0..48),
-    ) {
+/// Complete registered requests in an arbitrary order: every waiter
+/// observes exactly its own payload, no matter the interleaving.
+#[test]
+fn out_of_order_completions_reach_their_registrants() {
+    for_seeds(64, |rng| {
+        let n = rng.random_range(1usize..24);
         let map = Arc::new(PendingMap::new());
         let tickets: Vec<_> = (0..n as u64).map(|id| map.register(id)).collect();
-        let order = permute(n, &swaps);
+        let order = permutation(rng, n);
 
         let completer = {
             let map = Arc::clone(&map);
@@ -57,47 +54,47 @@ proptest! {
             let got = map
                 .wait(ticket, Duration::from_secs(5))
                 .expect("completed request must succeed");
-            prop_assert_eq!(got, payload_for(id as u64), "crossed wire at id {}", id);
+            assert_eq!(got, payload_for(id as u64), "crossed wire at id {id}");
         }
         completer.join().unwrap();
-        prop_assert!(map.is_empty(), "all slots consumed");
-    }
+        assert!(map.is_empty(), "all slots consumed");
+    });
+}
 
-    /// Complete only a subset, then fail the connection: completed
-    /// requests get exactly their payload, the rest get a typed
-    /// disconnect error — never silence, never someone else's bytes.
-    #[test]
-    fn partial_completion_then_failure_never_crosses_wires(
-        n in 1usize..24,
-        swaps in prop::collection::vec((0usize..24, 0usize..24), 0..48),
-        keep in 0usize..24,
-    ) {
+/// Complete only a subset, then fail the connection: completed
+/// requests get exactly their payload, the rest get a typed
+/// disconnect error — never silence, never someone else's bytes.
+#[test]
+fn partial_completion_then_failure_never_crosses_wires() {
+    for_seeds(64, |rng| {
+        let n = rng.random_range(1usize..24);
         let map = Arc::new(PendingMap::new());
         let tickets: Vec<_> = (0..n as u64).map(|id| map.register(id)).collect();
         // An arbitrary subset (prefix of a permutation) completes before
         // the "connection" dies under everyone else.
-        let order = permute(n, &swaps);
+        let order = permutation(rng, n);
+        let keep = rng.random_range(0usize..24);
         let completed: Vec<usize> = order[..keep.min(n)].to_vec();
         for &idx in &completed {
-            prop_assert!(map.complete(idx as u64, payload_for(idx as u64)));
+            assert!(map.complete(idx as u64, payload_for(idx as u64)));
         }
         map.fail_all("mux connection lost");
 
         for (id, ticket) in tickets.into_iter().enumerate() {
             match map.wait(ticket, Duration::from_secs(5)) {
                 Ok(got) => {
-                    prop_assert!(
+                    assert!(
                         completed.contains(&id),
-                        "id {} succeeded without being completed", id
+                        "id {id} succeeded without being completed"
                     );
-                    prop_assert_eq!(got, payload_for(id as u64), "crossed wire at id {}", id);
+                    assert_eq!(got, payload_for(id as u64), "crossed wire at id {id}");
                 }
                 Err(e) => {
-                    prop_assert!(
+                    assert!(
                         !completed.contains(&id),
-                        "completed id {} surfaced an error: {}", id, e
+                        "completed id {id} surfaced an error: {e}"
                     );
-                    prop_assert_eq!(
+                    assert_eq!(
                         e.kind(),
                         std::io::ErrorKind::ConnectionAborted,
                         "failure is the typed disconnect"
@@ -105,16 +102,17 @@ proptest! {
                 }
             }
         }
-    }
+    });
+}
 
-    /// A late completion for an abandoned (timed-out) id is an orphan:
-    /// `complete` reports no waiter, and the abandoned caller saw a typed
-    /// timeout — not a stale or foreign payload.
-    #[test]
-    fn abandoned_ids_turn_late_replies_into_orphans(
-        n in 1usize..16,
-        abandon_mask in 0u32..65536,
-    ) {
+/// A late completion for an abandoned (timed-out) id is an orphan:
+/// `complete` reports no waiter, and the abandoned caller saw a typed
+/// timeout — not a stale or foreign payload.
+#[test]
+fn abandoned_ids_turn_late_replies_into_orphans() {
+    for_seeds(64, |rng| {
+        let n = rng.random_range(1usize..16);
+        let abandon_mask = rng.random_range(0u32..65536);
         let map = Arc::new(PendingMap::new());
         let tickets: Vec<_> = (0..n as u64).map(|id| map.register(id)).collect();
         let mut abandoned = Vec::new();
@@ -122,7 +120,7 @@ proptest! {
             if abandon_mask & (1u32 << id) != 0 {
                 // Zero timeout: the caller gives up before any reply.
                 let e = map.wait(ticket, Duration::ZERO).unwrap_err();
-                prop_assert_eq!(e.kind(), std::io::ErrorKind::TimedOut);
+                assert_eq!(e.kind(), std::io::ErrorKind::TimedOut);
                 abandoned.push(id);
             } else {
                 map.abandon(ticket.id());
@@ -130,13 +128,13 @@ proptest! {
             }
         }
         for id in abandoned {
-            prop_assert!(
+            assert!(
                 !map.complete(id as u64, payload_for(id as u64)),
-                "late reply for abandoned id {} must be an orphan", id
+                "late reply for abandoned id {id} must be an orphan"
             );
         }
-        prop_assert!(map.is_empty());
-    }
+        assert!(map.is_empty());
+    });
 }
 
 /// A ticket dropped without `wait` (caller panicked or bailed early)
@@ -161,13 +159,13 @@ fn dropped_tickets_abandon_their_ids() {
 }
 
 /// End-to-end: a real server whose handler stalls each request by a
-/// proptest-chosen amount, so replies come back in an adversarial order
+/// seed-keyed amount, so replies come back in an adversarial order
 /// over one shared mux socket — every batched caller still gets the
 /// response to its own request.
 #[test]
 fn permuted_reply_schedules_match_batch_slots_over_real_sockets() {
     // Deterministic-seeded schedule sweep, kept short: three schedules of
-    // sixteen stalls each (the proptest cases above cover the state
+    // sixteen stalls each (the properties above cover the state
     // space; this pins the socket plumbing).
     for seed in [3u64, 17, 40] {
         let h = serve_with(

@@ -11,15 +11,16 @@
 //!    the follower — unacked ≠ forbidden, it just may not be claimed).
 //!
 //! The interleaving is genuinely racy (a committer thread runs while the
-//! main thread fences at a proptest-chosen point), which is the point:
+//! main thread fences at a seed-chosen point), which is the point:
 //! the contract must hold for every schedule the OS happens to produce,
-//! on top of the schedules proptest explores.
+//! on top of the schedules the seeds explore.
 
+use faucets_sim::check::for_seeds;
 use faucets_store::{
     prepare_promotion, read_epoch, Durable, DurableStore, FollowerOptions, FollowerStore,
     LocalLink, ReplOptions, ReplicatedStore, ReplicationMode, StoreOptions,
 };
-use proptest::prelude::*;
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -63,14 +64,11 @@ fn store_opts() -> StoreOptions {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn any_takeover_interleaving_preserves_the_acked_contract(
-        commits in 1usize..24,
-        fence_after in 0usize..24,
-    ) {
+#[test]
+fn any_takeover_interleaving_preserves_the_acked_contract() {
+    for_seeds(16, |rng| {
+        let commits = rng.random_range(1usize..24);
+        let fence_after = rng.random_range(0usize..24);
         let case = CASE.fetch_add(1, Ordering::Relaxed);
         let pdir = scratch("p", case);
         let fdir = scratch("f", case);
@@ -78,7 +76,10 @@ proptest! {
         let follower = Arc::new(
             FollowerStore::open(
                 &fdir,
-                FollowerOptions { no_fsync: true, ..FollowerOptions::default() },
+                FollowerOptions {
+                    no_fsync: true,
+                    ..FollowerOptions::default()
+                },
             )
             .unwrap(),
         );
@@ -137,7 +138,7 @@ proptest! {
 
         // Invariant 2: no fenced frame acked.
         for &(i, after_fence, ok) in &results {
-            prop_assert!(
+            assert!(
                 !(after_fence && ok),
                 "commit r{i} started after the fence yet was acknowledged"
             );
@@ -149,7 +150,7 @@ proptest! {
         drop(store);
         drop(follower);
         prepare_promotion(&fdir, "takeover", new_epoch).unwrap();
-        prop_assert_eq!(read_epoch(&fdir), new_epoch);
+        assert_eq!(read_epoch(&fdir), new_epoch);
         let (promoted, _) = DurableStore::open(&fdir, Log::default(), store_opts()).unwrap();
         let survived = promoted.read(|l| l.0.clone());
 
@@ -157,7 +158,7 @@ proptest! {
         // follower may legitimately hold MORE than was acked — an
         // in-flight frame NACKed by the fence — but never less.)
         for rec in &acked {
-            prop_assert!(
+            assert!(
                 survived.contains(rec),
                 "acked record {} missing after promotion (survived: {:?})",
                 rec,
@@ -167,5 +168,5 @@ proptest! {
 
         let _ = std::fs::remove_dir_all(&pdir);
         let _ = std::fs::remove_dir_all(&fdir);
-    }
+    });
 }

@@ -16,14 +16,16 @@
 //!   calendar queue ([`calendar`]) — benchmarked against each other in
 //!   experiment E10,
 //! * random-variate distributions for workload generation ([`dist`]),
-//! * O(1)-memory streaming statistics ([`stats`]), and
-//! * bounded tracing ([`trace`]).
+//! * O(1)-memory streaming statistics ([`stats`]),
+//! * bounded tracing ([`trace`]), and
+//! * the seeded property-check loop the workspace's tests share ([`check`]).
 //!
 //! The grid-level model built on top of this engine lives in `faucets-grid`.
 
 #![warn(missing_docs)]
 
 pub mod calendar;
+pub mod check;
 pub mod dist;
 pub mod engine;
 pub mod event;

@@ -129,13 +129,21 @@ impl Summary {
 /// P² (Jain & Chlamtac) single-quantile estimator: O(1) memory, no sample
 /// retention. Good to a few percent for the long-tailed metrics we track.
 ///
+/// Marker heights are kept in signed-log space (`sign(x)·ln(1 + |x|)`).
+/// P² moves a marker by interpolating between its neighbours' heights; on
+/// a heavy tail the maximum sits orders of magnitude above the rest, and
+/// interpolating raw values drags the upper markers, and the median after
+/// them, far up the tail (`tests/prop_stats.rs` holds the seed). Quantiles
+/// commute with a monotone map, so the estimate maps straight back.
+///
 /// Non-finite observations are skipped and counted ([`P2Quantile::non_finite`]):
 /// one NaN inside the marker array would otherwise wreck every subsequent
 /// interpolation — and, before this guard, panicked the initial sort.
 #[derive(Debug, Clone)]
 pub struct P2Quantile {
     p: f64,
-    /// Marker heights (the first 5 observations until initialized).
+    /// Marker heights, compressed (through the fifth observation: the
+    /// observations themselves, raw).
     q: [f64; 5],
     /// Marker positions.
     pos: [f64; 5],
@@ -181,6 +189,10 @@ impl P2Quantile {
             }
             return;
         }
+        if self.n == 6 {
+            self.q = self.q.map(compress);
+        }
+        let x = compress(x);
 
         // Locate the cell x falls into and bump marker positions.
         let k = if x < self.q[0] {
@@ -242,7 +254,7 @@ impl P2Quantile {
             let idx = ((self.n as f64 - 1.0) * self.p).round() as usize;
             return v[idx];
         }
-        self.q[2]
+        expand(self.q[2])
     }
 
     /// Count of (finite) observations.
@@ -254,6 +266,17 @@ impl P2Quantile {
     pub fn non_finite(&self) -> u64 {
         self.non_finite
     }
+}
+
+/// Strictly increasing, odd, and logarithmic in `|x|`: the space
+/// [`P2Quantile`] interpolates in.
+fn compress(x: f64) -> f64 {
+    x.abs().ln_1p().copysign(x)
+}
+
+/// Inverse of [`compress`].
+fn expand(y: f64) -> f64 {
+    y.abs().exp_m1().copysign(y)
 }
 
 /// The standard latency-quantile battery (p50/p90/p99/p999) as one O(1)
@@ -637,6 +660,10 @@ mod tests {
         q.record(1.0);
         q.record(2.0);
         assert_eq!(q.estimate(), 2.0);
+        // Still the raw observations at the fifth, where the markers form.
+        q.record(500.0);
+        q.record(180.0);
+        assert_eq!(q.estimate(), 3.0);
     }
 
     #[test]

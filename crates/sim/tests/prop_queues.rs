@@ -2,10 +2,12 @@
 //! priority queue and agree with each other under arbitrary workloads.
 
 use faucets_sim::calendar::CalendarQueue;
+use faucets_sim::check::{for_seeds, vec_of};
 use faucets_sim::event::EventId;
 use faucets_sim::queue::{BinaryHeapQueue, EventQueue};
 use faucets_sim::time::SimTime;
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::Rng;
 
 /// A scripted queue operation.
 #[derive(Debug, Clone)]
@@ -14,14 +16,15 @@ enum Op {
     Pop,
 }
 
-fn ops() -> impl Strategy<Value = Vec<Op>> {
-    prop::collection::vec(
-        prop_oneof![
-            3 => (0u64..1_000_000).prop_map(Op::Push),
-            1 => Just(Op::Pop),
-        ],
-        1..200,
-    )
+/// Three pushes to every pop, 1..200 operations.
+fn ops(rng: &mut StdRng) -> Vec<Op> {
+    vec_of(rng, 1..200, |rng| {
+        if rng.random_range(0..4) < 3 {
+            Op::Push(rng.random_range(0u64..1_000_000))
+        } else {
+            Op::Pop
+        }
+    })
 }
 
 /// Run a script against a queue, returning the sequence of popped keys.
@@ -48,26 +51,33 @@ fn run<Q: EventQueue<u64>>(mut q: Q, script: &[Op]) -> Vec<(u64, u64)> {
     popped
 }
 
-proptest! {
-    /// The heap queue is a total-order priority queue with FIFO tie-break.
-    #[test]
-    fn heap_queue_total_order(script in ops()) {
+/// The heap queue is a total-order priority queue with FIFO tie-break.
+#[test]
+fn heap_queue_total_order() {
+    for_seeds(256, |rng| {
+        let script = ops(rng);
         let out = run(BinaryHeapQueue::new(), &script);
         let n_push = script.iter().filter(|o| matches!(o, Op::Push(_))).count();
-        prop_assert_eq!(out.len(), n_push, "every push must eventually pop");
-    }
+        assert_eq!(out.len(), n_push, "every push must eventually pop");
+    });
+}
 
-    /// The calendar queue produces exactly the heap queue's output.
-    #[test]
-    fn calendar_matches_heap(script in ops()) {
+/// The calendar queue produces exactly the heap queue's output.
+#[test]
+fn calendar_matches_heap() {
+    for_seeds(256, |rng| {
+        let script = ops(rng);
         let heap = run(BinaryHeapQueue::new(), &script);
         let cal = run(CalendarQueue::new(), &script);
-        prop_assert_eq!(heap, cal);
-    }
+        assert_eq!(heap, cal);
+    });
+}
 
-    /// With pops only at the end, output is fully sorted by (time, id).
-    #[test]
-    fn drain_is_sorted(times in prop::collection::vec(0u64..1_000_000, 1..300)) {
+/// With pops only at the end, output is fully sorted by (time, id).
+#[test]
+fn drain_is_sorted() {
+    for_seeds(256, |rng| {
+        let times = vec_of(rng, 1..300, |rng| rng.random_range(0u64..1_000_000));
         let mut q = CalendarQueue::new();
         for (i, t) in times.iter().enumerate() {
             q.push(SimTime(*t), EventId(i as u64), i as u64);
@@ -76,9 +86,9 @@ proptest! {
         while let Some(s) = q.pop() {
             let key = (s.time.0, s.id.0);
             if let Some(p) = prev {
-                prop_assert!(p < key, "calendar queue out of order: {:?} then {:?}", p, key);
+                assert!(p < key, "calendar queue out of order: {p:?} then {key:?}");
             }
             prev = Some(key);
         }
-    }
+    });
 }

@@ -603,7 +603,7 @@ mod tests {
         let (store, _) = DurableStore::open(&dir, Log::default(), opts()).unwrap();
         store.commit(&"ok".to_string()).unwrap();
         let res = store.commit_check(&"nope".to_string(), |s| {
-            if s.entries.len() >= 1 {
+            if !s.entries.is_empty() {
                 Err("full".to_string())
             } else {
                 Ok(())

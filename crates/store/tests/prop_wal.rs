@@ -8,22 +8,28 @@
 //!    damaged record is never surfaced as garbage), and
 //! 2. every record wholly written *before* the damage point survives.
 
+use faucets_sim::check::{for_seeds, vec_of};
 use faucets_store::wal::{FRAME_HEADER, HEADER_LEN};
 use faucets_store::{read_wal, Durable, DurableStore, NoopObserver, StoreOptions, Wal, WalOptions};
-use proptest::prelude::*;
-use proptest::test_runner::TestCaseError;
-use std::path::PathBuf;
+use rand::rngs::StdRng;
+use rand::Rng;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 static CASE: AtomicU64 = AtomicU64::new(0);
 
-/// A fresh scratch WAL path, unique per process and per proptest case.
+/// A fresh scratch WAL path, unique per process and per case.
 fn scratch() -> PathBuf {
     let n = CASE.fetch_add(1, Ordering::Relaxed);
     let dir = std::env::temp_dir().join(format!("faucets-store-prop-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
     dir.join(format!("wal-{n}.log"))
+}
+
+/// 1..12 records of 0..96 arbitrary bytes each.
+fn records(rng: &mut StdRng) -> Vec<Vec<u8>> {
+    vec_of(rng, 1..12, |rng| vec_of(rng, 0..96, |rng| rng.random()))
 }
 
 /// Write `records` into a fresh log and return its path.
@@ -63,81 +69,71 @@ fn wholly_before(records: &[Vec<u8>], damage_at: usize) -> usize {
 }
 
 /// Check the two prefix invariants against a damaged log.
-fn check(path: &PathBuf, records: &[Vec<u8>], damage_at: usize) -> Result<(), TestCaseError> {
+fn check(path: &Path, records: &[Vec<u8>], damage_at: usize) {
     let scan = read_wal(path).expect("scan never fails on damaged content");
     let n = scan.records.len();
-    prop_assert!(
+    assert!(
         n <= records.len(),
         "recovered {n} records from {} written",
         records.len()
     );
-    prop_assert_eq!(
+    assert_eq!(
         &scan.records[..],
         &records[..n],
         "recovered records must be an exact prefix"
     );
     let must_survive = wholly_before(records, damage_at);
-    prop_assert!(
+    assert!(
         n >= must_survive,
         "damage at byte {damage_at} may only lose records at/after it: \
          recovered {n}, but {must_survive} were wholly before the damage"
     );
     let _ = std::fs::remove_file(path);
-    Ok(())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// Truncating the file at any byte keeps an exact, complete prefix.
-    #[test]
-    fn truncation_always_yields_valid_prefix(
-        records in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..96), 1..12),
-        cut in any::<prop::sample::Index>(),
-    ) {
+/// Truncating the file at any byte keeps an exact, complete prefix.
+#[test]
+fn truncation_always_yields_valid_prefix() {
+    for_seeds(96, |rng| {
+        let records = records(rng);
         let path = write_log(&records);
-        let len = std::fs::metadata(&path).expect("meta").len() as usize;
-        let cut = cut.index(len + 1); // 0..=len: empty file through untouched
         let bytes = std::fs::read(&path).expect("read");
+        let cut = rng.random_range(0..=bytes.len()); // empty file through untouched
         std::fs::write(&path, &bytes[..cut]).expect("truncate");
-        check(&path, &records, cut)?;
-    }
+        check(&path, &records, cut);
+    });
+}
 
-    /// Flipping any single byte (header included) keeps an exact prefix and
-    /// loses nothing before the flipped byte.
-    #[test]
-    fn bit_flip_always_yields_valid_prefix(
-        records in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..96), 1..12),
-        at in any::<prop::sample::Index>(),
-        xor in 1u8..=255,
-    ) {
+/// Flipping any single byte (header included) keeps an exact prefix and
+/// loses nothing before the flipped byte.
+#[test]
+fn bit_flip_always_yields_valid_prefix() {
+    for_seeds(96, |rng| {
+        let records = records(rng);
         let path = write_log(&records);
         let mut bytes = std::fs::read(&path).expect("read");
-        let at = at.index(bytes.len());
-        bytes[at] ^= xor;
+        let at = rng.random_range(0..bytes.len());
+        bytes[at] ^= rng.random_range(1u8..=255);
         std::fs::write(&path, &bytes).expect("write damaged");
-        check(&path, &records, at)?;
-    }
+        check(&path, &records, at);
+    });
+}
 
-    /// Truncation *and* a bit flip in what remains: still a valid prefix up
-    /// to the earlier damage point.
-    #[test]
-    fn combined_damage_always_yields_valid_prefix(
-        records in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..96), 1..12),
-        cut in any::<prop::sample::Index>(),
-        at in any::<prop::sample::Index>(),
-        xor in 1u8..=255,
-    ) {
+/// Truncation *and* a bit flip in what remains: still a valid prefix up
+/// to the earlier damage point.
+#[test]
+fn combined_damage_always_yields_valid_prefix() {
+    for_seeds(96, |rng| {
+        let records = records(rng);
         let path = write_log(&records);
-        let len = std::fs::metadata(&path).expect("meta").len() as usize;
-        let cut = cut.index(len) + 1; // keep at least one byte
         let mut bytes = std::fs::read(&path).expect("read");
+        let cut = rng.random_range(1..=bytes.len()); // keep at least one byte
         bytes.truncate(cut);
-        let at = at.index(bytes.len());
-        bytes[at] ^= xor;
+        let at = rng.random_range(0..bytes.len());
+        bytes[at] ^= rng.random_range(1u8..=255);
         std::fs::write(&path, &bytes).expect("write damaged");
-        check(&path, &records, at.min(cut))?;
-    }
+        check(&path, &records, at.min(cut));
+    });
 }
 
 // ---- Crash during compaction (DurableStore level) ----
@@ -161,20 +157,19 @@ impl Durable for Log {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// A kill -9 during compaction leaves a torn `snap-*.json.tmp` — and
-    /// possibly a torn half-renamed next-generation snapshot — next to a
-    /// WAL that may itself be truncated. Recovery must restore exactly
-    /// the wholly-written record prefix of the intact generation, never
-    /// let the torn snapshot shadow it, and sweep the debris.
-    #[test]
-    fn compaction_crash_recovers_exact_prefix(
-        entries in prop::collection::vec("[a-z]{1,12}", 1..16),
-        cut in any::<prop::sample::Index>(),
-        tear in any::<prop::sample::Index>(),
-    ) {
+/// A kill -9 during compaction leaves a torn `snap-*.json.tmp` — and
+/// possibly a torn half-renamed next-generation snapshot — next to a
+/// WAL that may itself be truncated. Recovery must restore exactly
+/// the wholly-written record prefix of the intact generation, never
+/// let the torn snapshot shadow it, and sweep the debris.
+#[test]
+fn compaction_crash_recovers_exact_prefix() {
+    for_seeds(48, |rng| {
+        // 1..16 entries of 1..=12 letters a–z.
+        let entries: Vec<String> = vec_of(rng, 1..16, |rng| {
+            let letters = vec_of(rng, 1..13, |rng| rng.random_range(b'a'..=b'z') as char);
+            letters.into_iter().collect()
+        });
         let case = CASE.fetch_add(1, Ordering::Relaxed);
         let dir = std::env::temp_dir().join(format!(
             "faucets-store-prop-compact-{}-{case}",
@@ -197,22 +192,20 @@ proptest! {
 
         // Truncate the live WAL at an arbitrary byte.
         let wal = dir.join("wal-1.log");
-        let len = std::fs::metadata(&wal).expect("meta").len() as usize;
-        let cut = cut.index(len + 1); // 0..=len
         let bytes = std::fs::read(&wal).expect("read");
+        let cut = rng.random_range(0..=bytes.len());
         std::fs::write(&wal, &bytes[..cut]).expect("truncate");
 
         // Plant the compaction debris: strict prefixes of the real
         // snapshot bytes (a strict prefix of a JSON array is never valid
         // JSON, exactly like a torn write).
         let full = serde_json::to_vec(&entries).expect("serialize");
-        let tear = tear.index(full.len());
+        let tear = rng.random_range(0..full.len());
         std::fs::write(dir.join("snap-2.json.tmp"), &full[..tear]).expect("plant tmp");
         std::fs::write(dir.join("snap-2.json"), &full[..tear]).expect("plant snap");
 
-        let (store, report) =
-            DurableStore::open(&dir, Log::default(), opts).expect("recover");
-        prop_assert_eq!(report.generation, 1, "torn snapshot must not shadow gen 1");
+        let (store, report) = DurableStore::open(&dir, Log::default(), opts).expect("recover");
+        assert_eq!(report.generation, 1, "torn snapshot must not shadow gen 1");
 
         // The WAL payload of record i is its JSON encoding (quoted; the
         // [a-z] alphabet needs no escapes).
@@ -222,13 +215,12 @@ proptest! {
             .collect();
         let survive = wholly_before(&payloads, cut);
         let got = store.read(|s| s.0.clone());
-        prop_assert_eq!(
+        assert_eq!(
             got.len(),
             survive,
-            "exactly the records wholly before byte {} survive",
-            cut
+            "exactly the records wholly before byte {cut} survive"
         );
-        prop_assert_eq!(&got[..], &entries[..survive], "recovered an exact prefix");
+        assert_eq!(&got[..], &entries[..survive], "recovered an exact prefix");
 
         let debris: Vec<String> = std::fs::read_dir(&dir)
             .expect("read dir")
@@ -236,8 +228,8 @@ proptest! {
             .filter_map(|e| e.file_name().to_str().map(String::from))
             .filter(|n| n.ends_with(".tmp") || n == "snap-2.json")
             .collect();
-        prop_assert!(debris.is_empty(), "compaction debris swept: {:?}", debris);
+        assert!(debris.is_empty(), "compaction debris swept: {debris:?}");
         drop(store);
         let _ = std::fs::remove_dir_all(&dir);
-    }
+    });
 }

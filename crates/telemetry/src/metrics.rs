@@ -629,7 +629,7 @@ mod tests {
         for (&p, &q) in ps.iter().zip([0.5, 0.99, 0.999].iter()) {
             let exact = 1.0 + q;
             assert!(
-                p >= 1.0 && p < 2.0 && (p - exact).abs() < 0.01,
+                (1.0..2.0).contains(&p) && (p - exact).abs() < 0.01,
                 "q={q}: got {p}, exact {exact}"
             );
         }

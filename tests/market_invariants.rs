@@ -5,8 +5,9 @@
 
 use faucets_core::market::SelectionPolicy;
 use faucets_grid::prelude::*;
+use faucets_sim::check::for_seeds;
 use faucets_sim::time::SimDuration;
-use proptest::prelude::*;
+use rand::Rng;
 
 fn run_bidding(seed: u64, interarrival: u64, clusters: u8) -> GridWorld {
     let mut b = ScenarioBuilder::new(seed)
@@ -31,54 +32,72 @@ fn run_bidding(seed: u64, interarrival: u64, clusters: u8) -> GridWorld {
     run_scenario(b.build())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Money never leaks: the ledger total is invariant under any run
-    /// (every settlement is a transfer; payoffs come from the overdraftable
-    /// System account, which is part of the total).
-    #[test]
-    fn ledger_conserves_money(seed in 0u64..1_000, inter in 120u64..900, clusters in 1u8..4) {
-        let w = run_bidding(seed, inter, clusters);
+/// Money never leaks: the ledger total is invariant under any run
+/// (every settlement is a transfer; payoffs come from the overdraftable
+/// System account, which is part of the total).
+#[test]
+fn ledger_conserves_money() {
+    for_seeds(12, |rng| {
+        let w = run_bidding(
+            rng.random_range(0u64..1_000),
+            rng.random_range(120u64..900),
+            rng.random_range(1u8..4),
+        );
         // Initial endowment: 3 users × $1e9; clusters and System start at 0.
         let expected = 3i64 * 1_000_000_000 * 1_000_000;
-        prop_assert_eq!(w.ledger.total_micros(), expected);
-    }
+        assert_eq!(w.ledger.total_micros(), expected);
+    });
+}
 
-    /// Every submitted job reaches a terminal accounting state.
-    #[test]
-    fn job_accounting_closes(seed in 0u64..1_000, inter in 120u64..900) {
-        let w = run_bidding(seed, inter, 2);
-        prop_assert_eq!(w.stats.completed + w.stats.rejected, w.stats.submitted);
-    }
+/// Every submitted job reaches a terminal accounting state.
+#[test]
+fn job_accounting_closes() {
+    for_seeds(12, |rng| {
+        let w = run_bidding(
+            rng.random_range(0u64..1_000),
+            rng.random_range(120u64..900),
+            2,
+        );
+        assert_eq!(w.stats.completed + w.stats.rejected, w.stats.submitted);
+    });
+}
 
-    /// Same seed → identical outcome (full determinism of the DES).
-    #[test]
-    fn runs_are_deterministic(seed in 0u64..200) {
+/// Same seed → identical outcome (full determinism of the DES).
+#[test]
+fn runs_are_deterministic() {
+    for_seeds(12, |rng| {
+        let seed = rng.random_range(0u64..200);
         let a = run_bidding(seed, 300, 2);
         let b = run_bidding(seed, 300, 2);
-        prop_assert_eq!(a.stats.completed, b.stats.completed);
-        prop_assert_eq!(a.stats.paid_total, b.stats.paid_total);
-        prop_assert_eq!(a.stats.messages, b.stats.messages);
-    }
+        assert_eq!(a.stats.completed, b.stats.completed);
+        assert_eq!(a.stats.paid_total, b.stats.paid_total);
+        assert_eq!(a.stats.messages, b.stats.messages);
+    });
+}
 
-    /// Bartering conserves credits regardless of routing pattern.
-    #[test]
-    fn barter_conserves_credits(seed in 0u64..500, inter in 60u64..600) {
-        let sim = ScenarioBuilder::new(seed)
+/// Bartering conserves credits regardless of routing pattern.
+#[test]
+fn barter_conserves_credits() {
+    for_seeds(12, |rng| {
+        let sim = ScenarioBuilder::new(rng.random_range(0u64..500))
             .cluster(64, "equipartition", "baseline")
             .cluster(64, "equipartition", "baseline")
             .cluster(128, "equipartition", "baseline")
             .users(6)
             .mode(MarketMode::Barter)
-            .arrivals(ArrivalProcess::Poisson { mean_interarrival: SimDuration::from_secs(inter) })
-            .mix(JobMix { log2_min_pes: (0, 4), ..JobMix::default() })
+            .arrivals(ArrivalProcess::Poisson {
+                mean_interarrival: SimDuration::from_secs(rng.random_range(60u64..600)),
+            })
+            .mix(JobMix {
+                log2_min_pes: (0, 4),
+                ..JobMix::default()
+            })
             .horizon(SimDuration::from_hours(3))
             .build();
         let w = run_scenario(sim);
         let bank = w.bank.as_ref().unwrap();
         // 3 orgs × 100k SU initial grant.
-        prop_assert_eq!(bank.total_micros(), 3 * 100_000 * 1_000_000);
-        prop_assert_eq!(w.stats.completed + w.stats.rejected, w.stats.submitted);
-    }
+        assert_eq!(bank.total_micros(), 3 * 100_000 * 1_000_000);
+        assert_eq!(w.stats.completed + w.stats.rejected, w.stats.submitted);
+    });
 }
