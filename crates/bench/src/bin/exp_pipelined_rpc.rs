@@ -1,31 +1,30 @@
-//! E28 — Pipelined RPC: request multiplexing vs sequential pooled calls.
+//! E28 — Pipelined RPC: one burst vs sequential round trips, same pool.
 //!
 //! E23 bought back the TCP connect; the round-trip wait is what's left.
-//! Request pipelining ([`faucets_net::pool::MuxPool`] + [`call_batch`])
-//! writes a whole burst of frames in one vectored write and matches the
-//! replies by `request_id`. How *fast* that is is no longer this
-//! experiment's claim: the repository benchmark's `rpc_pipelined` workload
-//! measures 64-deep `call_batch` bursts on every PR (`throughput_ops_s`,
-//! compared with the parent commit). What stays here is what a throughput
-//! number cannot show:
+//! [`call_batch`] on a pooled socket writes a whole burst of frames in one
+//! vectored write and matches the replies by `request_id`, on the caller's
+//! own thread. How *fast* that is is no longer this experiment's claim: the
+//! repository benchmark's `rpc_pipelined` workload measures 64-deep
+//! `call_batch` bursts on every PR (`throughput_ops_s`, compared with the
+//! parent commit). What stays here is what a throughput number cannot show:
 //!
 //! 1. **Arms** — 1 and 8 concurrent clients each drive a closed loop of
 //!    16-request batches against one echo service whose handler stalls
-//!    `--stall-us` (default 300 µs, the shape of a directory lookup): once
-//!    as 16 sequential pooled round-trips, once as one pipelined
-//!    `call_batch` over a shared mux socket. Every request carries its own
-//!    number and the service answers with it, so a reply delivered to the
-//!    wrong caller is seen, not assumed away.
+//!    `--stall-us` (default 300 µs, the shape of a directory lookup), on
+//!    one [`ConnPool`] per arm: once as 16 sequential round trips, once as
+//!    one pipelined `call_batch`. Every request carries its own number and
+//!    the service answers with it, so a reply delivered to the wrong slot
+//!    is seen, not assumed away.
 //! 2. **Correctness gates** — zero transport errors and zero crossed
 //!    replies in either arm at either level.
 //! 3. **Soak** — 10,000 idle connections (1,000 under `--smoke`, always
 //!    clamped to the process fd limit with the clamp logged) park on the
 //!    reactor while pipelined batches keep flowing: zero transport
 //!    errors, the open-connection gauge counts every parked socket and
-//!    drains to exactly zero once they hang up and the soak's mux pool is
+//!    drains to exactly zero once they hang up and the soak's pool is
 //!    dropped, and shutdown stays prompt.
-//! 4. **Recorded, not gated** — each arm's rate and batch latency and the
-//!    pipelined/sequential ratio.
+//! 4. **Recorded, not gated** — each arm's rate and batch latency, the
+//!    pipelined/sequential ratio and the pipelined arm's dial count.
 //!
 //! `--arm-ms`, `--stall-us`, `--soak-conns`, and `--smoke` resize the run.
 
@@ -60,7 +59,7 @@ fn fd_limit() -> u64 {
 /// Drive `clients` closed-loop callers, each issuing 16-request batches
 /// until the arm clock (or the batch cap) runs out. `pipelined` decides
 /// whether a batch is one `call_batch` burst or 16 sequential `call_with`
-/// round-trips; `opts` carries the pool or mux.
+/// round-trips; `opts` carries the pool.
 fn run_arm(
     addr: SocketAddr,
     clients: usize,
@@ -74,10 +73,12 @@ fn run_arm(
     })
 }
 
-/// Call options for one arm: its transport, the arm's registry, generous
-/// timeouts and no retry (a lost reply must show as an error).
-fn arm_opts(reg: &Arc<Registry>) -> CallOptions {
+/// Call options for one arm: a pool of its own named `pool`, the arm's
+/// registry, generous timeouts and no retry (a lost reply must show as an
+/// error).
+fn arm_opts(pool: &'static str, reg: &Arc<Registry>) -> CallOptions {
     CallOptions {
+        pool: Some(Arc::new(ConnPool::new(pool, PoolConfig::default()))),
         registry: Some(Arc::clone(reg)),
         timeouts: Timeouts::both(Duration::from_secs(5)),
         retry: RetryPolicy::none(),
@@ -97,35 +98,29 @@ fn main() -> ExitCode {
     let stall_us = report.flag("stall-us", 300u64);
     let soak_want: u64 = report.flag("soak-conns", if smoke { 1_000u64 } else { 10_000 });
     report.knob("batch", BATCH);
-    println!("E28 — pipelined RPC: call_batch over a mux socket vs sequential pooled calls\n");
+    println!("E28 — pipelined RPC: one call_batch burst vs sequential calls on the same pool\n");
 
     let crossed = AtomicU64::new(0);
     let zero = Bound::eq(0);
     for clients in [1usize, 8] {
         // Fresh service + registry per arm so counters never bleed.
         let (h, reg) = numbered_echo("pipe-echo", stall_us);
-        let opts = CallOptions {
-            pool: Some(Arc::new(ConnPool::new("pipe-seq", PoolConfig::default()))),
-            ..arm_opts(&reg)
-        };
+        let opts = arm_opts("pipe-seq", &reg);
         let sequential = run_arm(h.addr, clients, arm_ms, &opts, false, &crossed);
         h.shutdown();
 
         let (h, reg) = numbered_echo("pipe-echo", stall_us);
-        let opts = CallOptions {
-            mux: Some(Arc::new(MuxPool::new("pipe-mux", MuxConfig::default()))),
-            ..arm_opts(&reg)
-        };
+        let opts = arm_opts("pipe-burst", &reg);
         let pipelined = run_arm(h.addr, clients, arm_ms, &opts, true, &crossed);
         h.shutdown();
         let dials = reg
             .snapshot()
-            .counter_sum("net_mux_dials_total", &[("pool", "pipe-mux")]);
+            .counter_sum("net_pool_misses_total", &[("pool", "pipe-burst")]);
 
         let level = format!("c{clients}");
         report.metrics(&format!("{level}.sequential"), &sequential.fields());
         report.metrics(&format!("{level}.pipelined"), &pipelined.fields());
-        report.metric(&format!("{level}.mux_dials"), dials, "count");
+        report.metric(&format!("{level}.pipelined.dials"), dials, "count");
         let speedup = pipelined.per_sec / sequential.per_sec.max(1e-9);
         report.metric(
             &format!("{level}.pipelined_over_sequential"),
@@ -142,7 +137,7 @@ fn main() -> ExitCode {
 
     // ── Soak: thousands of parked connections, work keeps flowing ──────
     // Each parked client costs two fds (client end + reactor end) plus
-    // headroom for the mux sockets, the listener, and the runtime.
+    // headroom for the pooled sockets, the listener, and the runtime.
     let limit = fd_limit();
     let soak_conns = soak_want.min(limit.saturating_sub(256) / 2);
     report.metric("soak.fd_limit", limit, "count");
@@ -159,10 +154,7 @@ fn main() -> ExitCode {
         open_conns(&reg) >= soak_conns as f64
     });
 
-    let opts = CallOptions {
-        mux: Some(Arc::new(MuxPool::new("pipe-soak", MuxConfig::default()))),
-        ..arm_opts(&reg)
-    };
+    let opts = arm_opts("pipe-soak", &reg);
     let soak = run_arm(h.addr, 4, arm_ms, &opts, true, &crossed);
     report.metrics("soak.pipelined", &soak.fields());
     report.gate("soak.pipelined.errors", soak.errors, zero);
@@ -170,7 +162,7 @@ fn main() -> ExitCode {
     report.gate("crossed_replies", crossed.load(Ordering::Relaxed), zero);
 
     // Hanging up drains the gauge to exactly zero: parked connections and
-    // the soak's own mux sockets (closed when its pool drops) were state,
+    // the soak's own pooled sockets (closed when its pool drops) were state,
     // and the reactor reaps every one of them.
     drop(parked);
     drop(opts);

@@ -69,7 +69,7 @@ fn main() -> ExitCode {
 
         let (h, reg) = numbered_echo("echo", 0);
         let pool = PoolConfig {
-            max_idle_per_peer: clients.max(8),
+            conns_per_peer: clients.max(8),
             ..PoolConfig::default()
         };
         let opts = CallOptions {

@@ -150,10 +150,7 @@ impl FaucetsServer {
     }
 
     /// Serve a client's request for matching Compute Servers. The token is
-    /// authenticated first; the candidate list is filtered per
-    /// [`FaucetsServer::filter_level`]. Each returned cluster will receive
-    /// one request-for-bids message, which is what [`ServerStats::rfb_messages`]
-    /// accounts.
+    /// authenticated first; the rest is [`FaucetsServer::listings`].
     pub fn match_servers(
         &mut self,
         token: &SessionToken,
@@ -161,11 +158,26 @@ impl FaucetsServer {
         now: SimTime,
     ) -> Result<Vec<ClusterId>> {
         self.verify_token(token, now)?;
+        Ok(self.listings(qos, now).1)
+    }
+
+    /// One match query from an already authenticated caller (the live FS
+    /// verifies a token across shards before it asks): sweep the dead,
+    /// then filter the directory per [`FaucetsServer::filter_level`].
+    /// Returns the servers the sweep evicted, for the caller to journal,
+    /// and the candidates. Each candidate will receive one
+    /// request-for-bids message, which is what
+    /// [`ServerStats::rfb_messages`] accounts.
+    pub fn listings(
+        &mut self,
+        qos: &QosContract,
+        now: SimTime,
+    ) -> (Vec<ClusterId>, Vec<ClusterId>) {
         self.stats.matches += 1;
-        self.sweep_dead(now);
+        let evicted = self.sweep_dead(now);
         let candidates = self.directory.candidates(qos, self.filter_level, now);
         self.stats.rfb_messages += candidates.len() as u64;
-        Ok(candidates)
+        (evicted, candidates)
     }
 
     // -- market support (§5.2.1) ---------------------------------------------

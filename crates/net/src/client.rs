@@ -215,14 +215,18 @@ impl FaucetsClient {
         name: &str,
         password: &str,
     ) -> Result<Self, ClientError> {
-        let opts = CallOptions::default();
+        let pool = Arc::new(ConnPool::new("client", PoolConfig::default()));
         match call_with(
             fs,
             &Request::CreateUser {
                 user: name.into(),
                 password: password.into(),
             },
-            &opts,
+            // No retry or breaker before there is a session.
+            &CallOptions {
+                pool: Some(Arc::clone(&pool)),
+                ..CallOptions::default()
+            },
         ) {
             Ok(Response::Verified { .. }) => {}
             Ok(Response::Error(e)) => return Err(ClientError::Rejected(e)),
@@ -233,7 +237,7 @@ impl FaucetsClient {
             }
             Err(e) => return Err(e.into()),
         }
-        Self::login(fs, appspector, clock, name, password)
+        Self::login_on(pool, fs, appspector, clock, name, password)
     }
 
     /// Log in to an existing account.
@@ -244,14 +248,31 @@ impl FaucetsClient {
         name: &str,
         password: &str,
     ) -> Result<Self, ClientError> {
-        let opts = CallOptions::default();
+        let pool = Arc::new(ConnPool::new("client", PoolConfig::default()));
+        Self::login_on(pool, fs, appspector, clock, name, password)
+    }
+
+    /// Log in through `pool`, made before the first call so that the socket
+    /// which carries the login is the one the session keeps.
+    fn login_on(
+        pool: Arc<ConnPool>,
+        fs: SocketAddr,
+        appspector: SocketAddr,
+        clock: Clock,
+        name: &str,
+        password: &str,
+    ) -> Result<Self, ClientError> {
         match call_with(
             fs,
             &Request::Login {
                 user: name.into(),
                 password: password.into(),
             },
-            &opts,
+            // No retry or breaker before there is a session.
+            &CallOptions {
+                pool: Some(Arc::clone(&pool)),
+                ..CallOptions::default()
+            },
         ) {
             Ok(Response::Session { user, token }) => {
                 let reg = faucets_telemetry::global();
@@ -268,7 +289,7 @@ impl FaucetsClient {
                     max_rounds: 3,
                     faults: None,
                     breakers: Arc::new(BreakerSet::default()),
-                    pool: Arc::new(ConnPool::new("client", PoolConfig::default())),
+                    pool,
                     fan_out: 8,
                     call_deadline: None,
                     last_trace: None,
@@ -665,8 +686,23 @@ impl FaucetsClient {
 
 #[cfg(test)]
 mod tests {
-    use super::{next_pause, WAIT_CAP, WAIT_INITIAL};
+    use super::{next_pause, FaucetsClient, WAIT_CAP, WAIT_INITIAL};
+    use crate::service::Clock;
     use std::time::Duration;
+
+    #[test]
+    fn the_socket_that_logs_in_is_the_one_the_session_keeps() {
+        let fs = crate::fs::spawn_fs("127.0.0.1:0", Clock::realtime(), 5).unwrap();
+        let addr = fs.service.addr;
+        // No AppSpector is asked anything before a submission.
+        let client = FaucetsClient::register(addr, addr, Clock::realtime(), "u", "p").unwrap();
+        assert_eq!(
+            (client.pool.open_connections(), client.pool.idle_count()),
+            (1, 1),
+            "CreateUser and Login rode one dial, warm for the first ListServers"
+        );
+        fs.shutdown();
+    }
 
     #[test]
     fn wait_backoff_doubles_to_cap() {

@@ -275,10 +275,8 @@ impl FsCore {
     /// journals evictions as a side effect, like the pre-federation path).
     fn local_listings(&self, qos: &QosContract, now: SimTime) -> Vec<ServerListing> {
         let mut s = self.state.lock();
-        let evicted = s.sweep_dead(now);
+        let (evicted, ids) = s.listings(qos, now);
         journal_evictions(&self.journal, &evicted);
-        let level = s.filter_level;
-        let ids = s.directory.candidates(qos, level, now);
         let listings = ids
             .iter()
             .filter_map(|c| {
@@ -655,6 +653,9 @@ mod tests {
         assert_eq!(servers[0].info.cluster, ClusterId(1));
         assert_eq!(servers[0].status.utilization, 0.25);
         assert_eq!(servers[0].status.running, 4);
+        // One match query counted, one request for bids implied by it.
+        let stats = fs.state.lock().stats;
+        assert_eq!((stats.matches, stats.rfb_messages), (1, 1));
 
         // The dashboard view lists every registered cluster, graded.
         let Response::Clusters(rows) = call(addr, &Request::ListClusters { token }).unwrap() else {

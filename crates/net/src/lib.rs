@@ -120,19 +120,27 @@
 //! via [`fault::FaultConfig::reject`], and exercised by experiment E22
 //! (`exp_overload`).
 //!
-//! ## Connection reuse
+//! ## Connection reuse and pipelining
 //!
 //! At "millions of jobs per day" a fresh TCP connect per RPC is pure
-//! overhead, so the client path pools connections and the serve path runs
-//! a fixed worker pool:
+//! overhead, so the client path has one warm transport and the serve path
+//! runs a fixed worker pool:
 //!
 //! * **Pooling** — [`pool::ConnPool`] keeps bounded, idle-evicted,
-//!   health-checked sockets per peer; [`service::CallOptions::pool`] wires
-//!   it under [`service::call_with`] so retries, deadlines, breakers, and
-//!   fault injection operate unchanged on warm streams. Any failed
-//!   round-trip *poisons* the socket (closed, never reused) — a
-//!   desynchronised stream must not pay the next caller the previous
-//!   caller's reply.
+//!   health-checked sockets per peer and lends one, exclusively, to each
+//!   exchange; [`service::CallOptions::pool`] wires it under
+//!   [`service::call_with`] so retries, deadlines, breakers, and fault
+//!   injection operate unchanged on warm streams. Any failed exchange
+//!   *poisons* the socket (closed, never reused) — a desynchronised stream
+//!   must not pay the next caller the previous caller's reply.
+//! * **Pipelining** — the serve side runs one connection's frames
+//!   concurrently and echoes each [`proto::Envelope`] `request_id`, so
+//!   [`service::call_batch`] writes a whole burst on its checked-out
+//!   socket in one vectored write and fills each slot from the reply that
+//!   carries its id, in any order, reading while it writes — on the
+//!   caller's own thread; the client side of the wire owns none. A reply
+//!   no open slot asked for, a byte past the last reply or a timeout fails
+//!   the open slots typed and poisons the socket — never a crossed wire.
 //! * **Fan-out** — [`service::call_many`] solicits many peers concurrently
 //!   over pooled connections under the caller's trace context; the client
 //!   uses it to collect a whole bid round in one sweep.
@@ -151,26 +159,10 @@
 //! poisoned,stale_retries}_total`, `net_pool_open_conns`, and the serve
 //! side's `net_open_conns`/`net_conns_accepted_total`, plus the reactor's
 //! `net_reactor_registered_fds`/`net_reactor_ready_events`/
-//! `net_reactor_executor_queue`/`net_reactor_wakeups_total`) and proven by
-//! experiment E23 (`exp_rpc_throughput`): pooled calls sustain ≥ 2× the
-//! per-call-connection throughput at 8 concurrent clients.
-//!
-//! ## Request pipelining
-//!
-//! The serve side processes frames from one connection concurrently, so
-//! the client path can keep many requests in flight per socket:
-//! [`proto::Envelope`] carries an optional `request_id` which the server
-//! echoes verbatim on the response, and [`pool::MuxPool`] hands out
-//! shared multiplexed connections ([`pool::MuxConn`]) whose dedicated
-//! reader thread matches responses back to callers by id — in any order.
-//! [`service::call_batch`] pipelines a whole batch in one vectored write
-//! burst; [`service::call_many`] with [`service::CallOptions::mux`] set
-//! shares warm sockets across concurrent workers. A transport failure
-//! kills the shared socket and fails every in-flight call with a typed
-//! disconnect ([`pool::PendingMap::fail_all`]) — never a crossed wire.
-//! Experiment E28 (`exp_pipelined_rpc`) gates pipelined throughput
-//! against the E23 pooled baseline and soaks thousands of concurrent
-//! connections with zero transport errors.
+//! `net_reactor_executor_queue`/`net_reactor_wakeups_total`). Speed is the
+//! repository benchmark's to measure (`rpc_pingpong`, `rpc_pipelined`);
+//! E23 (`exp_rpc_throughput`) and E28 (`exp_pipelined_rpc`) gate what a
+//! rate cannot show: no transport error, no reply in a slot but its own.
 //!
 //! ## Replication and failover
 //!
@@ -252,7 +244,7 @@ pub mod prelude {
     pub use crate::overload::{
         BreakerConfig, BreakerSet, CircuitBreaker, GateConfig, GateVerdict, PayoffGate, TokenBucket,
     };
-    pub use crate::pool::{ConnPool, MuxConfig, MuxPool, PoolConfig};
+    pub use crate::pool::{ConnPool, PoolConfig};
     pub use crate::proto::{read_frame, write_frame, Envelope, ProtoError, Request, Response};
     pub use crate::replica::{
         spawn_replica, Journal, RemoteLink, ReplicaHandle, ReplicaOptions, ReplicationConfig,

@@ -1,29 +1,29 @@
-//! Persistent connection pooling for the RPC client path.
+//! The one warm transport of the RPC client path.
 //!
 //! The paper sizes the grid at "hundreds of Compute Servers" handling
 //! "millions of jobs per day" (§2, §5); at that rate a fresh TCP connect
 //! per call is pure overhead, because [`crate::service::serve_with`]
 //! already serves frame-by-frame on persistent streams. A [`ConnPool`]
-//! keeps health-checked idle sockets per peer and hands them to
-//! [`crate::service::call_with`] (see [`CallOptions::pool`])
-//! so retries, deadlines, breakers, and fault injection all operate
-//! unchanged — the pool swaps only where the bytes flow.
+//! keeps health-checked idle sockets per peer and lends one, exclusively,
+//! to each round trip or pipelined burst (see [`CallOptions::pool`]), so
+//! retries, deadlines, breakers, and fault injection all operate
+//! unchanged — the pool swaps only where the bytes flow. It owns no
+//! thread: a burst's replies are read on the caller's own.
 //!
 //! The safety invariant is *poison on error*: a checked-out stream that saw
-//! any failure — a frame fault, a timeout, a short read — is closed, never
-//! returned, because a desynchronised stream would pay the next caller the
-//! previous caller's reply. Idle sockets are additionally bounded per peer,
-//! evicted after [`PoolConfig::idle_ttl`], and health-checked with a
-//! non-blocking peek at checkout so a peer that restarted while we were
-//! idle costs a reconnect, not an error.
+//! any failure — a frame fault, a timeout, a short read, a reply nothing
+//! asked for — is closed, never returned, because a desynchronised stream
+//! would pay the next caller the previous caller's reply. Idle sockets are
+//! additionally bounded per peer, evicted after [`PoolConfig::idle_ttl`],
+//! and health-checked with a non-blocking peek at checkout so a peer that
+//! restarted while we were idle costs a reconnect, not an error.
 //!
 //! Everything the pool does is counted in the caller's metric registry
-//! under a `pool` label: `net_pool_{hits,misses,evictions,poisoned}_total`
-//! and the `net_pool_open_conns` gauge.
+//! under a `pool` label: `net_pool_{hits,misses,evictions,poisoned,
+//! stale_retries}_total` and the `net_pool_open_conns` gauge.
 
 use crate::proto::{Request, Response};
-use crate::reactor::WriteQueue;
-use crate::service::{effective, remaining_ms, round_trip, stamp, CallOptions};
+use crate::service::{converse, copy_of, effective, CallOptions};
 use faucets_telemetry::metrics::Registry;
 use std::collections::HashMap;
 use std::io;
@@ -32,12 +32,17 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
+/// The frozen benchmark harness's name for [`ConnPool`].
+pub type MuxPool = ConnPool;
+/// The frozen benchmark harness's name for [`PoolConfig`].
+pub type MuxConfig = PoolConfig;
+
 /// Tuning knobs for a [`ConnPool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolConfig {
     /// Idle sockets kept per peer; a returned socket over the bound is
     /// closed instead of cached.
-    pub max_idle_per_peer: usize,
+    pub conns_per_peer: usize,
     /// How long an idle socket may sit before eviction. Servers never
     /// reap an idle connection, so this only bounds how long an unused
     /// socket (and the server's parked state for it) is kept, and how
@@ -48,7 +53,7 @@ pub struct PoolConfig {
 impl Default for PoolConfig {
     fn default() -> Self {
         PoolConfig {
-            max_idle_per_peer: 8,
+            conns_per_peer: 8,
             idle_ttl: Duration::from_secs(5),
         }
     }
@@ -86,11 +91,6 @@ impl ConnPool {
     /// The pool's telemetry label.
     pub fn name(&self) -> &'static str {
         self.name
-    }
-
-    /// The pool's tuning knobs.
-    pub fn config(&self) -> PoolConfig {
-        self.cfg
     }
 
     /// Sockets currently alive through this pool (idle + checked out).
@@ -193,31 +193,37 @@ impl ConnPool {
         })
     }
 
-    /// One request/response exchange on a pooled socket (a fresh connect
-    /// when `fresh`), after which the socket goes back to the idle cache —
-    /// or, on any failure, is poisoned: after a fault or timeout the stream
-    /// may hold half a frame, and returning it would pay the next caller
-    /// this caller's bytes. Sets `reused` when the socket came out of the
-    /// cache, which gates the call path's one-shot stale retry.
-    pub(crate) fn round_trip(
+    /// One exchange — a round trip, or a pipelined burst ([`converse`]) —
+    /// on a pooled socket held for the whole of it (a fresh connect when
+    /// `fresh`), index-aligned results back. A socket the exchange left
+    /// clean returns to the idle cache; any other is poisoned: it may hold
+    /// half a frame or a late reply, and would pay the next caller this
+    /// caller's bytes. Sets `reused` when the socket came out of the cache,
+    /// which gates the call path's one-shot stale retry.
+    pub(crate) fn exchange(
         self: &Arc<Self>,
         addr: SocketAddr,
-        req: &Request,
+        reqs: &[Request],
         opts: &CallOptions,
         deadline: Option<Instant>,
         fresh: bool,
         reused: &mut bool,
-    ) -> io::Result<Response> {
+    ) -> Vec<io::Result<Response>> {
         let reg = effective(&opts.registry);
-        let mut conn = self.checkout(addr, opts.connect, fresh, reg)?;
+        let mut conn = match self.checkout(addr, opts.connect, fresh, reg) {
+            Ok(conn) => conn,
+            // Nothing went out: every slot fails the same way.
+            Err(e) => return reqs.iter().map(|_| Err(copy_of(&e))).collect(),
+        };
         *reused |= conn.reused;
         let stream = conn.stream.as_mut().expect("checked out with a stream");
-        let result = round_trip(stream, req, opts, deadline);
-        match result {
-            Ok(_) => conn.give_back(reg),
-            Err(_) => conn.poison(reg),
+        let (results, clean) = converse(stream, reqs, opts, deadline);
+        if clean {
+            conn.give_back(reg);
+        } else {
+            conn.poison(reg);
         }
-        result
+        results
     }
 }
 
@@ -244,7 +250,7 @@ impl PooledConn {
         };
         let mut idle = self.pool.idle.lock().unwrap();
         let peer = idle.entry(self.addr).or_default();
-        if peer.len() >= self.pool.cfg.max_idle_per_peer.max(1) {
+        if peer.len() >= self.pool.cfg.conns_per_peer.max(1) {
             drop(idle);
             reg.counter("net_pool_evictions_total", &self.pool.labels())
                 .inc();
@@ -280,47 +286,18 @@ impl Drop for PooledConn {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Multiplexed connections: many requests in flight per socket
-// ---------------------------------------------------------------------------
-
-/// Soft in-flight target per multiplexed connection: checkout prefers a
-/// connection under this, and dials a new one (up to
-/// [`MuxConfig::conns_per_peer`]) when every existing one is at or over it.
-const MUX_INFLIGHT_TARGET: usize = 128;
-
-/// Tuning knobs for a [`MuxPool`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MuxConfig {
-    /// Shared connections dialed per peer before calls start queueing on
-    /// the least-loaded one.
-    pub conns_per_peer: usize,
-}
-
-impl Default for MuxConfig {
-    fn default() -> Self {
-        MuxConfig { conns_per_peer: 2 }
-    }
-}
-
-/// The completion slot a multiplexed caller waits on. `Ticket::id` is the
-/// `request_id` stamped into the request envelope; the reader thread (or
+/// The completion slot a [`PendingMap`] waiter blocks on. `Ticket::id` is
+/// the `request_id` it registered; [`PendingMap::complete`] (or
 /// [`PendingMap::fail_all`]) fills the slot and wakes the waiter.
 ///
-/// A ticket dropped without [`PendingMap::wait`] cleans up after itself:
-/// its id is abandoned (the late reply becomes an orphan, not a leaked
-/// slot) and any in-flight accounting it carries is released — a caller
-/// that panics mid-batch must not leave ids registered and the connection
-/// looking loaded forever.
+/// A ticket dropped without [`PendingMap::wait`] abandons its id: the late
+/// reply becomes an orphan, not a leaked slot.
 pub struct Ticket {
     id: u64,
     slot: Arc<Slot>,
     pending: Weak<PendingMap>,
-    /// The owning connection's in-flight counter, once this ticket is
-    /// counted in it (set by the mux layer after a successful send).
-    inflight: Weak<AtomicUsize>,
     /// Cleared when `wait` consumes the ticket: from then on the explicit
-    /// abandon/decrement paths own the bookkeeping.
+    /// abandon path owns the bookkeeping.
     armed: bool,
 }
 
@@ -339,9 +316,6 @@ impl Drop for Ticket {
         if let Some(pending) = self.pending.upgrade() {
             pending.abandon(self.id);
         }
-        if let Some(inflight) = self.inflight.upgrade() {
-            inflight.fetch_sub(1, Ordering::SeqCst);
-        }
     }
 }
 
@@ -352,10 +326,12 @@ struct Slot {
 
 /// Out-of-order response matching: each in-flight request registers a
 /// slot under its `request_id`; whoever holds the matching id completes
-/// exactly that slot. Ids make interleaving safe — a late or reordered
-/// response can only ever reach its own caller, never cross wires. Pure
-/// bookkeeping (no sockets), so its matching laws are property-tested
-/// directly in `tests/prop_pipeline.rs`.
+/// exactly that slot. Pure bookkeeping (no sockets), property-tested in
+/// `tests/prop_pipeline.rs`.
+///
+/// Nothing in this crate uses it any more (a burst fills its own slots):
+/// its one caller is the frozen benchmark harness (`pool.pending_us` in
+/// `benchmark/src/layers.rs`), and it goes when a `benchmark` PR lets it.
 #[derive(Default)]
 pub struct PendingMap {
     slots: parking_lot::Mutex<HashMap<u64, Arc<Slot>>>,
@@ -381,7 +357,6 @@ impl PendingMap {
             id,
             slot,
             pending: Arc::downgrade(self),
-            inflight: Weak::new(),
             armed: true,
         }
     }
@@ -429,7 +404,7 @@ impl PendingMap {
     /// orphan, not a wrong answer for the next request.
     pub fn wait(&self, mut ticket: Ticket, timeout: Duration) -> io::Result<Response> {
         // `wait` consumes the ticket on every path below; its drop must
-        // not also abandon the id or release in-flight accounting.
+        // not also abandon the id.
         ticket.armed = false;
         let deadline = Instant::now() + timeout;
         {
@@ -452,282 +427,6 @@ impl PendingMap {
             io::ErrorKind::TimedOut,
             "no reply within the read timeout (the request may still complete remotely)",
         ))
-    }
-}
-
-/// One multiplexed connection: a writer half shared under a mutex (frames
-/// are written atomically, many callers interleaved), a dedicated reader
-/// thread that demultiplexes responses back to their callers by
-/// `request_id`, and the [`PendingMap`] tying them together. Any transport
-/// failure kills the whole connection and fails every in-flight call with
-/// a typed disconnect.
-pub struct MuxConn {
-    writer: Mutex<TcpStream>,
-    pending: Arc<PendingMap>,
-    next_id: std::sync::atomic::AtomicU64,
-    inflight: Arc<AtomicUsize>,
-    dead: Arc<std::sync::atomic::AtomicBool>,
-}
-
-impl MuxConn {
-    fn dial(
-        addr: SocketAddr,
-        pool_name: &'static str,
-        connect: Duration,
-        write_timeout: Duration,
-        faults: Option<Arc<crate::fault::FaultPlan>>,
-        registry: Option<Arc<Registry>>,
-    ) -> io::Result<Arc<MuxConn>> {
-        let stream = TcpStream::connect_timeout(&addr, connect)?;
-        stream.set_nodelay(true)?;
-        stream.set_write_timeout(Some(write_timeout))?;
-        let reader = stream.try_clone()?;
-        // The reader blocks until frames arrive or the socket dies; no
-        // read timeout, in-flight callers bound their own waits.
-        reader.set_read_timeout(None)?;
-        let pending = Arc::new(PendingMap::new());
-        let inflight = Arc::new(AtomicUsize::new(0));
-        let dead = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let conn = Arc::new(MuxConn {
-            writer: Mutex::new(stream),
-            pending: Arc::clone(&pending),
-            next_id: std::sync::atomic::AtomicU64::new(1),
-            inflight: Arc::clone(&inflight),
-            dead: Arc::clone(&dead),
-        });
-        let labels_pool = pool_name;
-        std::thread::Builder::new()
-            .name(format!("faucets-mux-{addr}"))
-            .spawn(move || mux_reader_loop(reader, pending, dead, faults, registry, labels_pool))?;
-        Ok(conn)
-    }
-
-    /// Transport failure or reader exit: no new requests may start here.
-    pub fn is_dead(&self) -> bool {
-        self.dead.load(Ordering::SeqCst)
-    }
-
-    /// Requests currently awaiting a response on this connection.
-    pub fn inflight(&self) -> usize {
-        self.inflight.load(Ordering::SeqCst)
-    }
-
-    /// Kill the connection: shutting the socket down pops the reader out
-    /// of its blocking read, which marks the connection dead and fails
-    /// every in-flight call.
-    fn kill(&self) {
-        self.dead.store(true, Ordering::SeqCst);
-        let _ = self
-            .writer
-            .lock()
-            .unwrap()
-            .shutdown(std::net::Shutdown::Both);
-    }
-
-    /// Stamp and serialize a whole batch, then push every frame in one
-    /// vectored write burst — the pipelining hot path: one syscall (plus
-    /// short-write continuations) for N requests. A fault plan may "lose"
-    /// a frame (nothing written, ticket still returned — that caller's
-    /// wait times out, as on a real lossy wire).
-    fn begin_batch(
-        &self,
-        reqs: &[Request],
-        opts: &CallOptions,
-        deadline: Option<Instant>,
-    ) -> io::Result<Vec<Ticket>> {
-        if self.is_dead() {
-            return Err(io::Error::new(
-                io::ErrorKind::ConnectionAborted,
-                "mux connection is dead",
-            ));
-        }
-        let faults = opts.faults.as_deref();
-        let ctx = faucets_telemetry::trace::current();
-        let deadline_ms = remaining_ms(deadline);
-        let mut tickets = Vec::with_capacity(reqs.len());
-        let mut frames = WriteQueue::with_capacity(reqs.len());
-        for req in reqs {
-            let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-            let mut frame = Vec::new();
-            // On failure, dropping `tickets` abandons every registered id.
-            stamp(&mut frame, req, Some(id), ctx, deadline_ms, faults)?;
-            tickets.push(self.pending.register(id));
-            frames.push(frame);
-        }
-        let mut w = self.writer.lock().unwrap();
-        if let Err(e) = frames.flush(&mut *w) {
-            drop(w);
-            self.kill();
-            return Err(e);
-        }
-        drop(w);
-        // Every ticket is now in flight; `wait` decrements one by one,
-        // and a ticket the caller drops instead releases its own slot.
-        self.inflight.fetch_add(tickets.len(), Ordering::SeqCst);
-        for t in &mut tickets {
-            t.inflight = Arc::downgrade(&self.inflight);
-        }
-        Ok(tickets)
-    }
-
-    /// Wait out one ticket under the caller's read timeout.
-    fn wait(&self, ticket: Ticket, opts: &CallOptions) -> io::Result<Response> {
-        let out = self.pending.wait(ticket, opts.timeouts.read);
-        self.inflight.fetch_sub(1, Ordering::SeqCst);
-        out
-    }
-}
-
-impl Drop for MuxConn {
-    /// The reader thread holds its own clone of the socket and blocks in a
-    /// read: without the shutdown a dropped pool would leave the thread and
-    /// the connection (as the peer counts it) open for good.
-    fn drop(&mut self) {
-        let writer = self.writer.get_mut().unwrap_or_else(|e| e.into_inner());
-        let _ = writer.shutdown(std::net::Shutdown::Both);
-    }
-}
-
-fn mux_reader_loop(
-    mut reader: TcpStream,
-    pending: Arc<PendingMap>,
-    dead: Arc<std::sync::atomic::AtomicBool>,
-    faults: Option<Arc<crate::fault::FaultPlan>>,
-    registry: Option<Arc<Registry>>,
-    pool_name: &'static str,
-) {
-    use crate::proto::{read_frame_with, Envelope};
-    let reg = effective(&registry);
-    let labels = [("pool", pool_name)];
-    let why = loop {
-        match read_frame_with::<_, Envelope<Response>>(&mut reader, faults.as_deref()) {
-            Ok(Some(env)) => match env.request_id {
-                Some(id) => {
-                    if !pending.complete(id, env.msg) {
-                        // The caller timed out and abandoned the id; the
-                        // late reply is discarded, never mis-delivered.
-                        reg.counter("net_mux_orphans_total", &labels).inc();
-                    }
-                }
-                // A response with no id cannot be matched to a caller —
-                // the peer predates multiplexing or the stream is
-                // desynchronized. Fail everything rather than guess.
-                None => break "mux peer answered without a request id",
-            },
-            Ok(None) => break "mux connection closed by peer",
-            Err(_) => break "mux connection lost",
-        }
-    };
-    dead.store(true, Ordering::SeqCst);
-    let _ = reader.shutdown(std::net::Shutdown::Both);
-    pending.fail_all(why);
-    reg.counter("net_mux_conn_failures_total", &labels).inc();
-    reg.gauge("net_mux_open_conns", &labels).add(-1.0);
-}
-
-/// A pool of [`MuxConn`]s keyed by peer: calls check out the least-loaded
-/// live connection (dialing up to [`MuxConfig::conns_per_peer`]), stamp a
-/// `request_id`, and wait on the [`PendingMap`] while other callers'
-/// frames interleave on the same socket. Share one `Arc<MuxPool>` per
-/// client — see [`CallOptions::mux`] and
-/// [`crate::service::call_batch`].
-pub struct MuxPool {
-    name: &'static str,
-    cfg: MuxConfig,
-    peers: Mutex<HashMap<SocketAddr, Vec<Arc<MuxConn>>>>,
-}
-
-impl MuxPool {
-    /// An empty pool; `name` labels its metrics.
-    pub fn new(name: &'static str, cfg: MuxConfig) -> MuxPool {
-        MuxPool {
-            name,
-            cfg,
-            peers: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// The label this pool's metrics are counted under.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Live (non-dead) connections across all peers.
-    pub fn open_connections(&self) -> usize {
-        self.peers
-            .lock()
-            .unwrap()
-            .values()
-            .map(|v| v.iter().filter(|c| !c.is_dead()).count())
-            .sum()
-    }
-
-    /// Check out a live connection to `addr`, dialing if the peer has
-    /// none (or all existing ones are saturated and there is dial budget
-    /// left). Returns the connection and whether it was reused — fresh
-    /// dials report `false`, which gates the caller's one-shot stale
-    /// retry exactly as [`ConnPool`] checkouts do.
-    fn checkout(
-        &self,
-        addr: SocketAddr,
-        opts: &CallOptions,
-        reg: &Registry,
-    ) -> io::Result<(Arc<MuxConn>, bool)> {
-        let labels = [("pool", self.name)];
-        {
-            let mut peers = self.peers.lock().unwrap();
-            let conns = peers.entry(addr).or_default();
-            conns.retain(|c| !c.is_dead());
-            // Prefer a connection with headroom; dial only when all
-            // existing ones are at the soft in-flight target and the
-            // per-peer budget allows one more.
-            let budget = self.cfg.conns_per_peer.max(1);
-            let best = conns.iter().min_by_key(|c| c.inflight()).map(Arc::clone);
-            if let Some(best) = best {
-                if best.inflight() < MUX_INFLIGHT_TARGET || conns.len() >= budget {
-                    reg.counter("net_mux_hits_total", &labels).inc();
-                    return Ok((best, true));
-                }
-            }
-        }
-        // Dial with the pool lock released: one slow or unreachable peer
-        // must not stall every other peer's checkout for its whole
-        // connect timeout. Callers racing here may both dial — the
-        // occasional connection over the per-peer budget is tolerated
-        // (it still serves traffic and is reaped with the rest when it
-        // dies) in exchange for never serializing the pool on one dial.
-        let conn = MuxConn::dial(
-            addr,
-            self.name,
-            opts.connect,
-            opts.timeouts.write,
-            opts.faults.clone(),
-            opts.registry.clone(),
-        )?;
-        reg.counter("net_mux_dials_total", &labels).inc();
-        reg.gauge("net_mux_open_conns", &labels).add(1.0);
-        let mut peers = self.peers.lock().unwrap();
-        let conns = peers.entry(addr).or_default();
-        conns.retain(|c| !c.is_dead());
-        conns.push(Arc::clone(&conn));
-        Ok((conn, false))
-    }
-
-    /// Pipeline `reqs` on one connection to `addr` and wait every reply
-    /// out, index-aligned. `Err` means nothing went out (no connection, a
-    /// dead one, a failed write); `reused` is set as for [`ConnPool`].
-    pub(crate) fn exchange(
-        &self,
-        addr: SocketAddr,
-        reqs: &[Request],
-        opts: &CallOptions,
-        deadline: Option<Instant>,
-        reused: &mut bool,
-    ) -> io::Result<Vec<io::Result<Response>>> {
-        let (conn, was_reused) = self.checkout(addr, opts, effective(&opts.registry))?;
-        *reused |= was_reused;
-        let tickets = conn.begin_batch(reqs, opts, deadline)?;
-        Ok(tickets.into_iter().map(|t| conn.wait(t, opts)).collect())
     }
 }
 
@@ -828,7 +527,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let reg = Registry::new();
         let p = pool(PoolConfig {
-            max_idle_per_peer: 2,
+            conns_per_peer: 2,
             ..PoolConfig::default()
         });
         let conns: Vec<PooledConn> = (0..3)
@@ -858,73 +557,6 @@ mod tests {
         // The next checkout gets a fresh socket, not the poisoned one.
         let c2 = p.checkout(addr, CONNECT, false, &reg).unwrap();
         assert!(!c2.reused);
-    }
-
-    #[test]
-    fn dropped_batch_tickets_release_inflight_and_ids() {
-        // The listener's backlog completes the handshake; nobody ever
-        // reads, which is fine — this exercises send-side bookkeeping.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let conn = MuxConn::dial(
-            addr,
-            "drop-test",
-            CONNECT,
-            Duration::from_secs(1),
-            None,
-            None,
-        )
-        .unwrap();
-        let reqs: Vec<Request> = (0..4).map(|_| Request::Metrics).collect();
-        let opts = CallOptions::default();
-        let tickets = conn.begin_batch(&reqs, &opts, None).unwrap();
-        assert_eq!(conn.inflight(), 4);
-        assert_eq!(conn.pending.len(), 4);
-        // A caller that panics (or bails) between send and wait drops its
-        // tickets: each one must release its in-flight slot and abandon
-        // its id, or least-loaded checkout is skewed until the connection
-        // dies.
-        drop(tickets);
-        assert_eq!(conn.inflight(), 0, "dropped tickets freed their slots");
-        assert!(
-            conn.pending.is_empty(),
-            "dropped tickets abandoned their ids"
-        );
-    }
-
-    #[test]
-    fn checkout_does_not_hold_the_pool_lock_across_a_dial() {
-        // TEST-NET-1 blackholes SYNs in most environments, so this dial
-        // hangs until its connect timeout; if the network answers fast
-        // (unreachable error) the test degrades to the happy path — it
-        // cannot flake, it just stops exercising the regression.
-        let dead: SocketAddr = "192.0.2.1:9".parse().unwrap();
-        let live_listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let live = live_listener.local_addr().unwrap();
-        let mux = Arc::new(MuxPool::new("lock-test", MuxConfig::default()));
-        let opts = CallOptions {
-            connect: Duration::from_secs(3),
-            ..Default::default()
-        };
-        let slow = {
-            let mux = Arc::clone(&mux);
-            let opts = opts.clone();
-            std::thread::spawn(move || {
-                let reg = Registry::new();
-                let _ = mux.checkout(dead, &opts, &reg);
-            })
-        };
-        // Give the slow dial time to start (and, pre-fix, hold the lock).
-        std::thread::sleep(Duration::from_millis(100));
-        let reg = Registry::new();
-        let t = Instant::now();
-        mux.checkout(live, &opts, &reg).unwrap();
-        assert!(
-            t.elapsed() < Duration::from_secs(2),
-            "a live peer's checkout stalled behind a dead peer's dial: {:?}",
-            t.elapsed()
-        );
-        slow.join().unwrap();
     }
 
     #[test]

@@ -398,7 +398,7 @@ pub struct Envelope<T> {
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub deadline_ms: Option<u64>,
     /// Correlates a response with its request when multiple frames are in
-    /// flight on one connection ([`crate::pool::MuxPool`] pipelining). The
+    /// flight on one connection ([`crate::service::call_batch`]). The
     /// contract: a server echoes the request's id verbatim on its response
     /// envelope; responses may then arrive in any order and the client
     /// matches them back by id. Absent on the wire when `None`, so

@@ -3,12 +3,14 @@
 //!
 //! The repo's no-deps discipline rules out `mio`/`tokio`, so this module
 //! declares the handful of syscalls it needs (`epoll_create1`, `epoll_ctl`,
-//! `epoll_wait`, `eventfd`) directly via `extern "C"` — `std` already links
-//! libc, so the symbols resolve without adding a crate. Four pieces live
-//! here:
+//! `epoll_wait`, `eventfd`, `poll`) directly via `extern "C"` — `std`
+//! already links libc, so the symbols resolve without adding a crate. Five
+//! pieces live here:
 //!
 //! - [`Epoll`]: level-triggered readiness polling over raw fds, each
 //!   registered with a `u64` token that comes back on its events.
+//! - `poll_ready`: the same question asked of one socket by the thread
+//!   that owns it — a client pipelining a burst has no reactor.
 //! - [`Waker`]: an `eventfd` the executor pool and `ServiceHandle::stop`
 //!   write to from other threads to pop the reactor out of `epoll_wait`.
 //! - [`FrameBuf`]: an incremental decoder for the length-prefixed wire
@@ -19,9 +21,9 @@
 //!   vectored writes, for serve-side replies and client request bursts.
 //!
 //! Everything here is serde-free and socket-type-agnostic on purpose: the
-//! unit tests drive it with pipes and hand-rolled byte streams, and the
+//! unit tests drive it with pipes and hand-rolled byte streams; the
 //! reactor loop in `service/serve.rs` composes these primitives with the
-//! executor pool.
+//! executor pool, and the client's burst in `service/call.rs` with none.
 
 use std::collections::VecDeque;
 use std::io;
@@ -42,9 +44,18 @@ extern "C" {
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
     fn eventfd(initval: u32, flags: i32) -> i32;
+    fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout: i32) -> i32;
     fn close(fd: i32) -> i32;
     fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
+}
+
+/// `struct pollfd`: no packing quirk, the C layout on every target.
+#[repr(C)]
+struct PollFd {
+    fd: i32,
+    events: i16,
+    revents: i16,
 }
 
 const EPOLL_CLOEXEC: i32 = 0x80000;
@@ -105,11 +116,6 @@ impl Interest {
     pub const READ: Interest = Interest {
         readable: true,
         writable: false,
-    };
-    /// Writes only: a connection whose reads are paused by back-pressure.
-    pub const WRITE: Interest = Interest {
-        readable: false,
-        writable: true,
     };
     /// Both directions: replies are queued behind a short write.
     pub const BOTH: Interest = Interest {
@@ -234,6 +240,36 @@ impl Drop for Epoll {
     }
 }
 
+/// Block until `fd` is ready in a direction `want` names, or `timeout`
+/// passes (neither reported): [`Epoll::wait`] for the one socket a caller
+/// owns outright, nothing to register or tear down. An error or hangup
+/// reports as readable, so the caller's `read` surfaces it; EINTR retries.
+pub(crate) fn poll_ready(fd: RawFd, want: Interest, timeout: Duration) -> io::Result<Interest> {
+    // The low event bits are the same numbers under both interfaces.
+    let mut pfd = PollFd {
+        fd,
+        events: (want.mask() & (EPOLLIN | EPOLLOUT)) as i16,
+        revents: 0,
+    };
+    // Rounded up: a sub-millisecond timeout must not become a busy poll.
+    let timeout_ms = timeout.as_micros().div_ceil(1000).min(i32::MAX as u128) as i32;
+    loop {
+        // SAFETY: `pfd` is one valid `struct pollfd`, and `nfds` says one.
+        let rc = unsafe { poll(&mut pfd, 1, timeout_ms) };
+        if rc >= 0 {
+            let got = pfd.revents as u32;
+            return Ok(Interest {
+                readable: got & (EPOLLIN | EPOLLERR | EPOLLHUP) != 0,
+                writable: got & EPOLLOUT != 0,
+            });
+        }
+        let err = last_os_error();
+        if err.kind() != io::ErrorKind::Interrupted {
+            return Err(err);
+        }
+    }
+}
+
 /// Cross-thread wakeup for a reactor parked in [`Epoll::wait`]. Backed by
 /// a nonblocking `eventfd`: `wake()` writes a counter increment (cheap,
 /// idempotent while pending), the reactor registers [`Waker::fd`] for
@@ -326,6 +362,27 @@ impl FrameBuf {
         self.buf.extend_from_slice(chunk);
     }
 
+    /// Drain a nonblocking socket into the buffer until it would block (a
+    /// short read has emptied it and saves the `WouldBlock` probe); the
+    /// peer having closed its end is an error like any other.
+    pub fn fill_from(&mut self, r: &mut impl io::Read) -> io::Result<()> {
+        let mut buf = [0u8; 64 * 1024];
+        loop {
+            match r.read(&mut buf) {
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(n) => {
+                    self.extend(&buf[..n]);
+                    if n < buf.len() {
+                        return Ok(());
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
     /// Bytes currently buffered and not yet returned as frames.
     pub fn pending_bytes(&self) -> usize {
         self.buf.len() - self.start
@@ -362,8 +419,8 @@ impl FrameBuf {
 
 /// The outbound twin of [`FrameBuf`]: whole frames queued for one socket
 /// and pushed out with vectored writes, continuing across short writes —
-/// a connection's replies on the serve path, a burst of requests on a
-/// multiplexed client.
+/// a connection's replies on the serve path, a burst of requests on the
+/// client's.
 #[derive(Default)]
 pub(crate) struct WriteQueue {
     bufs: VecDeque<Vec<u8>>,
@@ -373,14 +430,6 @@ pub(crate) struct WriteQueue {
 }
 
 impl WriteQueue {
-    /// An empty queue with room for `frames` buffers.
-    pub(crate) fn with_capacity(frames: usize) -> WriteQueue {
-        WriteQueue {
-            bufs: VecDeque::with_capacity(frames),
-            ..WriteQueue::default()
-        }
-    }
-
     /// Queue one frame behind whatever is still waiting. An empty buffer
     /// (a frame some fault plan "lost") queues nothing.
     pub(crate) fn push(&mut self, buf: Vec<u8>) {
@@ -477,6 +526,18 @@ mod tests {
     }
 
     #[test]
+    fn fill_from_keeps_what_it_read_before_the_hang_up() {
+        // Exactly one read's worth, then EOF: the one way a drain sees the
+        // peer's hang-up in the same pass as its last bytes.
+        let mut wire = frame(&vec![7u8; 64 * 1024 - 4]);
+        let mut fb = FrameBuf::new(1 << 20);
+        let err = fb.fill_from(&mut wire.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        wire.drain(..4);
+        assert_eq!(fb.next_frame().unwrap(), Some(wire), "the frame is whole");
+    }
+
+    #[test]
     fn framebuf_rejects_oversized_length_prefix() {
         let mut fb = FrameBuf::new(64);
         fb.extend(&(65u32).to_be_bytes());
@@ -545,7 +606,11 @@ mod tests {
         let (srv, _) = listener.accept().unwrap();
 
         let ep = Epoll::new().unwrap();
-        ep.add(client.as_raw_fd(), 1, Interest::WRITE).unwrap();
+        let write_only = Interest {
+            readable: false,
+            writable: true,
+        };
+        ep.add(client.as_raw_fd(), 1, write_only).unwrap();
         let mut events = Vec::new();
         let n = ep.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
         assert!(n >= 1 && events[0].writable, "fresh socket is writable");

@@ -211,10 +211,9 @@ pub struct RemoteLink {
 
 impl RemoteLink {
     /// Link to the follower at `addr` for the named replicated service.
-    /// `call` may bring its own transport ([`CallOptions::pool`] or
-    /// [`CallOptions::mux`], e.g. to share one across links); when it
-    /// brings none the link supplies its own pool, so there is no way to
-    /// ask for a dial per ship.
+    /// `call` may bring its own pool ([`CallOptions::pool`], e.g. to share
+    /// one across links); when it brings none the link supplies its own,
+    /// so there is no way to ask for a dial per ship.
     pub fn new(addr: SocketAddr, service: impl Into<String>, mut call: CallOptions) -> RemoteLink {
         if call.pool.is_none() && call.mux.is_none() {
             call.pool = Some(Arc::new(ConnPool::new("replica", PoolConfig::default())));

@@ -4,18 +4,20 @@
 use super::time::{RetryPolicy, Timeouts};
 use crate::fault::FaultPlan;
 use crate::overload::BreakerSet;
-use crate::pool::{ConnPool, MuxPool};
+use crate::pool::ConnPool;
 use crate::proto::{
-    is_disconnect_error, is_overload_error, read_frame_with, write_frame_with, Envelope,
-    ProtoError, Request, Response,
+    apply_receive_faults, is_disconnect_error, is_overload_error, parse_payload, read_frame_with,
+    write_frame_with, Envelope, ProtoError, Request, Response, MAX_FRAME,
 };
+use crate::reactor::{poll_ready, FrameBuf, Interest, WriteQueue};
 use faucets_telemetry::metrics::{global, Registry};
 use faucets_telemetry::trace::{self, TraceContext};
 use parking_lot::Mutex;
 use serde::Serialize;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::os::unix::io::AsRawFd;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -45,24 +47,17 @@ pub struct CallOptions {
     /// fast-fail locally (typed [`ProtoError::Overloaded`]) until a
     /// cooldown probe succeeds. `None` (the default) disables breaking.
     pub breakers: Option<Arc<BreakerSet>>,
-    /// Persistent connection pool shared across calls: each round-trip
-    /// checks a health-checked warm socket out of the pool instead of
-    /// opening a fresh TCP connection, and returns it afterwards. Any
+    /// Persistent connection pool shared across calls: each round trip (or
+    /// pipelined [`call_batch`] burst) has a health-checked warm socket of
+    /// the pool to itself instead of opening a fresh TCP connection. Any
     /// failure poisons the socket (closed, never reused), so retries,
     /// deadlines, breakers, and fault injection behave exactly as on
     /// per-call connections. `None` (the default) keeps the seed's
     /// connection-per-call behaviour.
     pub pool: Option<Arc<ConnPool>>,
-    /// Multiplexed connections shared across calls: requests are stamped
-    /// with a `request_id`, many can be in flight on one warm socket at
-    /// once, and responses match back by id in any order (a dedicated
-    /// reader thread demultiplexes). Takes precedence over
-    /// [`CallOptions::pool`]. Retries, deadlines, breakers, and fault
-    /// injection behave exactly as on pooled connections; a transport
-    /// failure kills the shared socket and fails every call in flight on
-    /// it with a typed disconnect, never a crossed wire. `None` (the
-    /// default) keeps one-request-per-checkout semantics.
-    pub mux: Option<Arc<MuxPool>>,
+    /// The frozen benchmark harness's name for [`CallOptions::pool`]: the
+    /// same thing, looked at first when both are set.
+    pub mux: Option<Arc<ConnPool>>,
 }
 
 impl Default for CallOptions {
@@ -101,18 +96,17 @@ pub fn call_with(addr: SocketAddr, req: &Request, opts: &CallOptions) -> io::Res
         .expect("one result per request")
 }
 
-/// Pipeline a batch of requests over one multiplexed connection: every
-/// request frame is written in a single vectored burst (one syscall for
-/// the whole batch on the happy path), all of them are then in flight at
-/// once, and replies are collected as they come back — in any order,
-/// matched by `request_id`. The result vector is index-aligned with
-/// `reqs`.
+/// Pipeline a batch of requests on one pooled socket: every request frame
+/// is written in a vectored burst (one syscall for the whole batch on the
+/// happy path), all of them are then in flight at once, and replies are
+/// collected as they come back — in any order, matched by `request_id` —
+/// into a result vector index-aligned with `reqs`.
 ///
-/// Without [`CallOptions::mux`] this degrades to sequential [`call_with`]
-/// calls. With it, per-request results map exactly as `call_with` maps
-/// them (`Response::Overloaded` becomes a typed error, breaker bookkeeping
-/// per result) — but there is **no retry loop** inside the batch; callers
-/// that want retries issue them per failed slot.
+/// Without a pool ([`CallOptions::pool`]) this degrades to sequential
+/// [`call_with`] calls. With one, each result maps exactly as `call_with`
+/// maps it (`Response::Overloaded` becomes a typed error, breaker
+/// bookkeeping per result) — but there is **no retry loop** inside the
+/// batch; callers that want retries issue them per failed slot.
 pub fn call_batch(
     addr: SocketAddr,
     reqs: &[Request],
@@ -121,7 +115,7 @@ pub fn call_batch(
     if reqs.is_empty() {
         return vec![];
     }
-    if opts.mux.is_none() {
+    if opts.pool.is_none() && opts.mux.is_none() {
         return reqs.iter().map(|r| call_with(addr, r, opts)).collect();
     }
     drive(addr, reqs, opts, 1)
@@ -217,8 +211,8 @@ fn attempt(
     results
 }
 
-/// Send `reqs` to `addr` over the transport the options select —
-/// multiplexed over pooled over a connection per call.
+/// Send `reqs` to `addr` over the transport the options select: a pooled
+/// socket, or a connection per call.
 fn exchange(
     addr: SocketAddr,
     reqs: &[Request],
@@ -226,31 +220,16 @@ fn exchange(
     deadline: Option<Instant>,
     reg: &Registry,
 ) -> Vec<io::Result<Response>> {
-    // One pass; a transport sets `reused` when its socket had carried
-    // traffic before, and `fresh` asks a pool for a new connect.
-    let pass = |fresh: bool, reused: &mut bool| -> Vec<io::Result<Response>> {
-        if let Some(mux) = &opts.mux {
-            // `Err`: nothing went out, so every slot fails the same way
-            // (`io::Error` is not `Clone`; kind and message survive).
-            return mux
-                .exchange(addr, reqs, opts, deadline, reused)
-                .unwrap_or_else(|e| {
-                    let slot = |_| Err(io::Error::new(e.kind(), e.to_string()));
-                    reqs.iter().map(slot).collect()
-                });
-        }
-        let each = |req| match &opts.pool {
-            Some(pool) => pool.round_trip(addr, req, opts, deadline, fresh, reused),
-            // Seed behaviour: one connection per call.
-            None => {
-                let mut stream = TcpStream::connect_timeout(&addr, opts.connect)?;
-                round_trip(&mut stream, req, opts, deadline)
-            }
+    let Some(pool) = opts.mux.as_ref().or(opts.pool.as_ref()) else {
+        // Seed behaviour: one connection per call.
+        let each = |req| {
+            let mut stream = TcpStream::connect_timeout(&addr, opts.connect)?;
+            round_trip(&mut stream, req, opts, deadline)
         };
-        reqs.iter().map(each).collect()
+        return reqs.iter().map(each).collect();
     };
     let mut reused = false;
-    let results = pass(false, &mut reused);
+    let results = pool.exchange(addr, reqs, opts, deadline, false, &mut reused);
     // A *reused* socket that died on first use usually went stale between
     // its last use and this write (the peer restarted while it sat idle).
     // One immediate retry on a fresh connection keeps that invisible,
@@ -261,13 +240,14 @@ fn exchange(
     if !(reused && results.iter().all(disconnected)) {
         return results;
     }
-    let (counter, pool) = match (&opts.mux, &opts.pool) {
-        (Some(mux), _) => ("net_mux_stale_retries_total", mux.name()),
-        (None, Some(pool)) => ("net_pool_stale_retries_total", pool.name()),
-        (None, None) => unreachable!("a per-call socket is never reused"),
-    };
-    reg.counter(counter, &[("pool", pool)]).inc();
-    pass(true, &mut reused)
+    reg.counter("net_pool_stale_retries_total", &[("pool", pool.name())])
+        .inc();
+    pool.exchange(addr, reqs, opts, deadline, true, &mut reused)
+}
+
+/// `io::Error` is not `Clone`; its kind and message are.
+pub(crate) fn copy_of(e: &io::Error) -> io::Error {
+    io::Error::new(e.kind(), e.to_string())
 }
 
 /// Borrowing twin of [`Envelope`] so the send path never clones the
@@ -283,14 +263,14 @@ struct EnvelopeRef<'a, T> {
 }
 
 /// Milliseconds of budget left until `deadline`, for envelope stamping.
-pub(crate) fn remaining_ms(deadline: Option<Instant>) -> Option<u64> {
+fn remaining_ms(deadline: Option<Instant>) -> Option<u64> {
     deadline.map(|d| d.saturating_duration_since(Instant::now()).as_millis() as u64)
 }
 
 /// Write `req` to `w` in its envelope: the one place a request is stamped.
 /// A fault plan may "lose" the frame — nothing is written, and the
 /// caller's read times out as on a real lossy wire.
-pub(crate) fn stamp<W: Write>(
+fn stamp<W: Write>(
     w: &mut W,
     msg: &Request,
     request_id: Option<u64>,
@@ -330,16 +310,115 @@ pub(crate) fn round_trip(
         })
 }
 
+/// One exchange on an established stream this caller holds exclusively:
+/// the index-aligned results, and whether the stream is still clean —
+/// every request answered and not a byte more — and so may be reused.
+pub(crate) fn converse(
+    stream: &mut TcpStream,
+    reqs: &[Request],
+    opts: &CallOptions,
+    deadline: Option<Instant>,
+) -> (Vec<io::Result<Response>>, bool) {
+    // A lone request (every negotiation RPC) is a blocking round trip:
+    // pipelined at N = 1, `rpc_pingpong` read −9.1 % `throughput_ops_s` and
+    // +10.1 % `cpu_ms_per_op` in 5 of 5 alternating pairs (PR 18).
+    if let [req] = reqs {
+        let reply = round_trip(stream, req, opts, deadline);
+        let clean = reply.is_ok();
+        return (vec![reply], clean);
+    }
+    let mut slots: Vec<Option<Response>> = reqs.iter().map(|_| None).collect();
+    let outcome = pipeline(stream, reqs, &mut slots, opts, deadline);
+    let fill = |slot: Option<Response>| {
+        slot.ok_or_else(|| copy_of(outcome.as_ref().expect_err("an empty slot has a reason")))
+    };
+    (slots.into_iter().map(fill).collect(), outcome.is_ok())
+}
+
+/// Pipeline a burst on the caller's own thread: each request is stamped
+/// with its own `request_id`, the frames drain from a [`WriteQueue`] while
+/// replies are reassembled in a [`FrameBuf`] — both at once, under
+/// [`poll_ready`], so a burst larger than the socket buffers cannot wedge
+/// this writer against the peer's. A reply fills only the slot whose id it
+/// carries, and only once. `Ok`: every slot is filled and the stream holds
+/// nothing more. `Err` — a fault, a timeout, EOF, a reply with a foreign,
+/// repeated or missing id — is why the remaining slots stay empty.
+fn pipeline(
+    stream: &mut TcpStream,
+    reqs: &[Request],
+    slots: &mut [Option<Response>],
+    opts: &CallOptions,
+    deadline: Option<Instant>,
+) -> io::Result<()> {
+    // Ids never repeat within the process, so a reply left over from an
+    // earlier burst on this socket is foreign to this one.
+    static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+    let first_id = NEXT_ID.fetch_add(reqs.len() as u64, Ordering::Relaxed);
+    let faults = opts.faults.as_deref();
+    let (ctx, budget) = (trace::current(), remaining_ms(deadline));
+    let mut out = WriteQueue::default();
+    for (id, req) in (first_id..).zip(reqs) {
+        let mut frame = Vec::new();
+        stamp(&mut frame, req, Some(id), ctx, budget, faults)?;
+        out.push(frame);
+    }
+    let invalid = |why: &str| io::Error::new(io::ErrorKind::InvalidData, why);
+    stream.set_nodelay(true)?;
+    stream.set_nonblocking(true)?;
+    let mut replies = FrameBuf::new(MAX_FRAME as usize);
+    let mut open = slots.len();
+    while open > 0 {
+        // Write what the socket takes (the first pass without asking: a
+        // checked-out socket has room), then sleep until it takes more or
+        // the peer has answered.
+        match out.flush(stream) {
+            Err(e) if e.kind() != io::ErrorKind::WouldBlock => return Err(e),
+            _ => {}
+        }
+        let (want, patience) = if out.is_empty() {
+            (Interest::READ, opts.timeouts.read)
+        } else {
+            (Interest::BOTH, opts.timeouts.write)
+        };
+        let ready = poll_ready(stream.as_raw_fd(), want, patience)?;
+        if !ready.readable && !ready.writable {
+            let why = "no reply within the timeout (the request may still complete remotely)";
+            return Err(io::Error::new(io::ErrorKind::TimedOut, why));
+        }
+        if !ready.readable {
+            continue;
+        }
+        // Replies that came with the peer's hang-up are still replies.
+        let filled = replies.fill_from(stream);
+        while let Some(mut payload) = replies.next_frame()? {
+            apply_receive_faults(&mut payload, faults);
+            let env: Envelope<Response> = parse_payload(&payload)?;
+            let slot = env
+                .request_id
+                .and_then(|id| id.checked_sub(first_id))
+                .and_then(|i| slots.get_mut(usize::try_from(i).ok()?))
+                .filter(|slot| slot.is_none())
+                .ok_or_else(|| invalid("reply carries no unanswered request id of this burst"))?;
+            *slot = Some(env.msg);
+            open -= 1;
+        }
+        filled?;
+    }
+    if replies.pending_bytes() > 0 {
+        return Err(invalid("bytes after the burst's last reply"));
+    }
+    // Back to blocking: `round_trip` and the pool's health check assume it.
+    stream.set_nonblocking(false)
+}
+
 /// Fan one request out to many peers concurrently over at most
 /// `max_concurrency` threads, each call going through [`call_with`] with
 /// the full retry/breaker/deadline/pool machinery. The result vector is
 /// index-aligned with `addrs`, and every worker runs under the calling
 /// thread's trace context, so the fan-out's frames all join the caller's
 /// trace — this is the client's one-round bid solicitation (§2.2) over
-/// warm pooled connections. With [`CallOptions::mux`] set, concurrent
-/// workers targeting the same peer share warm sockets and their frames
-/// pipeline on them, instead of each worker holding a socket exclusively
-/// for its round-trip.
+/// warm pooled connections, each worker holding its socket for its round
+/// trip.
 pub fn call_many(
     addrs: &[SocketAddr],
     req: &Request,
@@ -554,12 +633,12 @@ mod tests {
     }
 
     #[test]
-    fn mux_calls_share_one_connection_and_batch_pipelines() {
-        use crate::pool::{MuxConfig, MuxPool};
+    fn lone_calls_and_a_pipelined_batch_share_one_pooled_connection() {
+        use crate::pool::{ConnPool, PoolConfig};
         let server_reg = Arc::new(Registry::new());
         let h = serve_with(
             "127.0.0.1:0",
-            "muxed",
+            "burst",
             ServeOptions {
                 registry: Some(Arc::clone(&server_reg)),
                 ..ServeOptions::default()
@@ -570,24 +649,20 @@ mod tests {
             },
         )
         .unwrap();
-        let mux = Arc::new(MuxPool::new("test-mux", MuxConfig { conns_per_peer: 1 }));
+        let pool = Arc::new(ConnPool::new("test-burst", PoolConfig::default()));
+        let call_reg = Arc::new(Registry::new());
         let opts = CallOptions {
-            mux: Some(Arc::clone(&mux)),
+            pool: Some(Arc::clone(&pool)),
+            registry: Some(Arc::clone(&call_reg)),
             ..CallOptions::default()
         };
-        // Sequential calls ride the same shared socket.
+        let lone = Request::VerifyToken {
+            token: faucets_core::auth::SessionToken("t".into()),
+        };
         for _ in 0..5 {
-            let r = call_with(
-                h.addr,
-                &Request::VerifyToken {
-                    token: faucets_core::auth::SessionToken("t".into()),
-                },
-                &opts,
-            )
-            .unwrap();
-            assert_eq!(r, Response::Ok);
+            assert_eq!(call_with(h.addr, &lone, &opts).unwrap(), Response::Ok);
         }
-        // A batch pipelines on it too, results index-aligned.
+        // A batch pipelines on the same socket, results index-aligned.
         let reqs: Vec<Request> = (0..8)
             .map(|i| Request::Login {
                 user: format!("u{i}"),
@@ -603,14 +678,22 @@ mod tests {
                 "slot {i} got its own reply"
             );
         }
+        // The burst left the socket in blocking mode, clean: the next lone
+        // round trip takes it straight back out of the pool.
+        assert_eq!(call_with(h.addr, &lone, &opts).unwrap(), Response::Ok);
         assert_eq!(
             server_reg
                 .snapshot()
-                .counter_sum("net_conns_accepted_total", &[("service", "muxed")]),
+                .counter_sum("net_conns_accepted_total", &[("service", "burst")]),
             1,
-            "five calls and an 8-deep batch all shared one connection"
+            "six calls and an 8-deep batch all shared one connection"
         );
-        assert_eq!(mux.open_connections(), 1);
+        assert_eq!(pool.open_connections(), 1);
+        let snap = call_reg.snapshot();
+        let count = |name: &str| snap.counter_sum(name, &[("pool", "test-burst")]);
+        assert_eq!(count("net_pool_misses_total"), 1, "one dial");
+        assert_eq!(count("net_pool_hits_total"), 6, "a burst is one checkout");
+        assert_eq!(count("net_pool_poisoned_total"), 0);
         h.shutdown();
     }
 

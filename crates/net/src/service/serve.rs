@@ -15,7 +15,7 @@ use faucets_telemetry::TelemetryClock;
 use parking_lot::Mutex;
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{self, Read};
+use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -246,26 +246,8 @@ impl Conn {
 
     /// Drain the socket into the frame buffer (never blocks).
     fn on_readable(&mut self) {
-        let mut buf = [0u8; 64 * 1024];
-        loop {
-            match self.stream.read(&mut buf) {
-                Ok(0) => {
-                    self.peer_gone = true;
-                    break;
-                }
-                Ok(n) => {
-                    self.frames.extend(&buf[..n]);
-                    if n < buf.len() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.peer_gone = true;
-                    break;
-                }
-            }
+        if self.frames.fill_from(&mut self.stream).is_err() {
+            self.peer_gone = true;
         }
     }
 

@@ -1,14 +1,17 @@
 //! Connection-pool integration tests: real sockets, fixed seeds.
 //!
-//! Covers the three pool behaviours the unit tests can't reach end-to-end:
+//! Covers the pool behaviours the unit tests can't reach end-to-end:
 //! frame faults poisoning a warm socket (and the next call recovering on a
 //! fresh one), per-call connection churn staying bounded by the live
-//! client count, and a many-client stress run where the shared pool keeps
+//! client count, a many-client stress run where the shared pool keeps
 //! the hit rate high and every counter visible through the server's own
-//! `Metrics` endpoint.
+//! `Metrics` endpoint, and pipelined bursts against stand-in peers that
+//! answer wrongly, not at all, or only as fast as they are read.
 
 use faucets_net::prelude::*;
 use faucets_telemetry::metrics::Registry;
+use std::io::{ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -215,7 +218,7 @@ fn sixteen_pooled_clients_stress_one_fs() {
     let pool = Arc::new(ConnPool::new(
         "stress",
         PoolConfig {
-            max_idle_per_peer: CLIENTS,
+            conns_per_peer: CLIENTS,
             ..PoolConfig::default()
         },
     ));
@@ -274,4 +277,194 @@ fn sixteen_pooled_clients_stress_one_fs() {
         "a healthy service never poisons"
     );
     fs.shutdown();
+}
+
+/// The honest reply to a numbered `Login`: its user tag and password,
+/// under its id.
+fn echo(env: &Envelope<Request>) -> Envelope<Response> {
+    let Request::Login { user, password } = &env.msg else {
+        panic!("stand-in peers are sent numbered logins, got {:?}", env.msg);
+    };
+    Envelope {
+        ctx: None,
+        deadline_ms: None,
+        request_id: env.request_id,
+        msg: Response::Error(user.clone() + password),
+    }
+}
+
+fn numbered_logins(n: usize, password: &str) -> Vec<Request> {
+    (0..n)
+        .map(|i| Request::Login {
+            user: format!("u{i}"),
+            password: password.into(),
+        })
+        .collect()
+}
+
+/// How a stand-in peer wrongs the first burst it is sent.
+#[derive(Debug, Clone, Copy)]
+enum Misbehaviour {
+    /// Request 1 is answered under an id no request of the burst carries.
+    ForeignId,
+    /// Request 1's reply comes under request 0's id, after request 0's own.
+    DuplicateId,
+    /// Every reply is right, and two more bytes follow the last.
+    TrailingBytes,
+    /// Request 1 is never answered; the connection stays up.
+    LostReply,
+}
+
+/// A stand-in peer: its first connection reads a burst of `n` numbered
+/// logins and answers all of it in one write, wronged as `how` says; every
+/// later connection answers honestly, frame by frame.
+fn misbehaving_peer(n: usize, how: Misbehaviour) -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        for (conn, stream) in listener.incoming().enumerate() {
+            let Ok(mut stream) = stream else { return };
+            if conn > 0 {
+                while let Ok(Some(env)) = read_frame::<_, Envelope<Request>>(&mut stream) {
+                    write_frame(&mut stream, &echo(&env)).unwrap();
+                }
+                continue;
+            }
+            let mut replies: Vec<Envelope<Response>> = (0..n)
+                .map(|_| echo(&read_frame(&mut stream).unwrap().expect("a whole burst")))
+                .collect();
+            match how {
+                Misbehaviour::ForeignId => replies[1].request_id = Some(u64::MAX),
+                Misbehaviour::DuplicateId => replies[1].request_id = replies[0].request_id,
+                Misbehaviour::LostReply => drop(replies.remove(1)),
+                Misbehaviour::TrailingBytes => {}
+            }
+            let mut wire = Vec::new();
+            for reply in &replies {
+                write_frame(&mut wire, reply).unwrap();
+            }
+            if matches!(how, Misbehaviour::TrailingBytes) {
+                wire.extend_from_slice(&[0, 0]);
+            }
+            stream.write_all(&wire).unwrap();
+            // Hold the connection until the client gives it up.
+            let _ = stream.read(&mut [0u8; 1]);
+        }
+    });
+    addr
+}
+
+/// A peer that answers a burst with a reply nobody asked for, the same id
+/// twice, bytes past the last reply, or one reply short: each slot holds
+/// its own request's reply or a typed error — never another request's —
+/// the socket is poisoned, and the next call dials fresh.
+#[test]
+fn a_wronged_burst_fails_typed_poisons_the_socket_and_the_next_call_redials() {
+    const N: usize = 4;
+    let all = [0, 1, 2, 3];
+    for (how, answered, error) in [
+        // The burst stops at the first reply it cannot place.
+        (Misbehaviour::ForeignId, &[0][..], ErrorKind::InvalidData),
+        (Misbehaviour::DuplicateId, &[0][..], ErrorKind::InvalidData),
+        (
+            Misbehaviour::TrailingBytes,
+            &all[..],
+            ErrorKind::InvalidData,
+        ),
+        (Misbehaviour::LostReply, &[0, 2, 3][..], ErrorKind::TimedOut),
+    ] {
+        let addr = misbehaving_peer(N, how);
+        let pool = Arc::new(ConnPool::new("wronged", PoolConfig::default()));
+        let reg = Arc::new(Registry::new());
+        let opts = CallOptions {
+            pool: Some(Arc::clone(&pool)),
+            registry: Some(Arc::clone(&reg)),
+            timeouts: Timeouts::both(Duration::from_millis(300)),
+            ..CallOptions::default()
+        };
+        let reqs = numbered_logins(N, "");
+        for (i, result) in call_batch(addr, &reqs, &opts).into_iter().enumerate() {
+            match result {
+                Ok(reply) => {
+                    assert_eq!(
+                        reply,
+                        Response::Error(format!("u{i}")),
+                        "{how:?}: slot {i} holds another request's reply"
+                    );
+                    assert!(answered.contains(&i), "{how:?}: slot {i} was not answered");
+                }
+                Err(e) => {
+                    assert_eq!(e.kind(), error, "{how:?}: slot {i} failed as {e}");
+                    assert!(!answered.contains(&i), "{how:?}: slot {i} lost its reply");
+                }
+            }
+        }
+        assert_eq!(pool.open_connections(), 0, "{how:?}: the socket is gone");
+        assert_eq!(
+            call_with(addr, &reqs[0], &opts).unwrap(),
+            Response::Error("u0".into()),
+            "{how:?}: the next call is served on a fresh connection"
+        );
+        let snap = reg.snapshot();
+        let count = |name: &str| snap.counter_sum(name, &[("pool", "wronged")]);
+        assert_eq!(count("net_pool_poisoned_total"), 1, "{how:?}");
+        assert_eq!(count("net_pool_misses_total"), 2, "{how:?}: two dials");
+        assert_eq!(count("net_pool_hits_total"), 0, "{how:?}");
+    }
+}
+
+extern "C" {
+    fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
+}
+
+/// A burst far larger than the socket buffers against a peer that reads
+/// the next request only once its last reply is written in full, the way
+/// the reactor pauses a connection whose reply backlog is over
+/// `ServeOptions::write_buf`. Its buffers are pinned small (the kernel's
+/// defaults grow to tens of megabytes), so it can finish a reply only while
+/// the client reads: a client that wrote its whole burst before reading
+/// would block with the peer blocked against it, for good.
+#[test]
+fn a_burst_over_the_socket_buffers_never_wedges_writer_against_writer() {
+    const N: usize = 8;
+    const SOL_SOCKET: i32 = 1;
+    const SO_SNDBUF: i32 = 7;
+    const SO_RCVBUF: i32 = 8;
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    for name in [SO_SNDBUF, SO_RCVBUF] {
+        let bytes: i32 = 256 * 1024;
+        // SAFETY: `value` points at one live `i32` and `len` is its size;
+        // accepted sockets inherit the listener's buffer sizes.
+        let rc = unsafe {
+            use std::os::unix::io::AsRawFd;
+            setsockopt(listener.as_raw_fd(), SOL_SOCKET, name, &bytes, 4)
+        };
+        assert_eq!(rc, 0, "setsockopt({name})");
+    }
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _): (TcpStream, _) = listener.accept().unwrap();
+        for _ in 0..N {
+            let env = read_frame(&mut stream).unwrap().expect("a request");
+            write_frame(&mut stream, &echo(&env)).unwrap();
+        }
+    });
+
+    let opts = CallOptions {
+        pool: Some(Arc::new(ConnPool::new("wedge", PoolConfig::default()))),
+        timeouts: Timeouts::both(Duration::from_secs(10)),
+        ..CallOptions::default()
+    };
+    // 8 MiB each way: the client's own send buffer tops out at 4 MiB.
+    let reqs = numbered_logins(N, &"p".repeat(1 << 20));
+    for (i, r) in call_batch(addr, &reqs, &opts).into_iter().enumerate() {
+        match r.unwrap_or_else(|e| panic!("slot {i} wedged: {e}")) {
+            Response::Error(s) => assert!(
+                s.starts_with(&format!("u{i}p")) && s.len() > 1 << 20,
+                "slot {i}"
+            ),
+            other => panic!("slot {i}: unexpected {other:?}"),
+        }
+    }
+    peer.join().unwrap();
 }

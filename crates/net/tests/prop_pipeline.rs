@@ -1,11 +1,12 @@
-//! Multiplexing correctness under arbitrary interleavings: whatever order
+//! Pipelining correctness under arbitrary interleavings: whatever order
 //! responses come back in — permuted, partially lost, or the connection
-//! failing mid-flight — every completion reaches exactly the caller that
+//! failing mid-flight — every completion reaches exactly the slot that
 //! registered its `request_id`, or surfaces as a typed error. A crossed
-//! wire (caller A paid caller B's reply) is the one catastrophic failure
-//! mode of request pipelining, so it gets the property treatment, both on
-//! the bare [`PendingMap`] and over real sockets with a permuted reply
-//! schedule.
+//! wire (request A paid request B's reply) is the one catastrophic failure
+//! mode of request pipelining, so it gets the property treatment: over
+//! real sockets with a permuted reply schedule, and on the bare
+//! [`PendingMap`], which since the pooled burst fills its own slots only
+//! the frozen benchmark harness still calls (`pool.pending_us`).
 
 use faucets_net::pool::PendingMap;
 use faucets_net::prelude::*;
@@ -78,7 +79,7 @@ fn partial_completion_then_failure_never_crosses_wires() {
         for &idx in &completed {
             assert!(map.complete(idx as u64, payload_for(idx as u64)));
         }
-        map.fail_all("mux connection lost");
+        map.fail_all("connection lost");
 
         for (id, ticket) in tickets.into_iter().enumerate() {
             match map.wait(ticket, Duration::from_secs(5)) {
@@ -160,7 +161,7 @@ fn dropped_tickets_abandon_their_ids() {
 
 /// End-to-end: a real server whose handler stalls each request by a
 /// seed-keyed amount, so replies come back in an adversarial order
-/// over one shared mux socket — every batched caller still gets the
+/// over one pooled socket — every slot of the burst still gets the
 /// response to its own request.
 #[test]
 fn permuted_reply_schedules_match_batch_slots_over_real_sockets() {
@@ -186,9 +187,9 @@ fn permuted_reply_schedules_match_batch_slots_over_real_sockets() {
         )
         .unwrap();
 
-        let mux = Arc::new(MuxPool::new("permuted", MuxConfig { conns_per_peer: 1 }));
+        let pool = Arc::new(ConnPool::new("permuted", PoolConfig::default()));
         let opts = CallOptions {
-            mux: Some(mux),
+            pool: Some(pool),
             timeouts: Timeouts::both(Duration::from_secs(5)),
             retry: RetryPolicy::none(),
             ..CallOptions::default()

@@ -1,6 +1,7 @@
 //! Reactor serve-path integration: hostile clients under chaos, idle
-//! connections held as parked state (not threads), multiplexed callers
-//! surviving a poisoned shared socket, and the shutdown-latency
+//! connections held as parked state (not threads), pipelined bursts
+//! surviving garbled replies and outgrowing the socket buffers, and the
+//! shutdown-latency
 //! regression tests for the fixed-tick sleep sweep (FD pump, sentinel
 //! probe loop, federation gossip loop).
 //!
@@ -154,73 +155,81 @@ fn idle_connections_are_parked_state_not_threads() {
     );
 }
 
-/// Chaos on the multiplexed client path: garbled reply frames kill the
-/// shared socket (a desynchronised mux stream must fail everyone with a
-/// typed disconnect, never pay caller A caller B's reply), the retry loop
-/// redials, and most calls recover — the mux twin of the pooled
-/// poison-and-recover suite.
+/// Chaos on the pipelined client path: a garbled reply fails every slot
+/// of its burst that is still unanswered with a typed error and poisons
+/// the pooled socket (a desynchronised stream must never pay request A
+/// request B's reply), the next burst dials fresh, and clean stretches
+/// reuse the warm socket — the burst twin of the pooled poison-and-recover
+/// suite.
 #[test]
-fn garbled_replies_poison_the_mux_socket_and_calls_recover() {
-    let h = serve_with("127.0.0.1:0", "mux-chaos", ServeOptions::default(), |_| {
-        Response::Ok
-    })
+fn garbled_replies_poison_the_pooled_socket_and_bursts_recover() {
+    let h = serve_with(
+        "127.0.0.1:0",
+        "burst-chaos",
+        ServeOptions::default(),
+        |_| Response::Ok,
+    )
     .unwrap();
 
-    let mux = Arc::new(MuxPool::new("mux-chaos", MuxConfig { conns_per_peer: 1 }));
+    let pool = Arc::new(ConnPool::new("burst-chaos", PoolConfig::default()));
     let reg = Arc::new(Registry::new());
     let plan = Arc::new(FaultPlan::new(
         0xBADCAB,
         FaultConfig {
-            garble: 0.25,
+            garble: 0.05,
             ..FaultConfig::none()
         },
     ));
     let opts = CallOptions {
-        mux: Some(Arc::clone(&mux)),
+        pool: Some(Arc::clone(&pool)),
         registry: Some(Arc::clone(&reg)),
         faults: Some(plan),
         timeouts: Timeouts::both(Duration::from_millis(500)),
-        retry: RetryPolicy {
-            attempts: 8,
-            base: Duration::from_millis(5),
-            cap: Duration::from_millis(20),
-            jitter: 0.5,
-            seed: 13,
-        },
         ..CallOptions::default()
     };
 
-    let req = Request::VerifyToken {
-        token: faucets_core::auth::SessionToken("t".into()),
-    };
-    let mut ok = 0;
+    let reqs = vec![
+        Request::VerifyToken {
+            token: faucets_core::auth::SessionToken("t".into()),
+        };
+        4
+    ];
+    let mut clean = 0;
     for _ in 0..40 {
+        let replies = call_batch(h.addr, &reqs, &opts);
         // A garbled frame can only ever produce a typed failure —
         // Response::Ok is the sole legitimate success payload here, so
         // anything else would be a crossed wire.
-        if let Ok(r) = call_with(h.addr, &req, &opts) {
+        for r in replies.iter().flatten() {
             assert!(matches!(r, Response::Ok), "crossed wire: {r:?}");
-            ok += 1;
         }
+        clean += replies.iter().all(|r| r.is_ok()) as u32;
     }
 
     let snap = reg.snapshot();
-    let failures = snap.counter_sum("net_mux_conn_failures_total", &[("pool", "mux-chaos")]);
-    let dials = snap.counter_sum("net_mux_dials_total", &[("pool", "mux-chaos")]);
-    assert!(ok >= 20, "retries recover most calls under faults: {ok}/40");
+    let count = |name: &str| snap.counter_sum(name, &[("pool", "burst-chaos")]);
+    let (poisoned, misses) = (
+        count("net_pool_poisoned_total"),
+        count("net_pool_misses_total"),
+    );
+    assert!(clean >= 10, "most bursts ride out the faults: {clean}/40");
     assert!(
-        failures >= 1,
-        "at least one garbled reply killed the socket"
+        poisoned >= 1,
+        "at least one garbled frame poisoned a socket"
     );
     assert!(
-        dials >= failures,
-        "every killed socket was replaced by a fresh dial \
-         (dials {dials} < failures {failures})"
+        misses >= poisoned,
+        "every poisoned socket was replaced by a fresh dial \
+         (misses {misses} < poisoned {poisoned})"
     );
     assert!(
-        mux.open_connections() <= 1,
-        "dead mux connections were dropped, not leaked: {} open",
-        mux.open_connections()
+        count("net_pool_hits_total") >= 1,
+        "clean stretches reused the warm socket"
+    );
+    assert!(
+        pool.open_connections() <= 1,
+        "poisoned sockets were closed, not leaked: {} open",
+        pool.open_connections()
     );
     h.shutdown();
 }
@@ -289,19 +298,16 @@ fn queue_full_parked_frames_are_not_starved() {
     h.shutdown();
 }
 
-/// A pipelining client whose replies transiently exceed the per-connection
-/// write buffer is paused — dispatch and reads stop until the backlog
-/// drains — never killed: a batch caller reading at full speed must not be
-/// cut off as a "slow consumer" mid-burst.
-#[test]
-fn reply_bursts_over_the_write_buffer_pause_not_kill() {
-    let big = "x".repeat(64 * 1024);
+/// One 32-request burst of `request_bytes` each against a service that
+/// answers every request with `reply_bytes` through a 32 KiB reply buffer —
+/// far below a single reply, so its write queue saturates on the first
+/// completion and stays saturated for the whole burst.
+fn burst_through_a_small_write_buffer(request_bytes: usize, reply_bytes: usize) {
+    let big = "x".repeat(reply_bytes);
     let h = serve_with(
         "127.0.0.1:0",
         "burst",
         ServeOptions {
-            // Far below a single reply: the write queue saturates on the
-            // first completion and stays saturated for the whole burst.
             write_buf: 32 * 1024,
             ..ServeOptions::default()
         },
@@ -309,26 +315,43 @@ fn reply_bursts_over_the_write_buffer_pause_not_kill() {
     )
     .unwrap();
 
-    let mux = Arc::new(MuxPool::new("burst", MuxConfig { conns_per_peer: 1 }));
     let opts = CallOptions {
-        mux: Some(mux),
+        pool: Some(Arc::new(ConnPool::new("burst", PoolConfig::default()))),
         timeouts: Timeouts::both(Duration::from_secs(10)),
-        retry: RetryPolicy::none(),
         ..CallOptions::default()
     };
     let reqs: Vec<Request> = (0..32)
         .map(|i| Request::Login {
             user: format!("u{i}"),
-            password: String::new(),
+            password: "p".repeat(request_bytes),
         })
         .collect();
     for (i, r) in call_batch(h.addr, &reqs, &opts).into_iter().enumerate() {
-        match r.unwrap_or_else(|e| panic!("slot {i} cut off as a slow consumer: {e}")) {
-            Response::Error(s) => assert_eq!(s.len(), 64 * 1024, "slot {i} truncated"),
+        match r.unwrap_or_else(|e| panic!("slot {i} cut off mid-burst: {e}")) {
+            Response::Error(s) => assert_eq!(s.len(), reply_bytes, "slot {i} truncated"),
             other => panic!("slot {i}: unexpected {other:?}"),
         }
     }
     h.shutdown();
+}
+
+/// A pipelining client whose replies transiently exceed the per-connection
+/// write buffer is paused — dispatch and reads stop until the backlog
+/// drains — never killed: a batch caller reading at full speed must not be
+/// cut off as a "slow consumer" mid-burst.
+#[test]
+fn reply_bursts_over_the_write_buffer_pause_not_kill() {
+    burst_through_a_small_write_buffer(0, 64 * 1024);
+}
+
+/// 32 MiB of requests against 32 MiB of replies through the paused
+/// server: megabyte frames leave the client in short writes that resume
+/// mid-frame while replies are already coming back. (Whether a client that
+/// only wrote would wedge here depends on how much the kernel buffers —
+/// `tests/pool.rs` pins that with a peer whose buffers are small.)
+#[test]
+fn bursts_over_the_socket_buffers_in_both_directions_complete() {
+    burst_through_a_small_write_buffer(1 << 20, 1 << 20);
 }
 
 /// A legacy peer that pipelines frames *without* request ids is owed

@@ -1,8 +1,9 @@
 //! Transport parity: the client call path is one `admit → exchange →
 //! grade` pipeline, so what a caller gets back — and what the breaker and
 //! the `net_call_*` counters record — may depend on the *outcome* of a
-//! call but never on which transport carried it, nor on whether it went in
-//! through `call_with` or as a one-element `call_batch`.
+//! call but never on whether a connection per call or a pooled socket
+//! carried it, nor on whether it went in through `call_with`, as a
+//! one-element `call_batch`, or as one slot of a pipelined burst.
 
 use faucets_net::overload::breaker_state;
 use faucets_net::prelude::*;
@@ -16,7 +17,6 @@ use std::time::Duration;
 enum Transport {
     PerCall,
     Pooled,
-    Mux,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,13 +30,26 @@ enum Outcome {
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Entry {
     CallWith,
-    BatchOfOne,
+    /// A `call_batch` of this many copies of the request: pipelined, on a
+    /// pooled socket, when there are more than one.
+    Batch(u64),
 }
 
-/// Everything observable about one call.
+impl Entry {
+    /// Requests sent: each is counted as a lone call would be.
+    fn requests(self) -> u64 {
+        match self {
+            Entry::CallWith => 1,
+            Entry::Batch(n) => n,
+        }
+    }
+}
+
+/// Everything observable about one call (or one burst of the same call).
 #[derive(Debug, PartialEq)]
 struct Observed {
-    /// `Ok(response)`, `Err("overloaded:<hint>")` or `Err("transport")`.
+    /// `Ok(response)`, `Err("overloaded:<hint>")` or `Err("transport")`;
+    /// of a burst, what every slot held.
     result: Result<Response, String>,
     attempts: u64,
     overloaded: u64,
@@ -58,8 +71,6 @@ fn options(transport: Transport, reg: &Arc<Registry>, breakers: &Arc<BreakerSet>
         breakers: Some(Arc::clone(breakers)),
         pool: (transport == Transport::Pooled)
             .then(|| Arc::new(ConnPool::new("parity", PoolConfig::default()))),
-        mux: (transport == Transport::Mux)
-            .then(|| Arc::new(MuxPool::new("parity", MuxConfig::default()))),
         ..CallOptions::default()
     }
 }
@@ -102,26 +113,37 @@ fn observe(transport: Transport, outcome: Outcome, entry: Entry) -> Observed {
         breakers.on_failure(addr, &Registry::new());
     }
     let opts = options(transport, &reg, &breakers);
-    let result = match entry {
-        Entry::CallWith => call_with(addr, &req, &opts),
-        Entry::BatchOfOne => {
-            let mut results = call_batch(addr, std::slice::from_ref(&req), &opts);
-            assert_eq!(results.len(), 1, "one slot per request");
-            results.pop().unwrap()
-        }
+    let results = match entry {
+        Entry::CallWith => vec![call_with(addr, &req, &opts)],
+        Entry::Batch(n) => call_batch(addr, &vec![req; n as usize], &opts),
     };
-    let result = result.map_err(|e| {
-        if is_overload_error(&e) {
-            let Some(ProtoError::Overloaded { retry_after_ms }) =
-                e.get_ref().and_then(|inner| inner.downcast_ref())
-            else {
-                unreachable!("is_overload_error vouched for the payload")
-            };
-            format!("overloaded:{retry_after_ms}")
-        } else {
-            "transport".to_string()
-        }
-    });
+    assert_eq!(
+        results.len() as u64,
+        entry.requests(),
+        "one slot per request"
+    );
+    let describe = |result: std::io::Result<Response>| {
+        result.map_err(|e| {
+            if is_overload_error(&e) {
+                let Some(ProtoError::Overloaded { retry_after_ms }) =
+                    e.get_ref().and_then(|inner| inner.downcast_ref())
+                else {
+                    unreachable!("is_overload_error vouched for the payload")
+                };
+                format!("overloaded:{retry_after_ms}")
+            } else {
+                "transport".to_string()
+            }
+        })
+    };
+    let mut slots: Vec<_> = results.into_iter().map(describe).collect();
+    slots.dedup();
+    assert_eq!(
+        slots.len(),
+        1,
+        "every slot of a burst fares alike: {slots:?}"
+    );
+    let result = slots.pop().unwrap();
     let snap = reg.snapshot();
     let count = |name: &str| snap.counter_sum(name, &[]);
     server.shutdown();
@@ -137,10 +159,12 @@ fn observe(transport: Transport, outcome: Outcome, entry: Entry) -> Observed {
     }
 }
 
-fn expected(outcome: Outcome) -> Observed {
+/// What `n` requests with this outcome leave behind: `n` times the
+/// per-request counters, and the breaker transitions of one.
+fn expected(outcome: Outcome, n: u64) -> Observed {
     let quiet = Observed {
         result: Ok(Response::Ok),
-        attempts: 1,
+        attempts: n,
         overloaded: 0,
         failures: 0,
         retries: 0,
@@ -153,12 +177,12 @@ fn expected(outcome: Outcome) -> Observed {
         // The peer answered: a breaker success, a typed shed for the caller.
         Outcome::Overloaded => Observed {
             result: Err(format!("overloaded:{SHED_HINT_MS}")),
-            overloaded: 1,
+            overloaded: n,
             ..quiet
         },
         Outcome::TransportError => Observed {
             result: Err("transport".into()),
-            failures: 1,
+            failures: n,
             breaker_transitions: 1,
             breaker: breaker_state::OPEN,
             ..quiet
@@ -167,7 +191,7 @@ fn expected(outcome: Outcome) -> Observed {
         Outcome::BreakerOpen => Observed {
             result: Err(format!("overloaded:{}", COOLDOWN.as_millis())),
             attempts: 0,
-            fastfails: 1,
+            fastfails: n,
             breaker: breaker_state::OPEN,
             ..quiet
         },
@@ -182,11 +206,19 @@ fn every_transport_and_entry_point_grades_every_outcome_alike() {
         Outcome::TransportError,
         Outcome::BreakerOpen,
     ] {
-        for transport in [Transport::PerCall, Transport::Pooled, Transport::Mux] {
-            for entry in [Entry::CallWith, Entry::BatchOfOne] {
+        for (transport, entries) in [
+            (Transport::PerCall, &[Entry::CallWith, Entry::Batch(1)][..]),
+            // Without a pool a longer batch is sequential `call_with`s,
+            // each admitted on its own: only a pooled one is a burst.
+            (
+                Transport::Pooled,
+                &[Entry::CallWith, Entry::Batch(1), Entry::Batch(3)][..],
+            ),
+        ] {
+            for &entry in entries {
                 assert_eq!(
                     observe(transport, outcome, entry),
-                    expected(outcome),
+                    expected(outcome, entry.requests()),
                     "{outcome:?} over {transport:?} through {entry:?}"
                 );
             }
@@ -228,50 +260,45 @@ fn restarting_peer() -> SocketAddr {
 
 #[test]
 fn a_reused_socket_lost_to_a_restart_costs_one_stale_retry_and_no_budget() {
-    for (transport, stale_counter) in [
-        (Transport::Pooled, "net_pool_stale_retries_total"),
-        (Transport::Mux, "net_mux_stale_retries_total"),
-    ] {
+    // The second call, or the whole burst, is what the restart swallows.
+    for burst in [1usize, 2] {
         let addr = restarting_peer();
         let reg = Arc::new(Registry::new());
         let breakers = Arc::new(BreakerSet::default());
         let opts = CallOptions {
             retry: RetryPolicy::standard(1),
-            ..options(transport, &reg, &breakers)
+            ..options(Transport::Pooled, &reg, &breakers)
         };
         let req = Request::VerifyToken {
             token: faucets_core::auth::SessionToken("t".into()),
         };
         // Warm the socket, then lose it mid-call.
         assert_eq!(call_with(addr, &req, &opts).unwrap(), Response::Ok);
-        assert_eq!(
-            call_with(addr, &req, &opts).unwrap(),
-            Response::Ok,
-            "{transport:?}: the lost socket is invisible to the caller"
-        );
+        for reply in call_batch(addr, &vec![req; burst], &opts) {
+            assert_eq!(
+                reply.unwrap(),
+                Response::Ok,
+                "burst of {burst}: the lost socket is invisible to the caller"
+            );
+        }
         let snap = reg.snapshot();
         let count = |name: &str| snap.counter_sum(name, &[]);
         assert_eq!(
-            count(stale_counter),
+            count("net_pool_stale_retries_total"),
             1,
-            "{transport:?}: one stale retry, under its transport's name"
-        );
-        assert_eq!(
-            count("net_pool_stale_retries_total") + count("net_mux_stale_retries_total"),
-            1,
-            "{transport:?}: and under no other"
+            "burst of {burst}: one stale retry"
         );
         assert_eq!(
             count("net_call_attempts_total"),
-            2,
-            "{transport:?}: one attempt per call"
+            1 + burst as u64,
+            "burst of {burst}: one attempt per request"
         );
-        assert_eq!(count("net_call_retries_total"), 0, "{transport:?}");
-        assert_eq!(count("net_call_failures_total"), 0, "{transport:?}");
+        assert_eq!(count("net_call_retries_total"), 0, "burst of {burst}");
+        assert_eq!(count("net_call_failures_total"), 0, "burst of {burst}");
         assert_eq!(
             breakers.breaker(addr).state_name(),
             breaker_state::CLOSED,
-            "{transport:?}"
+            "burst of {burst}"
         );
     }
 }

@@ -1,29 +1,33 @@
 #!/bin/sh
 # The counts ROADMAP items 3 and 4 track, for a PR description or the CI job
-# summary. Report only: nothing here fails a build.
+# summary:
 #   1. non-test lines: the lines before a file's first `#[cfg(test)]`, for
 #      every file of crates/net/src and for crates/store/src/replicate.rs;
 #   2. option fields: the `pub` fields of the option structs a caller fills
 #      in, plus FaucetsClient's configuration fields (its `pub` fields less
 #      the session state: token, user, last_trace);
-#   3. the experiment crate: all lines of crates/bench/src, and how often a
+#   3. thread-spawn sites: `thread::{spawn,Builder,scope}` in the non-test
+#      lines of crates/net/src and crates/store/src;
+#   4. the experiment crate: all lines of crates/bench/src, and how often a
 #      result is still serialized by hand (`json!` sites) or an arm result
 #      declared (`struct ArmResult`): one report writer, one driver.
+# With `--check` the script is a ratchet, not a report: it prints only what
+# is over its ceiling and fails if anything is. A PR that grows one of
+# these on purpose raises the ceiling here, in the open; a PR that shrinks
+# one lowers it.
 cd "$(dirname "$0")/.." || exit 1
+
+MAX_NET_LINES=8360   # non-test lines of crates/net/src
+MAX_POOL_LINES=434  # of crates/net/src/pool.rs
+MAX_OPTION_FIELDS=56
+MAX_SPAWN_SITES=7
 
 non_test() { awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"; }
 
-echo "| file | non-test lines |"
-echo "|---|---:|"
-total=0
-for f in $(find crates/net/src -name '*.rs' | sort); do
-    n=$(non_test "$f")
-    total=$((total + n))
-    echo "| $f | $n |"
+net_lines=0
+for f in $(find crates/net/src -name '*.rs'); do
+    net_lines=$((net_lines + $(non_test "$f")))
 done
-echo "| **crates/net/src** | **$total** |"
-echo "| crates/store/src/replicate.rs | $(non_test crates/store/src/replicate.rs) |"
-echo
 
 # Every `pub name:` line between `pub struct $1 {` and its closing brace.
 fields() {
@@ -33,18 +37,58 @@ fields() {
         on && /^    pub [a-z_]+:/ && $2 !~ /^(token|user|last_trace):$/ { n++ }
         END { print n + 0 }'
 }
+STRUCTS="FdOptions FsOptions ServeOptions CallOptions PoolConfig BreakerConfig
+    GateConfig ReplicationConfig ReplicaOptions SentinelOptions
+    FederationOptions FaucetsClient"
+option_fields=0
+for s in $STRUCTS; do
+    option_fields=$((option_fields + $(fields "$s")))
+done
+
+spawn_sites=0
+for f in $(find crates/net/src crates/store/src -name '*.rs'); do
+    n=$(awk '/#\[cfg\(test\)\]/ { exit } /thread::(spawn|Builder|scope)/ { n++ }
+        END { print n + 0 }' "$f")
+    spawn_sites=$((spawn_sites + n))
+done
+
+if [ "$1" = "--check" ]; then
+    over=0
+    ceiling() {
+        if [ "$2" -gt "$3" ]; then
+            echo "over its ceiling: $1 is $2, ceiling $3 (scripts/count-surface.sh)"
+            over=1
+        fi
+    }
+    ceiling "non-test lines of crates/net/src" "$net_lines" "$MAX_NET_LINES"
+    ceiling "non-test lines of crates/net/src/pool.rs" \
+        "$(non_test crates/net/src/pool.rs)" "$MAX_POOL_LINES"
+    ceiling "settable option fields" "$option_fields" "$MAX_OPTION_FIELDS"
+    ceiling "thread-spawn sites in crates/net/src + crates/store/src" \
+        "$spawn_sites" "$MAX_SPAWN_SITES"
+    exit $over
+fi
+
+echo "| file | non-test lines |"
+echo "|---|---:|"
+for f in $(find crates/net/src -name '*.rs' | sort); do
+    echo "| $f | $(non_test "$f") |"
+done
+echo "| **crates/net/src** | **$net_lines** |"
+echo "| crates/store/src/replicate.rs | $(non_test crates/store/src/replicate.rs) |"
+echo
 
 echo "| struct | settable fields |"
 echo "|---|---:|"
-total=0
-for s in FdOptions FsOptions ServeOptions CallOptions PoolConfig MuxConfig \
-    BreakerConfig GateConfig ReplicationConfig ReplicaOptions SentinelOptions \
-    FederationOptions FaucetsClient; do
-    n=$(fields "$s")
-    total=$((total + n))
-    echo "| $s | $n |"
+for s in $STRUCTS; do
+    echo "| $s | $(fields "$s") |"
 done
-echo "| **total** | **$total** |"
+echo "| **total** | **$option_fields** |"
+echo
+
+echo "| thread-spawn sites | count |"
+echo "|---|---:|"
+echo "| crates/net/src + crates/store/src, non-test | $spawn_sites |"
 echo
 
 bench=$(find crates/bench/src -name '*.rs' | sort)
