@@ -187,8 +187,8 @@ pub struct FaucetsClient {
     /// FS, each FD, and AppSpector are all talked to over warm,
     /// health-checked sockets instead of a fresh connect per request.
     pub pool: Arc<ConnPool>,
-    /// Concurrent connections used by the bid-solicitation fan-out
-    /// ([`crate::service::call_many`]).
+    /// Peers in flight at once in a bid-solicitation sweep
+    /// ([`crate::service::call_many`]); no thread is spawned for them.
     pub fan_out: usize,
     /// Optional wall-clock budget per call: stamped on the wire as
     /// `deadline_ms` (so servers can shed doomed work) and capping the
@@ -327,13 +327,12 @@ impl FaucetsClient {
     /// transport failure. The rotation is sticky: the endpoint that
     /// answers becomes (or stays) the primary, so a healthy endpoint is
     /// not re-probed through a dead one on every call.
-    fn fs_call(&mut self, req: &Request) -> Result<Response, ClientError> {
-        let opts = self.opts();
+    fn fs_call(&mut self, req: &Request, opts: &CallOptions) -> Result<Response, ClientError> {
         // Every endpoint gets one try; a full sweep of failures rotates
         // all the way round, back to the endpoint it started from.
         let mut tries_left = self.fs_fallbacks.len();
         loop {
-            let result = call_with(self.fs, req, &opts).map_err(ClientError::from);
+            let result = call_with(self.fs, req, opts).map_err(ClientError::from);
             if !matches!(result, Err(ClientError::Transport(_))) || self.fs_fallbacks.is_empty() {
                 return result;
             }
@@ -351,7 +350,7 @@ impl FaucetsClient {
     /// Re-authenticate after the session died (typically with the shard
     /// that minted it). Logs in at the current FS; if the account itself
     /// lived on the dead shard, re-creates it there first.
-    fn relogin(&mut self) -> Result<(), ClientError> {
+    fn relogin(&mut self, opts: &CallOptions) -> Result<(), ClientError> {
         let Some((name, password)) = self.credentials.clone() else {
             return Err(ClientError::Rejected("no stored credentials".into()));
         };
@@ -359,15 +358,18 @@ impl FaucetsClient {
             user: name.clone(),
             password: password.clone(),
         };
-        let resp = match self.fs_call(&login_req)? {
+        let resp = match self.fs_call(&login_req, opts)? {
             Response::Error(_) => {
                 // Accounts are shard-local: ours is gone with its shard.
                 // Re-create it at the surviving FS and log in again.
-                match self.fs_call(&Request::CreateUser {
+                let create = Request::CreateUser {
                     user: name,
                     password,
-                })? {
-                    Response::Verified { .. } | Response::Error(_) => self.fs_call(&login_req)?,
+                };
+                match self.fs_call(&create, opts)? {
+                    Response::Verified { .. } | Response::Error(_) => {
+                        self.fs_call(&login_req, opts)?
+                    }
                     other => {
                         return Err(ClientError::Protocol(format!(
                             "account recovery: {other:?}"
@@ -431,11 +433,16 @@ impl FaucetsClient {
     }
 
     /// Ask the FS (under the current token) for the servers matching `qos`.
-    fn list_servers(&mut self, qos: &QosContract) -> Result<Response, ClientError> {
-        self.fs_call(&Request::ListServers {
+    fn list_servers(
+        &mut self,
+        qos: &QosContract,
+        opts: &CallOptions,
+    ) -> Result<Response, ClientError> {
+        let req = Request::ListServers {
             token: self.token.clone(),
             qos: qos.clone(),
-        })
+        };
+        self.fs_call(&req, opts)
     }
 
     /// One negotiation round: match, solicit, rank, award down the list.
@@ -446,16 +453,18 @@ impl FaucetsClient {
         inputs: &[(String, Vec<u8>)],
     ) -> Result<Submission, ClientError> {
         let now = self.clock.now();
+        // One set of call options for the whole round.
+        let opts = self.opts();
 
         // 1. Matching servers from the FS. A rejection here may mean the
         // session died with the shard that minted it (the failover path
         // just rotated us to a survivor): re-authenticate once and retry
         // before giving up.
-        let mut reply = self.list_servers(qos)?;
+        let mut reply = self.list_servers(qos, &opts)?;
         if let Response::Error(e) = &reply {
-            self.relogin()
+            self.relogin(&opts)
                 .map_err(|_| ClientError::Rejected(e.clone()))?;
-            reply = self.list_servers(qos)?;
+            reply = self.list_servers(qos, &opts)?;
         }
         let mut servers = match reply {
             Response::Servers(s) => s,
@@ -470,8 +479,9 @@ impl FaucetsClient {
             return Err(ClientError::NoMatchingServers);
         }
 
-        // 2. Request-for-bids to every matching FD — one concurrent sweep
-        // over warm pooled connections ([`call_many`]), so a round's
+        // 2. Request-for-bids to every matching FD — one sweep over warm
+        // pooled connections ([`call_many`]: every request written before
+        // the first reply is read, on this thread), so a round's
         // solicitation latency is the slowest daemon, not the sum of all
         // of them. A daemon that fails to answer simply contributes no
         // bid.
@@ -490,7 +500,7 @@ impl FaucetsClient {
             request: req.clone(),
         };
         let mut bids: Vec<Bid> = vec![];
-        for reply in call_many(&addrs, &bid_req, &self.opts(), self.fan_out.max(1)) {
+        for reply in call_many(&addrs, &bid_req, &opts, self.fan_out.max(1)) {
             match reply {
                 Ok(Response::BidReply(reply)) => {
                     if let Some(b) = reply.offer() {
@@ -538,23 +548,20 @@ impl FaucetsClient {
                     continue;
                 }
             };
-            let contract = ContractId(job.raw());
-            match self.call(
-                addr,
-                &Request::Award {
-                    token: self.token.clone(),
-                    spec: spec.clone(),
-                    contract,
-                    bid,
-                },
-            ) {
+            let award = Request::Award {
+                token: self.token.clone(),
+                spec: spec.clone(),
+                contract: ContractId(job.raw()),
+                bid,
+            };
+            match call_with(addr, &award, &opts).map_err(ClientError::from) {
                 Ok(Response::AwardReply {
                     confirmed: true, ..
                 }) => {
                     self.m_awards.inc();
                     // 4. Stage input files. A daemon dying here is a
                     // mid-negotiation death: fall through to the next bid.
-                    match self.stage_inputs(addr, job, inputs) {
+                    match self.stage_inputs(addr, job, inputs, &opts) {
                         Ok(()) => {}
                         Err(ClientError::Transport(_) | ClientError::Overloaded) => continue,
                         Err(e) => return Err(e),
@@ -589,17 +596,16 @@ impl FaucetsClient {
         addr: SocketAddr,
         job: JobId,
         inputs: &[(String, Vec<u8>)],
+        opts: &CallOptions,
     ) -> Result<(), ClientError> {
         for (name, data) in inputs {
-            match self.call(
-                addr,
-                &Request::UploadFile {
-                    token: self.token.clone(),
-                    job,
-                    name: name.clone(),
-                    data: data.clone(),
-                },
-            )? {
+            let upload = Request::UploadFile {
+                token: self.token.clone(),
+                job,
+                name: name.clone(),
+                data: data.clone(),
+            };
+            match call_with(addr, &upload, opts)? {
                 Response::Ok => {}
                 Response::Error(e) => {
                     return Err(ClientError::Rejected(format!("staging '{name}': {e}")))

@@ -6,27 +6,43 @@
 //! [`faucets_sched::cluster::Cluster`] with the mediation logic of
 //! [`faucets_core::daemon::FaucetsDaemon`]: it answers bid requests
 //! (re-verifying the client's token with the FS first, since *"the FD does
-//! not have any accounting information"*), handles awards, stages input
-//! files, and runs a pump thread that drives the scheduler clock, reports
-//! completions and telemetry to AppSpector, and heartbeats the FS.
+//! not have any accounting information"* — or relying on the FS having
+//! vouched for that very token within the last 30 simulated seconds),
+//! handles awards, stages input files, and runs a pump thread that drives
+//! the scheduler clock, reports completions and telemetry to AppSpector,
+//! and heartbeats the FS.
 //!
 //! ## Map
 //!
 //! * **core** — `FdCore`, one `Arc` shared by the serve workers and the
 //!   pump: the `FdState` mutex (daemon, scheduler, staged files, accepted
-//!   contracts), the journal, the bid gate, the clock, the FS endpoints.
+//!   contracts), the journal, the bid gate, the clock, the FS endpoints
+//!   and the memo of tokens the FS lately vouched for.
 //! * **recover** — `FdCore::recover` replays the journal into the
 //!   scheduler and `renew_lease` stamps the primary claim, both before
 //!   the listener is bound.
 //! * **handlers** — `FdCore::handle` dispatches to one method per
-//!   endpoint: `bid`, `award`, `upload`, `lease_probe`, `fence`.
+//!   endpoint: `bid`, `award`, `upload`, `lease_probe`, `fence`; the first
+//!   three start with `FdCore::verify`.
 //! * **pump** — `FdCore::pump`, one thread: harvest completions, report
 //!   them, heartbeat, sleep until the next due event.
 //!
-//! The state mutex is the only lock here. It is never held across a call
-//! to a peer or a journal commit (a sync-replicated commit is itself a
-//! network round trip), and the clock is read only while holding it, so
-//! scheduler time is monotone across the handlers and the pump.
+//! There are two locks here, never taken together and never held across a
+//! call to a peer. The state mutex guards the scheduler and the contracts;
+//! it is not held across a journal commit either (a sync-replicated commit
+//! is itself a network round trip), and the instant handed to the
+//! scheduler is read only while holding it, so scheduler time is monotone
+//! across the handlers and the pump. The memo's mutex guards the map of
+//! vouched-for tokens for the length of one lookup or one insert.
+//!
+//! ## The token memo (§2.2, bounded)
+//!
+//! The FD holds no accounting data, so what it remembers is only the FS's
+//! own answer: a token enters the memo when, and only when, the FS
+//! answered `Verified` for it, and is honoured for `HEARTBEAT_EVERY` — 30
+//! simulated seconds, the staleness the FD's view of the FS already has,
+//! and so the stated bound on how long a logout or an expiry takes to
+//! reach this daemon. `FdCore::verify` has the rules.
 //!
 //! ## Crash recovery
 //!
@@ -238,6 +254,9 @@ struct FdCore {
     gate: Arc<PayoffGate>,
     clock: Clock,
     fs: FsUpstream,
+    /// The tokens the FS answered `Verified` for, each with the simulated
+    /// instant of that answer: see [`FdCore::verify`].
+    vouched: Mutex<HashMap<SessionToken, SimTime>>,
     appspector: SocketAddr,
     /// The pump waits on this between due events; award handlers poke it
     /// so a freshly scheduled job re-paces the wait, and shutdown stops it.
@@ -252,6 +271,9 @@ struct FdCore {
     /// `fd_journal_writes_total`.
     m_journal_writes: faucets_telemetry::Counter,
     m_fs_failovers: faucets_telemetry::Counter,
+    /// `fd_token_memo_{hits,misses}_total`.
+    m_memo_hits: faucets_telemetry::Counter,
+    m_memo_misses: faucets_telemetry::Counter,
 }
 
 impl FdCore {
@@ -364,6 +386,29 @@ impl FdCore {
         }
     }
 
+    /// §2.2: the FD re-checks the client with the FS — unless the FS
+    /// vouched for this very token less than [`HEARTBEAT_EVERY`] ago. Only
+    /// a `Verified` answer is remembered, stamped with the simulated
+    /// instant it came back; a miss, an expired entry, a refusal and an
+    /// unreachable FS all end in the FS's own words. Every insert sweeps
+    /// the expired entries, and a rotation to another shard empties the
+    /// memo (sessions die with the shard that minted them).
+    fn verify(&self, token: &SessionToken) -> Result<(), Response> {
+        let fresh = |at: SimTime| self.clock.now().since(at) < HEARTBEAT_EVERY;
+        let vouched_at = self.vouched.lock().get(token).copied();
+        if vouched_at.is_some_and(fresh) {
+            self.m_memo_hits.inc();
+            return Ok(());
+        }
+        self.m_memo_misses.inc();
+        self.fs.verify(token)?;
+        let now = self.clock.now();
+        let mut vouched = self.vouched.lock();
+        vouched.retain(|_, at| now.since(*at) < HEARTBEAT_EVERY);
+        vouched.insert(token.clone(), now);
+        Ok(())
+    }
+
     fn bid(&self, token: &SessionToken, request: &BidRequest) -> Response {
         // Payoff-aware admission (§4 under overload): the gate bounds
         // concurrent solicitations, sheds the lowest payoff-rate request
@@ -380,8 +425,7 @@ impl FdCore {
         if !self.opts.bid_probe_floor.is_zero() {
             std::thread::sleep(self.opts.bid_probe_floor);
         }
-        // §2.2: the FD re-checks the client with the FS.
-        if let Err(resp) = self.fs.verify(token) {
+        if let Err(resp) = self.verify(token) {
             return resp;
         }
         // Read the clock only while holding the lock: the pump also
@@ -402,7 +446,7 @@ impl FdCore {
         contract: ContractId,
         bid: Bid,
     ) -> Response {
-        if let Err(resp) = self.fs.verify(token) {
+        if let Err(resp) = self.verify(token) {
             return resp;
         }
         let (job, owner) = (spec.id, spec.user);
@@ -461,7 +505,7 @@ impl FdCore {
     }
 
     fn upload(&self, token: &SessionToken, job: JobId, name: String, data: Vec<u8>) -> Response {
-        if let Err(resp) = self.fs.verify(token) {
+        if let Err(resp) = self.verify(token) {
             return resp;
         }
         let stage = || FdRecord::Stage {
@@ -594,6 +638,8 @@ impl FdCore {
             // verifying and the directory keeps listing us.
             Err(e) if self.fs.rotate_after(&e) => {
                 self.m_fs_failovers.inc();
+                // Sessions die with the shard that minted them.
+                self.vouched.lock().clear();
                 self.register();
             }
             _ => {}
@@ -733,6 +779,7 @@ pub fn spawn_fd_with(
         gate: PayoffGate::new(opts.bid_gate, &cluster_name, reg),
         clock,
         fs: FsUpstream::new(fs, &opts.fs_fallbacks, opts.call.clone()),
+        vouched: Mutex::new(HashMap::new()),
         appspector,
         stop: StopSignal::new(),
         cluster_id,
@@ -740,6 +787,8 @@ pub fn spawn_fd_with(
         total_pes: cluster.machine.total_pes,
         m_journal_writes: reg.counter("fd_journal_writes_total", &labels),
         m_fs_failovers: reg.counter("fd_fs_failovers_total", &labels),
+        m_memo_hits: reg.counter("fd_token_memo_hits_total", &labels),
+        m_memo_misses: reg.counter("fd_token_memo_misses_total", &labels),
         journal,
         service_name,
         opts,
@@ -919,6 +968,220 @@ mod tests {
         let fs_says = call(g.fs.service.addr, &verify).unwrap();
         assert!(matches!(fs_says, Response::Error(_)), "got {fs_says:?}");
         assert_eq!(call(fd, &bid_request(&g, bogus)).unwrap(), fs_says);
+    }
+
+    /// The memo tests' clock: the 30 simulated seconds a vouched-for token
+    /// is honoured are half a wall second.
+    fn memo_clock() -> Clock {
+        Clock::new(60.0)
+    }
+
+    fn verifications(g: &Grid) -> u64 {
+        g.fs.state.lock().stats.verifications
+    }
+
+    /// Sleep until `since + HEARTBEAT_EVERY` on `clock`: whatever the FS
+    /// vouched for by `since` has expired.
+    fn outlive_the_ttl(clock: &Clock, since: SimTime) {
+        std::thread::sleep(clock.wall_until(since + HEARTBEAT_EVERY) + Duration::from_millis(5));
+    }
+
+    /// §2.2 for a token the FS refuses: it is asked on the first ask and
+    /// on the second, and nobody remembers the answer.
+    #[test]
+    fn a_forged_token_goes_to_the_fs_every_time_and_is_never_remembered() {
+        let g = grid(&memo_clock(), 21, 64, FdOptions::default());
+        let (fd, before) = (g.fd.service.addr, verifications(&g));
+        let misses = g.fd.core.m_memo_misses.get();
+        let bogus = SessionToken("bogus".into());
+        for ask in 1..=2 {
+            let reply = call(fd, &bid_request(&g, bogus.clone())).unwrap();
+            assert!(matches!(reply, Response::Error(_)), "ask {ask}: {reply:?}");
+            assert_eq!(verifications(&g), before + ask, "ask {ask} reached the FS");
+        }
+        let upload = Request::UploadFile {
+            token: bogus,
+            job: JobId(5),
+            name: "in.dat".into(),
+            data: vec![1],
+        };
+        let reply = call(fd, &upload).unwrap();
+        assert!(matches!(reply, Response::Error(_)), "{reply:?}");
+        assert_eq!(verifications(&g), before + 3);
+        assert!(
+            g.fd.core.vouched.lock().is_empty(),
+            "a refusal was remembered"
+        );
+        assert!(g.fd.core.m_memo_misses.get() >= misses + 3);
+    }
+
+    /// The memo's bound, both sides: inside the TTL a vouched-for token
+    /// reaches no FS, whichever handler asks; its first ask after the TTL
+    /// does.
+    #[test]
+    fn a_vouched_token_skips_the_fs_for_the_ttl_and_not_a_moment_longer() {
+        let clock = memo_clock();
+        let g = grid(&clock, 22, 64, FdOptions::default());
+        let fd = g.fd.service.addr;
+        let hits = g.fd.core.m_memo_hits.get();
+        let bid = || {
+            let reply = call(fd, &bid_request(&g, g.token.clone())).unwrap();
+            assert!(matches!(reply, Response::BidReply(_)), "{reply:?}");
+        };
+        let (started, before) = (clock.now(), verifications(&g));
+        bid();
+        let vouched_by = clock.now();
+        assert_eq!(
+            verifications(&g),
+            before + 1,
+            "an unseen token goes to the FS"
+        );
+        bid();
+        let upload = Request::UploadFile {
+            token: g.token.clone(),
+            job: JobId(5),
+            name: "in.dat".into(),
+            data: vec![1],
+        };
+        assert_eq!(call(fd, &upload).unwrap(), Response::Ok);
+        // On a machine that stalled past the TTL these were honest misses.
+        if clock.now().since(started) < HEARTBEAT_EVERY {
+            assert_eq!(verifications(&g), before + 1, "a hit reached the FS");
+            assert!(g.fd.core.m_memo_hits.get() >= hits + 2);
+        }
+        let before = verifications(&g);
+        outlive_the_ttl(&clock, vouched_by);
+        bid();
+        assert_eq!(
+            verifications(&g),
+            before + 1,
+            "an expired entry was honoured"
+        );
+    }
+
+    /// With the FS gone, a token it vouched for inside the TTL still gets a
+    /// bid; after the TTL the daemon says, in the FS's stead, that it
+    /// cannot ask.
+    #[test]
+    fn an_unreachable_fs_is_ridden_out_for_the_ttl_only() {
+        let clock = memo_clock();
+        let Grid {
+            fs,
+            _aspect,
+            fd,
+            user,
+            token,
+        } = grid(&clock, 23, 64, FdOptions::default());
+        let qos = QosBuilder::new("namd", 4, 16, 100.0).build().unwrap();
+        let request = BidRequest {
+            job: JobId(5),
+            user,
+            qos,
+            issued_at: SimTime::ZERO,
+        };
+        let ask = Request::RequestBid { token, request };
+        let patient = CallOptions {
+            timeouts: Timeouts::both(Duration::from_secs(5)),
+            ..CallOptions::default()
+        };
+        let started = clock.now();
+        let reply = call(fd.service.addr, &ask).unwrap();
+        assert!(matches!(reply, Response::BidReply(_)), "{reply:?}");
+        let vouched_by = clock.now();
+        fs.shutdown();
+        let reply = call_with(fd.service.addr, &ask, &patient).unwrap();
+        if clock.now().since(started) < HEARTBEAT_EVERY {
+            assert!(matches!(reply, Response::BidReply(_)), "{reply:?}");
+        }
+        outlive_the_ttl(&clock, vouched_by);
+        let reply = call_with(fd.service.addr, &ask, &patient).unwrap();
+        let Response::Error(why) = &reply else {
+            panic!("the FS cannot have been asked: {reply:?}")
+        };
+        assert!(why.starts_with("FS unreachable"), "{why}");
+    }
+
+    /// The memo holds only what the FS vouched for in the last TTL: an
+    /// insert sweeps what has expired.
+    #[test]
+    fn an_insert_after_the_ttl_sweeps_a_thousand_expired_tokens() {
+        let clock = memo_clock();
+        let g = grid(&clock, 24, 64, FdOptions::default());
+        let login = Request::Login {
+            user: "u".into(),
+            password: "p".into(),
+        };
+        let pooled = CallOptions {
+            pool: Some(Arc::new(ConnPool::new("logins", PoolConfig::default()))),
+            ..CallOptions::default()
+        };
+        // Every login mints another token of the one user.
+        let mut tokens =
+            (0..1_001).map(
+                |_| match call_with(g.fs.service.addr, &login, &pooled).unwrap() {
+                    Response::Session { token, .. } => token,
+                    other => panic!("expected a session, got {other:?}"),
+                },
+            );
+        let started = clock.now();
+        for token in tokens.by_ref().take(1_000) {
+            g.fd.core.verify(&token).expect("the FS vouches for it");
+        }
+        let vouched_by = clock.now();
+        if vouched_by.since(started) < HEARTBEAT_EVERY {
+            assert_eq!(g.fd.core.vouched.lock().len(), 1_000);
+        }
+        outlive_the_ttl(&clock, vouched_by);
+        let last = tokens.next().unwrap();
+        g.fd.core.verify(&last).expect("the FS vouches for it");
+        let vouched = g.fd.core.vouched.lock();
+        assert_eq!(vouched.len(), 1, "expired entries outlived an insert");
+        assert!(vouched.contains_key(&last));
+    }
+
+    /// Sessions die with the shard that minted them: when the pump rotates
+    /// to a fallback shard the memo is emptied, and tokens are from then on
+    /// the new shard's to vouch for.
+    #[test]
+    fn a_rotation_to_a_fallback_shard_empties_the_memo() {
+        let clock = memo_clock();
+        let fallback = spawn_fs("127.0.0.1:0", clock.clone(), 26).unwrap();
+        let opts = FdOptions {
+            fs_fallbacks: vec![fallback.service.addr],
+            ..FdOptions::default()
+        };
+        let mut g = grid(&clock, 25, 64, opts);
+        let fd = g.fd.service.addr;
+        let reply = call(fd, &bid_request(&g, g.token.clone())).unwrap();
+        assert!(matches!(reply, Response::BidReply(_)), "{reply:?}");
+        assert_eq!(g.fd.core.vouched.lock().len(), 1);
+        // The primary dies; the next heartbeat finds out and rotates. No
+        // token is verified meanwhile, so only the rotation can have
+        // removed the entry (an expired one stays until an insert).
+        std::mem::replace(&mut g.fs, fallback).shutdown();
+        let until = std::time::Instant::now() + Duration::from_secs(20);
+        while !g.fd.core.vouched.lock().is_empty() {
+            assert!(std::time::Instant::now() < until, "the pump never rotated");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        // The surviving shard knows nothing of the old session...
+        let reply = call(fd, &bid_request(&g, g.token.clone())).unwrap();
+        assert!(matches!(reply, Response::Error(_)), "{reply:?}");
+        // ...and vouches for its own.
+        let (user, password) = ("v".to_string(), "p".to_string());
+        let create = Request::CreateUser {
+            user: user.clone(),
+            password: password.clone(),
+        };
+        call(g.fs.service.addr, &create).unwrap();
+        let Response::Session { token, .. } =
+            call(g.fs.service.addr, &Request::Login { user, password }).unwrap()
+        else {
+            panic!("expected a session")
+        };
+        let reply = call(fd, &bid_request(&g, token.clone())).unwrap();
+        assert!(matches!(reply, Response::BidReply(_)), "{reply:?}");
+        assert!(g.fd.core.vouched.lock().contains_key(&token));
     }
 
     /// Regression for the award race: the handler used to release the

@@ -11,7 +11,9 @@
 //! * [`fs`] — the Central Server service (auth, directory, matching);
 //! * [`fd`] — the daemon service wrapping a `faucets-sched` Cluster, with a
 //!   pump thread that executes jobs on a (speed-adjustable) wall clock and
-//!   feeds AppSpector;
+//!   feeds AppSpector, and a memo of the tokens the FS vouched for in the
+//!   last 30 simulated seconds (§2.2 with its staleness bound stated; its
+//!   own small mutex, beside the state mutex, guards nothing else);
 //! * [`appspector_srv`] — buffered monitoring and output download;
 //! * [`client`] — the full §2 submission/monitoring client;
 //! * [`service`] — shared plumbing, one file per concern:
@@ -141,9 +143,11 @@
 //!   caller's own thread; the client side of the wire owns none. A reply
 //!   no open slot asked for, a byte past the last reply or a timeout fails
 //!   the open slots typed and poisons the socket — never a crossed wire.
-//! * **Fan-out** — [`service::call_many`] solicits many peers concurrently
-//!   over pooled connections under the caller's trace context; the client
-//!   uses it to collect a whole bid round in one sweep.
+//! * **Fan-out** — [`service::call_many`] solicits many peers at once
+//!   over pooled connections under the caller's trace context and on the
+//!   caller's own thread: the request is written to one checked-out
+//!   socket per peer, then each reply is read, the whole sweep under one
+//!   read timeout. The client uses it to collect a whole bid round.
 //! * **Serving** — [`service::serve_with`] runs a readiness-driven epoll
 //!   reactor ([`reactor`]): one thread owns the nonblocking listener and
 //!   every connection's frame state machine (zero idle wakeups — the

@@ -5,25 +5,27 @@
 //! per call is pure overhead, because [`crate::service::serve_with`]
 //! already serves frame-by-frame on persistent streams. A [`ConnPool`]
 //! keeps health-checked idle sockets per peer and lends one, exclusively,
-//! to each round trip or pipelined burst (see [`CallOptions::pool`]), so
+//! to each round trip, pipelined burst or slot of a solicitation sweep
+//! (see [`crate::service::CallOptions::pool`]), so
 //! retries, deadlines, breakers, and fault injection all operate
 //! unchanged — the pool swaps only where the bytes flow. It owns no
-//! thread: a burst's replies are read on the caller's own.
+//! thread: replies are read on the caller's own.
 //!
 //! The safety invariant is *poison on error*: a checked-out stream that saw
 //! any failure — a frame fault, a timeout, a short read, a reply nothing
 //! asked for — is closed, never returned, because a desynchronised stream
 //! would pay the next caller the previous caller's reply. Idle sockets are
-//! additionally bounded per peer, evicted after [`PoolConfig::idle_ttl`],
-//! and health-checked with a non-blocking peek at checkout so a peer that
-//! restarted while we were idle costs a reconnect, not an error.
+//! additionally bounded per peer, evicted after [`PoolConfig::idle_ttl`]
+//! (every peer's, whenever a socket is dialled), and health-checked with a
+//! non-blocking peek at checkout so a peer that restarted while we were
+//! idle costs a reconnect, not an error.
 //!
 //! Everything the pool does is counted in the caller's metric registry
 //! under a `pool` label: `net_pool_{hits,misses,evictions,poisoned,
 //! stale_retries}_total` and the `net_pool_open_conns` gauge.
 
-use crate::proto::{Request, Response};
-use crate::service::{converse, copy_of, effective, CallOptions};
+use crate::proto::Response;
+use crate::service::{converse, copy_of, effective, Leg};
 use faucets_telemetry::metrics::Registry;
 use std::collections::HashMap;
 use std::io;
@@ -133,11 +135,34 @@ impl ConnPool {
         usable && stream.set_nonblocking(false).is_ok()
     }
 
+    /// Close the sockets of `peer` idle for longer than `idle_ttl`; they
+    /// age from the front (oldest first).
+    fn evict_expired(&self, peer: &mut Vec<IdleConn>, reg: &Registry) {
+        let expired = |c: &&IdleConn| c.since.elapsed() > self.cfg.idle_ttl;
+        let dead = peer.iter().take_while(expired).count();
+        for dead in peer.drain(..dead) {
+            reg.counter("net_pool_evictions_total", &self.labels())
+                .inc();
+            self.discard(dead.stream, reg);
+        }
+    }
+
+    /// On the dial path only (a pool miss, off the hot path): close every
+    /// peer's expired sockets and forget the peers left with none, so a
+    /// peer never called again costs no fd and no map entry past
+    /// `idle_ttl`.
+    fn sweep_expired(&self, reg: &Registry) {
+        self.idle.lock().unwrap().retain(|_, peer| {
+            self.evict_expired(peer, reg);
+            !peer.is_empty()
+        });
+    }
+
     /// Check out a connection to `addr`: unless `fresh` is asked for, a
     /// cached idle socket when a healthy one exists (most recently used
     /// first — warm sockets stay warm); otherwise a new connect within
-    /// `connect_timeout`.
-    fn checkout(
+    /// `connect_timeout`, after a sweep of every peer's expired sockets.
+    pub(crate) fn checkout(
         self: &Arc<Self>,
         addr: SocketAddr,
         connect_timeout: Duration,
@@ -153,16 +178,7 @@ impl ConnPool {
                 let Some(peer) = idle.get_mut(&addr) else {
                     break;
                 };
-                // Expired sockets age from the front (oldest first).
-                while peer
-                    .first()
-                    .is_some_and(|c| c.since.elapsed() > self.cfg.idle_ttl)
-                {
-                    let dead = peer.remove(0);
-                    reg.counter("net_pool_evictions_total", &self.labels())
-                        .inc();
-                    self.discard(dead.stream, reg);
-                }
+                self.evict_expired(peer, reg);
                 peer.pop()
             };
             let Some(candidate) = candidate else { break };
@@ -182,6 +198,7 @@ impl ConnPool {
             self.discard(candidate.stream, reg);
         }
         reg.counter("net_pool_misses_total", &self.labels()).inc();
+        self.sweep_expired(reg);
         let stream = TcpStream::connect_timeout(&addr, connect_timeout)?;
         self.open.fetch_add(1, Ordering::SeqCst);
         self.set_open_gauge(reg);
@@ -198,32 +215,23 @@ impl ConnPool {
     /// `fresh`), index-aligned results back. A socket the exchange left
     /// clean returns to the idle cache; any other is poisoned: it may hold
     /// half a frame or a late reply, and would pay the next caller this
-    /// caller's bytes. Sets `reused` when the socket came out of the cache,
+    /// caller's bytes. Also says whether the socket came out of the cache,
     /// which gates the call path's one-shot stale retry.
     pub(crate) fn exchange(
         self: &Arc<Self>,
-        addr: SocketAddr,
-        reqs: &[Request],
-        opts: &CallOptions,
-        deadline: Option<Instant>,
+        leg: &Leg<'_>,
         fresh: bool,
-        reused: &mut bool,
-    ) -> Vec<io::Result<Response>> {
-        let reg = effective(&opts.registry);
-        let mut conn = match self.checkout(addr, opts.connect, fresh, reg) {
+    ) -> (Vec<io::Result<Response>>, bool) {
+        let reg = effective(&leg.opts.registry);
+        let mut conn = match self.checkout(leg.addr, leg.opts.connect, fresh, reg) {
             Ok(conn) => conn,
             // Nothing went out: every slot fails the same way.
-            Err(e) => return reqs.iter().map(|_| Err(copy_of(&e))).collect(),
+            Err(e) => return (leg.reqs.iter().map(|_| Err(copy_of(&e))).collect(), false),
         };
-        *reused |= conn.reused;
-        let stream = conn.stream.as_mut().expect("checked out with a stream");
-        let (results, clean) = converse(stream, reqs, opts, deadline);
-        if clean {
-            conn.give_back(reg);
-        } else {
-            conn.poison(reg);
-        }
-        results
+        let reused = conn.reused;
+        let (results, clean) = converse(conn.stream(), leg.reqs, leg.opts, leg.deadline);
+        conn.settle(clean, reg);
+        (results, reused)
     }
 }
 
@@ -231,17 +239,33 @@ impl ConnPool {
 /// must happen to it: [`PooledConn::give_back`] after a clean round-trip,
 /// [`PooledConn::poison`] after any failure, or a plain drop (which closes
 /// the socket — the safe default for code paths that bail early).
-struct PooledConn {
+pub(crate) struct PooledConn {
     stream: Option<TcpStream>,
     addr: SocketAddr,
     /// Whether this socket came out of the idle cache (vs a fresh
     /// connect). A reused socket that fails with a disconnect may be
     /// retried once on a fresh one — see the call path's `exchange`.
-    reused: bool,
+    pub(crate) reused: bool,
     pool: Arc<ConnPool>,
 }
 
 impl PooledConn {
+    /// The socket, this caller's alone until the connection is settled.
+    pub(crate) fn stream(&mut self) -> &mut TcpStream {
+        self.stream.as_mut().expect("checked out with a stream")
+    }
+
+    /// End an exchange: a socket it left `clean` — every request answered
+    /// and not a byte more — goes back to the idle cache, any other is
+    /// poisoned.
+    pub(crate) fn settle(self, clean: bool, reg: &Registry) {
+        if clean {
+            self.give_back(reg);
+        } else {
+            self.poison(reg);
+        }
+    }
+
     /// Return a healthy socket to the pool for reuse. Over the per-peer
     /// idle bound the socket is closed instead (counted as an eviction).
     fn give_back(mut self, reg: &Registry) {
@@ -488,6 +512,36 @@ mod tests {
         assert_eq!(snap.counter_sum("net_pool_evictions_total", &[]), 1);
         assert_eq!(snap.counter_sum("net_pool_misses_total", &[]), 2);
         assert_eq!(p.open_connections(), 1, "the evicted socket was closed");
+    }
+
+    /// Regression: expired sockets were evicted only from the list of the
+    /// peer being asked for, and an emptied list kept its key, so a client
+    /// held one fd and one map entry for every peer it ever stopped calling.
+    #[test]
+    fn a_dial_closes_the_expired_sockets_of_peers_never_called_again() {
+        let reg = Registry::new();
+        let p = pool(PoolConfig {
+            idle_ttl: Duration::from_millis(20),
+            ..PoolConfig::default()
+        });
+        let listeners: Vec<TcpListener> = (0..9)
+            .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
+            .collect();
+        let (ninth, eight) = listeners.split_last().unwrap();
+        for l in eight {
+            let c = p.checkout(l.local_addr().unwrap(), CONNECT, false, &reg);
+            c.unwrap().give_back(&reg);
+        }
+        assert_eq!((p.open_connections(), p.idle_count()), (8, 8));
+        std::thread::sleep(Duration::from_millis(60));
+        let c = p.checkout(ninth.local_addr().unwrap(), CONNECT, false, &reg);
+        c.unwrap().give_back(&reg);
+        assert_eq!(p.open_connections(), 1, "eight expired sockets closed");
+        assert_eq!(p.idle_count(), 1);
+        assert_eq!(p.idle.lock().unwrap().len(), 1, "emptied peers forgotten");
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter_sum("net_pool_evictions_total", &[]), 8);
+        assert_eq!(snap.gauge_sum("net_pool_open_conns", &[]), 1.0);
     }
 
     #[test]

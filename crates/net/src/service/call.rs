@@ -4,7 +4,7 @@
 use super::time::{RetryPolicy, Timeouts};
 use crate::fault::FaultPlan;
 use crate::overload::BreakerSet;
-use crate::pool::ConnPool;
+use crate::pool::{ConnPool, PooledConn};
 use crate::proto::{
     apply_receive_faults, is_disconnect_error, is_overload_error, parse_payload, read_frame_with,
     write_frame_with, Envelope, ProtoError, Request, Response, MAX_FRAME,
@@ -12,12 +12,11 @@ use crate::proto::{
 use crate::reactor::{poll_ready, FrameBuf, Interest, WriteQueue};
 use faucets_telemetry::metrics::{global, Registry};
 use faucets_telemetry::trace::{self, TraceContext};
-use parking_lot::Mutex;
 use serde::Serialize;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -91,7 +90,8 @@ pub fn call(addr: SocketAddr, req: &Request) -> io::Result<Response> {
 /// to the policy's budget with exponential backoff + jitter; a received
 /// [`Response`] — including `Response::Error` — always returns.
 pub fn call_with(addr: SocketAddr, req: &Request, opts: &CallOptions) -> io::Result<Response> {
-    drive(addr, std::slice::from_ref(req), opts, opts.retry.attempts)
+    Leg::new(addr, std::slice::from_ref(req), opts)
+        .drive(opts.retry.attempts)
         .pop()
         .expect("one result per request")
 }
@@ -115,10 +115,10 @@ pub fn call_batch(
     if reqs.is_empty() {
         return vec![];
     }
-    if opts.pool.is_none() && opts.mux.is_none() {
+    if pool_of(opts).is_none() {
         return reqs.iter().map(|r| call_with(addr, r, opts)).collect();
     }
-    drive(addr, reqs, opts, 1)
+    Leg::new(addr, reqs, opts).drive(1)
 }
 
 /// Bump one of the caller-side, per-endpoint `net_call_*` counters.
@@ -126,123 +126,164 @@ fn count(reg: &Registry, name: &str, req: &Request) {
     reg.counter(name, &[("endpoint", req.endpoint())]).inc();
 }
 
-/// The one client call path: `reqs` go to `addr` in up to `attempts`
-/// passes of admit → exchange → grade, index-aligned results back. (A
-/// lone request brings its retry budget; a batch brings one attempt.)
-fn drive(
-    addr: SocketAddr,
-    reqs: &[Request],
-    opts: &CallOptions,
-    attempts: u32,
-) -> Vec<io::Result<Response>> {
-    let reg = effective(&opts.registry);
-    let deadline = opts.deadline.map(|d| Instant::now() + d);
-    // Only a transport failure earns another pass. An answer stands, and
-    // so does a shed — by the peer or by the local breaker — because
-    // retrying one would feed the storm.
-    let failed = |r: &io::Result<Response>| matches!(r, Err(e) if !is_overload_error(e));
-    let mut results = attempt(addr, reqs, opts, deadline);
-    for retry in 1..attempts {
-        if !results.iter().all(failed) {
-            break;
-        }
-        // Retry wall-clock is capped by the caller's deadline: a backoff
-        // that would sleep into (or past) it can only produce an answer
-        // the caller has already abandoned.
-        let backoff = opts.retry.backoff(retry);
-        if deadline.is_some_and(|d| Instant::now() + backoff >= d) {
-            reqs.iter()
-                .for_each(|r| count(reg, "net_call_deadline_exhausted_total", r));
-            break;
-        }
-        // Every backoff decision is counted, so chaos tests can assert
-        // "the caller retried N times" instead of sleeping and hoping.
-        reqs.iter()
-            .for_each(|r| count(reg, "net_call_retries_total", r));
-        std::thread::sleep(backoff);
-        results = attempt(addr, reqs, opts, deadline);
-    }
-    for (result, req) in results.iter().zip(reqs) {
-        if failed(result) {
-            count(reg, "net_call_failures_total", req);
-        }
-    }
-    results
+/// Index-aligned results of a leg's requests.
+type Replies = Vec<io::Result<Response>>;
+
+/// The warm transport the options select, if any.
+fn pool_of(opts: &CallOptions) -> Option<&Arc<ConnPool>> {
+    opts.mux.as_ref().or(opts.pool.as_ref())
 }
 
-/// One pass of `reqs` against one peer, in three steps.
-fn attempt(
-    addr: SocketAddr,
-    reqs: &[Request],
-    opts: &CallOptions,
-    deadline: Option<Instant>,
-) -> Vec<io::Result<Response>> {
-    let reg = effective(&opts.registry);
-    // Admit: one breaker decision gates the whole burst. An open breaker
-    // fast-fails locally — no connect, no retry storm against a peer that
-    // is dead or drowning — with its cooldown as the retry hint.
-    if let Some(open) = opts.breakers.as_ref().filter(|b| !b.allow(addr, reg)) {
-        let retry_after_ms = open.config().cooldown.as_millis() as u64;
-        let shed = |req| {
-            count(reg, "net_breaker_fastfails_total", req);
-            Err(ProtoError::Overloaded { retry_after_ms }.into())
-        };
-        return reqs.iter().map(shed).collect();
+/// One peer's share of a call: what is asked of whom, under whose options,
+/// by when.
+pub(crate) struct Leg<'a> {
+    pub(crate) addr: SocketAddr,
+    pub(crate) reqs: &'a [Request],
+    pub(crate) opts: &'a CallOptions,
+    /// [`CallOptions::deadline`] from the moment the call began.
+    pub(crate) deadline: Option<Instant>,
+}
+
+impl<'a> Leg<'a> {
+    fn new(addr: SocketAddr, reqs: &'a [Request], opts: &'a CallOptions) -> Self {
+        let deadline = opts.deadline.map(|d| Instant::now() + d);
+        Leg {
+            addr,
+            reqs,
+            opts,
+            deadline,
+        }
     }
-    reqs.iter()
-        .for_each(|r| count(reg, "net_call_attempts_total", r));
-    let mut results = exchange(addr, reqs, opts, deadline, reg);
-    // Grade each slot. Any answer is a breaker success — `Overloaded`
-    // included: the peer is alive, just shedding — and a transport error a
-    // failure. The caller gets an `Overloaded` answer as the typed error
-    // that no layer above retries.
-    for (result, req) in results.iter_mut().zip(reqs) {
-        if let Some(breakers) = &opts.breakers {
-            match result {
-                Ok(_) => breakers.on_success(addr, reg),
-                Err(_) => breakers.on_failure(addr, reg),
+
+    fn reg(&self) -> &'a Registry {
+        effective(&self.opts.registry)
+    }
+
+    /// Bump a caller-side `net_call_*` counter once per request.
+    fn count_each(&self, name: &str) {
+        self.reqs.iter().for_each(|r| count(self.reg(), name, r));
+    }
+
+    /// The one client call path: the requests go to the peer in up to
+    /// `attempts` passes of admit → exchange → grade, index-aligned
+    /// results back. (A lone request brings its retry budget; a batch
+    /// brings one attempt.)
+    fn drive(&self, attempts: u32) -> Replies {
+        self.persist(attempts, self.attempt())
+    }
+
+    /// The passes after the first, whose graded `results` come in: up to
+    /// `attempts - 1` more while every slot is a transport failure, then
+    /// the failure count.
+    fn persist(&self, attempts: u32, mut results: Replies) -> Replies {
+        // Only a transport failure earns another pass. An answer stands,
+        // and so does a shed — by the peer or by the local breaker —
+        // because retrying one would feed the storm.
+        let failed = |r: &io::Result<Response>| matches!(r, Err(e) if !is_overload_error(e));
+        for retry in 1..attempts {
+            if !results.iter().all(failed) {
+                break;
+            }
+            // Retry wall-clock is capped by the caller's deadline: a
+            // backoff that would sleep into (or past) it can only produce
+            // an answer the caller has already abandoned.
+            let backoff = self.opts.retry.backoff(retry);
+            if self.deadline.is_some_and(|d| Instant::now() + backoff >= d) {
+                self.count_each("net_call_deadline_exhausted_total");
+                break;
+            }
+            // Every backoff decision is counted, so chaos tests can assert
+            // "the caller retried N times" instead of sleeping and hoping.
+            self.count_each("net_call_retries_total");
+            std::thread::sleep(backoff);
+            results = self.attempt();
+        }
+        for (result, req) in results.iter().zip(self.reqs) {
+            if failed(result) {
+                count(self.reg(), "net_call_failures_total", req);
             }
         }
-        if let Ok(Response::Overloaded { retry_after_ms }) = *result {
-            count(reg, "net_call_overloaded_total", req);
-            *result = Err(ProtoError::Overloaded { retry_after_ms }.into());
+        results
+    }
+
+    /// One pass against the peer, in three steps.
+    fn attempt(&self) -> Replies {
+        match self.admit() {
+            Ok(()) => self.grade(self.exchange()),
+            Err(shed) => shed,
         }
     }
-    results
-}
 
-/// Send `reqs` to `addr` over the transport the options select: a pooled
-/// socket, or a connection per call.
-fn exchange(
-    addr: SocketAddr,
-    reqs: &[Request],
-    opts: &CallOptions,
-    deadline: Option<Instant>,
-    reg: &Registry,
-) -> Vec<io::Result<Response>> {
-    let Some(pool) = opts.mux.as_ref().or(opts.pool.as_ref()) else {
-        // Seed behaviour: one connection per call.
-        let each = |req| {
-            let mut stream = TcpStream::connect_timeout(&addr, opts.connect)?;
-            round_trip(&mut stream, req, opts, deadline)
-        };
-        return reqs.iter().map(each).collect();
-    };
-    let mut reused = false;
-    let results = pool.exchange(addr, reqs, opts, deadline, false, &mut reused);
-    // A *reused* socket that died on first use usually went stale between
-    // its last use and this write (the peer restarted while it sat idle).
-    // One immediate retry on a fresh connection keeps that invisible,
-    // without consuming the caller's retry budget — and only when every
-    // slot came back a disconnect, never for timeouts, where the request
-    // may still be running remotely.
-    let disconnected = |r: &io::Result<Response>| matches!(r, Err(e) if is_disconnect_error(e));
-    if !(reused && results.iter().all(disconnected)) {
-        return results;
+    /// Admit: one breaker decision gates the whole burst. An open breaker
+    /// fast-fails locally — no connect, no retry storm against a peer that
+    /// is dead or drowning — with its cooldown as the retry hint, one
+    /// typed error per request in `Err`.
+    fn admit(&self) -> Result<(), Replies> {
+        let (addr, reg) = (self.addr, self.reg());
+        let breakers = self.opts.breakers.as_ref();
+        if let Some(open) = breakers.filter(|b| !b.allow(addr, reg)) {
+            let retry_after_ms = open.config().cooldown.as_millis() as u64;
+            let shed = |req| {
+                count(reg, "net_breaker_fastfails_total", req);
+                Err(ProtoError::Overloaded { retry_after_ms }.into())
+            };
+            return Err(self.reqs.iter().map(shed).collect());
+        }
+        self.count_each("net_call_attempts_total");
+        Ok(())
     }
-    reg.counter("net_pool_stale_retries_total", &[("pool", pool.name())])
-        .inc();
-    pool.exchange(addr, reqs, opts, deadline, true, &mut reused)
+
+    /// Grade each slot. Any answer is a breaker success — `Overloaded`
+    /// included: the peer is alive, just shedding — and a transport error
+    /// a failure. The caller gets an `Overloaded` answer as the typed
+    /// error that no layer above retries.
+    fn grade(&self, mut results: Replies) -> Replies {
+        let (addr, reg) = (self.addr, self.reg());
+        for (result, req) in results.iter_mut().zip(self.reqs) {
+            if let Some(breakers) = &self.opts.breakers {
+                match result {
+                    Ok(_) => breakers.on_success(addr, reg),
+                    Err(_) => breakers.on_failure(addr, reg),
+                }
+            }
+            if let Ok(Response::Overloaded { retry_after_ms }) = *result {
+                count(reg, "net_call_overloaded_total", req);
+                *result = Err(ProtoError::Overloaded { retry_after_ms }.into());
+            }
+        }
+        results
+    }
+
+    /// Send the requests over the transport the options select: a pooled
+    /// socket, or a connection per call.
+    fn exchange(&self) -> Replies {
+        let Some(pool) = pool_of(self.opts) else {
+            // Seed behaviour: one connection per call.
+            let each = |req| {
+                let mut stream = TcpStream::connect_timeout(&self.addr, self.opts.connect)?;
+                round_trip(&mut stream, req, self.opts, self.deadline)
+            };
+            return self.reqs.iter().map(each).collect();
+        };
+        let (results, reused) = pool.exchange(self, false);
+        self.redial_if_stale(pool, reused, results)
+    }
+
+    /// A *reused* socket that died on first use usually went stale between
+    /// its last use and this write (the peer restarted while it sat idle).
+    /// One immediate retry on a fresh connection keeps that invisible,
+    /// without consuming the caller's retry budget — and only when every
+    /// slot came back a disconnect, never for timeouts, where the request
+    /// may still be running remotely.
+    fn redial_if_stale(&self, pool: &Arc<ConnPool>, reused: bool, results: Replies) -> Replies {
+        let disconnected = |r: &io::Result<Response>| matches!(r, Err(e) if is_disconnect_error(e));
+        if !(reused && results.iter().all(disconnected)) {
+            return results;
+        }
+        let stale = "net_pool_stale_retries_total";
+        self.reg().counter(stale, &[("pool", pool.name())]).inc();
+        pool.exchange(self, true).0
+    }
 }
 
 /// `io::Error` is not `Clone`; its kind and message are.
@@ -294,11 +335,26 @@ pub(crate) fn round_trip(
     opts: &CallOptions,
     deadline: Option<Instant>,
 ) -> io::Result<Response> {
+    send(stream, req, opts, deadline)?;
+    receive(stream, opts.timeouts.read)
+}
+
+/// The first half of a round trip: `req`, stamped, onto the stream.
+fn send(
+    stream: &mut TcpStream,
+    req: &Request,
+    opts: &CallOptions,
+    deadline: Option<Instant>,
+) -> io::Result<()> {
     stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(opts.timeouts.read))?;
     stream.set_write_timeout(Some(opts.timeouts.write))?;
     let (ctx, budget) = (trace::current(), remaining_ms(deadline));
-    stamp(stream, req, None, ctx, budget, opts.faults.as_deref())?;
+    stamp(stream, req, None, ctx, budget, opts.faults.as_deref())
+}
+
+/// The second half: the stream's next frame, waited for `patience`.
+fn receive(stream: &mut TcpStream, patience: Duration) -> io::Result<Response> {
+    stream.set_read_timeout(Some(patience))?;
     read_frame_with::<_, Envelope<Response>>(stream, None)
         .map_err(io::Error::from)?
         .map(|e| e.msg)
@@ -411,48 +467,108 @@ fn pipeline(
     stream.set_nonblocking(false)
 }
 
-/// Fan one request out to many peers concurrently over at most
-/// `max_concurrency` threads, each call going through [`call_with`] with
-/// the full retry/breaker/deadline/pool machinery. The result vector is
-/// index-aligned with `addrs`, and every worker runs under the calling
-/// thread's trace context, so the fan-out's frames all join the caller's
-/// trace — this is the client's one-round bid solicitation (§2.2) over
-/// warm pooled connections, each worker holding its socket for its round
-/// trip.
+/// Solicit many peers with one request — the client's one-round bid
+/// solicitation (§2.2) — on the caller's own thread, index-aligned results
+/// back. Without a pool this is sequential [`call_with`]s.
+///
+/// With one ([`CallOptions::pool`]) the peers are taken in sweeps of at
+/// most `max_concurrency`. A sweep admits each peer through its breaker,
+/// checks a warm socket out for it and writes the stamped request, so all
+/// the peers work at once; then it reads each socket's one reply in
+/// address order and gives the socket back, or poisons it, as a lone
+/// [`call_with`] would. One request per socket cannot wedge writer
+/// against writer, so the writes and reads are plain blocking ones.
+///
+/// **A sweep's patience is one timeout.** Each of its reads gets the
+/// remainder of one `timeouts.read`, counted from the sweep's last write
+/// (floor 1 ms: a reply already in the socket is still collected), so a
+/// sweep waits for its slowest peer, never for the sum of them. Only after
+/// its last read does a slot that failed in transport go on down
+/// [`call_with`]'s per-peer path: the stale-socket redial, then backoff
+/// and retries under the caller's budget and deadline, with the same
+/// counters and breaker bookkeeping.
 pub fn call_many(
     addrs: &[SocketAddr],
     req: &Request,
     opts: &CallOptions,
     max_concurrency: usize,
 ) -> Vec<io::Result<Response>> {
-    let n = addrs.len();
-    if n == 0 {
-        return vec![];
+    let Some(pool) = pool_of(opts) else {
+        return addrs.iter().map(|&a| call_with(a, req, opts)).collect();
+    };
+    let reqs = std::slice::from_ref(req);
+    let legs: Vec<Leg> = addrs.iter().map(|&a| Leg::new(a, reqs, opts)).collect();
+    let mut results = Vec::with_capacity(legs.len());
+    for sweep in legs.chunks(max_concurrency.max(1)) {
+        let flights: Vec<Flight> = sweep.iter().map(|leg| leg.take_off(pool)).collect();
+        let patience_ends = Instant::now() + opts.timeouts.read;
+        let landings: Vec<Landing> = std::iter::zip(sweep, flights)
+            .map(|(leg, flight)| leg.land(flight, patience_ends))
+            .collect();
+        results.extend(std::iter::zip(sweep, landings).map(|(leg, landing)| {
+            let first = match landing {
+                Landing::Shed(e) => return Err(e),
+                Landing::Tried { reply, reused } => leg.redial_if_stale(pool, reused, vec![reply]),
+            };
+            let last = leg.persist(opts.retry.attempts, leg.grade(first)).pop();
+            last.expect("one result per request")
+        }));
     }
-    let ctx = trace::current();
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<io::Result<Response>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..max_concurrency.clamp(1, n) {
-            scope.spawn(|| {
-                trace::propagate(ctx, || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    *slots[i].lock() = Some(call_with(addrs[i], req, opts));
-                })
-            });
+    results
+}
+
+/// A slot of a [`call_many`] sweep between its write and its read: the
+/// socket the reply is awaited on, or how the attempt has already ended.
+type Flight = Result<PooledConn, Landing>;
+
+/// How one peer's first attempt in a sweep ended, ungraded.
+enum Landing {
+    /// Refused locally by the peer's open breaker: final, nothing was sent.
+    Shed(io::Error),
+    /// Tried, on a socket that came out of the idle cache or on a new one.
+    Tried {
+        reply: io::Result<Response>,
+        reused: bool,
+    },
+}
+
+impl Leg<'_> {
+    /// Admit the peer, check a socket out for it and write the request.
+    fn take_off(&self, pool: &Arc<ConnPool>) -> Flight {
+        if let Err(mut shed) = self.admit() {
+            let shed = shed.pop().expect("one result per request");
+            return Err(Landing::Shed(shed.expect_err("a shed is an error")));
         }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(|| Err(io::Error::other("fan-out worker vanished")))
-        })
-        .collect()
+        let failed = |e, reused| {
+            let reply = Err(e);
+            Landing::Tried { reply, reused }
+        };
+        let mut conn = pool
+            .checkout(self.addr, self.opts.connect, false, self.reg())
+            .map_err(|e| failed(e, false))?;
+        match send(conn.stream(), &self.reqs[0], self.opts, self.deadline) {
+            Ok(()) => Ok(conn),
+            Err(e) => {
+                let reused = conn.reused;
+                conn.settle(false, self.reg());
+                Err(failed(e, reused))
+            }
+        }
+    }
+
+    /// Read a flight's awaited reply before `patience_ends` and settle its
+    /// socket with the pool.
+    fn land(&self, flight: Flight, patience_ends: Instant) -> Landing {
+        let mut conn = match flight {
+            Ok(conn) => conn,
+            Err(down) => return down,
+        };
+        let left = patience_ends.saturating_duration_since(Instant::now());
+        let reply = receive(conn.stream(), left.max(Duration::from_millis(1)));
+        let reused = conn.reused;
+        conn.settle(reply.is_ok(), self.reg());
+        Landing::Tried { reply, reused }
+    }
 }
 
 #[cfg(test)]
@@ -719,9 +835,107 @@ mod tests {
         let spans = trace::spans_for(trace_id);
         assert!(
             spans.iter().any(|s| s.service == "fan-ok"),
-            "fan-out worker threads carried the caller's trace: {spans:?}"
+            "the solicited peers joined the caller's trace: {spans:?}"
         );
         ok.shutdown();
         err.shutdown();
+    }
+
+    /// A raw stand-in peer: answers every request `Ok` and hands the test
+    /// each request envelope as it came off the wire.
+    fn recording_peer() -> (SocketAddr, std::sync::mpsc::Receiver<Envelope<Request>>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                let Ok(mut stream) = stream else { return };
+                while let Ok(Some(env)) = read_frame_with::<_, Envelope<Request>>(&mut stream, None)
+                {
+                    let reply = Envelope {
+                        request_id: env.request_id,
+                        ..Envelope::wrap(Response::Ok)
+                    };
+                    if tx.send(env).is_err() || write_frame_with(&mut stream, &reply, None).is_err()
+                    {
+                        return;
+                    }
+                }
+            }
+        });
+        (addr, rx)
+    }
+
+    #[test]
+    fn a_round_stamps_the_callers_trace_and_deadline_as_call_with_does() {
+        use crate::pool::{ConnPool, PoolConfig};
+        let peers: Vec<_> = (0..3).map(|_| recording_peer()).collect();
+        let addrs: Vec<SocketAddr> = peers.iter().map(|(addr, _)| *addr).collect();
+        let opts = CallOptions {
+            pool: Some(Arc::new(ConnPool::new("stamped", PoolConfig::default()))),
+            deadline: Some(Duration::from_secs(5)),
+            ..CallOptions::default()
+        };
+        let req = Request::VerifyToken {
+            token: faucets_core::auth::SessionToken("t".into()),
+        };
+        let root = trace::span("client", "solicit");
+        let seen = |peer: usize| peers[peer].1.try_recv().expect("the peer was asked");
+        // Two sweeps: two peers, then the third.
+        assert!(call_many(&addrs, &req, &opts, 2).iter().all(|r| r.is_ok()));
+        let by_the_round: Vec<Envelope<Request>> = (0..3).map(seen).collect();
+        assert_eq!(call_with(addrs[0], &req, &opts).unwrap(), Response::Ok);
+        let by_call_with = seen(0);
+        assert_eq!(by_call_with.ctx, Some(root.ctx()));
+        for (peer, env) in by_the_round.into_iter().enumerate() {
+            assert_eq!(env.ctx, by_call_with.ctx, "peer {peer}: the caller's span");
+            assert_eq!(env.request_id, None, "peer {peer}: one frame at a time");
+            let budget = env.deadline_ms.expect("the caller has a deadline");
+            assert!((4_000..=5_000).contains(&budget), "peer {peer}: {budget}");
+            assert_eq!(env.msg, req);
+        }
+    }
+
+    #[test]
+    fn sweeps_of_one_and_of_all_return_the_same_aligned_results() {
+        use crate::pool::{ConnPool, PoolConfig};
+        let named = |name: &'static str| {
+            serve("127.0.0.1:0", name, move |_| Response::Error(name.into())).unwrap()
+        };
+        let live = [named("a"), named("b"), named("c")];
+        // Bound and dropped within the statement: nobody listens there.
+        let dead = std::net::TcpListener::bind("127.0.0.1:0").and_then(|l| l.local_addr());
+        let dead = dead.unwrap();
+        // `a` twice: two slots to one peer are two sockets, not one shared.
+        let addrs = [live[0].addr, dead, live[1].addr, live[0].addr, live[2].addr];
+        let req = Request::VerifyToken {
+            token: faucets_core::auth::SessionToken("t".into()),
+        };
+        let round = |max_concurrency| {
+            let opts = CallOptions {
+                pool: Some(Arc::new(ConnPool::new("sweeps", PoolConfig::default()))),
+                ..CallOptions::default()
+            };
+            call_many(&addrs, &req, &opts, max_concurrency)
+                .into_iter()
+                .map(|r| r.map_err(|e| e.kind()))
+                .collect::<Vec<_>>()
+        };
+        let reply = |name: &str| Ok(Response::Error(name.into()));
+        let expected = vec![
+            reply("a"),
+            Err(io::ErrorKind::ConnectionRefused),
+            reply("b"),
+            reply("a"),
+            reply("c"),
+        ];
+        for max_concurrency in [1, 2, addrs.len(), 0, usize::MAX] {
+            assert_eq!(
+                round(max_concurrency),
+                expected,
+                "{max_concurrency} at once"
+            );
+        }
+        live.into_iter().for_each(|h| h.shutdown());
     }
 }

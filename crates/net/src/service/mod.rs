@@ -10,6 +10,6 @@ mod serve;
 mod time;
 
 pub use call::{call, call_batch, call_many, call_with, CallOptions};
-pub(crate) use call::{converse, copy_of, effective};
+pub(crate) use call::{converse, copy_of, effective, Leg};
 pub use serve::{request_deadline, serve, serve_with, ServeOptions, ServiceHandle};
 pub use time::{Clock, RetryPolicy, StopSignal, Timeouts};

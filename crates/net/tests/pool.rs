@@ -5,8 +5,10 @@
 //! fresh one), per-call connection churn staying bounded by the live
 //! client count, a many-client stress run where the shared pool keeps
 //! the hit rate high and every counter visible through the server's own
-//! `Metrics` endpoint, and pipelined bursts against stand-in peers that
-//! answer wrongly, not at all, or only as fast as they are read.
+//! `Metrics` endpoint, pipelined bursts against stand-in peers that
+//! answer wrongly, not at all, or only as fast as they are read, and the
+//! thread-free solicitation round (`call_many`) over peers that are dead,
+//! shedding, slow, mute, restarted or wrong.
 
 use faucets_net::prelude::*;
 use faucets_telemetry::metrics::Registry;
@@ -313,6 +315,9 @@ enum Misbehaviour {
     TrailingBytes,
     /// Request 1 is never answered; the connection stays up.
     LostReply,
+    /// Every reply is right; the next request on the connection is taken
+    /// in and the connection dies with it unanswered, as a restart does.
+    Restart,
 }
 
 /// A stand-in peer: its first connection reads a burst of `n` numbered
@@ -337,7 +342,7 @@ fn misbehaving_peer(n: usize, how: Misbehaviour) -> SocketAddr {
                 Misbehaviour::ForeignId => replies[1].request_id = Some(u64::MAX),
                 Misbehaviour::DuplicateId => replies[1].request_id = replies[0].request_id,
                 Misbehaviour::LostReply => drop(replies.remove(1)),
-                Misbehaviour::TrailingBytes => {}
+                Misbehaviour::TrailingBytes | Misbehaviour::Restart => {}
             }
             let mut wire = Vec::new();
             for reply in &replies {
@@ -347,7 +352,8 @@ fn misbehaving_peer(n: usize, how: Misbehaviour) -> SocketAddr {
                 wire.extend_from_slice(&[0, 0]);
             }
             stream.write_all(&wire).unwrap();
-            // Hold the connection until the client gives it up.
+            // Hold the connection until the client gives it up, or sends
+            // the request that `Restart` hangs up on.
             let _ = stream.read(&mut [0u8; 1]);
         }
     });
@@ -467,4 +473,249 @@ fn a_burst_over_the_socket_buffers_never_wedges_writer_against_writer() {
         }
     }
     peer.join().unwrap();
+}
+
+/// An honest peer for numbered logins, on the real serve path.
+fn honest_peer() -> ServiceHandle {
+    serve("127.0.0.1:0", "honest", |req| match req {
+        Request::Login { user, password } => Response::Error(user + &password),
+        other => Response::Error(format!("unexpected {other:?}")),
+    })
+    .unwrap()
+}
+
+/// A solicitation round's options: its own pool and registry.
+fn round_opts(pool: &'static str) -> (CallOptions, Arc<ConnPool>, Arc<Registry>) {
+    let (pool, reg) = (
+        Arc::new(ConnPool::new(pool, PoolConfig::default())),
+        Arc::new(Registry::new()),
+    );
+    let opts = CallOptions {
+        pool: Some(Arc::clone(&pool)),
+        registry: Some(Arc::clone(&reg)),
+        timeouts: Timeouts::both(Duration::from_secs(2)),
+        ..CallOptions::default()
+    };
+    (opts, pool, reg)
+}
+
+/// Two rounds of `req` (the numbered login `u0`/`pw`) over `addrs`, every
+/// slot of both answered, and with its own reply.
+fn two_rounds_answered(addrs: &[SocketAddr], req: &Request, opts: &CallOptions) {
+    for round in 0..2 {
+        for (i, reply) in call_many(addrs, req, opts, 4).into_iter().enumerate() {
+            let reply = reply.unwrap_or_else(|e| panic!("round {round}, slot {i}: {e}"));
+            assert_eq!(reply, Response::Error("u0pw".into()));
+        }
+    }
+}
+
+/// One round over a dead peer, a shedding one, a slow one and a prompt
+/// one: each slot is graded as a lone `call_with` grades it — the dead
+/// slot a transport error after its retries, the shed slot the typed
+/// error no layer retries — each breaker heard its own peer's outcome, and
+/// the round took the slow peer's time. Then the patience rule itself:
+/// three mute peers cost a round one `timeouts.read`, not three.
+#[test]
+fn a_round_grades_each_peer_alone_and_waits_one_timeout_not_their_sum() {
+    const SLOW: Duration = Duration::from_millis(200);
+    let dead = TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap();
+    let shedding = serve("127.0.0.1:0", "shedding", |_| Response::Overloaded {
+        retry_after_ms: 7,
+    })
+    .unwrap();
+    let slow = serve("127.0.0.1:0", "slow", |_| {
+        std::thread::sleep(SLOW);
+        Response::Ok
+    })
+    .unwrap();
+    let prompt = serve("127.0.0.1:0", "prompt", |_| Response::Ok).unwrap();
+    let addrs = [dead, shedding.addr, slow.addr, prompt.addr];
+
+    let (opts, pool, reg) = round_opts("graded");
+    let breakers = Arc::new(BreakerSet::new(BreakerConfig {
+        failures_to_open: 2,
+        ..BreakerConfig::default()
+    }));
+    // One failure on record for each live peer: only an outcome graded a
+    // success clears it.
+    for addr in &addrs[1..] {
+        breakers.breaker(*addr).on_failure();
+    }
+    let opts = CallOptions {
+        retry: RetryPolicy {
+            attempts: 2,
+            ..RetryPolicy::standard(3)
+        },
+        breakers: Some(Arc::clone(&breakers)),
+        ..opts
+    };
+    let req = Request::VerifyToken {
+        token: faucets_core::auth::SessionToken("t".into()),
+    };
+    let started = Instant::now();
+    let results = call_many(&addrs, &req, &opts, addrs.len());
+    let took = started.elapsed();
+
+    let [dead_slot, shed_slot, slow_slot, prompt_slot] = &results[..] else {
+        panic!("four slots, index-aligned: {results:?}");
+    };
+    let e = dead_slot.as_ref().expect_err("nobody listens there");
+    assert_eq!(e.kind(), ErrorKind::ConnectionRefused, "{e}");
+    let e = shed_slot.as_ref().expect_err("a shed is a typed error");
+    let shed = e.get_ref().and_then(|e| e.downcast_ref::<ProtoError>());
+    assert!(
+        matches!(shed, Some(ProtoError::Overloaded { retry_after_ms: 7 })),
+        "{e}"
+    );
+    assert_eq!(*slow_slot.as_ref().unwrap(), Response::Ok);
+    assert_eq!(*prompt_slot.as_ref().unwrap(), Response::Ok);
+    assert!(
+        took >= SLOW && took < 3 * SLOW,
+        "the round takes its slowest peer's time: {took:?}"
+    );
+
+    let snap = reg.snapshot();
+    let count = |name: &str, endpoint| snap.counter_sum(name, &[("endpoint", endpoint)]);
+    assert_eq!(count("net_call_attempts_total", "VerifyToken"), 3 + 2);
+    assert_eq!(
+        count("net_call_retries_total", "VerifyToken"),
+        1,
+        "dead only"
+    );
+    assert_eq!(count("net_call_failures_total", "VerifyToken"), 1);
+    assert_eq!(count("net_call_overloaded_total", "VerifyToken"), 1);
+    assert_eq!(pool.idle_count(), 3, "the live peers' sockets stay warm");
+    let state = |addr| breakers.breaker(addr).state_name();
+    assert_eq!(state(dead), "open", "two transport failures");
+    for addr in &addrs[1..] {
+        breakers.breaker(*addr).on_failure();
+        assert_eq!(state(*addr), "closed", "an answer cleared {addr}'s record");
+    }
+    // The open breaker sheds the dead peer's slot of the next round
+    // locally; the others are asked as before.
+    let results = call_many(&addrs, &req, &opts, addrs.len());
+    let e = results[0].as_ref().expect_err("shed by the breaker");
+    assert!(e.to_string().contains("overloaded"), "{e}");
+    assert_eq!(*results[3].as_ref().unwrap(), Response::Ok);
+    let fastfails = reg
+        .snapshot()
+        .counter_sum("net_breaker_fastfails_total", &[]);
+    assert_eq!(fastfails, 1);
+    for h in [shedding, slow, prompt] {
+        h.shutdown();
+    }
+
+    // Mute peers: the accept queue completes the handshake and nobody
+    // ever reads. Every read of the round shares one `timeouts.read`.
+    const PATIENCE: Duration = Duration::from_millis(200);
+    let mute: Vec<TcpListener> = (0..3)
+        .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
+        .collect();
+    let addrs: Vec<SocketAddr> = mute.iter().map(|l| l.local_addr().unwrap()).collect();
+    let (opts, pool, _reg) = round_opts("mute");
+    let opts = CallOptions {
+        timeouts: Timeouts::both(PATIENCE),
+        ..opts
+    };
+    let started = Instant::now();
+    let results = call_many(&addrs, &req, &opts, addrs.len());
+    let took = started.elapsed();
+    assert!(results.iter().all(|r| r.is_err()), "{results:?}");
+    assert!(
+        took >= PATIENCE && took < 2 * PATIENCE,
+        "one timeout for the round, not one per peer: {took:?}"
+    );
+    assert_eq!(pool.open_connections(), 0, "a timed-out socket is poisoned");
+}
+
+/// A peer restarted while its socket sat idle in the pool costs the round
+/// one stale retry on a fresh connection — no error, and none of the
+/// caller's retry budget.
+#[test]
+fn a_round_rides_out_a_peer_restarted_under_its_idle_socket() {
+    let honest: Vec<ServiceHandle> = (0..3).map(|_| honest_peer()).collect();
+    let mut addrs: Vec<SocketAddr> = honest.iter().map(|h| h.addr).collect();
+    addrs.insert(1, misbehaving_peer(1, Misbehaviour::Restart));
+    let (opts, pool, reg) = round_opts("restarted");
+    let req = &numbered_logins(1, "pw")[0];
+    two_rounds_answered(&addrs, req, &opts);
+    let snap = reg.snapshot();
+    let count = |name: &str| snap.counter_sum(name, &[]);
+    assert_eq!(count("net_pool_stale_retries_total"), 1);
+    assert_eq!(
+        count("net_call_attempts_total"),
+        8,
+        "one per slot per round"
+    );
+    assert_eq!(count("net_call_retries_total"), 0);
+    assert_eq!(count("net_call_failures_total"), 0);
+    assert_eq!(count("net_pool_misses_total"), 4 + 1, "one redial");
+    assert_eq!((pool.open_connections(), pool.idle_count()), (4, 4));
+    honest.into_iter().for_each(ServiceHandle::shutdown);
+}
+
+/// A socket that carried more than its reply, or whose request was lost,
+/// is never lent again — and it is the only one: the other peers of the
+/// round keep their warm sockets.
+#[test]
+fn a_wronged_or_lossy_slot_of_a_round_costs_only_its_own_socket() {
+    let honest: Vec<ServiceHandle> = (0..4).map(|_| honest_peer()).collect();
+    let req = &numbered_logins(1, "pw")[0];
+
+    // Two bytes past the reply: the reply itself is right and is
+    // delivered; the checkout of the next round refuses the socket.
+    let mut addrs: Vec<SocketAddr> = honest[..3].iter().map(|h| h.addr).collect();
+    addrs.insert(2, misbehaving_peer(1, Misbehaviour::TrailingBytes));
+    let (opts, pool, reg) = round_opts("trailing");
+    two_rounds_answered(&addrs, req, &opts);
+    let snap = reg.snapshot();
+    let count = |name: &str| snap.counter_sum(name, &[("pool", "trailing")]);
+    let closed = count("net_pool_poisoned_total") + count("net_pool_evictions_total");
+    assert_eq!(closed, 1, "the desynchronised socket, and only it");
+    assert_eq!(count("net_pool_misses_total"), 4 + 1);
+    assert_eq!(count("net_pool_hits_total"), 3);
+    assert_eq!((pool.open_connections(), pool.idle_count()), (4, 4));
+
+    // A fault plan that loses exactly one of the round's four identical
+    // frames (the n-th transmission of the same bytes has its own verdict).
+    let addrs: Vec<SocketAddr> = honest.iter().map(|h| h.addr).collect();
+    let mut frame = Vec::new();
+    let envelope = Envelope {
+        ctx: None,
+        deadline_ms: None,
+        request_id: None,
+        msg: req.clone(),
+    };
+    write_frame(&mut frame, &envelope).unwrap();
+    let lossy = FaultConfig {
+        drop: 0.25,
+        ..FaultConfig::none()
+    };
+    let lost =
+        |seed: u64, nth| FaultPlan::new(seed, lossy).decide_nth(&frame, nth) == FrameFault::Drop;
+    let seed = (0..)
+        .find(|&seed| (0..4).filter(|&nth| lost(seed, nth)).count() == 1)
+        .unwrap();
+    let victim = (0..4).position(|nth| lost(seed, nth as u64)).unwrap();
+    let plan = Arc::new(FaultPlan::new(seed, lossy));
+    let (opts, pool, reg) = round_opts("lossy");
+    let opts = CallOptions {
+        faults: Some(Arc::clone(&plan)),
+        timeouts: Timeouts::both(Duration::from_millis(200)),
+        ..opts
+    };
+    // No trace context: the frames on the wire are the bytes searched.
+    let results = faucets_telemetry::trace::propagate(None, || call_many(&addrs, req, &opts, 4));
+    assert_eq!(plan.stats().dropped, 1);
+    for (i, reply) in results.iter().enumerate() {
+        assert_eq!(reply.is_err(), i == victim, "slot {i}: {reply:?}");
+    }
+    let poisoned = reg.snapshot().counter_sum("net_pool_poisoned_total", &[]);
+    assert_eq!(poisoned, 1, "the socket whose request was lost");
+    assert_eq!((pool.open_connections(), pool.idle_count()), (3, 3));
+    honest.into_iter().for_each(ServiceHandle::shutdown);
 }

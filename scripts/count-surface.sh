@@ -17,10 +17,10 @@
 # one lowers it.
 cd "$(dirname "$0")/.." || exit 1
 
-MAX_NET_LINES=8360   # non-test lines of crates/net/src
-MAX_POOL_LINES=434  # of crates/net/src/pool.rs
+MAX_NET_LINES=8559   # non-test lines of crates/net/src
+MAX_POOL_LINES=456  # of crates/net/src/pool.rs
 MAX_OPTION_FIELDS=56
-MAX_SPAWN_SITES=7
+MAX_SPAWN_SITES=6
 
 non_test() { awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"; }
 
