@@ -351,11 +351,6 @@ impl Federation {
     pub fn owner_of(&self, cluster: ClusterId) -> Option<String> {
         self.state.lock().ring.owner(cluster).map(String::from)
     }
-
-    /// Every known member's `(name, alive, advertised directory size)`.
-    pub fn peer_loads(&self) -> Vec<(String, bool, u64)> {
-        self.state.lock().view.loads()
-    }
 }
 
 impl Drop for Federation {

@@ -19,7 +19,7 @@
 //! * [`service`] — shared plumbing, one file per concern:
 //!   `service/time.rs` (clock, stop signal, timeouts, retry policy),
 //!   `service/serve.rs` (the serve reactor) and `service/call.rs` (the
-//!   one client call path: admit → exchange → grade);
+//!   one client call path: launch, then land);
 //! * [`reactor`] — the dependency-free epoll wrapper (readiness events,
 //!   eventfd wakeups, incremental frame reassembly) under the serve path;
 //! * [`pool`] — persistent, health-checked client connection pooling (see
@@ -49,10 +49,10 @@
 //!   under a bounded [`service::RetryPolicy`] (exponential backoff, capped,
 //!   with deterministic seeded jitter). A received `Response::Error` is an
 //!   answer, not a failure, and is never retried at this layer. Every
-//!   attempt — a lone request or a [`service::call_batch`] burst, over
-//!   any transport — is admit (breaker gate) → exchange (the selected
-//!   transport, stale-socket retry included) → grade (breaker and
-//!   overload bookkeeping), written once.
+//!   attempt — a lone request, a [`service::call_batch`] burst or a
+//!   [`service::call_many`] slot, over any transport — is launch (breaker
+//!   gate, a socket, the write) and land (the read, the stale-socket
+//!   retry, breaker and overload bookkeeping), written once.
 //! * **Central Server** — the directory grades each daemon
 //!   alive → suspect → dead from heartbeat recency
 //!   (`faucets_core::directory::Liveness`) and evicts dead daemons, so
@@ -126,28 +126,29 @@
 //!
 //! At "millions of jobs per day" a fresh TCP connect per RPC is pure
 //! overhead, so the client path has one warm transport and the serve path
-//! runs a fixed worker pool:
+//! runs a fixed worker pool. Every client call is passes of two halves on
+//! the caller's own thread — *launch* (the peer's breaker, a socket, the
+//! write) and *land* (the read, the socket settled, the grade) — and the
+//! entry points differ only in how many they launch before they land:
 //!
-//! * **Pooling** — [`pool::ConnPool`] keeps bounded, idle-evicted,
-//!   health-checked sockets per peer and lends one, exclusively, to each
-//!   exchange; [`service::CallOptions::pool`] wires it under
-//!   [`service::call_with`] so retries, deadlines, breakers, and fault
-//!   injection operate unchanged on warm streams. Any failed exchange
-//!   *poisons* the socket (closed, never reused) — a desynchronised stream
-//!   must not pay the next caller the previous caller's reply.
+//! * **Pooling** — [`pool::ConnPool`] ([`service::CallOptions::pool`])
+//!   owns sockets and knows nothing of requests: bounded, idle-evicted,
+//!   health-checked ones per peer, each lent to one pass at a time, so
+//!   retries, deadlines, breakers, and fault injection operate unchanged
+//!   on warm streams. A failed pass *poisons* its socket (closed, never
+//!   reused) — a desynchronised stream must not pay the next caller the
+//!   previous caller's reply.
 //! * **Pipelining** — the serve side runs one connection's frames
-//!   concurrently and echoes each [`proto::Envelope`] `request_id`, so
-//!   [`service::call_batch`] writes a whole burst on its checked-out
-//!   socket in one vectored write and fills each slot from the reply that
-//!   carries its id, in any order, reading while it writes — on the
-//!   caller's own thread; the client side of the wire owns none. A reply
-//!   no open slot asked for, a byte past the last reply or a timeout fails
-//!   the open slots typed and poisons the socket — never a crossed wire.
-//! * **Fan-out** — [`service::call_many`] solicits many peers at once
-//!   over pooled connections under the caller's trace context and on the
-//!   caller's own thread: the request is written to one checked-out
-//!   socket per peer, then each reply is read, the whole sweep under one
-//!   read timeout. The client uses it to collect a whole bid round.
+//!   concurrently and echoes each [`proto::Envelope`] `request_id`, so a
+//!   [`service::call_batch`] burst launches in one vectored write and
+//!   lands each slot from the reply that carries its id, in any order,
+//!   reading while it writes. A reply no open slot asked for, a byte past
+//!   the last reply or a timeout fails the open slots typed and poisons
+//!   the socket — never a crossed wire.
+//! * **Fan-out** — [`service::call_many`] launches one leg per peer, each
+//!   on a pooled socket of its own and under the caller's trace context,
+//!   then lands them all under one read timeout. The client uses it to
+//!   collect a whole bid round.
 //! * **Serving** — [`service::serve_with`] runs a readiness-driven epoll
 //!   reactor ([`reactor`]): one thread owns the nonblocking listener and
 //!   every connection's frame state machine (zero idle wakeups — the

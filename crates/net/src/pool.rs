@@ -5,11 +5,10 @@
 //! per call is pure overhead, because [`crate::service::serve_with`]
 //! already serves frame-by-frame on persistent streams. A [`ConnPool`]
 //! keeps health-checked idle sockets per peer and lends one, exclusively,
-//! to each round trip, pipelined burst or slot of a solicitation sweep
-//! (see [`crate::service::CallOptions::pool`]), so
-//! retries, deadlines, breakers, and fault injection all operate
-//! unchanged — the pool swaps only where the bytes flow. It owns no
-//! thread: replies are read on the caller's own.
+//! to whoever checks it out (see [`crate::service::CallOptions::pool`]):
+//! it owns sockets and knows nothing of requests, so retries, deadlines,
+//! breakers, and fault injection all operate unchanged — the pool swaps
+//! only where the bytes flow. It owns no thread.
 //!
 //! The safety invariant is *poison on error*: a checked-out stream that saw
 //! any failure — a frame fault, a timeout, a short read, a reply nothing
@@ -25,7 +24,6 @@
 //! stale_retries}_total` and the `net_pool_open_conns` gauge.
 
 use crate::proto::Response;
-use crate::service::{converse, copy_of, effective, Leg};
 use faucets_telemetry::metrics::Registry;
 use std::collections::HashMap;
 use std::io;
@@ -59,6 +57,15 @@ impl Default for PoolConfig {
             idle_ttl: Duration::from_secs(5),
         }
     }
+}
+
+/// The one place the client side opens a connection, pooled or not, and so
+/// the one place its socket is configured: small RPC frames must not wait
+/// out Nagle's algorithm.
+pub(crate) fn dial(addr: SocketAddr, within: Duration) -> io::Result<TcpStream> {
+    let stream = TcpStream::connect_timeout(&addr, within)?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
 }
 
 /// One idle socket and when it went idle.
@@ -160,15 +167,22 @@ impl ConnPool {
 
     /// Check out a connection to `addr`: unless `fresh` is asked for, a
     /// cached idle socket when a healthy one exists (most recently used
-    /// first — warm sockets stay warm); otherwise a new connect within
-    /// `connect_timeout`, after a sweep of every peer's expired sockets.
+    /// first — warm sockets stay warm); otherwise a new one, [`dial`]led
+    /// `within` the given time after a sweep of every peer's expired
+    /// sockets.
     pub(crate) fn checkout(
         self: &Arc<Self>,
         addr: SocketAddr,
-        connect_timeout: Duration,
+        within: Duration,
         fresh: bool,
         reg: &Registry,
     ) -> io::Result<PooledConn> {
+        let lend = |stream, reused| PooledConn {
+            stream: Some(stream),
+            addr,
+            reused,
+            pool: Arc::clone(self),
+        };
         loop {
             if fresh {
                 break;
@@ -184,12 +198,7 @@ impl ConnPool {
             let Some(candidate) = candidate else { break };
             if Self::healthy(&candidate.stream) {
                 reg.counter("net_pool_hits_total", &self.labels()).inc();
-                return Ok(PooledConn {
-                    stream: Some(candidate.stream),
-                    addr,
-                    reused: true,
-                    pool: Arc::clone(self),
-                });
+                return Ok(lend(candidate.stream, true));
             }
             // Went stale while idle (peer closed or desynced): evict and
             // try the next cached socket.
@@ -199,52 +208,23 @@ impl ConnPool {
         }
         reg.counter("net_pool_misses_total", &self.labels()).inc();
         self.sweep_expired(reg);
-        let stream = TcpStream::connect_timeout(&addr, connect_timeout)?;
+        let stream = dial(addr, within)?;
         self.open.fetch_add(1, Ordering::SeqCst);
         self.set_open_gauge(reg);
-        Ok(PooledConn {
-            stream: Some(stream),
-            addr,
-            reused: false,
-            pool: Arc::clone(self),
-        })
-    }
-
-    /// One exchange — a round trip, or a pipelined burst ([`converse`]) —
-    /// on a pooled socket held for the whole of it (a fresh connect when
-    /// `fresh`), index-aligned results back. A socket the exchange left
-    /// clean returns to the idle cache; any other is poisoned: it may hold
-    /// half a frame or a late reply, and would pay the next caller this
-    /// caller's bytes. Also says whether the socket came out of the cache,
-    /// which gates the call path's one-shot stale retry.
-    pub(crate) fn exchange(
-        self: &Arc<Self>,
-        leg: &Leg<'_>,
-        fresh: bool,
-    ) -> (Vec<io::Result<Response>>, bool) {
-        let reg = effective(&leg.opts.registry);
-        let mut conn = match self.checkout(leg.addr, leg.opts.connect, fresh, reg) {
-            Ok(conn) => conn,
-            // Nothing went out: every slot fails the same way.
-            Err(e) => return (leg.reqs.iter().map(|_| Err(copy_of(&e))).collect(), false),
-        };
-        let reused = conn.reused;
-        let (results, clean) = converse(conn.stream(), leg.reqs, leg.opts, leg.deadline);
-        conn.settle(clean, reg);
-        (results, reused)
+        Ok(lend(stream, false))
     }
 }
 
-/// A connection checked out of a [`ConnPool`]. Exactly one of three things
-/// must happen to it: [`PooledConn::give_back`] after a clean round-trip,
-/// [`PooledConn::poison`] after any failure, or a plain drop (which closes
-/// the socket — the safe default for code paths that bail early).
+/// A connection checked out of a [`ConnPool`]. Exactly one of two things
+/// must happen to it: [`PooledConn::settle`] — back to the idle cache if
+/// its borrower left it clean, poisoned if not — or a plain drop (which
+/// closes the socket — the safe default for code paths that bail early).
 pub(crate) struct PooledConn {
     stream: Option<TcpStream>,
     addr: SocketAddr,
     /// Whether this socket came out of the idle cache (vs a fresh
     /// connect). A reused socket that fails with a disconnect may be
-    /// retried once on a fresh one — see the call path's `exchange`.
+    /// retried once on a fresh one — see the call path's `land`.
     pub(crate) reused: bool,
     pool: Arc<ConnPool>,
 }
@@ -255,55 +235,35 @@ impl PooledConn {
         self.stream.as_mut().expect("checked out with a stream")
     }
 
-    /// End an exchange: a socket it left `clean` — every request answered
-    /// and not a byte more — goes back to the idle cache, any other is
-    /// poisoned.
-    pub(crate) fn settle(self, clean: bool, reg: &Registry) {
-        if clean {
-            self.give_back(reg);
-        } else {
-            self.poison(reg);
-        }
-    }
-
-    /// Return a healthy socket to the pool for reuse. Over the per-peer
-    /// idle bound the socket is closed instead (counted as an eviction).
-    fn give_back(mut self, reg: &Registry) {
+    /// End the loan. A socket its borrower left `clean` — nothing
+    /// half-written, nothing still to come — goes back to the idle cache,
+    /// or over the per-peer idle bound is closed (counted as an eviction).
+    /// Any other is poisoned: closed, never lent again.
+    pub(crate) fn settle(mut self, clean: bool, reg: &Registry) {
         let Some(stream) = self.stream.take() else {
             return;
         };
-        let mut idle = self.pool.idle.lock().unwrap();
-        let peer = idle.entry(self.addr).or_default();
-        if peer.len() >= self.pool.cfg.conns_per_peer.max(1) {
-            drop(idle);
-            reg.counter("net_pool_evictions_total", &self.pool.labels())
-                .inc();
-            self.pool.discard(stream, reg);
-            return;
-        }
-        peer.push(IdleConn {
-            stream,
-            since: Instant::now(),
-        });
-    }
-
-    /// Close a socket that saw a failure. It must never be reused: after a
-    /// frame fault or timeout the stream may hold half a frame, and the
-    /// next caller would read the previous caller's bytes.
-    fn poison(mut self, reg: &Registry) {
-        if let Some(stream) = self.stream.take() {
-            reg.counter("net_pool_poisoned_total", &self.pool.labels())
-                .inc();
-            self.pool.discard(stream, reg);
-        }
+        let closed_as = if clean {
+            let mut idle = self.pool.idle.lock().unwrap();
+            let peer = idle.entry(self.addr).or_default();
+            if peer.len() < self.pool.cfg.conns_per_peer.max(1) {
+                let since = Instant::now();
+                peer.push(IdleConn { stream, since });
+                return;
+            }
+            "net_pool_evictions_total"
+        } else {
+            "net_pool_poisoned_total"
+        };
+        reg.counter(closed_as, &self.pool.labels()).inc();
+        self.pool.discard(stream, reg);
     }
 }
 
 impl Drop for PooledConn {
     fn drop(&mut self) {
-        // Neither returned nor poisoned: close the socket and fix the
-        // count. (No registry here, so the gauge catches up on the next
-        // counted pool operation.)
+        // Never settled: close the socket and fix the count. (No registry
+        // here, so the gauge catches up on the next counted pool operation.)
         if self.stream.take().is_some() {
             self.pool.open.fetch_sub(1, Ordering::SeqCst);
         }
@@ -476,7 +436,7 @@ mod tests {
         let c1 = p.checkout(addr, CONNECT, false, &reg).unwrap();
         let first_port = c1.stream.as_ref().unwrap().local_addr().unwrap().port();
         assert!(!c1.reused);
-        c1.give_back(&reg);
+        c1.settle(true, &reg);
         assert_eq!(p.idle_count(), 1);
         let c2 = p.checkout(addr, CONNECT, false, &reg).unwrap();
         assert!(c2.reused, "idle socket reused");
@@ -495,6 +455,21 @@ mod tests {
     }
 
     #[test]
+    fn a_fresh_socket_and_a_reused_one_both_carry_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let reg = Registry::new();
+        let p = pool(PoolConfig::default());
+        for reused in [false, true] {
+            let mut c = p.checkout(addr, CONNECT, false, &reg).unwrap();
+            assert_eq!(c.reused, reused);
+            assert!(c.stream().nodelay().unwrap(), "reused: {reused}");
+            c.settle(true, &reg);
+        }
+        assert!(dial(addr, CONNECT).unwrap().nodelay().unwrap());
+    }
+
+    #[test]
     fn expired_idle_sockets_are_evicted() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -504,7 +479,7 @@ mod tests {
             ..PoolConfig::default()
         });
         let c = p.checkout(addr, CONNECT, false, &reg).unwrap();
-        c.give_back(&reg);
+        c.settle(true, &reg);
         std::thread::sleep(Duration::from_millis(60));
         let c2 = p.checkout(addr, CONNECT, false, &reg).unwrap();
         assert!(!c2.reused, "expired socket must not be reused");
@@ -530,12 +505,12 @@ mod tests {
         let (ninth, eight) = listeners.split_last().unwrap();
         for l in eight {
             let c = p.checkout(l.local_addr().unwrap(), CONNECT, false, &reg);
-            c.unwrap().give_back(&reg);
+            c.unwrap().settle(true, &reg);
         }
         assert_eq!((p.open_connections(), p.idle_count()), (8, 8));
         std::thread::sleep(Duration::from_millis(60));
         let c = p.checkout(ninth.local_addr().unwrap(), CONNECT, false, &reg);
-        c.unwrap().give_back(&reg);
+        c.unwrap().settle(true, &reg);
         assert_eq!(p.open_connections(), 1, "eight expired sockets closed");
         assert_eq!(p.idle_count(), 1);
         assert_eq!(p.idle.lock().unwrap().len(), 1, "emptied peers forgotten");
@@ -551,7 +526,7 @@ mod tests {
         let reg = Registry::new();
         let p = pool(PoolConfig::default());
         let c = p.checkout(addr, CONNECT, false, &reg).unwrap();
-        c.give_back(&reg);
+        c.settle(true, &reg);
         // The peer accepts and immediately closes — a server restart
         // from the pool's point of view.
         let (accepted, _) = listener.accept().unwrap();
@@ -566,7 +541,7 @@ mod tests {
                 break c2;
             }
             assert!(Instant::now() < deadline, "FIN never observed");
-            c2.give_back(&reg);
+            c2.settle(true, &reg);
             std::thread::sleep(Duration::from_millis(2));
         };
         assert!(!c2.reused, "a dead socket failed the health check");
@@ -589,7 +564,7 @@ mod tests {
             .collect();
         assert_eq!(p.open_connections(), 3);
         for c in conns {
-            c.give_back(&reg);
+            c.settle(true, &reg);
         }
         assert_eq!(p.idle_count(), 2, "cache capped at the per-peer bound");
         assert_eq!(p.open_connections(), 2, "the overflow socket was closed");
@@ -602,7 +577,7 @@ mod tests {
         let reg = Registry::new();
         let p = pool(PoolConfig::default());
         let c = p.checkout(addr, CONNECT, false, &reg).unwrap();
-        c.poison(&reg);
+        c.settle(false, &reg);
         assert_eq!(p.open_connections(), 0);
         assert_eq!(p.idle_count(), 0);
         let snap = reg.snapshot();

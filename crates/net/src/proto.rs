@@ -498,14 +498,6 @@ pub fn is_overload_error(e: &std::io::Error) -> bool {
         .is_some_and(|p| matches!(p, ProtoError::Overloaded { .. }))
 }
 
-impl ProtoError {
-    /// Is this worth retrying (transport hiccup) rather than a protocol
-    /// violation by the peer?
-    pub fn is_transient(&self) -> bool {
-        matches!(self, ProtoError::Io(_))
-    }
-}
-
 /// Did this I/O error say the peer hung up (EOF, reset, broken pipe) rather
 /// than time out or fail mid-protocol? The pooled call path uses this to
 /// recognise a reused socket that silently died while idle — the dominant
@@ -752,7 +744,6 @@ mod tests {
         let e: std::io::Error = ProtoError::Overloaded { retry_after_ms: 40 }.into();
         assert!(is_overload_error(&e));
         assert!(!is_overload_error(&std::io::Error::other("boring")));
-        assert!(!ProtoError::Overloaded { retry_after_ms: 0 }.is_transient());
     }
 
     #[test]

@@ -1,10 +1,12 @@
-//! The client call path: one request (or one pipelined burst) to one peer
-//! is admit → exchange → grade, whatever transport carries it.
+//! The client call path: one pass of one request (or one pipelined burst)
+//! to one peer is two halves — *launch* (admit → a socket → write) and
+//! *land* (read → settle the socket → grade) — whatever transport carries
+//! it and whichever entry point it came in by.
 
 use super::time::{RetryPolicy, Timeouts};
 use crate::fault::FaultPlan;
 use crate::overload::BreakerSet;
-use crate::pool::{ConnPool, PooledConn};
+use crate::pool::{dial, ConnPool, PooledConn};
 use crate::proto::{
     apply_receive_faults, is_disconnect_error, is_overload_error, parse_payload, read_frame_with,
     write_frame_with, Envelope, ProtoError, Request, Response, MAX_FRAME,
@@ -13,7 +15,7 @@ use crate::reactor::{poll_ready, FrameBuf, Interest, WriteQueue};
 use faucets_telemetry::metrics::{global, Registry};
 use faucets_telemetry::trace::{self, TraceContext};
 use serde::Serialize;
-use std::io::{self, Write};
+use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,9 +48,10 @@ pub struct CallOptions {
     /// fast-fail locally (typed [`ProtoError::Overloaded`]) until a
     /// cooldown probe succeeds. `None` (the default) disables breaking.
     pub breakers: Option<Arc<BreakerSet>>,
-    /// Persistent connection pool shared across calls: each round trip (or
-    /// pipelined [`call_batch`] burst) has a health-checked warm socket of
-    /// the pool to itself instead of opening a fresh TCP connection. Any
+    /// Persistent connection pool shared across calls: each round trip,
+    /// pipelined [`call_batch`] burst or [`call_many`] slot has a
+    /// health-checked warm socket of the pool to itself instead of opening
+    /// a fresh TCP connection. Any
     /// failure poisons the socket (closed, never reused), so retries,
     /// deadlines, breakers, and fault injection behave exactly as on
     /// per-call connections. `None` (the default) keeps the seed's
@@ -90,10 +93,9 @@ pub fn call(addr: SocketAddr, req: &Request) -> io::Result<Response> {
 /// to the policy's budget with exponential backoff + jitter; a received
 /// [`Response`] — including `Response::Error` — always returns.
 pub fn call_with(addr: SocketAddr, req: &Request, opts: &CallOptions) -> io::Result<Response> {
-    Leg::new(addr, std::slice::from_ref(req), opts)
-        .drive(opts.retry.attempts)
-        .pop()
-        .expect("one result per request")
+    let leg = Leg::new(addr, std::slice::from_ref(req), opts);
+    let mut replies = leg.persist(opts.retry.attempts, leg.attempt());
+    replies.pop().expect("one result per request")
 }
 
 /// Pipeline a batch of requests on one pooled socket: every request frame
@@ -118,7 +120,55 @@ pub fn call_batch(
     if pool_of(opts).is_none() {
         return reqs.iter().map(|r| call_with(addr, r, opts)).collect();
     }
-    Leg::new(addr, reqs, opts).drive(1)
+    let leg = Leg::new(addr, reqs, opts);
+    leg.persist(1, leg.attempt())
+}
+
+/// Solicit many peers with one request — the client's one-round bid
+/// solicitation (§2.2) — on the caller's own thread, index-aligned results
+/// back. Without a pool this is sequential [`call_with`]s.
+///
+/// With one ([`CallOptions::pool`]) the peers are taken in sweeps of at
+/// most `max_concurrency`. A sweep launches every peer's leg — through its
+/// breaker, onto a warm socket of its own — so all the peers work at once,
+/// then lands each leg in address order, exactly as a lone [`call_with`]
+/// lands its one. One request per socket cannot wedge writer against
+/// writer, so the writes and reads are plain blocking ones.
+///
+/// **A sweep's patience is one timeout.** Each of its reads gets the
+/// remainder of one `timeouts.read`, counted from the sweep's last write
+/// (floor 1 ms: a reply already in the socket is still collected), so a
+/// sweep waits for its slowest peer, never for the sum of them. Only after
+/// its last landing does a slot that failed in transport go on to
+/// [`call_with`]'s backoff and retries, under the caller's budget and
+/// deadline, with the same counters and breaker bookkeeping.
+pub fn call_many(
+    addrs: &[SocketAddr],
+    req: &Request,
+    opts: &CallOptions,
+    max_concurrency: usize,
+) -> Vec<io::Result<Response>> {
+    if pool_of(opts).is_none() {
+        return addrs.iter().map(|&a| call_with(a, req, opts)).collect();
+    }
+    let reqs = std::slice::from_ref(req);
+    let legs: Vec<Leg> = addrs.iter().map(|&a| Leg::new(a, reqs, opts)).collect();
+    let mut results = Vec::with_capacity(legs.len());
+    for sweep in legs.chunks(max_concurrency.max(1)) {
+        let flights: Vec<Flight> = sweep.iter().map(Leg::launch).collect();
+        let patience_ends = Instant::now() + opts.timeouts.read;
+        let landed: Vec<Replies> = std::iter::zip(sweep, flights)
+            .map(|(leg, flight)| {
+                let left = patience_ends.saturating_duration_since(Instant::now());
+                leg.land(flight, left.max(Duration::from_millis(1)))
+            })
+            .collect();
+        results.extend(std::iter::zip(sweep, landed).map(|(leg, first)| {
+            let last = leg.persist(opts.retry.attempts, first).pop();
+            last.expect("one result per request")
+        }));
+    }
+    results
 }
 
 /// Bump one of the caller-side, per-endpoint `net_call_*` counters.
@@ -136,12 +186,52 @@ fn pool_of(opts: &CallOptions) -> Option<&Arc<ConnPool>> {
 
 /// One peer's share of a call: what is asked of whom, under whose options,
 /// by when.
-pub(crate) struct Leg<'a> {
-    pub(crate) addr: SocketAddr,
-    pub(crate) reqs: &'a [Request],
-    pub(crate) opts: &'a CallOptions,
+struct Leg<'a> {
+    addr: SocketAddr,
+    reqs: &'a [Request],
+    opts: &'a CallOptions,
     /// [`CallOptions::deadline`] from the moment the call began.
-    pub(crate) deadline: Option<Instant>,
+    deadline: Option<Instant>,
+}
+
+/// A pass of a [`Leg`] between its two halves.
+enum Flight {
+    /// Refused by the peer's open breaker: nothing was sent, and the typed
+    /// errors are final — not graded, not retried.
+    Shed(Replies),
+    /// On a socket: the replies are awaited there, unless the write failed.
+    Aloft(Wire, io::Result<Burst>),
+    /// No socket to be had.
+    Grounded(io::Error),
+}
+
+/// What [`send`] leaves [`pipeline`] of a burst: the frames the socket has
+/// not taken yet, and its first `request_id`. Of a lone request, nothing.
+type Burst = (WriteQueue, u64);
+
+/// The socket a pass holds from launch to landing: lent by the pool, or
+/// dialled for this call alone and dropped after it.
+enum Wire {
+    Lent(PooledConn),
+    PerCall(TcpStream),
+}
+
+impl Wire {
+    fn stream(&mut self) -> &mut TcpStream {
+        match self {
+            Wire::Lent(conn) => conn.stream(),
+            Wire::PerCall(stream) => stream,
+        }
+    }
+
+    /// The pass is over: a lent socket goes back to its pool, `clean` or to
+    /// be poisoned. Was it out of the idle cache, where sockets go stale?
+    fn settle(self, clean: bool, reg: &Registry) -> bool {
+        let Wire::Lent(conn) = self else { return false };
+        let reused = conn.reused;
+        conn.settle(clean, reg);
+        reused
+    }
 }
 
 impl<'a> Leg<'a> {
@@ -164,17 +254,17 @@ impl<'a> Leg<'a> {
         self.reqs.iter().for_each(|r| count(self.reg(), name, r));
     }
 
-    /// The one client call path: the requests go to the peer in up to
-    /// `attempts` passes of admit → exchange → grade, index-aligned
-    /// results back. (A lone request brings its retry budget; a batch
-    /// brings one attempt.)
-    fn drive(&self, attempts: u32) -> Replies {
-        self.persist(attempts, self.attempt())
+    /// The same transport error in every slot; the last one holds `e` itself.
+    fn fail_all(&self, e: io::Error) -> Replies {
+        let mut all: Replies = self.reqs[1..].iter().map(|_| Err(copy_of(&e))).collect();
+        all.push(Err(e));
+        all
     }
 
     /// The passes after the first, whose graded `results` come in: up to
     /// `attempts - 1` more while every slot is a transport failure, then
-    /// the failure count.
+    /// the failure count. (A lone request brings its retry budget; a batch
+    /// brings one attempt.)
     fn persist(&self, attempts: u32, mut results: Replies) -> Replies {
         // Only a transport failure earns another pass. An answer stands,
         // and so does a shed — by the peer or by the local breaker —
@@ -206,11 +296,16 @@ impl<'a> Leg<'a> {
         results
     }
 
-    /// One pass against the peer, in three steps.
+    /// One pass against the peer: both halves, back to back.
     fn attempt(&self) -> Replies {
+        self.land(self.launch(), self.opts.timeouts.read)
+    }
+
+    /// The first half of a pass: through the breaker, onto a socket.
+    fn launch(&self) -> Flight {
         match self.admit() {
-            Ok(()) => self.grade(self.exchange()),
-            Err(shed) => shed,
+            Ok(()) => self.depart(false),
+            Err(shed) => Flight::Shed(shed),
         }
     }
 
@@ -233,6 +328,80 @@ impl<'a> Leg<'a> {
         Ok(())
     }
 
+    /// Get a socket — the pool's (a newly dialled one when `fresh`), or
+    /// one dialled for this call alone — and [`send`] on it what can be
+    /// written without reading.
+    fn depart(&self, fresh: bool) -> Flight {
+        let (addr, opts, reg) = (self.addr, self.opts, self.reg());
+        let wire = match pool_of(opts) {
+            Some(pool) => pool
+                .checkout(addr, opts.connect, fresh, reg)
+                .map(Wire::Lent),
+            None => dial(addr, opts.connect).map(Wire::PerCall),
+        };
+        match wire {
+            Ok(mut wire) => {
+                let sent = send(wire.stream(), self.reqs, opts, self.deadline);
+                Flight::Aloft(wire, sent)
+            }
+            Err(e) => Flight::Grounded(e),
+        }
+    }
+
+    /// The second half of a pass: read the replies (each wait for one at
+    /// most `patience`), settle the socket — clean, with every request
+    /// answered and not a byte more, or never to be lent again — and grade.
+    ///
+    /// A *reused* socket that died on first use usually went stale between
+    /// its last use and this write (the peer restarted while it sat idle).
+    /// One immediate second flight on a fresh connection keeps that
+    /// invisible, without consuming the caller's retry budget — and only
+    /// when every slot came back a disconnect, never for timeouts, where
+    /// the request may still be running remotely.
+    fn land(&self, mut flight: Flight, mut patience: Duration) -> Replies {
+        let disconnected = |r: &io::Result<Response>| matches!(r, Err(e) if is_disconnect_error(e));
+        loop {
+            let (results, reused) = match flight {
+                Flight::Shed(shed) => return shed,
+                Flight::Grounded(e) => (self.fail_all(e), false),
+                Flight::Aloft(mut wire, sent) => {
+                    let (results, clean) = match sent {
+                        Err(e) => (self.fail_all(e), false),
+                        // A lone request (every negotiation RPC) is a
+                        // blocking round trip: pipelined at N = 1,
+                        // `rpc_pingpong` read −9.1 % `throughput_ops_s` and
+                        // +10.1 % `cpu_ms_per_op` in 5 of 5 alternating
+                        // pairs (PR 18).
+                        Ok(_) if self.reqs.len() == 1 => {
+                            let reply = receive(wire.stream(), patience);
+                            let clean = reply.is_ok();
+                            (vec![reply], clean)
+                        }
+                        Ok(mut burst) => {
+                            let mut slots: Vec<_> = self.reqs.iter().map(|_| None).collect();
+                            let stream = wire.stream();
+                            let outcome =
+                                pipeline(stream, &mut burst, &mut slots, self.opts, patience);
+                            let why = || outcome.as_ref().expect_err("an empty slot has a reason");
+                            let fill = |slot: Option<Response>| slot.ok_or_else(|| copy_of(why()));
+                            (slots.into_iter().map(fill).collect(), outcome.is_ok())
+                        }
+                    };
+                    (results, wire.settle(clean, self.reg()))
+                }
+            };
+            if !(reused && results.iter().all(disconnected)) {
+                return self.grade(results);
+            }
+            let pool = pool_of(self.opts).expect("a reused socket came out of a pool");
+            let stale = "net_pool_stale_retries_total";
+            self.reg().counter(stale, &[("pool", pool.name())]).inc();
+            // Newly dialled, so this flight cannot come back stale again.
+            flight = self.depart(true);
+            patience = self.opts.timeouts.read;
+        }
+    }
+
     /// Grade each slot. Any answer is a breaker success — `Overloaded`
     /// included: the peer is alive, just shedding — and a transport error
     /// a failure. The caller gets an `Overloaded` answer as the typed
@@ -253,41 +422,10 @@ impl<'a> Leg<'a> {
         }
         results
     }
-
-    /// Send the requests over the transport the options select: a pooled
-    /// socket, or a connection per call.
-    fn exchange(&self) -> Replies {
-        let Some(pool) = pool_of(self.opts) else {
-            // Seed behaviour: one connection per call.
-            let each = |req| {
-                let mut stream = TcpStream::connect_timeout(&self.addr, self.opts.connect)?;
-                round_trip(&mut stream, req, self.opts, self.deadline)
-            };
-            return self.reqs.iter().map(each).collect();
-        };
-        let (results, reused) = pool.exchange(self, false);
-        self.redial_if_stale(pool, reused, results)
-    }
-
-    /// A *reused* socket that died on first use usually went stale between
-    /// its last use and this write (the peer restarted while it sat idle).
-    /// One immediate retry on a fresh connection keeps that invisible,
-    /// without consuming the caller's retry budget — and only when every
-    /// slot came back a disconnect, never for timeouts, where the request
-    /// may still be running remotely.
-    fn redial_if_stale(&self, pool: &Arc<ConnPool>, reused: bool, results: Replies) -> Replies {
-        let disconnected = |r: &io::Result<Response>| matches!(r, Err(e) if is_disconnect_error(e));
-        if !(reused && results.iter().all(disconnected)) {
-            return results;
-        }
-        let stale = "net_pool_stale_retries_total";
-        self.reg().counter(stale, &[("pool", pool.name())]).inc();
-        pool.exchange(self, true).0
-    }
 }
 
 /// `io::Error` is not `Clone`; its kind and message are.
-pub(crate) fn copy_of(e: &io::Error) -> io::Error {
+fn copy_of(e: &io::Error) -> io::Error {
     io::Error::new(e.kind(), e.to_string())
 }
 
@@ -303,56 +441,55 @@ struct EnvelopeRef<'a, T> {
     msg: &'a T,
 }
 
-/// Milliseconds of budget left until `deadline`, for envelope stamping.
-fn remaining_ms(deadline: Option<Instant>) -> Option<u64> {
-    deadline.map(|d| d.saturating_duration_since(Instant::now()).as_millis() as u64)
-}
-
-/// Write `req` to `w` in its envelope: the one place a request is stamped.
-/// A fault plan may "lose" the frame — nothing is written, and the
+/// The write half of an exchange on a stream this caller holds
+/// exclusively, and the one place a request is stamped into its envelope.
+/// A fault plan may "lose" a frame: nothing of it is written, and the
 /// caller's read times out as on a real lossy wire.
-fn stamp<W: Write>(
-    w: &mut W,
-    msg: &Request,
-    request_id: Option<u64>,
-    ctx: Option<TraceContext>,
-    deadline_ms: Option<u64>,
-    faults: Option<&FaultPlan>,
-) -> io::Result<()> {
-    let env = EnvelopeRef {
+///
+/// A lone request goes out whole, under the write timeout. A burst makes
+/// the socket nonblocking, stamps each request with its own `request_id`
+/// and writes what the socket takes at once (a checked-out socket has
+/// room): back comes what [`pipeline`] has still to write.
+fn send(
+    stream: &mut TcpStream,
+    reqs: &[Request],
+    opts: &CallOptions,
+    deadline: Option<Instant>,
+) -> io::Result<Burst> {
+    // Ids never repeat within the process, so a reply left over from an
+    // earlier burst on this socket is foreign to this one.
+    static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+    let faults = opts.faults.as_deref();
+    let ctx = trace::current();
+    let deadline_ms =
+        deadline.map(|d| d.saturating_duration_since(Instant::now()).as_millis() as u64);
+    let envelope = |msg, request_id| EnvelopeRef {
         ctx,
         deadline_ms,
         request_id,
         msg,
     };
-    write_frame_with(w, &env, faults).map_err(io::Error::from)
+    let mut unsent = WriteQueue::default();
+    if let [req] = reqs {
+        stream.set_write_timeout(Some(opts.timeouts.write))?;
+        write_frame_with(stream, &envelope(req, None), faults)?;
+        return Ok((unsent, 0));
+    }
+    let first_id = NEXT_ID.fetch_add(reqs.len() as u64, Ordering::Relaxed);
+    for (id, req) in (first_id..).zip(reqs) {
+        let mut frame = Vec::new();
+        write_frame_with(&mut frame, &envelope(req, Some(id)), faults)?;
+        unsent.push(frame);
+    }
+    stream.set_nonblocking(true)?;
+    match unsent.flush(stream) {
+        Err(e) if e.kind() != io::ErrorKind::WouldBlock => Err(e),
+        _ => Ok((unsent, first_id)),
+    }
 }
 
-/// One request/response exchange on an established stream.
-pub(crate) fn round_trip(
-    stream: &mut TcpStream,
-    req: &Request,
-    opts: &CallOptions,
-    deadline: Option<Instant>,
-) -> io::Result<Response> {
-    send(stream, req, opts, deadline)?;
-    receive(stream, opts.timeouts.read)
-}
-
-/// The first half of a round trip: `req`, stamped, onto the stream.
-fn send(
-    stream: &mut TcpStream,
-    req: &Request,
-    opts: &CallOptions,
-    deadline: Option<Instant>,
-) -> io::Result<()> {
-    stream.set_nodelay(true)?;
-    stream.set_write_timeout(Some(opts.timeouts.write))?;
-    let (ctx, budget) = (trace::current(), remaining_ms(deadline));
-    stamp(stream, req, None, ctx, budget, opts.faults.as_deref())
-}
-
-/// The second half: the stream's next frame, waited for `patience`.
+/// The read half for a lone request: the stream's next frame, waited for
+/// `patience`.
 fn receive(stream: &mut TcpStream, patience: Duration) -> io::Result<Response> {
     stream.set_read_timeout(Some(patience))?;
     read_frame_with::<_, Envelope<Response>>(stream, None)
@@ -366,73 +503,34 @@ fn receive(stream: &mut TcpStream, patience: Duration) -> io::Result<Response> {
         })
 }
 
-/// One exchange on an established stream this caller holds exclusively:
-/// the index-aligned results, and whether the stream is still clean —
-/// every request answered and not a byte more — and so may be reused.
-pub(crate) fn converse(
-    stream: &mut TcpStream,
-    reqs: &[Request],
-    opts: &CallOptions,
-    deadline: Option<Instant>,
-) -> (Vec<io::Result<Response>>, bool) {
-    // A lone request (every negotiation RPC) is a blocking round trip:
-    // pipelined at N = 1, `rpc_pingpong` read −9.1 % `throughput_ops_s` and
-    // +10.1 % `cpu_ms_per_op` in 5 of 5 alternating pairs (PR 18).
-    if let [req] = reqs {
-        let reply = round_trip(stream, req, opts, deadline);
-        let clean = reply.is_ok();
-        return (vec![reply], clean);
-    }
-    let mut slots: Vec<Option<Response>> = reqs.iter().map(|_| None).collect();
-    let outcome = pipeline(stream, reqs, &mut slots, opts, deadline);
-    let fill = |slot: Option<Response>| {
-        slot.ok_or_else(|| copy_of(outcome.as_ref().expect_err("an empty slot has a reason")))
-    };
-    (slots.into_iter().map(fill).collect(), outcome.is_ok())
-}
-
-/// Pipeline a burst on the caller's own thread: each request is stamped
-/// with its own `request_id`, the frames drain from a [`WriteQueue`] while
-/// replies are reassembled in a [`FrameBuf`] — both at once, under
-/// [`poll_ready`], so a burst larger than the socket buffers cannot wedge
-/// this writer against the peer's. A reply fills only the slot whose id it
-/// carries, and only once. `Ok`: every slot is filled and the stream holds
-/// nothing more. `Err` — a fault, a timeout, EOF, a reply with a foreign,
-/// repeated or missing id — is why the remaining slots stay empty.
+/// The read half for a burst, on the caller's own thread: the frames
+/// [`send`] left unsent drain from their [`WriteQueue`] while replies are
+/// reassembled in a [`FrameBuf`] — both at once, under [`poll_ready`], so a
+/// burst larger than the socket buffers cannot wedge this writer against
+/// the peer's. A reply fills only the slot whose id it carries, and only
+/// once. `Ok`: every slot is filled and the stream holds nothing more.
+/// `Err` — a fault, a timeout, EOF, a reply with a foreign, repeated or
+/// missing id — is why the remaining slots stay empty.
 fn pipeline(
     stream: &mut TcpStream,
-    reqs: &[Request],
+    (unsent, first_id): &mut Burst,
     slots: &mut [Option<Response>],
     opts: &CallOptions,
-    deadline: Option<Instant>,
+    patience: Duration,
 ) -> io::Result<()> {
-    // Ids never repeat within the process, so a reply left over from an
-    // earlier burst on this socket is foreign to this one.
-    static NEXT_ID: AtomicU64 = AtomicU64::new(1);
-    let first_id = NEXT_ID.fetch_add(reqs.len() as u64, Ordering::Relaxed);
     let faults = opts.faults.as_deref();
-    let (ctx, budget) = (trace::current(), remaining_ms(deadline));
-    let mut out = WriteQueue::default();
-    for (id, req) in (first_id..).zip(reqs) {
-        let mut frame = Vec::new();
-        stamp(&mut frame, req, Some(id), ctx, budget, faults)?;
-        out.push(frame);
-    }
     let invalid = |why: &str| io::Error::new(io::ErrorKind::InvalidData, why);
-    stream.set_nodelay(true)?;
-    stream.set_nonblocking(true)?;
     let mut replies = FrameBuf::new(MAX_FRAME as usize);
     let mut open = slots.len();
     while open > 0 {
-        // Write what the socket takes (the first pass without asking: a
-        // checked-out socket has room), then sleep until it takes more or
+        // Write what the socket takes, then sleep until it takes more or
         // the peer has answered.
-        match out.flush(stream) {
+        match unsent.flush(stream) {
             Err(e) if e.kind() != io::ErrorKind::WouldBlock => return Err(e),
             _ => {}
         }
-        let (want, patience) = if out.is_empty() {
-            (Interest::READ, opts.timeouts.read)
+        let (want, patience) = if unsent.is_empty() {
+            (Interest::READ, patience)
         } else {
             (Interest::BOTH, opts.timeouts.write)
         };
@@ -451,7 +549,7 @@ fn pipeline(
             let env: Envelope<Response> = parse_payload(&payload)?;
             let slot = env
                 .request_id
-                .and_then(|id| id.checked_sub(first_id))
+                .and_then(|id| id.checked_sub(*first_id))
                 .and_then(|i| slots.get_mut(usize::try_from(i).ok()?))
                 .filter(|slot| slot.is_none())
                 .ok_or_else(|| invalid("reply carries no unanswered request id of this burst"))?;
@@ -463,112 +561,8 @@ fn pipeline(
     if replies.pending_bytes() > 0 {
         return Err(invalid("bytes after the burst's last reply"));
     }
-    // Back to blocking: `round_trip` and the pool's health check assume it.
+    // Back to blocking: a lone request and the pool's health check assume it.
     stream.set_nonblocking(false)
-}
-
-/// Solicit many peers with one request — the client's one-round bid
-/// solicitation (§2.2) — on the caller's own thread, index-aligned results
-/// back. Without a pool this is sequential [`call_with`]s.
-///
-/// With one ([`CallOptions::pool`]) the peers are taken in sweeps of at
-/// most `max_concurrency`. A sweep admits each peer through its breaker,
-/// checks a warm socket out for it and writes the stamped request, so all
-/// the peers work at once; then it reads each socket's one reply in
-/// address order and gives the socket back, or poisons it, as a lone
-/// [`call_with`] would. One request per socket cannot wedge writer
-/// against writer, so the writes and reads are plain blocking ones.
-///
-/// **A sweep's patience is one timeout.** Each of its reads gets the
-/// remainder of one `timeouts.read`, counted from the sweep's last write
-/// (floor 1 ms: a reply already in the socket is still collected), so a
-/// sweep waits for its slowest peer, never for the sum of them. Only after
-/// its last read does a slot that failed in transport go on down
-/// [`call_with`]'s per-peer path: the stale-socket redial, then backoff
-/// and retries under the caller's budget and deadline, with the same
-/// counters and breaker bookkeeping.
-pub fn call_many(
-    addrs: &[SocketAddr],
-    req: &Request,
-    opts: &CallOptions,
-    max_concurrency: usize,
-) -> Vec<io::Result<Response>> {
-    let Some(pool) = pool_of(opts) else {
-        return addrs.iter().map(|&a| call_with(a, req, opts)).collect();
-    };
-    let reqs = std::slice::from_ref(req);
-    let legs: Vec<Leg> = addrs.iter().map(|&a| Leg::new(a, reqs, opts)).collect();
-    let mut results = Vec::with_capacity(legs.len());
-    for sweep in legs.chunks(max_concurrency.max(1)) {
-        let flights: Vec<Flight> = sweep.iter().map(|leg| leg.take_off(pool)).collect();
-        let patience_ends = Instant::now() + opts.timeouts.read;
-        let landings: Vec<Landing> = std::iter::zip(sweep, flights)
-            .map(|(leg, flight)| leg.land(flight, patience_ends))
-            .collect();
-        results.extend(std::iter::zip(sweep, landings).map(|(leg, landing)| {
-            let first = match landing {
-                Landing::Shed(e) => return Err(e),
-                Landing::Tried { reply, reused } => leg.redial_if_stale(pool, reused, vec![reply]),
-            };
-            let last = leg.persist(opts.retry.attempts, leg.grade(first)).pop();
-            last.expect("one result per request")
-        }));
-    }
-    results
-}
-
-/// A slot of a [`call_many`] sweep between its write and its read: the
-/// socket the reply is awaited on, or how the attempt has already ended.
-type Flight = Result<PooledConn, Landing>;
-
-/// How one peer's first attempt in a sweep ended, ungraded.
-enum Landing {
-    /// Refused locally by the peer's open breaker: final, nothing was sent.
-    Shed(io::Error),
-    /// Tried, on a socket that came out of the idle cache or on a new one.
-    Tried {
-        reply: io::Result<Response>,
-        reused: bool,
-    },
-}
-
-impl Leg<'_> {
-    /// Admit the peer, check a socket out for it and write the request.
-    fn take_off(&self, pool: &Arc<ConnPool>) -> Flight {
-        if let Err(mut shed) = self.admit() {
-            let shed = shed.pop().expect("one result per request");
-            return Err(Landing::Shed(shed.expect_err("a shed is an error")));
-        }
-        let failed = |e, reused| {
-            let reply = Err(e);
-            Landing::Tried { reply, reused }
-        };
-        let mut conn = pool
-            .checkout(self.addr, self.opts.connect, false, self.reg())
-            .map_err(|e| failed(e, false))?;
-        match send(conn.stream(), &self.reqs[0], self.opts, self.deadline) {
-            Ok(()) => Ok(conn),
-            Err(e) => {
-                let reused = conn.reused;
-                conn.settle(false, self.reg());
-                Err(failed(e, reused))
-            }
-        }
-    }
-
-    /// Read a flight's awaited reply before `patience_ends` and settle its
-    /// socket with the pool.
-    fn land(&self, flight: Flight, patience_ends: Instant) -> Landing {
-        let mut conn = match flight {
-            Ok(conn) => conn,
-            Err(down) => return down,
-        };
-        let left = patience_ends.saturating_duration_since(Instant::now());
-        let reply = receive(conn.stream(), left.max(Duration::from_millis(1)));
-        let reused = conn.reused;
-        conn.settle(reply.is_ok(), self.reg());
-        Landing::Tried { reply, reused }
-    }
 }
 
 #[cfg(test)]

@@ -2,14 +2,13 @@
 //! [`StopSignal`], client socket [`Timeouts`], the bounded
 //! [`RetryPolicy`]); `serve` (the epoll reactor and executor pool behind
 //! [`serve_with`]); `call` (the client call path — [`call_with`],
-//! [`call_batch`], [`call_many`] — where every request goes admit →
-//! exchange → grade over the transport its [`CallOptions`] select).
+//! [`call_batch`], [`call_many`] — where every pass of every request is
+//! launch, then land, over the transport its [`CallOptions`] select).
 
 mod call;
 mod serve;
 mod time;
 
 pub use call::{call, call_batch, call_many, call_with, CallOptions};
-pub(crate) use call::{converse, copy_of, effective, Leg};
 pub use serve::{request_deadline, serve, serve_with, ServeOptions, ServiceHandle};
 pub use time::{Clock, RetryPolicy, StopSignal, Timeouts};

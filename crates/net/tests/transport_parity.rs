@@ -1,9 +1,10 @@
-//! Transport parity: the client call path is one `admit → exchange →
-//! grade` pipeline, so what a caller gets back — and what the breaker and
-//! the `net_call_*` counters record — may depend on the *outcome* of a
-//! call but never on whether a connection per call or a pooled socket
-//! carried it, nor on whether it went in through `call_with`, as a
-//! one-element `call_batch`, or as one slot of a pipelined burst.
+//! Transport parity: every pass of the client call path is one launch and
+//! one land, so what a caller gets back — and what the breaker and the
+//! `net_call_*` counters record — may depend on the *outcome* of a call
+//! but never on whether a connection per call or a pooled socket carried
+//! it, nor on whether it went in through `call_with`, as a one-element
+//! `call_batch`, as one slot of a pipelined burst, or as one slot of a
+//! `call_many` sweep.
 
 use faucets_net::overload::breaker_state;
 use faucets_net::prelude::*;
@@ -33,6 +34,10 @@ enum Entry {
     /// A `call_batch` of this many copies of the request: pipelined, on a
     /// pooled socket, when there are more than one.
     Batch(u64),
+    /// A `call_many` round of this many slots, all to the one peer and in
+    /// one sweep: launched together, on a pooled socket each, when there
+    /// are more than one.
+    Sweep(u64),
 }
 
 impl Entry {
@@ -40,7 +45,7 @@ impl Entry {
     fn requests(self) -> u64 {
         match self {
             Entry::CallWith => 1,
-            Entry::Batch(n) => n,
+            Entry::Batch(n) | Entry::Sweep(n) => n,
         }
     }
 }
@@ -116,6 +121,7 @@ fn observe(transport: Transport, outcome: Outcome, entry: Entry) -> Observed {
     let results = match entry {
         Entry::CallWith => vec![call_with(addr, &req, &opts)],
         Entry::Batch(n) => call_batch(addr, &vec![req; n as usize], &opts),
+        Entry::Sweep(n) => call_many(&vec![addr; n as usize], &req, &opts, n as usize),
     };
     assert_eq!(
         results.len() as u64,
@@ -206,14 +212,14 @@ fn every_transport_and_entry_point_grades_every_outcome_alike() {
         Outcome::TransportError,
         Outcome::BreakerOpen,
     ] {
+        let one = [Entry::CallWith, Entry::Batch(1), Entry::Sweep(1)];
+        // Without a pool a longer batch or round is sequential
+        // `call_with`s, each admitted on its own: only a pooled one is a
+        // burst or a sweep.
+        let pooled = [&one[..], &[Entry::Batch(3), Entry::Sweep(3)]].concat();
         for (transport, entries) in [
-            (Transport::PerCall, &[Entry::CallWith, Entry::Batch(1)][..]),
-            // Without a pool a longer batch is sequential `call_with`s,
-            // each admitted on its own: only a pooled one is a burst.
-            (
-                Transport::Pooled,
-                &[Entry::CallWith, Entry::Batch(1), Entry::Batch(3)][..],
-            ),
+            (Transport::PerCall, &one[..]),
+            (Transport::Pooled, &pooled[..]),
         ] {
             for &entry in entries {
                 assert_eq!(

@@ -369,8 +369,18 @@ impl<T: Durable> DurableStore<T> {
     pub fn commit(&self, rec: &T::Record) -> Result<u64, StoreError> {
         let payload = serde_json::to_vec(rec)
             .map_err(|e| StoreError::Corrupt(format!("record serialize: {e}")))?;
+        self.commit_encoded(rec, &payload)
+    }
+
+    /// [`DurableStore::commit`] for a caller that already holds `payload`,
+    /// the JSON of `rec`: a replicated store ships those very bytes.
+    pub(crate) fn commit_encoded(
+        &self,
+        rec: &T::Record,
+        payload: &[u8],
+    ) -> Result<u64, StoreError> {
         let mut inner = self.inner.lock().expect("store lock");
-        let seq = inner.wal.append(&payload)?;
+        let seq = inner.wal.append(payload)?;
         inner.state.apply(rec);
         inner.since_compact += 1;
         self.maybe_compact(&mut inner);
@@ -411,11 +421,6 @@ impl<T: Durable> DurableStore<T> {
     pub fn compact(&self) -> Result<(), StoreError> {
         let mut inner = self.inner.lock().expect("store lock");
         self.compact_locked(&mut inner)
-    }
-
-    /// Records journaled since the last compaction.
-    pub fn wal_records(&self) -> u64 {
-        self.inner.lock().expect("store lock").since_compact
     }
 
     /// The generation currently live on disk.
@@ -542,7 +547,6 @@ mod tests {
         }
         store.compact().unwrap();
         assert_eq!(store.generation(), 2);
-        assert_eq!(store.wal_records(), 0);
         store.commit(&"post".to_string()).unwrap();
         drop(store);
         let (store, report) = DurableStore::open(&dir, Log::default(), opts()).unwrap();

@@ -249,13 +249,6 @@ impl Lease {
     pub fn renew(&mut self, now_unix_ms: u64) {
         self.renewed_unix_ms = self.renewed_unix_ms.max(now_unix_ms);
     }
-
-    /// Has the claim lapsed as of `now_unix_ms`? Expiry fires only on
-    /// forward progress past the TTL; a backwards clock reads as "still
-    /// held".
-    pub fn expired_at(&self, now_unix_ms: u64) -> bool {
-        now_unix_ms > self.renewed_unix_ms.saturating_add(self.ttl_ms)
-    }
 }
 
 /// Read the lease persisted in `dir`; absent or unparsable reads as no
@@ -751,7 +744,7 @@ impl<T: Durable + Send + 'static> ReplicatedStore<T> {
             .map_err(|e| StoreError::Corrupt(format!("record serialize: {e}")))?;
         let (target_gen, target_count) = {
             let mut st = self.repl.lock().expect("repl lock");
-            let seq = self.inner.commit(rec)?;
+            let seq = self.inner.commit_encoded(rec, &payload)?;
             let generation = st.generation;
             st.frames.push(ReplFrame {
                 epoch: self.epoch,
@@ -1792,12 +1785,6 @@ mod tests {
         assert_eq!(lease.renewed_unix_ms, 2_000);
         lease.renew(500); // clock stepped back
         assert_eq!(lease.renewed_unix_ms, 2_000, "backwards clock clamped");
-
-        // Expiry fires only on forward progress past the TTL; a clock
-        // reading from before the renewal never expires the claim.
-        assert!(!lease.expired_at(2_500));
-        assert!(lease.expired_at(2_501));
-        assert!(!lease.expired_at(100));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -490,33 +490,6 @@ impl MetricsSnapshot {
         out.bins.sort();
         out
     }
-
-    /// Prometheus-style plain-text exposition.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        for (k, v) in &self.counters {
-            out.push_str(&format!("{k} {v}\n"));
-        }
-        for (k, v) in &self.gauges {
-            out.push_str(&format!("{k} {v}\n"));
-        }
-        for (k, h) in &self.histograms {
-            out.push_str(&format!(
-                "{k} count={} mean={:.6} p50={:.6} p95={:.6} p99={:.6}\n",
-                h.count,
-                h.mean(),
-                h.quantile(0.50),
-                h.quantile(0.95),
-                h.quantile(0.99),
-            ));
-        }
-        out
-    }
-
-    /// JSON exposition of the whole snapshot.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).unwrap_or_else(|_| "{}".to_string())
-    }
 }
 
 /// A bounded, sharded, append-only log — shared by the span log but kept
@@ -705,9 +678,9 @@ mod tests {
         r.gauge("b", &[("x", "y")]).set(2.5);
         r.histogram("c", &[]).record(0.25);
         let s = r.snapshot();
-        let back: MetricsSnapshot = serde_json::from_str(&s.to_json()).unwrap();
+        let json = serde_json::to_string_pretty(&s).unwrap();
+        let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, s);
-        assert!(s.render_text().contains("a 1"));
     }
 
     #[test]
