@@ -68,7 +68,8 @@ use crate::pool::{ConnPool, PoolConfig};
 use crate::proto::{Request, Response};
 use crate::replica::{Journal, ReplicationConfig};
 use crate::service::{
-    call_with, request_deadline, serve, CallOptions, Clock, RetryPolicy, ServiceHandle, StopSignal,
+    call_batch, call_with, request_deadline, serve, CallOptions, Clock, RetryPolicy, ServiceHandle,
+    StopSignal,
 };
 use crate::upstream::FsUpstream;
 use faucets_core::appspector::TelemetrySample;
@@ -575,8 +576,9 @@ impl FdCore {
             // Harvest completions under the lock (reading the clock inside
             // it, to stay monotone with the request handlers) and drop
             // their contracts and staged files with it; talk to the
-            // journal and to peers outside it.
-            let (now, completed, running, status) = {
+            // journal and to peers outside it. A heartbeat's report is read
+            // only when one is due: every award and completion runs a round.
+            let (now, completed, beat) = {
                 let mut s = self.state.lock();
                 let now = self.clock.now();
                 let mut completed: Vec<(JobId, Files)> = vec![];
@@ -585,8 +587,10 @@ impl FdCore {
                     s.contracts.remove(&job);
                     completed.push((job, s.staged.remove(&job).unwrap_or_default()));
                 }
-                let running: Vec<(JobId, u32)> = s.cluster.running_jobs().collect();
-                (now, completed, running, s.cluster.status(now))
+                let due =
+                    last_heartbeat == SimTime::ZERO || now.since(last_heartbeat) >= HEARTBEAT_EVERY;
+                let beat = due.then(|| (s.cluster.status(now), s.cluster.running_jobs().collect()));
+                (now, completed, beat)
             };
             for (job, mut outputs) in completed {
                 // Prune the journal best-effort: an unjournaled completion
@@ -601,7 +605,7 @@ impl FdCore {
                 let _ = call_with(self.appspector, &req, &self.opts.call);
             }
             // Heartbeat + telemetry on the simulated cadence.
-            if now.since(last_heartbeat) >= HEARTBEAT_EVERY || last_heartbeat == SimTime::ZERO {
+            if let Some((status, running)) = beat {
                 last_heartbeat = now;
                 self.heartbeat(now, status, running);
             }
@@ -626,7 +630,7 @@ impl FdCore {
     }
 
     /// One heartbeat to the FS, then one telemetry sample per running job
-    /// to AppSpector.
+    /// to AppSpector, in one best-effort burst (dropped if it fails).
     fn heartbeat(&self, now: SimTime, status: ServerStatus, running: Vec<(JobId, u32)>) {
         let cluster = self.cluster_id;
         match self.fs.call(&Request::Heartbeat { cluster, status }) {
@@ -644,6 +648,7 @@ impl FdCore {
             }
             _ => {}
         }
+        let mut samples = Vec::with_capacity(running.len());
         for (job, pes) in running {
             let sample = TelemetrySample {
                 at: now,
@@ -652,9 +657,9 @@ impl FdCore {
                 throughput: pes as f64,
                 app_data: format!("t={now}"),
             };
-            let req = Request::PushSample { job, sample };
-            let _ = call_with(self.appspector, &req, &self.opts.call);
+            samples.push(Request::PushSample { job, sample });
         }
+        let _ = call_batch(self.appspector, &samples, &self.opts.call);
     }
 }
 

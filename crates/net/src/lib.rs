@@ -149,16 +149,16 @@
 //!   on a pooled socket of its own and under the caller's trace context,
 //!   then lands them all under one read timeout. The client uses it to
 //!   collect a whole bid round.
-//! * **Serving** — [`service::serve_with`] runs a readiness-driven epoll
-//!   reactor ([`reactor`]): one thread owns the nonblocking listener and
-//!   every connection's frame state machine (zero idle wakeups — the
-//!   reactor blocks in `epoll_wait` until a socket or completion is
-//!   actually ready), while decoded frames execute on a bounded pool of
-//!   [`service::ServeOptions::workers`] handler threads. Connections are
-//!   cheap parked state, not threads, so one service holds thousands of
-//!   open sockets; executor back-pressure parks frames per connection and
-//!   drops read interest, letting TCP flow control push back on the
-//!   client.
+//! * **Serving** — [`service::serve_with`]: one epoll reactor thread
+//!   ([`reactor`]) owns the listener and every connection's frame state
+//!   (cheap parked state, no idle wakeups), frames run on
+//!   [`service::ServeOptions::workers`] executor threads, and back-pressure
+//!   parks frames and drops read interest. The reply to a connection's
+//!   only request in flight, nothing queued ahead, leaves from the
+//!   executor that made it, waking no reactor; the rest (bursts, backlogs,
+//!   closes) return through a completion list and an eventfd kick. That
+//!   list and an outbox lock are never held together, and the reactor
+//!   raises its wait before its last look at the list.
 //!
 //! Pool behaviour is fully counted (`net_pool_{hits,misses,evictions,
 //! poisoned,stale_retries}_total`, `net_pool_open_conns`, and the serve

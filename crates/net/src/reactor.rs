@@ -364,7 +364,10 @@ impl FrameBuf {
 
     /// Drain a nonblocking socket into the buffer until it would block (a
     /// short read has emptied it and saves the `WouldBlock` probe); the
-    /// peer having closed its end is an error like any other.
+    /// peer having closed its end is an error like any other. Never inlined:
+    /// its 64 KiB buffer must not join its callers' frames (inlined into
+    /// `Leg::land`, it cost every RPC-making thread 64 KiB of stack).
+    #[inline(never)]
     pub fn fill_from(&mut self, r: &mut impl io::Read) -> io::Result<()> {
         let mut buf = [0u8; 64 * 1024];
         loop {

@@ -9,7 +9,7 @@ use crate::proto::{
     apply_receive_faults, parse_payload, write_frame_with, Envelope, Request, Response, MAX_FRAME,
 };
 use crate::reactor::{Epoll, Event, FrameBuf, Interest, Waker, WriteQueue};
-use faucets_telemetry::metrics::Registry;
+use faucets_telemetry::metrics::{Counter, Histogram, Registry};
 use faucets_telemetry::trace::{self, TraceContext};
 use faucets_telemetry::TelemetryClock;
 use parking_lot::Mutex;
@@ -18,7 +18,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -61,24 +61,17 @@ pub struct ServeOptions {
     /// Metric registry for per-endpoint counters/latency and the `Metrics`
     /// endpoint. `None` uses the process-global registry.
     pub registry: Option<Arc<Registry>>,
-    /// Executor threads per service (default 32). Connections no longer
-    /// pin a thread each — the reactor multiplexes every socket on one
-    /// event loop — so this bounds concurrent *handler* executions, not
-    /// concurrent connections. Decoded frames hand off to the executor
-    /// over a bounded queue ([`ServeOptions::queue`]); when it is full
-    /// the reactor parks frames per-connection and stops reading that
-    /// socket, which is TCP back-pressure all the way to the client.
+    /// Executor threads per service (default 32): the bound on concurrent
+    /// *handler* executions, not on connections. Frames reach the executor
+    /// over a bounded queue ([`ServeOptions::queue`]); when it is full the
+    /// reactor parks them and stops reading that socket (TCP back-pressure).
     pub workers: usize,
     /// Depth of the reactor → executor hand-off queue (default 1024).
     pub queue: usize,
     /// Outbound reply bytes buffered per connection before the reactor
-    /// pauses that connection — no new frames dispatched, read interest
-    /// dropped — until the peer drains its backlog (default 4 ×
-    /// `MAX_FRAME`). This is back-pressure, not a kill: a client
-    /// pipelining a burst whose replies transiently exceed the cap is
-    /// paused and resumed, never closed, and total buffering stays
-    /// bounded by the cap plus the replies already in flight on the
-    /// executor.
+    /// pauses it — no dispatch, no reads — until the peer drains its backlog
+    /// (default 4 × `MAX_FRAME`). A pause, never a kill: buffering stays
+    /// bounded by the cap plus the replies in flight on the executor.
     pub write_buf: usize,
 }
 
@@ -111,22 +104,17 @@ impl ServiceHandle {
         self.stop_inner();
     }
 
-    /// Simulate a crash: stop serving immediately. No deregistration, no
-    /// goodbye to peers — in-flight callers see connection errors or
-    /// timeouts, exactly as if the process died. (Mechanically identical
-    /// to [`ServiceHandle::shutdown`]; the crash semantics come from the
-    /// owner discarding state that a graceful path would have persisted.)
+    /// Simulate a crash: stop serving at once, no goodbye to peers, whose
+    /// in-flight calls see connection errors or timeouts. Mechanically
+    /// [`ServiceHandle::shutdown`]: the crash is in what the owner discards.
     pub fn kill(mut self) {
         self.stop_inner();
     }
 
     fn stop_inner(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        // The reactor parks in epoll_wait; its wakeup eventfd pops it
-        // immediately. (The old accept loop needed a throwaway self-
-        // connect here — the reactor does not.) The reactor observes the
-        // flag, shuts every connection down, closes the listener, and
-        // drops the job sender so the executor drains and exits.
+        // The eventfd pops the reactor out of epoll_wait: it sees the flag,
+        // shuts every connection down and drops the job sender.
         self.shared.waker.wake();
         if let Some(j) = self.join.take() {
             let _ = j.join();
@@ -153,78 +141,132 @@ where
     serve_with(addr, name, ServeOptions::default(), handler)
 }
 
-// ---------------------------------------------------------------------------
-// Reactor serve path
-// ---------------------------------------------------------------------------
-
 const TOK_LISTENER: u64 = 0;
 const TOK_WAKER: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
 
-/// Default for [`ServeOptions::write_buf`]: outbound reply bytes buffered
-/// per connection before the reactor pauses dispatching that connection's
-/// frames. Saturation is back-pressure, never a kill: dispatch (and reads)
-/// resume as the peer drains, so a fast-reading client pipelining a burst
-/// whose replies transiently outrun the socket is paused, not cut off.
+/// Default for [`ServeOptions::write_buf`].
 const WRITE_BUF_CAP: usize = 4 * MAX_FRAME as usize;
 
 /// Decoded-but-undispatched frames a connection may hold while the
 /// executor queue is full before the reactor stops reading its socket.
 const PARKED_FRAMES_CAP: usize = 256;
 
-/// One decoded request frame, handed to the executor.
+/// A connection that wants nothing from its socket is out of the epoll set.
+const UNWATCHED: Interest = Interest {
+    readable: false,
+    writable: false,
+};
+
+/// One decoded request frame, handed to the executor. Only a frame
+/// dispatched with nothing else of its connection in flight is lent the
+/// connection's outbox: only its reply may leave from the executor.
 struct Job {
     conn: u64,
     payload: Vec<u8>,
+    outbox: Option<Arc<Outbox>>,
 }
 
-/// What the executor hands back to the reactor.
-enum Completion {
-    /// Append these bytes (a serialized reply frame; possibly empty when a
-    /// fault plan "lost" it) to the connection's write queue.
-    Reply {
-        conn: u64,
-        bytes: Vec<u8>,
-        /// The request carried a `request_id`: the peer can match replies
-        /// out of order, so its connection may dispatch concurrently.
-        had_id: bool,
-    },
-    /// The frame was unparseable — the stream can't be trusted; close it.
-    Close { conn: u64 },
+/// What the executor hands back about one request: its connection,
+/// whether it carried a `request_id` (the peer matches replies by id, so
+/// its connection may dispatch concurrently), and the reply.
+type Completion = (u64, bool, Reply);
+
+enum Reply {
+    /// Reactor path: queue (empty if a fault "lost" it), then count out.
+    Queue(Vec<u8>),
+    /// Direct path: written (or queued) and counted out by the executor.
+    Sent,
+    /// An unparseable frame or a refused write: close the connection.
+    Close,
 }
 
-/// State shared between the reactor, the executor, and the handle.
+/// State shared between the reactor, the executor, and the handle. Two
+/// rules make the direct path safe:
+/// 1. The completion list and an outbox lock are never held together: the
+///    harvest swaps the list out before it touches any connection, and an
+///    executor files its completion after it let go of the outbox.
+/// 2. No completion the reactor needs is filed without a wake: the reactor
+///    raises `Outbox::awaited` or `starved` before its last look at the
+///    list, and an executor reads both holding the list, whose lock orders them.
 struct ReactorShared {
     completions: Mutex<Vec<Completion>>,
     waker: Waker,
+    /// Frames are parked for want of an executor-queue slot, which any
+    /// completion frees.
+    starved: AtomicBool,
 }
 
 impl ReactorShared {
-    fn push(&self, c: Completion) {
-        self.completions.lock().push(c);
-        self.waker.wake();
+    /// File a finished request, its reply sent first if it may go direct;
+    /// wake the reactor only for what it must act on.
+    fn file(&self, conn: u64, had_id: bool, reply: Reply, outbox: Option<&Outbox>) {
+        let (reply, mut wake) = match (reply, outbox) {
+            (Reply::Queue(bytes), Some(outbox)) => outbox.send(bytes),
+            (reply, _) => (reply, true),
+        };
+        let mut list = self.completions.lock();
+        list.push((conn, had_id, reply));
+        wake |= self.starved.load(Ordering::Relaxed)
+            || outbox.is_some_and(|o| o.awaited.load(Ordering::Relaxed));
+        drop(list);
+        if wake {
+            self.waker.wake();
+        }
     }
+}
+
+/// The write half of one connection, shared by the reactor and the
+/// executor: the one socket (one fd, never `try_clone`d), the reply queue,
+/// its requests on the executor — counted up at dispatch (the job's channel
+/// send publishes that), down under the `queue` lock once the reply is out
+/// or queued — and whether the reactor waits on its next completion.
+struct Outbox {
+    stream: TcpStream,
+    queue: Mutex<WriteQueue>,
+    inflight: AtomicUsize,
+    awaited: AtomicBool,
+}
+
+impl Outbox {
+    /// The direct path, if the reply to the connection's only request in
+    /// flight has nothing queued ahead of it: write it on the nonblocking
+    /// socket. Returns what to file and whether the reactor must hear it.
+    fn send(&self, bytes: Vec<u8>) -> (Reply, bool) {
+        let mut queue = self.queue.lock();
+        if !queue.is_empty() || self.inflight.load(Ordering::Acquire) != 1 {
+            return (Reply::Queue(bytes), true);
+        }
+        // Counted out first: the peer's next request finds nothing in flight.
+        self.inflight.fetch_sub(1, Ordering::Release);
+        queue.push(bytes);
+        if refused(queue.flush(&mut &self.stream)) {
+            return (Reply::Close, true);
+        }
+        (Reply::Sent, !queue.is_empty())
+    }
+}
+
+/// A flush failed for a reason other than a full socket buffer.
+fn refused(flushed: io::Result<()>) -> bool {
+    flushed.is_err_and(|e| e.kind() != io::ErrorKind::WouldBlock)
 }
 
 /// Per-connection frame state machine.
 struct Conn {
-    stream: TcpStream,
+    outbox: Arc<Outbox>,
     frames: FrameBuf,
     /// Decoded frames waiting for an executor slot.
     parked: VecDeque<Vec<u8>>,
-    /// Outbound reply frames; the first may be partially written.
-    out: WriteQueue,
-    /// Frames dispatched to the executor and not yet completed.
-    inflight: usize,
+    /// Replies harvested off the reactor's path, queued at the next service.
+    replies: Vec<Vec<u8>>,
     /// Read side saw EOF or an error; no more requests will arrive.
     peer_gone: bool,
     /// Unrecoverable (protocol violation, write failure): close now.
     dead: bool,
-    /// Dispatch one frame at a time. A peer that never stamps a
-    /// `request_id` (the pre-multiplexing wire contract) is owed replies
-    /// in request order, which concurrent executor dispatch would
-    /// scramble; the first id seen proves the peer matches by id and
-    /// lifts the restriction for the connection's lifetime.
+    /// Dispatch one frame at a time: a peer that never stamps a
+    /// `request_id` is owed replies in request order. The first id seen
+    /// proves the peer matches by id and lifts this for good.
     serial: bool,
     interest: Interest,
 }
@@ -232,11 +274,15 @@ struct Conn {
 impl Conn {
     fn new(stream: TcpStream) -> Conn {
         Conn {
-            stream,
+            outbox: Arc::new(Outbox {
+                stream,
+                queue: Mutex::new(WriteQueue::default()),
+                inflight: AtomicUsize::new(0),
+                awaited: AtomicBool::new(false),
+            }),
             frames: FrameBuf::new(MAX_FRAME as usize),
             parked: VecDeque::new(),
-            out: WriteQueue::default(),
-            inflight: 0,
+            replies: Vec::new(),
             peer_gone: false,
             dead: false,
             serial: true,
@@ -246,43 +292,49 @@ impl Conn {
 
     /// Drain the socket into the frame buffer (never blocks).
     fn on_readable(&mut self) {
-        if self.frames.fill_from(&mut self.stream).is_err() {
+        if self.frames.fill_from(&mut &self.outbox.stream).is_err() {
             self.peer_gone = true;
         }
     }
 
-    /// Flush queued reply frames (never blocks): a full socket buffer
-    /// leaves the rest queued for the next writable event, any other
-    /// failure marks the connection dead.
-    fn flush(&mut self) {
-        match self.out.flush(&mut self.stream) {
-            Err(e) if e.kind() != io::ErrorKind::WouldBlock => self.dead = true,
-            _ => {}
-        }
+    /// The pass's one outbox lock: queue the harvested replies, count them
+    /// out, flush (never blocks), and read what is in flight and queued
+    /// together — with nothing in flight, nothing can join the queue.
+    fn settle_outbox(&mut self) -> (usize, usize) {
+        let outbox = &*self.outbox;
+        let mut queue = outbox.queue.lock();
+        let answered = self.replies.len();
+        self.replies.drain(..).for_each(|r| queue.push(r));
+        let inflight = match answered {
+            0 => outbox.inflight.load(Ordering::Acquire),
+            n => outbox.inflight.fetch_sub(n, Ordering::AcqRel) - n,
+        };
+        self.dead |= refused(queue.flush(&mut &outbox.stream));
+        (inflight, queue.bytes())
     }
 }
 
 /// [`serve`], with explicit options.
 ///
-/// The serve path is a readiness-driven reactor: one thread owns a
-/// nonblocking listener, a wakeup eventfd, and every accepted socket
-/// through a level-triggered epoll set — concurrent connections cost a few
-/// hundred bytes each instead of a thread each. Complete frames hand off
-/// to a bounded executor pool (`workers` threads) where fault injection,
-/// deadline shedding, tracing, and the handler run
-/// exactly as they did on the blocking path; serialized replies return to
-/// the reactor over a completion queue and go out with vectored writes.
-/// Responses carry the request's `request_id`, so pipelined clients may
-/// have many frames in flight and receive replies out of order; a peer
-/// that never stamps ids keeps the pre-multiplexing contract — its frames
-/// dispatch one at a time, so its replies come back in request order.
-/// When the executor queue is full (or a peer's reply backlog exceeds
-/// [`ServeOptions::write_buf`]) the reactor parks frames and stops
-/// reading that connection — back-pressure reaches the client as TCP flow
-/// control, not as unbounded memory — and every parked connection is
-/// re-serviced as completions drain the queue, never left waiting on its
-/// own (already consumed) fd. Shutdown is prompt and needs no
-/// self-connect: the eventfd pops `epoll_wait`.
+/// One reactor thread owns the nonblocking listener, a wakeup eventfd and
+/// every accepted socket in a level-triggered epoll set (a connection is a
+/// few hundred bytes, not a thread); complete frames run on a bounded
+/// executor pool. A reply leaves by one of two paths. **Direct**: the
+/// answer to a connection's only request in flight, nothing queued ahead
+/// of it, is written on the nonblocking socket by the executor that made
+/// it, and the reactor is not woken — unless the socket left bytes queued,
+/// the write failed, or the reactor waits on that completion (an id-less
+/// peer's next frame is parked behind it, or the peer hung up).
+/// **Reactor**: everything else (bursts, replies behind a backlog, closes)
+/// returns over a completion list plus an eventfd kick and goes out in
+/// vectored writes. The list and an outbox lock are never held together,
+/// and the reactor raises its wait before its last look at the list, so no
+/// completion it needs is filed unseen. Replies echo the `request_id`, so
+/// a pipelining client may have many frames in flight; an id-less peer's
+/// frames dispatch one at a time, so its replies keep request order. A
+/// full executor queue or a reply backlog over [`ServeOptions::write_buf`]
+/// parks frames and stops reading the connection (TCP back-pressure), and
+/// parked connections are re-serviced as completions drain the queue.
 pub fn serve_with<F>(
     addr: &str,
     name: &'static str,
@@ -300,6 +352,7 @@ where
     let shared = Arc::new(ReactorShared {
         completions: Mutex::new(Vec::new()),
         waker: Waker::new()?,
+        starved: AtomicBool::new(false),
     });
     let epoll = Epoll::new()?;
     epoll.add(listener.as_raw_fd(), TOK_LISTENER, Interest::READ)?;
@@ -318,14 +371,15 @@ where
             std::thread::Builder::new()
                 .name(format!("faucets-{name}-x{i}"))
                 .spawn(move || {
+                    let mut meters = HashMap::new();
                     while let Ok(job) = rx.recv() {
-                        // Frames queued behind a shutdown are dropped, not
-                        // served one last time.
+                        // Frames queued behind a shutdown are dropped.
                         if stop.load(Ordering::SeqCst) {
                             continue;
                         }
-                        let done = process_frame(job, &*handler, &opts, name);
-                        shared.push(done);
+                        let (had_id, reply) =
+                            process_frame(job.payload, &*handler, &opts, name, &mut meters);
+                        shared.file(job.conn, had_id, reply, job.outbox.as_deref());
                     }
                 })?,
         );
@@ -377,60 +431,39 @@ fn reactor_loop(
     let mut next_token = FIRST_CONN_TOKEN;
     let mut events: Vec<Event> = Vec::new();
     let mut touched: Vec<u64> = Vec::new();
-    // Connections holding parked frames (executor queue was full, write
-    // queue saturated, or serial dispatch). Their sockets may never fire
-    // again — a parked frame is already read — so they are re-serviced on
-    // every pass, not just on their own events.
+    // Connections holding parked frames (a full executor queue, a
+    // saturated write queue, serial dispatch), re-serviced on every pass.
     let mut parked_conns: HashSet<u64> = HashSet::new();
+    let mut harvest: Vec<Completion> = Vec::new();
 
     loop {
-        // Harvest executor completions first: replies join their
-        // connection's write queue, inflight counts drop, protocol
-        // violations mark their connection dead.
-        {
-            let mut pending = shared.completions.lock();
-            for c in pending.drain(..) {
-                let (token, bytes, had_id) = match c {
-                    Completion::Reply {
-                        conn,
-                        bytes,
-                        had_id,
-                    } => (conn, Some(bytes), had_id),
-                    Completion::Close { conn } => (conn, None, false),
-                };
-                // The connection may already be gone (closed for its own
-                // reasons while the job ran); its reply is simply dropped.
-                if let Some(conn) = conns.get_mut(&token) {
-                    conn.inflight -= 1;
-                    if had_id {
-                        conn.serial = false;
-                    }
-                    match bytes {
-                        // Empty when a fault plan dropped the reply.
-                        Some(b) => conn.out.push(b),
-                        None => conn.dead = true,
-                    }
-                    touched.push(token);
-                }
+        // Harvest completions first, the list swapped out whole (both
+        // buffers keep their capacity) before any connection is touched:
+        // rule 1. A connection closed while the job ran drops its reply.
+        std::mem::swap(&mut harvest, &mut *shared.completions.lock());
+        for (token, had_id, reply) in harvest.drain(..) {
+            let Some(conn) = conns.get_mut(&token) else {
+                continue;
+            };
+            conn.serial &= !had_id;
+            match reply {
+                Reply::Queue(bytes) => conn.replies.push(bytes),
+                Reply::Sent => {}
+                Reply::Close => conn.dead = true,
             }
+            touched.push(token);
         }
         if stop.load(Ordering::SeqCst) {
             break;
         }
 
-        // Every completion harvested above freed an executor-queue slot,
-        // so every connection still holding parked frames gets another
-        // dispatch attempt — not just the one whose completion arrived.
-        // Without this, a queue-full park on a connection with nothing in
-        // flight starves forever: its fd never fires again, and queue
-        // drain driven by *other* connections never touches it.
+        // A completion frees an executor-queue slot, so every connection
+        // holding parked frames gets another dispatch attempt: a queue-full
+        // park with nothing in flight has no fd event left to wake it.
         touched.extend(parked_conns.iter().copied());
-
-        // Service every connection something happened to: decode newly
-        // buffered frames, dispatch to the executor, flush writes, adjust
-        // epoll interest, and reap finished connections.
         touched.sort_unstable();
         touched.dedup();
+        let (mut pass, open) = (Pass::default(), conns.len());
         for token in touched.drain(..) {
             service_conn(
                 &epoll,
@@ -439,12 +472,22 @@ fn reactor_loop(
                 &jobs,
                 write_buf,
                 &mut parked_conns,
-                &g_open,
-                &g_fds,
+                &mut pass,
             );
+        }
+        g_open.add(conns.len() as f64 - open as f64);
+        g_fds.set(conns.len() as f64);
+        if pass.starved != shared.starved.load(Ordering::Relaxed) {
+            shared.starved.store(pass.starved, Ordering::Relaxed);
+            pass.raised |= pass.starved;
         }
         g_queue.set(jobs.len() as f64);
 
+        // Rule 2: a wait raised in this pass needs one more look at the
+        // list before blocking (one raised earlier had the harvest above).
+        if pass.raised && !shared.completions.lock().is_empty() {
+            continue;
+        }
         // Block until something is ready. No timeout: every state change
         // arrives as an fd event (socket readiness, accept, eventfd).
         if epoll.wait(&mut events, None).is_err() {
@@ -464,13 +507,11 @@ fn reactor_loop(
                     shared.waker.drain();
                     c_wakeups.inc();
                 }
+                // A writable socket is flushed by its service.
                 token => {
                     if let Some(conn) = conns.get_mut(&token) {
                         if ev.readable {
                             conn.on_readable();
-                        }
-                        if ev.writable {
-                            conn.flush();
                         }
                         touched.push(token);
                     }
@@ -480,10 +521,9 @@ fn reactor_loop(
     }
 
     // Teardown: kick every connection loose (pops clients blocked in
-    // reads) and drop the job sender so the executor pool drains and
-    // exits.
+    // reads) and drop the job sender so the executor pool drains.
     for conn in conns.values() {
-        let _ = conn.stream.shutdown(Shutdown::Both);
+        let _ = conn.outbox.stream.shutdown(Shutdown::Both);
     }
     g_open.set(0.0);
     g_fds.set(0.0);
@@ -508,10 +548,8 @@ fn accept_ready(
                 let _ = stream.set_nodelay(true);
                 let token = *next_token;
                 *next_token += 1;
-                if epoll
-                    .add(stream.as_raw_fd(), token, Interest::READ)
-                    .is_err()
-                {
+                let fd = stream.as_raw_fd();
+                if epoll.add(fd, token, Interest::READ).is_err() {
                     continue;
                 }
                 conns.insert(token, Conn::new(stream));
@@ -526,8 +564,14 @@ fn accept_ready(
     accepted
 }
 
+/// A pass's news: the executor queue was full; a wait went up (rule 2).
+#[derive(Default)]
+struct Pass {
+    starved: bool,
+    raised: bool,
+}
+
 /// Decode, dispatch, flush, re-arm interest, and reap one connection.
-#[allow(clippy::too_many_arguments)]
 fn service_conn(
     epoll: &Epoll,
     conns: &mut HashMap<u64, Conn>,
@@ -535,13 +579,13 @@ fn service_conn(
     jobs: &crossbeam::channel::Sender<Job>,
     write_buf: usize,
     parked_conns: &mut HashSet<u64>,
-    g_open: &faucets_telemetry::metrics::Gauge,
-    g_fds: &faucets_telemetry::metrics::Gauge,
+    pass: &mut Pass,
 ) {
     let Some(conn) = conns.get_mut(&token) else {
         parked_conns.remove(&token);
         return;
     };
+    let (mut inflight, mut queued) = (0, 0);
     if !conn.dead {
         // Decode buffered bytes into frames, bounded by the parking cap.
         while conn.parked.len() < PARKED_FRAMES_CAP {
@@ -549,41 +593,35 @@ fn service_conn(
                 Ok(Some(payload)) => conn.parked.push_back(payload),
                 Ok(None) => break,
                 Err(_) => {
-                    // Oversized length prefix: the stream cannot be
-                    // re-synchronized.
-                    conn.dead = true;
+                    conn.dead = true; // oversized length prefix: unrecoverable
                     break;
                 }
             }
         }
-        // Replies go out before any dispatch decision: a backlog the
-        // socket takes whole must not hold this pass's parked frames back,
-        // because with nothing queued and nothing in flight no later event
-        // would ever come to release them.
-        if !conn.out.is_empty() {
-            conn.flush();
-        }
+        // Replies go out before any dispatch decision: a backlog the socket
+        // takes whole must not hold back frames no later event would free.
+        (inflight, queued) = conn.settle_outbox();
         // Hand frames to the executor. Dispatch pauses — frames stay
-        // parked — when the executor queue is full, when the peer has not
-        // drained its reply backlog (piling more replies onto a saturated
-        // write queue is how buffering becomes unbounded), or while an
-        // id-less peer's previous frame is still in flight (its replies
-        // must keep request order).
-        while !conn.parked.is_empty() {
-            if conn.out.bytes() > write_buf {
+        // parked — while the executor queue is full, the peer's reply
+        // backlog is over the cap, or an id-less peer's previous frame is
+        // in flight (its replies must keep request order).
+        while !conn.dead && queued <= write_buf && !(conn.serial && inflight > 0) {
+            let Some(payload) = conn.parked.pop_front() else {
                 break;
-            }
-            if conn.serial && conn.inflight > 0 {
-                break;
-            }
-            let payload = conn.parked.pop_front().expect("checked non-empty");
+            };
+            // Counted before the executor can see the job.
+            conn.outbox.inflight.fetch_add(1, Ordering::Relaxed);
+            let outbox = (inflight == 0).then(|| Arc::clone(&conn.outbox));
             match jobs.try_send(Job {
                 conn: token,
                 payload,
+                outbox,
             }) {
-                Ok(()) => conn.inflight += 1,
+                Ok(()) => inflight += 1,
                 Err(crossbeam::channel::TrySendError::Full(job)) => {
+                    conn.outbox.inflight.fetch_sub(1, Ordering::Relaxed);
                     conn.parked.push_front(job.payload);
+                    pass.starved = true;
                     break;
                 }
                 Err(crossbeam::channel::TrySendError::Disconnected(_)) => {
@@ -593,15 +631,12 @@ fn service_conn(
             }
         }
     }
-    let finished =
-        conn.peer_gone && conn.inflight == 0 && conn.parked.is_empty() && conn.out.is_empty();
+    let finished = conn.peer_gone && inflight == 0 && conn.parked.is_empty() && queued == 0;
     if conn.dead || finished {
-        let _ = epoll.remove(conn.stream.as_raw_fd());
-        let _ = conn.stream.shutdown(Shutdown::Both);
+        let _ = epoll.remove(conn.outbox.stream.as_raw_fd());
+        let _ = conn.outbox.stream.shutdown(Shutdown::Both);
         conns.remove(&token);
         parked_conns.remove(&token);
-        g_open.add(-1.0);
-        g_fds.set(conns.len() as f64);
         return;
     }
     // A connection still holding parked frames must be revisited on the
@@ -611,35 +646,58 @@ fn service_conn(
     } else {
         parked_conns.insert(token);
     }
-    // Read while the peer may still send, there is parking room, and the
-    // peer is draining its replies; write while replies are queued.
+    // Only a completion moves an id-less peer's parked frame or reaps a
+    // hung-up peer: the executor that files it must wake the reactor.
+    let awaited = inflight > 0 && (conn.peer_gone || (conn.serial && !conn.parked.is_empty()));
+    if awaited != conn.outbox.awaited.load(Ordering::Relaxed) {
+        conn.outbox.awaited.store(awaited, Ordering::Relaxed);
+        pass.raised |= awaited;
+    }
+    // Read while the peer may send, there is parking room and the peer
+    // drains its replies; write while replies are queued. Wanting neither,
+    // leave the epoll set: a hang-up cannot be masked, and would spin the
+    // level-triggered reactor until the executor's wake comes.
     let want = Interest {
-        readable: !conn.peer_gone
-            && conn.parked.len() < PARKED_FRAMES_CAP
-            && conn.out.bytes() <= write_buf,
-        writable: !conn.out.is_empty(),
+        readable: !conn.peer_gone && conn.parked.len() < PARKED_FRAMES_CAP && queued <= write_buf,
+        writable: queued > 0,
     };
     if want != conn.interest {
-        if epoll.modify(conn.stream.as_raw_fd(), token, want).is_err() {
-            conn.dead = true;
+        let fd = conn.outbox.stream.as_raw_fd();
+        let set = if want == UNWATCHED {
+            epoll.remove(fd)
+        } else if conn.interest == UNWATCHED {
+            epoll.add(fd, token, want)
         } else {
-            conn.interest = want;
+            epoll.modify(fd, token, want)
+        };
+        match set {
+            Ok(()) => conn.interest = want,
+            Err(_) => conn.dead = true,
         }
     }
-    g_fds.set(conns.len() as f64);
 }
+
+/// An endpoint's `net_requests_total` and `net_request_seconds` on one
+/// executor thread, resolved by its first request there: the registry is
+/// fixed per service, so the thread's own map needs no lock. The counters
+/// of rarer events (errors, sheds) are looked up when they fire.
+type Meters = HashMap<&'static str, (Counter, Histogram)>;
 
 /// Everything that happens to one request frame once it leaves the
 /// reactor: receive-side fault injection, parsing, the metrics exemption,
 /// injected rejection, deadline shedding, tracing, the handler itself, and
 /// reply serialization (with send-side faults). This is the same pipeline
 /// the blocking serve path ran inline, now on an executor thread.
-fn process_frame<F>(job: Job, handler: &F, opts: &ServeOptions, name: &'static str) -> Completion
+fn process_frame<F>(
+    mut payload: Vec<u8>,
+    handler: &F,
+    opts: &ServeOptions,
+    name: &'static str,
+    meters: &mut Meters,
+) -> (bool, Reply)
 where
     F: Fn(Request) -> Response + Send + Sync + 'static,
 {
-    let token = job.conn;
-    let mut payload = job.payload;
     let faults = opts.faults.as_deref();
     apply_receive_faults(&mut payload, faults);
     let env: Envelope<Request> = match parse_payload(&payload) {
@@ -647,7 +705,7 @@ where
         // A frame that parses to garbage means the stream is garbled or
         // desynchronized; the connection is closed, as the blocking path
         // did by breaking its read loop.
-        Err(_) => return Completion::Close { conn: token },
+        Err(_) => return (false, Reply::Close),
     };
     let Envelope {
         ctx,
@@ -669,15 +727,15 @@ where
     // exempt from every shed below: observability must keep working
     // precisely when the service is drowning.
     if matches!(req, Request::Metrics) {
-        return encode_reply(
-            token,
-            &reply(ctx, Response::Metrics(reg.snapshot())),
-            faults,
-        );
+        return encode_reply(&reply(ctx, Response::Metrics(reg.snapshot())), faults);
     }
     let endpoint = req.endpoint();
     let labels = [("service", name), ("endpoint", endpoint)];
-    reg.counter("net_requests_total", &labels).inc();
+    let (requests, seconds) = meters.entry(endpoint).or_insert_with(|| {
+        let requests = reg.counter("net_requests_total", &labels);
+        (requests, reg.histogram("net_request_seconds", &labels))
+    });
+    requests.inc();
     // The serve layer's own shed, triggered by `FaultConfig::reject`: a
     // typed `Overloaded` answer, counted, and the handler never runs.
     if faults.is_some_and(|p| p.inject_overload(endpoint.as_bytes())) {
@@ -688,7 +746,7 @@ where
                 retry_after_ms: OVERLOAD_RETRY_HINT_MS,
             },
         );
-        return encode_reply(token, &env, faults);
+        return encode_reply(&env, faults);
     }
     // Doomed-work elimination: a request whose propagated deadline
     // already expired in flight is shed before the handler spends
@@ -696,7 +754,7 @@ where
     if deadline_ms == Some(0) {
         reg.counter("net_deadline_sheds_total", &labels).inc();
         let env = reply(ctx, Response::Overloaded { retry_after_ms: 0 });
-        return encode_reply(token, &env, faults);
+        return encode_reply(&env, faults);
     }
     let _deadline_guard =
         set_request_deadline(deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms)));
@@ -705,31 +763,25 @@ where
     let mut span = trace::server_span(ctx, name, endpoint);
     let sw = TelemetryClock::wall().stopwatch();
     let resp = handler(req);
-    sw.observe(&reg.histogram("net_request_seconds", &labels));
+    sw.observe(seconds);
     if matches!(resp, Response::Error(_)) {
         reg.counter("net_errors_total", &labels).inc();
         span.fail();
     }
     let reply_ctx = Some(span.ctx());
     drop(span);
-    encode_reply(token, &reply(reply_ctx, resp), faults)
+    encode_reply(&reply(reply_ctx, resp), faults)
 }
 
 /// Serialize a reply envelope (send-side faults included: a dropped frame
 /// yields empty bytes — "lost on the wire" — and a truncated one a partial
-/// frame, exactly as on a real socket).
-fn encode_reply(token: u64, env: &Envelope<Response>, faults: Option<&FaultPlan>) -> Completion {
+/// frame, exactly as on a real socket), and say whether it echoes a
+/// `request_id`.
+fn encode_reply(env: &Envelope<Response>, faults: Option<&FaultPlan>) -> (bool, Reply) {
     let mut bytes = Vec::new();
     match write_frame_with(&mut bytes, env, faults) {
-        Ok(()) => Completion::Reply {
-            conn: token,
-            bytes,
-            // The reply echoes the request's id; its presence tells the
-            // reactor the peer matches replies by id, so the connection
-            // may dispatch frames concurrently from here on.
-            had_id: env.request_id.is_some(),
-        },
-        Err(_) => Completion::Close { conn: token },
+        Ok(()) => (env.request_id.is_some(), Reply::Queue(bytes)),
+        Err(_) => (false, Reply::Close),
     }
 }
 

@@ -1,6 +1,7 @@
 //! Reactor serve-path integration: hostile clients under chaos, idle
 //! connections held as parked state (not threads), pipelined bursts
-//! surviving garbled replies and outgrowing the socket buffers, and the
+//! surviving garbled replies and outgrowing the socket buffers, the edges
+//! where a reply leaves from the executor instead of the reactor, and the
 //! shutdown-latency
 //! regression tests for the fixed-tick sleep sweep (FD pump, sentinel
 //! probe loop, federation gossip loop).
@@ -17,10 +18,13 @@ use faucets_sched::adaptive::ResizeCostModel;
 use faucets_sched::cluster::Cluster;
 use faucets_sched::equipartition::Equipartition;
 use faucets_sched::machine::MachineSpec;
+use faucets_sim::check::for_seeds;
 use faucets_telemetry::metrics::Registry;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::io::Write;
-use std::net::TcpStream;
-use std::sync::Arc;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn gauge(reg: &Registry, name: &str, service: &'static str) -> f64 {
@@ -28,7 +32,17 @@ fn gauge(reg: &Registry, name: &str, service: &'static str) -> f64 {
 }
 
 fn await_gauge(reg: &Registry, name: &str, service: &'static str, want: f64) {
-    let deadline = Instant::now() + Duration::from_secs(10);
+    await_gauge_within(reg, name, service, want, Duration::from_secs(10));
+}
+
+fn await_gauge_within(
+    reg: &Registry,
+    name: &str,
+    service: &'static str,
+    want: f64,
+    within: Duration,
+) {
+    let deadline = Instant::now() + within;
     loop {
         let v = gauge(reg, name, service);
         if v == want {
@@ -397,6 +411,235 @@ fn idless_pipelined_frames_answer_in_request_order() {
         }
     }
     h.shutdown();
+}
+
+/// A lone request's reply leaves from the executor that made it: 200
+/// round trips on one pooled socket never wake the reactor (the reply
+/// used to go back through the completion list and an eventfd kick).
+#[test]
+fn lone_requests_answer_without_waking_the_reactor() {
+    let reg = Arc::new(Registry::new());
+    let h = serve_with(
+        "127.0.0.1:0",
+        "direct",
+        ServeOptions {
+            registry: Some(Arc::clone(&reg)),
+            ..ServeOptions::default()
+        },
+        |_| Response::Ok,
+    )
+    .unwrap();
+    let client = Arc::new(Registry::new());
+    let opts = CallOptions {
+        pool: Some(Arc::new(ConnPool::new("direct", PoolConfig::default()))),
+        registry: Some(Arc::clone(&client)),
+        ..CallOptions::default()
+    };
+    let wakeups = || {
+        let snap = reg.snapshot();
+        snap.counter_sum("net_reactor_wakeups_total", &[("service", "direct")])
+    };
+    let req = Request::VerifyToken {
+        token: faucets_core::auth::SessionToken("t".into()),
+    };
+    let before = wakeups();
+    for i in 0..200 {
+        assert_eq!(
+            call_with(h.addr, &req, &opts).unwrap(),
+            Response::Ok,
+            "call {i}"
+        );
+    }
+    assert_eq!(wakeups() - before, 0, "a lone reply woke the reactor");
+    let dials = client
+        .snapshot()
+        .counter_sum("net_pool_misses_total", &[("pool", "direct")]);
+    assert_eq!(dials, 1, "every call rode the one pooled socket");
+    h.shutdown();
+}
+
+/// Peers that hang up while their lone request is still in the handler are
+/// reaped once the reply is written, with no further traffic: the reactor
+/// waits on that completion, so the executor that files it must wake it.
+/// The handler is held until the reactor has read the hang-up. One peer
+/// closes outright; the other only shuts its sending side, and still gets
+/// its reply.
+#[test]
+fn a_peer_that_hangs_up_mid_request_is_reaped_without_more_traffic() {
+    let reg = Arc::new(Registry::new());
+    let (started, handler_started) = mpsc::channel();
+    let (release, handler_released) = mpsc::channel::<()>();
+    let handler_released = Mutex::new(handler_released);
+    let h = serve_with(
+        "127.0.0.1:0",
+        "hangup",
+        ServeOptions {
+            registry: Some(Arc::clone(&reg)),
+            ..ServeOptions::default()
+        },
+        move |_| {
+            started.send(()).unwrap();
+            // Bounded, so a failed assertion below cannot wedge shutdown.
+            let released = handler_released.lock().unwrap();
+            let _ = released.recv_timeout(Duration::from_secs(10));
+            Response::Ok
+        },
+    )
+    .unwrap();
+    let ready_events = || {
+        let snap = reg.snapshot();
+        snap.histogram_sum("net_reactor_ready_events", &[("service", "hangup")])
+            .count
+    };
+    let req = Request::VerifyToken {
+        token: faucets_core::auth::SessionToken("t".into()),
+    };
+    for half_close in [false, true] {
+        let mut sock = TcpStream::connect(h.addr).unwrap();
+        write_frame(&mut sock, &Envelope::wrap(req.clone())).unwrap();
+        handler_started
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap();
+        let seen = ready_events();
+        let kept = if half_close {
+            sock.shutdown(std::net::Shutdown::Write).unwrap();
+            Some(sock)
+        } else {
+            drop(sock);
+            None
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while ready_events() == seen {
+            assert!(
+                Instant::now() < deadline,
+                "the reactor never saw the hang-up"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        release.send(()).unwrap();
+        let two_seconds = Duration::from_secs(2);
+        await_gauge_within(&reg, "net_open_conns", "hangup", 0.0, two_seconds);
+        if let Some(mut sock) = kept {
+            let reply: Envelope<Response> = read_frame(&mut sock).unwrap().expect("the reply");
+            assert_eq!(reply.msg, Response::Ok);
+            assert!(read_frame::<_, Envelope<Response>>(&mut sock)
+                .unwrap()
+                .is_none());
+        }
+    }
+    h.shutdown();
+}
+
+/// One storm caller: lone id-less calls and 8-deep bursts on its pooled
+/// socket, id-less pipelined pairs and abrupt hang-ups on sockets of their
+/// own. Every reply must carry its own request's tag.
+fn storm_caller(addr: SocketAddr, caller: usize, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let opts = CallOptions {
+        pool: Some(Arc::new(ConnPool::new("storm", PoolConfig::default()))),
+        timeouts: Timeouts::both(Duration::from_secs(5)),
+        ..CallOptions::default()
+    };
+    let mut issued = 0;
+    let mut login = |rng: &mut StdRng| {
+        issued += 1;
+        let user = format!("c{caller}-{issued}");
+        // Half the handlers answer at once: an instant first reply is
+        // what races the reactor parking the frame behind it.
+        let sleep_us: u64 = if rng.random_bool(0.5) {
+            0
+        } else {
+            rng.random_range(1..=200)
+        };
+        let req = Request::Login {
+            user: user.clone(),
+            password: sleep_us.to_string(),
+        };
+        (req, Response::Error(user))
+    };
+    let idless = |msg| Envelope {
+        ctx: None,
+        deadline_ms: None,
+        request_id: None,
+        msg,
+    };
+    for op in 0..32 {
+        match rng.random_range(0..4) {
+            0 => {
+                let (req, want) = login(&mut rng);
+                assert_eq!(call_with(addr, &req, &opts).unwrap(), want, "lone op {op}");
+            }
+            1 => {
+                let mut sock = TcpStream::connect(addr).unwrap();
+                sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+                let pair = [login(&mut rng), login(&mut rng)];
+                // Both frames in one write, so they tend to land in one read.
+                let mut frames = Vec::new();
+                for (req, _) in &pair {
+                    write_frame(&mut frames, &idless(req.clone())).unwrap();
+                }
+                sock.write_all(&frames).unwrap();
+                for (i, (_, want)) in pair.into_iter().enumerate() {
+                    let env: Envelope<Response> = read_frame(&mut sock).unwrap().expect("reply");
+                    assert_eq!(
+                        env.msg, want,
+                        "id-less pair, op {op}, reply {i} out of order"
+                    );
+                }
+            }
+            2 => {
+                let (reqs, wants): (Vec<_>, Vec<_>) = (0..8).map(|_| login(&mut rng)).unzip();
+                let replies = call_batch(addr, &reqs, &opts);
+                for (i, (got, want)) in replies.into_iter().zip(wants).enumerate() {
+                    assert_eq!(got.unwrap(), want, "burst op {op}, slot {i}");
+                }
+            }
+            _ => {
+                let mut sock = TcpStream::connect(addr).unwrap();
+                let (req, _) = login(&mut rng);
+                write_frame(&mut sock, &idless(req)).unwrap();
+            }
+        }
+    }
+}
+
+/// A seeded storm over both reply paths: lone id-less calls (direct),
+/// id-less pipelined pairs (the second frame parks behind the first
+/// reply), 8-deep bursts (the reactor's path) and peers that hang up with
+/// a request in the handler, from four callers against handlers sleeping
+/// 0–200 µs. Every reply lands in its own slot, id-less replies in request
+/// order, and every connection is reaped.
+#[test]
+fn a_seeded_storm_over_both_reply_paths_keeps_every_reply_in_its_slot() {
+    for_seeds(32, |rng| {
+        let reg = Arc::new(Registry::new());
+        let h = serve_with(
+            "127.0.0.1:0",
+            "storm",
+            ServeOptions {
+                registry: Some(Arc::clone(&reg)),
+                workers: 4,
+                ..ServeOptions::default()
+            },
+            |req| {
+                let Request::Login { user, password } = req else {
+                    return Response::Error("unexpected".into());
+                };
+                let sleep_us = password.parse().unwrap_or(0);
+                std::thread::sleep(Duration::from_micros(sleep_us));
+                Response::Error(user)
+            },
+        )
+        .unwrap();
+        let seeds: Vec<u64> = (0..4).map(|_| rng.random()).collect();
+        std::thread::scope(|s| {
+            for (caller, seed) in seeds.into_iter().enumerate() {
+                s.spawn(move || storm_caller(h.addr, caller, seed));
+            }
+        });
+        await_gauge(&reg, "net_open_conns", "storm", 0.0);
+        h.shutdown();
+    });
 }
 
 /// The FD pump is paced by its next due event on a condvar; `shutdown()`

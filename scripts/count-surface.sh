@@ -18,7 +18,7 @@
 # one lowers it.
 cd "$(dirname "$0")/.." || exit 1
 
-MAX_NET_LINES=8500   # non-test lines of crates/net/src
+MAX_NET_LINES=8560   # non-test lines of crates/net/src
 MAX_POOL_LINES=416  # of crates/net/src/pool.rs
 MAX_REPLICATE_LINES=1082  # of crates/store/src/replicate.rs
 MAX_OPTION_FIELDS=56
