@@ -24,16 +24,19 @@
 //! * **handlers** — `FdCore::handle` dispatches to one method per
 //!   endpoint: `bid`, `award`, `upload`, `lease_probe`, `fence`; the first
 //!   three start with `FdCore::verify`.
-//! * **pump** — `FdCore::pump`, one thread: harvest completions, report
-//!   them, heartbeat, sleep until the next due event.
+//! * **pump** — `FdCore::pump`, one thread: harvest completions, queue
+//!   them for the journal, report them, heartbeat, sleep until the next
+//!   due event.
 //!
-//! There are two locks here, never taken together and never held across a
-//! call to a peer. The state mutex guards the scheduler and the contracts;
-//! it is not held across a journal commit either (a sync-replicated commit
-//! is itself a network round trip), and the instant handed to the
-//! scheduler is read only while holding it, so scheduler time is monotone
-//! across the handlers and the pump. The memo's mutex guards the map of
-//! vouched-for tokens for the length of one lookup or one insert.
+//! There are three locks here, never taken together and never held across
+//! a call to a peer. The state mutex guards the scheduler and the
+//! contracts; it is not held across a journal commit either (a
+//! sync-replicated commit is itself a network round trip), and the instant
+//! handed to the scheduler is read only while holding it, so scheduler
+//! time is monotone across the handlers and the pump. The memo's mutex
+//! guards the map of vouched-for tokens for the length of one lookup or
+//! one insert, and the completion queue's mutex is held for one push or
+//! one take.
 //!
 //! ## The token memo (§2.2, bounded)
 //!
@@ -48,20 +51,23 @@
 //!
 //! With [`FdOptions::store`] set, the daemon journals every accepted QoS
 //! contract (spec, contract id, price, owner) and every staged input file
-//! to a [`faucets_store::DurableStore`] write-ahead log — one fsynced
-//! record per change, compacted periodically, instead of rewriting a whole
-//! snapshot file on each mutation. The acceptance record is appended
-//! *before* the scheduler sees the award, and the award is NACKed if the
-//! append fails, so a confirmed award is always recoverable.
+//! to a [`faucets_store::DurableStore`] write-ahead log — fsynced records,
+//! compacted periodically, instead of rewriting a whole snapshot file on
+//! each mutation. The acceptance record is appended *before* the scheduler
+//! sees the award, and the award is NACKed if the append fails, so a
+//! confirmed award is always recoverable.
 //! [`spawn_fd_with`] on the same directory replays the journal: contracts
 //! are resubmitted to the scheduler, jobs re-registered with AppSpector,
 //! and the daemon re-registers with the FS — so a kill + restart loses at
 //! most the *progress* since the last scheduler checkpoint, never the
-//! contracts themselves. Completion records prune the journal best-effort
-//! (an unjournaled completion means the job is re-run after restart:
-//! at-least-once, never lost). If the FS evicted the daemon while it was
-//! down, the heartbeat's error reply triggers re-registration from the
-//! pump.
+//! contracts themselves. Completion records prune the journal best-effort,
+//! and late: AppSpector hears of a completion first, and its `Complete` is
+//! journaled with the next award's `Accept` (one write, one ship) or, if
+//! no award comes first, at the next heartbeat. A crash in between re-runs
+//! the job after restart (at-least-once), and no acknowledged award is
+//! ever at stake. [`FdHandle::shutdown`] journals the queue; a kill does
+//! not. If the FS evicted the daemon while it was down, the heartbeat's
+//! error reply triggers re-registration from the pump.
 
 use crate::overload::{GateConfig, GateVerdict, PayoffGate};
 use crate::pool::{ConnPool, PoolConfig};
@@ -269,7 +275,11 @@ struct FdCore {
     /// before it takes the state lock.
     flops_per_pe_sec: f64,
     total_pes: u32,
-    /// `fd_journal_writes_total`.
+    /// Jobs finished since the last journal commit: the next one journals
+    /// a `Complete` for each ahead of its own record.
+    done: Mutex<Vec<JobId>>,
+    /// `fd_journal_writes_total`: commits that succeeded, one write each
+    /// however many records it held.
     m_journal_writes: faucets_telemetry::Counter,
     m_fs_failovers: faucets_telemetry::Counter,
     /// `fd_token_memo_{hits,misses}_total`.
@@ -278,23 +288,30 @@ struct FdCore {
 }
 
 impl FdCore {
-    /// Append one record to the journal, if there is one (the record is
-    /// only built then). Never call this holding the state lock: a
+    /// Journal, if there is a journal, a `Complete` for each job queued
+    /// since the last commit and then `rec`'s record (only built then), in
+    /// one write and one ship. Never call this holding the state lock: a
     /// sync-replicated commit is a network round trip, and every bid and
     /// award on this daemon would wait it out.
-    fn commit(&self, rec: impl FnOnce() -> FdRecord) -> Result<(), StoreError> {
-        match &self.journal {
-            Some(journal) => journal.commit(&rec()).map(|_| ()),
-            None => Ok(()),
+    fn commit(&self, rec: impl FnOnce() -> Option<FdRecord>) -> Result<(), StoreError> {
+        let Some(journal) = &self.journal else {
+            return Ok(());
+        };
+        let done = std::mem::take(&mut *self.done.lock());
+        let complete = done.iter().map(|&job| FdRecord::Complete { job });
+        let batch: Vec<FdRecord> = complete.chain(rec()).collect();
+        if batch.is_empty() {
+            return Ok(());
         }
-    }
-
-    /// One append that succeeded and was kept (there is nothing to count
-    /// without a journal).
-    fn count_journal_write(&self) {
-        if self.journal.is_some() {
-            self.m_journal_writes.inc();
+        let res = journal.commit_all(&batch);
+        match &res {
+            Ok(_) => self.m_journal_writes.inc(),
+            // Already in the local log: they ship with the next commit.
+            Err(StoreError::Unreplicated { .. }) => {}
+            // Not appended (a fenced store appends nothing more).
+            Err(_) => self.done.lock().extend(done),
         }
+        res.map(|_| ())
     }
 
     /// Retract a journaled acceptance the scheduler then refused.
@@ -302,7 +319,7 @@ impl FdCore {
     /// the client was told was declined — a narrow window the docs call
     /// out.
     fn retract(&self, job: JobId) {
-        let _ = self.commit(|| FdRecord::Complete { job });
+        let _ = self.commit(|| Some(FdRecord::Complete { job }));
     }
 
     /// Replay the journal, if any: accepted contracts are resubmitted to
@@ -461,7 +478,7 @@ impl FdCore {
         // NACK if it cannot be made durable: the client treats the error
         // as a declined bid and tries the next one, so "accepted" always
         // means "survives a crash".
-        if let Err(e) = self.commit(|| FdRecord::Accept(entry.clone())) {
+        if let Err(e) = self.commit(|| Some(FdRecord::Accept(entry.clone()))) {
             return Response::Error(format!("award not journaled: {e}"));
         }
         let outcome = {
@@ -481,7 +498,6 @@ impl FdCore {
         };
         match outcome {
             Ok(AwardOutcome::Confirmed) => {
-                self.count_journal_write();
                 // The scheduler just gained a job: wake the pump so it
                 // re-paces against the new next completion.
                 self.stop.notify();
@@ -509,15 +525,13 @@ impl FdCore {
         if let Err(resp) = self.verify(token) {
             return resp;
         }
-        let stage = || FdRecord::Stage {
-            job,
-            name: name.clone(),
-            data: data.clone(),
+        let stage = || {
+            let (name, data) = (name.clone(), data.clone());
+            Some(FdRecord::Stage { job, name, data })
         };
         if let Err(e) = self.commit(stage) {
             return Response::Error(format!("upload not journaled: {e}"));
         }
-        self.count_journal_write();
         let mut s = self.state.lock();
         s.staged.entry(job).or_default().push((name, data));
         Response::Ok
@@ -569,8 +583,9 @@ impl FdCore {
         // sleeps exactly until the next due event — the scheduler's next
         // completion or the next heartbeat — instead of polling every
         // 5 ms. An award wakes the wait (the next completion may have
-        // moved closer); stop wakes it for good. The cap bounds clock
-        // drift if a wakeup is ever lost.
+        // moved closer), even one that lands before the wait begins: the
+        // nudge sticks until a wait takes it. Stop wakes it for good. The
+        // cap bounds any one wait.
         const PACE_CAP: Duration = Duration::from_millis(500);
         loop {
             // Harvest completions under the lock (reading the clock inside
@@ -593,11 +608,12 @@ impl FdCore {
                 (now, completed, beat)
             };
             for (job, mut outputs) in completed {
-                // Prune the journal best-effort: an unjournaled completion
-                // only means the job re-runs after a restart
+                // Prune the journal best-effort, in the next commit: the
+                // next award's, else the next heartbeat's. A crash before
+                // it only means the job re-runs after a restart
                 // (at-least-once), never that it is lost.
-                if self.commit(|| FdRecord::Complete { job }).is_ok() {
-                    self.count_journal_write();
+                if self.journal.is_some() {
+                    self.done.lock().push(job);
                 }
                 let report = format!("completed at {now}").into_bytes();
                 outputs.push(("output.dat".into(), report));
@@ -607,6 +623,7 @@ impl FdCore {
             // Heartbeat + telemetry on the simulated cadence.
             if let Some((status, running)) = beat {
                 last_heartbeat = now;
+                let _ = self.commit(|| None);
                 self.heartbeat(now, status, running);
             }
             if self.stop.is_stopped() {
@@ -697,15 +714,18 @@ impl FdHandle {
         self.core.state.lock().contracts.len()
     }
 
-    /// Stop the pump and the service.
+    /// Stop the pump and the service, then journal the completions no
+    /// commit carried yet.
     pub fn shutdown(mut self) {
         self.stop_inner();
+        let _ = self.core.commit(|| None);
     }
 
     /// Simulate a daemon crash: stop serving with no deregistration and no
     /// goodbye to the FS or AppSpector. With [`FdOptions::store`] set,
     /// the journal survives on disk; [`spawn_fd_with`] on the same
-    /// directory resumes the accepted contracts.
+    /// directory resumes the accepted contracts, and re-runs the jobs whose
+    /// completion was still queued.
     pub fn kill(mut self) {
         self.stop_inner();
     }
@@ -785,6 +805,7 @@ pub fn spawn_fd_with(
         clock,
         fs: FsUpstream::new(fs, &opts.fs_fallbacks, opts.call.clone()),
         vouched: Mutex::new(HashMap::new()),
+        done: Mutex::new(Vec::new()),
         appspector,
         stop: StopSignal::new(),
         cluster_id,
@@ -1269,8 +1290,9 @@ mod tests {
         let g = grid(&clock, 13, 64, opts);
         let fd = g.fd.service.addr;
 
-        // A job that finishes at once: the pump's next pass journals its
-        // completion and parks inside the append.
+        // A job that finishes at once: no award follows to carry its
+        // completion, so the next heartbeat (15 ms of wall time at this
+        // clock) journals it and parks inside the append.
         let reply = call(fd, &award_of(&g, JobId(1), 0.001, clock.now())).unwrap();
         assert!(matches!(
             reply,

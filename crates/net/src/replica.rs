@@ -43,10 +43,12 @@
 //! fenced by epoch the moment it talks to any follower that has seen the
 //! new reign.
 //!
-//! One sizing caveat: frames travel as JSON inside protocol frames bounded
-//! by [`crate::proto::MAX_FRAME`], so a single journal record must stay well
-//! under that bound once encoded (ample for the row-sized records the FS
-//! and FD journal; [`RemoteLink`] batches small frames and never splits one).
+//! One sizing caveat: a frame's payload, a record's JSON text, travels as
+//! a JSON string inside protocol frames bounded by
+//! [`crate::proto::MAX_FRAME`], and escaping can double it, so a single
+//! journal record must stay under half that bound (ample for the row-sized
+//! records the FS and FD journal; [`RemoteLink`] batches small frames and
+//! never splits one).
 
 use crate::pool::{ConnPool, PoolConfig};
 use crate::proto::{Request, Response};
@@ -64,9 +66,11 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Raw-payload budget per shipped [`Request::ReplAppend`] batch. JSON
-/// encoding of `Vec<u8>` payloads expands them several-fold, so this is
-/// set well under [`crate::proto::MAX_FRAME`].
+/// Payload budget per shipped [`Request::ReplAppend`] batch. A payload is
+/// a record's JSON text and ships as a JSON string, which escapes each `"`
+/// and `\` in it: at most twice its length (compact JSON holds no raw
+/// control character), so this is set well under
+/// [`crate::proto::MAX_FRAME`].
 const MAX_BATCH_PAYLOAD: usize = 2 * 1024 * 1024;
 
 /// Frame-count bound per shipped batch, so a burst of tiny records still
@@ -407,13 +411,19 @@ impl<T: Durable + Send + 'static> Journal<T> {
         }
     }
 
-    /// Journal `rec` durably and apply it; on a replicated journal this
-    /// also ships it per the configured mode (see
-    /// [`ReplicatedStore::commit`] for the sync/async contract).
+    /// Journal `rec` durably and apply it: the one-record case of
+    /// [`Journal::commit_all`].
     pub fn commit(&self, rec: &T::Record) -> Result<u64, StoreError> {
+        self.commit_all(std::slice::from_ref(rec))
+    }
+
+    /// Journal `recs` durably in one write and apply them; on a replicated
+    /// journal this also ships them, in one round, per the configured mode
+    /// (see [`ReplicatedStore::commit_all`] for the sync/async contract).
+    pub fn commit_all(&self, recs: &[T::Record]) -> Result<u64, StoreError> {
         match self {
-            Journal::Plain(s) => s.commit(rec),
-            Journal::Replicated(s) => s.commit(rec),
+            Journal::Plain(s) => s.commit_all(recs),
+            Journal::Replicated(s) => s.commit_all(recs),
         }
     }
 
@@ -631,7 +641,7 @@ mod tests {
                 epoch: 1,
                 generation: 1,
                 seq: i,
-                payload: vec![0u8; 1024],
+                payload: "0".repeat(1024),
             })
             .collect();
         let mut chunks = Vec::new();
@@ -653,7 +663,7 @@ mod tests {
             epoch: 1,
             generation: 1,
             seq: 0,
-            payload: vec![0u8; MAX_BATCH_PAYLOAD + 1],
+            payload: "0".repeat(MAX_BATCH_PAYLOAD + 1),
         }];
         assert_eq!(batch_len(&big), 1);
     }

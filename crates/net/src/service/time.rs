@@ -18,7 +18,8 @@ use std::time::{Duration, Instant};
 #[derive(Default)]
 pub struct StopSignal {
     stopped: AtomicBool,
-    lock: Mutex<()>,
+    /// A nudge no [`StopSignal::wait_for`] has taken yet.
+    nudged: Mutex<bool>,
     cv: Condvar,
 }
 
@@ -37,29 +38,35 @@ impl StopSignal {
     pub fn stop(&self) {
         // Flip the flag under the lock so a waiter can't check it, miss
         // the notify, and then park for its full timeout.
-        let _g = self.lock.lock();
+        let _g = self.nudged.lock();
         self.stopped.store(true, Ordering::SeqCst);
         self.cv.notify_all();
     }
 
     /// Wake waiters *without* stopping — "new work arrived, re-evaluate
-    /// your deadline now" (the FD pump uses this when an award lands).
+    /// your deadline now" (the FD pump uses this when an award lands). The
+    /// nudge sticks until a [`StopSignal::wait_for`] takes it, so one that
+    /// lands while nobody waits yet cuts the next wait short.
     pub fn notify(&self) {
-        let _g = self.lock.lock();
+        *self.nudged.lock() = true;
         self.cv.notify_all();
     }
 
     /// Wait up to `timeout` (waking early on [`StopSignal::stop`] or
-    /// [`StopSignal::notify`]); returns whether the signal is stopped.
+    /// [`StopSignal::notify`], or at once on a nudge no wait has taken
+    /// yet); returns whether the signal is stopped.
     pub fn wait_for(&self, timeout: Duration) -> bool {
         if self.is_stopped() {
             return true;
         }
         let deadline = Instant::now() + timeout;
-        let mut g = self.lock.lock();
-        if !self.is_stopped() {
-            self.cv.wait_until(&mut g, deadline);
+        let mut nudged = self.nudged.lock();
+        while !*nudged && !self.is_stopped() {
+            if self.cv.wait_until(&mut nudged, deadline).timed_out() {
+                break;
+            }
         }
+        *nudged = false;
         self.is_stopped()
     }
 }
@@ -245,6 +252,28 @@ mod tests {
         );
         // And a plain timeout also reports "not stopped".
         assert!(!sig.wait_for(Duration::from_millis(5)));
+    }
+
+    /// A nudge that lands while nobody waits is not lost: the next wait
+    /// takes it and returns at once, and the wait after that sleeps.
+    #[test]
+    fn stop_signal_nudge_sticks_until_a_wait_takes_it() {
+        let sig = StopSignal::new();
+        sig.notify();
+        let t = Instant::now();
+        assert!(!sig.wait_for(Duration::from_secs(30)));
+        assert!(
+            t.elapsed() < Duration::from_secs(5),
+            "a nudge before the wait must cut it short: {:?}",
+            t.elapsed()
+        );
+        let t = Instant::now();
+        assert!(!sig.wait_for(Duration::from_millis(50)));
+        assert!(
+            t.elapsed() >= Duration::from_millis(50),
+            "the nudge was taken once, yet the next wait ended after {:?}",
+            t.elapsed()
+        );
     }
 
     #[test]

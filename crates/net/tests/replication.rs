@@ -15,7 +15,7 @@
 //! assertions never depend on where the kill lands.
 
 use faucets_core::daemon::FaucetsDaemon;
-use faucets_core::ids::ClusterId;
+use faucets_core::ids::{ClusterId, JobId};
 use faucets_core::money::Money;
 use faucets_core::qos::{PayoffFn, QosBuilder};
 use faucets_net::fd::{spawn_fd_with, FdHandle, FdOptions};
@@ -29,8 +29,10 @@ use faucets_store::{
     pick_primary, prepare_promotion, read_epoch, Durable, ReplicationMode, StoreError, StoreOptions,
 };
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeSet;
 use std::net::SocketAddr;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -135,7 +137,8 @@ fn acked_awards_survive_primary_kill_and_promotion() {
         FaucetsClient::register(fs_addr, aspect.service.addr, clock.clone(), "dana", "pw").unwrap();
     client.retry = RetryPolicy::standard(71);
 
-    // Three acknowledged awards, then one submission racing the kill.
+    // Three acknowledged awards, then one submission racing the kill. Only
+    // its owner may watch a job, so the racer's client comes back with it.
     let mut acked = Vec::new();
     for i in 0..3 {
         let sub = client
@@ -153,8 +156,8 @@ fn acked_awards_survive_primary_kill_and_promotion() {
             let mut c =
                 FaucetsClient::register(fs_addr, aspect_addr, clock.clone(), "eve", "pw").ok()?;
             c.retry = RetryPolicy::none();
-            c.submit(qos_for(&clock), &[("in.dat".into(), vec![9u8; 32])])
-                .ok()
+            let sub = c.submit(qos_for(&clock), &[("in.dat".into(), vec![9u8; 32])]);
+            Some((c, sub.ok()?.job))
         })
     };
     // Land the kill while the racer negotiates: gate on the racer's first
@@ -175,10 +178,7 @@ fn acked_awards_survive_primary_kill_and_promotion() {
         std::thread::sleep(Duration::from_millis(1));
     }
     fd.kill();
-    if let Ok(Some(sub)) = racer.join() {
-        acked.push(sub.job);
-    }
-    assert!(acked.len() >= 3);
+    let mut racer = racer.join().unwrap();
 
     // Deterministic election and promotion from the follower's journal.
     let pos = follower.position(FD_SVC).expect("follower hosts the FD");
@@ -196,17 +196,255 @@ fn acked_awards_survive_primary_kill_and_promotion() {
     );
     // Zero acked-entry loss, end to end: every acknowledged award runs to
     // completion on the promoted backup.
-    for job in &acked {
-        let snap = client
-            .wait(*job, Duration::from_secs(40))
+    let completes = |owner: &mut FaucetsClient, job: JobId| {
+        let snap = owner
+            .wait(job, Duration::from_secs(40))
             .expect("acked award completes on the promoted backup");
         assert!(snap.completed, "job {job:?} must complete after failover");
+    };
+    for job in acked {
+        completes(&mut client, job);
+    }
+    if let Some((racer, job)) = &mut racer {
+        completes(racer, *job);
     }
 
     fd2.shutdown();
     follower.shutdown();
     let _ = std::fs::remove_dir_all(&fd_store);
     let _ = std::fs::remove_dir_all(&follower_store);
+}
+
+/// An FD journal record, as far as these tests read one (the FD's own
+/// record type is private to it; other fields are skipped).
+#[derive(Deserialize)]
+enum FdRec {
+    Accept(Contract),
+    Complete { job: JobId },
+}
+
+/// A journaled contract: its job's id.
+#[derive(Deserialize)]
+struct Contract {
+    spec: Spec,
+}
+
+#[derive(Deserialize)]
+struct Spec {
+    id: JobId,
+}
+
+/// An FD journal snapshot: the contracts open when it was taken.
+#[derive(Deserialize)]
+struct FdSnap {
+    contracts: Vec<Contract>,
+}
+
+/// The jobs the FD journal in `dir` ever accepted, and those it still
+/// holds open (accepted, no `Complete` yet).
+fn journal_jobs(dir: &std::path::Path) -> (BTreeSet<JobId>, BTreeSet<JobId>) {
+    let scan = faucets_store::scan_dir(dir).unwrap().expect("a live WAL");
+    let snap = std::fs::read(dir.join(format!("snap-{}.json", scan.generation))).unwrap();
+    let snap: FdSnap = serde_json::from_slice(&snap).unwrap();
+    let mut open: BTreeSet<JobId> = snap.contracts.iter().map(|c| c.spec.id).collect();
+    let mut accepted = open.clone();
+    for rec in &scan.records {
+        match serde_json::from_slice(rec).expect("an Accept or a Complete") {
+            FdRec::Accept(c) => {
+                accepted.insert(c.spec.id);
+                open.insert(c.spec.id);
+            }
+            FdRec::Complete { job } => {
+                open.remove(&job);
+            }
+        }
+    }
+    (accepted, open)
+}
+
+/// A contract for a job that runs about 10 ms of simulated time.
+fn instant_qos(clock: &Clock) -> faucets_core::qos::QosContract {
+    QosBuilder::new("namd", 1, 4, 0.01)
+        .payoff(PayoffFn::hard_only(
+            clock
+                .now()
+                .saturating_add(faucets_sim::time::SimDuration::from_hours(24)),
+            Money::from_units(100),
+            Money::from_units(10),
+        ))
+        .build()
+        .unwrap()
+}
+
+/// Award `n` instant jobs through `client` and wait until AppSpector shows
+/// every one completed.
+fn award_and_finish(client: &mut FaucetsClient, clock: &Clock, n: usize) -> Vec<JobId> {
+    let jobs: Vec<JobId> = (0..n)
+        .map(|_| {
+            client
+                .submit(instant_qos(clock), &[])
+                .expect("award acked")
+                .job
+        })
+        .collect();
+    for job in &jobs {
+        let snap = client
+            .wait(*job, Duration::from_secs(20))
+            .expect("completes");
+        assert!(snap.completed);
+    }
+    jobs
+}
+
+/// The crash window of a late `Complete`: AppSpector hears of a completion
+/// before the journal does, which journals it with the next award or
+/// heartbeat. On a clock where no heartbeat falls due, a kill leaves the
+/// last completions unjournaled. The promoted follower must hold every
+/// acknowledged award, re-run exactly the jobs whose `Complete` was still
+/// queued, and no watcher may see a completed job run again.
+#[test]
+fn a_kill_before_completions_are_journaled_reruns_them_and_loses_no_award() {
+    // Real time: the next heartbeat is 30 s away.
+    let clock = Clock::new(1.0);
+    let fd_store = scratch("window-primary");
+    let follower_store = scratch("window-follower");
+    let fs = spawn_fs("127.0.0.1:0", clock.clone(), 75).unwrap();
+    let fs_addr = fs.service.addr;
+    let aspect = spawn_appspector("127.0.0.1:0", fs_addr, 16).unwrap();
+    let aspect_addr = aspect.service.addr;
+    let follower = follower_daemon(FD_SVC, follower_store.clone());
+    let fd = spawn_primary_fd(
+        fd_store.clone(),
+        Some(ReplicationConfig {
+            followers: vec![follower.addr],
+            mode: ReplicationMode::Sync,
+            ..ReplicationConfig::default()
+        }),
+        fs_addr,
+        aspect_addr,
+        clock.clone(),
+    );
+    let mut client =
+        FaucetsClient::register(fs_addr, aspect_addr, clock.clone(), "fay", "pw").unwrap();
+    let acked = award_and_finish(&mut client, &clock, 6);
+
+    fd.kill();
+    let pos = follower.position(FD_SVC).expect("follower hosts the FD");
+    let promoted_dir = follower.release(FD_SVC).expect("release for promotion");
+    prepare_promotion(&promoted_dir, FD_SVC, pos.epoch + 1).unwrap();
+    let (accepted, open) = journal_jobs(&promoted_dir);
+    for job in &acked {
+        assert!(
+            accepted.contains(job),
+            "acknowledged {job:?} is not on the follower"
+        );
+    }
+    assert!(
+        open.contains(acked.last().unwrap()),
+        "no award came after the last job to carry its completion: {open:?}"
+    );
+    assert!(open.iter().all(|job| acked.contains(job)));
+
+    // Watch every acknowledged job from before the restart to after the
+    // re-runs: each was seen completed, and must stay so.
+    let stop = Arc::new(AtomicBool::new(false));
+    let watcher = {
+        let (stop, token, acked) = (Arc::clone(&stop), client.token.clone(), acked.clone());
+        std::thread::spawn(move || {
+            let mut regressions = vec![];
+            while !stop.load(Ordering::SeqCst) {
+                for &job in &acked {
+                    let watch = Request::Watch {
+                        token: token.clone(),
+                        job,
+                    };
+                    match call(aspect_addr, &watch) {
+                        Ok(Response::Snapshot(s)) if !s.completed => regressions.push(job),
+                        _ => {}
+                    }
+                }
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            regressions
+        })
+    };
+    let fd2 = spawn_primary_fd(promoted_dir, None, fs_addr, aspect_addr, clock.clone());
+    let until = std::time::Instant::now() + Duration::from_secs(20);
+    while fd2.completed() < open.len() as u64 && std::time::Instant::now() < until {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(
+        fd2.completed(),
+        open.len() as u64,
+        "exactly the jobs whose Complete was queued ran again"
+    );
+    stop.store(true, Ordering::SeqCst);
+    let regressions = watcher.join().unwrap();
+    assert!(
+        regressions.is_empty(),
+        "watchers saw completed jobs running again: {regressions:?}"
+    );
+
+    fd2.shutdown();
+    follower.shutdown();
+    let _ = std::fs::remove_dir_all(&fd_store);
+    let _ = std::fs::remove_dir_all(&follower_store);
+}
+
+/// A graceful shutdown journals the completions no award carried: both
+/// followers end at the primary's position, and the journal replays to no
+/// open contract.
+#[test]
+fn shutdown_journals_queued_completions_on_every_follower() {
+    let clock = Clock::new(1.0);
+    let fd_store = scratch("drain-primary");
+    let follower_stores = [scratch("drain-f1"), scratch("drain-f2")];
+    let fs = spawn_fs("127.0.0.1:0", clock.clone(), 76).unwrap();
+    let fs_addr = fs.service.addr;
+    let aspect = spawn_appspector("127.0.0.1:0", fs_addr, 16).unwrap();
+    let followers: Vec<ReplicaHandle> = follower_stores
+        .iter()
+        .map(|d| follower_daemon(FD_SVC, d.clone()))
+        .collect();
+    let fd = spawn_primary_fd(
+        fd_store.clone(),
+        Some(ReplicationConfig {
+            followers: followers.iter().map(|f| f.addr).collect(),
+            mode: ReplicationMode::Sync,
+            ..ReplicationConfig::default()
+        }),
+        fs_addr,
+        aspect.service.addr,
+        clock.clone(),
+    );
+    let mut client =
+        FaucetsClient::register(fs_addr, aspect.service.addr, clock.clone(), "gus", "pw").unwrap();
+    award_and_finish(&mut client, &clock, 4);
+    let (_, open) = journal_jobs(&fd_store);
+    assert!(!open.is_empty(), "a completion is still queued");
+
+    fd.shutdown();
+    let scan = faucets_store::scan_dir(&fd_store).unwrap().unwrap();
+    for f in &followers {
+        let pos = f.position(FD_SVC).unwrap();
+        assert_eq!(
+            (pos.generation, pos.acked),
+            (scan.generation, scan.records.len() as u64),
+            "a follower is behind the primary"
+        );
+    }
+    assert_eq!(journal_jobs(&fd_store).1, BTreeSet::new());
+    for dir in &follower_stores {
+        assert_eq!(journal_jobs(dir).1, BTreeSet::new());
+    }
+
+    for f in followers {
+        f.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&fd_store);
+    for dir in &follower_stores {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 /// Minimal journal state machine for wire-level fencing/catch-up tests.

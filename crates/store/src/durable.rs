@@ -11,7 +11,8 @@
 //!
 //! Every [`DurableStore::commit`] appends the record to the WAL (fsynced
 //! by group commit) **before** applying it to the in-memory state, so an
-//! acknowledged mutation is always recoverable. Compaction rolls the
+//! acknowledged mutation is always recoverable; [`DurableStore::commit_all`]
+//! does the same for a batch, in one write and one flush. Compaction rolls the
 //! generation forward crash-safely: write `snap-<g+1>.json.tmp`, fsync,
 //! rename (atomic), fsync the directory, create `wal-<g+1>.log`, then
 //! delete generation `g`. A crash in any window leaves at least one
@@ -160,8 +161,8 @@ impl WalObserver for StoreMetrics {
     fn commit_batch(&self, records: u64) {
         self.batch.record(records as f64);
     }
-    fn append_ok(&self) {
-        self.appends.inc();
+    fn append_ok(&self, records: u64) {
+        self.appends.add(records);
     }
     fn append_error(&self) {
         self.append_errors.inc();
@@ -219,6 +220,17 @@ pub(crate) fn list_generations(dir: &Path) -> Vec<u64> {
         }
     }
     gens
+}
+
+/// The serde_json text of each record: what the WAL stores and a
+/// replication frame ships.
+pub(crate) fn encode_all<R: Serialize>(recs: &[R]) -> Result<Vec<String>, StoreError> {
+    recs.iter()
+        .map(|rec| {
+            serde_json::to_string(rec)
+                .map_err(|e| StoreError::Corrupt(format!("record serialize: {e}")))
+        })
+        .collect()
 }
 
 /// Write `snap-<gen>.json` crash-safely: temp file, fsync, atomic rename,
@@ -360,30 +372,47 @@ impl<T: Durable> DurableStore<T> {
         ))
     }
 
-    /// Journal `rec` durably, then apply it to the state.
-    ///
-    /// On `Ok` the record is fsynced into the WAL — a crash at any later
-    /// point replays it. On `Err` the state is untouched and the record
-    /// is **not** durable; callers must NACK whatever acknowledgement the
-    /// record was going to back.
+    /// Journal `rec` durably, then apply it to the state: the one-record
+    /// case of [`DurableStore::commit_all`].
     pub fn commit(&self, rec: &T::Record) -> Result<u64, StoreError> {
-        let payload = serde_json::to_vec(rec)
-            .map_err(|e| StoreError::Corrupt(format!("record serialize: {e}")))?;
-        self.commit_encoded(rec, &payload)
+        self.commit_all(std::slice::from_ref(rec))
     }
 
-    /// [`DurableStore::commit`] for a caller that already holds `payload`,
-    /// the JSON of `rec`: a replicated store ships those very bytes.
+    /// Journal `recs` durably, in one WAL write and one flush, then apply
+    /// them in order; returns the first record's sequence number.
+    ///
+    /// On `Ok` every record is fsynced into the WAL — a crash at any later
+    /// point replays them. On `Err` the state is untouched and none of them
+    /// is durable; callers must NACK whatever acknowledgement the batch
+    /// was going to back.
+    pub fn commit_all(&self, recs: &[T::Record]) -> Result<u64, StoreError> {
+        self.commit_encoded(recs, &encode_all(recs)?)
+    }
+
+    /// [`DurableStore::commit_all`] for a caller that already holds
+    /// `payloads`, the JSON text of `recs`: a replicated store ships that
+    /// very text.
     pub(crate) fn commit_encoded(
         &self,
-        rec: &T::Record,
-        payload: &[u8],
+        recs: &[T::Record],
+        payloads: &[String],
     ) -> Result<u64, StoreError> {
         let mut inner = self.inner.lock().expect("store lock");
-        let seq = inner.wal.append(payload)?;
-        inner.state.apply(rec);
-        inner.since_compact += 1;
-        self.maybe_compact(&mut inner);
+        self.append_locked(&mut inner, recs, payloads)
+    }
+
+    fn append_locked(
+        &self,
+        inner: &mut Inner<T>,
+        recs: &[T::Record],
+        payloads: &[String],
+    ) -> Result<u64, StoreError> {
+        let seq = inner.wal.append_all(payloads)?;
+        for rec in recs {
+            inner.state.apply(rec);
+        }
+        inner.since_compact += recs.len() as u64;
+        self.maybe_compact(inner);
         Ok(seq)
     }
 
@@ -399,16 +428,11 @@ impl<T: Durable> DurableStore<T> {
         rec: &T::Record,
         check: impl FnOnce(&T) -> Result<(), E>,
     ) -> Result<u64, CommitError<E>> {
-        let payload = serde_json::to_vec(rec).map_err(|e| {
-            CommitError::Store(StoreError::Corrupt(format!("record serialize: {e}")))
-        })?;
+        let recs = std::slice::from_ref(rec);
+        let payloads = encode_all(recs)?;
         let mut inner = self.inner.lock().expect("store lock");
         check(&inner.state).map_err(CommitError::Rejected)?;
-        let seq = inner.wal.append(&payload).map_err(CommitError::Store)?;
-        inner.state.apply(rec);
-        inner.since_compact += 1;
-        self.maybe_compact(&mut inner);
-        Ok(seq)
+        Ok(self.append_locked(&mut inner, recs, &payloads)?)
     }
 
     /// Run `f` against the current state under the store lock.

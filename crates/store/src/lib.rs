@@ -27,8 +27,9 @@
 //! for every record written so far, so overlapping appends share a flush.
 //! The stores built on the log ([`DurableStore`], [`ReplicatedStore`],
 //! [`FollowerStore`]) each hold their own lock across an append, so
-//! through them appends never overlap and every flush covers one record
-//! (see [`Wal`]).
+//! through them appends never overlap; what shares a flush there is a
+//! batch, which `commit_all` (and a follower's `offer`) writes as one
+//! append (see [`Wal::append_all`]).
 //!
 //! # Recovery invariants
 //!
@@ -41,9 +42,10 @@
 //! 3. **No record before the damage point is lost**: frames are
 //!    self-delimiting and scanned in order, so records wholly before the
 //!    damage always survive.
-//! 4. **Acknowledged means durable**: [`DurableStore::commit`] fsyncs the
-//!    record *before* applying it; an error means nothing was applied and
-//!    the caller must NACK. Failed appends (including injected
+//! 4. **Acknowledged means durable**: [`DurableStore::commit`] (and
+//!    [`DurableStore::commit_all`] for a batch) fsyncs the records *before*
+//!    applying them; an error means nothing was applied and the caller
+//!    must NACK. Failed appends (including injected
 //!    torn/garbled writes from `net::fault`) roll the file back to the
 //!    last good byte before the next append.
 //! 5. **Compaction is crash-safe in every window**: the next snapshot is

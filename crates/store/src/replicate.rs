@@ -70,8 +70,8 @@
 //! [`ReplicatedStore::open`].
 
 use crate::durable::{
-    list_generations, snap_path, sweep, wal_path, write_snapshot_bytes, Durable, DurableStore,
-    RecoveryReport, StoreOptions,
+    encode_all, list_generations, snap_path, sweep, wal_path, write_snapshot_bytes, Durable,
+    DurableStore, RecoveryReport, StoreOptions,
 };
 use crate::wal::{read_wal, NoopObserver, StoreError, Wal, WalOptions};
 use serde::{Deserialize, Serialize};
@@ -105,8 +105,10 @@ pub struct ReplFrame {
     pub generation: u64,
     /// Sequence number within the generation (the WAL append seq).
     pub seq: u64,
-    /// The serialized record, byte-identical to the primary's WAL payload.
-    pub payload: Vec<u8>,
+    /// The record's serde_json text, byte-identical to the primary's WAL
+    /// payload. Text, not bytes: on the wire it travels as one JSON
+    /// string, not as an array of byte values.
+    pub payload: String,
 }
 
 /// A full basis transfer: the primary's current snapshot file plus every
@@ -118,10 +120,10 @@ pub struct SnapshotBlob {
     pub epoch: u64,
     /// Generation being transferred.
     pub generation: u64,
-    /// Exact bytes of the primary's `snap-<generation>.json`.
-    pub snapshot: Vec<u8>,
+    /// Exact text of the primary's `snap-<generation>.json`.
+    pub snapshot: String,
     /// Payloads of every WAL record in this generation, in order.
-    pub records: Vec<Vec<u8>>,
+    pub records: Vec<String>,
 }
 
 /// A node's replication position — the coordinates promotion compares.
@@ -451,29 +453,35 @@ impl FollowerStore {
         }
     }
 
-    /// Persist a batch of consecutive frames. Duplicates (seq already
-    /// durable) ack idempotently; a gap or generation mismatch asks for a
-    /// snapshot; a stale epoch is fenced.
+    /// Persist a batch of consecutive frames, in one write. Duplicates (seq
+    /// already durable) ack idempotently; a gap or generation mismatch asks
+    /// for a snapshot; a stale epoch is fenced. Either refusal still
+    /// persists the frames ahead of the one refused.
     pub fn offer(&self, frames: &[ReplFrame]) -> Result<ReplReply, StoreError> {
         let mut inner = self.inner.lock().expect("follower lock");
+        let mut fresh: Vec<&str> = Vec::new();
+        let (mut fenced, mut gap) = (None, false);
         for frame in frames {
-            if let Some(reply) = self.adopt_epoch(&mut inner, frame.epoch)? {
-                return Ok(reply);
+            fenced = self.adopt_epoch(&mut inner, frame.epoch)?;
+            let next = inner.wal.as_ref().map_or(0, |w| w.record_count()) + fresh.len() as u64;
+            gap = inner.wal.is_none() || frame.generation != inner.generation || frame.seq > next;
+            if fenced.is_some() || gap {
+                break;
             }
-            let next = inner.wal.as_ref().map_or(0, |w| w.record_count());
-            if inner.wal.is_none() || frame.generation != inner.generation || frame.seq > next {
-                return Ok(ReplReply::NeedSnapshot(Self::position_locked(&inner)));
+            // A seq below `next` is already durable — idempotent re-offer.
+            if frame.seq == next {
+                fresh.push(&frame.payload);
             }
-            if frame.seq < next {
-                continue; // already durable — idempotent re-offer
-            }
-            inner
-                .wal
-                .as_ref()
-                .expect("checked above")
-                .append(&frame.payload)?;
         }
-        Ok(ReplReply::Ok(Self::position_locked(&inner)))
+        if let Some(wal) = &inner.wal {
+            wal.append_all(&fresh)?;
+        }
+        let pos = Self::position_locked(&inner);
+        Ok(fenced.unwrap_or(if gap {
+            ReplReply::NeedSnapshot(pos)
+        } else {
+            ReplReply::Ok(pos)
+        }))
     }
 
     /// Rebase onto a full snapshot transfer: write the snapshot bytes
@@ -487,7 +495,7 @@ impl FollowerStore {
         write_snapshot_bytes(
             &self.dir,
             blob.generation,
-            &blob.snapshot,
+            blob.snapshot.as_bytes(),
             self.opts.no_fsync,
         )?;
         let wal_opts = WalOptions {
@@ -500,9 +508,7 @@ impl FollowerStore {
             wal_opts,
             Arc::new(NoopObserver),
         )?;
-        for payload in &blob.records {
-            wal.append(payload)?;
-        }
+        wal.append_all(&blob.records)?;
         inner.generation = blob.generation;
         inner.wal = Some(wal);
         sweep(&self.dir, blob.generation);
@@ -675,17 +681,19 @@ impl<T: Durable + Send + 'static> ReplicatedStore<T> {
         // are mid-generation.
         let generation = inner.generation();
         let scan = read_wal(&wal_path(&dir, generation))?;
-        let frames: Vec<ReplFrame> = scan
-            .records
-            .into_iter()
-            .enumerate()
-            .map(|(seq, payload)| ReplFrame {
-                epoch,
-                generation,
-                seq: seq as u64,
-                payload,
+        let frames = (0..)
+            .zip(scan.records)
+            .map(|(seq, payload)| {
+                let payload = String::from_utf8(payload)
+                    .map_err(|e| StoreError::Corrupt(format!("record {seq} is not text: {e}")))?;
+                Ok(ReplFrame {
+                    epoch,
+                    generation,
+                    seq,
+                    payload,
+                })
             })
-            .collect();
+            .collect::<Result<Vec<_>, StoreError>>()?;
 
         let links: Vec<Link> = opts
             .links
@@ -729,30 +737,37 @@ impl<T: Durable + Send + 'static> ReplicatedStore<T> {
     }
 
     /// Journal `rec` durably, apply it, and replicate per the configured
-    /// mode.
+    /// mode: the one-record case of [`ReplicatedStore::commit_all`].
+    pub fn commit(&self, rec: &T::Record) -> Result<u64, StoreError> {
+        self.commit_all(std::slice::from_ref(rec))
+    }
+
+    /// Journal `recs` durably in one WAL write, apply them, and replicate
+    /// them in one ship round per the configured mode; returns the first
+    /// record's sequence number.
     ///
     /// Sync: `Ok` means local-durable **and** acked by the required
-    /// followers; [`StoreError::Unreplicated`] means the record is durable
+    /// followers; [`StoreError::Unreplicated`] means the batch is durable
     /// locally but under-replicated — NACK the client (at-least-once
-    /// window, like a torn award). Async: `Ok` after local durability.
-    /// Once fenced, every commit fails with [`StoreError::Fenced`].
-    pub fn commit(&self, rec: &T::Record) -> Result<u64, StoreError> {
+    /// window, like a torn award) — and ships with the next commit. Async:
+    /// `Ok` after local durability. Once fenced, every commit fails with
+    /// [`StoreError::Fenced`].
+    pub fn commit_all(&self, recs: &[T::Record]) -> Result<u64, StoreError> {
         if self.fenced_flag.load(Ordering::Acquire) {
             return Err(self.fenced_error());
         }
-        let payload = serde_json::to_vec(rec)
-            .map_err(|e| StoreError::Corrupt(format!("record serialize: {e}")))?;
-        let (target_gen, target_count) = {
+        let payloads = encode_all(recs)?;
+        let (target_gen, first) = {
             let mut st = self.repl.lock().expect("repl lock");
-            let seq = self.inner.commit_encoded(rec, &payload)?;
-            let generation = st.generation;
-            st.frames.push(ReplFrame {
-                epoch: self.epoch,
-                generation,
-                seq,
-                payload,
-            });
-            let target = (st.generation, seq + 1);
+            let first = self.inner.commit_encoded(recs, &payloads)?;
+            let (epoch, generation) = (self.epoch, st.generation);
+            st.frames
+                .extend((first..).zip(payloads).map(|(seq, payload)| ReplFrame {
+                    epoch,
+                    generation,
+                    seq,
+                    payload,
+                }));
             if self.compact_every > 0 && st.frames.len() as u64 >= self.compact_every {
                 // Failures are swallowed like DurableStore::maybe_compact:
                 // the record is already durable in the old generation.
@@ -762,12 +777,13 @@ impl<T: Durable + Send + 'static> ReplicatedStore<T> {
                 }
             }
             self.update_lag(&st);
-            target
+            (generation, first)
         };
+        let target_count = first + recs.len() as u64;
         match self.mode {
             ReplicationMode::Async => {
                 self.wake.notify_all();
-                Ok(target_count - 1)
+                Ok(first)
             }
             ReplicationMode::Sync => {
                 let t0 = Instant::now();
@@ -780,7 +796,7 @@ impl<T: Durable + Send + 'static> ReplicatedStore<T> {
                 if let Some((want, got)) = self.sync_shortfall(&st, target_gen, target_count) {
                     return Err(StoreError::Unreplicated { want, got });
                 }
-                Ok(target_count - 1)
+                Ok(first)
             }
         }
     }
@@ -1032,7 +1048,7 @@ impl<T: Durable + Send + 'static> ReplicatedStore<T> {
     /// The current generation's basis snapshot (exact on-disk bytes) plus
     /// the buffered frames — everything a follower needs to mirror us.
     fn snapshot_blob(&self, st: &ReplState) -> Result<SnapshotBlob, StoreError> {
-        let snapshot = fs::read(snap_path(self.inner.dir(), st.generation))?;
+        let snapshot = fs::read_to_string(snap_path(self.inner.dir(), st.generation))?;
         Ok(SnapshotBlob {
             epoch: self.epoch,
             generation: st.generation,
@@ -1252,7 +1268,7 @@ mod tests {
         let blob = SnapshotBlob {
             epoch: 1,
             generation: 1,
-            snapshot: b"[]".to_vec(),
+            snapshot: "[]".into(),
             records: vec![],
         };
         f.install(&blob).unwrap();
@@ -1260,7 +1276,7 @@ mod tests {
             epoch: 1,
             generation: 1,
             seq,
-            payload: format!("\"r{seq}\"").into_bytes(),
+            payload: format!("\"r{seq}\""),
         };
         let batch = vec![frame(0), frame(1)];
         assert!(matches!(f.offer(&batch).unwrap(), ReplReply::Ok(p) if p.acked == 2));
@@ -1295,7 +1311,7 @@ mod tests {
             epoch: 2,
             generation: 1,
             seq: 1,
-            payload: b"\"usurper\"".to_vec(),
+            payload: "\"usurper\"".into(),
         }])
         .unwrap();
         assert_eq!(f.position().epoch, 2);
@@ -1347,7 +1363,7 @@ mod tests {
             epoch: 2,
             generation: 1,
             seq: 3,
-            payload: b"\"new-reign\"".to_vec(),
+            payload: "\"new-reign\"".into(),
         }])
         .unwrap();
 
@@ -1662,8 +1678,8 @@ mod tests {
             f.install(&SnapshotBlob {
                 epoch: 3,
                 generation: 2,
-                snapshot: b"[]".to_vec(),
-                records: vec![b"\"a\"".to_vec(), b"\"b\"".to_vec()],
+                snapshot: "[]".into(),
+                records: vec!["\"a\"".into(), "\"b\"".into()],
             })
             .unwrap();
         }
@@ -1765,6 +1781,70 @@ mod tests {
         store.shutdown();
         let _ = fs::remove_dir_all(&pdir);
         let _ = fs::remove_dir_all(&fdir);
+    }
+
+    #[test]
+    fn a_batch_is_one_write_and_one_offer() {
+        let pdir = scratch("commit-all-p");
+        let fdir = scratch("commit-all-f");
+        let f = follower(&fdir);
+        let link = Arc::new(CountingLink {
+            inner: Arc::clone(&f),
+            offers: AtomicUsize::new(0),
+        });
+        let (store, _) = ReplicatedStore::open(
+            &pdir,
+            Log::default(),
+            repl_opts(
+                vec![Arc::clone(&link) as Arc<dyn ReplicaLink>],
+                ReplicationMode::Sync,
+            ),
+        )
+        .unwrap();
+        // The first commit bootstraps the fresh follower with a snapshot.
+        store.commit(&"alone".to_string()).unwrap();
+        let offers = link.offers.load(Ordering::Relaxed);
+        let batch: Vec<String> = (0..5).map(|i| format!("b{i}")).collect();
+        assert_eq!(
+            store.commit_all(&batch).unwrap(),
+            1,
+            "the first record's seq"
+        );
+        assert_eq!(link.offers.load(Ordering::Relaxed), offers + 1);
+        assert_eq!(f.position().acked, 6);
+        assert_eq!(store.read(|s| s.entries.len()), 6);
+        let _ = fs::remove_dir_all(&pdir);
+        let _ = fs::remove_dir_all(&fdir);
+    }
+
+    #[test]
+    fn a_record_that_is_not_text_is_corrupt() {
+        let pdir = scratch("not-text-p");
+        let (plain, _) = DurableStore::open(
+            &pdir,
+            Log::default(),
+            repl_opts(vec![], ReplicationMode::Sync).store,
+        )
+        .unwrap();
+        drop(plain);
+        let wal = Wal::recover(
+            &wal_path(&pdir, 1),
+            1,
+            WalOptions::default(),
+            Arc::new(NoopObserver),
+        )
+        .unwrap()
+        .0;
+        wal.append(b"\"\xff\"").unwrap();
+        drop(wal);
+        let err = ReplicatedStore::open(
+            &pdir,
+            Log::default(),
+            repl_opts(vec![], ReplicationMode::Sync),
+        )
+        .unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt(_)), "{err}");
+        let _ = fs::remove_dir_all(&pdir);
     }
 
     #[test]

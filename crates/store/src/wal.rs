@@ -145,8 +145,10 @@ impl From<io::Error> for StoreError {
     }
 }
 
-/// The fate an injected fault assigns to one WAL append — the disk-side
-/// mirror of `net::fault::FrameFault`.
+/// The fate an injected fault assigns to one record of a WAL append — the
+/// disk-side mirror of `net::fault::FrameFault`. Any fate but `Deliver`
+/// fails the whole append; in a batch the frames ahead of the struck one
+/// reach the disk intact (see [`Wal::append_all`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WriteFault {
     /// Write the frame intact.
@@ -156,14 +158,14 @@ pub enum WriteFault {
         /// Bytes that reach the disk (clamped below the frame length).
         keep: usize,
     },
-    /// Persist the whole frame with one byte XOR-flipped.
+    /// Persist the whole write with one byte of this frame XOR-flipped.
     Garble {
         /// Byte offset to damage (wrapped modulo the frame length).
         offset: usize,
         /// XOR mask; `0` upgrades to `0xFF` so the byte always changes.
         xor: u8,
     },
-    /// Drop the write entirely — nothing reaches the disk.
+    /// Drop the write from this frame on — none of it reaches the disk.
     Fail,
 }
 
@@ -179,8 +181,8 @@ pub trait WalObserver: Send + Sync {
     fn fsync_seconds(&self, _secs: f64) {}
     /// One group-commit fsync covered this many records.
     fn commit_batch(&self, _records: u64) {}
-    /// A record was appended and is durable.
-    fn append_ok(&self) {}
+    /// This many records were appended in one write and are durable.
+    fn append_ok(&self, _records: u64) {}
     /// An append failed (I/O error or injected fault).
     fn append_error(&self) {}
 }
@@ -336,13 +338,11 @@ struct WalInner {
 /// covered its record returns immediately — that is the group commit: two
 /// appends that overlap share one disk flush.
 ///
-/// No caller in this workspace lets two appends overlap.
-/// `DurableStore::commit` / `commit_check`, `ReplicatedStore::commit` and
-/// `FollowerStore::{offer, install}` each hold their own mutex across
-/// `append`, so every flush covers exactly one record and
-/// `store_commit_batch_size` reads 1 on every sample (the repository
-/// benchmark's `store.batch_mean` is 1.0). The batching only acts for a
-/// caller that appends to a bare `Wal` from several threads.
+/// The stores built on the log (`DurableStore`, `ReplicatedStore`,
+/// `FollowerStore`) each hold their own mutex across an append, so through
+/// them appends never overlap. What groups records there is
+/// [`Wal::append_all`]: a batch of records is one write and one flush, and
+/// `store_commit_batch_size` records the batch's length.
 pub struct Wal {
     path: PathBuf,
     generation: u64,
@@ -479,85 +479,104 @@ impl Wal {
         self.inner.lock().expect("wal lock").next_seq
     }
 
-    /// Append one record durably and return its sequence number.
-    ///
-    /// On `Ok`, the record has been fsynced (unless
-    /// [`WalOptions::no_fsync`]) — possibly by a concurrent appender's
-    /// group commit. On `Err`, the record is **not** in the log: injected
-    /// or real write failures mark the file for repair, and the next
-    /// append truncates back to the last good byte first.
+    /// Append one record durably and return its sequence number: the
+    /// one-record case of [`Wal::append_all`].
     pub fn append(&self, payload: &[u8]) -> Result<u64, StoreError> {
-        if payload.len() > MAX_RECORD {
+        self.append_all(&[payload])
+    }
+
+    /// Append `payloads` durably, as one write and one flush, and return
+    /// the sequence number of the first (the batch takes consecutive
+    /// numbers). An empty batch writes nothing.
+    ///
+    /// On `Ok`, every record has been fsynced (unless
+    /// [`WalOptions::no_fsync`]) — possibly by a concurrent appender's
+    /// group commit. On `Err`, the batch is **not** in the log: the fault
+    /// hook is asked about each record in turn, and the first fate other
+    /// than `Deliver` damages the write at that record — the records ahead
+    /// of it may reach the file, but as a tail the next append truncates
+    /// back to the last good byte before it writes.
+    pub fn append_all<P: AsRef<[u8]>>(&self, payloads: &[P]) -> Result<u64, StoreError> {
+        let lens = payloads.iter().map(|p| p.as_ref().len());
+        if let Some(len) = lens.clone().find(|&len| len > MAX_RECORD) {
             self.observer.append_error();
             return Err(StoreError::RecordTooLarge {
-                len: payload.len(),
+                len,
                 max: MAX_RECORD,
             });
         }
-        let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        frame.extend_from_slice(&crc32(payload).to_be_bytes());
-        frame.extend_from_slice(payload);
-
-        let seq = {
-            let mut inner = self.inner.lock().expect("wal lock");
-            if inner.needs_repair {
-                let good = inner.good_len;
-                inner.file.set_len(good)?;
-                inner.file.seek(SeekFrom::Start(good))?;
-                inner.needs_repair = false;
-            }
-            let fate = match &self.opts.fault {
-                Some(hook) => hook(payload),
-                None => WriteFault::Deliver,
-            };
-            match fate {
-                WriteFault::Deliver => {}
-                WriteFault::Fail => {
-                    self.observer.append_error();
-                    return Err(StoreError::InjectedFault(
-                        "write dropped before reaching the log".into(),
-                    ));
+        let mut frames = Vec::with_capacity(lens.map(|len| FRAME_HEADER + len).sum());
+        for payload in payloads.iter().map(AsRef::as_ref) {
+            frames.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+            frames.extend_from_slice(&crc32(payload).to_be_bytes());
+            frames.extend_from_slice(payload);
+        }
+        let mut inner = self.inner.lock().expect("wal lock");
+        let first = inner.next_seq;
+        if payloads.is_empty() {
+            return Ok(first);
+        }
+        if inner.needs_repair {
+            let good = inner.good_len;
+            inner.file.set_len(good)?;
+            inner.file.seek(SeekFrom::Start(good))?;
+            inner.needs_repair = false;
+        }
+        // The first fate other than `Deliver`, and the byte range of the
+        // frame it strikes.
+        let mut fault = None;
+        if let Some(hook) = &self.opts.fault {
+            let mut start = 0;
+            for payload in payloads.iter().map(AsRef::as_ref) {
+                let end = start + FRAME_HEADER + payload.len();
+                match hook(payload) {
+                    WriteFault::Deliver => start = end,
+                    fate => {
+                        fault = Some((fate, start, end));
+                        break;
+                    }
                 }
+            }
+        }
+        if let Some((fate, start, end)) = fault {
+            let (persisted, why) = match fate {
                 WriteFault::Torn { keep } => {
-                    let keep = keep.min(frame.len() - 1);
-                    let _ = inner.file.write_all(&frame[..keep]);
-                    inner.needs_repair = true;
-                    self.observer.append_error();
-                    return Err(StoreError::InjectedFault(format!(
-                        "torn write: {keep} of {} bytes persisted",
-                        frame.len()
-                    )));
+                    let keep = keep.min(end - start - 1);
+                    let why = format!("torn write: {keep} of {} bytes persisted", end - start);
+                    (start + keep, why)
                 }
                 WriteFault::Garble { offset, xor } => {
-                    let mut bad = frame.clone();
-                    let i = offset % bad.len();
-                    bad[i] ^= if xor == 0 { 0xFF } else { xor };
-                    let _ = inner.file.write_all(&bad);
-                    inner.needs_repair = true;
-                    self.observer.append_error();
-                    return Err(StoreError::InjectedFault(format!(
-                        "garbled write: byte {i} flipped"
-                    )));
+                    let i = start + offset % (end - start);
+                    frames[i] ^= if xor == 0 { 0xFF } else { xor };
+                    (
+                        frames.len(),
+                        format!("garbled write: byte {} flipped", i - start),
+                    )
                 }
-            }
-            if let Err(e) = inner.file.write_all(&frame) {
-                inner.needs_repair = true;
-                self.observer.append_error();
-                return Err(StoreError::Io(e));
-            }
-            let seq = inner.next_seq;
-            inner.next_seq += 1;
-            inner.good_len += frame.len() as u64;
-            self.written_seq.store(inner.next_seq, Ordering::Release);
-            seq
-        };
+                // `Fail` (the scan above never yields `Deliver`).
+                _ => (start, "write dropped before reaching the log".to_string()),
+            };
+            let _ = inner.file.write_all(&frames[..persisted]);
+            inner.needs_repair = true;
+            self.observer.append_error();
+            return Err(StoreError::InjectedFault(why));
+        }
+        if let Err(e) = inner.file.write_all(&frames) {
+            inner.needs_repair = true;
+            self.observer.append_error();
+            return Err(StoreError::Io(e));
+        }
+        let count = payloads.len() as u64;
+        inner.next_seq += count;
+        inner.good_len += frames.len() as u64;
+        self.written_seq.store(inner.next_seq, Ordering::Release);
+        drop(inner);
 
         // Group commit: whoever reaches the sync lock first flushes for
         // everyone whose write already landed.
         {
             let mut synced = self.synced_seq.lock().expect("wal sync lock");
-            if *synced <= seq {
+            if *synced < first + count {
                 let covered = self.written_seq.load(Ordering::Acquire);
                 if !self.opts.no_fsync {
                     let t0 = Instant::now();
@@ -568,8 +587,8 @@ impl Wal {
                 *synced = covered;
             }
         }
-        self.observer.append_ok();
-        Ok(seq)
+        self.observer.append_ok(count);
+        Ok(first)
     }
 }
 
@@ -694,6 +713,43 @@ mod tests {
         let scan = read_wal(&path).unwrap();
         assert_eq!(scan.records, vec![b"good-1".to_vec(), b"good-2".to_vec()]);
         assert_eq!(scan.torn_bytes, 0);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Counts what a `Wal` reports.
+    #[derive(Default)]
+    struct Counts {
+        flushes: AtomicU64,
+        flushed: AtomicU64,
+        appended: AtomicU64,
+    }
+
+    impl WalObserver for Counts {
+        fn commit_batch(&self, records: u64) {
+            self.flushes.fetch_add(1, Ordering::Relaxed);
+            self.flushed.fetch_add(records, Ordering::Relaxed);
+        }
+        fn append_ok(&self, records: u64) {
+            self.appended.fetch_add(records, Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn a_batch_is_one_flush_and_takes_consecutive_seqs() {
+        let path = scratch("batch.wal");
+        let _ = std::fs::remove_file(&path);
+        let counts = Arc::new(Counts::default());
+        let observer = Arc::clone(&counts) as Arc<dyn WalObserver>;
+        let wal = Wal::create(&path, 1, WalOptions::default(), observer).unwrap();
+        assert_eq!(wal.append(b"lone").unwrap(), 0);
+        assert_eq!(wal.append_all(&["a", "b", "c"]).unwrap(), 1);
+        assert_eq!(wal.append_all::<&[u8]>(&[]).unwrap(), 4, "an empty batch");
+        assert_eq!(counts.flushes.load(Ordering::Relaxed), 2);
+        assert_eq!(counts.flushed.load(Ordering::Relaxed), 4);
+        assert_eq!(counts.appended.load(Ordering::Relaxed), 4);
+        drop(wal);
+        let scan = read_wal(&path).unwrap();
+        assert_eq!(scan.records, [&b"lone"[..], b"a", b"b", b"c"]);
         let _ = std::fs::remove_file(&path);
     }
 

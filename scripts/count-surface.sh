@@ -18,9 +18,9 @@
 # one lowers it.
 cd "$(dirname "$0")/.." || exit 1
 
-MAX_NET_LINES=8560   # non-test lines of crates/net/src
+MAX_NET_LINES=8598   # non-test lines of crates/net/src
 MAX_POOL_LINES=416  # of crates/net/src/pool.rs
-MAX_REPLICATE_LINES=1082  # of crates/store/src/replicate.rs
+MAX_REPLICATE_LINES=1091  # of crates/store/src/replicate.rs
 MAX_OPTION_FIELDS=56
 MAX_SPAWN_SITES=6
 MAX_DIAL_SITES=1
