@@ -12,15 +12,18 @@
 //!
 //! The realization: server bids flow to *leaf evaluation agents* (one per
 //! `fanout` servers), each of which applies the client's selection
-//! criterion locally and forwards only its best `top_k` bids upward; the
-//! client-side root agent picks the winner from the forwarded union.
-//! Because any global optimum is also its own leaf's optimum, the tree is
-//! **exact** for every per-bid criterion — the client's inbox shrinks from
-//! `N` to `⌈N/fanout⌉ × k` with zero selection-quality loss. The forwarded
+//! criterion locally and forwards only the best `top_k` bids of its
+//! [slate](round::slate) upward; the client-side root agent's slate is the
+//! slate of the forwarded union, and its head is the winner. Because any
+//! global optimum is also its own leaf's optimum, the tree is **exact**
+//! for every per-bid criterion — the client's inbox shrinks from `N` to
+//! `⌈N/fanout⌉ × k` with zero selection-quality loss. The forwarded
 //! runners-up double as the fallback slate for the two-phase protocol when
-//! the winner reneges.
+//! the winner reneges, walked by [`round::Negotiation`] as the simulator
+//! and the live client walk theirs.
 
 use crate::bid::Bid;
+use crate::market::round::{self, Negotiation};
 use crate::market::selection::SelectionPolicy;
 use crate::qos::PayoffFn;
 
@@ -45,9 +48,10 @@ impl Default for DistributedEvaluation {
 /// What an evaluation run produced, with its message accounting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvalOutcome {
-    /// The selected bid (None on an empty slate).
+    /// The selected bid: the root slate's head (None when it is empty).
     pub winner: Option<Bid>,
     /// The root slate, best-first — the two-phase fallback candidates.
+    /// It never holds a bid the client refuses.
     pub root_slate: Vec<Bid>,
     /// Bids that crossed the leaf→root links (the client-side inbox size).
     pub client_inbox: usize,
@@ -71,17 +75,11 @@ impl DistributedEvaluation {
         let mut leaves = 0;
         for chunk in bids.chunks(fanout) {
             leaves += 1;
-            let ranked = policy.rank(chunk, payoff);
-            forwarded.extend(ranked.into_iter().take(k).copied());
+            forwarded.extend(round::slate(policy, chunk, payoff).into_iter().take(k));
         }
-        let root_slate: Vec<Bid> = policy
-            .rank(&forwarded, payoff)
-            .into_iter()
-            .copied()
-            .collect();
-        let winner = policy.select(&forwarded, payoff).copied();
+        let root_slate = round::slate(policy, &forwarded, payoff);
         EvalOutcome {
-            winner,
+            winner: root_slate.first().copied(),
             client_inbox: forwarded.len(),
             leaves,
             messages: bids.len() as u64 + forwarded.len() as u64,
@@ -102,14 +100,11 @@ impl DistributedEvaluation {
         mut reneges: impl FnMut(&Bid) -> bool,
     ) -> (Option<Bid>, u32, EvalOutcome) {
         let outcome = self.evaluate(bids, policy, payoff);
-        let mut attempts = 0;
-        for bid in &outcome.root_slate {
-            attempts += 1;
-            if !reneges(bid) {
-                return (Some(*bid), attempts, outcome);
-            }
-        }
-        (None, attempts, outcome)
+        let mut negotiation = Negotiation::default();
+        negotiation.next_round();
+        negotiation.offers(policy, &outcome.root_slate, payoff);
+        let confirmed = negotiation.award_down(|bid| !reneges(bid));
+        (confirmed, negotiation.attempts(), outcome)
     }
 }
 
@@ -198,6 +193,36 @@ mod tests {
         assert_eq!(out.leaves, 20);
         assert_eq!(out.client_inbox, 40, "20 leaves × top-2");
         assert_eq!(out.messages, 1000 + 40);
+    }
+
+    /// Regression: the root slate was `rank` of the forwarded bids, so a
+    /// two-phase walk could award a bid that nets the client a loss, one
+    /// `select` would have refused.
+    #[test]
+    fn best_value_root_slate_holds_no_money_loser_and_its_head_wins() {
+        use rand::Rng;
+        faucets_sim::check::for_seeds(128, |rng| {
+            let bids: Vec<Bid> = (0..rng.random_range(1..200))
+                .map(|i| bid(i, rng.random_range(1.0..300.0), rng.random_range(50..3_000)))
+                .collect();
+            let payoff = PayoffFn {
+                soft_deadline: SimTime::from_secs(1_000),
+                hard_deadline: SimTime::from_secs(2_000),
+                payoff_soft: Money::from_units(200),
+                payoff_hard: Money::from_units(50),
+                penalty_late: Money::ZERO,
+            };
+            let tree = DistributedEvaluation {
+                fanout: rng.random_range(1..40),
+                top_k: rng.random_range(1..4),
+            };
+            let out = tree.evaluate(&bids, SelectionPolicy::BestValue, &payoff);
+            for b in &out.root_slate {
+                let net = payoff.payoff_at(b.promised_completion) - b.price;
+                assert!(net >= Money::ZERO, "{b:?} nets {net}");
+            }
+            assert_eq!(out.winner, out.root_slate.first().copied());
+        });
     }
 
     #[test]

@@ -7,6 +7,7 @@ pub mod auction;
 pub mod contract;
 pub mod history;
 pub mod regulation;
+pub mod round;
 pub mod selection;
 pub mod strategy;
 
@@ -15,6 +16,7 @@ pub use auction::{equilibrium_ask, run_reverse_auction, AuctionResult, Mechanism
 pub use contract::{Contract, ContractBook, ContractState};
 pub use history::{size_class, size_class_label, ContractHistory, ContractRecord};
 pub use regulation::{BandAction, Regulator, ScreenStats};
+pub use round::{Negotiation, MAX_ROUNDS};
 pub use selection::SelectionPolicy;
 pub use strategy::{
     Baseline, BidStrategy, ClusterView, DeadlineAware, Fixed, MarketInfo, UtilizationInterpolated,

@@ -49,25 +49,22 @@ impl SelectionPolicy {
         }
     }
 
-    /// Pick the winning bid under this policy. Ties break on cluster id for
-    /// determinism. Returns `None` for an empty slate, or when the best
-    /// available bid would still net the client a negative value under
-    /// [`SelectionPolicy::BestValue`].
-    pub fn select<'a>(&self, bids: &'a [Bid], payoff: &PayoffFn) -> Option<&'a Bid> {
-        let best = bids.iter().min_by(|a, b| {
-            self.score(a, payoff)
-                .partial_cmp(&self.score(b, payoff))
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cluster.cmp(&b.cluster))
-        })?;
-        if matches!(self, SelectionPolicy::BestValue) && self.score(best, payoff) > 0.0 {
-            return None; // even the best bid loses money
-        }
-        Some(best)
+    /// Whether the client would take `bid` at all: only
+    /// [`SelectionPolicy::BestValue`] refuses one, a bid that nets a loss.
+    pub fn accepts(&self, bid: &Bid, payoff: &PayoffFn) -> bool {
+        !matches!(self, SelectionPolicy::BestValue) || self.score(bid, payoff) <= 0.0
     }
 
-    /// Rank all bids best-first (used by the two-phase protocol to fall back
-    /// to the runner-up when the winner reneges).
+    /// Pick the winning bid: the head of [`SelectionPolicy::rank`], if the
+    /// client [accepts](Self::accepts) it (`None` on an empty slate too).
+    /// Ties break on cluster id for determinism.
+    pub fn select<'a>(&self, bids: &'a [Bid], payoff: &PayoffFn) -> Option<&'a Bid> {
+        let best = *self.rank(bids, payoff).first()?;
+        self.accepts(best, payoff).then_some(best)
+    }
+
+    /// Rank all bids best-first, refused ones included (the award order is
+    /// [`crate::market::round::slate`]).
     pub fn rank<'a>(&self, bids: &'a [Bid], payoff: &PayoffFn) -> Vec<&'a Bid> {
         let mut v: Vec<&Bid> = bids.iter().collect();
         v.sort_by(|a, b| {

@@ -7,6 +7,14 @@
 //! `faucets-sim` engine: job arrival → server matching → request-for-bids →
 //! bid evaluation → two-phase award → staging/queueing → adaptive execution
 //! → completion, settlement, and monitoring.
+//!
+//! The market's decisions — which candidates, which slate, which award
+//! next, how many rounds — are [`faucets_core::market::round`]'s, the same
+//! ones the live client makes. The world keeps its own I/O: in-process
+//! calls, the message counts, the award leg's latency, and the sim-only
+//! inputs to a slate (maintenance windows, the §5.5.1 regulator, §5.5.2 SU
+//! quotas). A renege awards the runner-up one latency later; a job is
+//! solicited again only when its slate is spent.
 
 use crate::workload::Workload;
 use faucets_core::accounting::{AccountId, Ledger};
@@ -17,8 +25,8 @@ use faucets_core::bid::{Bid, BidRequest};
 use faucets_core::daemon::{AwardOutcome, ClusterManager, FaucetsDaemon};
 use faucets_core::ids::{ClusterId, ContractId, JobId, UserId};
 use faucets_core::job::JobSpec;
-use faucets_core::market::ContractBook;
-use faucets_core::market::{ContractRecord, Regulator, SelectionPolicy};
+use faucets_core::market::round::{self, Negotiation};
+use faucets_core::market::{ContractBook, ContractRecord, Regulator, SelectionPolicy};
 use faucets_core::money::{Money, ServiceUnits};
 use faucets_core::quota::SuQuota;
 use faucets_core::server::FaucetsServer;
@@ -270,14 +278,28 @@ impl Default for GridStats {
     }
 }
 
-/// Per-job bookkeeping needed at completion time.
+/// Per-job bookkeeping: where a market job's negotiation stands, and what
+/// settlement needs at completion.
 #[derive(Debug, Clone)]
 struct JobInfo {
     user: UserId,
     cpu_seconds: f64,
     min_pes: u32,
+    /// The awarded bid's multiplier.
     multiplier: f64,
-    retries: u32,
+    negotiation: Negotiation,
+}
+
+impl JobInfo {
+    fn new(spec: &JobSpec) -> Self {
+        JobInfo {
+            user: spec.user,
+            cpu_seconds: spec.qos.cpu_seconds(1.0), // work is CPU-seconds in all scenarios
+            min_pes: spec.qos.min_pes,
+            multiplier: 0.0,
+            negotiation: Negotiation::default(),
+        }
+    }
 }
 
 /// Transient-failure injection parameters (§3 recovery).
@@ -325,7 +347,6 @@ pub struct GridWorld {
     token: SessionToken,
     jobs: HashMap<JobId, JobInfo>,
     armed_wakes: HashMap<ClusterId, (EventId, SimTime)>,
-    max_award_retries: u32,
     /// The pre-drawn spec for the scheduled NextArrival event.
     pending_spec: Option<JobSpec>,
     next_job_id: u64,
@@ -387,7 +408,6 @@ impl GridWorld {
             token,
             jobs: HashMap::new(),
             armed_wakes: HashMap::new(),
-            max_award_retries: 3,
             pending_spec: None,
             next_job_id: 0,
             failure_model: None,
@@ -553,42 +573,39 @@ impl GridWorld {
     /// Place a job according to the active mode.
     fn place(&mut self, spec: JobSpec, sched: &mut Scheduler<GridEvent>) {
         match self.mode.clone() {
-            MarketMode::Bidding(policy) => self.place_bidding(spec, policy, sched),
+            MarketMode::Bidding(policy) | MarketMode::ServiceUnits(policy) => {
+                self.place_market(spec, policy, sched)
+            }
             MarketMode::Barter => self.place_barter(spec, sched),
             MarketMode::Restricted => self.place_restricted(spec, sched),
-            MarketMode::ServiceUnits(policy) => self.place_su(spec, policy, sched),
         }
     }
 
-    fn remember(&mut self, spec: &JobSpec, multiplier: f64) {
-        let flops = 1.0; // work is CPU-seconds in all scenarios
-        self.jobs.insert(
-            spec.id,
-            JobInfo {
-                user: spec.user,
-                cpu_seconds: spec.qos.cpu_seconds(flops),
-                min_pes: spec.qos.min_pes,
-                multiplier,
-                retries: self.jobs.get(&spec.id).map_or(0, |j| j.retries),
-            },
-        );
-    }
-
-    fn place_bidding(
+    /// One round of the §5 market for `spec`: a request-for-bids to every
+    /// live candidate, then awards down the slate. With a quota bank this
+    /// is the §5.5.2 market, its bids SU multipliers charged against user
+    /// quotas: a bid the user cannot cover is no offer.
+    fn place_market(
         &mut self,
         spec: JobSpec,
         policy: SelectionPolicy,
         sched: &mut Scheduler<GridEvent>,
     ) {
         let now = sched.now();
-        let candidates: Vec<ClusterId> =
-            match self.server.match_servers(&self.token, &spec.qos, now) {
-                Ok(c) => c.into_iter().filter(|&c| !self.is_down(c, now)).collect(),
-                Err(_) => {
-                    self.stats.rejected += 1;
-                    return;
-                }
-            };
+        let mut info = self
+            .jobs
+            .remove(&spec.id)
+            .unwrap_or_else(|| JobInfo::new(&spec));
+        if !info.negotiation.next_round() {
+            self.stats.rejected += 1;
+            return;
+        }
+        let Ok(mut candidates) = self.server.match_servers(&self.token, &spec.qos, now) else {
+            self.stats.rejected += 1;
+            return;
+        };
+        candidates.retain(|&c| !self.is_down(c, now));
+        round::dedup_by_cluster(&mut candidates, |&c| c);
         let market = self.server.market_info(now);
         let req = BidRequest {
             job: spec.id,
@@ -603,13 +620,10 @@ impl GridWorld {
                 .get_mut(&c)
                 .expect("directory lists only known nodes");
             self.stats.messages += 2; // RFB + response
-            if let Some(b) = node
+            let reply = node
                 .daemon
-                .handle_bid_request(&req, &mut node.cluster, &market, now)
-                .offer()
-            {
-                bids.push(*b);
-            }
+                .handle_bid_request(&req, &mut node.cluster, &market, now);
+            bids.extend(reply.offer());
         }
         // §5.5.1: regulatory screening against the grid's normal price.
         if let Some(reg) = self.regulator {
@@ -618,27 +632,59 @@ impl GridWorld {
             self.regulated_bids += (stats.rejected + stats.clamped) as u64;
             bids = kept;
         }
-        match policy.select(&bids, &spec.qos.payoff) {
-            Some(bid) => {
-                let bid = *bid;
-                match self.book.award(bid, now) {
-                    Ok(contract) => {
-                        self.remember(&spec, bid.multiplier);
-                        self.stats.messages += 1; // award
-                        sched.schedule_in(
-                            self.market_latency,
-                            GridEvent::Award {
-                                spec: Box::new(spec),
-                                contract,
-                                bid,
-                            },
-                        );
-                    }
-                    Err(_) => self.stats.rejected += 1,
-                }
+        if let Some(quota) = &self.quota {
+            let offered = bids.len();
+            // Checked SU pricing: a NaN/infinite multiplier is
+            // unaffordable by definition, not a free job.
+            bids.retain(|b| {
+                SuQuota::try_su_cost(info.cpu_seconds, b.multiplier)
+                    .is_some_and(|cost| quota.can_afford(spec.user, cost))
+            });
+            if bids.is_empty() && offered > 0 {
+                self.stats.blocked_quota += 1;
+                return;
             }
-            None => self.stats.rejected += 1,
         }
+        info.negotiation.offers(policy, &bids, &spec.qos.payoff);
+        self.jobs.insert(spec.id, info);
+        self.award_next(spec, sched);
+    }
+
+    /// Award `spec` to the next bid of its slate — in the SU market with
+    /// the charge prepaid, so quotas never go negative — or, the slate
+    /// spent, solicit the job's next round.
+    fn award_next(&mut self, spec: JobSpec, sched: &mut Scheduler<GridEvent>) {
+        let info = self
+            .jobs
+            .get_mut(&spec.id)
+            .expect("a job under negotiation is known");
+        let Some(bid) = info.negotiation.next_award() else {
+            return self.place(spec, sched);
+        };
+        info.multiplier = bid.multiplier;
+        if let Some(quota) = &mut self.quota {
+            let cost = SuQuota::try_su_cost(info.cpu_seconds, bid.multiplier)
+                .filter(|&cost| quota.charge(spec.user, bid.cluster, cost).is_ok());
+            let Some(cost) = cost else {
+                self.jobs.remove(&spec.id);
+                self.stats.blocked_quota += 1;
+                return;
+            };
+            self.stats.su_charged += cost;
+        }
+        let Ok(contract) = self.book.award(bid, sched.now()) else {
+            self.jobs.remove(&spec.id);
+            self.stats.rejected += 1;
+            return;
+        };
+        self.stats.messages += 1; // award
+        let spec = Box::new(spec);
+        let award = GridEvent::Award {
+            spec,
+            contract,
+            bid,
+        };
+        sched.schedule_in(self.market_latency, award);
     }
 
     /// Direct (non-market) placement used by barter and restricted modes:
@@ -667,7 +713,7 @@ impl GridWorld {
             }
         };
         let _ = self.book.confirm(contract);
-        self.remember(&spec, 0.0);
+        self.jobs.insert(spec.id, JobInfo::new(&spec));
         let node = self.nodes.get_mut(&cluster).expect("known cluster");
         self.stats.messages += 1;
         self.appspector.register_job(spec.id, spec.user, cluster);
@@ -675,92 +721,33 @@ impl GridWorld {
         self.rearm(cluster, sched);
     }
 
-    /// §5.5.2 placement: the Faucets market with SU-multiplier bids charged
-    /// against user quotas. The charge is prepaid at award time (quota
-    /// reserved), so quotas can never go negative.
-    fn place_su(
+    /// Take `cluster` down for `window` (a maintenance drain or a daemon
+    /// crash): its armed completion wake is cancelled, and its contracts
+    /// come off it — the running jobs checkpointed, with their image size,
+    /// then the backlog.
+    fn take_down(
         &mut self,
-        spec: JobSpec,
-        policy: SelectionPolicy,
+        cluster: ClusterId,
+        window: SimDuration,
         sched: &mut Scheduler<GridEvent>,
-    ) {
+    ) -> Vec<(JobSpec, ContractId, Money, Option<u64>)> {
         let now = sched.now();
-        let candidates: Vec<ClusterId> =
-            match self.server.match_servers(&self.token, &spec.qos, now) {
-                Ok(c) => c.into_iter().filter(|&c| !self.is_down(c, now)).collect(),
-                Err(_) => {
-                    self.stats.rejected += 1;
-                    return;
-                }
-            };
-        let market = self.server.market_info(now);
-        let req = BidRequest {
-            job: spec.id,
-            user: spec.user,
-            qos: spec.qos.clone(),
-            issued_at: now,
-        };
-        let mut bids = vec![];
-        for c in candidates {
-            let node = self
-                .nodes
-                .get_mut(&c)
-                .expect("directory lists only known nodes");
-            self.stats.messages += 2;
-            if let Some(b) = node
-                .daemon
-                .handle_bid_request(&req, &mut node.cluster, &market, now)
-                .offer()
-            {
-                bids.push(*b);
-            }
+        self.down_until.insert(cluster, now.saturating_add(window));
+        if let Some((id, _)) = self.armed_wakes.remove(&cluster) {
+            sched.cancel(id);
         }
-        let quota = self.quota.as_mut().expect("SU mode requires a quota bank");
-        let cpu = spec.qos.cpu_seconds(1.0);
-        // Best affordable bid under the selection policy.
-        let ranked: Vec<Bid> = policy
-            .rank(&bids, &spec.qos.payoff)
+        let node = self.nodes.get_mut(&cluster).expect("a known cluster");
+        let ids: Vec<JobId> = node.cluster.running_jobs().map(|(id, _)| id).collect();
+        let evicted: Vec<_> = ids
             .into_iter()
-            .copied()
+            .filter_map(|id| node.cluster.checkpoint_and_evict(id, now))
+            .map(|cj| (cj.spec, cj.contract, cj.price, Some(cj.image_mb)))
             .collect();
-        // Checked SU pricing: a NaN/infinite multiplier is unaffordable by
-        // definition, not a free job.
-        let affordable = ranked.into_iter().find_map(|b| {
-            SuQuota::try_su_cost(cpu, b.multiplier)
-                .filter(|cost| quota.can_afford(spec.user, *cost))
-                .map(|cost| (b, cost))
-        });
-        match affordable {
-            Some((bid, cost)) => {
-                if quota.charge(spec.user, bid.cluster, cost).is_err() {
-                    self.stats.blocked_quota += 1;
-                    return;
-                }
-                self.stats.su_charged += cost;
-                match self.book.award(bid, now) {
-                    Ok(contract) => {
-                        self.remember(&spec, bid.multiplier);
-                        self.stats.messages += 1;
-                        sched.schedule_in(
-                            self.market_latency,
-                            GridEvent::Award {
-                                spec: Box::new(spec),
-                                contract,
-                                bid,
-                            },
-                        );
-                    }
-                    Err(_) => self.stats.rejected += 1,
-                }
-            }
-            None => {
-                if bids.is_empty() {
-                    self.stats.rejected += 1;
-                } else {
-                    self.stats.blocked_quota += 1;
-                }
-            }
-        }
+        let queued = node.cluster.drain_queue().into_iter();
+        evicted
+            .into_iter()
+            .chain(queued.map(|q| (q.spec, q.contract, q.price, None)))
+            .collect()
     }
 
     /// Find a home for a job displaced by maintenance: another live cluster
@@ -952,21 +939,13 @@ impl World for GridWorld {
                     Ok(AwardOutcome::Reneged(_)) | Err(_) => {
                         let _ = self.book.renege(contract);
                         self.stats.reneges += 1;
-                        let retries = self
-                            .jobs
-                            .get_mut(&spec.id)
-                            .map(|j| {
-                                j.retries += 1;
-                                j.retries
-                            })
-                            .unwrap_or(u32::MAX);
-                        if retries <= self.max_award_retries {
-                            // Fall back to the market for a fresh slate.
-                            self.place(spec, sched);
-                        } else {
-                            self.jobs.remove(&spec.id);
-                            self.stats.rejected += 1;
+                        if let Some(quota) = &mut self.quota {
+                            let cost = SuQuota::su_cost(spec.qos.cpu_seconds(1.0), bid.multiplier);
+                            let _ = quota.refund(spec.user, cluster_id, cost);
+                            self.stats.su_charged -= cost;
                         }
+                        // §5.3: the runner-up, before anyone is asked again.
+                        self.award_next(spec, sched);
                     }
                 }
             }
@@ -1023,41 +1002,11 @@ impl World for GridWorld {
                 }
             }
             GridEvent::Maintenance { cluster, window } => {
-                let now = sched.now();
-                self.down_until.insert(cluster, now.saturating_add(window));
-                // Cancel any armed completion wake; the machine empties now.
-                if let Some((id, _)) = self.armed_wakes.remove(&cluster) {
-                    sched.cancel(id);
-                }
-                // Drain: checkpoint running jobs, pull the backlog.
-                let (evicted, queued) = {
-                    let node = self
-                        .nodes
-                        .get_mut(&cluster)
-                        .expect("maintenance on known cluster");
-                    let ids: Vec<JobId> = node.cluster.running_jobs().map(|(id, _)| id).collect();
-                    let evicted: Vec<_> = ids
-                        .into_iter()
-                        .filter_map(|id| node.cluster.checkpoint_and_evict(id, now))
-                        .collect();
-                    (evicted, node.cluster.drain_queue())
-                };
                 let wan = CheckpointCostModel::default();
                 // Checkpointed jobs carry an image across the WAN; queued
                 // jobs move instantly (nothing started yet).
-                for cj in evicted {
-                    self.route_displaced(
-                        cj.spec,
-                        cj.contract,
-                        cj.price,
-                        Some(cj.image_mb),
-                        cluster,
-                        &wan,
-                        sched,
-                    );
-                }
-                for q in queued {
-                    self.route_displaced(q.spec, q.contract, q.price, None, cluster, &wan, sched);
+                for (spec, contract, price, image_mb) in self.take_down(cluster, window, sched) {
+                    self.route_displaced(spec, contract, price, image_mb, cluster, &wan, sched);
                 }
             }
             GridEvent::MigrationArrive {
@@ -1076,49 +1025,22 @@ impl World for GridWorld {
                 self.rearm(to, sched);
             }
             GridEvent::ClusterFailure { cluster, downtime } => {
-                let now = sched.now();
                 self.stats.daemon_failures += 1;
-                self.down_until
-                    .insert(cluster, now.saturating_add(downtime));
-                if let Some((id, _)) = self.armed_wakes.remove(&cluster) {
-                    sched.cancel(id);
-                }
                 // The daemon process dies: nothing on this Compute Server
-                // advances until it restarts. Checkpoint the running jobs
-                // and pull the backlog.
-                let (evicted, queued) = {
-                    let node = self
-                        .nodes
-                        .get_mut(&cluster)
-                        .expect("crash on known cluster");
-                    let ids: Vec<JobId> = node.cluster.running_jobs().map(|(id, _)| id).collect();
-                    let evicted: Vec<_> = ids
-                        .into_iter()
-                        .filter_map(|id| node.cluster.checkpoint_and_evict(id, now))
-                        .collect();
-                    (evicted, node.cluster.drain_queue())
-                };
+                // advances until it restarts.
+                let displaced = self.take_down(cluster, downtime, sched);
                 if self.daemon_recovery {
                     // The journal survives the crash; contracts resume at
                     // restart.
                     let parked = self.parked.entry(cluster).or_default();
-                    for cj in evicted {
-                        parked.push((cj.spec, cj.contract, cj.price));
-                    }
-                    for q in queued {
-                        parked.push((q.spec, q.contract, q.price));
-                    }
+                    parked.extend(displaced.into_iter().map(|(s, c, p, _)| (s, c, p)));
                 } else {
                     // No journal: every accepted contract on this daemon is
                     // gone with the process.
-                    for (spec_id, contract) in evicted
-                        .iter()
-                        .map(|cj| (cj.spec.id, cj.contract))
-                        .chain(queued.iter().map(|q| (q.spec.id, q.contract)))
-                    {
+                    for (spec, contract, ..) in displaced {
                         self.stats.jobs_lost += 1;
                         let _ = self.book.renege(contract);
-                        self.jobs.remove(&spec_id);
+                        self.jobs.remove(&spec.id);
                     }
                 }
                 sched.schedule_in(downtime, GridEvent::ClusterRecovery(cluster));
@@ -1317,6 +1239,118 @@ mod tests {
             "sim clock at {}",
             w.instruments.clock.now_secs()
         );
+    }
+
+    /// Three idle 64-PE FCFS clusters, cheapest first, and no arrivals:
+    /// the test places its own 8-PE job.
+    fn idle_grid(mode: MarketMode) -> (Simulation<GridWorld>, JobId) {
+        let mut b = ScenarioBuilder::new(7)
+            .mode(mode)
+            .horizon(SimDuration::ZERO);
+        for cents in [1.0, 2.0, 3.0] {
+            let cost = Money::from_units_f64(cents / 100.0);
+            b = b.cluster_priced(64, "fcfs", "baseline", cost);
+        }
+        let mut sim = b.build();
+        let (w, sched) = sim.split();
+        let qos = faucets_core::qos::QosBuilder::new("namd", 8, 8, 3_600.0)
+            .build()
+            .unwrap();
+        let spec = w.make_spec(UserId(1), qos, sched.now());
+        let job = spec.id;
+        w.stats.submitted += 1;
+        w.place(spec, sched);
+        (sim, job)
+    }
+
+    /// Dispatch the next event; while it runs, the clusters in `renege`
+    /// that hold an award are swapped for a 1-PE machine, which cannot run
+    /// the job, so their daemons renege (a cluster in `renege` asked for a
+    /// bid then declines). Returns the awards it broke.
+    fn step_reneging(sim: &mut Simulation<GridWorld>, renege: &[u64]) -> usize {
+        use faucets_core::market::ContractState;
+        use faucets_sched::machine::MachineSpec;
+        let w = sim.world_mut();
+        let awarded: Vec<ClusterId> = w
+            .book
+            .in_state(ContractState::Awarded)
+            .map(|c| c.cluster)
+            .filter(|c| renege.contains(&c.raw()))
+            .collect();
+        let swap = |w: &mut GridWorld, c: ClusterId, cluster: Cluster| {
+            std::mem::replace(&mut w.nodes.get_mut(&c).unwrap().cluster, cluster)
+        };
+        let tiny = |c| {
+            let machine = MachineSpec::commodity(c, "tiny", 1);
+            Cluster::new(
+                machine,
+                crate::scenario::policy_by_name("fcfs"),
+                Default::default(),
+            )
+        };
+        let parked: Vec<(ClusterId, Cluster)> =
+            awarded.iter().map(|&c| (c, swap(w, c, tiny(c)))).collect();
+        sim.step();
+        for (c, cluster) in parked {
+            swap(sim.world_mut(), c, cluster);
+        }
+        awarded.len()
+    }
+
+    #[test]
+    fn a_renege_awards_the_runner_up_without_new_requests_for_bids() {
+        let (mut sim, _) = idle_grid(MarketMode::Bidding(SelectionPolicy::LeastCost));
+        let w = sim.world();
+        let (rfbs, messages) = (w.server.stats.rfb_messages, w.stats.messages);
+        assert_eq!((rfbs, messages), (3, 3 * 2 + 1), "3 RFBs + 3 bids, 1 award");
+        assert_eq!(step_reneging(&mut sim, &[1]), 1, "the winner reneges");
+        assert_eq!(step_reneging(&mut sim, &[1]), 0, "the runner-up confirms");
+        sim.run();
+        let w = sim.world();
+        assert_eq!(w.server.stats.rfb_messages, rfbs, "nobody was asked again");
+        assert_eq!(w.stats.reneges, 1);
+        // Renege reply, runner-up award, its confirm: +1 award, +1 reply
+        // over a first-time confirm; heartbeats add 2 per cluster each.
+        let heartbeats = w.stats.messages - messages - 3;
+        assert_eq!(heartbeats % 6, 0, "{} messages", w.stats.messages);
+        assert_eq!((w.stats.completed, w.stats.rejected), (1, 0));
+        let paid = w.stats.paid_total;
+        let runner_up = Money::from_units_f64(0.02 * 3_600.0);
+        assert_eq!(paid, runner_up, "cluster 2 ran it at its bid");
+    }
+
+    /// Regression: a renege in the SU market left its prepaid charge with
+    /// the cluster that reneged, and the job paid again where it ran.
+    #[test]
+    fn an_su_renege_refunds_its_prepaid_charge() {
+        let (mut sim, _) = idle_grid(MarketMode::ServiceUnits(SelectionPolicy::LeastCost));
+        assert_eq!(step_reneging(&mut sim, &[1]), 1, "the winner reneges");
+        sim.run();
+        let w = sim.world();
+        let quota = w.quota.as_ref().unwrap();
+        let cost = SuQuota::su_cost(3_600.0, 1.0);
+        assert_eq!(quota.pool(ClusterId(1)), ServiceUnits::ZERO, "refunded");
+        assert_eq!(quota.pool(ClusterId(2)), cost, "the runner-up's charge");
+        assert_eq!(w.stats.su_charged, cost);
+        assert_eq!(w.stats.completed, 1);
+    }
+
+    #[test]
+    fn a_job_whose_whole_slate_reneges_gets_max_rounds_and_is_rejected() {
+        let (mut sim, job) = idle_grid(MarketMode::Bidding(SelectionPolicy::LeastCost));
+        let mut broken = 0;
+        while sim.world().jobs.contains_key(&job) {
+            broken += step_reneging(&mut sim, &[1, 2, 3]);
+        }
+        sim.run();
+        let w = sim.world();
+        // Round 1 holds all three; a reneging cluster is mid-award when
+        // the next round solicits, so it declines: two per later round.
+        assert_eq!(broken, 3 + 2 * (round::MAX_ROUNDS as usize - 1));
+        assert_eq!(w.stats.reneges as usize, broken);
+        assert_eq!(w.server.stats.matches, u64::from(round::MAX_ROUNDS));
+        assert_eq!((w.stats.completed, w.stats.rejected), (0, 1));
+        assert_eq!(w.stats.completed + w.stats.rejected, w.stats.submitted);
     }
 
     #[test]

@@ -8,17 +8,19 @@
 //! stage input files, then monitor the job and download outputs through
 //! AppSpector.
 //!
+//! The negotiation's decisions are [`faucets_core::market::round`]'s, as
+//! in the simulator; this file keeps the wire: which answer is a bid, a
+//! failed award, or a peer that could not answer at all.
+//!
 //! ## Recovery
 //!
 //! Every wire interaction goes through [`call_with`] under the client's
 //! [`RetryPolicy`], so transient drops and stalls are absorbed by bounded
 //! backoff. A daemon that dies *mid-negotiation* (transport failure on
-//! award or staging) costs only its bid: the client falls through the
-//! ranked bid list, and when a whole round is exhausted it re-solicits
-//! bids from scratch — the FS will have graded the dead daemon suspect by
-//! then — up to [`FaucetsClient::max_rounds`] rounds. A bid naming a
-//! server missing from the directory listing is skipped with a recorded
-//! [`ClientError::UnlistedBidder`] rather than a panic.
+//! award or staging) costs only its bid: the client goes on down the
+//! slate, and when it is spent, or a round drew no offer, solicits anew
+//! (the FS will have graded a dead daemon suspect by then). A bid naming a
+//! server the listing lacks is skipped, never awarded.
 //!
 //! ## Overload
 //!
@@ -38,13 +40,14 @@ use faucets_core::auth::SessionToken;
 use faucets_core::bid::{Bid, BidRequest};
 use faucets_core::ids::{ClusterId, ContractId, JobId, UserId};
 use faucets_core::job::JobSpec;
+use faucets_core::market::round::{self, Negotiation};
 use faucets_core::market::SelectionPolicy;
 use faucets_core::money::Money;
 use faucets_core::qos::QosContract;
 use faucets_sim::time::SimTime;
 use faucets_telemetry::trace::{self, TraceId};
 use faucets_telemetry::Counter;
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::fmt;
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -61,15 +64,12 @@ pub enum ClientError {
     Rejected(String),
     /// No Compute Server matched the job's QoS.
     NoMatchingServers,
-    /// Every matching server declined to bid.
+    /// No matching server made an offer the client takes: each declined,
+    /// was busy, or bid what the selection policy refuses.
     AllDeclined {
         /// How many servers were solicited.
         solicited: usize,
     },
-    /// A bid arrived from a server absent from the directory listing
-    /// (typically evicted between matching and bidding). The bid is
-    /// skipped, never awarded.
-    UnlistedBidder(ClusterId),
     /// Every negotiation round ended with all awards reneged or dead.
     NegotiationExhausted {
         /// Rounds attempted (each round = match + bid + award sweep).
@@ -90,14 +90,10 @@ impl fmt::Display for ClientError {
             ClientError::Rejected(e) => write!(f, "rejected: {e}"),
             ClientError::NoMatchingServers => write!(f, "no matching Compute Servers"),
             ClientError::AllDeclined { solicited } => {
-                write!(f, "all {solicited} Compute Servers declined")
+                write!(f, "no acceptable offer from {solicited} Compute Servers")
             }
-            ClientError::UnlistedBidder(c) => write!(f, "bid from unlisted server {c}"),
             ClientError::NegotiationExhausted { rounds } => {
-                write!(
-                    f,
-                    "every award reneged or died across {rounds} negotiation rounds"
-                )
+                write!(f, "every award failed across {rounds} rounds")
             }
             ClientError::TimedOut(j) => write!(f, "timed out waiting for {j}"),
             ClientError::Overloaded => write!(f, "peer overloaded; retry later"),
@@ -175,8 +171,6 @@ pub struct FaucetsClient {
     pub selection: SelectionPolicy,
     /// Transport retry policy applied to every call.
     pub retry: RetryPolicy,
-    /// Maximum negotiation rounds before giving up on a submission.
-    pub max_rounds: u32,
     /// Optional fault injection on this client's own traffic.
     pub faults: Option<Arc<FaultPlan>>,
     /// Per-peer circuit breakers applied to every call (default on). An
@@ -286,7 +280,6 @@ impl FaucetsClient {
                     user,
                     selection: SelectionPolicy::LeastCost,
                     retry: RetryPolicy::standard(user.raw()),
-                    max_rounds: 3,
                     faults: None,
                     breakers: Arc::new(BreakerSet::default()),
                     pool,
@@ -391,8 +384,8 @@ impl FaucetsClient {
     }
 
     /// Submit a job: match → bid → select → award (with runner-up fallback)
-    /// → stage inputs; re-solicits bids when a chosen daemon dies
-    /// mid-negotiation, up to [`FaucetsClient::max_rounds`] rounds.
+    /// → stage inputs; solicits bids afresh when the slate is spent or the
+    /// round drew no offer, up to [`round::MAX_ROUNDS`] rounds.
     pub fn submit(
         &mut self,
         qos: QosContract,
@@ -405,21 +398,22 @@ impl FaucetsClient {
         // reconstructed from the span log afterwards.
         let span = trace::span("client", "submit");
         self.last_trace = Some(span.trace());
+        let mut negotiation = Negotiation::default();
         let mut last: Option<ClientError> = None;
-        for round in 1..=self.max_rounds.max(1) {
+        while negotiation.next_round() {
             self.m_rounds.inc();
-            if round > 1 {
-                // PR 1's re-solicitation path: the previous round's winner
-                // reneged or died, so we go back to matching.
+            if negotiation.rounds() > 1 {
                 self.m_resolicits.inc();
             }
-            match self.negotiate_once(job, &qos, inputs) {
-                Ok(mut sub) => {
-                    sub.rounds = round;
-                    return Ok(sub);
-                }
+            match self.negotiate_once(job, &qos, inputs, &mut negotiation) {
+                Ok(sub) => return Ok(sub),
                 // Hard failures that another round cannot fix.
                 Err(e @ (ClientError::Rejected(_) | ClientError::Protocol(_))) => return Err(e),
+                // The FS was not reached, or too busy to answer.
+                Err(e @ (ClientError::Transport(_) | ClientError::Overloaded)) => {
+                    negotiation.ask_again();
+                    last = Some(e);
+                }
                 Err(e) => last = Some(e),
             }
         }
@@ -427,30 +421,18 @@ impl FaucetsClient {
         match last {
             Some(e @ (ClientError::NoMatchingServers | ClientError::AllDeclined { .. })) => Err(e),
             _ => Err(ClientError::NegotiationExhausted {
-                rounds: self.max_rounds.max(1),
+                rounds: negotiation.rounds(),
             }),
         }
     }
 
-    /// Ask the FS (under the current token) for the servers matching `qos`.
-    fn list_servers(
-        &mut self,
-        qos: &QosContract,
-        opts: &CallOptions,
-    ) -> Result<Response, ClientError> {
-        let req = Request::ListServers {
-            token: self.token.clone(),
-            qos: qos.clone(),
-        };
-        self.fs_call(&req, opts)
-    }
-
-    /// One negotiation round: match, solicit, rank, award down the list.
+    /// One negotiation round: match, solicit, award down the slate.
     fn negotiate_once(
         &mut self,
         job: JobId,
         qos: &QosContract,
         inputs: &[(String, Vec<u8>)],
+        negotiation: &mut Negotiation,
     ) -> Result<Submission, ClientError> {
         let now = self.clock.now();
         // One set of call options for the whole round.
@@ -460,22 +442,28 @@ impl FaucetsClient {
         // session died with the shard that minted it (the failover path
         // just rotated us to a survivor): re-authenticate once and retry
         // before giving up.
-        let mut reply = self.list_servers(qos, &opts)?;
+        let list = |client: &mut Self| {
+            let req = Request::ListServers {
+                token: client.token.clone(),
+                qos: qos.clone(),
+            };
+            client.fs_call(&req, &opts)
+        };
+        let mut reply = list(self)?;
         if let Response::Error(e) = &reply {
             self.relogin(&opts)
                 .map_err(|_| ClientError::Rejected(e.clone()))?;
-            reply = self.list_servers(qos, &opts)?;
+            reply = list(self)?;
         }
         let mut servers = match reply {
             Response::Servers(s) => s,
             Response::Error(e) => return Err(ClientError::Rejected(e)),
             other => return Err(ClientError::Protocol(format!("matching: {other:?}"))),
         };
-        // During a federated ring transition the same server can be listed
-        // by two shards; it must only be solicited (and awarded) once.
-        let mut seen = HashSet::new();
-        servers.retain(|s| seen.insert(s.info.cluster));
+        round::dedup_by_cluster(&mut servers, |s| s.info.cluster);
         if servers.is_empty() {
+            // Listings follow heartbeats: a moment later may list some.
+            negotiation.ask_again();
             return Err(ClientError::NoMatchingServers);
         }
 
@@ -483,84 +471,68 @@ impl FaucetsClient {
         // pooled connections ([`call_many`]: every request written before
         // the first reply is read, on this thread), so a round's
         // solicitation latency is the slowest daemon, not the sum of all
-        // of them. A daemon that fails to answer simply contributes no
-        // bid.
-        let req = BidRequest {
-            job,
-            user: self.user,
-            qos: qos.clone(),
-            issued_at: now,
-        };
+        // of them. A daemon that fails to answer contributes no bid. A
+        // round without any offer earns another: a moment later a daemon
+        // may be reachable, or less loaded.
         let addrs: Vec<SocketAddr> = servers
             .iter()
             .filter_map(|s| s.info.fd_socket_addr())
             .collect();
         let bid_req = Request::RequestBid {
             token: self.token.clone(),
-            request: req.clone(),
+            request: BidRequest {
+                job,
+                user: self.user,
+                qos: qos.clone(),
+                issued_at: now,
+            },
         };
         let mut bids: Vec<Bid> = vec![];
         for reply in call_many(&addrs, &bid_req, &opts, self.fan_out.max(1)) {
             match reply {
-                Ok(Response::BidReply(reply)) => {
-                    if let Some(b) = reply.offer() {
-                        bids.push(*b);
-                    }
-                }
-                // A saturated daemon is healthy but shedding: no bid this
-                // round. Counting it would be wrong twice over — it is not
-                // a decline (the daemon never priced the job) and not a
-                // death (the breaker must stay closed for busy clusters).
-                Ok(Response::Overloaded { .. }) => {
-                    self.m_overloaded.inc();
-                }
-                Err(e) if crate::proto::is_overload_error(&e) => {
-                    self.m_overloaded.inc();
-                }
+                Ok(Response::BidReply(reply)) => bids.extend(reply.offer()),
+                // A saturated daemon (an `Overloaded` answer arrives as the
+                // typed error) is healthy but shedding: counted as such, not
+                // as a decline (it never priced the job) nor as a death (the
+                // breaker stays closed for busy clusters).
+                Err(e) if crate::proto::is_overload_error(&e) => self.m_overloaded.inc(),
                 _ => {}
             }
         }
-        self.m_bids.add(bids.len() as u64);
         if bids.is_empty() {
-            return Err(ClientError::AllDeclined {
-                solicited: servers.len(),
-            });
+            negotiation.ask_again();
         }
-
-        // 3. Evaluate and award, falling back on renege or daemon death.
-        let ranked: Vec<Bid> = self
-            .selection
-            .rank(&bids, &qos.payoff)
-            .into_iter()
-            .copied()
+        self.m_bids.add(bids.len() as u64);
+        let bids_received = bids.len();
+        // A bid is the peer's claim: one naming a cluster this round's
+        // listing does not hold is skipped, never awarded.
+        let listed: HashMap<ClusterId, SocketAddr> = servers
+            .iter()
+            .filter_map(|s| Some((s.info.cluster, s.info.fd_socket_addr()?)))
             .collect();
+        bids.retain(|b| listed.contains_key(&b.cluster));
+        let unlisted = bids_received - bids.len();
+        negotiation.offers(self.selection, &bids, &qos.payoff);
+
+        // 3. Award down the slate, falling back on renege or daemon death.
         let spec = JobSpec::new(job, self.user, qos.clone(), now)
             .map_err(|e| ClientError::Rejected(format!("invalid QoS: {e}")))?;
-        let mut unlisted = 0usize;
-        for bid in ranked {
-            // The §5.3 window between matching and award is real: the
-            // bidder may have been evicted meanwhile. Skip, don't panic.
-            let server = servers.iter().find(|s| s.info.cluster == bid.cluster);
-            let addr = match server.and_then(|s| s.info.fd_socket_addr()) {
-                Some(addr) => addr,
-                None => {
-                    unlisted += 1;
-                    continue;
-                }
-            };
+        let tried = negotiation.attempts();
+        while let Some(bid) = negotiation.next_award() {
+            let addr = listed[&bid.cluster];
             let award = Request::Award {
                 token: self.token.clone(),
                 spec: spec.clone(),
                 contract: ContractId(job.raw()),
                 bid,
             };
-            match call_with(addr, &award, &opts).map_err(ClientError::from) {
+            match call_with(addr, &award, &opts) {
                 Ok(Response::AwardReply {
                     confirmed: true, ..
                 }) => {
                     self.m_awards.inc();
                     // 4. Stage input files. A daemon dying here is a
-                    // mid-negotiation death: fall through to the next bid.
+                    // mid-negotiation death: on to the next bid.
                     match self.stage_inputs(addr, job, inputs, &opts) {
                         Ok(()) => {}
                         Err(ClientError::Transport(_) | ClientError::Overloaded) => continue,
@@ -571,24 +543,27 @@ impl FaucetsClient {
                         cluster: bid.cluster,
                         price: bid.price,
                         promised_completion: bid.promised_completion,
-                        bids_received: bids.len(),
-                        rounds: 0, // filled in by submit()
+                        bids_received,
+                        rounds: negotiation.rounds(),
                         unlisted_skipped: unlisted,
                     });
                 }
-                Ok(Response::AwardReply {
-                    confirmed: false, ..
-                }) => continue, // renege
-                // A daemon that errors the award (e.g. it cannot reach the
-                // FS to re-verify us) costs only its bid.
-                Ok(Response::Error(_)) => continue,
+                // A renege, an error (the daemon could not reach the FS to
+                // re-verify us, say), a daemon busy or dead: each costs
+                // only its bid.
+                Ok(Response::AwardReply { .. } | Response::Error(_)) | Err(_) => {}
                 Ok(other) => return Err(ClientError::Protocol(format!("award: {other:?}"))),
-                Err(ClientError::Transport(_)) => continue, // daemon died; next bid
-                Err(ClientError::Overloaded) => continue,   // daemon busy; next bid
-                Err(e) => return Err(e),
             }
         }
-        Err(ClientError::NegotiationExhausted { rounds: 1 })
+        Err(if negotiation.attempts() == tried {
+            ClientError::AllDeclined {
+                solicited: servers.len(),
+            }
+        } else {
+            ClientError::NegotiationExhausted {
+                rounds: negotiation.rounds(),
+            }
+        })
     }
 
     fn stage_inputs(
