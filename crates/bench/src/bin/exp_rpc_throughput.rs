@@ -11,14 +11,16 @@
 //!
 //! 1. **Arms** — 8 and 16 concurrent clients drive a closed loop of echo
 //!    RPCs against one service for `--arm-ms` (default 1000 ms), once with
-//!    connection-per-call (the seed behaviour) and once with a shared
+//!    connection-per-call (the seed behaviour: no pool in the options, so
+//!    the process's pool that keeps nothing) and once with a shared
 //!    [`faucets_net::pool::ConnPool`].
 //! 2. **Correctness gates** — zero transport errors in either arm at
 //!    either level, no reply delivered to a caller other than its own
 //!    (every request is numbered and echoed), and the pool counters
 //!    (`net_pool_{hits,misses}_total`) visible through the service's own
-//!    `Metrics` endpoint, exactly as an operator would scrape them (the
-//!    pooled arm runs caller and server on one shared registry).
+//!    `Metrics` endpoint, exactly as an operator would scrape them (each
+//!    arm runs caller and server on one shared registry): the pooled arm
+//!    hits, the per-call arm never does — it really dials per call.
 //! 3. **Recorded, not gated** — each arm's rate and latency and the
 //!    pooled/per-call ratio.
 
@@ -26,6 +28,7 @@ use faucets_bench::{
     closed_loop, numbered_batch, numbered_echo, ArmResult, Bound, ExitCode, Report,
 };
 use faucets_net::prelude::*;
+use faucets_telemetry::metrics::MetricsSnapshot;
 use std::net::SocketAddr;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
@@ -48,6 +51,14 @@ fn run_arm(
     })
 }
 
+/// The operator's view: the service's counters through its wire endpoint.
+fn scrape(addr: SocketAddr) -> MetricsSnapshot {
+    let Response::Metrics(snap) = call(addr, &Request::Metrics).expect("metrics") else {
+        panic!("expected metrics reply");
+    };
+    snap
+}
+
 fn main() -> ExitCode {
     let mut report = Report::new("E23", "rpc");
     let arm_ms = report.flag("arm-ms", 1_000u64);
@@ -65,6 +76,7 @@ fn main() -> ExitCode {
             ..CallOptions::default()
         };
         let percall = run_arm(h.addr, clients, arm_ms, &opts, &crossed);
+        let percall_hits = scrape(h.addr).counter_sum("net_pool_hits_total", &[]);
         h.shutdown();
 
         let (h, reg) = numbered_echo("echo", 0);
@@ -78,10 +90,7 @@ fn main() -> ExitCode {
             ..CallOptions::default()
         };
         let pooled = run_arm(h.addr, clients, arm_ms, &opts, &crossed);
-        // The operator's view: pool counters through the wire endpoint.
-        let Response::Metrics(snap) = call(h.addr, &Request::Metrics).expect("metrics") else {
-            panic!("expected metrics reply");
-        };
+        let snap = scrape(h.addr);
         h.shutdown();
         let hits = snap.counter_sum("net_pool_hits_total", &[("pool", "bench")]);
         let misses = snap.counter_sum("net_pool_misses_total", &[("pool", "bench")]);
@@ -97,6 +106,8 @@ fn main() -> ExitCode {
         report.gate(&format!("{level}.pooled.errors"), pooled.errors, zero);
         // Through the service's own Metrics endpoint, as an operator scrapes.
         report.gate(&format!("{level}.pool_hits_scraped"), hits, Bound::gt(0));
+        let percall_hits_at = format!("{level}.percall.pool_hits_scraped");
+        report.gate(&percall_hits_at, percall_hits, zero);
     }
     let crossed = crossed.into_inner();
     report.gate("crossed_replies", crossed, Bound::eq(0));

@@ -34,6 +34,7 @@ use faucets_core::auth::SessionToken;
 use faucets_core::ids::ClusterId;
 use faucets_telemetry::{Counter, Gauge};
 use parking_lot::Mutex;
+use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -139,7 +140,7 @@ impl Federation {
     pub fn new(opts: FederationOptions) -> Federation {
         let reg = faucets_telemetry::global();
         let labels = [("shard", opts.name.as_str())];
-        let placeholder: SocketAddr = "0.0.0.0:0".parse().expect("placeholder addr");
+        let placeholder = SocketAddr::from(([0, 0, 0, 0], 0));
         let incarnation = next_incarnation();
         let view = MembershipView::new(&opts.name, placeholder, incarnation);
         let ring = Ring::build([opts.name.clone()], 1);
@@ -168,8 +169,8 @@ impl Federation {
     }
 
     /// Fix our advertised address (known only after the service binds)
-    /// and start the gossip thread.
-    pub fn activate(self: &Arc<Self>, addr: SocketAddr) {
+    /// and start the gossip thread; the error is the spawn's.
+    pub fn activate(self: &Arc<Self>, addr: SocketAddr) -> io::Result<()> {
         *self.self_addr.lock() = Some(addr);
         {
             let mut st = self.state.lock();
@@ -188,9 +189,9 @@ impl Federation {
         let fed = Arc::clone(self);
         let handle = std::thread::Builder::new()
             .name(format!("fed-gossip-{}", self.opts.name))
-            .spawn(move || fed.gossip_loop())
-            .expect("spawn gossip thread");
+            .spawn(move || fed.gossip_loop())?;
         *self.gossiper.lock() = Some(handle);
+        Ok(())
     }
 
     /// Add a bootstrap peer at runtime (how port-0 shards are wired up).

@@ -510,7 +510,7 @@ pub fn spawn_fs_durable(
     if let Some(fed) = &federation {
         // The bound address is only known now (port 0 picks one): fix the
         // advertised self entry, then start gossiping.
-        fed.activate(service.addr);
+        fed.activate(service.addr)?;
     }
 
     Ok(FsHandle {

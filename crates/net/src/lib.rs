@@ -50,8 +50,8 @@
 //!   with deterministic seeded jitter). A received `Response::Error` is an
 //!   answer, not a failure, and is never retried at this layer. Every
 //!   attempt — a lone request, a [`service::call_batch`] burst or a
-//!   [`service::call_many`] slot, over any transport — is launch (breaker
-//!   gate, a socket, the write) and land (the read, the stale-socket
+//!   [`service::call_many`] slot, pooled or not — is launch (breaker
+//!   gate, a pool's socket, the write) and land (the read, the stale-socket
 //!   retry, breaker and overload bookkeeping), written once.
 //! * **Central Server** — the directory grades each daemon
 //!   alive → suspect → dead from heartbeat recency
@@ -137,7 +137,8 @@
 //!   retries, deadlines, breakers, and fault injection operate unchanged
 //!   on warm streams. A failed pass *poisons* its socket (closed, never
 //!   reused) — a desynchronised stream must not pay the next caller the
-//!   previous caller's reply.
+//!   previous caller's reply. A call without a pool rides one that keeps
+//!   nothing (`conns_per_peer` 0): connection per call, down this path.
 //! * **Pipelining** — the serve side runs one connection's frames
 //!   concurrently and echoes each [`proto::Envelope`] `request_id`, so a
 //!   [`service::call_batch`] burst launches in one vectored write and

@@ -8,7 +8,8 @@
 //! to whoever checks it out (see [`crate::service::CallOptions::pool`]):
 //! it owns sockets and knows nothing of requests, so retries, deadlines,
 //! breakers, and fault injection all operate unchanged — the pool swaps
-//! only where the bytes flow. It owns no thread.
+//! only where the bytes flow. It owns no thread. A call without a pool
+//! rides the process's pool that keeps nothing: connection per call.
 //!
 //! The safety invariant is *poison on error*: a checked-out stream that saw
 //! any failure — a frame fault, a timeout, a short read, a reply nothing
@@ -29,7 +30,7 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// The frozen benchmark harness's name for [`ConnPool`].
@@ -41,7 +42,7 @@ pub type MuxConfig = PoolConfig;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolConfig {
     /// Idle sockets kept per peer; a returned socket over the bound is
-    /// closed instead of cached.
+    /// closed instead of cached (at 0, every one: connection per call).
     pub conns_per_peer: usize,
     /// How long an idle socket may sit before eviction. Servers never
     /// reap an idle connection, so this only bounds how long an unused
@@ -59,10 +60,9 @@ impl Default for PoolConfig {
     }
 }
 
-/// The one place the client side opens a connection, pooled or not, and so
-/// the one place its socket is configured: small RPC frames must not wait
-/// out Nagle's algorithm.
-pub(crate) fn dial(addr: SocketAddr, within: Duration) -> io::Result<TcpStream> {
+/// The client side's one connect, and so the one place its socket is
+/// configured: small RPC frames must not wait out Nagle's algorithm.
+fn dial(addr: SocketAddr, within: Duration) -> io::Result<TcpStream> {
     let stream = TcpStream::connect_timeout(&addr, within)?;
     stream.set_nodelay(true)?;
     Ok(stream)
@@ -80,7 +80,7 @@ struct IdleConn {
 pub struct ConnPool {
     name: &'static str,
     cfg: PoolConfig,
-    idle: Mutex<HashMap<SocketAddr, Vec<IdleConn>>>,
+    idle: parking_lot::Mutex<HashMap<SocketAddr, Vec<IdleConn>>>,
     /// Sockets alive through this pool: idle + checked out.
     open: AtomicUsize,
 }
@@ -92,7 +92,7 @@ impl ConnPool {
         ConnPool {
             name,
             cfg,
-            idle: Mutex::new(HashMap::new()),
+            idle: parking_lot::Mutex::new(HashMap::new()),
             open: AtomicUsize::new(0),
         }
     }
@@ -109,7 +109,7 @@ impl ConnPool {
 
     /// Idle sockets currently cached across all peers.
     pub fn idle_count(&self) -> usize {
-        self.idle.lock().unwrap().values().map(|v| v.len()).sum()
+        self.idle.lock().values().map(|v| v.len()).sum()
     }
 
     fn labels(&self) -> [(&'static str, &'static str); 1] {
@@ -159,7 +159,7 @@ impl ConnPool {
     /// peer never called again costs no fd and no map entry past
     /// `idle_ttl`.
     fn sweep_expired(&self, reg: &Registry) {
-        self.idle.lock().unwrap().retain(|_, peer| {
+        self.idle.lock().retain(|_, peer| {
             self.evict_expired(peer, reg);
             !peer.is_empty()
         });
@@ -188,7 +188,7 @@ impl ConnPool {
                 break;
             }
             let candidate = {
-                let mut idle = self.idle.lock().unwrap();
+                let mut idle = self.idle.lock();
                 let Some(peer) = idle.get_mut(&addr) else {
                     break;
                 };
@@ -244,9 +244,9 @@ impl PooledConn {
             return;
         };
         let closed_as = if clean {
-            let mut idle = self.pool.idle.lock().unwrap();
+            let mut idle = self.pool.idle.lock();
             let peer = idle.entry(self.addr).or_default();
-            if peer.len() < self.pool.cfg.conns_per_peer.max(1) {
+            if peer.len() < self.pool.cfg.conns_per_peer {
                 let since = Instant::now();
                 peer.push(IdleConn { stream, since });
                 return;
@@ -513,7 +513,7 @@ mod tests {
         c.unwrap().settle(true, &reg);
         assert_eq!(p.open_connections(), 1, "eight expired sockets closed");
         assert_eq!(p.idle_count(), 1);
-        assert_eq!(p.idle.lock().unwrap().len(), 1, "emptied peers forgotten");
+        assert_eq!(p.idle.lock().len(), 1, "emptied peers forgotten");
         let snap = reg.snapshot();
         assert_eq!(snap.counter_sum("net_pool_evictions_total", &[]), 8);
         assert_eq!(snap.gauge_sum("net_pool_open_conns", &[]), 1.0);
@@ -555,19 +555,22 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let reg = Registry::new();
-        let p = pool(PoolConfig {
-            conns_per_peer: 2,
-            ..PoolConfig::default()
-        });
-        let conns: Vec<PooledConn> = (0..3)
-            .map(|_| p.checkout(addr, CONNECT, false, &reg).unwrap())
-            .collect();
-        assert_eq!(p.open_connections(), 3);
-        for c in conns {
-            c.settle(true, &reg);
+        // At 0 the pool keeps nothing: a call without a pool of its own.
+        for bound in [2, 0] {
+            let p = pool(PoolConfig {
+                conns_per_peer: bound,
+                ..PoolConfig::default()
+            });
+            let conns: Vec<PooledConn> = (0..3)
+                .map(|_| p.checkout(addr, CONNECT, false, &reg).unwrap())
+                .collect();
+            assert_eq!(p.open_connections(), 3);
+            for c in conns {
+                c.settle(true, &reg);
+            }
+            assert_eq!(p.idle_count(), bound, "cache capped at the bound");
+            assert_eq!(p.open_connections(), bound, "the overflow was closed");
         }
-        assert_eq!(p.idle_count(), 2, "cache capped at the per-peer bound");
-        assert_eq!(p.open_connections(), 2, "the overflow socket was closed");
     }
 
     #[test]

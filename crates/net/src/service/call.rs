@@ -1,12 +1,12 @@
 //! The client call path: one pass of one request (or one pipelined burst)
 //! to one peer is two halves — *launch* (admit → a socket → write) and
-//! *land* (read → settle the socket → grade) — whatever transport carries
-//! it and whichever entry point it came in by.
+//! *land* (read → settle the socket → grade) — whichever pool lent the
+//! socket and whichever entry point the call came in by.
 
 use super::time::{RetryPolicy, Timeouts};
 use crate::fault::FaultPlan;
 use crate::overload::BreakerSet;
-use crate::pool::{dial, ConnPool, PooledConn};
+use crate::pool::{ConnPool, PoolConfig, PooledConn};
 use crate::proto::{
     apply_receive_faults, is_disconnect_error, is_overload_error, parse_payload, read_frame_with,
     write_frame_with, Envelope, ProtoError, Request, Response, MAX_FRAME,
@@ -19,7 +19,7 @@ use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 use std::time::{Duration, Instant};
 
 /// Options for [`call_with`].
@@ -51,11 +51,12 @@ pub struct CallOptions {
     /// Persistent connection pool shared across calls: each round trip,
     /// pipelined [`call_batch`] burst or [`call_many`] slot has a
     /// health-checked warm socket of the pool to itself instead of opening
-    /// a fresh TCP connection. Any
-    /// failure poisons the socket (closed, never reused), so retries,
-    /// deadlines, breakers, and fault injection behave exactly as on
-    /// per-call connections. `None` (the default) keeps the seed's
-    /// connection-per-call behaviour.
+    /// a fresh TCP connection. Any failure poisons the socket (closed,
+    /// never reused), so retries, deadlines, breakers, and fault injection
+    /// behave alike with and without one. `None` (the default) is the
+    /// process's pool that keeps nothing (`conns_per_peer` 0, telemetry
+    /// label `per-call`): every pass dials a socket of its own and closes
+    /// it after — the seed's connection per call, down the same path.
     pub pool: Option<Arc<ConnPool>>,
     /// The frozen benchmark harness's name for [`CallOptions::pool`]: the
     /// same thing, looked at first when both are set.
@@ -98,17 +99,17 @@ pub fn call_with(addr: SocketAddr, req: &Request, opts: &CallOptions) -> io::Res
     replies.pop().expect("one result per request")
 }
 
-/// Pipeline a batch of requests on one pooled socket: every request frame
+/// Pipeline a batch of requests on one socket — checked out of
+/// [`CallOptions::pool`], or dialled fresh without one: every request frame
 /// is written in a vectored burst (one syscall for the whole batch on the
 /// happy path), all of them are then in flight at once, and replies are
 /// collected as they come back — in any order, matched by `request_id` —
 /// into a result vector index-aligned with `reqs`.
 ///
-/// Without a pool ([`CallOptions::pool`]) this degrades to sequential
-/// [`call_with`] calls. With one, each result maps exactly as `call_with`
-/// maps it (`Response::Overloaded` becomes a typed error, breaker
-/// bookkeeping per result) — but there is **no retry loop** inside the
-/// batch; callers that want retries issue them per failed slot.
+/// Each result maps exactly as `call_with` maps it (`Response::Overloaded`
+/// becomes a typed error, breaker bookkeeping per result) — but there is
+/// **no retry loop** inside the batch; callers that want retries issue
+/// them per failed slot.
 pub fn call_batch(
     addr: SocketAddr,
     reqs: &[Request],
@@ -117,22 +118,19 @@ pub fn call_batch(
     if reqs.is_empty() {
         return vec![];
     }
-    if pool_of(opts).is_none() {
-        return reqs.iter().map(|r| call_with(addr, r, opts)).collect();
-    }
     let leg = Leg::new(addr, reqs, opts);
     leg.persist(1, leg.attempt())
 }
 
 /// Solicit many peers with one request — the client's one-round bid
 /// solicitation (§2.2) — on the caller's own thread, index-aligned results
-/// back. Without a pool this is sequential [`call_with`]s.
+/// back.
 ///
-/// With one ([`CallOptions::pool`]) the peers are taken in sweeps of at
-/// most `max_concurrency`. A sweep launches every peer's leg — through its
-/// breaker, onto a warm socket of its own — so all the peers work at once,
-/// then lands each leg in address order, exactly as a lone [`call_with`]
-/// lands its one. One request per socket cannot wedge writer against
+/// The peers are taken in sweeps of at most `max_concurrency`. A sweep
+/// launches every peer's leg — through its breaker, onto a socket of its
+/// own out of [`CallOptions::pool`] — so all the peers work at once, then
+/// lands each leg in address order, exactly as a lone [`call_with`] lands
+/// its one. One request per socket cannot wedge writer against
 /// writer, so the writes and reads are plain blocking ones.
 ///
 /// **A sweep's patience is one timeout.** Each of its reads gets the
@@ -148,9 +146,6 @@ pub fn call_many(
     opts: &CallOptions,
     max_concurrency: usize,
 ) -> Vec<io::Result<Response>> {
-    if pool_of(opts).is_none() {
-        return addrs.iter().map(|&a| call_with(a, req, opts)).collect();
-    }
     let reqs = std::slice::from_ref(req);
     let legs: Vec<Leg> = addrs.iter().map(|&a| Leg::new(a, reqs, opts)).collect();
     let mut results = Vec::with_capacity(legs.len());
@@ -179,9 +174,17 @@ fn count(reg: &Registry, name: &str, req: &Request) {
 /// Index-aligned results of a leg's requests.
 type Replies = Vec<io::Result<Response>>;
 
-/// The warm transport the options select, if any.
-fn pool_of(opts: &CallOptions) -> Option<&Arc<ConnPool>> {
-    opts.mux.as_ref().or(opts.pool.as_ref())
+/// The pool the options select, or the process's one that keeps nothing.
+fn pool_of(opts: &CallOptions) -> &Arc<ConnPool> {
+    static PER_CALL: LazyLock<Arc<ConnPool>> = LazyLock::new(|| {
+        let keep_nothing = PoolConfig {
+            conns_per_peer: 0,
+            ..PoolConfig::default()
+        };
+        Arc::new(ConnPool::new("per-call", keep_nothing))
+    });
+    let chosen = opts.mux.as_ref().or(opts.pool.as_ref());
+    chosen.unwrap_or(&PER_CALL)
 }
 
 /// One peer's share of a call: what is asked of whom, under whose options,
@@ -200,7 +203,7 @@ enum Flight {
     /// errors are final — not graded, not retried.
     Shed(Replies),
     /// On a socket: the replies are awaited there, unless the write failed.
-    Aloft(Wire, io::Result<Burst>),
+    Aloft(PooledConn, io::Result<Burst>),
     /// No socket to be had.
     Grounded(io::Error),
 }
@@ -208,31 +211,6 @@ enum Flight {
 /// What [`send`] leaves [`pipeline`] of a burst: the frames the socket has
 /// not taken yet, and its first `request_id`. Of a lone request, nothing.
 type Burst = (WriteQueue, u64);
-
-/// The socket a pass holds from launch to landing: lent by the pool, or
-/// dialled for this call alone and dropped after it.
-enum Wire {
-    Lent(PooledConn),
-    PerCall(TcpStream),
-}
-
-impl Wire {
-    fn stream(&mut self) -> &mut TcpStream {
-        match self {
-            Wire::Lent(conn) => conn.stream(),
-            Wire::PerCall(stream) => stream,
-        }
-    }
-
-    /// The pass is over: a lent socket goes back to its pool, `clean` or to
-    /// be poisoned. Was it out of the idle cache, where sockets go stale?
-    fn settle(self, clean: bool, reg: &Registry) -> bool {
-        let Wire::Lent(conn) = self else { return false };
-        let reused = conn.reused;
-        conn.settle(clean, reg);
-        reused
-    }
-}
 
 impl<'a> Leg<'a> {
     fn new(addr: SocketAddr, reqs: &'a [Request], opts: &'a CallOptions) -> Self {
@@ -328,21 +306,14 @@ impl<'a> Leg<'a> {
         Ok(())
     }
 
-    /// Get a socket — the pool's (a newly dialled one when `fresh`), or
-    /// one dialled for this call alone — and [`send`] on it what can be
-    /// written without reading.
+    /// Check a socket out of the pool (a newly dialled one when `fresh`)
+    /// and [`send`] on it what can be written without reading.
     fn depart(&self, fresh: bool) -> Flight {
-        let (addr, opts, reg) = (self.addr, self.opts, self.reg());
-        let wire = match pool_of(opts) {
-            Some(pool) => pool
-                .checkout(addr, opts.connect, fresh, reg)
-                .map(Wire::Lent),
-            None => dial(addr, opts.connect).map(Wire::PerCall),
-        };
-        match wire {
-            Ok(mut wire) => {
-                let sent = send(wire.stream(), self.reqs, opts, self.deadline);
-                Flight::Aloft(wire, sent)
+        let (opts, reg) = (self.opts, self.reg());
+        match pool_of(opts).checkout(self.addr, opts.connect, fresh, reg) {
+            Ok(mut conn) => {
+                let sent = send(conn.stream(), self.reqs, opts, self.deadline);
+                Flight::Aloft(conn, sent)
             }
             Err(e) => Flight::Grounded(e),
         }
@@ -364,7 +335,7 @@ impl<'a> Leg<'a> {
             let (results, reused) = match flight {
                 Flight::Shed(shed) => return shed,
                 Flight::Grounded(e) => (self.fail_all(e), false),
-                Flight::Aloft(mut wire, sent) => {
+                Flight::Aloft(mut conn, sent) => {
                     let (results, clean) = match sent {
                         Err(e) => (self.fail_all(e), false),
                         // A lone request (every negotiation RPC) is a
@@ -373,13 +344,13 @@ impl<'a> Leg<'a> {
                         // +10.1 % `cpu_ms_per_op` in 5 of 5 alternating
                         // pairs (PR 18).
                         Ok(_) if self.reqs.len() == 1 => {
-                            let reply = receive(wire.stream(), patience);
+                            let reply = receive(conn.stream(), patience);
                             let clean = reply.is_ok();
                             (vec![reply], clean)
                         }
                         Ok(mut burst) => {
                             let mut slots: Vec<_> = self.reqs.iter().map(|_| None).collect();
-                            let stream = wire.stream();
+                            let stream = conn.stream();
                             let outcome =
                                 pipeline(stream, &mut burst, &mut slots, self.opts, patience);
                             let why = || outcome.as_ref().expect_err("an empty slot has a reason");
@@ -387,15 +358,17 @@ impl<'a> Leg<'a> {
                             (slots.into_iter().map(fill).collect(), outcome.is_ok())
                         }
                     };
-                    (results, wire.settle(clean, self.reg()))
+                    let reused = conn.reused;
+                    conn.settle(clean, self.reg());
+                    (results, reused)
                 }
             };
             if !(reused && results.iter().all(disconnected)) {
                 return self.grade(results);
             }
-            let pool = pool_of(self.opts).expect("a reused socket came out of a pool");
             let stale = "net_pool_stale_retries_total";
-            self.reg().counter(stale, &[("pool", pool.name())]).inc();
+            let pool = pool_of(self.opts).name();
+            self.reg().counter(stale, &[("pool", pool)]).inc();
             // Newly dialled, so this flight cannot come back stale again.
             flight = self.depart(true);
             patience = self.opts.timeouts.read;
@@ -805,6 +778,68 @@ mod tests {
         assert_eq!(count("net_pool_hits_total"), 6, "a burst is one checkout");
         assert_eq!(count("net_pool_poisoned_total"), 0);
         h.shutdown();
+    }
+
+    #[test]
+    fn a_batch_without_a_pool_pipelines_on_one_fresh_socket() {
+        let server_reg = Arc::new(Registry::new());
+        let h = serve_with(
+            "127.0.0.1:0",
+            "unpooled",
+            ServeOptions {
+                registry: Some(Arc::clone(&server_reg)),
+                ..ServeOptions::default()
+            },
+            |req| match req {
+                Request::Login { user, .. } => Response::Error(user),
+                _ => Response::Ok,
+            },
+        )
+        .unwrap();
+        let reqs: Vec<Request> = (0..8)
+            .map(|i| Request::Login {
+                user: format!("u{i}"),
+                password: "p".into(),
+            })
+            .collect();
+        let results = call_batch(h.addr, &reqs, &CallOptions::default());
+        for (i, r) in results.iter().enumerate() {
+            let reply = r.as_ref().expect("batch slot succeeded");
+            assert_eq!(*reply, Response::Error(format!("u{i}")), "slot {i}");
+        }
+        let accepted = server_reg
+            .snapshot()
+            .counter_sum("net_conns_accepted_total", &[("service", "unpooled")]);
+        assert_eq!(accepted, 1, "eight requests, one connection");
+        h.shutdown();
+    }
+
+    #[test]
+    fn a_sweep_without_a_pool_waits_one_timeout_not_one_per_peer() {
+        // Stand-ins whose backlog completes the handshake and takes the
+        // request, and which never answer.
+        let mute: Vec<_> = (0..4)
+            .map(|_| std::net::TcpListener::bind("127.0.0.1:0").unwrap())
+            .collect();
+        let addrs: Vec<SocketAddr> = mute.iter().map(|l| l.local_addr().unwrap()).collect();
+        let read = Duration::from_millis(300);
+        let opts = CallOptions {
+            timeouts: Timeouts::both(read),
+            ..CallOptions::default()
+        };
+        let req = Request::VerifyToken {
+            token: faucets_core::auth::SessionToken("t".into()),
+        };
+        let began = Instant::now();
+        let results = call_many(&addrs, &req, &opts, addrs.len());
+        let took = began.elapsed();
+        for r in &results {
+            let kind = r.as_ref().expect_err("nobody answers").kind();
+            let timed_out = matches!(kind, io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut);
+            assert!(timed_out, "a read timeout, not {kind:?}");
+        }
+        assert_eq!(results.len(), 4);
+        assert!(took < 2 * read, "one patience for the sweep: {took:?}");
     }
 
     #[test]

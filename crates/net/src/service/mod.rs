@@ -3,7 +3,7 @@
 //! [`RetryPolicy`]); `serve` (the epoll reactor and executor pool behind
 //! [`serve_with`]); `call` (the client call path — [`call_with`],
 //! [`call_batch`], [`call_many`] — where every pass of every request is
-//! launch, then land, over the transport its [`CallOptions`] select).
+//! launch, then land, on a socket of the pool its [`CallOptions`] select).
 
 mod call;
 mod serve;

@@ -719,7 +719,7 @@ fn federation_stop_is_prompt_mid_interval() {
         gossip_interval: Duration::from_secs(30),
         ..FederationOptions::new("prompt-shard")
     }));
-    fed.activate("127.0.0.1:9".parse().unwrap());
+    fed.activate("127.0.0.1:9".parse().unwrap()).unwrap();
     // Give the gossiper a moment to enter its inter-round wait.
     std::thread::sleep(Duration::from_millis(50));
     let t = Instant::now();

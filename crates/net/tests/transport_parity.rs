@@ -31,12 +31,12 @@ enum Outcome {
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Entry {
     CallWith,
-    /// A `call_batch` of this many copies of the request: pipelined, on a
-    /// pooled socket, when there are more than one.
+    /// A `call_batch` of this many copies of the request: pipelined on one
+    /// socket when there are more than one.
     Batch(u64),
     /// A `call_many` round of this many slots, all to the one peer and in
-    /// one sweep: launched together, on a pooled socket each, when there
-    /// are more than one.
+    /// one sweep: launched together, on a socket each, when there are more
+    /// than one.
     Sweep(u64),
 }
 
@@ -212,16 +212,17 @@ fn every_transport_and_entry_point_grades_every_outcome_alike() {
         Outcome::TransportError,
         Outcome::BreakerOpen,
     ] {
-        let one = [Entry::CallWith, Entry::Batch(1), Entry::Sweep(1)];
-        // Without a pool a longer batch or round is sequential
-        // `call_with`s, each admitted on its own: only a pooled one is a
-        // burst or a sweep.
-        let pooled = [&one[..], &[Entry::Batch(3), Entry::Sweep(3)]].concat();
-        for (transport, entries) in [
-            (Transport::PerCall, &one[..]),
-            (Transport::Pooled, &pooled[..]),
-        ] {
-            for &entry in entries {
+        // Without a pool a longer batch is a burst and a longer round a
+        // sweep too, each on sockets dialled for it alone.
+        let entries = [
+            Entry::CallWith,
+            Entry::Batch(1),
+            Entry::Sweep(1),
+            Entry::Batch(3),
+            Entry::Sweep(3),
+        ];
+        for transport in [Transport::PerCall, Transport::Pooled] {
+            for entry in entries {
                 assert_eq!(
                     observe(transport, outcome, entry),
                     expected(outcome, entry.requests()),

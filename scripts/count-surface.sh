@@ -1,6 +1,6 @@
 #!/bin/sh
-# The counts ROADMAP items 3 and 4 track, for a PR description or the CI job
-# summary:
+# The counts ROADMAP items 3, 4 and 9 track, for a PR description or the
+# CI job summary:
 #   1. non-test lines: the lines before a file's first `#[cfg(test)]`, for
 #      every file of crates/net/src, for crates/store/src/replicate.rs, and
 #      for the market's two runtimes, crates/net/src/client.rs +
@@ -11,7 +11,12 @@
 #   3. thread-spawn sites: `thread::{spawn,Builder,scope}` in the non-test
 #      lines of crates/net/src and crates/store/src, and client dial sites:
 #      `connect_timeout` in the non-test lines of crates/net/src;
-#   4. the experiment crate: all lines of crates/bench/src, and how often a
+#   4. panic sites: `.unwrap()` / `.expect(` in the non-test lines of
+#      crates/net/src (ROADMAP item 9 audits each for remote reachability),
+#      and wall-clock reads: `Instant::now` / `SystemTime::now` in the
+#      non-test lines of crates/net/src and crates/store/src (what ROADMAP
+#      item 3's clock seam has to route);
+#   5. the experiment crate: all lines of crates/bench/src, and how often a
 #      result is still serialized by hand (`json!` sites) or an arm result
 #      declared (`struct ArmResult`): one report writer, one driver.
 # With `--check` the script is a ratchet, not a report: it prints only what
@@ -20,13 +25,15 @@
 # one lowers it.
 cd "$(dirname "$0")/.." || exit 1
 
-MAX_NET_LINES=8573   # non-test lines of crates/net/src
+MAX_NET_LINES=8548   # non-test lines of crates/net/src
 MAX_POOL_LINES=416  # of crates/net/src/pool.rs
 MAX_REPLICATE_LINES=1091  # of crates/store/src/replicate.rs
 MAX_MARKET_LINES=1758  # of crates/net/src/client.rs + crates/grid/src/world.rs
 MAX_OPTION_FIELDS=55
 MAX_SPAWN_SITES=6
 MAX_DIAL_SITES=1
+MAX_PANIC_SITES=9
+MAX_CLOCK_READS=28
 
 non_test() { awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"; }
 market_lines=$(($(non_test crates/net/src/client.rs) + $(non_test crates/grid/src/world.rs)))
@@ -62,6 +69,8 @@ sites() {
 }
 spawn_sites=$(sites 'thread::(spawn|Builder|scope)' crates/net/src crates/store/src)
 dial_sites=$(sites 'connect_timeout' crates/net/src)
+panic_sites=$(sites '\.(unwrap|expect)\(' crates/net/src)
+clock_reads=$(sites '(Instant|SystemTime)::now' crates/net/src crates/store/src)
 
 if [ "$1" = "--check" ]; then
     over=0
@@ -81,6 +90,9 @@ if [ "$1" = "--check" ]; then
     ceiling "thread-spawn sites in crates/net/src + crates/store/src" \
         "$spawn_sites" "$MAX_SPAWN_SITES"
     ceiling "client dial sites in crates/net/src" "$dial_sites" "$MAX_DIAL_SITES"
+    ceiling "unwrap/expect sites in crates/net/src" "$panic_sites" "$MAX_PANIC_SITES"
+    ceiling "wall-clock reads in crates/net/src + crates/store/src" \
+        "$clock_reads" "$MAX_CLOCK_READS"
     exit $over
 fi
 
@@ -106,6 +118,8 @@ echo "| sites, non-test | count |"
 echo "|---|---:|"
 echo "| thread spawns, crates/net/src + crates/store/src | $spawn_sites |"
 echo "| client dials (\`connect_timeout\`), crates/net/src | $dial_sites |"
+echo "| \`unwrap\`/\`expect\`, crates/net/src | $panic_sites |"
+echo "| wall-clock reads (\`Instant::now\`/\`SystemTime::now\`), crates/net/src + crates/store/src | $clock_reads |"
 echo
 
 bench=$(find crates/bench/src -name '*.rs' | sort)
