@@ -8,14 +8,14 @@
 //! (re-verifying the client's token with the FS first, since *"the FD does
 //! not have any accounting information"* — or relying on the FS having
 //! vouched for that very token within the last 30 simulated seconds),
-//! handles awards, stages input files, and runs a pump thread that drives
-//! the scheduler clock, reports completions and telemetry to AppSpector,
-//! and heartbeats the FS.
+//! handles awards, stages input files, and runs a pump (its service's
+//! tick) that drives the scheduler clock, reports completions and
+//! telemetry to AppSpector, and heartbeats the FS.
 //!
 //! ## Map
 //!
-//! * **core** — `FdCore`, one `Arc` shared by the serve workers and the
-//!   pump: the `FdState` mutex (daemon, scheduler, staged files, accepted
+//! * **core** — `FdCore`, one `Arc` shared by the handlers and the pump:
+//!   the `FdState` mutex (daemon, scheduler, staged files, accepted
 //!   contracts), the journal, the bid gate, the clock, the FS endpoints
 //!   and the memo of tokens the FS lately vouched for.
 //! * **recover** — `FdCore::recover` replays the journal into the
@@ -24,9 +24,10 @@
 //! * **handlers** — `FdCore::handle` dispatches to one method per
 //!   endpoint: `bid`, `award`, `upload`, `lease_probe`, `fence`; the first
 //!   three start with `FdCore::verify`.
-//! * **pump** — `FdCore::pump`, one thread: harvest completions, queue
-//!   them for the journal, report them, heartbeat, sleep until the next
-//!   due event.
+//! * **pump** — `FdCore::pump`, the service's tick
+//!   ([`ServiceHandle::tick`]): harvest completions, queue them for the
+//!   journal, report them, heartbeat, return the time to the next due
+//!   event. An award nudges it.
 //!
 //! There are three locks here, never taken together and never held across
 //! a call to a peer. The state mutex guards the scheduler and the
@@ -74,8 +75,8 @@ use crate::pool::{ConnPool, PoolConfig};
 use crate::proto::{Request, Response};
 use crate::replica::{Journal, ReplicationConfig};
 use crate::service::{
-    call_batch, call_with, request_deadline, serve, CallOptions, Clock, RetryPolicy, ServiceHandle,
-    StopSignal,
+    call_batch, call_with, request_deadline, serve, CallOptions, Clock, Nudge, RetryPolicy,
+    ServiceHandle,
 };
 use crate::upstream::FsUpstream;
 use faucets_core::appspector::TelemetrySample;
@@ -96,8 +97,7 @@ use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Named files: a job's staged inputs, and at completion its outputs.
@@ -265,9 +265,10 @@ struct FdCore {
     /// instant of that answer: see [`FdCore::verify`].
     vouched: Mutex<HashMap<SessionToken, SimTime>>,
     appspector: SocketAddr,
-    /// The pump waits on this between due events; award handlers poke it
-    /// so a freshly scheduled job re-paces the wait, and shutdown stops it.
-    stop: StopSignal,
+    /// Runs the pump early, set once the service is bound.
+    nudge: OnceLock<Nudge>,
+    /// When the pump last heartbeat, in simulated time (`ZERO`: never).
+    last_heartbeat: Mutex<SimTime>,
     /// As spawned; `call` here is for AppSpector (`fs` has its own copy).
     opts: FdOptions,
     cluster_id: ClusterId,
@@ -498,9 +499,11 @@ impl FdCore {
         };
         match outcome {
             Ok(AwardOutcome::Confirmed) => {
-                // The scheduler just gained a job: wake the pump so it
+                // The scheduler just gained a job: run the pump so it
                 // re-paces against the new next completion.
-                self.stop.notify();
+                if let Some(nudge) = self.nudge.get() {
+                    nudge.nudge();
+                }
                 self.announce(job, owner);
                 Response::AwardReply {
                     confirmed: true,
@@ -573,77 +576,62 @@ impl FdCore {
         }
     }
 
-    /// Drive the scheduler clock, report completions and telemetry to
-    /// AppSpector, heartbeat the FS; returns once stopped.
-    fn pump(&self) {
-        // Heartbeats are paced in *simulated* time (the FS liveness window
-        // is simulated seconds), so any clock speedup keeps the FD alive.
-        let mut last_heartbeat = SimTime::ZERO;
-        // Event-paced, not tick-paced: each round runs the body, then
-        // sleeps exactly until the next due event — the scheduler's next
-        // completion or the next heartbeat — instead of polling every
-        // 5 ms. An award wakes the wait (the next completion may have
-        // moved closer), even one that lands before the wait begins: the
-        // nudge sticks until a wait takes it. Stop wakes it for good. The
-        // cap bounds any one wait.
+    /// One round: drive the scheduler clock, report completions and
+    /// telemetry to AppSpector, heartbeat the FS if one is due. Returns the
+    /// wall time until the next due event.
+    fn pump(&self) -> Duration {
+        // Event-paced, not polled every 5 ms: an award runs a round early
+        // (the next completion may have moved closer), and the cap bounds
+        // any one wait. Heartbeats are paced in *simulated* time (the FS
+        // liveness window is simulated seconds), so any clock speedup
+        // keeps the FD alive.
         const PACE_CAP: Duration = Duration::from_millis(500);
-        loop {
-            // Harvest completions under the lock (reading the clock inside
-            // it, to stay monotone with the request handlers) and drop
-            // their contracts and staged files with it; talk to the
-            // journal and to peers outside it. A heartbeat's report is read
-            // only when one is due: every award and completion runs a round.
-            let (now, completed, beat) = {
-                let mut s = self.state.lock();
-                let now = self.clock.now();
-                let mut completed: Vec<(JobId, Files)> = vec![];
-                for c in s.cluster.on_time(now) {
-                    let job = c.outcome.job;
-                    s.contracts.remove(&job);
-                    completed.push((job, s.staged.remove(&job).unwrap_or_default()));
-                }
-                let due =
-                    last_heartbeat == SimTime::ZERO || now.since(last_heartbeat) >= HEARTBEAT_EVERY;
-                let beat = due.then(|| (s.cluster.status(now), s.cluster.running_jobs().collect()));
-                (now, completed, beat)
-            };
-            for (job, mut outputs) in completed {
-                // Prune the journal best-effort, in the next commit: the
-                // next award's, else the next heartbeat's. A crash before
-                // it only means the job re-runs after a restart
-                // (at-least-once), never that it is lost.
-                if self.journal.is_some() {
-                    self.done.lock().push(job);
-                }
-                let report = format!("completed at {now}").into_bytes();
-                outputs.push(("output.dat".into(), report));
-                let req = Request::CompleteJob { job, outputs };
-                let _ = call_with(self.appspector, &req, &self.opts.call);
+        let last_heartbeat = *self.last_heartbeat.lock();
+        // Harvest completions under the lock (reading the clock inside it,
+        // to stay monotone with the request handlers) and drop their
+        // contracts and staged files with it; talk to the journal and to
+        // peers outside it. A heartbeat's report is read only when one is
+        // due: every award and completion runs a round.
+        let (now, completed, beat) = {
+            let mut s = self.state.lock();
+            let now = self.clock.now();
+            let mut completed: Vec<(JobId, Files)> = vec![];
+            for c in s.cluster.on_time(now) {
+                let job = c.outcome.job;
+                s.contracts.remove(&job);
+                completed.push((job, s.staged.remove(&job).unwrap_or_default()));
             }
-            // Heartbeat + telemetry on the simulated cadence.
-            if let Some((status, running)) = beat {
-                last_heartbeat = now;
-                let _ = self.commit(|| None);
-                self.heartbeat(now, status, running);
+            let due =
+                last_heartbeat == SimTime::ZERO || now.since(last_heartbeat) >= HEARTBEAT_EVERY;
+            let beat = due.then(|| (s.cluster.status(now), s.cluster.running_jobs().collect()));
+            (now, completed, beat)
+        };
+        for (job, mut outputs) in completed {
+            // Prune the journal best-effort, in the next commit: the next
+            // award's, else the next heartbeat's. A crash before it only
+            // means the job re-runs after a restart (at-least-once), never
+            // that it is lost.
+            if self.journal.is_some() {
+                self.done.lock().push(job);
             }
-            if self.stop.is_stopped() {
-                break;
-            }
-            // Sleep until whichever comes first: the scheduler's next
-            // completion or the next heartbeat, both converted from
-            // simulated to wall time.
-            let next_completion = self.state.lock().cluster.next_completion();
-            let mut wait = self
-                .clock
-                .wall_until(last_heartbeat + HEARTBEAT_EVERY)
-                .min(PACE_CAP);
-            if let Some(at) = next_completion {
-                wait = wait.min(self.clock.wall_until(at));
-            }
-            if self.stop.wait_for(wait) {
-                break;
-            }
+            let report = format!("completed at {now}").into_bytes();
+            outputs.push(("output.dat".into(), report));
+            let req = Request::CompleteJob { job, outputs };
+            let _ = call_with(self.appspector, &req, &self.opts.call);
         }
+        // Heartbeat + telemetry on the simulated cadence.
+        if let Some((status, running)) = beat {
+            *self.last_heartbeat.lock() = now;
+            let _ = self.commit(|| None);
+            self.heartbeat(now, status, running);
+        }
+        // Due at whichever comes first: the scheduler's next completion or
+        // the next heartbeat, converted from simulated to wall time.
+        let beat = *self.last_heartbeat.lock() + HEARTBEAT_EVERY;
+        let next = self.state.lock().cluster.next_completion();
+        self.clock
+            .wall_until(next.map_or(beat, |at| at.min(beat)))
+            .min(PACE_CAP)
     }
 
     /// One heartbeat to the FS, then one telemetry sample per running job
@@ -690,7 +678,6 @@ pub struct FdHandle {
     /// [`FdOptions::bid_gate`]).
     pub gate: Arc<PayoffGate>,
     core: Arc<FdCore>,
-    pump: Option<JoinHandle<()>>,
 }
 
 impl FdHandle {
@@ -714,10 +701,10 @@ impl FdHandle {
         self.core.state.lock().contracts.len()
     }
 
-    /// Stop the pump and the service, then journal the completions no
-    /// commit carried yet.
-    pub fn shutdown(mut self) {
-        self.stop_inner();
+    /// Stop the service (which joins a pump round in flight along with the
+    /// executors), then journal the completions no commit carried yet.
+    pub fn shutdown(self) {
+        self.service.shutdown();
         let _ = self.core.commit(|| None);
     }
 
@@ -726,23 +713,8 @@ impl FdHandle {
     /// the journal survives on disk; [`spawn_fd_with`] on the same
     /// directory resumes the accepted contracts, and re-runs the jobs whose
     /// completion was still queued.
-    pub fn kill(mut self) {
-        self.stop_inner();
-    }
-
-    fn stop_inner(&mut self) {
-        // The condvar inside the signal pops the pump out of its paced
-        // wait immediately — shutdown latency is join time, not a tick.
-        self.core.stop.stop();
-        if let Some(p) = self.pump.take() {
-            let _ = p.join();
-        }
-    }
-}
-
-impl Drop for FdHandle {
-    fn drop(&mut self) {
-        self.stop_inner();
+    pub fn kill(self) {
+        self.service.kill();
     }
 }
 
@@ -807,7 +779,8 @@ pub fn spawn_fd_with(
         vouched: Mutex::new(HashMap::new()),
         done: Mutex::new(Vec::new()),
         appspector,
-        stop: StopSignal::new(),
+        nudge: OnceLock::new(),
+        last_heartbeat: Mutex::new(SimTime::ZERO),
         cluster_id,
         flops_per_pe_sec: daemon.info.flops_per_pe_sec,
         total_pes: cluster.machine.total_pes,
@@ -850,16 +823,14 @@ pub fn spawn_fd_with(
         core.announce(job, owner);
     }
 
-    let pump_core = Arc::clone(&core);
-    let pump = std::thread::Builder::new()
-        .name(format!("fd-pump-{cluster_id}"))
-        .spawn(move || pump_core.pump())?;
+    let pump = Arc::clone(&core);
+    let nudge = service.tick(Duration::ZERO, move || pump.pump());
+    let _ = core.nudge.set(nudge);
     Ok(FdHandle {
         service,
         cluster_id,
         gate: Arc::clone(&core.gate),
         core,
-        pump: Some(pump),
     })
 }
 

@@ -15,8 +15,8 @@
 //! - [`ring`] — pure consistent-hash ring (who owns which cluster id).
 //! - [`gossip`] — pure membership state + merge logic (who is alive).
 //! - `router` — the [`Federation`] runtime tying them together: the
-//!   gossip thread, ring rebuilds, and the forward/scatter primitives the
-//!   FS handler composes.
+//!   gossip tick on the FS's reactor, ring rebuilds, and the
+//!   forward/scatter primitives the FS handler composes.
 //!
 //! The replicated WAL journal under each shard is unchanged: a shard
 //! journals exactly the registrations/heartbeats/evictions for the key

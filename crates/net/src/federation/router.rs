@@ -1,8 +1,9 @@
 //! The federation runtime: gossip driver, ring maintenance, routing.
 //!
-//! One [`Federation`] lives inside each federated FS process. A
-//! background thread runs push-pull gossip rounds against every alive
-//! peer (full exchange — shard counts are small, so convergence in a
+//! One [`Federation`] lives inside each federated FS process. Gossip is
+//! the FS service's tick ([`ServiceHandle::tick`]): each round, on one of
+//! the FS's executors, runs push-pull gossip against every alive peer
+//! (full exchange — shard counts are small, so convergence in a
 //! handful of rounds beats fan-out economy), grades liveness by
 //! heartbeat staleness, and rebuilds the [`Ring`] with a bumped epoch on
 //! every alive-set change. Ring epochs converge federation-wide to the
@@ -29,16 +30,14 @@ use super::gossip::{GossipView, MembershipView};
 use super::ring::Ring;
 use crate::pool::{ConnPool, PoolConfig};
 use crate::proto::{FedQuery, Request, Response};
-use crate::service::{call_many, call_with, CallOptions, RetryPolicy, StopSignal};
+use crate::service::{call_many, call_with, CallOptions, RetryPolicy, ServiceHandle};
 use faucets_core::auth::SessionToken;
 use faucets_core::ids::ClusterId;
 use faucets_telemetry::{Counter, Gauge};
 use parking_lot::Mutex;
-use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Gossip rounds without a heartbeat advance before a peer is graded dead
@@ -112,9 +111,6 @@ pub struct Federation {
     incarnation: u64,
     state: Mutex<FedState>,
     seeds: Mutex<Vec<SocketAddr>>,
-    self_addr: Mutex<Option<SocketAddr>>,
-    stop: StopSignal,
-    gossiper: Mutex<Option<JoinHandle<()>>>,
     m_rounds: Counter,
     m_failures: Counter,
     m_stable: Counter,
@@ -157,9 +153,6 @@ impl Federation {
             incarnation,
             state: Mutex::new(FedState { view, ring }),
             seeds: Mutex::new(seeds),
-            self_addr: Mutex::new(None),
-            stop: StopSignal::new(),
-            gossiper: Mutex::new(None),
         }
     }
 
@@ -168,10 +161,10 @@ impl Federation {
         &self.opts.name
     }
 
-    /// Fix our advertised address (known only after the service binds)
-    /// and start the gossip thread; the error is the spawn's.
-    pub fn activate(self: &Arc<Self>, addr: SocketAddr) -> io::Result<()> {
-        *self.self_addr.lock() = Some(addr);
+    /// Fix our advertised address (known only once the FS `service` binds)
+    /// and make gossip its tick, first due one interval from now. A stopped
+    /// service falls silent, and its peers grade it dead in ten rounds.
+    pub fn activate(self: &Arc<Self>, service: &ServiceHandle) {
         {
             let mut st = self.state.lock();
             // Rebuild the self entry with the real address, preserving the
@@ -183,15 +176,11 @@ impl Federation {
                 .find(|(n, _, _)| n == &self.opts.name)
                 .map(|(_, _, l)| *l)
                 .unwrap_or(0);
-            st.view = MembershipView::new(&self.opts.name, addr, self.incarnation);
+            st.view = MembershipView::new(&self.opts.name, service.addr, self.incarnation);
             st.view.set_self_load(load);
         }
         let fed = Arc::clone(self);
-        let handle = std::thread::Builder::new()
-            .name(format!("fed-gossip-{}", self.opts.name))
-            .spawn(move || fed.gossip_loop())?;
-        *self.gossiper.lock() = Some(handle);
-        Ok(())
+        service.tick(self.opts.gossip_interval, move || fed.gossip());
     }
 
     /// Add a bootstrap peer at runtime (how port-0 shards are wired up).
@@ -199,66 +188,50 @@ impl Federation {
         self.seeds.lock().push(seed);
     }
 
-    /// Stop gossiping and join the thread. A stopped shard's heartbeat
-    /// counter freezes, so peers grade it dead within ten gossip rounds.
-    pub fn stop(&self) {
-        // Wakes the gossip loop mid-interval, so stopping a shard costs
-        // a join, not a full gossip round.
-        self.stop.stop();
-        if let Some(h) = self.gossiper.lock().take() {
-            let _ = h.join();
-        }
-    }
-
-    fn gossip_loop(&self) {
-        loop {
-            // Stop-aware pacing (see `StopSignal`): a shutdown mid-wait
-            // wakes immediately instead of sleeping out the interval.
-            if self.stop.wait_for(self.opts.gossip_interval) {
-                return;
+    /// One gossip round; returns the interval until the next.
+    fn gossip(&self) -> Duration {
+        let (digest, mut targets) = {
+            let mut st = self.state.lock();
+            st.view.tick();
+            if st.view.grade(DEAD_AFTER_ROUNDS) {
+                let epoch = st.ring.epoch();
+                st.rebuild(epoch + 1);
             }
-            let (digest, mut targets) = {
-                let mut st = self.state.lock();
-                st.view.tick();
-                if st.view.grade(DEAD_AFTER_ROUNDS) {
-                    let epoch = st.ring.epoch();
-                    st.rebuild(epoch + 1);
-                }
-                self.g_alive.set(st.view.alive_names().len() as f64);
-                self.g_epoch.set(st.ring.epoch() as f64);
-                let targets: Vec<SocketAddr> =
-                    st.view.alive_peers().into_iter().map(|(_, a)| a).collect();
-                (st.view.digest(st.ring.epoch()), targets)
+            self.g_alive.set(st.view.alive_names().len() as f64);
+            self.g_epoch.set(st.ring.epoch() as f64);
+            let targets: Vec<SocketAddr> =
+                st.view.alive_peers().into_iter().map(|(_, a)| a).collect();
+            (st.view.digest(st.ring.epoch()), targets)
+        };
+        // Dial seeds that have not introduced themselves yet.
+        {
+            let mut seeds = self.seeds.lock();
+            seeds.retain(|s| !targets.contains(s));
+            targets.extend(seeds.iter().copied());
+        }
+        self.m_rounds.inc();
+        let mut refreshed = false;
+        for peer in targets {
+            let req = Request::Gossip {
+                from: self.opts.name.clone(),
+                view: digest.clone(),
             };
-            // Dial seeds that have not introduced themselves yet.
-            {
-                let mut seeds = self.seeds.lock();
-                seeds.retain(|s| !targets.contains(s));
-                targets.extend(seeds.iter().copied());
-            }
-            self.m_rounds.inc();
-            let mut refreshed = false;
-            for peer in targets {
-                let req = Request::Gossip {
-                    from: self.opts.name.clone(),
-                    view: digest.clone(),
-                };
-                match call_with(peer, &req, &self.opts.call) {
-                    Ok(Response::Gossip(remote)) => {
-                        let mut st = self.state.lock();
-                        let out = st.view.merge(&remote);
-                        st.converge(remote.ring_epoch, out.liveness_changed);
-                        refreshed |= out.refreshed;
-                    }
-                    _ => self.m_failures.inc(),
+            match call_with(peer, &req, &self.opts.call) {
+                Ok(Response::Gossip(remote)) => {
+                    let mut st = self.state.lock();
+                    let out = st.view.merge(&remote);
+                    st.converge(remote.ring_epoch, out.liveness_changed);
+                    refreshed |= out.refreshed;
                 }
-            }
-            if !refreshed {
-                // Nothing new anywhere: the federation has converged (the
-                // deflake counter tests synchronize on).
-                self.m_stable.inc();
+                _ => self.m_failures.inc(),
             }
         }
+        if !refreshed {
+            // Nothing new anywhere: the federation has converged (the
+            // deflake counter tests synchronize on).
+            self.m_stable.inc();
+        }
+        self.opts.gossip_interval
     }
 
     /// Handle an incoming [`Request::Gossip`]: merge and answer with our
@@ -351,11 +324,5 @@ impl Federation {
     /// The shard owning `cluster` under the current ring.
     pub fn owner_of(&self, cluster: ClusterId) -> Option<String> {
         self.state.lock().ring.owner(cluster).map(String::from)
-    }
-}
-
-impl Drop for Federation {
-    fn drop(&mut self) {
-        self.stop.stop();
     }
 }

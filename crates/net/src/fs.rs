@@ -193,23 +193,10 @@ pub struct FsHandle {
 }
 
 impl FsHandle {
-    /// Graceful stop: silence the federation gossip (if any), then shut
-    /// the TCP service down and wait for its workers to exit. (The
-    /// `Drop` impl below makes `FsHandle` a guard type, which also means
-    /// callers can no longer move `service` out to call
-    /// [`ServiceHandle::shutdown`] directly — this is the replacement.)
+    /// Graceful stop: shut the TCP service down and wait for its workers
+    /// to exit. A federated shard's gossip, the service's tick, stops too.
     pub fn shutdown(self) {
-        drop(self);
-    }
-}
-
-impl Drop for FsHandle {
-    fn drop(&mut self) {
-        // Stop gossiping before the listener goes away: a killed shard must
-        // fall silent so its peers' failure detectors grade it dead.
-        if let Some(fed) = &self.federation {
-            fed.stop();
-        }
+        self.service.shutdown();
     }
 }
 
@@ -510,7 +497,7 @@ pub fn spawn_fs_durable(
     if let Some(fed) = &federation {
         // The bound address is only known now (port 0 picks one): fix the
         // advertised self entry, then start gossiping.
-        fed.activate(service.addr)?;
+        fed.activate(&service);
     }
 
     Ok(FsHandle {

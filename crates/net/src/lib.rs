@@ -10,7 +10,7 @@
 //!   frames, scheduled daemon outages) for chaos tests and experiments;
 //! * [`fs`] — the Central Server service (auth, directory, matching);
 //! * [`fd`] — the daemon service wrapping a `faucets-sched` Cluster, with a
-//!   pump thread that executes jobs on a (speed-adjustable) wall clock and
+//!   pump tick that executes jobs on a (speed-adjustable) wall clock and
 //!   feeds AppSpector, and a memo of the tokens the FS vouched for in the
 //!   last 30 simulated seconds (§2.2 with its staleness bound stated; its
 //!   own small mutex, beside the state mutex, guards nothing else);

@@ -185,36 +185,36 @@ impl Epoll {
     }
 
     /// Block until at least one registered fd is ready (or `timeout`
-    /// expires; `None` blocks indefinitely). Decoded events are appended
-    /// to `out` (which is cleared first). EINTR is retried internally.
+    /// expires, rounded up to whole milliseconds so a caller waiting for a
+    /// deadline never wakes just before it; `None` blocks indefinitely).
+    /// Decoded events are appended to `out` (which is cleared first). A
+    /// signal ends the wait early with no events: the caller re-arms from
+    /// its own deadline.
     pub fn wait(&self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
         out.clear();
         const MAX_EVENTS: usize = 1024;
         let mut raw = [0u8; EVENT_SIZE * MAX_EVENTS];
         let timeout_ms: i32 = match timeout {
             None => -1,
-            Some(d) => d.as_millis().min(i32::MAX as u128) as i32,
+            Some(d) => d.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32,
         };
-        let n = loop {
-            // SAFETY: `raw` holds MAX_EVENTS kernel-ABI event records.
-            let rc = unsafe {
-                epoll_wait(
-                    self.fd,
-                    raw.as_mut_ptr() as *mut EpollEvent,
-                    MAX_EVENTS as i32,
-                    timeout_ms,
-                )
-            };
-            if rc >= 0 {
-                break rc as usize;
-            }
+        // SAFETY: `raw` holds MAX_EVENTS kernel-ABI event records.
+        let rc = unsafe {
+            epoll_wait(
+                self.fd,
+                raw.as_mut_ptr() as *mut EpollEvent,
+                MAX_EVENTS as i32,
+                timeout_ms,
+            )
+        };
+        if rc < 0 {
             let err = last_os_error();
-            if err.kind() != io::ErrorKind::Interrupted {
-                return Err(err);
-            }
-            // EINTR with a finite timeout: retry with the same budget;
-            // callers treat `wait` as "at most roughly timeout".
-        };
+            return match err.kind() {
+                io::ErrorKind::Interrupted => Ok(0),
+                _ => Err(err),
+            };
+        }
+        let n = rc as usize;
         for i in 0..n {
             let rec = &raw[i * EVENT_SIZE..(i + 1) * EVENT_SIZE];
             let events = u32::from_ne_bytes(rec[..4].try_into().unwrap());

@@ -136,8 +136,9 @@ struct SentinelState {
     reigns: Vec<(u64, SocketAddr)>,
 }
 
-/// Handle to a running sentinel thread. Dropping the handle does *not*
-/// stop the sentinel; call [`Sentinel::shutdown`].
+/// Handle to a running sentinel thread. Dropping it stops the sentinel
+/// without a join: a round in flight, an election included, finishes
+/// first. [`Sentinel::shutdown`] stops the thread and joins it.
 pub struct Sentinel {
     state: Arc<Mutex<SentinelState>>,
     stop: Arc<StopSignal>,
@@ -239,7 +240,7 @@ where
         events: Vec::new(),
         reigns: Vec::new(),
     }));
-    let stop = Arc::new(StopSignal::new());
+    let stop = Arc::new(StopSignal::default());
     let thread = {
         let state = Arc::clone(&state);
         let stop = Arc::clone(&stop);

@@ -1,7 +1,7 @@
 //! The serve path: a readiness-driven epoll reactor that owns the
-//! nonblocking listener and every connection's frame state machine, feeding
-//! a bounded executor pool where fault injection, deadline shedding,
-//! tracing and the handler run.
+//! nonblocking listener, every connection's frame state machine and the
+//! service's one due slot, feeding a bounded executor pool where fault
+//! injection, deadline shedding, tracing, the handler and the tick run.
 
 use super::call::effective;
 use crate::fault::FaultPlan;
@@ -9,6 +9,7 @@ use crate::proto::{
     apply_receive_faults, parse_payload, write_frame_with, Envelope, Request, Response, MAX_FRAME,
 };
 use crate::reactor::{Epoll, Event, FrameBuf, Interest, Waker, WriteQueue};
+use crossbeam::channel::{Sender, TrySendError};
 use faucets_telemetry::metrics::{Counter, Histogram, Registry};
 use faucets_telemetry::trace::{self, TraceContext};
 use faucets_telemetry::TelemetryClock;
@@ -19,7 +20,7 @@ use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -93,8 +94,8 @@ pub struct ServiceHandle {
     pub addr: SocketAddr,
     stop: Arc<AtomicBool>,
     shared: Arc<ReactorShared>,
-    join: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    /// The executors, then the reactor.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl ServiceHandle {
@@ -111,16 +112,29 @@ impl ServiceHandle {
         self.stop_inner();
     }
 
+    /// Give the service its periodic loop (one due slot: a second call
+    /// replaces the first). `tick` runs one round on an executor, `first`
+    /// from now and then each time the wall `Duration` it returned has
+    /// passed, never twice at once. A stopped service runs no more rounds;
+    /// [`ServiceHandle::shutdown`] joins one in flight with the executors.
+    pub fn tick(
+        &self,
+        first: Duration,
+        tick: impl Fn() -> Duration + Send + Sync + 'static,
+    ) -> Nudge {
+        *self.shared.due.lock() = Some((Arc::new(tick), Due::After(first)));
+        self.shared.waker.wake();
+        Nudge(Arc::downgrade(&self.shared))
+    }
+
     fn stop_inner(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         // The eventfd pops the reactor out of epoll_wait: it sees the flag,
-        // shuts every connection down and drops the job sender.
+        // shuts every connection down and drops the job sender, which ends
+        // the executors once they finish what they hold.
         self.shared.waker.wake();
-        if let Some(j) = self.join.take() {
-            let _ = j.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
+        for t in self.threads.drain(..) {
+            let _ = t.join();
         }
     }
 }
@@ -128,6 +142,26 @@ impl ServiceHandle {
 impl Drop for ServiceHandle {
     fn drop(&mut self) {
         self.stop_inner();
+    }
+}
+
+/// Runs a service's tick early (see [`ServiceHandle::tick`]).
+pub struct Nudge(Weak<ReactorShared>);
+
+impl Nudge {
+    /// Run the tick at the reactor's next look or, if a round is running,
+    /// once more when it returns: a nudge is never lost. Does nothing once
+    /// the service is gone.
+    pub fn nudge(&self) {
+        if let Some(shared) = self.0.upgrade() {
+            if let Some((_, due)) = shared.due.lock().as_mut() {
+                *due = match due {
+                    Due::Running(_) => Due::Running(true),
+                    _ => Due::After(Duration::ZERO),
+                };
+            }
+            shared.waker.wake();
+        }
     }
 }
 
@@ -158,6 +192,12 @@ const UNWATCHED: Interest = Interest {
     writable: false,
 };
 
+/// What the executor runs: a frame, or a due tick.
+enum Work {
+    Frame(Job),
+    Tick(Tick),
+}
+
 /// One decoded request frame, handed to the executor. Only a frame
 /// dispatched with nothing else of its connection in flight is lent the
 /// connection's outbox: only its reply may leave from the executor.
@@ -165,6 +205,21 @@ struct Job {
     conn: u64,
     payload: Vec<u8>,
     outbox: Option<Arc<Outbox>>,
+}
+
+/// A service's periodic loop: one round per call, returning the wall time
+/// until the next is due.
+type Tick = Arc<dyn Fn() -> Duration + Send + Sync>;
+
+/// When the tick runs next. A registration, a finished round and a nudge
+/// arm `After`, which the reactor's next look turns into `At`: the slot's
+/// one clock read.
+#[derive(Clone, Copy, PartialEq)]
+enum Due {
+    After(Duration),
+    At(Instant),
+    /// On an executor; `true` once a nudge landed meanwhile.
+    Running(bool),
 }
 
 /// What the executor hands back about one request: its connection,
@@ -195,6 +250,8 @@ struct ReactorShared {
     /// Frames are parked for want of an executor-queue slot, which any
     /// completion frees.
     starved: AtomicBool,
+    /// The one due slot: a service hosts at most one periodic loop.
+    due: Mutex<Option<(Tick, Due)>>,
 }
 
 impl ReactorShared {
@@ -213,6 +270,43 @@ impl ReactorShared {
         if wake {
             self.waker.wake();
         }
+    }
+
+    /// Hand a due tick to the executor (a full queue leaves it armed and
+    /// the pass starved: a completion brings the reactor back), and say how
+    /// long epoll may block.
+    fn dispatch_due(&self, jobs: &Sender<Work>, pass: &mut Pass) -> Option<Duration> {
+        let mut slot = self.due.lock();
+        let (tick, due) = slot.as_mut()?;
+        let now = Instant::now();
+        let at = match *due {
+            Due::After(wait) => now + wait,
+            Due::At(at) => at,
+            Due::Running(_) => return None,
+        };
+        *due = Due::At(at);
+        if at > now {
+            return Some(at - now);
+        }
+        match jobs.try_send(Work::Tick(Arc::clone(tick))) {
+            Ok(()) => *due = Due::Running(false),
+            Err(_) => pass.starved = true,
+        }
+        None
+    }
+
+    /// A round returned `next`: run it again at once if a nudge landed
+    /// meanwhile, else hand the due back to the reactor.
+    fn ticked(&self, next: Duration) -> bool {
+        if let Some((_, due)) = self.due.lock().as_mut() {
+            if *due == Due::Running(true) {
+                *due = Due::Running(false);
+                return true;
+            }
+            *due = Due::After(next);
+        }
+        self.waker.wake();
+        false
     }
 }
 
@@ -334,7 +428,9 @@ impl Conn {
 /// frames dispatch one at a time, so its replies keep request order. A
 /// full executor queue or a reply backlog over [`ServeOptions::write_buf`]
 /// parks frames and stops reading the connection (TCP back-pressure), and
-/// parked connections are re-serviced as completions drain the queue.
+/// parked connections are re-serviced as completions drain the queue. A
+/// due tick ([`ServiceHandle::tick`]) goes to the executor pool like a
+/// frame, and the reactor blocks no longer than until it is due.
 pub fn serve_with<F>(
     addr: &str,
     name: &'static str,
@@ -353,33 +449,39 @@ where
         completions: Mutex::new(Vec::new()),
         waker: Waker::new()?,
         starved: AtomicBool::new(false),
+        due: Mutex::new(None),
     });
     let epoll = Epoll::new()?;
     epoll.add(listener.as_raw_fd(), TOK_LISTENER, Interest::READ)?;
     epoll.add(shared.waker.fd(), TOK_WAKER, Interest::READ)?;
 
     let worker_count = opts.workers.max(1);
-    let (tx, rx) = crossbeam::channel::bounded::<Job>(opts.queue.max(worker_count));
-    let mut workers = Vec::with_capacity(worker_count);
+    let (tx, rx) = crossbeam::channel::bounded::<Work>(opts.queue.max(worker_count));
+    let mut threads = Vec::with_capacity(worker_count + 1);
     for i in 0..worker_count {
         let rx = rx.clone();
         let handler = Arc::clone(&handler);
         let opts = opts.clone();
         let stop = Arc::clone(&stop);
         let shared = Arc::clone(&shared);
-        workers.push(
+        threads.push(
             std::thread::Builder::new()
                 .name(format!("faucets-{name}-x{i}"))
                 .spawn(move || {
                     let mut meters = HashMap::new();
-                    while let Ok(job) = rx.recv() {
-                        // Frames queued behind a shutdown are dropped.
+                    while let Ok(work) = rx.recv() {
+                        // Work queued behind a shutdown is dropped.
                         if stop.load(Ordering::SeqCst) {
                             continue;
                         }
-                        let (had_id, reply) =
-                            process_frame(job.payload, &*handler, &opts, name, &mut meters);
-                        shared.file(job.conn, had_id, reply, job.outbox.as_deref());
+                        match work {
+                            Work::Frame(job) => {
+                                let (had_id, reply) =
+                                    process_frame(job.payload, &*handler, &opts, name, &mut meters);
+                                shared.file(job.conn, had_id, reply, job.outbox.as_deref());
+                            }
+                            Work::Tick(tick) => while shared.ticked(tick()) {},
+                        }
                     }
                 })?,
         );
@@ -390,20 +492,20 @@ where
     let shared2 = Arc::clone(&shared);
     let registry = opts.registry.clone();
     let write_buf = opts.write_buf.max(1);
-    let join = std::thread::Builder::new()
-        .name(format!("faucets-{name}"))
-        .spawn(move || {
-            reactor_loop(
-                epoll, listener, stop2, shared2, tx, registry, write_buf, name,
-            )
-        })?;
-
+    threads.push(
+        std::thread::Builder::new()
+            .name(format!("faucets-{name}"))
+            .spawn(move || {
+                reactor_loop(
+                    epoll, listener, stop2, shared2, tx, registry, write_buf, name,
+                )
+            })?,
+    );
     Ok(ServiceHandle {
         addr: local,
         stop,
         shared,
-        join: Some(join),
-        workers,
+        threads,
     })
 }
 
@@ -413,7 +515,7 @@ fn reactor_loop(
     listener: TcpListener,
     stop: Arc<AtomicBool>,
     shared: Arc<ReactorShared>,
-    jobs: crossbeam::channel::Sender<Job>,
+    jobs: Sender<Work>,
     registry: Option<Arc<Registry>>,
     write_buf: usize,
     name: &'static str,
@@ -477,6 +579,7 @@ fn reactor_loop(
         }
         g_open.add(conns.len() as f64 - open as f64);
         g_fds.set(conns.len() as f64);
+        let timeout = shared.dispatch_due(&jobs, &mut pass);
         if pass.starved != shared.starved.load(Ordering::Relaxed) {
             shared.starved.store(pass.starved, Ordering::Relaxed);
             pass.raised |= pass.starved;
@@ -488,9 +591,9 @@ fn reactor_loop(
         if pass.raised && !shared.completions.lock().is_empty() {
             continue;
         }
-        // Block until something is ready. No timeout: every state change
-        // arrives as an fd event (socket readiness, accept, eventfd).
-        if epoll.wait(&mut events, None).is_err() {
+        // Block until the tick is due: every other state change arrives as
+        // an fd event (socket readiness, accept, eventfd).
+        if epoll.wait(&mut events, timeout).is_err() {
             break;
         }
         h_ready.record(events.len() as f64);
@@ -576,7 +679,7 @@ fn service_conn(
     epoll: &Epoll,
     conns: &mut HashMap<u64, Conn>,
     token: u64,
-    jobs: &crossbeam::channel::Sender<Job>,
+    jobs: &Sender<Work>,
     write_buf: usize,
     parked_conns: &mut HashSet<u64>,
     pass: &mut Pass,
@@ -612,19 +715,20 @@ fn service_conn(
             // Counted before the executor can see the job.
             conn.outbox.inflight.fetch_add(1, Ordering::Relaxed);
             let outbox = (inflight == 0).then(|| Arc::clone(&conn.outbox));
-            match jobs.try_send(Job {
+            let job = Work::Frame(Job {
                 conn: token,
                 payload,
                 outbox,
-            }) {
+            });
+            match jobs.try_send(job) {
                 Ok(()) => inflight += 1,
-                Err(crossbeam::channel::TrySendError::Full(job)) => {
+                Err(TrySendError::Full(Work::Frame(job))) => {
                     conn.outbox.inflight.fetch_sub(1, Ordering::Relaxed);
                     conn.parked.push_front(job.payload);
                     pass.starved = true;
                     break;
                 }
-                Err(crossbeam::channel::TrySendError::Disconnected(_)) => {
+                Err(_) => {
                     conn.dead = true;
                     break;
                 }
@@ -910,6 +1014,77 @@ mod tests {
             );
         }
         h.shutdown();
+    }
+
+    /// A nudge that lands while the tick runs is not lost: the tick runs
+    /// again as soon as it returns, well before the 30 s it asked for.
+    #[test]
+    fn a_nudge_mid_tick_runs_it_again_promptly() {
+        let h = serve("127.0.0.1:0", "nudged", |_| Response::Ok).unwrap();
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let release_rx = Mutex::new(release_rx);
+        let runs = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&runs);
+        let nudge = h.tick(Duration::ZERO, move || {
+            if counted.fetch_add(1, Ordering::SeqCst) == 0 {
+                let _ = started_tx.send(());
+                let _ = release_rx.lock().recv();
+            }
+            Duration::from_secs(30)
+        });
+        started_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the first round runs at once");
+        nudge.nudge();
+        release_tx.send(()).unwrap();
+        let t = Instant::now();
+        while runs.load(Ordering::SeqCst) < 2 {
+            assert!(
+                t.elapsed() < Duration::from_secs(10),
+                "the nudge that landed mid-round was lost"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(runs.load(Ordering::SeqCst), 2, "one nudge, one more round");
+        h.shutdown();
+    }
+
+    /// An idle service with a tick due every 20 ms runs it about 25 times
+    /// in half a second, and its reactor makes about two passes a round:
+    /// one when the due expires, one when the round hands its next due
+    /// back. A timeout cut down to whole milliseconds would spin through
+    /// the last fraction of one before every round.
+    #[test]
+    fn an_idle_service_paces_its_tick_without_spinning() {
+        let reg = Arc::new(Registry::new());
+        let opts = ServeOptions {
+            registry: Some(Arc::clone(&reg)),
+            ..ServeOptions::default()
+        };
+        let h = serve_with("127.0.0.1:0", "paced", opts, |_| Response::Ok).unwrap();
+        let passes = || {
+            let snap = reg.snapshot();
+            snap.histogram_sum("net_reactor_ready_events", &[("service", "paced")])
+                .count
+        };
+        let runs = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&runs);
+        let every = Duration::from_millis(20);
+        let before = passes();
+        h.tick(every, move || {
+            counted.fetch_add(1, Ordering::SeqCst);
+            every
+        });
+        std::thread::sleep(Duration::from_millis(500));
+        let (ran, passed) = (runs.load(Ordering::SeqCst) as u64, passes() - before);
+        h.shutdown();
+        assert!((12..=25).contains(&ran), "{ran} rounds in 500 ms");
+        assert!(
+            passed <= 2 * ran + 4,
+            "{passed} reactor passes for {ran} rounds"
+        );
     }
 
     #[test]

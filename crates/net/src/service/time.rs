@@ -1,73 +1,39 @@
 //! Time plumbing shared by the serve and call paths: the wall-clock →
-//! simulation-clock mapping live services run on, the stop flag background
-//! loops wait on, client socket deadlines, and the bounded retry policy.
+//! simulation-clock mapping live services run on, the sentinel's stop
+//! flag, client socket deadlines, and the bounded retry policy.
 
 use crate::fault::mix64;
 use faucets_sim::time::SimTime;
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-/// A stop flag background loops can *wait on*, so "sleep an interval, then
-/// check the flag" becomes "wait at most an interval, but wake the moment
-/// someone stops (or nudges) us". This is the fix for the fixed-tick sleep
-/// family of bugs: the FD pump, the sentinel probe loop, and the federation
-/// gossip loop all used bare `thread::sleep`, which made every `shutdown()`
-/// eat up to a full interval and (for the 5 ms pump tick) burned 200
-/// wakeups a second per daemon while idle.
+/// The stop flag the sentinel's probe loop waits on: at most an interval,
+/// but it wakes the moment someone stops it, so `shutdown()` costs a join.
+/// (A service's periodic loop is a [`super::ServiceHandle::tick`].)
 #[derive(Default)]
 pub struct StopSignal {
-    stopped: AtomicBool,
-    /// A nudge no [`StopSignal::wait_for`] has taken yet.
-    nudged: Mutex<bool>,
+    stopped: Mutex<bool>,
     cv: Condvar,
 }
 
 impl StopSignal {
-    /// A fresh, un-stopped signal.
-    pub fn new() -> StopSignal {
-        StopSignal::default()
-    }
-
-    /// Has [`StopSignal::stop`] been called?
-    pub fn is_stopped(&self) -> bool {
-        self.stopped.load(Ordering::SeqCst)
-    }
-
     /// Raise the flag and wake every waiter immediately.
     pub fn stop(&self) {
-        // Flip the flag under the lock so a waiter can't check it, miss
-        // the notify, and then park for its full timeout.
-        let _g = self.nudged.lock();
-        self.stopped.store(true, Ordering::SeqCst);
+        *self.stopped.lock() = true;
         self.cv.notify_all();
     }
 
-    /// Wake waiters *without* stopping — "new work arrived, re-evaluate
-    /// your deadline now" (the FD pump uses this when an award lands). The
-    /// nudge sticks until a [`StopSignal::wait_for`] takes it, so one that
-    /// lands while nobody waits yet cuts the next wait short.
-    pub fn notify(&self) {
-        *self.nudged.lock() = true;
-        self.cv.notify_all();
-    }
-
-    /// Wait up to `timeout` (waking early on [`StopSignal::stop`] or
-    /// [`StopSignal::notify`], or at once on a nudge no wait has taken
-    /// yet); returns whether the signal is stopped.
+    /// Wait up to `timeout`, waking early on [`StopSignal::stop`]; returns
+    /// whether the signal is stopped.
     pub fn wait_for(&self, timeout: Duration) -> bool {
-        if self.is_stopped() {
-            return true;
-        }
         let deadline = Instant::now() + timeout;
-        let mut nudged = self.nudged.lock();
-        while !*nudged && !self.is_stopped() {
-            if self.cv.wait_until(&mut nudged, deadline).timed_out() {
+        let mut stopped = self.stopped.lock();
+        while !*stopped {
+            if self.cv.wait_until(&mut stopped, deadline).timed_out() {
                 break;
             }
         }
-        *nudged = false;
-        self.is_stopped()
+        *stopped
     }
 }
 
@@ -218,7 +184,7 @@ mod tests {
 
     #[test]
     fn stop_signal_wakes_waiters_immediately() {
-        let sig = Arc::new(StopSignal::new());
+        let sig = Arc::new(StopSignal::default());
         let s2 = Arc::clone(&sig);
         let waiter = std::thread::spawn(move || {
             let start = Instant::now();
@@ -237,43 +203,6 @@ mod tests {
         let t = Instant::now();
         assert!(sig.wait_for(Duration::from_secs(30)));
         assert!(t.elapsed() < Duration::from_millis(100));
-    }
-
-    #[test]
-    fn stop_signal_notify_wakes_without_stopping() {
-        let sig = Arc::new(StopSignal::new());
-        let s2 = Arc::clone(&sig);
-        let waiter = std::thread::spawn(move || s2.wait_for(Duration::from_secs(30)));
-        std::thread::sleep(Duration::from_millis(30));
-        sig.notify();
-        assert!(
-            !waiter.join().unwrap(),
-            "notify wakes the waiter but the signal is not stopped"
-        );
-        // And a plain timeout also reports "not stopped".
-        assert!(!sig.wait_for(Duration::from_millis(5)));
-    }
-
-    /// A nudge that lands while nobody waits is not lost: the next wait
-    /// takes it and returns at once, and the wait after that sleeps.
-    #[test]
-    fn stop_signal_nudge_sticks_until_a_wait_takes_it() {
-        let sig = StopSignal::new();
-        sig.notify();
-        let t = Instant::now();
-        assert!(!sig.wait_for(Duration::from_secs(30)));
-        assert!(
-            t.elapsed() < Duration::from_secs(5),
-            "a nudge before the wait must cut it short: {:?}",
-            t.elapsed()
-        );
-        let t = Instant::now();
-        assert!(!sig.wait_for(Duration::from_millis(50)));
-        assert!(
-            t.elapsed() >= Duration::from_millis(50),
-            "the nudge was taken once, yet the next wait ended after {:?}",
-            t.elapsed()
-        );
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! connections held as parked state (not threads), pipelined bursts
 //! surviving garbled replies and outgrowing the socket buffers, the edges
 //! where a reply leaves from the executor instead of the reactor, and the
-//! shutdown-latency
-//! regression tests for the fixed-tick sleep sweep (FD pump, sentinel
-//! probe loop, federation gossip loop).
+//! shutdown-latency regression tests for the periodic loops (the FD pump
+//! and federation gossip, ticks on their service's reactor; the sentinel
+//! probe loop, a thread).
 //!
 //! Deflake convention: every wait synchronizes on a telemetry readout or
 //! a handle readout under a bounded deadline — never a bare sleep sized
@@ -642,8 +642,8 @@ fn a_seeded_storm_over_both_reply_paths_keeps_every_reply_in_its_slot() {
     });
 }
 
-/// The FD pump is paced by its next due event on a condvar; `shutdown()`
-/// must wake it immediately, not wait out a tick or a heartbeat.
+/// The FD pump is a tick paced by its next due event; `shutdown()` must
+/// stop it immediately, not wait out a tick or a heartbeat.
 #[test]
 fn fd_pump_shutdown_is_prompt() {
     let clock = Clock::new(100.0);
@@ -711,22 +711,25 @@ fn sentinel_shutdown_is_prompt_mid_interval() {
     h.shutdown();
 }
 
-/// The federation gossip loop waits on the same stop-aware signal:
-/// stopping a shard mid-interval costs a join, not a gossip round.
+/// Federation gossip is the FS service's tick: shutting a federated shard
+/// down mid-interval costs a join, not a gossip round.
 #[test]
 fn federation_stop_is_prompt_mid_interval() {
-    let fed = Arc::new(Federation::new(FederationOptions {
-        gossip_interval: Duration::from_secs(30),
-        ..FederationOptions::new("prompt-shard")
-    }));
-    fed.activate("127.0.0.1:9".parse().unwrap()).unwrap();
-    // Give the gossiper a moment to enter its inter-round wait.
+    let opts = FsOptions {
+        federation: Some(FederationOptions {
+            gossip_interval: Duration::from_secs(30),
+            ..FederationOptions::new("prompt-shard")
+        }),
+        ..FsOptions::default()
+    };
+    let fs = spawn_fs_durable("127.0.0.1:0", Clock::realtime(), 18, opts).unwrap();
+    // Let the reactor arm the gossip tick's 30 s due.
     std::thread::sleep(Duration::from_millis(50));
     let t = Instant::now();
-    fed.stop();
+    fs.shutdown();
     assert!(
         t.elapsed() < Duration::from_secs(1),
-        "gossip loop woke mid-interval: {:?}",
+        "the shard waited out its gossip interval: {:?}",
         t.elapsed()
     );
 }
