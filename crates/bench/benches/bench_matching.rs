@@ -28,7 +28,6 @@ fn directory_with(n: usize) -> Directory {
                 flops_per_pe_sec: 1e9,
                 fd_addr: "10.0.0.1".into(),
                 fd_port: 9000,
-                replicas: vec![],
             },
             [
                 "namd".to_string(),

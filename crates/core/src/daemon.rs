@@ -267,7 +267,6 @@ mod tests {
                 flops_per_pe_sec: 1.0,
                 fd_addr: "127.0.0.1".into(),
                 fd_port: 9001,
-                replicas: vec![],
             },
             ["namd".to_string()],
             Box::new(Baseline),

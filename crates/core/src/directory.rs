@@ -39,12 +39,6 @@ pub struct ServerInfo {
     pub fd_addr: String,
     /// Port the FD listens on ("a well-known port").
     pub fd_port: u16,
-    /// Replica daemon addresses (`host:port`) mirroring this server's
-    /// control-plane journal, in the primary's failover-preference order.
-    /// Empty for an unreplicated daemon; absent on the wire from
-    /// pre-replication peers.
-    #[serde(default)]
-    pub replicas: Vec<String>,
 }
 
 impl ServerInfo {
@@ -392,8 +386,16 @@ mod tests {
             flops_per_pe_sec: 1e9,
             fd_addr: "127.0.0.1".into(),
             fd_port: 9000 + id as u16,
-            replicas: vec![],
         }
+    }
+
+    #[test]
+    fn a_row_that_still_carries_replicas_decodes() {
+        // Peers built before the replica list left the row still send it.
+        let mut json = serde_json::to_string(&info(3, 64, 1024)).unwrap();
+        json.insert_str(json.len() - 1, r#","replicas":["127.0.0.1:9100"]"#);
+        let row: ServerInfo = serde_json::from_str(&json).unwrap();
+        assert_eq!(row, info(3, 64, 1024));
     }
 
     #[test]

@@ -224,7 +224,6 @@ mod tests {
             flops_per_pe_sec: 1e9,
             fd_addr: "127.0.0.1".into(),
             fd_port: 9000,
-            replicas: vec![],
         }
     }
 

@@ -304,7 +304,6 @@ mod tests {
             flops_per_pe_sec: 2.0,
             fd_addr: "127.0.0.1".into(),
             fd_port: 1, // nothing listens here; the FD snapshot is skipped
-            replicas: vec![],
         };
         call(
             fs.service.addr,

@@ -71,6 +71,15 @@ impl Args {
     }
 }
 
+/// A started service, or one line and exit 1 when it cannot start (its
+/// port is taken, say) — not a panic's backtrace.
+fn started<T>(what: &str, addr: &str, r: std::io::Result<T>) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("cannot start {what} on {addr}: {e}");
+        std::process::exit(1);
+    })
+}
+
 fn block_forever() -> ! {
     loop {
         std::thread::sleep(Duration::from_secs(3600));
@@ -90,14 +99,15 @@ fn main() {
         "fs" => {
             let addr = args.get("addr").unwrap_or_else(|| "127.0.0.1:7700".into());
             let seed: u64 = args.parse("seed", 7);
-            let h = spawn_fs(&addr, clock, seed).expect("bind FS");
+            let h = started("FS", &addr, spawn_fs(&addr, clock, seed));
             println!("Faucets Central Server listening on {}", h.service.addr);
             block_forever();
         }
         "appspector" => {
             let addr = args.get("addr").unwrap_or_else(|| "127.0.0.1:7701".into());
             let fs = args.addr("fs");
-            let h = spawn_appspector(&addr, fs, args.parse("buffer", 64)).expect("bind AppSpector");
+            let spawned = spawn_appspector(&addr, fs, args.parse("buffer", 64));
+            let h = started("AppSpector", &addr, spawned);
             println!("AppSpector server listening on {}", h.service.addr);
             block_forever();
         }
@@ -125,7 +135,8 @@ fn main() {
                 faucets_sched::policy::by_name(&policy),
                 ResizeCostModel::default(),
             );
-            let h = spawn_fd(&addr, daemon, cluster, fs, aspect, clock).expect("bind FD");
+            let spawned = spawn_fd(&addr, daemon, cluster, fs, aspect, clock);
+            let h = started("FD", &addr, spawned);
             println!(
                 "Faucets Daemon '{name}' ({pes} PEs, {policy}/{strategy}) on {} — registered with {fs}",
                 h.service.addr

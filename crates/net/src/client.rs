@@ -30,7 +30,6 @@
 //! ([`FaucetsClient::breakers`]) closed, and rides it out exactly like a
 //! transient drop everywhere else.
 
-use crate::fault::FaultPlan;
 use crate::overload::BreakerSet;
 use crate::pool::{ConnPool, PoolConfig};
 use crate::proto::{Request, Response};
@@ -171,8 +170,6 @@ pub struct FaucetsClient {
     pub selection: SelectionPolicy,
     /// Transport retry policy applied to every call.
     pub retry: RetryPolicy,
-    /// Optional fault injection on this client's own traffic.
-    pub faults: Option<Arc<FaultPlan>>,
     /// Per-peer circuit breakers applied to every call (default on). An
     /// [`Response::Overloaded`] answer counts as a breaker *success*, so
     /// a healthy-but-busy cluster is never fast-failed.
@@ -280,7 +277,6 @@ impl FaucetsClient {
                     user,
                     selection: SelectionPolicy::LeastCost,
                     retry: RetryPolicy::standard(user.raw()),
-                    faults: None,
                     breakers: Arc::new(BreakerSet::default()),
                     pool,
                     fan_out: 8,
@@ -304,7 +300,6 @@ impl FaucetsClient {
     fn opts(&self) -> CallOptions {
         CallOptions {
             retry: self.retry,
-            faults: self.faults.clone(),
             deadline: self.call_deadline,
             breakers: Some(Arc::clone(&self.breakers)),
             pool: Some(Arc::clone(&self.pool)),

@@ -19,8 +19,7 @@
 //!   contracts), the journal, the bid gate, the clock, the FS endpoints
 //!   and the memo of tokens the FS lately vouched for.
 //! * **recover** — `FdCore::recover` replays the journal into the
-//!   scheduler and `renew_lease` stamps the primary claim, both before
-//!   the listener is bound.
+//!   scheduler before the listener is bound.
 //! * **handlers** — `FdCore::handle` dispatches to one method per
 //!   endpoint: `bid`, `award`, `upload`, `lease_probe`, `fence`; the first
 //!   three start with `FdCore::verify`.
@@ -90,7 +89,7 @@ use faucets_core::market::MarketInfo;
 use faucets_core::money::Money;
 use faucets_sched::cluster::Cluster;
 use faucets_sim::time::{SimDuration, SimTime};
-use faucets_store::{Durable, Lease, ReplicatedStore, StoreError, StoreOptions};
+use faucets_store::{Durable, ReplicatedStore, StoreError, StoreOptions};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -182,9 +181,8 @@ pub struct FdOptions {
     /// write faults. Only consulted when `store` is set.
     pub store_opts: StoreOptions,
     /// Replicate the contract journal to follower daemons
-    /// ([`crate::replica::spawn_replica`]); the follower set is advertised
-    /// in this FD's directory row so failover tooling can find the
-    /// replicas. Only consulted when `store` is set. The service name the
+    /// ([`crate::replica::spawn_replica`]). Only consulted when `store` is
+    /// set. The service name the
     /// followers must host is `fd-<cluster id>` (`fd-cs-1` for cluster 1).
     pub replication: Option<ReplicationConfig>,
     /// Options for the FD's own outbound calls (FS verification and
@@ -213,12 +211,6 @@ pub struct FdOptions {
 
 /// Heartbeat cadence in *simulated* time.
 const HEARTBEAT_EVERY: SimDuration = SimDuration::from_secs(30);
-
-/// TTL stamped into the on-disk lease this FD renews every time it
-/// answers a sentinel's [`Request::LeaseProbe`] (the lease is the
-/// primary claim automatic failover revolves around; see
-/// [`crate::sentinel`]). Only meaningful with replication configured.
-const LEASE_TTL: Duration = Duration::from_millis(500);
 
 impl Default for FdOptions {
     fn default() -> Self {
@@ -342,23 +334,6 @@ impl FdCore {
             };
             j.contracts.iter().map(restore).collect()
         })
-    }
-
-    /// Stamp the on-disk lease with a fresh claim under the journal's
-    /// current epoch. Renewal clamps against any stamp already on disk, so
-    /// a backwards wall clock never writes an older claim.
-    fn renew_lease(&self, repl: &ReplicatedStore<FdJournal>) {
-        let Some(dir) = &self.opts.store else {
-            return;
-        };
-        let mut lease = Lease {
-            holder: format!("{}@{}", self.service_name, std::process::id()),
-            epoch: repl.epoch(),
-            renewed_unix_ms: faucets_store::read_lease(dir).map_or(0, |l| l.renewed_unix_ms),
-            ttl_ms: LEASE_TTL.as_millis() as u64,
-        };
-        lease.renew(crate::sentinel::unix_ms());
-        let _ = faucets_store::write_lease(dir, &lease);
     }
 
     /// Announce this daemon to the FS endpoint currently trusted: at
@@ -548,13 +523,11 @@ impl FdCore {
         named.map(Journal::replicated)
     }
 
-    /// Sentinel liveness probe: answering IS the lease renewal — the
-    /// on-disk claim is re-stamped (clock-clamped) before the reply, so
-    /// "the primary answered" and "the lease is fresh" are the same fact.
+    /// Sentinel liveness probe: answering IS the lease renewal, as the
+    /// sentinel records it. Nothing is written here.
     fn lease_probe(&self, service: &str) -> Response {
         match self.replicated(service) {
             Some(Some(repl)) => {
-                self.renew_lease(repl);
                 let (position, fenced) = (repl.position(), repl.is_fenced());
                 Response::Lease { position, fenced }
             }
@@ -747,7 +720,7 @@ pub fn spawn_fd(
 /// traffic.
 pub fn spawn_fd_with(
     addr: &str,
-    mut daemon: FaucetsDaemon,
+    daemon: FaucetsDaemon,
     cluster: Cluster,
     fs: SocketAddr,
     appspector: SocketAddr,
@@ -767,11 +740,6 @@ pub fn spawn_fd_with(
         }
         None => None,
     };
-    // Advertise the replica set in the directory row, so failover tooling
-    // (and curious clients) can locate this FD's followers.
-    if let Some(repl) = &opts.replication {
-        daemon.info.replicas = repl.followers.iter().map(|a| a.to_string()).collect();
-    }
     let core = Arc::new(FdCore {
         gate: PayoffGate::new(opts.bid_gate, &cluster_name, reg),
         clock,
@@ -799,15 +767,10 @@ pub fn spawn_fd_with(
         }),
     });
 
-    // Before the service can take traffic: recover the journal, and with a
-    // replicated one (re)assert the on-disk lease, so a restarted or
-    // promoted primary immediately holds a fresh claim.
+    // Recover the journal before the service can take traffic.
     let restored = core.recover();
     reg.counter("fd_journal_restored_contracts_total", &labels)
         .add(restored.len() as u64);
-    if let Some(repl) = core.journal.as_ref().and_then(|j| j.replicated()) {
-        core.renew_lease(repl);
-    }
 
     // Bind, so the real port is known, and register under it.
     let handler = Arc::clone(&core);
@@ -1330,11 +1293,57 @@ mod tests {
         let (lease, fence) = probe(&g.fd, "fd-cs-2");
         assert!(lease.starts_with("no lease held for service"), "{lease}");
         assert!(fence.starts_with("unknown replicated service"), "{fence}");
-        assert!(
-            faucets_store::read_lease(&dir).is_none(),
-            "a lease was written"
-        );
         drop(g);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn probed_replicated_fd_writes_only_the_stores_files() {
+        use crate::replica::{spawn_replica, ReplicaOptions};
+        let (dir, fdir) = (scratch("probed"), scratch("probed-follower"));
+        let follower = spawn_replica(
+            "127.0.0.1:0",
+            &[("fd-cs-1".to_string(), fdir.clone())],
+            ReplicaOptions { no_fsync: true },
+        )
+        .unwrap();
+        let opts = FdOptions {
+            store: Some(dir.clone()),
+            replication: Some(ReplicationConfig {
+                followers: vec![follower.addr],
+                ..ReplicationConfig::default()
+            }),
+            ..FdOptions::default()
+        };
+        let clock = Clock::new(100.0);
+        let g = grid(&clock, 16, 64, opts);
+        let probe = Request::LeaseProbe {
+            service: "fd-cs-1".into(),
+        };
+        for _ in 0..3 {
+            let reply = call(g.fd.service.addr, &probe).unwrap();
+            assert!(
+                matches!(reply, Response::Lease { fenced: false, .. }),
+                "{reply:?}"
+            );
+        }
+        // The journal directory holds what the store made it: the epoch
+        // file, snapshots and WALs. Answering a probe persists nothing.
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert!(names.iter().any(|n| n == "epoch"), "{names:?}");
+        assert!(
+            names
+                .iter()
+                .all(|n| n == "epoch" || n.starts_with("snap-") || n.starts_with("wal-")),
+            "{names:?}"
+        );
+        drop(g);
+        drop(follower);
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&fdir);
     }
 }

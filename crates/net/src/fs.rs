@@ -528,7 +528,6 @@ mod tests {
             flops_per_pe_sec: 1.0,
             fd_addr: "127.0.0.1".into(),
             fd_port: 1,
-            replicas: vec![],
         }
     }
 

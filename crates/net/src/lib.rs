@@ -179,8 +179,8 @@
 //! ([`replica::spawn_replica`]) which persist byte-compatible journal
 //! directories before acking:
 //!
-//! * **Modes** — sync (`Ok` to the client implies the required follower
-//!   quorum holds the record; an under-replicated commit is NACKed as
+//! * **Modes** — sync (`Ok` to the client implies every follower holds
+//!   the record; an under-replicated commit is NACKed as
 //!   `Unreplicated`) or async (`Ok` implies local durability; `repl_lag`
 //!   bounds the failover exposure). See
 //!   [`faucets_store::ReplicationMode`].
@@ -191,8 +191,8 @@
 //!   directory as the new primary's journal. A deposed primary is
 //!   *fenced*: the first follower that has seen the higher epoch rejects
 //!   its frames, and every later commit fails with `Fenced`. The
-//!   [`sentinel`] module automates the whole procedure: a lease persisted
-//!   in the primary's journal directory is renewed by answering
+//!   [`sentinel`] module automates the whole procedure: the primary renews
+//!   its lease, kept on the sentinel's clock, by answering
 //!   [`proto::Request::LeaseProbe`]; missed renewals past the TTL trigger
 //!   a quorum-gated election, a wire-level [`proto::Request::Fence`] of
 //!   the deposed primary, and promotion of the released follower —

@@ -230,7 +230,7 @@ pub(crate) struct PooledConn {
 }
 
 impl PooledConn {
-    /// The socket, this caller's alone until the connection is settled.
+    /// The socket, this caller's alone: only `settle` and `drop` take it, and both end the loan.
     pub(crate) fn stream(&mut self) -> &mut TcpStream {
         self.stream.as_mut().expect("checked out with a stream")
     }

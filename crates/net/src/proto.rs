@@ -183,9 +183,9 @@ pub enum Request {
     },
 
     // ---- Self-healing (sentinel) ----
-    /// Sentinel → primary: prove you are alive and still primary. The
-    /// primary renews its on-disk lease while answering, so a successful
-    /// probe IS a lease renewal; the reply ([`Response::Lease`]) carries
+    /// Sentinel → primary: prove you are alive and still primary. A
+    /// successful probe IS a lease renewal, as the sentinel records it;
+    /// the primary writes nothing. The reply ([`Response::Lease`]) carries
     /// the primary's position and fencing state.
     LeaseProbe {
         /// Name of the replicated service the lease guards.

@@ -217,6 +217,7 @@ impl Epoll {
         let n = rc as usize;
         for i in 0..n {
             let rec = &raw[i * EVENT_SIZE..(i + 1) * EVENT_SIZE];
+            // Fixed-width slices of our own EVENT_SIZE record, whatever the kernel wrote.
             let events = u32::from_ne_bytes(rec[..4].try_into().unwrap());
             let token = u64::from_ne_bytes(rec[DATA_OFFSET..DATA_OFFSET + 8].try_into().unwrap());
             let hangup = events & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0;
@@ -400,6 +401,7 @@ impl FrameBuf {
         if avail.len() < 4 {
             return Ok(None);
         }
+        // Four bytes: the `avail.len() < 4` guard above returned first.
         let len = u32::from_be_bytes(avail[..4].try_into().unwrap()) as usize;
         if len > self.max_frame {
             return Err(io::Error::new(

@@ -33,10 +33,10 @@
 //! ## Failover contract
 //!
 //! Acknowledged-entry durability across failover is the point of the
-//! design: in sync mode a client `Ok` implies the record is on the
-//! required follower quorum, so *any* electable follower has it; in async
-//! mode an `Ok` implies local durability only, and the published lag
-//! (`repl_lag`) bounds what a failover may lose. Election is
+//! design: in sync mode a client `Ok` implies the record is on every
+//! follower, so *any* electable follower has it; in async mode an `Ok`
+//! implies local durability only, and the published lag (`repl_lag`)
+//! bounds what a failover may lose. Election is
 //! deterministic — probe every survivor's [`Request::ReplStatus`] position
 //! and pick the maximum `(epoch, generation, acked)` (ties broken by list
 //! order, see `faucets_store::pick_primary`) — and the deposed primary is
@@ -305,12 +305,6 @@ pub struct ReplicationConfig {
     pub followers: Vec<SocketAddr>,
     /// Sync (ack-before-confirm) or async (ship-behind) shipping.
     pub mode: ReplicationMode,
-    /// Epoch to claim as primary. `0` means "resume": read the journal
-    /// directory's persisted epoch, defaulting to 1 on a fresh directory.
-    /// A promotion must pass the epoch from
-    /// [`faucets_store::prepare_promotion`] — strictly above the old
-    /// primary's — or the old reign is not fenced.
-    pub epoch: u64,
     /// RPC options for replication traffic: retry, deadline, breakers and
     /// fault injection apply as on any call. Pooling always applies — a
     /// `call` that names no transport gets one [`ConnPool`] per link from
@@ -325,7 +319,6 @@ impl Default for ReplicationConfig {
         ReplicationConfig {
             followers: Vec::new(),
             mode: ReplicationMode::Sync,
-            epoch: 0,
             call: CallOptions {
                 // Replication is latency-sensitive and has its own
                 // re-planning loop; keep the per-call budget tight.
@@ -338,17 +331,7 @@ impl Default for ReplicationConfig {
 
 impl ReplicationConfig {
     /// Materialise the [`ReplOptions`] for one service's store.
-    fn repl_options(
-        &self,
-        service: &str,
-        dir: &std::path::Path,
-        store: StoreOptions,
-    ) -> ReplOptions {
-        let epoch = if self.epoch == 0 {
-            faucets_store::read_epoch(dir).max(1)
-        } else {
-            self.epoch
-        };
+    fn repl_options(&self, service: &str, store: StoreOptions) -> ReplOptions {
         ReplOptions {
             store,
             mode: self.mode,
@@ -360,9 +343,6 @@ impl ReplicationConfig {
                         as Arc<dyn ReplicaLink>
                 })
                 .collect(),
-            epoch,
-            // Every follower must ack a sync commit.
-            sync_acks: 0,
         }
     }
 }
@@ -404,7 +384,7 @@ impl<T: Durable + Send + 'static> Journal<T> {
                 Ok((Journal::Plain(Arc::new(store)), report))
             }
             Some(cfg) => {
-                let opts = cfg.repl_options(service, &dir, store_opts);
+                let opts = cfg.repl_options(service, store_opts);
                 let (store, report) = ReplicatedStore::open(&dir, initial, opts)?;
                 Ok((Journal::Replicated(store), report))
             }

@@ -10,12 +10,10 @@
 //!
 //! 1. **Lease probing** — every [`SentinelOptions::probe_every`] the
 //!    sentinel sends [`crate::proto::Request::LeaseProbe`] to the current
-//!    primary. Answering *is* the renewal: the primary re-stamps the
-//!    lease persisted in its journal directory
-//!    ([`faucets_store::Lease`], clock-clamped like
-//!    [`crate::overload::TokenBucket`] so a backwards wall clock never
-//!    writes an older claim) and replies with its replication position
-//!    and fencing state.
+//!    primary. Answering *is* the renewal: the primary replies with its
+//!    replication position and fencing state, and the sentinel records
+//!    the answer as a renewal. The lease lives only here, on the
+//!    sentinel's clock; the primary persists nothing for it.
 //! 2. **Suspicion** — the sentinel tracks renewals on its own clamped
 //!    clock. When no renewal lands for
 //!    [`SentinelOptions::lease_ttl`], the primary is suspect. Clock
@@ -27,7 +25,9 @@
 //!    ([`crate::proto::Request::ReplStatus`]). A majority of the
 //!    configured replica set must answer or
 //!    the election aborts and suspicion restarts — a partitioned
-//!    sentinel must not promote a minority island. The winner is chosen
+//!    sentinel must not promote a minority island. A sync commit is
+//!    acked only once every follower holds it, so any replica that
+//!    answers has every acked frame. The winner is chosen
 //!    by the same deterministic [`faucets_store::pick_primary`] rule the
 //!    operator used (max `(epoch, generation, acked)`, ties to lowest
 //!    index), so every sentinel replica-set view elects the same node.
@@ -68,9 +68,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Milliseconds since the Unix epoch (0 if the system clock is before
-/// it). Lease stamps go through [`faucets_store::Lease::renew`], which
-/// clamps against the previous stamp, so callers need not pre-clamp.
-pub(crate) fn unix_ms() -> u64 {
+/// it). Unclamped: [`clamped_now`] is the sentinel's one reader.
+fn unix_ms() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_millis() as u64)
@@ -256,8 +255,9 @@ where
 }
 
 /// The sentinel's monotone wall clock: raw reading plus injected skew,
-/// clamped against the last value handed out — the same discipline
-/// [`faucets_store::Lease::renew`] applies on the primary's side.
+/// clamped against the last value handed out (like
+/// [`crate::overload::TokenBucket`]), so a backwards step can only delay
+/// an election, never fire one.
 fn clamped_now(last: &mut u64, skew: &AtomicI64) -> u64 {
     let raw = unix_ms().saturating_add_signed(skew.load(Ordering::Relaxed));
     *last = (*last).max(raw);
@@ -355,7 +355,7 @@ fn run<F>(
             m_aborted.inc();
             continue;
         };
-        let (winner_idx, winner_pos) = answers[win];
+        let winner_idx = answers[win].0;
         let winner_addr = replicas[winner_idx];
         let new_epoch = positions.iter().map(|p| p.epoch).max().unwrap_or(0) + 1;
 
@@ -406,7 +406,6 @@ fn run<F>(
                     mttr,
                 });
                 drop(s);
-                let _ = winner_pos; // election detail; position now lives on disk
                 suspect_since = None;
                 last_renewal = clamped_now(&mut clock, &opts.skew_ms);
             }

@@ -96,6 +96,7 @@ pub fn call(addr: SocketAddr, req: &Request) -> io::Result<Response> {
 pub fn call_with(addr: SocketAddr, req: &Request, opts: &CallOptions) -> io::Result<Response> {
     let leg = Leg::new(addr, std::slice::from_ref(req), opts);
     let mut replies = leg.persist(opts.retry.attempts, leg.attempt());
+    // A pass answers every request of its leg, and this leg has one.
     replies.pop().expect("one result per request")
 }
 
@@ -159,6 +160,7 @@ pub fn call_many(
             })
             .collect();
         results.extend(std::iter::zip(sweep, landed).map(|(leg, first)| {
+            // Each leg carries the one `req`, so its pass answers once.
             let last = leg.persist(opts.retry.attempts, first).pop();
             last.expect("one result per request")
         }));

@@ -85,7 +85,6 @@ fn request(rng: &mut StdRng) -> Request {
                     flops_per_pe_sec: 1e9,
                     fd_addr: "127.0.0.1".into(),
                     fd_port: rng.random_range(1u16..65535),
-                    replicas: vec![],
                 },
                 apps: vec!["namd".into()],
             }

@@ -90,8 +90,6 @@ fn any_takeover_interleaving_preserves_the_acked_contract() {
                 store: store_opts(),
                 mode: ReplicationMode::Sync,
                 links: vec![Arc::new(LocalLink(Arc::clone(&follower)))],
-                epoch: 1,
-                sync_acks: 0,
             },
         )
         .unwrap();

@@ -53,7 +53,6 @@ impl MachineSpec {
             flops_per_pe_sec: self.flops_per_pe_sec,
             fd_addr: fd_addr.into(),
             fd_port,
-            replicas: vec![],
         }
     }
 }

@@ -233,8 +233,7 @@ pub(crate) fn encode_all<R: Serialize>(recs: &[R]) -> Result<Vec<String>, StoreE
         .collect()
 }
 
-/// Write `snap-<gen>.json` crash-safely: temp file, fsync, atomic rename,
-/// directory fsync.
+/// Write `snap-<gen>.json` crash-safely (see [`write_atomic`]).
 fn write_snapshot<S: Serialize>(
     dir: &Path,
     gen: u64,
@@ -243,28 +242,26 @@ fn write_snapshot<S: Serialize>(
 ) -> Result<(), StoreError> {
     let bytes = serde_json::to_vec(snap)
         .map_err(|e| StoreError::Corrupt(format!("snapshot serialize: {e}")))?;
-    write_snapshot_bytes(dir, gen, &bytes, no_fsync)
+    write_atomic(&snap_path(dir, gen), &bytes, no_fsync)
 }
 
-/// Byte-level sibling of [`write_snapshot`] — used by replication, where a
-/// follower mirrors the primary's snapshot verbatim without deserializing.
-pub(crate) fn write_snapshot_bytes(
-    dir: &Path,
-    gen: u64,
-    bytes: &[u8],
-    no_fsync: bool,
-) -> Result<(), StoreError> {
-    let tmp = dir.join(format!("snap-{gen}.json.tmp"));
-    let fin = snap_path(dir, gen);
+/// Replace the small file at `path` crash-safely: write `<path>.tmp`,
+/// fsync it, rename it over `path`, fsync the directory. A reader sees the
+/// old bytes or the new ones, never a mix. `no_fsync` skips both fsyncs
+/// (tests and benchmarks only). Snapshots and the replication epoch file
+/// are written here.
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8], no_fsync: bool) -> Result<(), StoreError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
     let mut f = File::create(&tmp)?;
     f.write_all(bytes)?;
     if !no_fsync {
         f.sync_all()?;
     }
     drop(f);
-    fs::rename(&tmp, &fin)?;
+    fs::rename(&tmp, path)?;
     if !no_fsync {
-        if let Ok(d) = File::open(dir) {
+        if let Some(Ok(d)) = path.parent().map(File::open) {
             let _ = d.sync_all();
         }
     }

@@ -66,9 +66,9 @@ pub mod wal;
 
 pub use durable::{scan_dir, CommitError, Durable, DurableStore, RecoveryReport, StoreOptions};
 pub use replicate::{
-    pick_primary, prepare_promotion, read_epoch, read_lease, write_epoch, write_lease,
-    FollowerOptions, FollowerStore, Lease, LocalLink, ReplFrame, ReplOptions, ReplPosition,
-    ReplReply, ReplicaLink, ReplicatedStore, ReplicationMode, SnapshotBlob,
+    pick_primary, prepare_promotion, read_epoch, write_epoch, FollowerOptions, FollowerStore,
+    LocalLink, ReplFrame, ReplOptions, ReplPosition, ReplReply, ReplicaLink, ReplicatedStore,
+    ReplicationMode, SnapshotBlob,
 };
 pub use wal::{
     crc32, read_wal, NoopObserver, StoreError, StoreFaultFn, Wal, WalObserver, WalOptions, WalScan,

@@ -14,9 +14,9 @@
 //! # The acked-vs-unacked contract
 //!
 //! *Acked means replicated* — in [`ReplicationMode::Sync`] a commit
-//! returns `Ok` only after the record is durable locally **and** the
-//! required number of followers persisted it. A client acknowledgement
-//! backed by a sync commit survives the loss of the primary.
+//! returns `Ok` only after the record is durable locally **and** every
+//! follower persisted it. A client acknowledgement backed by a sync
+//! commit survives the loss of the primary.
 //! [`ReplicationMode::Async`] trades that guarantee for latency: commits
 //! return after local durability and a background shipper drains the lag,
 //! so up to `repl_lag` records may exist only on the dead primary's disk.
@@ -56,28 +56,23 @@
 //! the highest wins, ties break to the lowest index — so every surviving
 //! node that sees the same candidate set elects the same new primary.
 //!
-//! # Leases
+//! # Out-of-band fencing
 //!
-//! Automatic failover (the `faucets-net` sentinel) rests on two further
-//! primitives here. A [`Lease`] is the primary's liveness claim, persisted
-//! in the journal directory beside the epoch file and renewed every time
-//! the primary answers a probe; renewals clamp a backwards wall clock the
-//! way `overload::TokenBucket` clamps time, so a stepped clock can delay
-//! expiry but never fire it spuriously. [`ReplicatedStore::fence`] is the
-//! out-of-band half of deposition: a sentinel that has promoted a replica
-//! tells the old primary its new epoch directly, so it stops acknowledging
-//! before it ever ships another frame. The replica set itself is fixed at
-//! [`ReplicatedStore::open`].
+//! Automatic failover (the `faucets-net` sentinel) judges a primary's
+//! liveness by its answered probes and persists nothing here.
+//! [`ReplicatedStore::fence`] is the out-of-band half of deposition: a
+//! sentinel that has promoted a replica tells the old primary its new
+//! epoch directly, so it stops acknowledging before it ever ships another
+//! frame. The replica set itself is fixed at [`ReplicatedStore::open`].
 
 use crate::durable::{
-    encode_all, list_generations, snap_path, sweep, wal_path, write_snapshot_bytes, Durable,
-    DurableStore, RecoveryReport, StoreOptions,
+    encode_all, list_generations, snap_path, sweep, wal_path, write_atomic, Durable, DurableStore,
+    RecoveryReport, StoreOptions,
 };
 use crate::wal::{read_wal, NoopObserver, StoreError, Wal, WalOptions};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::fs::{self, File};
-use std::io::Write;
+use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
@@ -90,8 +85,8 @@ pub enum ReplicationMode {
     /// frames to the followers. Lowest latency, but acked entries inside
     /// the replication lag die with the primary's disk.
     Async,
-    /// Commit returns only after the required follower acks (see
-    /// [`ReplOptions::sync_acks`]). Acked entries survive primary loss.
+    /// Commit returns only after every follower acks. Acked entries
+    /// survive primary loss.
     Sync,
 }
 
@@ -196,19 +191,11 @@ pub fn read_epoch(dir: &Path) -> u64 {
         .unwrap_or(0)
 }
 
-/// Persist the fencing epoch crash-safely (temp file, fsync, rename).
+/// Persist the fencing epoch crash-safely. Always fsynced, whatever the
+/// store's `no_fsync`: a lost epoch would let a deposed primary ack again.
 pub fn write_epoch(dir: &Path, epoch: u64) -> Result<(), StoreError> {
     fs::create_dir_all(dir)?;
-    let tmp = dir.join("epoch.tmp");
-    let mut f = File::create(&tmp)?;
-    f.write_all(epoch.to_string().as_bytes())?;
-    f.sync_all()?;
-    drop(f);
-    fs::rename(&tmp, epoch_path(dir))?;
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
-    Ok(())
+    write_atomic(&epoch_path(dir), epoch.to_string().as_bytes(), false)
 }
 
 /// Stamp a follower directory with its new term before opening it as
@@ -220,61 +207,6 @@ pub fn prepare_promotion(dir: &Path, service: &str, new_epoch: u64) -> Result<()
     faucets_telemetry::global()
         .counter("repl_failovers_total", &[("service", service)])
         .inc();
-    Ok(())
-}
-
-fn lease_path(dir: &Path) -> PathBuf {
-    dir.join("lease")
-}
-
-/// A lease-based primary claim, persisted in the journal directory beside
-/// the epoch file. The holder renews it whenever it proves liveness over
-/// the RPC stack (answering a sentinel's lease probe); a sentinel that
-/// observes no renewal for a TTL starts an election. All time handling
-/// clamps a backwards wall clock — the stamp only moves forward — so a
-/// stepped clock can expire the lease *late*, never spuriously early.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Lease {
-    /// Who claims the primary role (e.g. the FD's listen address).
-    pub holder: String,
-    /// The epoch the claim is made under.
-    pub epoch: u64,
-    /// Wall-clock milliseconds of the last renewal (monotonised).
-    pub renewed_unix_ms: u64,
-    /// How long past `renewed_unix_ms` the claim stays valid.
-    pub ttl_ms: u64,
-}
-
-impl Lease {
-    /// Renew at `now_unix_ms`. A clock that stepped backwards is clamped
-    /// (like `overload::TokenBucket`): the renewal stamp never decreases.
-    pub fn renew(&mut self, now_unix_ms: u64) {
-        self.renewed_unix_ms = self.renewed_unix_ms.max(now_unix_ms);
-    }
-}
-
-/// Read the lease persisted in `dir`; absent or unparsable reads as no
-/// claim.
-pub fn read_lease(dir: &Path) -> Option<Lease> {
-    let bytes = fs::read(lease_path(dir)).ok()?;
-    serde_json::from_slice(&bytes).ok()
-}
-
-/// Persist `lease` crash-safely (temp file, fsync, rename — the same
-/// discipline as [`write_epoch`]).
-pub fn write_lease(dir: &Path, lease: &Lease) -> Result<(), StoreError> {
-    fs::create_dir_all(dir)?;
-    let bytes = serde_json::to_vec(lease)
-        .map_err(|e| StoreError::Corrupt(format!("lease serialize: {e}")))?;
-    let tmp = dir.join("lease.tmp");
-    let mut f = File::create(&tmp)?;
-    f.write_all(&bytes)?;
-    f.sync_all()?;
-    drop(f);
-    fs::rename(&tmp, lease_path(dir))?;
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
     Ok(())
 }
 
@@ -492,9 +424,8 @@ impl FollowerStore {
         if let Some(reply) = self.adopt_epoch(&mut inner, blob.epoch)? {
             return Ok(reply);
         }
-        write_snapshot_bytes(
-            &self.dir,
-            blob.generation,
+        write_atomic(
+            &snap_path(&self.dir, blob.generation),
             blob.snapshot.as_bytes(),
             self.opts.no_fsync,
         )?;
@@ -529,14 +460,8 @@ pub struct ReplOptions {
     pub store: StoreOptions,
     /// When a commit may acknowledge.
     pub mode: ReplicationMode,
-    /// Followers to ship to.
+    /// Followers to ship to; a sync commit waits for every one.
     pub links: Vec<Arc<dyn ReplicaLink>>,
-    /// Epoch to claim; the effective epoch is the max of this and the
-    /// one persisted in the directory. Promotions pass `observed + 1`.
-    pub epoch: u64,
-    /// Sync mode: follower acks required before a commit acknowledges
-    /// (0 = all links). Ignored in async mode.
-    pub sync_acks: usize,
 }
 
 impl Default for ReplOptions {
@@ -545,8 +470,6 @@ impl Default for ReplOptions {
             store: StoreOptions::default(),
             mode: ReplicationMode::Sync,
             links: Vec::new(),
-            epoch: 1,
-            sync_acks: 0,
         }
     }
 }
@@ -557,8 +480,6 @@ impl fmt::Debug for ReplOptions {
             .field("store", &self.store)
             .field("mode", &self.mode)
             .field("links", &self.links.len())
-            .field("epoch", &self.epoch)
-            .field("sync_acks", &self.sync_acks)
             .finish()
     }
 }
@@ -622,7 +543,6 @@ enum Plan {
 pub struct ReplicatedStore<T: Durable> {
     inner: DurableStore<T>,
     mode: ReplicationMode,
-    sync_acks: usize,
     compact_every: u64,
     epoch: u64,
     fenced_flag: AtomicBool,
@@ -654,9 +574,10 @@ fn covers(pos: &ReplPosition, generation: u64, count: u64) -> bool {
 }
 
 impl<T: Durable + Send + 'static> ReplicatedStore<T> {
-    /// Open the primary store in `dir`, recovering prior state, adopting
-    /// the effective epoch (max of `opts.epoch` and the persisted one),
-    /// and — in async mode — starting the background shipper.
+    /// Open the primary store in `dir`, recovering prior state, claiming
+    /// the epoch persisted there (1 on a fresh directory; a promotion
+    /// raises it first with [`prepare_promotion`]), and — in async mode —
+    /// starting the background shipper.
     pub fn open(
         dir: impl Into<PathBuf>,
         initial: T,
@@ -671,7 +592,7 @@ impl<T: Durable + Send + 'static> ReplicatedStore<T> {
         let service = store_opts.service.clone();
         let (inner, report) = DurableStore::open(&dir, initial, store_opts)?;
 
-        let epoch = opts.epoch.max(read_epoch(&dir));
+        let epoch = read_epoch(&dir).max(1);
         write_epoch(&dir, epoch)?;
         let metrics = ReplMetrics::new(&service, "primary");
         metrics.epoch.set(epoch as f64);
@@ -712,7 +633,6 @@ impl<T: Durable + Send + 'static> ReplicatedStore<T> {
         let store = Arc::new(ReplicatedStore {
             inner,
             mode: opts.mode,
-            sync_acks: opts.sync_acks,
             compact_every,
             epoch,
             fenced_flag: AtomicBool::new(false),
@@ -746,8 +666,7 @@ impl<T: Durable + Send + 'static> ReplicatedStore<T> {
     /// them in one ship round per the configured mode; returns the first
     /// record's sequence number.
     ///
-    /// Sync: `Ok` means local-durable **and** acked by the required
-    /// followers; [`StoreError::Unreplicated`] means the batch is durable
+    /// Sync: `Ok` means local-durable **and** acked by every follower; [`StoreError::Unreplicated`] means the batch is durable
     /// locally but under-replicated — NACK the client (at-least-once
     /// window, like a torn award) — and ships with the next commit. Async:
     /// `Ok` after local durability. Once fenced, every commit fails with
@@ -835,8 +754,9 @@ impl<T: Durable + Send + 'static> ReplicatedStore<T> {
         newly
     }
 
-    /// Sync-mode ack check at (`generation`, `count`): one quorum over the
-    /// links. Returns the `(want, got)` shortfall, or `None` when satisfied.
+    /// Sync-mode ack check at (`generation`, `count`): every link must
+    /// cover it. Returns the `(want, got)` shortfall, or `None` when
+    /// satisfied.
     fn sync_shortfall(
         &self,
         st: &ReplState,
@@ -848,11 +768,7 @@ impl<T: Durable + Send + 'static> ReplicatedStore<T> {
             .iter()
             .filter(|l| l.pos.as_ref().is_some_and(|p| covers(p, generation, count)))
             .count();
-        let want = if self.sync_acks == 0 {
-            st.links.len()
-        } else {
-            self.sync_acks.min(st.links.len())
-        };
+        let want = st.links.len();
         (got < want).then_some((want, got))
     }
 
@@ -1142,8 +1058,6 @@ mod tests {
             },
             mode,
             links,
-            epoch: 1,
-            sync_acks: 0,
         }
     }
 
@@ -1654,23 +1568,6 @@ mod tests {
     }
 
     #[test]
-    fn sync_acks_quorum_tolerates_a_dead_minority() {
-        let pdir = scratch("quorum-p");
-        let fdir = scratch("quorum-f");
-        let f = follower(&fdir);
-        let mut opts = repl_opts(
-            vec![Arc::new(LocalLink(Arc::clone(&f))), Arc::new(DeadLink)],
-            ReplicationMode::Sync,
-        );
-        opts.sync_acks = 1;
-        let (store, _) = ReplicatedStore::open(&pdir, Log::default(), opts).unwrap();
-        store.commit(&"ok".to_string()).unwrap();
-        assert_eq!(f.position().acked, 1);
-        let _ = fs::remove_dir_all(&pdir);
-        let _ = fs::remove_dir_all(&fdir);
-    }
-
-    #[test]
     fn follower_restart_resumes_mid_generation() {
         let fdir = scratch("resume-f");
         {
@@ -1845,27 +1742,6 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, StoreError::Corrupt(_)), "{err}");
         let _ = fs::remove_dir_all(&pdir);
-    }
-
-    #[test]
-    fn lease_round_trips_and_clamps_a_backwards_clock() {
-        let dir = scratch("lease");
-        assert!(read_lease(&dir).is_none());
-        let mut lease = Lease {
-            holder: "fd@127.0.0.1:9".into(),
-            epoch: 3,
-            renewed_unix_ms: 1_000,
-            ttl_ms: 500,
-        };
-        write_lease(&dir, &lease).unwrap();
-        assert_eq!(read_lease(&dir).unwrap(), lease);
-
-        // Renewal moves forward, never backward.
-        lease.renew(2_000);
-        assert_eq!(lease.renewed_unix_ms, 2_000);
-        lease.renew(500); // clock stepped back
-        assert_eq!(lease.renewed_unix_ms, 2_000, "backwards clock clamped");
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

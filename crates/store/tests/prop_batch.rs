@@ -243,7 +243,6 @@ fn a_sync_batch_is_acked_only_when_both_followers_cover_it() {
                 .iter()
                 .map(|l| Arc::clone(l) as Arc<dyn ReplicaLink>)
                 .collect(),
-            ..ReplOptions::default()
         };
         let (store, _) = ReplicatedStore::open(&pdir, Log::default(), opts).expect("open");
         let mut committed = 0u64;
