@@ -68,7 +68,7 @@ fn sample_jobs() -> Vec<QosContract> {
 fn main() {
     let jobs = sample_jobs();
     for n in [100usize, 1_000, 10_000] {
-        let mut dir = directory_with(n);
+        let dir = directory_with(n);
         for (fname, level) in [
             ("broadcast", FilterLevel::None),
             ("static", FilterLevel::Static),

@@ -78,7 +78,7 @@ fn matching_workload() -> (Directory, Vec<QosContract>) {
 }
 
 /// The bench_matching hot loop: `iters` candidate queries.
-fn matching_pass(d: &mut Directory, jobs: &[QosContract], iters: usize) {
+fn matching_pass(d: &Directory, jobs: &[QosContract], iters: usize) {
     for i in 0..iters {
         black_box(
             d.candidates(
@@ -263,9 +263,9 @@ fn main() -> ExitCode {
     }
 
     // ---- 6. Collector overhead A/B on the microbenchmark loops. ------
-    let (mut dir, jobs) = matching_workload();
+    let (dir, jobs) = matching_workload();
     let (match_on, match_off, match_pct) =
-        ab_overhead(|| matching_pass(&mut dir, &jobs, 1_000), overhead_runs);
+        ab_overhead(|| matching_pass(&dir, &jobs, 1_000), overhead_runs);
     let (sched_on, sched_off, sched_pct) = ab_overhead(|| scheduler_pass(10), overhead_runs);
     report.metric("overhead.matching_on_s", match_on, "s");
     report.metric("overhead.matching_off_s", match_off, "s");

@@ -64,7 +64,8 @@ impl std::fmt::Display for AccountId {
     }
 }
 
-/// One ledger entry, for the audit trail.
+/// One transfer as the durable ledger journals it: its WAL record
+/// ([`LedgerOp::Transfer`]) is the ledger's audit trail.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LedgerEntry<A> {
     /// Source account.
@@ -77,13 +78,12 @@ pub struct LedgerEntry<A> {
     pub memo: String,
 }
 
-/// A double-entry ledger: balances plus an audit trail. Transfers conserve
-/// the total; overdrafts are rejected unless the account allows them.
+/// A double-entry ledger of balances. Transfers conserve the total;
+/// overdrafts are rejected unless the account allows them.
 #[derive(Debug, Default)]
 pub struct Ledger<A: Amount> {
     balances: BTreeMap<AccountId, A>,
     overdraft_allowed: BTreeMap<AccountId, bool>,
-    journal: Vec<LedgerEntry<A>>,
 }
 
 impl<A: Amount> Ledger<A> {
@@ -92,7 +92,6 @@ impl<A: Amount> Ledger<A> {
         Ledger {
             balances: BTreeMap::new(),
             overdraft_allowed: BTreeMap::new(),
-            journal: vec![],
         }
     }
 
@@ -159,22 +158,10 @@ impl<A: Amount> Ledger<A> {
     }
 
     /// Move `amount` (must be non-negative) from one account to another.
-    pub fn transfer(
-        &mut self,
-        from: AccountId,
-        to: AccountId,
-        amount: A,
-        memo: impl Into<String>,
-    ) -> Result<()> {
+    pub fn transfer(&mut self, from: AccountId, to: AccountId, amount: A) -> Result<()> {
         self.validate_transfer(&from, &to, amount)?;
         *self.balances.get_mut(&from).unwrap() -= amount;
         *self.balances.get_mut(&to).unwrap() += amount;
-        self.journal.push(LedgerEntry {
-            from,
-            to,
-            amount,
-            memo: memo.into(),
-        });
         Ok(())
     }
 
@@ -192,7 +179,6 @@ impl<A: Amount> Ledger<A> {
             LedgerOp::Transfer(e) => {
                 *self.balances.entry(e.from.clone()).or_default() -= e.amount;
                 *self.balances.entry(e.to.clone()).or_default() += e.amount;
-                self.journal.push(e.clone());
             }
         }
     }
@@ -201,11 +187,6 @@ impl<A: Amount> Ledger<A> {
     /// conservation invariant property-tested in the suite.
     pub fn total_micros(&self) -> i64 {
         self.balances.values().map(|a| a.micros()).sum()
-    }
-
-    /// The audit trail.
-    pub fn journal(&self) -> &[LedgerEntry<A>] {
-        &self.journal
     }
 
     /// Number of accounts.
@@ -239,8 +220,7 @@ pub enum LedgerOp<A> {
 
 /// Snapshot of a ledger taken at compaction: balances and overdraft
 /// flags, as pair lists (JSON map keys must be strings, [`AccountId`]
-/// is not). The audit trail is **not** snapshotted — after recovery,
-/// [`Ledger::journal`] holds only entries since the last compaction;
+/// is not). Compaction drops the transfers it folds in, memos included;
 /// balances are always exact.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct LedgerState<A> {
@@ -276,7 +256,6 @@ where
         Ledger {
             balances: snap.balances.into_iter().collect(),
             overdraft_allowed: snap.overdraft.into_iter().collect(),
-            journal: vec![],
         }
     }
 }
@@ -370,11 +349,6 @@ impl<A: Amount + Serialize + DeserializeOwned> DurableLedger<A> {
         self.store.read(|l| l.accounts())
     }
 
-    /// Audit-trail entries retained in memory (since the last compaction).
-    pub fn journal_len(&self) -> usize {
-        self.store.read(|l| l.journal().len())
-    }
-
     /// Run `f` against the ledger under the store lock.
     pub fn with_ledger<R>(&self, f: impl FnOnce(&Ledger<A>) -> R) -> R {
         self.store.read(f)
@@ -413,7 +387,6 @@ mod tests {
             AccountId::User(UserId(1)),
             AccountId::Cluster(ClusterId(1)),
             Money::from_units(30),
-            "contract settlement",
         )
         .unwrap();
         assert_eq!(
@@ -425,8 +398,6 @@ mod tests {
             Money::from_units(30)
         );
         assert_eq!(l.total_micros(), before);
-        assert_eq!(l.journal().len(), 1);
-        assert_eq!(l.journal()[0].memo, "contract settlement");
     }
 
     #[test]
@@ -437,7 +408,6 @@ mod tests {
                 AccountId::User(UserId(1)),
                 AccountId::Cluster(ClusterId(1)),
                 Money::from_units(101),
-                "too much",
             )
             .unwrap_err();
         assert!(matches!(err, FaucetsError::InsufficientFunds { .. }));
@@ -446,7 +416,6 @@ mod tests {
             l.balance(&AccountId::User(UserId(1))),
             Money::from_units(100)
         );
-        assert!(l.journal().is_empty());
     }
 
     #[test]
@@ -456,7 +425,6 @@ mod tests {
             AccountId::System,
             AccountId::User(UserId(1)),
             Money::from_units(500),
-            "payoff",
         )
         .unwrap();
         assert_eq!(l.balance(&AccountId::System), Money::from_units(-500));
@@ -470,20 +438,10 @@ mod tests {
     fn unknown_accounts_error() {
         let mut l = ledger();
         assert!(l
-            .transfer(
-                AccountId::User(UserId(9)),
-                AccountId::System,
-                Money::ZERO,
-                ""
-            )
+            .transfer(AccountId::User(UserId(9)), AccountId::System, Money::ZERO)
             .is_err());
         assert!(l
-            .transfer(
-                AccountId::System,
-                AccountId::User(UserId(9)),
-                Money::ZERO,
-                ""
-            )
+            .transfer(AccountId::System, AccountId::User(UserId(9)), Money::ZERO)
             .is_err());
     }
 
@@ -500,7 +458,6 @@ mod tests {
             AccountId::User(UserId(1)),
             AccountId::Cluster(ClusterId(1)),
             Money::from_units(100),
-            "",
         )
         .unwrap();
         assert_eq!(l.balance(&AccountId::User(UserId(1))), Money::ZERO);
@@ -594,7 +551,6 @@ mod tests {
             l.balance(&AccountId::User(UserId(1))),
             Money::from_units(10)
         );
-        assert_eq!(l.journal_len(), 0, "no transfer ever journaled");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -645,7 +601,6 @@ mod tests {
             AccountId::Org(OrgId(1)),
             AccountId::Org(OrgId(2)),
             ServiceUnits::from_units(250),
-            "barter",
         )
         .unwrap();
         assert_eq!(

@@ -143,12 +143,8 @@ impl CreditBank {
         if home_org == host_org {
             return Ok(()); // intra-org runs are free
         }
-        self.ledger.transfer(
-            AccountId::Org(home_org),
-            AccountId::Org(host_org),
-            credits,
-            format!("barter: {user} ran on {host}"),
-        )
+        self.ledger
+            .transfer(AccountId::Org(home_org), AccountId::Org(host_org), credits)
     }
 
     /// Total credits in the system, in micro-SUs (conserved by settlement).

@@ -146,19 +146,6 @@ pub enum FilterLevel {
     StaticAndDynamic,
 }
 
-/// Outcome counters for one candidate query, for the E9 message accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FilterStats {
-    /// Servers considered (live).
-    pub considered: u64,
-    /// Servers eliminated by static properties.
-    pub static_rejected: u64,
-    /// Servers eliminated by dynamic properties.
-    pub dynamic_rejected: u64,
-    /// Servers that would receive the request-for-bids.
-    pub selected: u64,
-}
-
 /// The FS-side directory of Compute Servers.
 #[derive(Debug, Default)]
 pub struct Directory {
@@ -168,10 +155,6 @@ pub struct Directory {
     /// Silence longer than this marks a server dead (evictable). Zero
     /// disables eviction entirely.
     dead_timeout: SimDuration,
-    /// Cumulative filter statistics.
-    pub stats: FilterStats,
-    /// Servers evicted as dead over this directory's lifetime.
-    pub evictions: u64,
     /// Telemetry: candidate queries answered (detached on
     /// `Directory::default()`, registered globally by [`Directory::new`]).
     m_queries: Counter,
@@ -191,8 +174,6 @@ impl Directory {
             entries: BTreeMap::new(),
             liveness_timeout,
             dead_timeout: liveness_timeout * 3,
-            stats: FilterStats::default(),
-            evictions: 0,
             m_queries: reg.counter("fs_directory_queries_total", &[]),
             m_stale_skips: reg.counter("fs_directory_stale_skips_total", &[]),
             m_evictions: reg.counter("fs_directory_evictions_total", &[]),
@@ -278,7 +259,6 @@ impl Directory {
         for id in &dead {
             self.entries.remove(id);
         }
-        self.evictions += dead.len() as u64;
         self.m_evictions.add(dead.len() as u64);
         dead
     }
@@ -338,9 +318,8 @@ impl Directory {
 
     /// The servers that should receive the request-for-bids for `qos`,
     /// under the given filter level, considering only live servers.
-    /// Updates the cumulative [`FilterStats`].
     pub fn candidates(
-        &mut self,
+        &self,
         qos: &QosContract,
         level: FilterLevel,
         now: SimTime,
@@ -353,18 +332,14 @@ impl Directory {
                 self.m_stale_skips.inc();
                 continue;
             }
-            self.stats.considered += 1;
             if matches!(level, FilterLevel::Static | FilterLevel::StaticAndDynamic)
                 && !Self::static_ok(e, qos)
             {
-                self.stats.static_rejected += 1;
                 continue;
             }
             if matches!(level, FilterLevel::StaticAndDynamic) && !Self::dynamic_ok(e, qos) {
-                self.stats.dynamic_rejected += 1;
                 continue;
             }
-            self.stats.selected += 1;
             out.push(e.info.cluster);
         }
         out
@@ -454,7 +429,7 @@ mod tests {
 
     #[test]
     fn broadcast_level_returns_all_live() {
-        let mut d = dir();
+        let d = dir();
         let c = d.candidates(
             &qos("namd", 8, 256),
             FilterLevel::None,
@@ -465,7 +440,7 @@ mod tests {
 
     #[test]
     fn static_filter_screens_size_memory_and_app() {
-        let mut d = dir();
+        let d = dir();
         // namd, needs 32 pes min, 256MB/pe: cs1 (64pes,1024MB,namd) ok;
         // cs2 (1024pes,512MB,namd) ok; cs3 lacks namd and pes.
         let c = d.candidates(
@@ -565,19 +540,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_accumulate() {
-        let mut d = dir();
-        d.candidates(
-            &qos("namd", 32, 256),
-            FilterLevel::Static,
-            SimTime::from_secs(1),
-        );
-        assert_eq!(d.stats.considered, 3);
-        assert_eq!(d.stats.static_rejected, 1);
-        assert_eq!(d.stats.selected, 2);
-    }
-
-    #[test]
     fn liveness_grades_alive_suspect_dead() {
         let d = dir(); // 60 s liveness → 180 s dead.
         let id = ClusterId(1);
@@ -612,7 +574,6 @@ mod tests {
         let evicted = d.evict_dead(SimTime::from_secs(200));
         assert_eq!(evicted, vec![ClusterId(1), ClusterId(3)]);
         assert_eq!(d.len(), 1);
-        assert_eq!(d.evictions, 2);
         // Eviction is idempotent.
         assert!(d.evict_dead(SimTime::from_secs(200)).is_empty());
         // A restarted daemon re-registers cleanly.

@@ -222,7 +222,6 @@ fn ledger_invariants() {
                 AccountId::User(UserId(from)),
                 AccountId::User(UserId(to)),
                 Money::from_units(amt),
-                "prop",
             );
             assert_eq!(l.total_micros(), initial);
             for i in 0..4u64 {

@@ -144,18 +144,12 @@ impl GridEvent {
     }
 }
 
-/// Sim-time-aware telemetry for the grid world: the same collector types
-/// the live TCP services use, but driven by a [`TelemetryClock::Sim`] cell
-/// that the event loop advances to the scheduler's `now` before each
-/// dispatch — so `sim_response_seconds` is measured in *simulated* seconds
-/// while `net_request_seconds` on the live path stays in wall seconds, one
-/// histogram API for both.
-///
-/// [`TelemetryClock::Sim`]: faucets_telemetry::TelemetryClock::Sim
+/// Telemetry for the grid world: the collector types the live TCP
+/// services use, fed simulated quantities. `sim_response_seconds` and
+/// `sim_wait_seconds` record each completion's response and wait in
+/// *simulated* seconds (the outcome carries them), while
+/// `net_request_seconds` on the live path stays in wall seconds.
 pub struct SimInstruments {
-    /// The shared simulated-time cell; also usable for sim-timed
-    /// [`faucets_telemetry::Stopwatch`]es.
-    pub clock: faucets_telemetry::TelemetryClock,
     /// Per-kind `sim_events_total` handles, cached after first use.
     events: HashMap<&'static str, faucets_telemetry::Counter>,
     h_response: faucets_telemetry::Histogram,
@@ -167,7 +161,6 @@ impl SimInstruments {
     pub fn new() -> Self {
         let reg = faucets_telemetry::global();
         SimInstruments {
-            clock: faucets_telemetry::TelemetryClock::sim(),
             events: HashMap::new(),
             h_response: reg.histogram("sim_response_seconds", &[]),
             h_wait: reg.histogram("sim_wait_seconds", &[]),
@@ -532,24 +525,17 @@ impl GridWorld {
                     AccountId::User(info.user),
                     AccountId::Cluster(cluster),
                     c.price,
-                    format!("settlement {job}"),
                 );
             }
             // Payoff flows between the system and the user.
             if c.payoff >= Money::ZERO {
-                let _ = self.ledger.transfer(
-                    AccountId::System,
-                    AccountId::User(info.user),
-                    c.payoff,
-                    format!("payoff {job}"),
-                );
+                let _ =
+                    self.ledger
+                        .transfer(AccountId::System, AccountId::User(info.user), c.payoff);
             } else {
-                let _ = self.ledger.transfer(
-                    AccountId::User(info.user),
-                    AccountId::System,
-                    -c.payoff,
-                    format!("penalty {job}"),
-                );
+                let _ =
+                    self.ledger
+                        .transfer(AccountId::User(info.user), AccountId::System, -c.payoff);
             }
             // Grid-weather history (§5.2.1).
             self.server.record_settlement(ContractRecord {
@@ -897,9 +883,6 @@ impl World for GridWorld {
     type Event = GridEvent;
 
     fn handle(&mut self, sched: &mut Scheduler<GridEvent>, event: GridEvent) {
-        // Advance the shared sim clock to this event's timestamp before any
-        // instrument can read it, then count the dispatch by kind.
-        self.instruments.clock.set_micros(sched.now().as_micros());
         self.instruments.event(event.kind());
         match event {
             GridEvent::NextArrival => {
@@ -1212,32 +1195,33 @@ mod tests {
 
     #[test]
     fn sim_instruments_count_events_in_sim_time() {
-        let before = faucets_telemetry::global()
-            .snapshot()
-            .counter_sum("sim_events_total", &[("kind", "NextArrival")]);
+        let before = faucets_telemetry::global().snapshot();
+        let started = std::time::Instant::now();
         let mut sim = small_sim(MarketMode::Bidding(SelectionPolicy::LeastCost));
         sim.run();
+        let wall = started.elapsed().as_secs_f64();
         let w = sim.world();
         let snap = faucets_telemetry::global().snapshot();
         // Every submission came through a NextArrival dispatch (global
-        // counters are monotone, so compare against the pre-run reading —
+        // collectors are monotone, so compare against the pre-run reading —
         // other tests in this process share the registry).
-        let arrivals = snap.counter_sum("sim_events_total", &[("kind", "NextArrival")]) - before;
+        let arrivals = snap.counter_sum("sim_events_total", &[("kind", "NextArrival")])
+            - before.counter_sum("sim_events_total", &[("kind", "NextArrival")]);
         assert!(
             arrivals >= w.stats.submitted,
             "arrivals {arrivals} < submitted {}",
             w.stats.submitted
         );
-        // Latencies were mirrored into the sim-second histograms.
+        // Latencies were mirrored into the sim-second histogram, and their
+        // sum dwarfs the wall time the whole run took — proof the
+        // histogram timeline is simulated, not wall.
         let resp = snap.histogram_sum("sim_response_seconds", &[]);
-        assert!(resp.count >= w.stats.completed);
-        // The sim clock ends at the last dispatched event, far beyond any
-        // plausible wall-clock runtime for this test — proof the histogram
-        // timeline is simulated, not wall.
+        let resp_before = before.histogram_sum("sim_response_seconds", &[]);
+        assert!(resp.count - resp_before.count >= w.stats.completed);
+        let simulated = resp.sum - resp_before.sum;
         assert!(
-            w.instruments.clock.now_secs() > 3600.0,
-            "sim clock at {}",
-            w.instruments.clock.now_secs()
+            simulated > 1_000.0 * wall.max(1e-3),
+            "{simulated} simulated response seconds vs {wall} s of wall time"
         );
     }
 

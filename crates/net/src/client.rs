@@ -127,8 +127,6 @@ pub struct Submission {
     pub bids_received: usize,
     /// Negotiation rounds needed (1 = no daemon died on us).
     pub rounds: u32,
-    /// Bids skipped because their server had left the directory.
-    pub unlisted_skipped: usize,
 }
 
 /// First inter-poll delay of [`FaucetsClient::wait`].
@@ -506,7 +504,6 @@ impl FaucetsClient {
             .filter_map(|s| Some((s.info.cluster, s.info.fd_socket_addr()?)))
             .collect();
         bids.retain(|b| listed.contains_key(&b.cluster));
-        let unlisted = bids_received - bids.len();
         negotiation.offers(self.selection, &bids, &qos.payoff);
 
         // 3. Award down the slate, falling back on renege or daemon death.
@@ -540,7 +537,6 @@ impl FaucetsClient {
                         promised_completion: bid.promised_completion,
                         bids_received,
                         rounds: negotiation.rounds(),
-                        unlisted_skipped: unlisted,
                     });
                 }
                 // A renege, an error (the daemon could not reach the FS to

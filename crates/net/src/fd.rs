@@ -92,7 +92,7 @@ use faucets_sim::time::{SimDuration, SimTime};
 use faucets_store::{Durable, ReplicatedStore, StoreError, StoreOptions};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -238,7 +238,8 @@ struct FdState {
     daemon: FaucetsDaemon,
     cluster: Cluster,
     staged: HashMap<JobId, Files>,
-    contracts: HashMap<JobId, ContractEntry>,
+    /// Accepted contracts whose jobs have not completed.
+    contracts: HashSet<JobId>,
 }
 
 /// Everything one FD request handler and the pump need, shared in one
@@ -329,7 +330,7 @@ impl FdCore {
             let restore = |e: &ContractEntry| {
                 s.cluster
                     .submit_job(e.spec.clone(), e.contract, e.price, now);
-                s.contracts.insert(e.spec.id, e.clone());
+                s.contracts.insert(e.spec.id);
                 (e.spec.id, e.owner)
             };
             j.contracts.iter().map(restore).collect()
@@ -444,17 +445,19 @@ impl FdCore {
             return resp;
         }
         let (job, owner) = (spec.id, spec.user);
-        let entry = ContractEntry {
-            spec: spec.clone(),
-            contract,
-            price: bid.price,
-            owner,
-        };
         // Journal the acceptance BEFORE the scheduler sees the award, and
         // NACK if it cannot be made durable: the client treats the error
         // as a declined bid and tries the next one, so "accepted" always
         // means "survives a crash".
-        if let Err(e) = self.commit(|| Some(FdRecord::Accept(entry.clone()))) {
+        let accept = || {
+            Some(FdRecord::Accept(ContractEntry {
+                spec: spec.clone(),
+                contract,
+                price: bid.price,
+                owner,
+            }))
+        };
+        if let Err(e) = self.commit(accept) {
             return Response::Error(format!("award not journaled: {e}"));
         }
         let outcome = {
@@ -468,7 +471,7 @@ impl FdCore {
             // and its `contracts.remove` would run before this insert and
             // leave the entry behind.
             if matches!(outcome, Ok(AwardOutcome::Confirmed)) {
-                s.contracts.insert(job, entry);
+                s.contracts.insert(job);
             }
             outcome
         };
@@ -763,7 +766,7 @@ pub fn spawn_fd_with(
             daemon,
             cluster,
             staged: HashMap::new(),
-            contracts: HashMap::new(),
+            contracts: HashSet::new(),
         }),
     });
 

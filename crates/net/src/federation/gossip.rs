@@ -13,10 +13,6 @@
 //! shard was partitioned, not dead, or restarted with a fresh
 //! incarnation) resurrects it.
 //!
-//! The view also piggybacks each shard's directory size (`load`) so any
-//! shard can answer "who holds what" questions cheaply — the per-shard
-//! load digest the scatter-gather router and the dashboard read.
-//!
 //! Everything here is pure data + merge logic (no sockets), which is what
 //! the unit tests and the convergence-counter deflake guard lean on.
 
@@ -37,8 +33,6 @@ pub struct MemberDigest {
     pub incarnation: u64,
     /// Monotone liveness counter, advanced by the owner each round.
     pub heartbeat: u64,
-    /// The owner's directory size (its shard of the federation's load).
-    pub load: u64,
 }
 
 /// A full gossiped view: every member the sender knows, plus the sender's
@@ -62,8 +56,6 @@ pub struct MemberState {
     pub incarnation: u64,
     /// Last dominant heartbeat seen.
     pub heartbeat: u64,
-    /// The member's advertised directory size.
-    pub load: u64,
     /// Liveness verdict under the local failure detector.
     pub alive: bool,
     /// Local round at which the counter last advanced.
@@ -74,7 +66,7 @@ pub struct MemberState {
 /// rebuild the ring when liveness actually changed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MergeOutcome {
-    /// Any counter, address, or load was refreshed.
+    /// Any counter or address was refreshed.
     pub refreshed: bool,
     /// The alive set changed (ring must be rebuilt).
     pub liveness_changed: bool,
@@ -98,7 +90,6 @@ impl MembershipView {
                 addr: self_addr,
                 incarnation,
                 heartbeat: 1,
-                load: 0,
                 alive: true,
                 last_advance: 0,
             },
@@ -125,13 +116,6 @@ impl MembershipView {
         }
     }
 
-    /// Update our advertised directory size.
-    pub fn set_self_load(&mut self, load: u64) {
-        if let Some(me) = self.members.get_mut(&self.self_name) {
-            me.load = load;
-        }
-    }
-
     /// Merge a remote view: `(incarnation, heartbeat)` dominance per
     /// member, resurrecting members whose counters advanced.
     pub fn merge(&mut self, remote: &GossipView) -> MergeOutcome {
@@ -152,7 +136,6 @@ impl MembershipView {
                             addr,
                             incarnation: d.incarnation,
                             heartbeat: d.heartbeat,
-                            load: d.load,
                             alive: true,
                             last_advance: round,
                         },
@@ -165,7 +148,6 @@ impl MembershipView {
                         e.incarnation = d.incarnation;
                         e.heartbeat = d.heartbeat;
                         e.addr = addr;
-                        e.load = d.load;
                         e.last_advance = round;
                         if !e.alive {
                             e.alive = true;
@@ -211,7 +193,6 @@ impl MembershipView {
                     addr: e.addr.to_string(),
                     incarnation: e.incarnation,
                     heartbeat: e.heartbeat,
-                    load: e.load,
                 })
                 .collect(),
         }
@@ -239,14 +220,6 @@ impl MembershipView {
     /// Look up an alive member's address by name.
     pub fn addr_of(&self, name: &str) -> Option<SocketAddr> {
         self.members.get(name).filter(|e| e.alive).map(|e| e.addr)
-    }
-
-    /// Every member's `(name, alive, load)` — the per-shard load digest.
-    pub fn loads(&self) -> Vec<(String, bool, u64)> {
-        self.members
-            .iter()
-            .map(|(n, e)| (n.clone(), e.alive, e.load))
-            .collect()
     }
 }
 
@@ -285,7 +258,6 @@ mod tests {
                 addr: addr(2).to_string(),
                 incarnation: 20,
                 heartbeat: hb - 1,
-                load: 9,
             }],
         };
         assert_eq!(a.merge(&stale), MergeOutcome::default());
@@ -334,7 +306,6 @@ mod tests {
                 addr: addr(9).to_string(),
                 incarnation: 999,
                 heartbeat: 999,
-                load: 999,
             }],
         };
         assert_eq!(a.merge(&forged), MergeOutcome::default());
@@ -342,14 +313,16 @@ mod tests {
     }
 
     #[test]
-    fn loads_piggyback_on_the_view() {
-        let mut a = MembershipView::new("a", addr(1), 1);
+    fn a_view_that_still_carries_load_decodes() {
+        // Peers built before the load digest left the view still send it.
         let mut b = MembershipView::new("b", addr(2), 2);
-        b.set_self_load(17);
         b.tick();
-        a.merge(&digest_of(&b));
-        let loads = a.loads();
-        let b_load = loads.iter().find(|(n, _, _)| n == "b").unwrap();
-        assert_eq!((b_load.1, b_load.2), (true, 17));
+        let view = digest_of(&b);
+        let json = serde_json::to_string(&view)
+            .unwrap()
+            .replace(r#""heartbeat":2"#, r#""heartbeat":2,"load":17"#);
+        assert!(json.contains(r#""load":17"#), "{json}");
+        let decoded: GossipView = serde_json::from_str(&json).unwrap();
+        assert_eq!(decoded, view);
     }
 }

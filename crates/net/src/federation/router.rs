@@ -169,15 +169,7 @@ impl Federation {
             let mut st = self.state.lock();
             // Rebuild the self entry with the real address, preserving the
             // incarnation (the view is still just us at this point).
-            let load = st
-                .view
-                .loads()
-                .iter()
-                .find(|(n, _, _)| n == &self.opts.name)
-                .map(|(_, _, l)| *l)
-                .unwrap_or(0);
             st.view = MembershipView::new(&self.opts.name, service.addr, self.incarnation);
-            st.view.set_self_load(load);
         }
         let fed = Arc::clone(self);
         service.tick(self.opts.gossip_interval, move || fed.gossip());
@@ -302,11 +294,6 @@ impl Federation {
             }
         }
         Response::Error("session token unknown to every federated shard".into())
-    }
-
-    /// Publish our directory size into the gossiped load digest.
-    pub fn set_local_load(&self, load: u64) {
-        self.state.lock().view.set_self_load(load);
     }
 
     // ---- readouts (tests, experiments, dashboards) ----

@@ -232,15 +232,6 @@ struct FsCore {
 }
 
 impl FsCore {
-    /// Publish this shard's directory size: the dashboard gauge, and (when
-    /// federated) the load digest piggybacked on gossip.
-    fn publish_dir_size(&self, n: usize) {
-        self.g_dir_size.set(n as f64);
-        if let Some(fed) = &self.fed {
-            fed.set_local_load(n as u64);
-        }
-    }
-
     /// Verify a token: locally first, then (federated only) by asking the
     /// peers — accounts are shard-local, so a token minted by another shard
     /// is only verifiable there.
@@ -273,7 +264,7 @@ impl FsCore {
                 })
             })
             .collect();
-        self.publish_dir_size(s.directory.len());
+        self.g_dir_size.set(s.directory.len() as f64);
         listings
     }
 
@@ -413,7 +404,7 @@ impl FsCore {
                     }
                 }
                 s.register_cluster(info, apps, now);
-                self.publish_dir_size(s.directory.len());
+                self.g_dir_size.set(s.directory.len() as f64);
                 Response::Ok
             }
             Request::Heartbeat { cluster, status } => {
@@ -422,7 +413,7 @@ impl FsCore {
                 let evicted = s.sweep_dead(now);
                 journal_evictions(&self.journal, &evicted);
                 let known = s.heartbeat(cluster, status, now);
-                self.publish_dir_size(s.directory.len());
+                self.g_dir_size.set(s.directory.len() as f64);
                 if known {
                     Response::Ok
                 } else {

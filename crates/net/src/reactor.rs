@@ -98,8 +98,6 @@ pub struct Event {
     pub readable: bool,
     /// The fd can accept writes again.
     pub writable: bool,
-    /// The peer closed or the fd errored; the connection is done for.
-    pub hangup: bool,
 }
 
 /// Which readiness directions to watch for a registered fd.
@@ -225,7 +223,6 @@ impl Epoll {
                 token,
                 readable: events & EPOLLIN != 0 || hangup,
                 writable: events & EPOLLOUT != 0,
-                hangup,
             });
         }
         Ok(n)

@@ -12,7 +12,6 @@ use crate::reactor::{Epoll, Event, FrameBuf, Interest, Waker, WriteQueue};
 use crossbeam::channel::{Sender, TrySendError};
 use faucets_telemetry::metrics::{Counter, Histogram, Registry};
 use faucets_telemetry::trace::{self, TraceContext};
-use faucets_telemetry::TelemetryClock;
 use parking_lot::Mutex;
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -865,9 +864,9 @@ where
     // The server span becomes this thread's current context, so any
     // outbound call the handler makes rides the same trace.
     let mut span = trace::server_span(ctx, name, endpoint);
-    let sw = TelemetryClock::wall().stopwatch();
+    let started = trace::wall_secs();
     let resp = handler(req);
-    sw.observe(seconds);
+    seconds.record(trace::wall_secs() - started);
     if matches!(resp, Response::Error(_)) {
         reg.counter("net_errors_total", &labels).inc();
         span.fail();

@@ -28,6 +28,7 @@ use faucets_core::money::Money;
 use faucets_core::qos::WorkSpec;
 use faucets_sim::time::SimTime;
 use std::collections::BTreeMap;
+use std::time::Instant;
 
 /// A completed-job record with the money that changed hands.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -165,7 +166,7 @@ impl Cluster {
     /// starts (they make the room), grows last.
     fn reschedule(&mut self, now: SimTime) {
         self.m_reschedules.inc();
-        let sw = faucets_telemetry::TelemetryClock::wall().stopwatch();
+        let started = Instant::now();
         // Field-disjoint borrows: the context reads state fields while the
         // policy (a separate field) is borrowed mutably.
         let ctx = SchedContext {
@@ -267,7 +268,8 @@ impl Cluster {
         }
 
         self.metrics.set_busy(now, self.alloc.used_pes());
-        sw.observe(&self.m_reschedule_seconds);
+        self.m_reschedule_seconds
+            .record(started.elapsed().as_secs_f64());
     }
 
     /// Submit a contracted job into the local queue.

@@ -16,8 +16,7 @@
 //!   calendar queue ([`calendar`]) — benchmarked against each other in
 //!   experiment E10,
 //! * random-variate distributions for workload generation ([`dist`]),
-//! * O(1)-memory streaming statistics ([`stats`]),
-//! * bounded tracing ([`trace`]), and
+//! * O(1)-memory streaming statistics ([`stats`]), and
 //! * the seeded property-check loop the workspace's tests share ([`check`]).
 //!
 //! The grid-level model built on top of this engine lives in `faucets-grid`.
@@ -32,7 +31,6 @@ pub mod event;
 pub mod queue;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 /// Convenient glob import for simulation users.
 pub mod prelude {
@@ -45,5 +43,4 @@ pub mod prelude {
     pub use crate::queue::{BinaryHeapQueue, EventQueue};
     pub use crate::stats::{Counter, P2Quantile, Replications, Summary, TimeWeighted};
     pub use crate::time::{SimDuration, SimTime, MICROS_PER_SEC};
-    pub use crate::trace::Trace;
 }

@@ -1,8 +1,7 @@
-//! Grid-wide telemetry for the Faucets services: metrics, traces, and a
-//! clock abstraction that spans both deployment modes.
+//! Grid-wide telemetry for the Faucets services: metrics and traces.
 //!
 //! The paper's AppSpector is the monitoring plane of the Faucets grid; this
-//! crate is the substrate it reads from. It provides three pieces, each
+//! crate is the substrate it reads from. It provides two pieces, each
 //! usable on its own:
 //!
 //! * [`metrics`] — a sharded, lock-cheap registry of named, labelled
@@ -24,22 +23,6 @@
 //!   the in-process span log by [`TraceId`], including retried and
 //!   re-solicited legs.
 //!
-//! * [`clock`] — **the wall-clock vs sim-time abstraction.** Faucets runs
-//!   the same scheduling logic in two worlds: live TCP services, where
-//!   latencies are real wall-time durations, and the discrete-event
-//!   simulator, where "now" is a [`u64`] of simulated microseconds that
-//!   advances only when the event loop dispatches. Instrumentation must not
-//!   care which world it is in, so [`TelemetryClock`] is a tiny enum over
-//!   both: `Wall` reads a monotonic process epoch (`std::time::Instant`),
-//!   while `Sim` reads a shared atomic cell of simulated microseconds that
-//!   the event loop stores into before dispatching each event. Both answer
-//!   [`TelemetryClock::now_secs`] in (wall or simulated) seconds, and a
-//!   [`Stopwatch`] started from either clock observes elapsed time into the
-//!   same histograms — so `sim` runs record latency distributions in
-//!   `SimTime` and TCP services record them in wall time, behind one API.
-//!   Span timestamps always use the wall clock: spans describe live
-//!   request handling, which has no simulated counterpart.
-//!
 //! Every record path first checks a process-global enable flag
 //! ([`set_enabled`]); disabling it turns all collectors into near-no-ops,
 //! which is how `exp_observability` (E20) measures instrumentation
@@ -47,11 +30,9 @@
 
 #![warn(missing_docs)]
 
-pub mod clock;
 pub mod metrics;
 pub mod trace;
 
-pub use clock::{Stopwatch, TelemetryClock};
 pub use metrics::{
     enabled, global, set_enabled, Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot,
     Registry,

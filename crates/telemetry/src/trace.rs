@@ -9,9 +9,9 @@
 //! to a bounded global log; [`spans_for`] reassembles one trace and
 //! [`render_trace`] prints it as an indented tree.
 //!
-//! Span timestamps are wall-clock seconds from a process epoch — spans
-//! describe live request handling (the discrete-event simulator records
-//! metrics, not spans; see the crate docs on the clock abstraction).
+//! Span timestamps are wall-clock seconds from a process epoch
+//! ([`wall_secs`]) — spans describe live request handling (the
+//! discrete-event simulator records metrics, not spans).
 
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
