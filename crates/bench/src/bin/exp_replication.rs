@@ -8,21 +8,18 @@
 //!    ([`faucets_bench::kill_and_recover`]) is wall-clock timed; every
 //!    acknowledged award must be restored on the promoted backup and
 //!    complete, and the new primary must accept fresh work.
-//! 2. **Replication lag under load** — an async-mode journal takes a
-//!    write burst while we sample `primary.acked - follower.acked`; a
-//!    `flush` barrier afterwards must drain the lag to zero.
+//! 2. **A late follower catches up** — with its follower down, a journal
+//!    takes a write burst: every commit is NACKed (`Unreplicated`) and
+//!    stays in the primary's WAL, and the `repl_lag` gauge must read the
+//!    whole burst. The follower then comes up on its address, and one
+//!    commit later it must hold everything the primary does.
 //! 3. **Shipping overhead** — appending N records through a plain
-//!    single-node journal (the PR-3 baseline) vs. an async-replicated one
-//!    vs. a sync-replicated one, all fsync-free so the disk doesn't mask
-//!    the shipping cost. Every replicated run gets a follower of its own
-//!    and must ship every record to it; a sync run must dial that
-//!    follower exactly once (a link keeps its socket). The async arm's
-//!    cost on the commit path is *recorded* beside the plain arm of the
-//!    same run (`throughput.async_overhead`), not gated: a shipper thread
-//!    beside a 700 000/s append loop cannot hold 10 % on a 2-core box, and
-//!    the number means what the core count next to it says. Sync buys its
-//!    stronger contract with a round-trip per commit and is likewise
-//!    recorded.
+//!    single-node journal (the PR-3 baseline) vs. a replicated one, both
+//!    fsync-free so the disk doesn't mask the shipping cost. Every
+//!    replicated run gets a follower of its own and must ship every record
+//!    to it, dialing that follower exactly once (a link keeps its socket).
+//!    Replication buys its contract with a round trip per commit; the
+//!    cost is recorded, not gated.
 //!
 //! `--jobs`, `--burst`, `--records` resize the run.
 
@@ -30,8 +27,9 @@ use faucets_bench::{
     follower_daemon, kill_and_recover, probe_record, scratch, Bound, ExitCode, Report,
 };
 use faucets_net::prelude::*;
-use faucets_store::{Durable, ReplicationMode, StoreOptions};
-use std::time::{Duration, Instant};
+use faucets_net::replica::{spawn_replica, ReplicaOptions};
+use faucets_store::{Durable, StoreError, StoreOptions};
+use std::time::Instant;
 
 /// Plain Vec-of-strings state for the journal-level scenarios.
 #[derive(Default)]
@@ -53,7 +51,7 @@ impl Durable for Log {
 
 /// Journal options for the measurement arms: fsync-free (the disk is not
 /// under test) and compaction off (keeps `(generation, seq)` arithmetic
-/// trivial for lag sampling).
+/// trivial for the residual).
 fn log_opts() -> StoreOptions {
     StoreOptions {
         service: "e24".into(),
@@ -64,51 +62,69 @@ fn log_opts() -> StoreOptions {
 }
 
 /// A follower hosting `service` in a fresh directory, and the config of a
-/// journal that ships to it in `mode`.
-fn follower_for(service: &str, mode: ReplicationMode) -> (ReplicaHandle, ReplicationConfig) {
+/// journal that ships to it.
+fn follower_for(service: &str) -> (ReplicaHandle, ReplicationConfig) {
     let follower = follower_daemon(service, scratch("e24", &format!("{service}-follower")));
     let cfg = ReplicationConfig {
         followers: vec![follower.addr],
-        mode,
         ..ReplicationConfig::default()
     };
     (follower, cfg)
 }
 
-/// Scenario 2: async-mode write burst; sample the primary-vs-follower lag
-/// while the shipper drains, then flush.
+/// Scenario 2: a write burst while the follower is down, then one commit
+/// after it comes back.
 fn lag_under_load(r: &mut Report, burst: usize) {
-    let (follower, cfg) = follower_for("lag", ReplicationMode::Async);
+    let follower_dir = scratch("e24", "lag-follower");
+    let follower = follower_daemon("lag", follower_dir.clone());
+    let cfg = ReplicationConfig {
+        followers: vec![follower.addr],
+        ..ReplicationConfig::default()
+    };
+    let addr = follower.addr;
+    follower.kill();
     let dir = scratch("e24", "lag-primary");
-    let (journal, _) =
-        Journal::open(&dir, Log::default(), "lag", log_opts(), Some(&cfg)).expect("open");
+    // A service label of its own, so the lag gauge read below is this
+    // journal's.
+    let opts = StoreOptions {
+        service: "e24-lag".into(),
+        ..log_opts()
+    };
+    let (journal, _) = Journal::open(&dir, Log::default(), "lag", opts, Some(&cfg)).expect("open");
+    let nacked = (0..burst)
+        .filter(|&i| {
+            matches!(
+                journal.commit(&probe_record(i)),
+                Err(StoreError::Unreplicated { .. })
+            )
+        })
+        .count();
+    let lag = faucets_telemetry::global()
+        .snapshot()
+        .gauge_sum("repl_lag", &[("service", "e24-lag"), ("role", "primary")]);
 
-    let repl = journal.replicated().expect("replicated journal").clone();
-    let mut max_lag = 0u64;
-    let stride = (burst / 20).max(1);
-    for i in 0..burst {
-        journal.commit(&probe_record(i)).expect("commit");
-        if i % stride == 0 {
-            let p = repl.position();
-            let f = follower.position("lag").unwrap_or_default();
-            let lag = if f.generation == p.generation {
-                p.acked.saturating_sub(f.acked)
-            } else {
-                p.acked
-            };
-            max_lag = max_lag.max(lag);
-        }
-    }
-    let converged = repl.flush(Duration::from_secs(30));
-    let residual = repl
-        .position()
-        .acked
-        .saturating_sub(follower.position("lag").unwrap_or_default().acked);
-    journal.shutdown();
+    let follower = spawn_replica(
+        &addr.to_string(),
+        &[("lag".to_string(), follower_dir)],
+        ReplicaOptions { no_fsync: true },
+    )
+    .expect("follower restarts on its address");
+    let t0 = Instant::now();
+    let caught_up = journal.commit(&probe_record(burst)).is_ok();
+    let catch_up_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let p = journal.replicated().expect("replicated journal").position();
+    let f = follower.position("lag").unwrap_or_default();
+    let residual = if f.generation == p.generation {
+        p.acked.saturating_sub(f.acked)
+    } else {
+        p.acked
+    };
     follower.shutdown();
-    r.metric("lag.max_observed", max_lag, "frames");
-    r.check("lag.flush_converged", converged);
-    r.gate("lag.residual_after_flush", residual, Bound::eq(0));
+    r.gate("lag.unreplicated_nacks", nacked, Bound::eq(burst as u64));
+    r.gate("lag.gauge_while_down", lag, Bound::eq(burst as f64));
+    r.check("lag.catch_up_acked", caught_up);
+    r.metric("lag.catch_up_ms", catch_up_ms, "ms");
+    r.gate("lag.residual_after_catch_up", residual, Bound::eq(0));
 }
 
 /// Connections follower daemons have accepted so far: every dial a replica
@@ -119,16 +135,14 @@ fn replica_dials() -> u64 {
         .counter_sum("net_conns_accepted_total", &[("service", "replica")])
 }
 
-/// One timed run of `records` commits through a journal replicated in
-/// `mode` (`None`: the plain single-node journal). A replicated run ships
-/// to a follower of its own: one that an earlier run left ahead of this
-/// run's fresh primary covers every commit before it is shipped, and the
-/// run would time a local append. Async runs are flushed *outside* the
-/// timed window — the claim under test is the commit path the caller
-/// waits on. Returns (commits/sec, records missing on the follower after
-/// the flush, dials made).
-fn arm_run(records: usize, mode: Option<ReplicationMode>) -> (f64, u64, u64) {
-    let follower = mode.map(|m| follower_for("arm", m));
+/// One timed run of `records` commits through a journal, replicated or
+/// the plain single-node one. A replicated run ships to a follower of its
+/// own: one that an earlier run left ahead of this run's fresh primary
+/// covers every commit before it is shipped, and the run would time a
+/// local append. Returns (commits/sec, records missing on the follower,
+/// dials made).
+fn arm_run(records: usize, replicated: bool) -> (f64, u64, u64) {
+    let follower = replicated.then(|| follower_for("arm"));
     let dir = scratch("e24", "arm");
     let dials0 = replica_dials();
     let cfg = follower.as_ref().map(|(_, cfg)| cfg);
@@ -138,10 +152,6 @@ fn arm_run(records: usize, mode: Option<ReplicationMode>) -> (f64, u64, u64) {
         journal.commit(&probe_record(i)).expect("commit");
     }
     let secs = t0.elapsed().as_secs_f64();
-    if let Some(r) = journal.replicated() {
-        r.flush(Duration::from_secs(60));
-    }
-    journal.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
     let missing = follower.map_or(0, |(f, _)| {
         let acked = f.position("arm").map_or(0, |p| p.acked);
@@ -155,33 +165,25 @@ fn arm_run(records: usize, mode: Option<ReplicationMode>) -> (f64, u64, u64) {
     )
 }
 
-/// Scenario 3: plain vs async vs sync append throughput over 3 rounds,
-/// fsync-free. Each round runs the three arms back to back, so the async
-/// overhead is taken against the plain arm of the same round.
+/// Scenario 3: plain vs replicated append throughput over 3 rounds,
+/// fsync-free, the two arms back to back in each round.
 fn throughput(r: &mut Report, records: usize) {
-    // Sync pays a wire round-trip per commit; a quarter of the records
+    // A replicated commit pays a wire round-trip; a quarter of the records
     // keeps the arm honest without dominating the run. A round trip is all
     // it pays: a link keeps its connection, so a run dials its follower
     // once — an exact count, which a dial per ship cannot meet.
     let sync_records = (records / 4).max(100);
-    let (mut best, mut overhead) = ([0.0f64; 3], f64::MAX);
+    let (mut plain, mut sync) = (0.0f64, 0.0f64);
     let (mut missing, mut sync_redials) = (0, 0);
     for _ in 0..3 {
-        let (plain, _, _) = arm_run(records, None);
-        let (asynch, async_missing, _) = arm_run(records, Some(ReplicationMode::Async));
-        let (sync, sync_missing, dials) = arm_run(sync_records, Some(ReplicationMode::Sync));
-        for (b, rate) in best.iter_mut().zip([plain, asynch, sync]) {
-            *b = b.max(rate);
-        }
-        overhead = overhead.min(1.0 - asynch / plain.max(1e-9));
-        missing += async_missing + sync_missing;
+        plain = plain.max(arm_run(records, false).0);
+        let (rate, sync_missing, dials) = arm_run(sync_records, true);
+        sync = sync.max(rate);
+        missing += sync_missing;
         sync_redials += u64::from(dials != 1);
     }
-    let [plain, asynch, sync] = best;
     r.metric("throughput.plain_per_sec", plain, "1/s");
-    r.metric("throughput.async_per_sec", asynch, "1/s");
     r.metric("throughput.sync_per_sec", sync, "1/s");
-    r.metric("throughput.async_overhead", overhead, "ratio");
     r.metric(
         "throughput.sync_cost_factor",
         plain / sync.max(1e-9),

@@ -39,7 +39,7 @@ use faucets_sched::equipartition::Equipartition;
 use faucets_sched::machine::MachineSpec;
 use faucets_sim::dist::{LogNormal, UniformDist};
 use faucets_sim::time::SimDuration;
-use faucets_store::{pick_primary, prepare_promotion, ReplicationMode};
+use faucets_store::{pick_primary, prepare_promotion};
 use faucets_telemetry::metrics::Registry;
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -301,7 +301,6 @@ pub fn journaled(store: PathBuf, sync_to: Option<SocketAddr>) -> FdOptions {
         store: Some(store),
         replication: sync_to.map(|follower| ReplicationConfig {
             followers: vec![follower],
-            mode: ReplicationMode::Sync,
             ..ReplicationConfig::default()
         }),
         ..FdOptions::default()

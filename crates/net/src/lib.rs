@@ -172,18 +172,16 @@
 //!
 //! ## Replication and failover
 //!
-//! A single durable FS or FD still loses availability (and, for async
-//! observers, recent writes) when its host dies; the control plane
-//! therefore replicates its journals. The primary ships every committed
-//! WAL frame — tagged `(epoch, generation, seq)` — to follower daemons
-//! ([`replica::spawn_replica`]) which persist byte-compatible journal
-//! directories before acking:
+//! A single durable FS or FD still loses availability when its host
+//! dies; the control plane therefore replicates its journals. The primary
+//! ships every committed WAL frame — tagged `(epoch, generation, seq)` —
+//! to follower daemons ([`replica::spawn_replica`]) which persist
+//! byte-compatible journal directories before acking:
 //!
-//! * **Modes** — sync (`Ok` to the client implies every follower holds
-//!   the record; an under-replicated commit is NACKed as
-//!   `Unreplicated`) or async (`Ok` implies local durability; `repl_lag`
-//!   bounds the failover exposure). See
-//!   [`faucets_store::ReplicationMode`].
+//! * **Acks** — `Ok` to the client implies every follower holds the
+//!   record; an under-replicated commit is NACKed as `Unreplicated`, and
+//!   its record ships with the next commit. `repl_lag` reads how far the
+//!   slowest follower is behind.
 //! * **Failover** — probe survivors' positions (`ReplStatus`), elect with
 //!   [`faucets_store::pick_primary`] (max `(epoch, generation, acked)`,
 //!   deterministic tie-break), raise the epoch with
@@ -210,10 +208,11 @@
 //! (`repl_lag`, `repl_epoch`, `repl_shipped_frames_total`,
 //! `repl_snapshot_transfers_total`, `repl_fenced_total`,
 //! `repl_failovers_total`). The chaos suite (`tests/replication.rs`)
-//! kill-9s a sync-mode primary mid-negotiation and asserts every
+//! kill-9s a replicated primary mid-negotiation and asserts every
 //! acknowledged award survives on the promoted backup; experiment E24
-//! (`exp_replication`) measures failover MTTR, replication lag under
-//! load, and sync-vs-async overhead against the PR-3 single-node WAL.
+//! (`exp_replication`) measures failover MTTR, a late follower's
+//! catch-up, and the replicated commit's cost against the PR-3
+//! single-node WAL.
 //!
 //! # Federation
 //!

@@ -33,10 +33,8 @@
 //! ## Failover contract
 //!
 //! Acknowledged-entry durability across failover is the point of the
-//! design: in sync mode a client `Ok` implies the record is on every
-//! follower, so *any* electable follower has it; in async mode an `Ok`
-//! implies local durability only, and the published lag (`repl_lag`)
-//! bounds what a failover may lose. Election is
+//! design: a client `Ok` implies the record is on every follower, so
+//! *any* electable follower has it. Election is
 //! deterministic — probe every survivor's [`Request::ReplStatus`] position
 //! and pick the maximum `(epoch, generation, acked)` (ties broken by list
 //! order, see `faucets_store::pick_primary`) — and the deposed primary is
@@ -81,7 +79,7 @@ const MAX_BATCH_FRAMES: usize = 1024;
 #[derive(Clone, Default)]
 pub struct ReplicaOptions {
     /// Skip fsync in follower stores (tests/benchmarks only; a follower
-    /// that lies about durability voids the sync-mode loss contract).
+    /// that lies about durability voids the acked-means-replicated contract).
     pub no_fsync: bool,
 }
 
@@ -231,7 +229,7 @@ impl RemoteLink {
 
     /// One request/response round-trip, mapped into store-level errors:
     /// transport failures become [`StoreError::Io`] (retryable — the
-    /// shipper re-plans), peer-reported errors become
+    /// next commit re-plans), peer-reported errors become
     /// [`StoreError::Corrupt`].
     fn roundtrip(&self, req: &Request) -> Result<ReplReply, StoreError> {
         match call_with(self.addr, req, &self.call) {
@@ -258,7 +256,7 @@ impl ReplicaLink for RemoteLink {
                 service: self.service.clone(),
                 frames,
             })?;
-            // Fencing and snapshot demands end the batch run: the shipper
+            // Fencing and snapshot demands end the batch run: the store
             // re-plans from the reply.
             if rest.is_empty() || !matches!(reply, ReplReply::Ok(_)) {
                 return Ok(reply);
@@ -303,7 +301,8 @@ pub struct ReplicationConfig {
     /// Follower daemon addresses ([`spawn_replica`]) that must host this
     /// service's name.
     pub followers: Vec<SocketAddr>,
-    /// Sync (ack-before-confirm) or async (ship-behind) shipping.
+    /// Ack-before-confirm, the one mode there is. The field stays because
+    /// the benchmark harness spells it; nothing reads it.
     pub mode: ReplicationMode,
     /// RPC options for replication traffic: retry, deadline, breakers and
     /// fault injection apply as on any call. Pooling always applies — a
@@ -334,7 +333,6 @@ impl ReplicationConfig {
     fn repl_options(&self, service: &str, store: StoreOptions) -> ReplOptions {
         ReplOptions {
             store,
-            mode: self.mode,
             links: self
                 .followers
                 .iter()
@@ -398,8 +396,8 @@ impl<T: Durable + Send + 'static> Journal<T> {
     }
 
     /// Journal `recs` durably in one write and apply them; on a replicated
-    /// journal this also ships them, in one round, per the configured mode
-    /// (see [`ReplicatedStore::commit_all`] for the sync/async contract).
+    /// journal this also ships them, in one round (see
+    /// [`ReplicatedStore::commit_all`] for what `Ok` and a NACK mean).
     pub fn commit_all(&self, recs: &[T::Record]) -> Result<u64, StoreError> {
         match self {
             Journal::Plain(s) => s.commit_all(recs),
@@ -416,19 +414,11 @@ impl<T: Durable + Send + 'static> Journal<T> {
     }
 
     /// The replicated store behind this journal, if it has one — for
-    /// lag/position introspection and flush barriers in tests and
-    /// experiments.
+    /// position and fencing introspection in tests and experiments.
     pub fn replicated(&self) -> Option<&Arc<ReplicatedStore<T>>> {
         match self {
             Journal::Plain(_) => None,
             Journal::Replicated(s) => Some(s),
-        }
-    }
-
-    /// Stop background shipping (async mode); a no-op on plain journals.
-    pub fn shutdown(&self) {
-        if let Journal::Replicated(s) = self {
-            s.shutdown();
         }
     }
 }
@@ -476,14 +466,9 @@ mod tests {
         }
     }
 
-    fn open_replicated(
-        dir: &PathBuf,
-        follower: &ReplicaHandle,
-        mode: ReplicationMode,
-    ) -> Journal<Log> {
+    fn open_replicated(dir: &PathBuf, follower: &ReplicaHandle) -> Journal<Log> {
         let cfg = ReplicationConfig {
             followers: vec![follower.addr],
-            mode,
             ..ReplicationConfig::default()
         };
         Journal::open(dir, Log::default(), "svc", no_fsync_store(), Some(&cfg))
@@ -502,13 +487,12 @@ mod tests {
         )
         .unwrap();
 
-        let journal = open_replicated(&pdir, &follower, ReplicationMode::Sync);
+        let journal = open_replicated(&pdir, &follower);
         for i in 0..20 {
             journal.commit(&format!("entry-{i}")).unwrap();
         }
         let pos = follower.position("svc").unwrap();
         assert_eq!(pos.acked, 20, "sync acks imply follower durability");
-        journal.shutdown();
 
         // Promote: release the directory from the follower and open it as
         // a plain journal — every synced entry must be there.
@@ -524,30 +508,6 @@ mod tests {
     }
 
     #[test]
-    fn async_journal_drains_through_the_wire_on_flush() {
-        let pdir = scratch("async-p");
-        let fdir = scratch("async-f");
-        let follower = spawn_replica(
-            "127.0.0.1:0",
-            &[("svc".into(), fdir)],
-            ReplicaOptions { no_fsync: true },
-        )
-        .unwrap();
-        let journal = open_replicated(&pdir, &follower, ReplicationMode::Async);
-        for i in 0..50 {
-            journal.commit(&format!("entry-{i}")).unwrap();
-        }
-        let repl = journal.replicated().unwrap();
-        assert!(
-            repl.flush(Duration::from_secs(10)),
-            "async backlog should drain"
-        );
-        assert_eq!(follower.position("svc").unwrap().acked, 50);
-        journal.shutdown();
-        follower.shutdown();
-    }
-
-    #[test]
     fn sync_commit_nacks_when_the_follower_daemon_is_down() {
         let pdir = scratch("down-p");
         let fdir = scratch("down-f");
@@ -557,7 +517,7 @@ mod tests {
             ReplicaOptions { no_fsync: true },
         )
         .unwrap();
-        let journal = open_replicated(&pdir, &follower, ReplicationMode::Sync);
+        let journal = open_replicated(&pdir, &follower);
         journal.commit(&"acked".to_string()).unwrap();
         follower.kill();
         let err = journal.commit(&"orphan".to_string()).unwrap_err();
@@ -568,7 +528,6 @@ mod tests {
         // Locally durable either way: the at-least-once window, exactly
         // like a torn award.
         assert_eq!(journal.read(|l| l.0.len()), 2);
-        journal.shutdown();
     }
 
     #[test]

@@ -18,7 +18,7 @@
 use faucets_sim::check::for_seeds;
 use faucets_store::{
     prepare_promotion, read_epoch, Durable, DurableStore, FollowerOptions, FollowerStore,
-    LocalLink, ReplOptions, ReplicatedStore, ReplicationMode, StoreOptions,
+    LocalLink, ReplOptions, ReplicatedStore, StoreOptions,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -88,7 +88,6 @@ fn any_takeover_interleaving_preserves_the_acked_contract() {
             Log::default(),
             ReplOptions {
                 store: store_opts(),
-                mode: ReplicationMode::Sync,
                 links: vec![Arc::new(LocalLink(Arc::clone(&follower)))],
             },
         )
@@ -144,7 +143,6 @@ fn any_takeover_interleaving_preserves_the_acked_contract() {
 
         // Promote the follower exactly as the sentinel would, then
         // recover its journal as a plain store.
-        store.shutdown();
         drop(store);
         drop(follower);
         prepare_promotion(&fdir, "takeover", new_epoch).unwrap();

@@ -26,7 +26,7 @@ use faucets_sched::cluster::Cluster;
 use faucets_sched::equipartition::Equipartition;
 use faucets_sched::machine::MachineSpec;
 use faucets_store::{
-    pick_primary, prepare_promotion, read_epoch, Durable, ReplicationMode, StoreError, StoreOptions,
+    pick_primary, prepare_promotion, read_epoch, Durable, StoreError, StoreOptions,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -118,7 +118,6 @@ fn acked_awards_survive_primary_kill_and_promotion() {
         fd_store.clone(),
         Some(ReplicationConfig {
             followers: vec![follower.addr],
-            mode: ReplicationMode::Sync,
             ..ReplicationConfig::default()
         }),
         fs_addr,
@@ -310,7 +309,6 @@ fn a_kill_before_completions_are_journaled_reruns_them_and_loses_no_award() {
         fd_store.clone(),
         Some(ReplicationConfig {
             followers: vec![follower.addr],
-            mode: ReplicationMode::Sync,
             ..ReplicationConfig::default()
         }),
         fs_addr,
@@ -403,7 +401,6 @@ fn shutdown_journals_queued_completions_on_every_follower() {
         fd_store.clone(),
         Some(ReplicationConfig {
             followers: followers.iter().map(|f| f.addr).collect(),
-            mode: ReplicationMode::Sync,
             ..ReplicationConfig::default()
         }),
         fs_addr,
@@ -467,26 +464,14 @@ fn log_store_opts(compact_every: u64) -> StoreOptions {
     }
 }
 
-fn open_log_journal(
-    dir: &PathBuf,
-    followers: Vec<SocketAddr>,
-    mode: ReplicationMode,
-    compact_every: u64,
-) -> Journal<Log> {
+fn open_log_journal(dir: &PathBuf, followers: Vec<SocketAddr>) -> Journal<Log> {
     let cfg = ReplicationConfig {
         followers,
-        mode,
         ..ReplicationConfig::default()
     };
-    Journal::open(
-        dir,
-        Log::default(),
-        "svc",
-        log_store_opts(compact_every),
-        Some(&cfg),
-    )
-    .expect("journal")
-    .0
+    Journal::open(dir, Log::default(), "svc", log_store_opts(0), Some(&cfg))
+        .expect("journal")
+        .0
 }
 
 /// A deposed primary is fenced by epoch the moment it talks to a follower
@@ -500,7 +485,7 @@ fn deposed_primary_is_fenced_over_the_wire() {
     let f2 = follower_daemon("svc", f2_dir.clone());
 
     // Reign 1: P1 replicates to both followers.
-    let p1 = open_log_journal(&p1_dir, vec![f1.addr, f2.addr], ReplicationMode::Sync, 0);
+    let p1 = open_log_journal(&p1_dir, vec![f1.addr, f2.addr]);
     for i in 0..5 {
         p1.commit(&format!("old-{i}")).unwrap();
     }
@@ -508,7 +493,6 @@ fn deposed_primary_is_fenced_over_the_wire() {
     assert_eq!(f2.position("svc").unwrap().acked, 5);
 
     // P1 "dies" (we keep its journal directory to resurrect a zombie).
-    p1.shutdown();
     drop(p1);
 
     // Elect the most caught-up follower; F1 wins the tie by order.
@@ -520,7 +504,7 @@ fn deposed_primary_is_fenced_over_the_wire() {
     // the reign-2 primary replicating to the surviving follower F2.
     let promoted_dir = f1.release("svc").unwrap();
     prepare_promotion(&promoted_dir, "svc", positions[winner].epoch + 1).unwrap();
-    let p2 = open_log_journal(&promoted_dir, vec![f2.addr], ReplicationMode::Sync, 0);
+    let p2 = open_log_journal(&promoted_dir, vec![f2.addr]);
     p2.commit(&"new-reign".to_string()).unwrap();
     assert_eq!(
         f2.position("svc").unwrap().epoch,
@@ -530,7 +514,7 @@ fn deposed_primary_is_fenced_over_the_wire() {
 
     // The zombie P1 comes back and tries to keep committing: the first
     // follower contact fences it, and it stays fenced.
-    let zombie = open_log_journal(&p1_dir, vec![f2.addr], ReplicationMode::Sync, 0);
+    let zombie = open_log_journal(&p1_dir, vec![f2.addr]);
     let err = zombie.commit(&"zombie".to_string()).unwrap_err();
     assert!(
         matches!(err, StoreError::Fenced { .. }),
@@ -544,8 +528,6 @@ fn deposed_primary_is_fenced_over_the_wire() {
     p2.commit(&"still-new".to_string()).unwrap();
     assert_eq!(p2.read(|l| l.0.len()), 7);
 
-    p2.shutdown();
-    zombie.shutdown();
     f1.shutdown();
     f2.shutdown();
 }
@@ -554,22 +536,51 @@ fn deposed_primary_is_fenced_over_the_wire() {
 /// up through a snapshot transfer, then resumes incremental shipping.
 #[test]
 fn lagging_follower_catches_up_via_snapshot_transfer() {
+    const SVC_LABEL: &str = "snap-catch-up";
     let p_dir = scratch("snap-p");
     let f_dir = scratch("snap-f");
 
-    // The follower daemon exists but its store is empty; the primary
-    // compacts every 4 commits, so by the time the backlog ships, the
-    // early generations are gone and only a snapshot can seed it.
+    // The follower daemon is down from the start, and the primary compacts
+    // every 4 commits: each commit is NACKed and stays in the primary's
+    // WAL, and by the time the follower is back the early generations are
+    // gone, so only a snapshot can seed it.
     let follower = follower_daemon("svc", f_dir.clone());
-    let journal = open_log_journal(&p_dir, vec![follower.addr], ReplicationMode::Async, 4);
+    let addr = follower.addr;
+    follower.kill();
+    let cfg = ReplicationConfig {
+        followers: vec![addr],
+        ..ReplicationConfig::default()
+    };
+    let store_opts = StoreOptions {
+        service: SVC_LABEL.into(),
+        ..log_store_opts(4)
+    };
+    let (journal, _) =
+        Journal::open(&p_dir, Log::default(), "svc", store_opts, Some(&cfg)).expect("journal");
     for i in 0..10 {
-        journal.commit(&format!("entry-{i}")).unwrap();
+        let err = journal.commit(&format!("entry-{i}")).unwrap_err();
+        assert!(
+            matches!(err, StoreError::Unreplicated { .. }),
+            "expected Unreplicated, got {err}"
+        );
     }
+    let installs = || {
+        faucets_telemetry::global()
+            .snapshot()
+            .counter_sum("repl_snapshot_transfers_total", &[("service", SVC_LABEL)])
+    };
+    assert_eq!(installs(), 0);
+
+    // The follower comes back on its address; the next commit ships it
+    // everything it missed.
+    let follower = spawn_replica(
+        &addr.to_string(),
+        &[("svc".to_string(), f_dir.clone())],
+        ReplicaOptions::default(),
+    )
+    .expect("follower restarts on its address");
+    journal.commit(&"entry-10".to_string()).unwrap();
     let repl = journal.replicated().unwrap();
-    assert!(
-        repl.flush(Duration::from_secs(10)),
-        "async backlog should drain"
-    );
     let primary = repl.position();
     let follower_pos = follower.position("svc").unwrap();
     assert_eq!(follower_pos, primary, "follower converged to the primary");
@@ -578,6 +589,7 @@ fn lagging_follower_catches_up_via_snapshot_transfer() {
         "compaction must have advanced the generation (else this test \
          exercises nothing): {primary:?}"
     );
+    assert!(installs() > 0, "the follower was seeded by a snapshot");
 
     // Promotion-grade check: the follower directory recovers the full
     // state even though it never saw generation 1.
@@ -586,10 +598,9 @@ fn lagging_follower_catches_up_via_snapshot_transfer() {
         .expect("follower dir opens as a plain journal");
     assert_eq!(
         check.read(|l| l.0.clone()),
-        (0..10).map(|i| format!("entry-{i}")).collect::<Vec<_>>()
+        (0..11).map(|i| format!("entry-{i}")).collect::<Vec<_>>()
     );
 
-    journal.shutdown();
     follower.shutdown();
 }
 
@@ -614,7 +625,6 @@ fn replica_links_dial_once_and_ride_out_a_follower_restart() {
     let reg = Arc::new(faucets_telemetry::metrics::Registry::new());
     let mut cfg = ReplicationConfig {
         followers: addrs.clone(),
-        mode: ReplicationMode::Sync,
         ..ReplicationConfig::default()
     };
     cfg.call.registry = Some(Arc::clone(&reg));
@@ -676,7 +686,6 @@ fn replica_links_dial_once_and_ride_out_a_follower_restart() {
         assert_eq!(f.position("svc").unwrap().acked, COMMITS + 1);
     }
 
-    journal.shutdown();
     for f in followers {
         f.shutdown();
     }
@@ -700,7 +709,6 @@ fn fs_registrations_survive_promotion_of_the_follower() {
             store: Some(p_dir.clone()),
             replication: Some(ReplicationConfig {
                 followers: vec![follower.addr],
-                mode: ReplicationMode::Sync,
                 ..ReplicationConfig::default()
             }),
             ..FsOptions::default()

@@ -23,7 +23,6 @@ use faucets_sched::adaptive::ResizeCostModel;
 use faucets_sched::cluster::Cluster;
 use faucets_sched::equipartition::Equipartition;
 use faucets_sched::machine::MachineSpec;
-use faucets_store::ReplicationMode;
 use parking_lot::Mutex;
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -125,7 +124,6 @@ fn sentinel_promotes_automatically_after_primary_kill() {
         fd_store.clone(),
         Some(ReplicationConfig {
             followers: vec![follower.addr],
-            mode: ReplicationMode::Sync,
             ..ReplicationConfig::default()
         }),
         fs_addr,
@@ -231,7 +229,6 @@ fn sentinel_aborts_election_short_of_quorum() {
         fd_store.clone(),
         Some(ReplicationConfig {
             followers: vec![follower.addr],
-            mode: ReplicationMode::Sync,
             ..ReplicationConfig::default()
         }),
         fs.service.addr,
@@ -294,7 +291,6 @@ fn clock_skew_does_not_depose_a_healthy_primary() {
         fd_store.clone(),
         Some(ReplicationConfig {
             followers: vec![follower.addr],
-            mode: ReplicationMode::Sync,
             ..ReplicationConfig::default()
         }),
         fs.service.addr,

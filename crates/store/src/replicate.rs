@@ -13,17 +13,16 @@
 //!
 //! # The acked-vs-unacked contract
 //!
-//! *Acked means replicated* — in [`ReplicationMode::Sync`] a commit
-//! returns `Ok` only after the record is durable locally **and** every
-//! follower persisted it. A client acknowledgement backed by a sync
-//! commit survives the loss of the primary.
-//! [`ReplicationMode::Async`] trades that guarantee for latency: commits
-//! return after local durability and a background shipper drains the lag,
-//! so up to `repl_lag` records may exist only on the dead primary's disk.
-//! Unacknowledged work (a sync commit that returned
-//! [`StoreError::Unreplicated`], a request cut off mid-negotiation) may
-//! exist on the primary, on both, or on neither — exactly the
-//! at-least-once window the services already NACK and retry around.
+//! *Acked means replicated* — a commit returns `Ok` only after the record
+//! is durable locally **and** every follower persisted it, so a client
+//! acknowledgement survives the loss of the primary. There is no
+//! ship-behind mode: a follower that is down makes every commit NACK
+//! until it is back, and the records it missed stay in the primary's WAL
+//! and ship with the next commit. Unacknowledged work (a commit that
+//! returned [`StoreError::Unreplicated`], a request cut off
+//! mid-negotiation) may exist on the primary, on both, or on neither —
+//! exactly the at-least-once window the services already NACK and retry
+//! around.
 //!
 //! # Epoch fencing
 //!
@@ -40,9 +39,8 @@
 //!
 //! # One ship in flight per link
 //!
-//! Whoever ships to a follower — a sync commit, the async shipper,
-//! [`ReplicatedStore::flush`] — holds that link's ship
-//! lock from planning the ship to recording its reply, so replies are
+//! A committer that ships to a follower holds that link's ship lock
+//! from planning the ship to recording its reply, so replies are
 //! recorded in the order they were asked for and a recorded position
 //! never moves backwards. A committer that waited for the lock usually
 //! finds its frame covered by the ship it waited behind and sends
@@ -75,16 +73,13 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
-/// When a replicated commit may acknowledge the client.
+/// When a replicated commit may acknowledge the client. It has one
+/// answer; the type stays because the benchmark harness spells it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ReplicationMode {
-    /// Commit returns after local durability; a background shipper drains
-    /// frames to the followers. Lowest latency, but acked entries inside
-    /// the replication lag die with the primary's disk.
-    Async,
     /// Commit returns only after every follower acks. Acked entries
     /// survive primary loss.
     Sync,
@@ -232,7 +227,7 @@ struct ReplMetrics {
     snapshot_transfers: faucets_telemetry::Counter,
     ship_errors: faucets_telemetry::Counter,
     fenced: faucets_telemetry::Counter,
-    /// Wall time of a sync commit's ship stage (all links, one round).
+    /// Wall time of a commit's ship stage (all links, one round).
     ship: faucets_telemetry::Histogram,
 }
 
@@ -453,32 +448,20 @@ impl FollowerStore {
 // ---------------------------------------------------------------------------
 
 /// Tuning knobs for a [`ReplicatedStore`].
+#[derive(Default)]
 pub struct ReplOptions {
     /// Options for the wrapped [`DurableStore`]. `compact_every` is taken
     /// over by the replication layer (the inner store never
     /// auto-compacts on its own).
     pub store: StoreOptions,
-    /// When a commit may acknowledge.
-    pub mode: ReplicationMode,
-    /// Followers to ship to; a sync commit waits for every one.
+    /// Followers to ship to; a commit waits for every one.
     pub links: Vec<Arc<dyn ReplicaLink>>,
-}
-
-impl Default for ReplOptions {
-    fn default() -> Self {
-        ReplOptions {
-            store: StoreOptions::default(),
-            mode: ReplicationMode::Sync,
-            links: Vec::new(),
-        }
-    }
 }
 
 impl fmt::Debug for ReplOptions {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ReplOptions")
             .field("store", &self.store)
-            .field("mode", &self.mode)
             .field("links", &self.links.len())
             .finish()
     }
@@ -491,7 +474,7 @@ impl fmt::Debug for ReplOptions {
 /// usually covers its frame already.
 #[derive(Default)]
 struct ShipGate {
-    /// Ships begun on this link; a shipper reads it *before* queueing on
+    /// Ships begun on this link; a committer reads it *before* queueing on
     /// the lock, so it can tell which ships began after its frames were
     /// in the buffer (and therefore planned with them in view).
     begun: AtomicU64,
@@ -542,24 +525,19 @@ enum Plan {
 /// catch-up. See the module docs for the acked-vs-unacked contract.
 pub struct ReplicatedStore<T: Durable> {
     inner: DurableStore<T>,
-    mode: ReplicationMode,
     compact_every: u64,
     epoch: u64,
     fenced_flag: AtomicBool,
     observed_epoch: AtomicU64,
-    stop: AtomicBool,
     links: Vec<Link>,
     repl: Mutex<ReplState>,
-    wake: Condvar,
     metrics: ReplMetrics,
-    shipper: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl<T: Durable> fmt::Debug for ReplicatedStore<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ReplicatedStore")
             .field("dir", &self.inner.dir())
-            .field("mode", &self.mode)
             .field("epoch", &self.epoch)
             .field("links", &self.links.len())
             .finish()
@@ -573,11 +551,11 @@ fn covers(pos: &ReplPosition, generation: u64, count: u64) -> bool {
     pos.generation > generation || (pos.generation == generation && pos.acked >= count)
 }
 
-impl<T: Durable + Send + 'static> ReplicatedStore<T> {
-    /// Open the primary store in `dir`, recovering prior state, claiming
-    /// the epoch persisted there (1 on a fresh directory; a promotion
-    /// raises it first with [`prepare_promotion`]), and — in async mode —
-    /// starting the background shipper.
+impl<T: Durable> ReplicatedStore<T> {
+    /// Open the primary store in `dir`, recovering prior state and
+    /// claiming the epoch persisted there (1 on a fresh directory; a
+    /// promotion raises it first with [`prepare_promotion`]). Nothing
+    /// ships before the first commit.
     pub fn open(
         dir: impl Into<PathBuf>,
         initial: T,
@@ -632,45 +610,31 @@ impl<T: Durable + Send + 'static> ReplicatedStore<T> {
 
         let store = Arc::new(ReplicatedStore {
             inner,
-            mode: opts.mode,
             compact_every,
             epoch,
             fenced_flag: AtomicBool::new(false),
             observed_epoch: AtomicU64::new(epoch),
-            stop: AtomicBool::new(false),
             links,
             repl: Mutex::new(state),
-            wake: Condvar::new(),
             metrics,
-            shipper: Mutex::new(None),
         });
-
-        if store.mode == ReplicationMode::Async && !store.links.is_empty() {
-            let weak = Arc::downgrade(&store);
-            let handle = std::thread::Builder::new()
-                .name("repl-shipper".into())
-                .spawn(move || Self::shipper_loop(weak))
-                .map_err(StoreError::Io)?;
-            *store.shipper.lock().expect("shipper lock") = Some(handle);
-        }
         Ok((store, report))
     }
 
-    /// Journal `rec` durably, apply it, and replicate per the configured
-    /// mode: the one-record case of [`ReplicatedStore::commit_all`].
+    /// Journal `rec` durably, apply it, and replicate it: the one-record
+    /// case of [`ReplicatedStore::commit_all`].
     pub fn commit(&self, rec: &T::Record) -> Result<u64, StoreError> {
         self.commit_all(std::slice::from_ref(rec))
     }
 
     /// Journal `recs` durably in one WAL write, apply them, and replicate
-    /// them in one ship round per the configured mode; returns the first
-    /// record's sequence number.
+    /// them in one ship round; returns the first record's sequence number.
     ///
-    /// Sync: `Ok` means local-durable **and** acked by every follower; [`StoreError::Unreplicated`] means the batch is durable
-    /// locally but under-replicated — NACK the client (at-least-once
-    /// window, like a torn award) — and ships with the next commit. Async:
-    /// `Ok` after local durability. Once fenced, every commit fails with
-    /// [`StoreError::Fenced`].
+    /// `Ok` means local-durable **and** acked by every follower;
+    /// [`StoreError::Unreplicated`] means the batch is durable locally but
+    /// under-replicated — NACK the client (at-least-once window, like a
+    /// torn award) — and ships with the next commit. Once fenced, every
+    /// commit fails with [`StoreError::Fenced`].
     pub fn commit_all(&self, recs: &[T::Record]) -> Result<u64, StoreError> {
         if self.fenced_flag.load(Ordering::Acquire) {
             return Err(self.fenced_error());
@@ -698,26 +662,18 @@ impl<T: Durable + Send + 'static> ReplicatedStore<T> {
             self.update_lag(&st);
             (generation, first)
         };
-        let target_count = first + recs.len() as u64;
-        match self.mode {
-            ReplicationMode::Async => {
-                self.wake.notify_all();
-                Ok(first)
-            }
-            ReplicationMode::Sync => {
-                let t0 = Instant::now();
-                self.ship_round();
-                self.metrics.ship.record(t0.elapsed().as_secs_f64());
-                if self.fenced_flag.load(Ordering::Acquire) {
-                    return Err(self.fenced_error());
-                }
-                let st = self.repl.lock().expect("repl lock");
-                if let Some((want, got)) = self.sync_shortfall(&st, target_gen, target_count) {
-                    return Err(StoreError::Unreplicated { want, got });
-                }
-                Ok(first)
-            }
+        let t0 = Instant::now();
+        self.ship_round();
+        self.metrics.ship.record(t0.elapsed().as_secs_f64());
+        if self.fenced_flag.load(Ordering::Acquire) {
+            return Err(self.fenced_error());
         }
+        let st = self.repl.lock().expect("repl lock");
+        let target_count = first + recs.len() as u64;
+        if let Some((want, got)) = self.shortfall(&st, target_gen, target_count) {
+            return Err(StoreError::Unreplicated { want, got });
+        }
+        Ok(first)
     }
 
     /// Run `f` against the current state under the store lock.
@@ -754,15 +710,9 @@ impl<T: Durable + Send + 'static> ReplicatedStore<T> {
         newly
     }
 
-    /// Sync-mode ack check at (`generation`, `count`): every link must
-    /// cover it. Returns the `(want, got)` shortfall, or `None` when
-    /// satisfied.
-    fn sync_shortfall(
-        &self,
-        st: &ReplState,
-        generation: u64,
-        count: u64,
-    ) -> Option<(usize, usize)> {
+    /// Ack check at (`generation`, `count`): every link must cover it.
+    /// Returns the `(want, got)` shortfall, or `None` when satisfied.
+    fn shortfall(&self, st: &ReplState, generation: u64, count: u64) -> Option<(usize, usize)> {
         let got = st
             .links
             .iter()
@@ -787,42 +737,9 @@ impl<T: Durable + Send + 'static> ReplicatedStore<T> {
         self.inner.dir()
     }
 
-    /// Block until every follower covers everything committed so far, or
-    /// `timeout` elapses. Returns whether full coverage was reached.
-    /// (Async mode's test/shutdown barrier; a no-op when caught up.)
-    pub fn flush(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            self.wake.notify_all();
-            {
-                let st = self.repl.lock().expect("repl lock");
-                let (generation, count) = (st.generation, st.frames.len() as u64);
-                if st
-                    .links
-                    .iter()
-                    .all(|l| l.pos.as_ref().is_some_and(|p| covers(p, generation, count)))
-                {
-                    return true;
-                }
-            }
-            if self.mode == ReplicationMode::Sync {
-                self.ship_round();
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-
-    /// Stop the background shipper (after one final drain attempt).
-    pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::Release);
-        self.wake.notify_all();
-        if let Some(h) = self.shipper.lock().expect("shipper lock").take() {
-            let _ = h.join();
-        }
-    }
+    /// Nothing runs in the background, so there is nothing to stop: a
+    /// shim kept because the benchmark harness calls it.
+    pub fn shutdown(&self) {}
 
     fn fenced_error(&self) -> StoreError {
         StoreError::Fenced {
@@ -850,8 +767,8 @@ impl<T: Durable + Send + 'static> ReplicatedStore<T> {
     }
 
     /// Advance every link as far as it will go; errors are counted and
-    /// left for the next round. Every caller — sync commit, async shipper,
-    /// `flush` — ships through here, one link lock at a time.
+    /// left for the next commit's round. Every commit ships through here,
+    /// one link lock at a time.
     fn ship_round(&self) {
         // Read every gate's count before queueing on any of them: whatever
         // this round was called to ship is in the buffer by now, so a ship
@@ -869,7 +786,7 @@ impl<T: Durable + Send + 'static> ReplicatedStore<T> {
     }
 
     /// Drive follower `i` to the current position, holding its ship lock
-    /// from the first plan to the last recorded reply. A shipper that
+    /// from the first plan to the last recorded reply. A committer that
     /// queued behind a ship which began after `seen` and failed takes that
     /// failure as its own and sends nothing: k committers stuck behind a
     /// dead follower cost one connect timeout, not k in series.
@@ -972,43 +889,13 @@ impl<T: Durable + Send + 'static> ReplicatedStore<T> {
             records: st.frames.iter().map(|f| f.payload.clone()).collect(),
         })
     }
-
-    /// Is any link behind the committed position?
-    fn pending_locked(&self, st: &ReplState) -> bool {
-        let (generation, count) = (st.generation, st.frames.len() as u64);
-        st.links
-            .iter()
-            .any(|l| !l.pos.as_ref().is_some_and(|p| covers(p, generation, count)))
-    }
-
-    /// Async shipper: wait for new frames (or a 50 ms heartbeat for
-    /// retries after transport errors), then drain every link. Holds only
-    /// a weak reference so dropping the store stops the thread.
-    fn shipper_loop(weak: Weak<Self>) {
-        loop {
-            let Some(store) = weak.upgrade() else { return };
-            {
-                let st = store.repl.lock().expect("repl lock");
-                if !store.stop.load(Ordering::Acquire) && !store.pending_locked(&st) {
-                    let _ = store
-                        .wake
-                        .wait_timeout(st, Duration::from_millis(50))
-                        .expect("repl lock");
-                }
-            }
-            store.ship_round();
-            if store.stop.load(Ordering::Acquire) {
-                return;
-            }
-            drop(store);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
 
     /// The same minimal durable state machine the durable tests use.
     #[derive(Default)]
@@ -1049,14 +936,13 @@ mod tests {
         )
     }
 
-    fn repl_opts(links: Vec<Arc<dyn ReplicaLink>>, mode: ReplicationMode) -> ReplOptions {
+    fn repl_opts(links: Vec<Arc<dyn ReplicaLink>>) -> ReplOptions {
         ReplOptions {
             store: StoreOptions {
                 compact_every: 0,
                 no_fsync: true,
                 ..StoreOptions::default()
             },
-            mode,
             links,
         }
     }
@@ -1069,10 +955,7 @@ mod tests {
         let (store, _) = ReplicatedStore::open(
             &pdir,
             Log::default(),
-            repl_opts(
-                vec![Arc::new(LocalLink(Arc::clone(&f)))],
-                ReplicationMode::Sync,
-            ),
+            repl_opts(vec![Arc::new(LocalLink(Arc::clone(&f)))]),
         )
         .unwrap();
         for i in 0..10 {
@@ -1130,10 +1013,7 @@ mod tests {
         let (store, _) = ReplicatedStore::open(
             &pdir,
             Log::default(),
-            repl_opts(
-                vec![Arc::new(LocalLink(Arc::clone(&f)))],
-                ReplicationMode::Sync,
-            ),
+            repl_opts(vec![Arc::new(LocalLink(Arc::clone(&f)))]),
         )
         .unwrap();
         store.commit(&"new".to_string()).unwrap();
@@ -1147,10 +1027,7 @@ mod tests {
         let pdir = scratch("compact-p");
         let fdir = scratch("compact-f");
         let f = follower(&fdir);
-        let mut opts = repl_opts(
-            vec![Arc::new(LocalLink(Arc::clone(&f)))],
-            ReplicationMode::Sync,
-        );
+        let mut opts = repl_opts(vec![Arc::new(LocalLink(Arc::clone(&f)))]);
         opts.store.compact_every = 4;
         let (store, _) = ReplicatedStore::open(&pdir, Log::default(), opts).unwrap();
         for i in 0..11 {
@@ -1212,10 +1089,7 @@ mod tests {
         let (store, _) = ReplicatedStore::open(
             &pdir,
             Log::default(),
-            repl_opts(
-                vec![Arc::new(LocalLink(Arc::clone(&f)))],
-                ReplicationMode::Sync,
-            ),
+            repl_opts(vec![Arc::new(LocalLink(Arc::clone(&f)))]),
         )
         .unwrap();
         store.commit(&"before".to_string()).unwrap();
@@ -1257,10 +1131,7 @@ mod tests {
             ReplicatedStore::open(
                 &pdir,
                 Log::default(),
-                repl_opts(
-                    vec![Arc::new(LocalLink(Arc::clone(&f)))],
-                    ReplicationMode::Sync,
-                ),
+                repl_opts(vec![Arc::new(LocalLink(Arc::clone(&f)))]),
             )
             .unwrap()
             .0
@@ -1303,30 +1174,6 @@ mod tests {
         let _ = fs::remove_dir_all(&fdir);
     }
 
-    #[test]
-    fn async_mode_drains_lag_on_flush() {
-        let pdir = scratch("async-p");
-        let fdir = scratch("async-f");
-        let f = follower(&fdir);
-        let (store, _) = ReplicatedStore::open(
-            &pdir,
-            Log::default(),
-            repl_opts(
-                vec![Arc::new(LocalLink(Arc::clone(&f)))],
-                ReplicationMode::Async,
-            ),
-        )
-        .unwrap();
-        for i in 0..50 {
-            store.commit(&format!("e{i}")).unwrap();
-        }
-        assert!(store.flush(Duration::from_secs(5)), "shipper drained");
-        assert_eq!(f.position().acked, 50);
-        store.shutdown();
-        let _ = fs::remove_dir_all(&pdir);
-        let _ = fs::remove_dir_all(&fdir);
-    }
-
     /// A link whose transport always fails.
     struct DeadLink;
     impl ReplicaLink for DeadLink {
@@ -1344,12 +1191,9 @@ mod tests {
     #[test]
     fn sync_commit_nacks_when_replicas_unreachable() {
         let pdir = scratch("dead-p");
-        let (store, _) = ReplicatedStore::open(
-            &pdir,
-            Log::default(),
-            repl_opts(vec![Arc::new(DeadLink)], ReplicationMode::Sync),
-        )
-        .unwrap();
+        let (store, _) =
+            ReplicatedStore::open(&pdir, Log::default(), repl_opts(vec![Arc::new(DeadLink)]))
+                .unwrap();
         let err = store.commit(&"doomed".to_string()).unwrap_err();
         assert!(matches!(err, StoreError::Unreplicated { want: 1, got: 0 }));
         // The at-least-once window: the record IS durable locally even
@@ -1419,7 +1263,6 @@ mod tests {
                 .iter()
                 .map(|l| Arc::clone(l) as Arc<dyn ReplicaLink>)
                 .collect(),
-            ReplicationMode::Sync,
         );
         // A service label of its own, so the shipped-frames series below
         // counts this store only.
@@ -1532,10 +1375,7 @@ mod tests {
         let (store, _) = ReplicatedStore::open(
             &pdir,
             Log::default(),
-            repl_opts(
-                vec![Arc::clone(&link) as Arc<dyn ReplicaLink>],
-                ReplicationMode::Sync,
-            ),
+            repl_opts(vec![Arc::clone(&link) as Arc<dyn ReplicaLink>]),
         )
         .unwrap();
         let start = std::sync::Barrier::new(COMMITTERS);
@@ -1629,14 +1469,27 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// A link that counts offers, to show batching ships a backlog in one
-    /// round trip.
+    /// A link that counts the offers it delivers, to show batching ships a
+    /// backlog in one round trip. While `down`, its offers fail.
     struct CountingLink {
         inner: Arc<FollowerStore>,
         offers: AtomicUsize,
+        down: AtomicBool,
+    }
+    impl CountingLink {
+        fn new(inner: &Arc<FollowerStore>) -> Arc<CountingLink> {
+            Arc::new(CountingLink {
+                inner: Arc::clone(inner),
+                offers: AtomicUsize::new(0),
+                down: AtomicBool::new(false),
+            })
+        }
     }
     impl ReplicaLink for CountingLink {
         fn offer(&self, frames: Vec<ReplFrame>) -> Result<ReplReply, StoreError> {
+            if self.down.load(Ordering::Relaxed) {
+                return Err(StoreError::Io(std::io::Error::other("down")));
+            }
             self.offers.fetch_add(1, Ordering::Relaxed);
             self.inner.offer(&frames)
         }
@@ -1650,32 +1503,41 @@ mod tests {
 
     #[test]
     fn catch_up_ships_the_backlog_in_batches() {
+        const RECORDS: u64 = 200;
         let pdir = scratch("batch-p");
         let fdir = scratch("batch-f");
         let f = follower(&fdir);
-        let link = Arc::new(CountingLink {
-            inner: Arc::clone(&f),
-            offers: AtomicUsize::new(0),
-        });
-        let (store, _) = ReplicatedStore::open(
-            &pdir,
-            Log::default(),
-            repl_opts(
-                vec![Arc::clone(&link) as Arc<dyn ReplicaLink>],
-                ReplicationMode::Async,
-            ),
-        )
-        .unwrap();
-        for i in 0..200 {
-            store.commit(&format!("e{i}")).unwrap();
-        }
-        assert!(store.flush(Duration::from_secs(5)));
-        assert_eq!(f.position().acked, 200);
+        let link = CountingLink::new(&f);
+        link.down.store(true, Ordering::Relaxed);
+        let mut opts = repl_opts(vec![Arc::clone(&link) as Arc<dyn ReplicaLink>]);
+        // A service label of its own, so the lag gauge below is this store's.
+        opts.store.service = "batch".into();
+        let (store, _) = ReplicatedStore::open(&pdir, Log::default(), opts).unwrap();
+        let lag = || {
+            faucets_telemetry::global()
+                .snapshot()
+                .gauge_sum("repl_lag", &[("service", "batch"), ("role", "primary")])
+        };
+
+        // The first commit bootstraps the fresh follower by a snapshot
+        // install, which the switch lets through; every later one is an
+        // offer that fails, so the commit is NACKed and its record stays
+        // in the primary's WAL.
+        let nacks = (0..RECORDS)
+            .filter(|i| store.commit(&format!("e{i}")).is_err())
+            .count() as u64;
+        assert_eq!(nacks, RECORDS - 1);
+        assert_eq!(f.position().acked, 1);
+        assert_eq!(lag(), nacks as f64, "the gauge reads the backlog");
+
+        link.down.store(false, Ordering::Relaxed);
+        store.commit(&"caught-up".to_string()).unwrap();
+        assert_eq!(f.position().acked, RECORDS + 1);
         assert!(
-            link.offers.load(Ordering::Relaxed) < 200,
+            (link.offers.load(Ordering::Relaxed) as u64) < RECORDS + 1,
             "backlog shipped in batches, not one offer per record"
         );
-        store.shutdown();
+        assert_eq!(lag(), 0.0);
         let _ = fs::remove_dir_all(&pdir);
         let _ = fs::remove_dir_all(&fdir);
     }
@@ -1685,17 +1547,11 @@ mod tests {
         let pdir = scratch("commit-all-p");
         let fdir = scratch("commit-all-f");
         let f = follower(&fdir);
-        let link = Arc::new(CountingLink {
-            inner: Arc::clone(&f),
-            offers: AtomicUsize::new(0),
-        });
+        let link = CountingLink::new(&f);
         let (store, _) = ReplicatedStore::open(
             &pdir,
             Log::default(),
-            repl_opts(
-                vec![Arc::clone(&link) as Arc<dyn ReplicaLink>],
-                ReplicationMode::Sync,
-            ),
+            repl_opts(vec![Arc::clone(&link) as Arc<dyn ReplicaLink>]),
         )
         .unwrap();
         // The first commit bootstraps the fresh follower with a snapshot.
@@ -1717,12 +1573,8 @@ mod tests {
     #[test]
     fn a_record_that_is_not_text_is_corrupt() {
         let pdir = scratch("not-text-p");
-        let (plain, _) = DurableStore::open(
-            &pdir,
-            Log::default(),
-            repl_opts(vec![], ReplicationMode::Sync).store,
-        )
-        .unwrap();
+        let (plain, _) =
+            DurableStore::open(&pdir, Log::default(), repl_opts(vec![]).store).unwrap();
         drop(plain);
         let wal = Wal::recover(
             &wal_path(&pdir, 1),
@@ -1734,12 +1586,7 @@ mod tests {
         .0;
         wal.append(b"\"\xff\"").unwrap();
         drop(wal);
-        let err = ReplicatedStore::open(
-            &pdir,
-            Log::default(),
-            repl_opts(vec![], ReplicationMode::Sync),
-        )
-        .unwrap_err();
+        let err = ReplicatedStore::open(&pdir, Log::default(), repl_opts(vec![])).unwrap_err();
         assert!(matches!(err, StoreError::Corrupt(_)), "{err}");
         let _ = fs::remove_dir_all(&pdir);
     }
@@ -1752,10 +1599,7 @@ mod tests {
         let (store, _) = ReplicatedStore::open(
             &pdir,
             Log::default(),
-            repl_opts(
-                vec![Arc::new(LocalLink(Arc::clone(&f)))],
-                ReplicationMode::Sync,
-            ),
+            repl_opts(vec![Arc::new(LocalLink(Arc::clone(&f)))]),
         )
         .unwrap();
         store.commit(&"before".to_string()).unwrap();

@@ -105,7 +105,7 @@ pub enum StoreError {
         /// Higher epoch observed from a peer.
         observed: u64,
     },
-    /// A sync-mode commit is durable locally but did not reach the
+    /// A replicated commit is durable locally but did not reach the
     /// required number of replicas; the caller must NACK the client.
     Unreplicated {
         /// Acks the replication policy required.

@@ -16,8 +16,7 @@
 use faucets_sim::check::{for_seeds, vec_of};
 use faucets_store::{
     scan_dir, Durable, DurableStore, FollowerOptions, FollowerStore, ReplFrame, ReplOptions,
-    ReplReply, ReplicaLink, ReplicatedStore, ReplicationMode, SnapshotBlob, StoreError,
-    StoreOptions, WriteFault,
+    ReplReply, ReplicaLink, ReplicatedStore, SnapshotBlob, StoreError, StoreOptions, WriteFault,
 };
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -238,7 +237,6 @@ fn a_sync_batch_is_acked_only_when_both_followers_cover_it() {
                 no_fsync: true,
                 ..StoreOptions::default()
             },
-            mode: ReplicationMode::Sync,
             links: links
                 .iter()
                 .map(|l| Arc::clone(l) as Arc<dyn ReplicaLink>)
