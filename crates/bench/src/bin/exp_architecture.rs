@@ -59,6 +59,8 @@ fn main() -> ExitCode {
          bid → award → stage → execute → monitor → download, over real TCP."
     );
     report.gate("jobs_completed", total, Bound::eq(grid.placed));
+    // Every confirmed job reached AppSpector, however its pump rounds went.
+    report.gate("jobs_monitored", aspect.job_count(), Bound::eq(total));
     for fd in grid.fds {
         fd.shutdown();
     }

@@ -22,6 +22,7 @@ use crate::schedule::Schedule;
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use faucets_core::ids::JobId;
 use faucets_net::client::{ClientError, FaucetsClient};
+use faucets_net::proto::is_unknown_job;
 use faucets_net::service::Clock;
 use faucets_sim::time::SimTime;
 use std::collections::HashMap;
@@ -202,7 +203,9 @@ fn watch_loop(
                 }
                 // The session died (e.g. with the shard that minted it):
                 // drop it so the next sweep re-authenticates from scratch.
-                Err(ClientError::Rejected(_)) => {
+                // An `unknown job` is only a registration still in the
+                // FD's outbox, and polls again.
+                Err(ClientError::Rejected(e)) if !is_unknown_job(&e) => {
                     evict.push(item.worker);
                     true
                 }

@@ -604,7 +604,8 @@ impl FaucetsClient {
     /// Poll AppSpector until the job completes (or `timeout` wall time).
     /// Transient transport failures while polling are ridden out until the
     /// deadline — a daemon restart mid-wait looks like a long poll, not an
-    /// error. Polls pace out exponentially (5 ms doubling to a 250 ms
+    /// error — and so is `unknown job`, a registration still in the FD's
+    /// outbox. Polls pace out exponentially (5 ms doubling to a 250 ms
     /// cap), never sleeping past the deadline itself.
     pub fn wait(&mut self, job: JobId, timeout: Duration) -> Result<MonitorSnapshot, ClientError> {
         let deadline = Instant::now() + timeout;
@@ -613,6 +614,7 @@ impl FaucetsClient {
             match self.watch(job) {
                 Ok(snap) if snap.completed => return Ok(snap),
                 Ok(_) | Err(ClientError::Transport(_) | ClientError::Overloaded) => {}
+                Err(ClientError::Rejected(e)) if crate::proto::is_unknown_job(&e) => {}
                 Err(e) => return Err(e),
             }
             let now = Instant::now();

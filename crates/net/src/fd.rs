@@ -9,34 +9,34 @@
 //! not have any accounting information"* — or relying on the FS having
 //! vouched for that very token within the last 30 simulated seconds),
 //! handles awards, stages input files, and runs a pump (its service's
-//! tick) that drives the scheduler clock, reports completions and
-//! telemetry to AppSpector, and heartbeats the FS.
+//! tick) that drives the scheduler clock, reports jobs and telemetry to
+//! AppSpector, and heartbeats the FS.
 //!
 //! ## Map
 //!
 //! * **core** — `FdCore`, one `Arc` shared by the handlers and the pump:
-//!   the `FdState` mutex (daemon, scheduler, staged files, accepted
-//!   contracts), the journal, the bid gate, the clock, the FS endpoints
-//!   and the memo of tokens the FS lately vouched for.
+//!   the `FdState` mutex (daemon, scheduler, staged files, contracts,
+//!   AppSpector's outbox), the journal, the bid gate, the clock, the FS
+//!   endpoints and the memo of tokens the FS lately vouched for.
 //! * **recover** — `FdCore::recover` replays the journal into the
-//!   scheduler before the listener is bound.
+//!   scheduler and the outbox before the listener is bound.
 //! * **handlers** — `FdCore::handle` dispatches to one method per
 //!   endpoint: `bid`, `award`, `upload`, `lease_probe`, `fence`; the first
-//!   three start with `FdCore::verify`.
+//!   three start with `FdCore::verify`. None waits on AppSpector.
 //! * **pump** — `FdCore::pump`, the service's tick
-//!   ([`ServiceHandle::tick`]): harvest completions, queue them for the
-//!   journal, report them, heartbeat, return the time to the next due
-//!   event. An award nudges it.
+//!   ([`ServiceHandle::tick`]): harvest completions into the outbox, send
+//!   it (`FdCore::report`), heartbeat, return the time to the next due
+//!   event. An award queues its job's `RegisterJob` and nudges it.
 //!
 //! There are three locks here, never taken together and never held across
-//! a call to a peer. The state mutex guards the scheduler and the
-//! contracts; it is not held across a journal commit either (a
+//! a call to a peer. The state mutex guards the scheduler, the contracts
+//! and the outbox; it is not held across a journal commit either (a
 //! sync-replicated commit is itself a network round trip), and the instant
 //! handed to the scheduler is read only while holding it, so scheduler
 //! time is monotone across the handlers and the pump. The memo's mutex
-//! guards the map of vouched-for tokens for the length of one lookup or
-//! one insert, and the completion queue's mutex is held for one push or
-//! one take.
+//! guards the vouched-for tokens for the length of one lookup or one
+//! insert, and the completion queue's mutex is held for one push or one
+//! take.
 //!
 //! ## The token memo (§2.2, bounded)
 //!
@@ -57,7 +57,7 @@
 //! sees the award, and the award is NACKed if the append fails, so a
 //! confirmed award is always recoverable.
 //! [`spawn_fd_with`] on the same directory replays the journal: contracts
-//! are resubmitted to the scheduler, jobs re-registered with AppSpector,
+//! are resubmitted to the scheduler, jobs queued for AppSpector again,
 //! and the daemon re-registers with the FS — so a kill + restart loses at
 //! most the *progress* since the last scheduler checkpoint, never the
 //! contracts themselves. Completion records prune the journal best-effort,
@@ -74,8 +74,7 @@ use crate::pool::{ConnPool, PoolConfig};
 use crate::proto::{Request, Response};
 use crate::replica::{Journal, ReplicationConfig};
 use crate::service::{
-    call_batch, call_with, request_deadline, serve, CallOptions, Clock, Nudge, RetryPolicy,
-    ServiceHandle,
+    call_batch, request_deadline, serve, CallOptions, Clock, Nudge, RetryPolicy, ServiceHandle,
 };
 use crate::upstream::FsUpstream;
 use faucets_core::appspector::TelemetrySample;
@@ -92,7 +91,7 @@ use faucets_sim::time::{SimDuration, SimTime};
 use faucets_store::{Durable, ReplicatedStore, StoreError, StoreOptions};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -233,6 +232,28 @@ impl Default for FdOptions {
     }
 }
 
+/// The FS's `Verified` answers by token, and in the order they came.
+#[derive(Default)]
+struct Memo {
+    at: HashMap<SessionToken, SimTime>,
+    order: VecDeque<(SimTime, SessionToken)>,
+}
+
+impl Memo {
+    /// Forget, oldest first, what is [`HEARTBEAT_EVERY`] old at `now` (unless
+    /// vouched for again since), then vouch for `token` at `now`.
+    fn vouch(&mut self, token: SessionToken, now: SimTime) {
+        let expired = |(at, _): &mut (SimTime, SessionToken)| now.since(*at) >= HEARTBEAT_EVERY;
+        while let Some((at, old)) = self.order.pop_front_if(expired) {
+            if self.at.get(&old) == Some(&at) {
+                self.at.remove(&old);
+            }
+        }
+        self.at.insert(token.clone(), now);
+        self.order.push_back((now, token));
+    }
+}
+
 /// What the handlers and the pump mutate, behind [`FdCore::state`].
 struct FdState {
     daemon: FaucetsDaemon,
@@ -240,6 +261,9 @@ struct FdState {
     staged: HashMap<JobId, Files>,
     /// Accepted contracts whose jobs have not completed.
     contracts: HashSet<JobId>,
+    /// A `RegisterJob` per confirmed job and a `CompleteJob` per finished
+    /// one, until AppSpector answers it ([`FdCore::report`]).
+    outbox: Vec<Request>,
 }
 
 /// Everything one FD request handler and the pump need, shared in one
@@ -254,9 +278,9 @@ struct FdCore {
     gate: Arc<PayoffGate>,
     clock: Clock,
     fs: FsUpstream,
-    /// The tokens the FS answered `Verified` for, each with the simulated
-    /// instant of that answer: see [`FdCore::verify`].
-    vouched: Mutex<HashMap<SessionToken, SimTime>>,
+    /// The tokens the FS lately answered `Verified` for: see
+    /// [`FdCore::verify`].
+    vouched: Mutex<Memo>,
     appspector: SocketAddr,
     /// Runs the pump early, set once the service is bound.
     nudge: OnceLock<Nudge>,
@@ -269,8 +293,8 @@ struct FdCore {
     /// before it takes the state lock.
     flops_per_pe_sec: f64,
     total_pes: u32,
-    /// Jobs finished since the last journal commit: the next one journals
-    /// a `Complete` for each ahead of its own record.
+    /// Jobs AppSpector heard finished since the last commit: the next one
+    /// journals a `Complete` for each ahead of its own record.
     done: Mutex<Vec<JobId>>,
     /// `fd_journal_writes_total`: commits that succeeded, one write each
     /// however many records it held.
@@ -288,10 +312,10 @@ impl FdCore {
     /// sync-replicated commit is a network round trip, and every bid and
     /// award on this daemon would wait it out.
     fn commit(&self, rec: impl FnOnce() -> Option<FdRecord>) -> Result<(), StoreError> {
+        let done = std::mem::take(&mut *self.done.lock());
         let Some(journal) = &self.journal else {
             return Ok(());
         };
-        let done = std::mem::take(&mut *self.done.lock());
         let complete = done.iter().map(|&job| FdRecord::Complete { job });
         let batch: Vec<FdRecord> = complete.chain(rec()).collect();
         if batch.is_empty() {
@@ -317,23 +341,27 @@ impl FdCore {
     }
 
     /// Replay the journal, if any: accepted contracts are resubmitted to
-    /// the scheduler, staged files re-attached. Returns the restored jobs
-    /// with their owners, for [`FdCore::announce`].
-    fn recover(&self) -> Vec<(JobId, UserId)> {
+    /// the scheduler and their jobs queued for AppSpector, staged files
+    /// re-attached. Returns how many contracts came back.
+    fn recover(&self) -> usize {
         let Some(journal) = &self.journal else {
-            return vec![];
+            return 0;
         };
-        let mut s = self.state.lock();
-        let now = self.clock.now();
+        let mut guard = self.state.lock();
+        let (s, now) = (&mut *guard, self.clock.now());
         journal.read(|j| {
             s.staged.extend(j.staged.iter().cloned());
-            let restore = |e: &ContractEntry| {
+            for e in &j.contracts {
                 s.cluster
                     .submit_job(e.spec.clone(), e.contract, e.price, now);
                 s.contracts.insert(e.spec.id);
-                (e.spec.id, e.owner)
-            };
-            j.contracts.iter().map(restore).collect()
+                s.outbox.push(Request::RegisterJob {
+                    job: e.spec.id,
+                    owner: e.owner,
+                    cluster: self.cluster_id,
+                });
+            }
+            j.contracts.len()
         })
     }
 
@@ -347,17 +375,6 @@ impl FdCore {
             (s.daemon.info.clone(), apps)
         };
         let _ = self.fs.call(&Request::RegisterCluster { info, apps });
-    }
-
-    /// Tell AppSpector to monitor `job` on this cluster.
-    fn announce(&self, job: JobId, owner: UserId) {
-        let cluster = self.cluster_id;
-        let req = Request::RegisterJob {
-            job,
-            owner,
-            cluster,
-        };
-        let _ = call_with(self.appspector, &req, &self.opts.call);
     }
 
     fn handle(&self, req: Request) -> Response {
@@ -385,22 +402,22 @@ impl FdCore {
     /// vouched for this very token less than [`HEARTBEAT_EVERY`] ago. Only
     /// a `Verified` answer is remembered, stamped with the simulated
     /// instant it came back; a miss, an expired entry, a refusal and an
-    /// unreachable FS all end in the FS's own words. Every insert sweeps
-    /// the expired entries, and a rotation to another shard empties the
-    /// memo (sessions die with the shard that minted them).
+    /// unreachable FS all end in the FS's own words. Every insert expires
+    /// what has outlived the TTL ([`Memo::vouch`]), and a rotation to
+    /// another shard empties the memo (sessions die with the shard that
+    /// minted them).
     fn verify(&self, token: &SessionToken) -> Result<(), Response> {
         let fresh = |at: SimTime| self.clock.now().since(at) < HEARTBEAT_EVERY;
-        let vouched_at = self.vouched.lock().get(token).copied();
+        let vouched_at = self.vouched.lock().at.get(token).copied();
         if vouched_at.is_some_and(fresh) {
             self.m_memo_hits.inc();
             return Ok(());
         }
         self.m_memo_misses.inc();
         self.fs.verify(token)?;
-        let now = self.clock.now();
+        // The instant is read under the lock: insertions come in order.
         let mut vouched = self.vouched.lock();
-        vouched.retain(|_, at| now.since(*at) < HEARTBEAT_EVERY);
-        vouched.insert(token.clone(), now);
+        vouched.vouch(token.clone(), self.clock.now());
         Ok(())
     }
 
@@ -468,21 +485,25 @@ impl FdCore {
                 .handle_award(spec, contract, &bid, &mut s.cluster, now);
             // Recorded under the lock acquisition that scheduled the job:
             // released in between, the pump can complete the job first,
-            // and its `contracts.remove` would run before this insert and
-            // leave the entry behind.
+            // and its `contracts.remove` (and `CompleteJob`) would run
+            // before this insert (and `RegisterJob`).
             if matches!(outcome, Ok(AwardOutcome::Confirmed)) {
                 s.contracts.insert(job);
+                s.outbox.push(Request::RegisterJob {
+                    job,
+                    owner,
+                    cluster: self.cluster_id,
+                });
             }
             outcome
         };
         match outcome {
             Ok(AwardOutcome::Confirmed) => {
-                // The scheduler just gained a job: run the pump so it
+                // Run the pump: it tells AppSpector of the job and
                 // re-paces against the new next completion.
                 if let Some(nudge) = self.nudge.get() {
                     nudge.nudge();
                 }
-                self.announce(job, owner);
                 Response::AwardReply {
                     confirmed: true,
                     reason: None,
@@ -552,9 +573,9 @@ impl FdCore {
         }
     }
 
-    /// One round: drive the scheduler clock, report completions and
-    /// telemetry to AppSpector, heartbeat the FS if one is due. Returns the
-    /// wall time until the next due event.
+    /// One round: drive the scheduler clock, report jobs and telemetry to
+    /// AppSpector, heartbeat the FS if one is due. Returns the wall time
+    /// until the next due event.
     fn pump(&self) -> Duration {
         // Event-paced, not polled every 5 ms: an award runs a round early
         // (the next completion may have moved closer), and the cap bounds
@@ -564,37 +585,28 @@ impl FdCore {
         const PACE_CAP: Duration = Duration::from_millis(500);
         let last_heartbeat = *self.last_heartbeat.lock();
         // Harvest completions under the lock (reading the clock inside it,
-        // to stay monotone with the request handlers) and drop their
-        // contracts and staged files with it; talk to the journal and to
-        // peers outside it. A heartbeat's report is read only when one is
-        // due: every award and completion runs a round.
-        let (now, completed, beat) = {
-            let mut s = self.state.lock();
-            let now = self.clock.now();
-            let mut completed: Vec<(JobId, Files)> = vec![];
+        // to stay monotone with the request handlers), drop their
+        // contracts and staged files with it and take the outbox; talk to
+        // the journal and to peers outside it. A heartbeat's report is
+        // read only when one is due: every award and completion runs a
+        // round.
+        let (now, outbox, beat) = {
+            let mut guard = self.state.lock();
+            let (s, now) = (&mut *guard, self.clock.now());
             for c in s.cluster.on_time(now) {
                 let job = c.outcome.job;
                 s.contracts.remove(&job);
-                completed.push((job, s.staged.remove(&job).unwrap_or_default()));
+                let mut outputs = s.staged.remove(&job).unwrap_or_default();
+                let report = format!("completed at {now}").into_bytes();
+                outputs.push(("output.dat".into(), report));
+                s.outbox.push(Request::CompleteJob { job, outputs });
             }
             let due =
                 last_heartbeat == SimTime::ZERO || now.since(last_heartbeat) >= HEARTBEAT_EVERY;
             let beat = due.then(|| (s.cluster.status(now), s.cluster.running_jobs().collect()));
-            (now, completed, beat)
+            (now, std::mem::take(&mut s.outbox), beat)
         };
-        for (job, mut outputs) in completed {
-            // Prune the journal best-effort, in the next commit: the next
-            // award's, else the next heartbeat's. A crash before it only
-            // means the job re-runs after a restart (at-least-once), never
-            // that it is lost.
-            if self.journal.is_some() {
-                self.done.lock().push(job);
-            }
-            let report = format!("completed at {now}").into_bytes();
-            outputs.push(("output.dat".into(), report));
-            let req = Request::CompleteJob { job, outputs };
-            let _ = call_with(self.appspector, &req, &self.opts.call);
-        }
+        self.report(outbox);
         // Heartbeat + telemetry on the simulated cadence.
         if let Some((status, running)) = beat {
             *self.last_heartbeat.lock() = now;
@@ -608,6 +620,32 @@ impl FdCore {
         self.clock
             .wall_until(next.map_or(beat, |at| at.min(beat)))
             .min(PACE_CAP)
+    }
+
+    /// Send AppSpector the outbox's `RegisterJob`s in one batch and, once
+    /// every one is answered, its `CompleteJob`s in another (a mixed
+    /// batch's frames may run on different executors, a completion before
+    /// its registration). What is not answered goes back for the next
+    /// round; an answered `CompleteJob` queues its job for the journal.
+    fn report(&self, outbox: Vec<Request>) {
+        let registers = |r: &Request| matches!(r, Request::RegisterJob { .. });
+        let (register, complete): (Vec<_>, Vec<_>) = outbox.into_iter().partition(registers);
+        let mut unanswered = vec![];
+        for batch in [register, complete] {
+            if !unanswered.is_empty() {
+                unanswered.extend(batch);
+                continue;
+            }
+            let replies = call_batch(self.appspector, &batch, &self.opts.call);
+            for (req, reply) in std::iter::zip(batch, replies) {
+                match req {
+                    _ if reply.is_err() => unanswered.push(req),
+                    Request::CompleteJob { job, .. } => self.done.lock().push(job),
+                    _ => {}
+                }
+            }
+        }
+        self.state.lock().outbox.extend(unanswered);
     }
 
     /// One heartbeat to the FS, then one telemetry sample per running job
@@ -624,7 +662,7 @@ impl FdCore {
             Err(e) if self.fs.rotate_after(&e) => {
                 self.m_fs_failovers.inc();
                 // Sessions die with the shard that minted them.
-                self.vouched.lock().clear();
+                *self.vouched.lock() = Memo::default();
                 self.register();
             }
             _ => {}
@@ -747,7 +785,7 @@ pub fn spawn_fd_with(
         gate: PayoffGate::new(opts.bid_gate, &cluster_name, reg),
         clock,
         fs: FsUpstream::new(fs, &opts.fs_fallbacks, opts.call.clone()),
-        vouched: Mutex::new(HashMap::new()),
+        vouched: Mutex::new(Memo::default()),
         done: Mutex::new(Vec::new()),
         appspector,
         nudge: OnceLock::new(),
@@ -767,13 +805,14 @@ pub fn spawn_fd_with(
             cluster,
             staged: HashMap::new(),
             contracts: HashSet::new(),
+            outbox: Vec::new(),
         }),
     });
 
     // Recover the journal before the service can take traffic.
     let restored = core.recover();
     reg.counter("fd_journal_restored_contracts_total", &labels)
-        .add(restored.len() as u64);
+        .add(restored as u64);
 
     // Bind, so the real port is known, and register under it.
     let handler = Arc::clone(&core);
@@ -784,10 +823,6 @@ pub fn spawn_fd_with(
         s.daemon.info.fd_port = service.addr.port();
     }
     core.register();
-    // Restored jobs are re-announced so AppSpector keeps monitoring them.
-    for (job, owner) in restored {
-        core.announce(job, owner);
-    }
 
     let pump = Arc::clone(&core);
     let nudge = service.tick(Duration::ZERO, move || pump.pump());
@@ -805,7 +840,7 @@ mod tests {
     use super::*;
     use crate::appspector_srv::{spawn_appspector, AsHandle};
     use crate::fs::{spawn_fs, FsHandle};
-    use crate::service::{call, Timeouts};
+    use crate::service::{call, call_with, Timeouts};
     use faucets_core::qos::QosBuilder;
     use faucets_sched::adaptive::ResizeCostModel;
     use faucets_sched::equipartition::Equipartition;
@@ -817,15 +852,30 @@ mod tests {
     /// `namd` at $0.01/cpu-s) and a logged-in user.
     struct Grid {
         fs: FsHandle,
-        _aspect: AsHandle,
+        _aspect: Option<AsHandle>,
         fd: FdHandle,
         user: UserId,
         token: SessionToken,
     }
 
     fn grid(clock: &Clock, seed: u64, pes: u32, opts: FdOptions) -> Grid {
+        grid_at(clock, seed, pes, opts, None)
+    }
+
+    /// [`grid`], with the FD pointed at `appspector` if given, else at an
+    /// AppSpector of its own.
+    fn grid_at(
+        clock: &Clock,
+        seed: u64,
+        pes: u32,
+        opts: FdOptions,
+        appspector: Option<SocketAddr>,
+    ) -> Grid {
         let fs = spawn_fs("127.0.0.1:0", clock.clone(), seed).unwrap();
-        let aspect = spawn_appspector("127.0.0.1:0", fs.service.addr, 8).unwrap();
+        let aspect = match appspector {
+            Some(_) => None,
+            None => Some(spawn_appspector("127.0.0.1:0", fs.service.addr, 8).unwrap()),
+        };
         let machine = MachineSpec::commodity(ClusterId(1), "turing", pes);
         let daemon = FaucetsDaemon::new(
             machine.server_info("127.0.0.1", 0),
@@ -834,7 +884,10 @@ mod tests {
             Money::from_units_f64(0.01),
         );
         let cluster = Cluster::new(machine, Box::new(Equipartition), ResizeCostModel::default());
-        let (fs_addr, as_addr) = (fs.service.addr, aspect.service.addr);
+        let fs_addr = fs.service.addr;
+        let as_addr = appspector
+            .or(aspect.as_ref().map(|a| a.service.addr))
+            .unwrap();
         let fd = spawn_fd_with(
             "127.0.0.1:0",
             daemon,
@@ -972,7 +1025,7 @@ mod tests {
         assert!(matches!(reply, Response::Error(_)), "{reply:?}");
         assert_eq!(verifications(&g), before + 3);
         assert!(
-            g.fd.core.vouched.lock().is_empty(),
+            g.fd.core.vouched.lock().at.is_empty(),
             "a refusal was remembered"
         );
         assert!(g.fd.core.m_memo_misses.get() >= misses + 3);
@@ -1092,14 +1145,55 @@ mod tests {
         }
         let vouched_by = clock.now();
         if vouched_by.since(started) < HEARTBEAT_EVERY {
-            assert_eq!(g.fd.core.vouched.lock().len(), 1_000);
+            assert_eq!(g.fd.core.vouched.lock().at.len(), 1_000);
         }
         outlive_the_ttl(&clock, vouched_by);
         let last = tokens.next().unwrap();
         g.fd.core.verify(&last).expect("the FS vouches for it");
         let vouched = g.fd.core.vouched.lock();
-        assert_eq!(vouched.len(), 1, "expired entries outlived an insert");
-        assert!(vouched.contains_key(&last));
+        assert_eq!(vouched.at.len(), 1, "expired entries outlived an insert");
+        assert!(vouched.at.contains_key(&last));
+    }
+
+    /// The memo's rules on the simulated clock alone: an answer is honoured
+    /// for 30 simulated seconds and not a moment longer; an insert expires,
+    /// from the front of the queue, what is that old; a token the FS
+    /// vouched for again keeps its newer answer; and the reset a rotation
+    /// makes forgets everything.
+    #[test]
+    fn the_memo_expires_in_insertion_order_after_thirty_simulated_seconds() {
+        let at = |ms: u64| SimTime::ZERO + SimDuration::from_millis(ms);
+        let token = |name: &str| SessionToken(name.into());
+        let fresh = |memo: &Memo, t: &SessionToken, now: SimTime| {
+            memo.at
+                .get(t)
+                .is_some_and(|&at| now.since(at) < HEARTBEAT_EVERY)
+        };
+        let mut memo = Memo::default();
+        memo.vouch(token("a"), at(10_000));
+        memo.vouch(token("b"), at(20_000));
+        assert!(fresh(&memo, &token("a"), at(39_999)));
+        assert!(
+            !fresh(&memo, &token("a"), at(40_000)),
+            "honoured at the TTL"
+        );
+        assert!(!fresh(&memo, &token("c"), at(10_000)), "never vouched for");
+        // `a` expired at 40 s and goes; `b` has 9 s left and stays.
+        memo.vouch(token("a"), at(41_000));
+        assert_eq!((memo.at.len(), memo.order.len()), (2, 2));
+        memo.vouch(token("c"), at(50_000));
+        assert!(!memo.at.contains_key(&token("b")), "b outlived an insert");
+        assert_eq!((memo.at.len(), memo.order.len()), (2, 2));
+        // Vouched for again (two misses racing): the older entry expires
+        // at 71 s without taking the newer answer with it.
+        memo.vouch(token("a"), at(55_000));
+        memo.vouch(token("d"), at(71_000));
+        assert!(fresh(&memo, &token("a"), at(71_000)));
+        assert_eq!(memo.at.len(), 3);
+        assert_eq!(memo.order.len(), 3, "the stale entry was not popped");
+        // What a rotation does: every answer goes.
+        let memo = Memo::default();
+        assert!(!fresh(&memo, &token("d"), at(71_000)));
     }
 
     /// Sessions die with the shard that minted them: when the pump rotates
@@ -1117,13 +1211,13 @@ mod tests {
         let fd = g.fd.service.addr;
         let reply = call(fd, &bid_request(&g, g.token.clone())).unwrap();
         assert!(matches!(reply, Response::BidReply(_)), "{reply:?}");
-        assert_eq!(g.fd.core.vouched.lock().len(), 1);
+        assert_eq!(g.fd.core.vouched.lock().at.len(), 1);
         // The primary dies; the next heartbeat finds out and rotates. No
         // token is verified meanwhile, so only the rotation can have
         // removed the entry (an expired one stays until an insert).
         std::mem::replace(&mut g.fs, fallback).shutdown();
         let until = std::time::Instant::now() + Duration::from_secs(20);
-        while !g.fd.core.vouched.lock().is_empty() {
+        while !g.fd.core.vouched.lock().at.is_empty() {
             assert!(std::time::Instant::now() < until, "the pump never rotated");
             std::thread::sleep(Duration::from_millis(10));
         }
@@ -1144,7 +1238,41 @@ mod tests {
         };
         let reply = call(fd, &bid_request(&g, token.clone())).unwrap();
         assert!(matches!(reply, Response::BidReply(_)), "{reply:?}");
-        assert!(g.fd.core.vouched.lock().contains_key(&token));
+        assert!(g.fd.core.vouched.lock().at.contains_key(&token));
+    }
+
+    /// Regression: a confirmed award used to send AppSpector its
+    /// `RegisterJob` and wait for the answer before it replied, so an
+    /// AppSpector that takes connections and never answers held every
+    /// award for a read timeout (10 s) per attempt. The registration rides
+    /// the pump's next round now, and the award replies at once.
+    #[test]
+    fn an_award_does_not_wait_on_appspector() {
+        // Never accepted: the kernel completes each handshake and buffers
+        // each request, and nothing ever answers.
+        let silent = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let clock = Clock::new(100.0);
+        let to = Some(silent.local_addr().unwrap());
+        let g = grid_at(&clock, 17, 64, FdOptions::default(), to);
+        let patient = CallOptions {
+            timeouts: Timeouts::both(Duration::from_secs(30)),
+            ..CallOptions::default()
+        };
+        let award = award_of(&g, JobId(1), 3_600.0, clock.now());
+        let started = std::time::Instant::now();
+        let reply = call_with(g.fd.service.addr, &award, &patient);
+        let took = started.elapsed();
+        let confirmed = matches!(
+            reply,
+            Ok(Response::AwardReply {
+                confirmed: true,
+                ..
+            })
+        );
+        assert!(confirmed, "{reply:?}");
+        assert!(took < Duration::from_secs(2), "the award took {took:?}");
+        // Reset the pump's pending batch, so the FD stops at once.
+        drop(silent);
     }
 
     /// Regression for the award race: the handler used to release the

@@ -498,6 +498,12 @@ pub fn is_overload_error(e: &std::io::Error) -> bool {
         .is_some_and(|p| matches!(p, ProtoError::Overloaded { .. }))
 }
 
+/// Is this AppSpector's answer for a job it does not monitor (yet: an FD
+/// registers a job in its pump round after the award's reply)?
+pub fn is_unknown_job(reason: &str) -> bool {
+    reason.starts_with("unknown job")
+}
+
 /// Did this I/O error say the peer hung up (EOF, reset, broken pipe) rather
 /// than time out or fail mid-protocol? The pooled call path uses this to
 /// recognise a reused socket that silently died while idle — the dominant
@@ -744,6 +750,17 @@ mod tests {
         let e: std::io::Error = ProtoError::Overloaded { retry_after_ms: 40 }.into();
         assert!(is_overload_error(&e));
         assert!(!is_overload_error(&std::io::Error::other("boring")));
+    }
+
+    /// The helper reads AppSpector's own words for a job it does not know,
+    /// and not its ownership refusal.
+    #[test]
+    fn unknown_job_is_told_from_a_refusal() {
+        use faucets_core::error::FaucetsError;
+        let unknown = FaucetsError::UnknownJob(JobId(7)).to_string();
+        assert!(is_unknown_job(&unknown), "{unknown}");
+        let foreign = FaucetsError::AuthFailed(format!("u1 does not own {}", JobId(7)));
+        assert!(!is_unknown_job(&foreign.to_string()));
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! a daemon that crashes while a client is blocked in `wait` (the WAL
 //! journal brings the contract back and the job still completes), and a
 //! daemon that goes silent (the Central Server grades it dead and evicts
-//! it from matching).
+//! it from matching) — and an AppSpector that loses replies and sheds
+//! requests, which still hears of every job.
 
 use faucets_core::daemon::FaucetsDaemon;
 use faucets_core::ids::ClusterId;
@@ -18,6 +19,7 @@ use faucets_sched::equipartition::Equipartition;
 use faucets_sched::machine::MachineSpec;
 use std::net::SocketAddr;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn spawn_daemon(
@@ -26,7 +28,22 @@ fn spawn_daemon(
     aspect: SocketAddr,
     clock: Clock,
 ) -> FdHandle {
-    let machine = MachineSpec::commodity(ClusterId(1), "turing", 64);
+    let opts = FdOptions {
+        store,
+        ..FdOptions::default()
+    };
+    spawn_cluster(ClusterId(1), opts, fs, aspect, clock)
+}
+
+/// A 64-PE Baseline daemon for `cluster`, exporting `namd`.
+fn spawn_cluster(
+    cluster: ClusterId,
+    opts: FdOptions,
+    fs: SocketAddr,
+    aspect: SocketAddr,
+    clock: Clock,
+) -> FdHandle {
+    let machine = MachineSpec::commodity(cluster, format!("cs{cluster}"), 64);
     let daemon = FaucetsDaemon::new(
         machine.server_info("127.0.0.1", 0),
         ["namd".to_string()],
@@ -34,19 +51,7 @@ fn spawn_daemon(
         Money::from_units_f64(0.01),
     );
     let cluster = Cluster::new(machine, Box::new(Equipartition), ResizeCostModel::default());
-    spawn_fd_with(
-        "127.0.0.1:0",
-        daemon,
-        cluster,
-        fs,
-        aspect,
-        clock,
-        FdOptions {
-            store,
-            ..FdOptions::default()
-        },
-    )
-    .expect("FD")
+    spawn_fd_with("127.0.0.1:0", daemon, cluster, fs, aspect, clock, opts).expect("FD")
 }
 
 fn scratch_dir(name: &str) -> PathBuf {
@@ -258,4 +263,129 @@ fn silent_daemon_is_evicted_from_matching() {
         "re-registered after eviction"
     );
     fd2.shutdown();
+}
+
+/// AppSpector loses replies and sheds requests, on a seeded plan, and still
+/// hears of every job the FDs confirmed and of every completion: what one
+/// of a pump's batches did not get answered goes back in the FD's outbox
+/// for its next round, and a completion waits behind the registrations.
+/// Every other job finishes within microseconds of its award, so it
+/// completes in the round that registers it.
+#[test]
+fn a_lossy_appspector_still_hears_of_every_job() {
+    const CLIENTS: u64 = 3;
+    const JOBS: u64 = 6;
+    // 400x: a session's 8 simulated hours are 72 s of wall time, so a
+    // client whose polls lose a reply or two (10 s each) keeps its session.
+    let clock = Clock::new(400.0);
+    let fs = spawn_fs("127.0.0.1:0", clock.clone(), 44).unwrap();
+    let plan = Arc::new(FaultPlan::new(
+        44,
+        FaultConfig {
+            drop: 0.02,
+            reject: 0.3,
+            ..FaultConfig::none()
+        },
+    ));
+    // A registry of its own, so only this AppSpector's answers count.
+    let registry = Arc::new(faucets_telemetry::Registry::new());
+    let lossy = ServeOptions {
+        faults: Some(Arc::clone(&plan)),
+        registry: Some(Arc::clone(&registry)),
+        ..ServeOptions::default()
+    };
+    let aspect = spawn_appspector_with("127.0.0.1:0", fs.service.addr, 16, lossy).unwrap();
+    // A lost reply costs the pump 500 ms, not the default 10 s read.
+    let mut opts = FdOptions::default();
+    opts.call.timeouts = Timeouts::both(Duration::from_millis(500));
+    let (fs_addr, as_addr) = (fs.service.addr, aspect.service.addr);
+    let fds: Vec<FdHandle> = (1..=2)
+        .map(|c| spawn_cluster(ClusterId(c), opts.clone(), fs_addr, as_addr, clock.clone()))
+        .collect();
+
+    std::thread::scope(|scope| {
+        for i in 0..CLIENTS {
+            let clock = clock.clone();
+            scope.spawn(move || {
+                let name = format!("lossy{i}");
+                let mut client = FaucetsClient::register(fs_addr, as_addr, clock, &name, "pw")
+                    .expect("register");
+                let subs: Vec<Submission> = (0..JOBS)
+                    .map(|n| {
+                        let cpu_seconds = if n % 2 == 0 { 0.001 } else { 60.0 };
+                        let qos = QosBuilder::new("namd", 1, 4, cpu_seconds).build().unwrap();
+                        client.submit(qos, &[]).expect("placed")
+                    })
+                    .collect();
+                for sub in subs {
+                    let snap = client.wait(sub.job, Duration::from_secs(40));
+                    assert!(
+                        matches!(&snap, Ok(s) if s.completed),
+                        "{name}'s {}: {snap:?}",
+                        sub.job
+                    );
+                }
+            });
+        }
+    });
+
+    let completed: u64 = fds.iter().map(|fd| fd.completed()).sum();
+    assert_eq!(completed, CLIENTS * JOBS);
+    assert_eq!(
+        aspect.job_count() as u64,
+        completed,
+        "a job went unmonitored"
+    );
+    let count = |name: &str, endpoint: &str| {
+        let labels = [("service", "appspector"), ("endpoint", endpoint)];
+        registry.counter(name, &labels).get()
+    };
+    assert_eq!(
+        count("net_errors_total", "CompleteJob"),
+        0,
+        "a completion reached AppSpector before its registration"
+    );
+    // The plan bit where it matters: registrations and completions were
+    // shed, and had to be sent again.
+    for endpoint in ["RegisterJob", "CompleteJob"] {
+        let shed = count("net_overload_rejections_total", endpoint);
+        assert!(shed > 0, "no {endpoint} was shed");
+    }
+    for fd in fds {
+        fd.shutdown();
+    }
+}
+
+/// An FD registers a confirmed job with AppSpector in its pump's next
+/// round, after the award's reply. Here each of the FD's frames is held up
+/// to 20 ms on its way out, so a `wait` issued the instant `submit` returns
+/// nearly always finds AppSpector not knowing the job yet, and rides that
+/// out until the job completes.
+#[test]
+fn a_wait_issued_as_submit_returns_ends_completed() {
+    // 200x: the FS's 90-simulated-second liveness window is 450 ms of wall
+    // time, so delayed heartbeats never make the FD look dead.
+    let clock = Clock::new(200.0);
+    let fs = spawn_fs("127.0.0.1:0", clock.clone(), 45).unwrap();
+    let aspect = spawn_appspector("127.0.0.1:0", fs.service.addr, 16).unwrap();
+    let late = FaultConfig {
+        delay: 1.0,
+        max_delay: Duration::from_millis(20),
+        ..FaultConfig::none()
+    };
+    let mut opts = FdOptions::default();
+    opts.call.faults = Some(Arc::new(FaultPlan::new(45, late)));
+    let (fs_addr, as_addr) = (fs.service.addr, aspect.service.addr);
+    let fd = spawn_cluster(ClusterId(1), opts, fs_addr, as_addr, clock.clone());
+    let mut client = FaucetsClient::register(fs_addr, as_addr, clock, "eager", "pw").unwrap();
+    for n in 0..50 {
+        let qos = QosBuilder::new("namd", 1, 4, 1.0).build().unwrap();
+        let sub = client.submit(qos, &[]).expect("placed");
+        let snap = client.wait(sub.job, Duration::from_secs(10));
+        assert!(
+            matches!(&snap, Ok(s) if s.completed),
+            "submission {n}: {snap:?}"
+        );
+    }
+    fd.shutdown();
 }

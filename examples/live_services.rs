@@ -20,7 +20,6 @@ use faucets_sched::cluster::Cluster;
 use faucets_sched::equipartition::Equipartition;
 use faucets_sched::machine::MachineSpec;
 use faucets_sim::time::SimTime;
-use std::time::Duration;
 
 fn spawn_cluster(
     id: u64,
@@ -113,28 +112,20 @@ fn main() {
     );
 
     println!("Monitoring via AppSpector until completion...");
-    let mut last_len = 0;
-    let snap = loop {
-        let snap = client.watch(sub.job).expect("watch");
-        if snap.samples.len() > last_len {
-            let s = snap.samples.last().unwrap();
-            println!(
-                "  [{}] {} PEs, utilization {:.0}%, throughput {:.1}",
-                s.at,
-                s.pes,
-                s.utilization * 100.0,
-                s.throughput
-            );
-            last_len = snap.samples.len();
-        }
-        if snap.completed {
-            break snap;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-        if clock.now() > SimTime::from_hours(6) {
-            panic!("job did not finish within 6 simulated hours");
-        }
-    };
+    // `wait` rides out the FD's pump tick before AppSpector has heard of
+    // the job, which a `watch` right after `submit` could meet.
+    let snap = client
+        .wait(sub.job, clock.wall_until(SimTime::from_hours(6)))
+        .expect("job finishes within 6 simulated hours");
+    for s in &snap.samples {
+        println!(
+            "  [{}] {} PEs, utilization {:.0}%, throughput {:.1}",
+            s.at,
+            s.pes,
+            s.utilization * 100.0,
+            s.throughput
+        );
+    }
 
     println!(
         "Job completed. Output files: {:?}",
