@@ -6,11 +6,10 @@
 //! [`faucets_sched::cluster::Cluster`] with the mediation logic of
 //! [`faucets_core::daemon::FaucetsDaemon`]: it answers bid requests
 //! (re-verifying the client's token with the FS first, since *"the FD does
-//! not have any accounting information"* — or relying on the FS having
-//! vouched for that very token within the last 30 simulated seconds),
+//! not have any accounting information"* — or on a memo of its answers),
 //! handles awards, stages input files, and runs a pump (its service's
-//! tick) that drives the scheduler clock, reports jobs and telemetry to
-//! AppSpector, and heartbeats the FS.
+//! tick) that drives the scheduler clock, heartbeats the FS, and reports
+//! jobs and telemetry to AppSpector.
 //!
 //! ## Map
 //!
@@ -24,9 +23,9 @@
 //!   endpoint: `bid`, `award`, `upload`, `lease_probe`, `fence`; the first
 //!   three start with `FdCore::verify`. None waits on AppSpector.
 //! * **pump** — `FdCore::pump`, the service's tick
-//!   ([`ServiceHandle::tick`]): harvest completions into the outbox, send
-//!   it (`FdCore::report`), heartbeat, return the time to the next due
-//!   event. An award queues its job's `RegisterJob` and nudges it.
+//!   ([`ServiceHandle::tick`]): harvest completions into the outbox,
+//!   heartbeat, send the outbox (`FdCore::report`), return the time to the
+//!   next due event. An award queues its job's `RegisterJob` and nudges it.
 //!
 //! There are three locks here, never taken together and never held across
 //! a call to a peer. The state mutex guards the scheduler, the contracts
@@ -34,40 +33,39 @@
 //! sync-replicated commit is itself a network round trip), and the instant
 //! handed to the scheduler is read only while holding it, so scheduler
 //! time is monotone across the handlers and the pump. The memo's mutex
-//! guards the vouched-for tokens for the length of one lookup or one
-//! insert, and the completion queue's mutex is held for one push or one
-//! take.
+//! guards the map of vouched-for tokens for the length of one lookup or
+//! one insert, and the completion queue's mutex is held for one push or
+//! one take.
 //!
 //! ## The token memo (§2.2, bounded)
 //!
-//! The FD holds no accounting data, so what it remembers is only the FS's
-//! own answer: a token enters the memo when, and only when, the FS
-//! answered `Verified` for it, and is honoured for `HEARTBEAT_EVERY` — 30
-//! simulated seconds, the staleness the FD's view of the FS already has,
-//! and so the stated bound on how long a logout or an expiry takes to
-//! reach this daemon. `FdCore::verify` has the rules.
+//! The FD holds no accounting data, so it remembers only the FS's own
+//! `Verified` answers, each for `HEARTBEAT_EVERY` (30 simulated seconds:
+//! the staleness the FD's view of the FS already has, and so the bound on
+//! how long a logout or an expiry takes to reach this daemon).
+//! `FdCore::verify` has the rules.
 //!
 //! ## Crash recovery
 //!
 //! With [`FdOptions::store`] set, the daemon journals every accepted QoS
 //! contract (spec, contract id, price, owner) and every staged input file
-//! to a [`faucets_store::DurableStore`] write-ahead log — fsynced records,
-//! compacted periodically, instead of rewriting a whole snapshot file on
-//! each mutation. The acceptance record is appended *before* the scheduler
-//! sees the award, and the award is NACKed if the append fails, so a
-//! confirmed award is always recoverable.
-//! [`spawn_fd_with`] on the same directory replays the journal: contracts
-//! are resubmitted to the scheduler, jobs queued for AppSpector again,
-//! and the daemon re-registers with the FS — so a kill + restart loses at
-//! most the *progress* since the last scheduler checkpoint, never the
-//! contracts themselves. Completion records prune the journal best-effort,
-//! and late: AppSpector hears of a completion first, and its `Complete` is
-//! journaled with the next award's `Accept` (one write, one ship) or, if
-//! no award comes first, at the next heartbeat. A crash in between re-runs
-//! the job after restart (at-least-once), and no acknowledged award is
-//! ever at stake. [`FdHandle::shutdown`] journals the queue; a kill does
-//! not. If the FS evicted the daemon while it was down, the heartbeat's
-//! error reply triggers re-registration from the pump.
+//! to a [`faucets_store::DurableStore`] write-ahead log. The acceptance
+//! record is appended *before* the scheduler sees the award, and the award
+//! is NACKed if the append fails, so a confirmed award is always
+//! recoverable. [`spawn_fd_with`] on the same directory replays the
+//! journal: contracts are resubmitted to the scheduler, jobs queued for
+//! AppSpector again, and the daemon re-registers with the FS — so a kill +
+//! restart loses at most the *progress* since the last scheduler
+//! checkpoint, never the contracts themselves. Completion records prune
+//! the journal best-effort, and late: AppSpector hears of a completion
+//! first, and its `Complete` is journaled with the next award's `Accept`
+//! (one write, one ship) or, if no award comes first, at the next
+//! heartbeat. A crash in between re-runs the job after restart
+//! (at-least-once), and no acknowledged award is ever at stake.
+//! [`FdHandle::shutdown`] sends the outbox once more and journals the
+//! queue; a kill does neither. If the FS evicted the daemon while it was
+//! down, the heartbeat's error reply triggers re-registration from the
+//! pump.
 
 use crate::overload::{GateConfig, GateVerdict, PayoffGate};
 use crate::pool::{ConnPool, PoolConfig};
@@ -91,7 +89,7 @@ use faucets_sim::time::{SimDuration, SimTime};
 use faucets_store::{Durable, ReplicatedStore, StoreError, StoreOptions};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -185,11 +183,11 @@ pub struct FdOptions {
     /// followers must host is `fd-<cluster id>` (`fd-cs-1` for cluster 1).
     pub replication: Option<ReplicationConfig>,
     /// Options for the FD's own outbound calls (FS verification and
-    /// heartbeats, AppSpector pushes). Defaults to bounded retry so a
+    /// heartbeats, AppSpector pushes). Defaults to bounded retry, so a
     /// transiently unreachable FS doesn't poison bid handling, and to a
-    /// connection pool so the per-bid FS token verification and the pump's
-    /// AppSpector pushes ride warm sockets instead of reconnecting each
-    /// time.
+    /// pool of warm sockets. AppSpector's pushes take one attempt (the
+    /// pump's outbox is the retry), each capped at a third of the heartbeat
+    /// period in wall time.
     pub call: CallOptions,
     /// Payoff-aware admission gate for the bid pipeline: over
     /// `max_inflight` concurrent solicitations, up to `max_queue` wait and
@@ -232,28 +230,6 @@ impl Default for FdOptions {
     }
 }
 
-/// The FS's `Verified` answers by token, and in the order they came.
-#[derive(Default)]
-struct Memo {
-    at: HashMap<SessionToken, SimTime>,
-    order: VecDeque<(SimTime, SessionToken)>,
-}
-
-impl Memo {
-    /// Forget, oldest first, what is [`HEARTBEAT_EVERY`] old at `now` (unless
-    /// vouched for again since), then vouch for `token` at `now`.
-    fn vouch(&mut self, token: SessionToken, now: SimTime) {
-        let expired = |(at, _): &mut (SimTime, SessionToken)| now.since(*at) >= HEARTBEAT_EVERY;
-        while let Some((at, old)) = self.order.pop_front_if(expired) {
-            if self.at.get(&old) == Some(&at) {
-                self.at.remove(&old);
-            }
-        }
-        self.at.insert(token.clone(), now);
-        self.order.push_back((now, token));
-    }
-}
-
 /// What the handlers and the pump mutate, behind [`FdCore::state`].
 struct FdState {
     daemon: FaucetsDaemon,
@@ -278,15 +254,15 @@ struct FdCore {
     gate: Arc<PayoffGate>,
     clock: Clock,
     fs: FsUpstream,
-    /// The tokens the FS lately answered `Verified` for: see
-    /// [`FdCore::verify`].
-    vouched: Mutex<Memo>,
+    /// The tokens the FS answered `Verified` for, each with the simulated
+    /// instant of that answer: see [`FdCore::verify`].
+    vouched: Mutex<HashMap<SessionToken, SimTime>>,
     appspector: SocketAddr,
     /// Runs the pump early, set once the service is bound.
     nudge: OnceLock<Nudge>,
     /// When the pump last heartbeat, in simulated time (`ZERO`: never).
     last_heartbeat: Mutex<SimTime>,
-    /// As spawned; `call` here is for AppSpector (`fs` has its own copy).
+    /// As spawned; `call` here is AppSpector's (`fs` has its own copy).
     opts: FdOptions,
     cluster_id: ClusterId,
     /// Fixed at spawn, so the bid path prices a request's payoff rate
@@ -402,22 +378,22 @@ impl FdCore {
     /// vouched for this very token less than [`HEARTBEAT_EVERY`] ago. Only
     /// a `Verified` answer is remembered, stamped with the simulated
     /// instant it came back; a miss, an expired entry, a refusal and an
-    /// unreachable FS all end in the FS's own words. Every insert expires
-    /// what has outlived the TTL ([`Memo::vouch`]), and a rotation to
-    /// another shard empties the memo (sessions die with the shard that
-    /// minted them).
+    /// unreachable FS all end in the FS's own words. Every insert sweeps
+    /// the expired entries, and a rotation to another shard empties the
+    /// memo (sessions die with the shard that minted them).
     fn verify(&self, token: &SessionToken) -> Result<(), Response> {
         let fresh = |at: SimTime| self.clock.now().since(at) < HEARTBEAT_EVERY;
-        let vouched_at = self.vouched.lock().at.get(token).copied();
+        let vouched_at = self.vouched.lock().get(token).copied();
         if vouched_at.is_some_and(fresh) {
             self.m_memo_hits.inc();
             return Ok(());
         }
         self.m_memo_misses.inc();
         self.fs.verify(token)?;
-        // The instant is read under the lock: insertions come in order.
+        let now = self.clock.now();
         let mut vouched = self.vouched.lock();
-        vouched.vouch(token.clone(), self.clock.now());
+        vouched.retain(|_, at| now.since(*at) < HEARTBEAT_EVERY);
+        vouched.insert(token.clone(), now);
         Ok(())
     }
 
@@ -584,12 +560,10 @@ impl FdCore {
         // keeps the FD alive.
         const PACE_CAP: Duration = Duration::from_millis(500);
         let last_heartbeat = *self.last_heartbeat.lock();
-        // Harvest completions under the lock (reading the clock inside it,
-        // to stay monotone with the request handlers), drop their
-        // contracts and staged files with it and take the outbox; talk to
-        // the journal and to peers outside it. A heartbeat's report is
-        // read only when one is due: every award and completion runs a
-        // round.
+        // Under the lock (the clock read inside it, monotone with the
+        // handlers): harvest completions into the outbox, drop their
+        // contracts and staged files, take the outbox, and read a
+        // heartbeat's report if one is due. The journal and peers after.
         let (now, outbox, beat) = {
             let mut guard = self.state.lock();
             let (s, now) = (&mut *guard, self.clock.now());
@@ -606,13 +580,13 @@ impl FdCore {
             let beat = due.then(|| (s.cluster.status(now), s.cluster.running_jobs().collect()));
             (now, std::mem::take(&mut s.outbox), beat)
         };
-        self.report(outbox);
-        // Heartbeat + telemetry on the simulated cadence.
+        // Heartbeat first: a stalled AppSpector delays only its own traffic.
         if let Some((status, running)) = beat {
             *self.last_heartbeat.lock() = now;
             let _ = self.commit(|| None);
             self.heartbeat(now, status, running);
         }
+        self.report(outbox);
         // Due at whichever comes first: the scheduler's next completion or
         // the next heartbeat, converted from simulated to wall time.
         let beat = *self.last_heartbeat.lock() + HEARTBEAT_EVERY;
@@ -622,11 +596,10 @@ impl FdCore {
             .min(PACE_CAP)
     }
 
-    /// Send AppSpector the outbox's `RegisterJob`s in one batch and, once
-    /// every one is answered, its `CompleteJob`s in another (a mixed
-    /// batch's frames may run on different executors, a completion before
-    /// its registration). What is not answered goes back for the next
-    /// round; an answered `CompleteJob` queues its job for the journal.
+    /// Send AppSpector the outbox's `RegisterJob`s in one batch, then, if
+    /// all were answered, its `CompleteJob`s in another (one mixed batch
+    /// could run a completion before its registration). The unanswered go
+    /// back for the next round; an answered `CompleteJob` awaits a commit.
     fn report(&self, outbox: Vec<Request>) {
         let registers = |r: &Request| matches!(r, Request::RegisterJob { .. });
         let (register, complete): (Vec<_>, Vec<_>) = outbox.into_iter().partition(registers);
@@ -662,7 +635,7 @@ impl FdCore {
             Err(e) if self.fs.rotate_after(&e) => {
                 self.m_fs_failovers.inc();
                 // Sessions die with the shard that minted them.
-                *self.vouched.lock() = Memo::default();
+                self.vouched.lock().clear();
                 self.register();
             }
             _ => {}
@@ -715,10 +688,12 @@ impl FdHandle {
         self.core.state.lock().contracts.len()
     }
 
-    /// Stop the service (which joins a pump round in flight along with the
-    /// executors), then journal the completions no commit carried yet.
+    /// Stop the service (joining a pump round in flight), send AppSpector
+    /// the outbox once more, and journal what no commit carried yet.
     pub fn shutdown(self) {
         self.service.shutdown();
+        let outbox = std::mem::take(&mut self.core.state.lock().outbox);
+        self.core.report(outbox);
         let _ = self.core.commit(|| None);
     }
 
@@ -766,8 +741,15 @@ pub fn spawn_fd_with(
     fs: SocketAddr,
     appspector: SocketAddr,
     clock: Clock,
-    opts: FdOptions,
+    mut opts: FdOptions,
 ) -> io::Result<FdHandle> {
+    let upstream = FsUpstream::new(fs, &opts.fs_fallbacks, opts.call.clone());
+    // AppSpector's: a round's (at most three) batches end before its next beat.
+    let patience = Duration::from_secs_f64(HEARTBEAT_EVERY.as_secs_f64() / 3.0 / clock.speedup());
+    let t = &mut opts.call.timeouts;
+    (t.read, t.write) = (t.read.min(patience), t.write.min(patience));
+    opts.call.connect = opts.call.connect.min(patience);
+    opts.call.retry = RetryPolicy::none();
     let cluster_id = cluster.machine.cluster;
     let service_name = format!("fd-{cluster_id}");
     let reg = faucets_telemetry::global();
@@ -784,8 +766,8 @@ pub fn spawn_fd_with(
     let core = Arc::new(FdCore {
         gate: PayoffGate::new(opts.bid_gate, &cluster_name, reg),
         clock,
-        fs: FsUpstream::new(fs, &opts.fs_fallbacks, opts.call.clone()),
-        vouched: Mutex::new(Memo::default()),
+        fs: upstream,
+        vouched: Mutex::new(HashMap::new()),
         done: Mutex::new(Vec::new()),
         appspector,
         nudge: OnceLock::new(),
@@ -1025,7 +1007,7 @@ mod tests {
         assert!(matches!(reply, Response::Error(_)), "{reply:?}");
         assert_eq!(verifications(&g), before + 3);
         assert!(
-            g.fd.core.vouched.lock().at.is_empty(),
+            g.fd.core.vouched.lock().is_empty(),
             "a refusal was remembered"
         );
         assert!(g.fd.core.m_memo_misses.get() >= misses + 3);
@@ -1145,55 +1127,14 @@ mod tests {
         }
         let vouched_by = clock.now();
         if vouched_by.since(started) < HEARTBEAT_EVERY {
-            assert_eq!(g.fd.core.vouched.lock().at.len(), 1_000);
+            assert_eq!(g.fd.core.vouched.lock().len(), 1_000);
         }
         outlive_the_ttl(&clock, vouched_by);
         let last = tokens.next().unwrap();
         g.fd.core.verify(&last).expect("the FS vouches for it");
         let vouched = g.fd.core.vouched.lock();
-        assert_eq!(vouched.at.len(), 1, "expired entries outlived an insert");
-        assert!(vouched.at.contains_key(&last));
-    }
-
-    /// The memo's rules on the simulated clock alone: an answer is honoured
-    /// for 30 simulated seconds and not a moment longer; an insert expires,
-    /// from the front of the queue, what is that old; a token the FS
-    /// vouched for again keeps its newer answer; and the reset a rotation
-    /// makes forgets everything.
-    #[test]
-    fn the_memo_expires_in_insertion_order_after_thirty_simulated_seconds() {
-        let at = |ms: u64| SimTime::ZERO + SimDuration::from_millis(ms);
-        let token = |name: &str| SessionToken(name.into());
-        let fresh = |memo: &Memo, t: &SessionToken, now: SimTime| {
-            memo.at
-                .get(t)
-                .is_some_and(|&at| now.since(at) < HEARTBEAT_EVERY)
-        };
-        let mut memo = Memo::default();
-        memo.vouch(token("a"), at(10_000));
-        memo.vouch(token("b"), at(20_000));
-        assert!(fresh(&memo, &token("a"), at(39_999)));
-        assert!(
-            !fresh(&memo, &token("a"), at(40_000)),
-            "honoured at the TTL"
-        );
-        assert!(!fresh(&memo, &token("c"), at(10_000)), "never vouched for");
-        // `a` expired at 40 s and goes; `b` has 9 s left and stays.
-        memo.vouch(token("a"), at(41_000));
-        assert_eq!((memo.at.len(), memo.order.len()), (2, 2));
-        memo.vouch(token("c"), at(50_000));
-        assert!(!memo.at.contains_key(&token("b")), "b outlived an insert");
-        assert_eq!((memo.at.len(), memo.order.len()), (2, 2));
-        // Vouched for again (two misses racing): the older entry expires
-        // at 71 s without taking the newer answer with it.
-        memo.vouch(token("a"), at(55_000));
-        memo.vouch(token("d"), at(71_000));
-        assert!(fresh(&memo, &token("a"), at(71_000)));
-        assert_eq!(memo.at.len(), 3);
-        assert_eq!(memo.order.len(), 3, "the stale entry was not popped");
-        // What a rotation does: every answer goes.
-        let memo = Memo::default();
-        assert!(!fresh(&memo, &token("d"), at(71_000)));
+        assert_eq!(vouched.len(), 1, "expired entries outlived an insert");
+        assert!(vouched.contains_key(&last));
     }
 
     /// Sessions die with the shard that minted them: when the pump rotates
@@ -1211,13 +1152,13 @@ mod tests {
         let fd = g.fd.service.addr;
         let reply = call(fd, &bid_request(&g, g.token.clone())).unwrap();
         assert!(matches!(reply, Response::BidReply(_)), "{reply:?}");
-        assert_eq!(g.fd.core.vouched.lock().at.len(), 1);
+        assert_eq!(g.fd.core.vouched.lock().len(), 1);
         // The primary dies; the next heartbeat finds out and rotates. No
         // token is verified meanwhile, so only the rotation can have
         // removed the entry (an expired one stays until an insert).
         std::mem::replace(&mut g.fs, fallback).shutdown();
         let until = std::time::Instant::now() + Duration::from_secs(20);
-        while !g.fd.core.vouched.lock().at.is_empty() {
+        while !g.fd.core.vouched.lock().is_empty() {
             assert!(std::time::Instant::now() < until, "the pump never rotated");
             std::thread::sleep(Duration::from_millis(10));
         }
@@ -1238,14 +1179,15 @@ mod tests {
         };
         let reply = call(fd, &bid_request(&g, token.clone())).unwrap();
         assert!(matches!(reply, Response::BidReply(_)), "{reply:?}");
-        assert!(g.fd.core.vouched.lock().at.contains_key(&token));
+        assert!(g.fd.core.vouched.lock().contains_key(&token));
     }
 
     /// Regression: a confirmed award used to send AppSpector its
     /// `RegisterJob` and wait for the answer before it replied, so an
     /// AppSpector that takes connections and never answers held every
     /// award for a read timeout (10 s) per attempt. The registration rides
-    /// the pump's next round now, and the award replies at once.
+    /// the pump's next round now, and the award replies at once. Nor may
+    /// the rounds that then wait on AppSpector starve the FS of beats.
     #[test]
     fn an_award_does_not_wait_on_appspector() {
         // Never accepted: the kernel completes each handshake and buffers
@@ -1271,8 +1213,38 @@ mod tests {
         );
         assert!(confirmed, "{reply:?}");
         assert!(took < Duration::from_secs(2), "the award took {took:?}");
+        // Every round from here on finds AppSpector silent, and the FS
+        // still hears each beat: 2 s is over two of its 90-simulated-second
+        // liveness windows at this clock.
+        for _ in 0..40 {
+            std::thread::sleep(Duration::from_millis(50));
+            let live =
+                g.fs.state
+                    .lock()
+                    .directory
+                    .is_live(g.fd.cluster_id, clock.now());
+            assert!(live, "the FS stopped listing the FD at {}", clock.now());
+        }
         // Reset the pump's pending batch, so the FD stops at once.
         drop(silent);
+    }
+
+    /// A graceful shutdown sends AppSpector what the outbox still holds, so
+    /// a job confirmed just before it is still monitored. (The first pump
+    /// round ran at spawn; the next is half a second away.)
+    #[test]
+    fn shutdown_sends_the_outbox() {
+        let g = grid(&Clock::realtime(), 23, 64, FdOptions::default());
+        let (job, owner, cluster) = (JobId(9), g.user, g.fd.cluster_id);
+        let register = Request::RegisterJob {
+            job,
+            owner,
+            cluster,
+        };
+        g.fd.core.state.lock().outbox.push(register);
+        let Grid { fd, _aspect, .. } = g;
+        fd.shutdown();
+        assert_eq!(_aspect.expect("an AppSpector of its own").job_count(), 1);
     }
 
     /// Regression for the award race: the handler used to release the

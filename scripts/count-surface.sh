@@ -26,8 +26,8 @@
 # one lowers it.
 cd "$(dirname "$0")/.." || exit 1
 
-MAX_WORKSPACE_LINES=28556  # non-test lines of every crates/*/src
-MAX_NET_LINES=8476   # non-test lines of crates/net/src
+MAX_WORKSPACE_LINES=28538  # non-test lines of every crates/*/src
+MAX_NET_LINES=8458   # non-test lines of crates/net/src
 MAX_POOL_LINES=416  # of crates/net/src/pool.rs
 MAX_REPLICATE_LINES=893  # of crates/store/src/replicate.rs
 MAX_MARKET_LINES=1734  # of crates/net/src/client.rs + crates/grid/src/world.rs
