@@ -15,7 +15,7 @@
 //! - [`ring`] — pure consistent-hash ring (who owns which cluster id).
 //! - [`gossip`] — pure membership state + merge logic (who is alive).
 //! - `router` — the [`Federation`] runtime tying them together: the
-//!   gossip tick on the FS's reactor, ring rebuilds, and the
+//!   gossip tick on the FS's service, ring rebuilds, and the
 //!   forward/scatter primitives the FS handler composes.
 //!
 //! The replicated WAL journal under each shard is unchanged: a shard

@@ -2,7 +2,7 @@
 //!
 //! One [`Federation`] lives inside each federated FS process. Gossip is
 //! the FS service's tick ([`ServiceHandle::tick`]): each round, on one of
-//! the FS's executors, runs push-pull gossip against every alive peer
+//! the FS's workers, runs push-pull gossip against every alive peer
 //! (full exchange — shard counts are small, so convergence in a
 //! handful of rounds beats fan-out economy), grades liveness by
 //! heartbeat staleness, and rebuilds the [`Ring`] with a bumped epoch on

@@ -18,10 +18,11 @@
 //! * [`client`] — the full §2 submission/monitoring client;
 //! * [`service`] — shared plumbing, one file per concern:
 //!   `service/time.rs` (clock, stop signal, timeouts, retry policy),
-//!   `service/serve.rs` (the serve reactor) and `service/call.rs` (the
-//!   one client call path: launch, then land);
-//! * [`reactor`] — the dependency-free epoll wrapper (readiness events,
-//!   eventfd wakeups, incremental frame reassembly) under the serve path;
+//!   `service/serve.rs` (the serve path's worker pool) and
+//!   `service/call.rs` (the one client call path: launch, then land);
+//! * [`reactor`] — the dependency-free epoll wrapper (one-shot readiness
+//!   events, eventfd and timerfd, incremental frame reassembly) under the
+//!   serve path;
 //! * [`pool`] — persistent, health-checked client connection pooling (see
 //!   below);
 //! * [`overload`] — admission control, circuit breakers, and payoff-aware
@@ -100,7 +101,7 @@
 //!   [`proto::Response::Overloaded`] immediately, and callers surface it as
 //!   the typed, non-retried [`proto::ProtoError::Overloaded`]. The serve
 //!   layer keeps no inflight counter of its own: its
-//!   [`service::ServeOptions::workers`] executor threads are the bound.
+//!   [`service::ServeOptions::workers`] worker threads are the bound.
 //! * **Deadlines** — callers stamp their remaining budget into the
 //!   [`proto::Envelope`] (`deadline_ms`); the serve layer sheds work whose
 //!   deadline already expired, and handlers can read
@@ -139,8 +140,8 @@
 //!   reused) — a desynchronised stream must not pay the next caller the
 //!   previous caller's reply. A call without a pool rides one that keeps
 //!   nothing (`conns_per_peer` 0): connection per call, down this path.
-//! * **Pipelining** — the serve side runs one connection's frames
-//!   concurrently and echoes each [`proto::Envelope`] `request_id`, so a
+//! * **Pipelining** — the serve side runs one connection's frames in
+//!   order and echoes each [`proto::Envelope`] `request_id`, so a
 //!   [`service::call_batch`] burst launches in one vectored write and
 //!   lands each slot from the reply that carries its id, in any order,
 //!   reading while it writes. A reply no open slot asked for, a byte past
@@ -150,22 +151,21 @@
 //!   on a pooled socket of its own and under the caller's trace context,
 //!   then lands them all under one read timeout. The client uses it to
 //!   collect a whole bid round.
-//! * **Serving** — [`service::serve_with`]: one epoll reactor thread
-//!   ([`reactor`]) owns the listener and every connection's frame state
-//!   (cheap parked state, no idle wakeups), frames run on
-//!   [`service::ServeOptions::workers`] executor threads, and back-pressure
-//!   parks frames and drops read interest. The reply to a connection's
-//!   only request in flight, nothing queued ahead, leaves from the
-//!   executor that made it, waking no reactor; the rest (bursts, backlogs,
-//!   closes) return through a completion list and an eventfd kick. That
-//!   list and an outbox lock are never held together, and the reactor
-//!   raises its wait before its last look at the list.
+//! * **Serving** — [`service::serve_with`]: its
+//!   [`service::ServeOptions::workers`] threads all wait on one one-shot
+//!   epoll set ([`reactor`]) holding the listener, the tick's timerfd,
+//!   stop and every connection (cheap parked state, no idle wakeups). The
+//!   thread that takes a connection's readiness reads it, runs up to a
+//!   fixed number of its frames in order, writes their replies in one
+//!   vectored write and re-arms it: no hand-off between threads. A reply
+//!   backlog over `write_buf` re-arms it for writing only
+//!   (back-pressure).
 //!
 //! Pool behaviour is fully counted (`net_pool_{hits,misses,evictions,
 //! poisoned,stale_retries}_total`, `net_pool_open_conns`, and the serve
-//! side's `net_open_conns`/`net_conns_accepted_total`, plus the reactor's
-//! `net_reactor_registered_fds`/`net_reactor_ready_events`/
-//! `net_reactor_executor_queue`/`net_reactor_wakeups_total`). Speed is the
+//! side's `net_open_conns`/`net_conns_accepted_total`, plus the epoll
+//! set's `net_reactor_registered_fds` and `net_reactor_ready_events`, one
+//! sample per event a worker takes). Speed is the
 //! repository benchmark's to measure (`rpc_pingpong`, `rpc_pipelined`);
 //! E23 (`exp_rpc_throughput`) and E28 (`exp_pipelined_rpc`) gate what a
 //! rate cannot show: no transport error, no reply in a slot but its own.

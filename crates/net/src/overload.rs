@@ -374,11 +374,11 @@ pub struct GateConfig {
 
 impl Default for GateConfig {
     /// Defaults that never bind behind the serve layer's default 32
-    /// executor threads: a solicitation holds its thread while it is
+    /// worker threads: a solicitation holds its thread while it is
     /// served and while it is queued, so at most `workers` are inside the
     /// gate at once and the reachable queue depth is `workers −
     /// max_inflight`, not `max_queue`. The gate acts when `max_inflight`
-    /// is set below the executor count (E22 runs 2 slots, queue 4).
+    /// is set below the worker count (E22 runs 2 slots, queue 4).
     fn default() -> Self {
         GateConfig {
             max_inflight: 64,

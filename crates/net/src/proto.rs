@@ -599,9 +599,9 @@ pub fn read_frame_with<R: Read, T: for<'de> Deserialize<'de>>(
 
 /// Receive-path fault injection on an already-framed payload: the plan may
 /// delay "delivery" or corrupt a byte before parsing. Factored out of
-/// [`read_frame_with`] so the reactor serve path — which reassembles frames
-/// off nonblocking sockets itself — injects identical faults on its
-/// executor threads.
+/// [`read_frame_with`] so the serve path — which reassembles frames off
+/// nonblocking sockets itself — injects identical faults on its worker
+/// threads.
 pub(crate) fn apply_receive_faults(payload: &mut [u8], faults: Option<&FaultPlan>) {
     if let Some(plan) = faults {
         match plan.decide(payload) {

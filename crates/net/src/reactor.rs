@@ -3,16 +3,19 @@
 //!
 //! The repo's no-deps discipline rules out `mio`/`tokio`, so this module
 //! declares the handful of syscalls it needs (`epoll_create1`, `epoll_ctl`,
-//! `epoll_wait`, `eventfd`, `poll`) directly via `extern "C"` — `std`
-//! already links libc, so the symbols resolve without adding a crate. Five
-//! pieces live here:
+//! `epoll_wait`, `eventfd`, `timerfd_create`, `timerfd_settime`, `poll`)
+//! directly via `extern "C"` — `std` already links libc, so the symbols
+//! resolve without adding a crate. Six pieces live here:
 //!
-//! - [`Epoll`]: level-triggered readiness polling over raw fds, each
-//!   registered with a `u64` token that comes back on its events.
+//! - [`Epoll`]: one-shot readiness polling over raw fds, each registered
+//!   with a `u64` token that comes back on its event. Every worker of a
+//!   service waits on the one set; an event disarms its fd until the
+//!   worker that took it re-arms it, so no two workers hold one fd.
 //! - `poll_ready`: the same question asked of one socket by the thread
-//!   that owns it — a client pipelining a burst has no reactor.
-//! - [`Waker`]: an `eventfd` the executor pool and `ServiceHandle::stop`
-//!   write to from other threads to pop the reactor out of `epoll_wait`.
+//!   that owns it — a client pipelining a burst has no epoll set.
+//! - [`Waker`]: an `eventfd` that `ServiceHandle`'s stop writes to from
+//!   another thread to pop the workers out of `epoll_wait`.
+//! - [`Timer`]: a `timerfd`, a service's one due tick as an fd event.
 //! - [`FrameBuf`]: an incremental decoder for the length-prefixed wire
 //!   format (`u32` BE length + payload) that turns arbitrary read chunks
 //!   into whole frames, enforcing [`crate::proto::MAX_FRAME`] so a garbage
@@ -22,11 +25,12 @@
 //!
 //! Everything here is serde-free and socket-type-agnostic on purpose: the
 //! unit tests drive it with pipes and hand-rolled byte streams; the
-//! reactor loop in `service/serve.rs` composes these primitives with the
-//! executor pool, and the client's burst in `service/call.rs` with none.
+//! worker loop in `service/serve.rs` composes these primitives, and the
+//! client's burst in `service/call.rs` uses the last two under `poll_ready`.
 
 use std::collections::VecDeque;
 use std::io;
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
 use std::os::unix::io::RawFd;
 use std::time::Duration;
 
@@ -44,8 +48,9 @@ extern "C" {
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
     fn eventfd(initval: u32, flags: i32) -> i32;
+    fn timerfd_create(clockid: i32, flags: i32) -> i32;
+    fn timerfd_settime(fd: i32, flags: i32, new: *const TimerSpec, old: *mut TimerSpec) -> i32;
     fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout: i32) -> i32;
-    fn close(fd: i32) -> i32;
     fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
 }
@@ -58,27 +63,30 @@ struct PollFd {
     revents: i16,
 }
 
+/// `struct itimerspec`: no repeat interval, then the first expiry.
+#[repr(C)]
+struct TimerSpec {
+    interval: [std::ffi::c_long; 2],
+    value: [std::ffi::c_long; 2],
+}
+
 const EPOLL_CLOEXEC: i32 = 0x80000;
 const EPOLL_CTL_ADD: i32 = 1;
-const EPOLL_CTL_DEL: i32 = 2;
 const EPOLL_CTL_MOD: i32 = 3;
 const EPOLLIN: u32 = 0x001;
 const EPOLLOUT: u32 = 0x004;
 const EPOLLERR: u32 = 0x008;
 const EPOLLHUP: u32 = 0x010;
 const EPOLLRDHUP: u32 = 0x2000;
+const EPOLLONESHOT: u32 = 1 << 30;
 const EFD_NONBLOCK: i32 = 0x800;
 const EFD_CLOEXEC: i32 = 0x80000;
+const CLOCK_MONOTONIC: i32 = 1;
 
 /// NOTE: the kernel ABI packs `epoll_event` on x86-64 (12 bytes, u32 +
 /// unaligned u64). Rather than fight `repr(packed)` reference rules, we
-/// marshal through explicit little-endian byte buffers sized for the
-/// target: 12 bytes on x86-64, 16 elsewhere.
-#[cfg(target_arch = "x86_64")]
-const EVENT_SIZE: usize = 12;
-#[cfg(not(target_arch = "x86_64"))]
-const EVENT_SIZE: usize = std::mem::size_of::<EpollEvent>();
-
+/// marshal one record through a 16-byte buffer, `data` at its offset for
+/// the target: 4 on x86-64, the struct's own elsewhere.
 #[cfg(target_arch = "x86_64")]
 const DATA_OFFSET: usize = 4;
 #[cfg(not(target_arch = "x86_64"))]
@@ -86,6 +94,15 @@ const DATA_OFFSET: usize = std::mem::offset_of!(EpollEvent, data);
 
 fn last_os_error() -> io::Error {
     io::Error::last_os_error()
+}
+
+/// Own the fd a creating syscall returned, or its error.
+fn owned(fd: i32) -> io::Result<OwnedFd> {
+    if fd < 0 {
+        return Err(last_os_error());
+    }
+    // SAFETY: a fresh fd, owned by nothing else; `OwnedFd` closes it once.
+    Ok(unsafe { OwnedFd::from_raw_fd(fd) })
 }
 
 /// One readiness notification, decoded from the kernel's event record.
@@ -121,10 +138,12 @@ impl Interest {
         writable: true,
     };
 
+    /// A hang-up is watched only with reads: a peer that is gone wants
+    /// nothing read, and its hang-up would report on every arming.
     fn mask(self) -> u32 {
-        let mut m = EPOLLRDHUP;
+        let mut m = 0;
         if self.readable {
-            m |= EPOLLIN;
+            m |= EPOLLIN | EPOLLRDHUP;
         }
         if self.writable {
             m |= EPOLLOUT;
@@ -133,21 +152,19 @@ impl Interest {
     }
 }
 
-/// Level-triggered epoll instance. All methods are `&self`; the kernel
-/// serializes `epoll_ctl` against `epoll_wait` internally, so `Waker`
-/// writes and control calls are safe from other threads.
+/// Level-triggered, one-shot epoll instance: an event disarms its fd until
+/// [`Epoll::modify`] re-arms it, so of several threads waiting on the set
+/// exactly one takes each readiness. All methods are `&self`; the kernel
+/// serializes `epoll_ctl` against `epoll_wait` internally.
 pub struct Epoll {
-    fd: RawFd,
+    fd: OwnedFd,
 }
 
 impl Epoll {
     /// A fresh, close-on-exec epoll instance.
     pub fn new() -> io::Result<Epoll> {
         // SAFETY: plain syscall, no pointers.
-        let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-        if fd < 0 {
-            return Err(last_os_error());
-        }
+        let fd = owned(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
         Ok(Epoll { fd })
     }
 
@@ -156,85 +173,73 @@ impl Epoll {
         // so marshal into an explicit byte buffer instead of passing an
         // aligned Rust struct.
         let mut raw = [0u8; 16];
-        raw[..4].copy_from_slice(&interest.mask().to_ne_bytes());
+        raw[..4].copy_from_slice(&(interest.mask() | EPOLLONESHOT).to_ne_bytes());
         raw[DATA_OFFSET..DATA_OFFSET + 8].copy_from_slice(&token.to_ne_bytes());
         // SAFETY: `raw` holds one kernel-ABI event record; the kernel
-        // copies it out on ADD/MOD and ignores it on DEL.
-        let rc = unsafe { epoll_ctl(self.fd, op, fd, raw.as_mut_ptr() as *mut EpollEvent) };
+        // copies it out.
+        let rc = unsafe {
+            epoll_ctl(
+                self.fd.as_raw_fd(),
+                op,
+                fd,
+                raw.as_mut_ptr() as *mut EpollEvent,
+            )
+        };
         if rc < 0 {
             return Err(last_os_error());
         }
         Ok(())
     }
 
-    /// Register `fd` with `token`; events for it report that token.
+    /// Register `fd` with `token`, armed; its event reports that token.
     pub fn add(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         self.ctl(EPOLL_CTL_ADD, fd, token, interest)
     }
 
-    /// Change the watched directions for an already-registered fd.
+    /// Re-arm an already-registered fd, watching the directions given.
     pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         self.ctl(EPOLL_CTL_MOD, fd, token, interest)
     }
 
-    /// Stop watching `fd`. Safe to call right before closing it.
-    pub fn remove(&self, fd: RawFd) -> io::Result<()> {
-        self.ctl(EPOLL_CTL_DEL, fd, 0, Interest::READ)
-    }
-
-    /// Block until at least one registered fd is ready (or `timeout`
-    /// expires, rounded up to whole milliseconds so a caller waiting for a
-    /// deadline never wakes just before it; `None` blocks indefinitely).
-    /// Decoded events are appended to `out` (which is cleared first). A
-    /// signal ends the wait early with no events: the caller re-arms from
-    /// its own deadline.
-    pub fn wait(&self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
-        out.clear();
-        const MAX_EVENTS: usize = 1024;
-        let mut raw = [0u8; EVENT_SIZE * MAX_EVENTS];
+    /// Block until a registered fd is ready and take its one event (or
+    /// until `timeout` expires, rounded up to whole milliseconds so a
+    /// caller waiting for a deadline never wakes just before it; `None`
+    /// blocks indefinitely). A timeout or a signal ends the wait with
+    /// `None`: the caller decides whether to wait again.
+    pub fn wait(&self, timeout: Option<Duration>) -> io::Result<Option<Event>> {
+        let mut raw = [0u8; 16];
         let timeout_ms: i32 = match timeout {
             None => -1,
             Some(d) => d.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32,
         };
-        // SAFETY: `raw` holds MAX_EVENTS kernel-ABI event records.
+        // SAFETY: `raw` holds one kernel-ABI event record, and we ask for one.
         let rc = unsafe {
             epoll_wait(
-                self.fd,
+                self.fd.as_raw_fd(),
                 raw.as_mut_ptr() as *mut EpollEvent,
-                MAX_EVENTS as i32,
+                1,
                 timeout_ms,
             )
         };
         if rc < 0 {
             let err = last_os_error();
             return match err.kind() {
-                io::ErrorKind::Interrupted => Ok(0),
+                io::ErrorKind::Interrupted => Ok(None),
                 _ => Err(err),
             };
         }
-        let n = rc as usize;
-        for i in 0..n {
-            let rec = &raw[i * EVENT_SIZE..(i + 1) * EVENT_SIZE];
-            // Fixed-width slices of our own EVENT_SIZE record, whatever the kernel wrote.
-            let events = u32::from_ne_bytes(rec[..4].try_into().unwrap());
-            let token = u64::from_ne_bytes(rec[DATA_OFFSET..DATA_OFFSET + 8].try_into().unwrap());
-            let hangup = events & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0;
-            out.push(Event {
-                token,
-                readable: events & EPOLLIN != 0 || hangup,
-                writable: events & EPOLLOUT != 0,
-            });
+        if rc == 0 {
+            return Ok(None);
         }
-        Ok(n)
-    }
-}
-
-impl Drop for Epoll {
-    fn drop(&mut self) {
-        // SAFETY: fd is owned by this struct and closed exactly once.
-        unsafe {
-            close(self.fd);
-        }
+        // Fixed-width slices of our own record, whatever the kernel wrote.
+        let events = u32::from_ne_bytes(raw[..4].try_into().unwrap());
+        let token = u64::from_ne_bytes(raw[DATA_OFFSET..DATA_OFFSET + 8].try_into().unwrap());
+        let hangup = events & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0;
+        Ok(Some(Event {
+            token,
+            readable: events & EPOLLIN != 0 || hangup,
+            writable: events & EPOLLOUT != 0,
+        }))
     }
 }
 
@@ -268,77 +273,102 @@ pub(crate) fn poll_ready(fd: RawFd, want: Interest, timeout: Duration) -> io::Re
     }
 }
 
-/// Cross-thread wakeup for a reactor parked in [`Epoll::wait`]. Backed by
+/// Cross-thread wakeup for threads parked in [`Epoll::wait`]. Backed by
 /// a nonblocking `eventfd`: `wake()` writes a counter increment (cheap,
-/// idempotent while pending), the reactor registers [`Waker::fd`] for
-/// reads and calls [`Waker::drain`] when its token fires.
+/// idempotent while pending) and leaves [`Waker::fd`] readable until
+/// [`Waker::drain`].
 pub struct Waker {
-    fd: RawFd,
+    fd: OwnedFd,
 }
 
 impl Waker {
     /// A fresh nonblocking, close-on-exec eventfd.
     pub fn new() -> io::Result<Waker> {
         // SAFETY: plain syscall.
-        let fd = unsafe { eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC) };
-        if fd < 0 {
-            return Err(last_os_error());
-        }
+        let fd = owned(unsafe { eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC) })?;
         Ok(Waker { fd })
     }
 
-    /// The fd the reactor registers for reads.
+    /// The fd to register for reads.
     pub fn fd(&self) -> RawFd {
-        self.fd
+        self.fd.as_raw_fd()
     }
 
-    /// Nudge the reactor. Never blocks: if the counter is already at its
-    /// max (wakeup already pending) the EAGAIN is ignored.
+    /// Make the fd readable. Never blocks: if the counter is already at
+    /// its max (wakeup already pending) the EAGAIN is ignored.
     pub fn wake(&self) {
         let one: u64 = 1;
         // SAFETY: writes 8 bytes from a stack value.
         unsafe {
-            let _ = write(self.fd, one.to_ne_bytes().as_ptr(), 8);
+            let _ = write(self.fd(), one.to_ne_bytes().as_ptr(), 8);
         }
     }
 
-    /// Clear pending wakeups so level-triggered polling doesn't spin.
+    /// Clear pending wakeups: the fd reads idle again.
     pub fn drain(&self) {
         let mut buf = [0u8; 8];
         // SAFETY: reads up to 8 bytes into a stack buffer.
         unsafe {
-            let _ = read(self.fd, buf.as_mut_ptr(), 8);
+            let _ = read(self.fd(), buf.as_mut_ptr(), 8);
         }
     }
 }
 
-impl Drop for Waker {
-    fn drop(&mut self) {
-        // SAFETY: fd is owned by this struct and closed exactly once.
+/// One due time as an fd event: a nonblocking, close-on-exec monotonic
+/// `timerfd` that reads ready once its expiry passes.
+pub struct Timer {
+    fd: OwnedFd,
+}
+
+impl Timer {
+    /// A fresh timer, disarmed.
+    pub fn new() -> io::Result<Timer> {
+        // The timerfd flags are the eventfd ones (both `O_NONBLOCK`, `O_CLOEXEC`).
+        // SAFETY: plain syscall.
+        let fd = owned(unsafe { timerfd_create(CLOCK_MONOTONIC, EFD_NONBLOCK | EFD_CLOEXEC) })?;
+        Ok(Timer { fd })
+    }
+
+    /// The fd to register for reads.
+    pub fn fd(&self) -> RawFd {
+        self.fd.as_raw_fd()
+    }
+
+    /// Expire once, `after` from now, in place of any earlier expiry,
+    /// passed and unread or still to come.
+    pub fn arm(&self, after: Duration) {
+        // An all-zero expiry disarms: the soonest is one nanosecond.
+        let after = after.max(Duration::from_nanos(1));
+        let secs = after.as_secs().min(std::ffi::c_long::MAX as u64);
+        let spec = TimerSpec {
+            interval: [0, 0],
+            value: [secs as std::ffi::c_long, after.subsec_nanos().into()],
+        };
+        // SAFETY: `spec` is one valid `struct itimerspec`; no old value wanted.
         unsafe {
-            close(self.fd);
+            timerfd_settime(self.fd(), 0, &spec, std::ptr::null_mut());
         }
     }
 }
-
-// SAFETY: the waker is just an fd; write/read on it are thread-safe.
-unsafe impl Send for Waker {}
-unsafe impl Sync for Waker {}
 
 /// Incremental decoder for the `u32` BE length-prefixed wire format.
 ///
-/// Feed it whatever chunks the socket yields via [`FrameBuf::extend`],
-/// then pull complete payloads with [`FrameBuf::next_frame`]. A length
-/// prefix above the configured maximum is a protocol violation and
-/// returns an error — the caller must drop the connection, since the
-/// stream can no longer be re-synchronized.
+/// Feed it whatever chunks the socket yields via [`FrameBuf::extend`] or
+/// [`FrameBuf::fill_from`], then pull complete payloads with
+/// [`FrameBuf::next_frame`]. A length prefix above the configured maximum
+/// is a protocol violation and returns an error — the caller must drop the
+/// connection, since the stream can no longer be re-synchronized.
 pub struct FrameBuf {
+    /// Bytes `start..end` are read and not yet returned as frames; the
+    /// zeroed rest is room a read lands in directly.
     buf: Vec<u8>,
-    /// Consumed prefix; compacted periodically instead of per-frame so a
-    /// burst of pipelined frames costs one memmove, not one per frame.
     start: usize,
+    end: usize,
     max_frame: usize,
 }
+
+/// The least room [`FrameBuf::fill_from`] offers one read.
+const READ_ROOM: usize = 4096;
 
 impl FrameBuf {
     /// An empty buffer that rejects any frame longer than `max_frame`.
@@ -346,34 +376,48 @@ impl FrameBuf {
         FrameBuf {
             buf: Vec::new(),
             start: 0,
+            end: 0,
             max_frame,
+        }
+    }
+
+    /// Make room for `n` more bytes: move the unreturned bytes down over
+    /// the returned ones once those are at least as many (each byte moves
+    /// a bounded number of times), else grow at least twofold.
+    fn reserve(&mut self, n: usize) {
+        if self.buf.len() - self.end >= n {
+            return;
+        }
+        let live = self.end - self.start;
+        if self.start >= live {
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, live);
+        }
+        if self.buf.len() - self.end < n {
+            self.buf.resize((self.end + n).max(2 * self.buf.len()), 0);
         }
     }
 
     /// Append raw bytes read off the socket.
     pub fn extend(&mut self, chunk: &[u8]) {
-        // Compact before growing if more than half the buffer is dead.
-        if self.start > 0 && self.start >= self.buf.len() / 2 {
-            self.buf.drain(..self.start);
-            self.start = 0;
-        }
-        self.buf.extend_from_slice(chunk);
+        self.reserve(chunk.len());
+        self.buf[self.end..self.end + chunk.len()].copy_from_slice(chunk);
+        self.end += chunk.len();
     }
 
-    /// Drain a nonblocking socket into the buffer until it would block (a
-    /// short read has emptied it and saves the `WouldBlock` probe); the
-    /// peer having closed its end is an error like any other. Never inlined:
-    /// its 64 KiB buffer must not join its callers' frames (inlined into
-    /// `Leg::land`, it cost every RPC-making thread 64 KiB of stack).
-    #[inline(never)]
+    /// Drain a nonblocking socket into the buffer's own room until it
+    /// would block (a read that leaves room unfilled has emptied it and
+    /// saves the `WouldBlock` probe); the peer having closed its end is an
+    /// error like any other.
     pub fn fill_from(&mut self, r: &mut impl io::Read) -> io::Result<()> {
-        let mut buf = [0u8; 64 * 1024];
         loop {
-            match r.read(&mut buf) {
+            self.reserve(READ_ROOM);
+            let room = self.buf.len() - self.end;
+            match r.read(&mut self.buf[self.end..]) {
                 Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
                 Ok(n) => {
-                    self.extend(&buf[..n]);
-                    if n < buf.len() {
+                    self.end += n;
+                    if n < room {
                         return Ok(());
                     }
                 }
@@ -386,15 +430,12 @@ impl FrameBuf {
 
     /// Bytes currently buffered and not yet returned as frames.
     pub fn pending_bytes(&self) -> usize {
-        self.buf.len() - self.start
+        self.end - self.start
     }
 
-    /// Pop the next complete frame payload, if one is fully buffered.
-    ///
-    /// `Ok(None)` means "need more bytes". `Err` means the stream is
-    /// corrupt (oversized length prefix) and must be closed.
-    pub fn next_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
-        let avail = &self.buf[self.start..];
+    /// The length of the next frame's payload, if it is fully buffered.
+    fn whole(&self) -> io::Result<Option<usize>> {
+        let avail = &self.buf[self.start..self.end];
         if avail.len() < 4 {
             return Ok(None);
         }
@@ -406,14 +447,28 @@ impl FrameBuf {
                 format!("frame length {len} exceeds maximum {}", self.max_frame),
             ));
         }
-        if avail.len() < 4 + len {
+        Ok((avail.len() >= 4 + len).then_some(len))
+    }
+
+    /// A whole frame, or a length prefix [`FrameBuf::next_frame`] rejects,
+    /// is buffered: the next call to it returns without more bytes.
+    pub(crate) fn has_frame(&self) -> bool {
+        !matches!(self.whole(), Ok(None))
+    }
+
+    /// Pop the next complete frame payload, if one is fully buffered.
+    ///
+    /// `Ok(None)` means "need more bytes". `Err` means the stream is
+    /// corrupt (oversized length prefix) and must be closed.
+    pub fn next_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
+        let Some(len) = self.whole()? else {
             return Ok(None);
-        }
-        let payload = avail[4..4 + len].to_vec();
-        self.start += 4 + len;
-        if self.start == self.buf.len() {
-            self.buf.clear();
-            self.start = 0;
+        };
+        let at = self.start + 4;
+        let payload = self.buf[at..at + len].to_vec();
+        self.start = at + len;
+        if self.start == self.end {
+            (self.start, self.end) = (0, 0);
         }
         Ok(Some(payload))
     }
@@ -527,10 +582,59 @@ mod tests {
         }
     }
 
+    /// A reader that hands out at most `chunk` bytes per read and would
+    /// block on every other call, like a socket the peer feeds slowly.
+    struct Trickle<'a> {
+        wire: &'a [u8],
+        chunk: usize,
+        dry: bool,
+    }
+
+    impl io::Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.dry = !self.dry;
+            if !self.dry || self.wire.is_empty() {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(self.chunk).min(self.wire.len());
+            buf[..n].copy_from_slice(&self.wire[..n]);
+            self.wire = &self.wire[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_frame_larger_than_one_reads_room_reassembles_across_fills() {
+        let payload: Vec<u8> = (0..3 * READ_ROOM as u32 + 17).map(|i| i as u8).collect();
+        let mut wire = frame(&payload);
+        wire.extend_from_slice(&frame(b"next"));
+        let mut r = Trickle {
+            wire: &wire,
+            chunk: READ_ROOM / 2 + 1,
+            dry: false,
+        };
+        let mut fb = FrameBuf::new(1 << 20);
+        let mut fills = 0;
+        let got = loop {
+            fb.fill_from(&mut r).unwrap();
+            fills += 1;
+            if let Some(p) = fb.next_frame().unwrap() {
+                break p;
+            }
+            assert!(fills < 100, "the frame never completed");
+        };
+        assert!(fills > 6, "the frame came in {fills} fills");
+        assert_eq!(got, payload, "the frame is whole");
+        while fb.next_frame().unwrap().is_none() {
+            fb.fill_from(&mut r).unwrap();
+        }
+        assert_eq!(fb.pending_bytes(), 0);
+    }
+
     #[test]
     fn fill_from_keeps_what_it_read_before_the_hang_up() {
-        // Exactly one read's worth, then EOF: the one way a drain sees the
-        // peer's hang-up in the same pass as its last bytes.
+        // Reads that fill all the room offered, then EOF: the one way a
+        // drain sees the peer's hang-up in the same pass as its last bytes.
         let mut wire = frame(&vec![7u8; 64 * 1024 - 4]);
         let mut fb = FrameBuf::new(1 << 20);
         let err = fb.fill_from(&mut wire.as_slice()).unwrap_err();
@@ -565,18 +669,19 @@ mod tests {
         let ep = Epoll::new().unwrap();
         ep.add(listener.as_raw_fd(), 7, Interest::READ).unwrap();
 
-        let mut events = Vec::new();
-        // Nothing pending yet: a short wait times out with zero events.
-        let n = ep
-            .wait(&mut events, Some(Duration::from_millis(10)))
-            .unwrap();
-        assert_eq!(n, 0);
+        // Nothing pending yet: a short wait times out with no event.
+        let got = ep.wait(Some(Duration::from_millis(10))).unwrap();
+        assert!(got.is_none());
 
         let client = TcpStream::connect(addr).unwrap();
-        let n = ep.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
-        assert_eq!(n, 1);
-        assert_eq!(events[0].token, 7);
-        assert!(events[0].readable);
+        let ev = ep.wait(Some(Duration::from_secs(5))).unwrap().unwrap();
+        assert_eq!(ev.token, 7);
+        assert!(ev.readable);
+        // One-shot: the pending accept reports no more until re-armed.
+        assert!(ep.wait(Some(Duration::from_millis(10))).unwrap().is_none());
+        ep.modify(listener.as_raw_fd(), 7, Interest::READ).unwrap();
+        let ev = ep.wait(Some(Duration::from_secs(5))).unwrap().unwrap();
+        assert_eq!(ev.token, 7, "re-armed, the pending accept reports again");
 
         let (mut srv, _) = listener.accept().unwrap();
         srv.set_nonblocking(true).unwrap();
@@ -584,18 +689,15 @@ mod tests {
         drop(client); // EOF on the accepted side
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
-            let n = ep
-                .wait(&mut events, Some(Duration::from_millis(100)))
-                .unwrap();
-            if let Some(ev) = events.iter().find(|e| e.token == 9) {
+            let got = ep.wait(Some(Duration::from_millis(100))).unwrap();
+            if let Some(ev) = got.filter(|e| e.token == 9) {
                 assert!(ev.readable, "EOF must surface as readable");
                 let mut buf = [0u8; 8];
                 assert_eq!(srv.read(&mut buf).unwrap(), 0, "read at EOF");
                 break;
             }
-            assert!(Instant::now() < deadline, "no EOF event after {n} events");
+            assert!(Instant::now() < deadline, "no EOF event");
         }
-        ep.remove(srv.as_raw_fd()).unwrap();
     }
 
     #[test]
@@ -613,9 +715,8 @@ mod tests {
             writable: true,
         };
         ep.add(client.as_raw_fd(), 1, write_only).unwrap();
-        let mut events = Vec::new();
-        let n = ep.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
-        assert!(n >= 1 && events[0].writable, "fresh socket is writable");
+        let ev = ep.wait(Some(Duration::from_secs(5))).unwrap();
+        assert!(ev.is_some_and(|e| e.writable), "fresh socket is writable");
 
         // Fill the socket until WouldBlock, then writability must clear.
         let chunk = [0u8; 64 * 1024];
@@ -626,12 +727,11 @@ mod tests {
                 Err(e) => panic!("unexpected write error: {e}"),
             }
         }
-        let n = ep
-            .wait(&mut events, Some(Duration::from_millis(50)))
-            .unwrap();
+        ep.modify(client.as_raw_fd(), 1, write_only).unwrap();
+        let ev = ep.wait(Some(Duration::from_millis(50))).unwrap();
         assert!(
-            !events.iter().any(|e| e.writable),
-            "full socket must not report writable ({n} events)"
+            !ev.is_some_and(|e| e.writable),
+            "full socket must not report writable ({ev:?})"
         );
         drop(srv);
     }
@@ -648,20 +748,34 @@ mod tests {
             w2.wake();
             w2.wake(); // coalesces: still one readable event
         });
-        let mut events = Vec::new();
         let start = Instant::now();
-        let n = ep.wait(&mut events, Some(Duration::from_secs(10))).unwrap();
-        assert_eq!(n, 1);
-        assert_eq!(events[0].token, 42);
+        let ev = ep.wait(Some(Duration::from_secs(10))).unwrap().unwrap();
+        assert_eq!(ev.token, 42);
         assert!(start.elapsed() < Duration::from_secs(5), "wake was prompt");
         // Both wakes have landed before the drain: the second can trail
         // the first by a scheduling quantum and would re-arm the eventfd.
         t.join().unwrap();
         waker.drain();
-        // Drained: no residual readiness.
-        let n = ep
-            .wait(&mut events, Some(Duration::from_millis(10)))
-            .unwrap();
-        assert_eq!(n, 0, "drain must clear the eventfd");
+        // Drained and re-armed: no residual readiness.
+        ep.modify(waker.fd(), 42, Interest::READ).unwrap();
+        let got = ep.wait(Some(Duration::from_millis(10))).unwrap();
+        assert!(got.is_none(), "drain must clear the eventfd");
+    }
+
+    #[test]
+    fn a_timer_reports_once_its_expiry_passes_and_rearming_replaces_it() {
+        let ep = Epoll::new().unwrap();
+        let timer = Timer::new().unwrap();
+        ep.add(timer.fd(), 5, Interest::READ).unwrap();
+        timer.arm(Duration::from_secs(30));
+        assert!(ep.wait(Some(Duration::from_millis(20))).unwrap().is_none());
+        // A later arming replaces the 30 s expiry; a zero wait is at once.
+        timer.arm(Duration::ZERO);
+        let ev = ep.wait(Some(Duration::from_secs(5))).unwrap().unwrap();
+        assert_eq!(ev.token, 5);
+        // Arming again clears the passed expiry: re-armed, the fd is idle.
+        timer.arm(Duration::from_secs(30));
+        ep.modify(timer.fd(), 5, Interest::READ).unwrap();
+        assert!(ep.wait(Some(Duration::from_millis(20))).unwrap().is_none());
     }
 }

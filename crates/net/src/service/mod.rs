@@ -1,6 +1,6 @@
 //! Shared TCP-service plumbing, one file per concern: `time` ([`Clock`],
 //! [`StopSignal`], client socket [`Timeouts`], the bounded
-//! [`RetryPolicy`]); `serve` (the epoll reactor and executor pool behind
+//! [`RetryPolicy`]); `serve` (the worker pool on one epoll set behind
 //! [`serve_with`], and the one periodic tick a service may host,
 //! [`ServiceHandle::tick`], which a [`Nudge`] runs early); `call` (the
 //! client call path — [`call_with`], [`call_batch`], [`call_many`] —

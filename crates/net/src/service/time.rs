@@ -84,7 +84,7 @@ impl Clock {
 /// Socket deadlines for client-side calls, in both directions. The seed
 /// system hard-coded a 10 s read timeout and no write timeout at all; a
 /// stalled peer could wedge a writer forever. (Client side only: the
-/// reactor serve path never blocks on a socket, so it has no use for
+/// serve path never blocks on a socket, so it has no use for
 /// these; a slow *consumer* is bounded by the per-connection write buffer
 /// cap instead.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

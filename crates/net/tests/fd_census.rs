@@ -1,7 +1,7 @@
 //! An FD is its service's threads and nothing else: the pump is a tick on
-//! the service's reactor. This file holds one test and must keep holding
-//! one: the census counts every thread of the process, and a second test
-//! running beside it would be counted too.
+//! the service's epoll set, run by a worker. This file holds one test and
+//! must keep holding one: the census counts every thread of the process,
+//! and a second test running beside it would be counted too.
 
 use faucets_core::daemon::FaucetsDaemon;
 use faucets_core::ids::ClusterId;
@@ -19,8 +19,8 @@ fn threads() -> usize {
         .count()
 }
 
-/// Spawning one FD adds its reactor and its executor pool, and
-/// `shutdown` takes exactly those away again.
+/// Spawning one FD adds its service's workers, no reactor or any other
+/// thread, and `shutdown` takes exactly those away again.
 #[test]
 fn an_fd_adds_its_service_threads_and_shutdown_takes_them_away() {
     // The FS and AppSpector start here, before the census.
@@ -51,8 +51,8 @@ fn an_fd_adds_its_service_threads_and_shutdown_takes_them_away() {
     std::thread::sleep(Duration::from_millis(100));
     assert_eq!(
         threads(),
-        before + ServeOptions::default().workers + 1,
-        "an FD is its reactor and its executors"
+        before + ServeOptions::default().workers,
+        "an FD is its service's workers"
     );
 
     fd.shutdown();

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 /// checks a *fresh* socket out of the pool and the call succeeds.
 #[test]
 fn faulty_frames_poison_the_pooled_socket_and_calls_recover() {
-    // A truncated request parks as a partial frame on the reactor (it
+    // A truncated request parks as a partial frame in the epoll set (it
     // holds no worker); the caller's own read timeout abandons it.
     let h = serve("127.0.0.1:0", "chaos", |_| Response::Ok).unwrap();
 
@@ -85,7 +85,7 @@ fn faulty_frames_poison_the_pooled_socket_and_calls_recover() {
     h.shutdown();
 }
 
-/// Per-call connections from many concurrent clients: the reactor keeps
+/// Per-call connections from many concurrent clients: the service keeps
 /// open connections bounded by twice the live client count (connections are
 /// parked state, not threads, so churn never accumulates handles), the
 /// gauge drains back to zero, and shutdown stays prompt (no poll loop, no
@@ -145,10 +145,10 @@ fn connection_churn_keeps_handles_bounded() {
     });
 
     // Each client runs one call at a time on its own socket, but it closes
-    // that socket and dials the next before the reactor has consumed the
+    // that socket and dials the next before the service has consumed the
     // first one's EOF, so a client can own one open and one closing
     // connection at the same instant: twice the live clients is the bound
-    // the reactor keeps (connections are parked state, bounded by the
+    // the service keeps (connections are parked state, bounded by the
     // sockets that actually exist, not by WORKERS).
     assert!(
         max_open <= (2 * CLIENTS) as f64,
@@ -425,7 +425,7 @@ extern "C" {
 
 /// A burst far larger than the socket buffers against a peer that reads
 /// the next request only once its last reply is written in full, the way
-/// the reactor pauses a connection whose reply backlog is over
+/// the serve path pauses a connection whose reply backlog is over
 /// `ServeOptions::write_buf`. Its buffers are pinned small (the kernel's
 /// defaults grow to tens of megabytes), so it can finish a reply only while
 /// the client reads: a client that wrote its whole burst before reading

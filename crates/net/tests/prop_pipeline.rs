@@ -178,8 +178,8 @@ fn permuted_reply_schedules_match_batch_slots_over_real_sockets() {
                     return Response::Error("unexpected".into());
                 };
                 let n: u64 = user.trim_start_matches('u').parse().unwrap_or(0);
-                // A seed-keyed stall permutes completion order vs arrival
-                // order (requests run concurrently on the executor pool).
+                // A seed-keyed stall spaces the replies out unevenly (one
+                // connection's frames run in order, on one worker).
                 let stall = (n * seed + seed) % 40;
                 std::thread::sleep(Duration::from_millis(stall));
                 Response::Error(format!("u{n}"))

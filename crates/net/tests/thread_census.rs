@@ -19,7 +19,7 @@ fn threads() -> usize {
 /// request is in their hands, which is when a fan-out thread would be alive.
 #[test]
 fn a_call_batch_storm_and_a_call_many_storm_leave_the_thread_count_where_it_was() {
-    // The reactors and their executor pools start here, before the census.
+    // The services and their workers start here, before the census.
     let peak = Arc::new(AtomicUsize::new(0));
     let peers: Vec<ServiceHandle> = (0..4)
         .map(|_| {

@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Number of registry shards; a power of two so the hash masks cheaply.
@@ -494,40 +494,69 @@ impl MetricsSnapshot {
 
 /// A bounded, sharded, append-only log — shared by the span log but kept
 /// here so metrics-only users can also journal events if they need to.
+/// A shard holds its items in fixed-size chunks that [`ShardedLog::clear`]
+/// empties and keeps: a shard never copies a full buffer into a bigger one
+/// (leaving the smaller behind in the allocator), and keeps room for its
+/// fullest moment to the nearest chunk, not the next power of two.
 #[derive(Debug)]
 pub(crate) struct ShardedLog<T> {
-    shards: Vec<Mutex<Vec<T>>>,
+    shards: Vec<Mutex<Shard<T>>>,
+    /// The shard the next item goes to, modulo their count.
+    next: AtomicUsize,
     cap_per_shard: usize,
     dropped: AtomicU64,
 }
 
+/// One shard: `len` items fill its chunks in order.
+#[derive(Debug)]
+struct Shard<T> {
+    chunks: Vec<Vec<T>>,
+    len: usize,
+}
+
+/// Items per chunk of a [`ShardedLog`] shard.
+const LOG_CHUNK: usize = 256;
+
 impl<T: Clone> ShardedLog<T> {
     pub(crate) fn new(shards: usize, cap_per_shard: usize) -> Self {
         ShardedLog {
-            shards: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
+            shards: (0..shards)
+                .map(|_| {
+                    Mutex::new(Shard {
+                        chunks: Vec::new(),
+                        len: 0,
+                    })
+                })
+                .collect(),
+            next: AtomicUsize::new(0),
             cap_per_shard,
             dropped: AtomicU64::new(0),
         }
     }
 
-    /// Append, dropping (and counting) once the shard is full.
+    /// Append to the shards in turn, dropping (and counting) once the
+    /// shard is full. Dealt by arrival, not by thread, the shards stay even
+    /// however few threads record.
     pub(crate) fn push(&self, item: T) {
-        let mut h = DefaultHasher::new();
-        std::thread::current().id().hash(&mut h);
-        let shard = &self.shards[(h.finish() as usize) % self.shards.len()];
-        let mut v = shard.lock();
-        if v.len() >= self.cap_per_shard {
+        let i = self.next.fetch_add(1, Ordering::Relaxed) % self.shards.len();
+        let mut shard = self.shards[i].lock();
+        if shard.len >= self.cap_per_shard {
             self.dropped.fetch_add(1, Ordering::Relaxed);
-        } else {
-            v.push(item);
+            return;
         }
+        let at = shard.len / LOG_CHUNK;
+        if at == shard.chunks.len() {
+            shard.chunks.push(Vec::with_capacity(LOG_CHUNK));
+        }
+        shard.chunks[at].push(item);
+        shard.len += 1;
     }
 
     /// Copy out every retained item.
     pub(crate) fn collect(&self) -> Vec<T> {
         let mut out = Vec::new();
         for s in &self.shards {
-            out.extend(s.lock().iter().cloned());
+            out.extend(s.lock().chunks.iter().flatten().cloned());
         }
         out
     }
@@ -535,7 +564,9 @@ impl<T: Clone> ShardedLog<T> {
     /// Remove all retained items.
     pub(crate) fn clear(&self) {
         for s in &self.shards {
-            s.lock().clear();
+            let mut shard = s.lock();
+            shard.chunks.iter_mut().for_each(Vec::clear);
+            shard.len = 0;
         }
         self.dropped.store(0, Ordering::Relaxed);
     }
