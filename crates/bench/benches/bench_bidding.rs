@@ -5,8 +5,7 @@
 
 use faucets_bench::ns_per_iter;
 use faucets_core::bid::BidRequest;
-use faucets_core::daemon::FaucetsDaemon;
-use faucets_core::ids::{ClusterId, ContractId, JobId, UserId};
+use faucets_core::ids::{ContractId, JobId, UserId};
 use faucets_core::job::JobSpec;
 use faucets_core::market::{
     Baseline, BidStrategy, ClusterView, DeadlineAware, MarketInfo, UtilizationInterpolated,
@@ -14,10 +13,7 @@ use faucets_core::market::{
 };
 use faucets_core::money::Money;
 use faucets_core::qos::QosBuilder;
-use faucets_sched::adaptive::ResizeCostModel;
-use faucets_sched::cluster::Cluster;
-use faucets_sched::equipartition::Equipartition;
-use faucets_sched::machine::MachineSpec;
+use faucets_grid::prelude::{JobMix, Node, ScenarioBuilder};
 use faucets_sim::time::SimTime;
 
 fn request(i: u64) -> BidRequest {
@@ -60,33 +56,33 @@ fn bench_strategies() {
     }
 }
 
-fn loaded_cluster(jobs: usize) -> Cluster {
-    let mut cluster = Cluster::new(
-        MachineSpec::commodity(ClusterId(1), "bench", 4096),
-        Box::new(Equipartition),
-        ResizeCostModel::default(),
-    );
+/// The bid path's Compute Server: 4096 PEs under equipartition bidding
+/// util-interp on `namd`, running `jobs` adaptive jobs.
+fn loaded_node(jobs: usize) -> Node {
+    let mix = JobMix {
+        apps: vec!["namd".into()],
+        ..JobMix::default()
+    };
+    let scenario = ScenarioBuilder::new(1).cluster(4096, "equipartition", "util-interp");
+    let mut node = scenario.mix(mix).node(0);
     for i in 0..jobs {
         let qos = QosBuilder::new("namd", 1, 16, 1e6)
             .adaptive()
             .build()
             .unwrap();
         let spec = JobSpec::new(JobId(i as u64), UserId(1), qos, SimTime::ZERO).unwrap();
-        cluster.submit_job(spec, ContractId(i as u64), Money::ZERO, SimTime::ZERO);
+        let (contract, cluster) = (ContractId(i as u64), &mut node.cluster);
+        cluster.submit_job(spec, contract, Money::ZERO, SimTime::ZERO);
     }
-    cluster
+    node
 }
 
 fn bench_daemon_bid_path() {
     for running in [8usize, 64, 256] {
-        let mut cluster = loaded_cluster(running);
-        let machine_info = cluster.machine.server_info("10.0.0.1", 9000);
-        let mut daemon = FaucetsDaemon::new(
-            machine_info,
-            ["namd".to_string()],
-            Box::new(UtilizationInterpolated::default()),
-            Money::from_units_f64(0.01),
-        );
+        let Node {
+            mut daemon,
+            mut cluster,
+        } = loaded_node(running);
         let market = MarketInfo::default();
         let mut i = 0u64;
         ns_per_iter(&format!("daemon_bid_path/probe+price/{running}"), || {

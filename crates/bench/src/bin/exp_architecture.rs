@@ -13,8 +13,8 @@ use faucets_net::prelude::*;
 fn main() -> ExitCode {
     let mut report = Report::new("E1", "architecture");
     let jobs_per_client: usize = report.flag("jobs", 4);
-    let grid = figure1_scenario(&Clock::new(3_000.0), jobs_per_client);
-    let (fs, aspect, fds) = (&grid.fs, &grid.aspect, &grid.fds);
+    let (grid, _clients) = figure1_scenario(&Clock::new(3_000.0), jobs_per_client);
+    let (fs, aspect, fds) = (&grid.fs, &grid.appspector, &grid.fds);
     let mut table = Table::new(
         "E1: Figure-1 components, live on localhost",
         &["component", "address", "traffic"],
@@ -58,7 +58,7 @@ fn main() -> ExitCode {
         "All {total} jobs ran to completion through authenticate → match →\n\
          bid → award → stage → execute → monitor → download, over real TCP."
     );
-    report.gate("jobs_completed", total, Bound::eq(grid.placed));
+    report.gate("jobs_completed", total, Bound::eq(2 * jobs_per_client));
     // Every confirmed job reached AppSpector, however its pump rounds went.
     report.gate("jobs_monitored", aspect.job_count(), Bound::eq(total));
     for fd in grid.fds {

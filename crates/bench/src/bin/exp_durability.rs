@@ -23,7 +23,8 @@
 //! `--jobs`, `--transfers`, `--records` resize the run.
 
 use faucets_bench::{
-    kill_and_recover, probe_record, scratch, spawn_daemon, Bound, ExitCode, GridTarget, Report,
+    commodity, kill_and_recover, probe_record, scratch, spawn_cluster, Bound, ExitCode, GridTarget,
+    Report,
 };
 use faucets_core::accounting::{AccountId, DurableLedger};
 use faucets_core::ids::{ClusterId, UserId};
@@ -53,7 +54,7 @@ fn fs_kill_restart(r: &mut Report) {
     let aspect = spawn_appspector("127.0.0.1:0", addr, 8).expect("AS");
     let at = GridTarget::single(addr, aspect.service.addr, clock.clone());
     // A daemon registers (acknowledged = journaled), then dies with the FS.
-    let fd = spawn_daemon(1, "turing", &at, FdOptions::default());
+    let fd = spawn_cluster(&commodity(72, 1), 0, &at, FdOptions::default()).expect("FD");
     let listed = |fs: &FsHandle| fs.state.lock().directory.get(ClusterId(1)).is_some();
     r.check("fs.registered", listed(&fs));
     fd.kill();

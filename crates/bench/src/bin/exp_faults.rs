@@ -16,7 +16,7 @@
 //! contracts die with their daemons. The same `--seed` reproduces the
 //! same fault schedule byte-for-byte (checked and printed).
 
-use faucets_bench::{qos_for, register, spawn_cs, ExitCode, GridTarget, Report};
+use faucets_bench::{grid_of, qos_for, register, spawn_cluster, ExitCode, GridTarget, Report};
 use faucets_core::money::Money;
 use faucets_grid::prelude::*;
 use faucets_net::fd::{FdHandle, FdOptions};
@@ -57,14 +57,14 @@ fn run_arm(
     std::fs::create_dir_all(&scratch).expect("scratch dir");
     // With recovery a daemon journals its contracts and replays them on
     // restart; without, it comes back empty-handed (the seed behaviour).
+    let clusters = [(64, "baseline"), (128, "baseline"), (256, "baseline")];
+    let scenario = grid_of(seed, &clusters, &["namd", "cfd"]);
     let spawn = |i: usize| -> FdHandle {
         let opts = FdOptions {
             store: recovery.then(|| scratch.join(format!("fd{i}"))),
             ..FdOptions::default()
         };
-        let (id, pes, apps) = (i as u64 + 1, [64, 128, 256][i % 3], ["namd", "cfd"]);
-        let name = format!("cs{id}");
-        spawn_cs(id, &name, pes, &apps, "baseline", &at, opts)
+        spawn_cluster(&scenario, i, &at, opts).expect("FD")
     };
     let mut fds: Vec<Option<FdHandle>> = (0..DAEMONS).map(|i| Some(spawn(i))).collect();
 

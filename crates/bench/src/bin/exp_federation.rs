@@ -27,29 +27,29 @@
 //! `--arm-ms`, `--workers`, and `--fds` resize it.
 
 use faucets_bench::{
-    load_fields, poisson_class, run_load, schedule_for, spawn_daemon, Bound, ExitCode, Report,
+    commodity, load_fields, poisson_class, run_load, schedule_for, spawn_cluster, Bound, ExitCode,
+    Report,
 };
 use faucets_core::qos::{QosBuilder, QosContract};
 use faucets_load::prelude::*;
 use faucets_net::fd::{FdHandle, FdOptions};
 use faucets_net::federation::FederationOptions;
 use faucets_net::fs::{spawn_fs_durable, FsHandle, FsOptions};
-use faucets_net::prelude::{spawn_appspector, Clock, FaucetsClient, RetryPolicy};
-use std::net::SocketAddr;
+use faucets_net::prelude::{spawn_appspector, AsHandle, Clock, FaucetsClient, RetryPolicy};
 use std::time::Duration;
 
 const SPEEDUP: f64 = 600.0;
 
-/// Spawn a `k`-shard federation (all joined through shard 0) and wait for
-/// full-mesh membership convergence. Each shard's client-facing query
-/// capacity is capped at `shard_qps`.
+/// Spawn a `k`-shard federation (all joined through shard 0) and an
+/// AppSpector, and wait for full-mesh membership convergence. Each shard's
+/// client-facing query capacity is capped at `shard_qps`.
 fn spawn_federation(
     r: &mut Report,
     k: usize,
     arm: &str,
     clock: &Clock,
     shard_qps: f64,
-) -> Vec<FsHandle> {
+) -> (Vec<FsHandle>, AsHandle, GridTarget) {
     let shards: Vec<FsHandle> = (0..k)
         .map(|i| {
             let opts = FsOptions {
@@ -71,32 +71,37 @@ fn spawn_federation(
     r.wait(&format!("every {arm} shard to see all {k}"), || {
         shards.iter().all(|s| fed(s).alive_members().len() == k)
     });
-    shards
+    let aspect = spawn_appspector("127.0.0.1:0", shards[0].service.addr, 32).expect("AS");
+    let target = GridTarget {
+        fs: shards.iter().map(|s| s.service.addr).collect(),
+        appspector: aspect.service.addr,
+        clock: clock.clone(),
+    };
+    (shards, aspect, target)
 }
 
-/// `fds` 64-PE commodity FDs, each homed round-robin across the shards
-/// with the remaining shards as its heartbeat-failover fallbacks; waits
-/// until every registration has landed on its owning shard.
+/// `fds` 64-PE commodity FDs of the federation `at` names: FD `i` is homed
+/// at shard `(i + 1) mod k` with the rest as its heartbeat-failover
+/// fallbacks (`at`'s round-robin for worker `i + 1`). Waits until every
+/// registration has landed on its owning shard.
 fn spawn_daemons(
     r: &mut Report,
-    fds: u64,
+    fds: usize,
     arm: &str,
     shards: &[FsHandle],
-    aspect: SocketAddr,
-    clock: &Clock,
+    at: &GridTarget,
 ) -> Vec<FdHandle> {
-    let handles = (1..=fds)
-        .map(|id| {
-            let home = id as usize % shards.len();
-            let fs_fallbacks = (1..shards.len())
-                .map(|j| shards[(home + j) % shards.len()].service.addr)
-                .collect();
-            let at = GridTarget::single(shards[home].service.addr, aspect, clock.clone());
+    // The shards are the grid's Central Servers: the scenario's seed seeds
+    // none of them.
+    let scenario = commodity(0, fds);
+    let handles = (0..fds)
+        .map(|i| {
+            let home = GridTarget::single(at.fs_for(i + 1), at.appspector, at.clock.clone());
             let opts = FdOptions {
-                fs_fallbacks,
+                fs_fallbacks: at.fallbacks_for(i + 1),
                 ..FdOptions::default()
             };
-            spawn_daemon(id, &format!("{arm}-cs{id}"), &at, opts)
+            spawn_cluster(&scenario, i, &home, opts).expect("FD")
         })
         .collect();
     r.wait(
@@ -107,11 +112,8 @@ fn spawn_daemons(
 }
 
 /// Directory rows across the shards.
-fn registered(shards: &[FsHandle]) -> u64 {
-    shards
-        .iter()
-        .map(|s| s.state.lock().directory.len() as u64)
-        .sum()
+fn registered(shards: &[FsHandle]) -> usize {
+    shards.iter().map(|s| s.state.lock().directory.len()).sum()
 }
 
 fn qos() -> QosContract {
@@ -127,7 +129,7 @@ fn main() -> ExitCode {
     let drain_ms = report.flag("drain-ms", if smoke { 5_000u64 } else { 8_000 });
     let workers = report.flag("workers", if smoke { 48usize } else { 96 });
     let watchers = report.flag("watchers", if smoke { 4usize } else { 8 });
-    let fds = report.flag("fds", if smoke { 4u64 } else { 8 });
+    let fds = report.flag("fds", if smoke { 4usize } else { 8 });
     let users = report.flag("users", 2_000u32);
     report.knob("speedup", SPEEDUP);
     let shard_counts: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4] };
@@ -142,16 +144,8 @@ fn main() -> ExitCode {
     let mut submitted = vec![];
     for (i, &k) in shard_counts.iter().enumerate() {
         let arm = format!("e26l{i}");
-        let shards = spawn_federation(&mut report, k, &arm, &clock, shard_qps);
-        let aspect = spawn_appspector("127.0.0.1:0", shards[0].service.addr, 32).expect("AS");
-        let as_addr = aspect.service.addr;
-        let _fds = spawn_daemons(&mut report, fds, &arm, &shards, as_addr, &clock);
-
-        let target = GridTarget {
-            fs: shards.iter().map(|s| s.service.addr).collect(),
-            appspector: as_addr,
-            clock: clock.clone(),
-        };
+        let (shards, _aspect, target) = spawn_federation(&mut report, k, &arm, &clock, shard_qps);
+        let _fds = spawn_daemons(&mut report, fds, &arm, &shards, &target);
         let sched = schedule_for(
             2_600 + i as u64,
             users,
@@ -191,17 +185,17 @@ fn main() -> ExitCode {
 
     // Phase 2: shard-kill chaos. Generous query cap — this phase tests
     // routing and durability, not capacity.
-    let mut shards = spawn_federation(&mut report, kmax, "e26x", &clock, 10_000.0);
-    let aspect = spawn_appspector("127.0.0.1:0", shards[0].service.addr, 32).expect("AS");
-    let as_addr = aspect.service.addr;
-    let fd_handles = spawn_daemons(&mut report, fds, "e26x", &shards, as_addr, &clock);
+    let (mut shards, _aspect, target) =
+        spawn_federation(&mut report, kmax, "e26x", &clock, 10_000.0);
+    let fd_handles = spawn_daemons(&mut report, fds, "e26x", &shards, &target);
 
     // The client is homed at the shard we are about to kill; every other
     // shard is its failover list.
     let doomed_idx = if kmax > 1 { 1 } else { 0 };
     let home = shards[doomed_idx].service.addr;
-    let mut client = FaucetsClient::register(home, as_addr, clock.clone(), "e26-chaos", "pw")
-        .expect("chaos client");
+    let mut client =
+        FaucetsClient::register(home, target.appspector, clock.clone(), "e26-chaos", "pw")
+            .expect("chaos client");
     client.fs_fallbacks = shards
         .iter()
         .map(|s| s.service.addr)
@@ -225,6 +219,9 @@ fn main() -> ExitCode {
         "\nE26: killing shard {} with {batch} acked awards in flight",
         fed(&doomed).name()
     );
+    // FDs are named by cluster across the arms: count this kill's failovers
+    // from here.
+    let before = faucets_telemetry::global().snapshot();
     drop(doomed);
 
     if !shards.is_empty() {
@@ -250,12 +247,11 @@ fn main() -> ExitCode {
         "FDs homed at the dead shard to rotate to a survivor",
         || {
             let snap = faucets_telemetry::global().snapshot();
-            (1..=fds)
-                .filter(|id| *id as usize % kmax == doomed_idx)
-                .all(|id| {
-                    let name = format!("e26x-cs{id}");
-                    snap.counter_sum("fd_fs_failovers_total", &[("cluster", &name)]) >= 1
-                })
+            (1..=fds).filter(|id| id % kmax == doomed_idx).all(|id| {
+                let (name, counter) = (format!("cs{id}"), "fd_fs_failovers_total");
+                let labels = [("cluster", name.as_str())];
+                snap.counter_sum(counter, &labels) > before.counter_sum(counter, &labels)
+            })
         },
     );
 

@@ -23,13 +23,13 @@
 //! shape).
 
 use faucets_bench::{
-    load_fields, poisson_class, run_load, schedule_for, spawn_daemon, Bound, ExitCode, Report,
+    commodity, load_fields, poisson_class, run_load, schedule_for, Bound, ExitCode, Report,
 };
 use faucets_grid::prelude::Table;
 use faucets_grid::workload::{ArrivalProcess, JobMix};
 use faucets_load::prelude::*;
-use faucets_net::fd::{FdHandle, FdOptions};
-use faucets_net::prelude::{spawn_appspector, spawn_fs, Clock};
+use faucets_net::fd::FdOptions;
+use faucets_net::prelude::Clock;
 use faucets_sim::dist::{LogNormal, UniformDist};
 use faucets_sim::time::SimDuration;
 use std::time::Duration;
@@ -74,18 +74,16 @@ fn main() -> ExitCode {
     let ladder_ms = report.flag("ladder-ms", if smoke { 2_500u64 } else { 4_000 });
     let workers = report.flag("workers", 64usize);
     let watchers = report.flag("watchers", 8usize);
-    let fds = report.flag("fds", 4u64);
+    let fds = report.flag("fds", 4usize);
     let drain_ms = report.flag("drain-ms", 15_000u64);
     report.knob("speedup", SPEEDUP);
     println!("E25 — open-loop load harness against a live FS/FD/AppSpector grid\n");
 
-    let clock = Clock::new(SPEEDUP);
-    let fs = spawn_fs("127.0.0.1:0", clock.clone(), 125).expect("FS");
-    let aspect = spawn_appspector("127.0.0.1:0", fs.service.addr, 32).expect("AS");
-    let target = GridTarget::single(fs.service.addr, aspect.service.addr, clock.clone());
-    let _fds: Vec<FdHandle> = (1..=fds)
-        .map(|i| spawn_daemon(i, "turing", &target, FdOptions::default()))
-        .collect();
+    let grid = launch(&commodity(125, fds), Clock::new(SPEEDUP), |_| {
+        FdOptions::default()
+    });
+    let grid = grid.expect("grid");
+    let target = &grid.target;
     // Distinct account prefixes per arm keep client-assigned job ids
     // grid-unique.
     let opts = |prefix: String| GridRunOptions {
@@ -99,7 +97,7 @@ fn main() -> ExitCode {
     // Phase 1: the goodput-vs-offered-load ladder.
     for (i, mult) in [0.5, 1.0, 2.0].into_iter().enumerate() {
         let sched = two_class_schedule(200 + i as u64, users, rate * mult, ladder_ms);
-        let rep = run_load(&sched, &target, &opts(format!("e25a{i}-w")), Duration::ZERO);
+        let rep = run_load(&sched, target, &opts(format!("e25a{i}-w")), Duration::ZERO);
         let level = format!("ladder.x{mult}");
         report.metrics(&level, &load_fields(&rep));
         if mult == 1.0 {
@@ -115,7 +113,7 @@ fn main() -> ExitCode {
     let sched = two_class_schedule(300, users, rate, soak_ms);
     let soak = run_load(
         &sched,
-        &target,
+        target,
         &opts("e25s-w".into()),
         Duration::from_secs(2),
     );

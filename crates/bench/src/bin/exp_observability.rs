@@ -152,11 +152,9 @@ fn main() -> ExitCode {
     let clock = Clock::new(3_000.0);
 
     // ---- 1. The E1 live stack, telemetry on. -------------------------
-    let mut grid = figure1_scenario(&clock, jobs_per_client);
-    let (fs, aspect) = (grid.fs.service.addr, grid.aspect.service.addr);
-    let awarded_trace = grid.clients[0]
-        .last_trace
-        .expect("submit recorded its trace");
+    let (grid, mut clients) = figure1_scenario(&clock, jobs_per_client);
+    let (fs, aspect) = (grid.fs.service.addr, grid.appspector.service.addr);
+    let awarded_trace = clients[0].last_trace.expect("submit recorded its trace");
 
     // ---- 2. Every Figure-1 arrow has a nonzero counter. --------------
     // One arrow: requests of `endpoint` served by `service`, read back
@@ -221,7 +219,7 @@ fn main() -> ExitCode {
     print!("{}", trace::render_trace(awarded_trace));
 
     // ---- 4. The grid dashboard. --------------------------------------
-    let view = grid.clients[0].grid_view().expect("grid view");
+    let view = clients[0].grid_view().expect("grid view");
     // All three clusters, and the FS + FDs + AS snapshots aggregated.
     report.gate("dashboard.clusters", view.clusters.len(), Bound::eq(3));
     report.gate("dashboard.services", view.services.len(), Bound::ge(2));
@@ -257,7 +255,7 @@ fn main() -> ExitCode {
         backoffs,
     );
 
-    drop(grid.clients);
+    drop(clients);
     for fd in grid.fds {
         fd.shutdown();
     }

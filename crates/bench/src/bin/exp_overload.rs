@@ -19,7 +19,7 @@
 //!
 //! `--arm-ms` and `--workers` resize the run.
 
-use faucets_bench::{closed_loop, spawn_daemon, ArmResult, Bound, ExitCode, GridTarget, Report};
+use faucets_bench::{closed_loop, commodity, launch, register, ArmResult, Bound, ExitCode, Report};
 use faucets_core::auth::SessionToken;
 use faucets_core::bid::BidRequest;
 use faucets_core::ids::{JobId, UserId};
@@ -148,9 +148,6 @@ fn main() -> ExitCode {
     println!("E22 — overload protection: admission, deadlines, payoff-aware shedding\n");
 
     let clock = Clock::new(600.0);
-    let fs = spawn_fs("127.0.0.1:0", clock.clone(), 81).expect("FS");
-    let aspect = spawn_appspector("127.0.0.1:0", fs.service.addr, 32).expect("AS");
-    let at = GridTarget::single(fs.service.addr, aspect.service.addr, clock.clone());
     let gated = FdOptions {
         bid_gate: GateConfig {
             max_inflight: GATE_SLOTS,
@@ -159,20 +156,11 @@ fn main() -> ExitCode {
         bid_probe_floor: PROBE_FLOOR,
         ..FdOptions::default()
     };
-    let fd = spawn_daemon(1, "turing", &at, gated);
+    let mut grid = launch(&commodity(81, 1), clock.clone(), |_| gated.clone()).expect("grid");
+    let (fs, fd) = (&grid.fs, grid.fds.remove(0));
 
-    let login = |req| call(fs.service.addr, &req).expect("FS call");
-    login(Request::CreateUser {
-        user: "storm".into(),
-        password: "pw".into(),
-    });
-    let session = login(Request::Login {
-        user: "storm".into(),
-        password: "pw".into(),
-    });
-    let Response::Session { user, token } = session else {
-        panic!("expected session, got {session:?}");
-    };
+    let storm = register(&grid.target, "storm");
+    let (user, token) = (storm.user, storm.token.clone());
 
     // Phase 1+2: the load ladder; its last arm is the overload arm.
     let mut peak = 0.0f64;
@@ -210,7 +198,7 @@ fn main() -> ExitCode {
     let queue_peak = snap.gauge_max("fd_bid_queue_peak", &[]);
     report.gate("bid_gate.queue_peak", queue_peak, Bound::ge(1));
 
-    fs_throttle_demo(&mut report, &fs, &token);
+    fs_throttle_demo(&mut report, fs, &token);
 
     fd.shutdown();
     report.finish()

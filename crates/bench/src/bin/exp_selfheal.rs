@@ -25,8 +25,8 @@
 //! schedule exactly; `--smoke` shrinks the storm for CI.
 
 use faucets_bench::{
-    follower_daemon, journaled, kill_and_recover, load_fields, poisson_class, qos_for, register,
-    run_load, schedule_for, scratch, spawn_daemon, Bound, ExitCode, Report,
+    commodity, follower_daemon, journaled, kill_and_recover, launch, load_fields, poisson_class,
+    qos_for, register, run_load, schedule_for, scratch, spawn_cluster, Bound, ExitCode, Report,
 };
 use faucets_grid::prelude::Table;
 use faucets_load::prelude::*;
@@ -66,23 +66,19 @@ fn main() -> ExitCode {
     let mttr_bound = Duration::from_secs_f64(10.0 * baseline.max(0.05));
 
     // ---- Phase 2: the nemesis storm against a sentinel-guarded grid ----
-    const SVC: &str = "fd-cs-9";
-    let clock = Clock::new(SPEEDUP);
-    let fs = spawn_fs("127.0.0.1:0", clock.clone(), 272).expect("FS");
-    let aspect = spawn_appspector("127.0.0.1:0", fs.service.addr, 32).expect("AS");
-    let target = GridTarget::single(fs.service.addr, aspect.service.addr, clock.clone());
+    // The storm's FD is cluster 1, as the baseline's was: its service's
+    // counters are read as deltas from here.
+    const SVC: &str = "fd-cs-1";
+    let before = faucets_telemetry::global().snapshot();
+    let (scenario, clock) = (commodity(272, 1), Clock::new(SPEEDUP));
     let follower_dir = scratch("e27", "storm-follower");
     let follower = follower_daemon(SVC, follower_dir.clone());
     let follower_addr = follower.addr;
-
-    let spawn = {
-        let at = target.clone();
-        move |opts| spawn_daemon(9, "turing", &at, opts)
-    };
-    let fd = spawn(journaled(
-        scratch("e27", "storm-primary"),
-        Some(follower_addr),
-    ));
+    let primary = |_| journaled(scratch("e27", "storm-primary"), Some(follower_addr));
+    let mut grid = launch(&scenario, clock.clone(), primary).expect("grid");
+    let (target, fd) = (grid.target.clone(), grid.fds.remove(0));
+    let at = target.clone();
+    let spawn = move |opts| spawn_cluster(&scenario, 0, &at, opts).expect("FD");
 
     // The promote callback is the sentinel's only "operator": respawn the
     // FD on the released, promotion-prepared journal. Re-registration
@@ -261,7 +257,10 @@ fn main() -> ExitCode {
     report.metrics("load", &load_fields(&load));
     report.gate("load.completed", load.completed, Bound::gt(0));
     let snap = faucets_telemetry::global().snapshot();
-    let counter = |name| snap.counter_sum(name, &[("service", SVC)]);
+    let counter = |name| {
+        let labels = [("service", SVC)];
+        snap.counter_sum(name, &labels) - before.counter_sum(name, &labels)
+    };
     let probes = counter("sentinel_probes_total");
     report.gate("sentinel.probes", probes, Bound::gt(0));
     let aborted = counter("sentinel_aborted_elections_total");

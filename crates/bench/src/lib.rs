@@ -3,22 +3,24 @@
 //! Each `src/bin/exp_*.rs` binary regenerates one experiment from
 //! EXPERIMENTS.md; this library holds what they share — the one report
 //! writer ([`report`]), flag parsing, the standard job mixes, the
-//! closed-loop arm driver, and the live-grid fixtures (a Compute Server, a
-//! follower, the Figure-1 scenario, the kill-and-recover procedure, a
-//! contract, an arrival schedule, a load run) — so the binaries stay
-//! declarative.
+//! closed-loop arm driver, and the live-grid fixtures — so the binaries
+//! stay declarative. A live grid is a [`ScenarioBuilder`] ([`grid_of`],
+//! [`commodity`]), as a simulation is, started by [`launch`] or cluster by
+//! cluster by [`spawn_cluster`]; beside it are a follower, the Figure-1
+//! scenario, the kill-and-recover procedure, a contract, an arrival
+//! schedule and a load run.
 
 pub mod report;
-/// Where a Compute Server or a client joins a live grid: its Central
-/// Server(s), its AppSpector and its clock.
-pub use faucets_load::prelude::GridTarget;
+/// Where a Compute Server or a client joins a live grid (its Central
+/// Server(s), its AppSpector and its clock), and a scenario's grid
+/// launched live, whole or one cluster at a time.
+pub use faucets_load::grid::{launch, spawn_cluster, GridTarget, LiveGrid};
 pub use report::{Bound, Report};
 /// What every experiment's `main` returns: [`Report::finish`].
 pub use std::process::ExitCode;
 
 use faucets_core::auth::SessionToken;
-use faucets_core::daemon::FaucetsDaemon;
-use faucets_core::ids::{ClusterId, UserId};
+use faucets_core::ids::UserId;
 use faucets_core::market::SelectionPolicy;
 use faucets_core::money::Money;
 use faucets_core::qos::{PayoffFn, QosBuilder, QosContract};
@@ -29,14 +31,10 @@ use faucets_load::prelude::{
     ScheduleConfig,
 };
 use faucets_net::prelude::{
-    call_batch, call_with, serve_with, spawn_appspector, spawn_fd_with, spawn_fs, spawn_replica,
-    AsHandle, CallOptions, Clock, FaucetsClient, FdHandle, FdOptions, FsHandle, ReplicaHandle,
-    ReplicaOptions, ReplicationConfig, Request, Response, RetryPolicy, ServeOptions, ServiceHandle,
+    call_batch, call_with, serve_with, spawn_replica, CallOptions, Clock, FaucetsClient, FdOptions,
+    ReplicaHandle, ReplicaOptions, ReplicationConfig, Request, Response, RetryPolicy, ServeOptions,
+    ServiceHandle,
 };
-use faucets_sched::adaptive::ResizeCostModel;
-use faucets_sched::cluster::Cluster;
-use faucets_sched::equipartition::Equipartition;
-use faucets_sched::machine::MachineSpec;
 use faucets_sim::dist::{LogNormal, UniformDist};
 use faucets_sim::time::SimDuration;
 use faucets_store::{pick_primary, prepare_promotion};
@@ -144,34 +142,24 @@ pub fn scratch(exp: &str, name: &str) -> PathBuf {
     dir
 }
 
-/// One commodity Compute Server of `pes` processors as cluster `id`,
-/// running `apps` under the named bid strategy at $0.01 per CPU-second
-/// with equipartition scheduling, on a free loopback port. It joins the
-/// grid `at` its (first) Central Server, its AppSpector and its clock.
-pub fn spawn_cs(
-    id: u64,
-    name: &str,
-    pes: u32,
-    apps: &[&str],
-    strategy: &str,
-    at: &GridTarget,
-    opts: FdOptions,
-) -> FdHandle {
-    let machine = MachineSpec::commodity(ClusterId(id), name, pes);
-    let daemon = FaucetsDaemon::new(
-        machine.server_info("127.0.0.1", 0),
-        apps.iter().map(|a| a.to_string()),
-        faucets_grid::scenario::strategy_by_name(strategy),
-        Money::from_units_f64(0.01),
-    );
-    let cluster = Cluster::new(machine, Box::new(Equipartition), ResizeCostModel::default());
-    let (fs, aspect, clock) = (at.fs[0], at.appspector, at.clock.clone());
-    spawn_fd_with("127.0.0.1:0", daemon, cluster, fs, aspect, clock, opts).expect("FD")
+/// A grid of Compute Servers under equipartition at $0.01 per CPU-second,
+/// one per `(processors, bid strategy)` pair, each running `apps`; `seed`
+/// seeds its Central Server when [`launch`]ed.
+pub fn grid_of(seed: u64, clusters: &[(u32, &str)], apps: &[&str]) -> ScenarioBuilder {
+    let mix = JobMix {
+        apps: apps.iter().map(|a| a.to_string()).collect(),
+        ..JobMix::default()
+    };
+    let scenario = ScenarioBuilder::new(seed).mix(mix);
+    clusters.iter().fold(scenario, |s, &(pes, strategy)| {
+        s.cluster(pes, "equipartition", strategy)
+    })
 }
 
-/// [`spawn_cs`] at its most common shape: 64 PEs, `namd`, baseline bids.
-pub fn spawn_daemon(id: u64, name: &str, at: &GridTarget, opts: FdOptions) -> FdHandle {
-    spawn_cs(id, name, 64, &["namd"], "baseline", at, opts)
+/// [`grid_of`] `n` of the live experiments' usual Compute Server: 64 PEs,
+/// `namd`, baseline bids.
+pub fn commodity(seed: u64, n: usize) -> ScenarioBuilder {
+    grid_of(seed, &vec![(64, "baseline"); n], &["namd"])
 }
 
 /// A client logged in `at` the grid's (first) Central Server as `name`.
@@ -236,39 +224,16 @@ pub fn poisson_class(name: &str, rate_per_sec: f64, speedup: f64) -> ClassSpec {
     }
 }
 
-/// The Figure-1 grid, live on loopback, after E1's scenario has run.
-pub struct Figure1 {
-    /// The Central Server.
-    pub fs: FsHandle,
-    /// The AppSpector.
-    pub aspect: AsHandle,
-    /// Three Compute Servers: 128 PEs baseline, 256 util-interp, 512
-    /// baseline, all running `namd` and `cfd`.
-    pub fds: Vec<FdHandle>,
-    /// Two logged-in clients, `user0` and `user1`.
-    pub clients: Vec<FaucetsClient>,
-    /// Jobs placed (and completed) by the scenario.
-    pub placed: usize,
-}
-
-/// E1's scenario (E20 replays it with telemetry on): boot the Figure-1
-/// services, have each of two clients place `jobs_per_client` contracts
+/// E1's scenario (E20 replays it with telemetry on): launch the Figure-1
+/// grid — Compute Servers of 128, 256 and 512 PEs bidding baseline,
+/// util-interp and baseline, all running `namd` and `cfd` — and have two
+/// clients, `user0` and `user1`, each place `jobs_per_client` contracts
 /// with an input file, wait for every completion and download the output.
-pub fn figure1_scenario(clock: &Clock, jobs_per_client: usize) -> Figure1 {
-    let fs = spawn_fs("127.0.0.1:0", clock.clone(), 1).expect("FS");
-    let aspect = spawn_appspector("127.0.0.1:0", fs.service.addr, 64).expect("AppSpector");
-    let at = GridTarget::single(fs.service.addr, aspect.service.addr, clock.clone());
-    let fds = [
-        (1, 128, "baseline"),
-        (2, 256, "util-interp"),
-        (3, 512, "baseline"),
-    ]
-    .map(|(i, pes, strategy)| {
-        let (name, apps) = (format!("cs{i}"), ["namd", "cfd"]);
-        spawn_cs(i, &name, pes, &apps, strategy, &at, FdOptions::default())
-    })
-    .into();
-    let mut clients = vec![register(&at, "user0"), register(&at, "user1")];
+pub fn figure1_scenario(clock: &Clock, jobs_per_client: usize) -> (LiveGrid, [FaucetsClient; 2]) {
+    let clusters = [(128, "baseline"), (256, "util-interp"), (512, "baseline")];
+    let scenario = grid_of(1, &clusters, &["namd", "cfd"]);
+    let grid = launch(&scenario, clock.clone(), |_| FdOptions::default()).expect("grid");
+    let mut clients = ["user0", "user1"].map(|user| register(&grid.target, user));
     for c in clients.iter_mut() {
         let placed: Vec<_> = (0..jobs_per_client)
             .map(|j| {
@@ -285,13 +250,7 @@ pub fn figure1_scenario(clock: &Clock, jobs_per_client: usize) -> Figure1 {
             c.download(sub.job, "output.dat").expect("output downloads");
         }
     }
-    Figure1 {
-        fs,
-        aspect,
-        fds,
-        clients,
-        placed: 2 * jobs_per_client,
-    }
+    (grid, clients)
 }
 
 /// Options of a journaling FD: its store directory and, for a primary, the
@@ -324,16 +283,14 @@ pub fn kill_and_recover(
     replicated: bool,
 ) -> f64 {
     const SVC: &str = "fd-cs-1";
-    let clock = Clock::new(speedup);
-    let fs = spawn_fs("127.0.0.1:0", clock.clone(), 71).expect("FS");
-    let aspect = spawn_appspector("127.0.0.1:0", fs.service.addr, 16).expect("AS");
-    let at = GridTarget::single(fs.service.addr, aspect.service.addr, clock.clone());
-    let spawn = |opts| spawn_daemon(1, "turing", &at, opts);
+    let (scenario, clock) = (commodity(71, 1), Clock::new(speedup));
     let follower = replicated.then(|| follower_daemon(SVC, scratch(exp, "recovery-follower")));
     let store = scratch(exp, "recovery-primary");
-    let fd = spawn(journaled(store.clone(), follower.as_ref().map(|f| f.addr)));
+    let primary = |_| journaled(store.clone(), follower.as_ref().map(|f| f.addr));
+    let mut grid = launch(&scenario, clock.clone(), primary).expect("grid");
+    let (at, fd) = (&grid.target, grid.fds.remove(0));
 
-    let mut client = register(&at, "operator");
+    let mut client = register(at, "operator");
     client.retry = RetryPolicy::standard(24);
     let submit = |client: &mut FaucetsClient, tag: u8| {
         let files = [("in.dat".into(), vec![tag; 32])];
@@ -359,7 +316,7 @@ pub fn kill_and_recover(
             promoted
         }
     };
-    let fd2 = spawn(journaled(journal, None));
+    let fd2 = spawn_cluster(&scenario, 0, at, journaled(journal, None)).expect("FD");
     let restored = fd2.active_contracts();
     let mttr_s = t0.elapsed().as_secs_f64();
 

@@ -57,7 +57,9 @@ pub struct ClusterConfig {
     pub normalized_cost: Money,
 }
 
-/// Builder for a grid scenario.
+/// Builder for a grid scenario: the one description a simulation is
+/// [built](ScenarioBuilder::build) from and a live grid launched from.
+#[derive(Clone)]
 pub struct ScenarioBuilder {
     seed: u64,
     clusters: Vec<ClusterConfig>,
@@ -116,14 +118,8 @@ impl ScenarioBuilder {
 
     /// Add a cluster with `pes` processors, a scheduling policy, and a bid
     /// strategy (both by name) at the default price level.
-    pub fn cluster(mut self, pes: u32, policy: &str, strategy: &str) -> Self {
-        self.clusters.push(ClusterConfig {
-            pes,
-            policy: policy.into(),
-            strategy: strategy.into(),
-            normalized_cost: Money::from_units_f64(0.01),
-        });
-        self
+    pub fn cluster(self, pes: u32, policy: &str, strategy: &str) -> Self {
+        self.cluster_priced(pes, policy, strategy, Money::from_units_f64(0.01))
     }
 
     /// Add a cluster with an explicit price level.
@@ -266,6 +262,37 @@ impl ScenarioBuilder {
         self
     }
 
+    /// The scenario's RNG seed.
+    pub fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    /// Number of clusters.
+    pub fn cluster_count(&self) -> usize {
+        self.clusters.len()
+    }
+
+    /// Cluster `i` (0-based) as its Faucets Daemon and Cluster Manager: id
+    /// `i + 1`, named `cs{i+1}`, exporting the job mix's apps.
+    pub fn node(&self, i: usize) -> Node {
+        let cfg = &self.clusters[i];
+        let cid = ClusterId(i as u64 + 1);
+        let mut machine = MachineSpec::commodity(cid, format!("cs{}", i + 1), cfg.pes);
+        machine.normalized_cost = cfg.normalized_cost;
+        let daemon = FaucetsDaemon::new(
+            machine.server_info("127.0.0.1", 9000 + i as u16),
+            self.mix.apps.iter().cloned(),
+            strategy_by_name(&cfg.strategy),
+            cfg.normalized_cost,
+        );
+        let cluster = Cluster::new(
+            machine,
+            policy_by_name(&cfg.policy),
+            ResizeCostModel::default().scaled(self.resize_scale),
+        );
+        Node { daemon, cluster }
+    }
+
     /// Assemble the world and prime the simulation.
     pub fn build(self) -> Simulation<GridWorld> {
         assert!(
@@ -303,15 +330,12 @@ impl ScenarioBuilder {
         }
 
         // Clusters, daemons, directory registrations.
-        let apps: Vec<String> = self.mix.apps.clone();
         let mut nodes = BTreeMap::new();
         let mut bank = CreditBank::new();
         for (i, cfg) in self.clusters.iter().enumerate() {
-            let cid = ClusterId(i as u64 + 1);
-            let mut machine = MachineSpec::commodity(cid, format!("cs{}", i + 1), cfg.pes);
-            machine.normalized_cost = cfg.normalized_cost;
-            let info = machine.server_info("127.0.0.1", 9000 + i as u16);
-            server.register_cluster(info.clone(), apps.iter().cloned(), SimTime::ZERO);
+            let (cid, node) = (ClusterId(i as u64 + 1), self.node(i));
+            let info = node.daemon.info.clone();
+            server.register_cluster(info, self.mix.apps.clone(), SimTime::ZERO);
             server.heartbeat(
                 cid,
                 faucets_core::directory::ServerStatus {
@@ -322,19 +346,8 @@ impl ScenarioBuilder {
                 },
                 SimTime::ZERO,
             );
-            let cluster = Cluster::new(
-                machine,
-                policy_by_name(&cfg.policy),
-                ResizeCostModel::default().scaled(self.resize_scale),
-            );
-            let daemon = FaucetsDaemon::new(
-                info,
-                apps.iter().cloned(),
-                strategy_by_name(&cfg.strategy),
-                cfg.normalized_cost,
-            );
             ledger.open(AccountId::Cluster(cid), Money::ZERO).unwrap();
-            nodes.insert(cid, Node { daemon, cluster });
+            nodes.insert(cid, node);
 
             // Bartering: one org per cluster.
             bank.register_org(OrgId(i as u64 + 1), self.initial_credits)

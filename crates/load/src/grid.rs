@@ -1,4 +1,5 @@
-//! The live-grid driver: virtual users over real TCP.
+//! The live grid: [`launch`]ed from the [`ScenarioBuilder`] a simulation
+//! builds from, and driven by virtual users over real TCP.
 //!
 //! Each worker thread owns one authenticated [`FaucetsClient`] on its own
 //! account (`load-w0`, `load-w1`, …): job ids are client-assigned from
@@ -21,11 +22,17 @@ use crate::runner::{run_open_loop, FireOutcome};
 use crate::schedule::Schedule;
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use faucets_core::ids::JobId;
+use faucets_grid::scenario::ScenarioBuilder;
+use faucets_grid::world::Node;
+use faucets_net::appspector_srv::{spawn_appspector, AsHandle};
 use faucets_net::client::{ClientError, FaucetsClient};
+use faucets_net::fd::{spawn_fd_with, FdHandle, FdOptions};
+use faucets_net::fs::{spawn_fs, FsHandle};
 use faucets_net::proto::is_unknown_job;
 use faucets_net::service::Clock;
 use faucets_sim::time::SimTime;
 use std::collections::HashMap;
+use std::io;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
@@ -67,6 +74,53 @@ impl GridTarget {
             .map(|k| self.fs[(worker + k) % self.fs.len()])
             .collect()
     }
+}
+
+/// A scenario's grid, live on loopback: what [`launch`] started.
+pub struct LiveGrid {
+    /// The Central Server.
+    pub fs: FsHandle,
+    /// The AppSpector.
+    pub appspector: AsHandle,
+    /// One FD per cluster of the scenario, in its order.
+    pub fds: Vec<FdHandle>,
+    /// Where clients (and respawned FDs) reach the grid.
+    pub target: GridTarget,
+}
+
+/// Spawn cluster `i` (0-based) of `scenario` as an FD on a free loopback
+/// port, joining the grid `at` its (first) Central Server.
+pub fn spawn_cluster(
+    scenario: &ScenarioBuilder,
+    i: usize,
+    at: &GridTarget,
+    opts: FdOptions,
+) -> io::Result<FdHandle> {
+    let Node { daemon, cluster } = scenario.node(i);
+    let (fs, aspect, clock) = (at.fs[0], at.appspector, at.clock.clone());
+    spawn_fd_with("127.0.0.1:0", daemon, cluster, fs, aspect, clock, opts)
+}
+
+/// Launch `scenario` live under `clock`: an FS seeded with the scenario's
+/// seed, an AppSpector keeping 32 samples per job, then every cluster
+/// through [`spawn_cluster`] with the options `opts` gives its index.
+pub fn launch(
+    scenario: &ScenarioBuilder,
+    clock: Clock,
+    mut opts: impl FnMut(usize) -> FdOptions,
+) -> io::Result<LiveGrid> {
+    let fs = spawn_fs("127.0.0.1:0", clock.clone(), scenario.seed())?;
+    let appspector = spawn_appspector("127.0.0.1:0", fs.service.addr, 32)?;
+    let target = GridTarget::single(fs.service.addr, appspector.service.addr, clock);
+    let fds = (0..scenario.cluster_count())
+        .map(|i| spawn_cluster(scenario, i, &target, opts(i)))
+        .collect::<io::Result<_>>()?;
+    Ok(LiveGrid {
+        fs,
+        appspector,
+        fds,
+        target,
+    })
 }
 
 /// Run-shape knobs for [`run_against_grid`].

@@ -29,8 +29,9 @@
 //!   schedule, workers sleeping until each entry's wall instant, firing
 //!   through any caller-supplied operation (a stalled-op test double
 //!   plugs in exactly like the live grid driver).
-//! - [`grid`] — the live driver: per-worker authenticated clients,
-//!   submissions over pooled TCP, completion watchers honouring
+//! - [`grid`] — the live grid, [`grid::launch`]ed from the scenario a
+//!   simulation builds from, and the driver: per-worker authenticated
+//!   clients, submissions over pooled TCP, completion watchers honouring
 //!   AppSpector's owner-only watch rule.
 //! - [`recorder`] / [`report`] — per-class latency quantiles
 //!   (p50/p90/p99/p999 via the sim crate's P² battery), outcome counters,
@@ -51,7 +52,7 @@ pub mod schedule;
 
 /// One-stop imports for experiments and tests.
 pub mod prelude {
-    pub use crate::grid::{run_against_grid, GridRunOptions, GridTarget};
+    pub use crate::grid::{launch, run_against_grid, GridRunOptions, GridTarget, LiveGrid};
     pub use crate::nemesis::{
         fire, FaultKind, InvariantChecker, InvariantReport, NemesisConfig, NemesisPlan,
         ScheduledFault,

@@ -135,7 +135,8 @@ fn main() {
                 faucets_sched::policy::by_name(&policy),
                 ResizeCostModel::default(),
             );
-            let spawned = spawn_fd(&addr, daemon, cluster, fs, aspect, clock);
+            let opts = FdOptions::default();
+            let spawned = spawn_fd_with(&addr, daemon, cluster, fs, aspect, clock, opts);
             let h = started("FD", &addr, spawned);
             println!(
                 "Faucets Daemon '{name}' ({pes} PEs, {policy}/{strategy}) on {} — registered with {fs}",

@@ -456,6 +456,15 @@ impl FdCore {
         let outcome = {
             let mut guard = self.state.lock();
             let (s, now) = (&mut *guard, self.clock.now());
+            // A repeat of an award this FD holds (a retry whose reply was
+            // lost) gets the first answer and places nothing. Its second
+            // `Accept` is harmless: replay keeps one entry per job.
+            if s.contracts.contains(&job) {
+                return Response::AwardReply {
+                    confirmed: true,
+                    reason: None,
+                };
+            }
             let outcome = s
                 .daemon
                 .handle_award(spec, contract, &bid, &mut s.cluster, now);
@@ -707,33 +716,14 @@ impl FdHandle {
     }
 }
 
-/// Spawn an FD for `cluster`, register it with the FS, and start its pump.
+/// Spawn an FD for `cluster`, register it with the FS, and start its pump,
+/// with crash-recovery journaling, timeouts, retry, and fault-injection
+/// options (`FdOptions::default()` for none). If `opts.store` names an
+/// existing journal directory, its contracts are restored before the
+/// service starts taking traffic.
 ///
 /// `daemon` must carry `ServerInfo` whose address will be overwritten with
 /// the actually bound socket (so port 0 works).
-pub fn spawn_fd(
-    addr: &str,
-    daemon: FaucetsDaemon,
-    cluster: Cluster,
-    fs: SocketAddr,
-    appspector: SocketAddr,
-    clock: Clock,
-) -> io::Result<FdHandle> {
-    spawn_fd_with(
-        addr,
-        daemon,
-        cluster,
-        fs,
-        appspector,
-        clock,
-        FdOptions::default(),
-    )
-}
-
-/// [`spawn_fd`], with crash-recovery journaling, timeouts, retry, and
-/// fault-injection options. If `opts.store` names an existing journal
-/// directory, its contracts are restored before the service starts taking
-/// traffic.
 pub fn spawn_fd_with(
     addr: &str,
     daemon: FaucetsDaemon,
@@ -1296,6 +1286,39 @@ mod tests {
         settle(&|| g.fd.active_contracts() == 0, Duration::from_secs(2));
         assert_eq!(g.fd.completed(), awarded, "every awarded job ran");
         assert_eq!(g.fd.active_contracts(), 0, "a contract outlived its job");
+    }
+
+    /// Regression: a repeated `Award` (a client retry, or the stale-socket
+    /// redial, after the first reply was lost) used to schedule a second
+    /// copy of the job. The repeat is confirmed like the first and places
+    /// nothing: the job runs once and earns its price once.
+    #[test]
+    fn a_repeated_award_places_the_job_once() {
+        // 600 CPU-seconds on one PE: 300 ms of wall time at this clock, so
+        // the job is still running when the repeat arrives.
+        let clock = Clock::new(2_000.0);
+        let g = grid(&clock, 14, 64, FdOptions::default());
+        let award = award_of(&g, JobId(1), 600.0, clock.now());
+        for attempt in 1..=2 {
+            let reply = call(g.fd.service.addr, &award).unwrap();
+            let confirmed = matches!(
+                reply,
+                Response::AwardReply {
+                    confirmed: true,
+                    ..
+                }
+            );
+            assert!(confirmed, "attempt {attempt}: {reply:?}");
+        }
+        assert_eq!(g.fd.daemon_stats().confirms, 1);
+        let until = std::time::Instant::now() + Duration::from_secs(10);
+        while g.fd.completed() == 0 && std::time::Instant::now() < until {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // Long enough for a second copy, queued behind the first, to run.
+        std::thread::sleep(Duration::from_millis(400));
+        assert_eq!(g.fd.completed(), 1, "the job ran more than once");
+        assert_eq!(g.fd.revenue(), Money::from_units(1));
     }
 
     /// Regression: the pump used to commit `FdRecord::Complete` while

@@ -243,7 +243,7 @@ pub mod prelude {
     pub use crate::appspector_srv::{spawn_appspector, spawn_appspector_with, AsHandle};
     pub use crate::client::{ClientError, FaucetsClient, Submission};
     pub use crate::fault::{FaultConfig, FaultPlan, FaultStats, FrameFault, Outage};
-    pub use crate::fd::{spawn_fd, spawn_fd_with, FdHandle, FdOptions};
+    pub use crate::fd::{spawn_fd_with, FdHandle, FdOptions};
     pub use crate::federation::{Federation, FederationOptions, GossipView, Ring};
     pub use crate::fs::{spawn_fs, spawn_fs_durable, FsHandle, FsOptions};
     pub use crate::overload::{

@@ -8,18 +8,15 @@
 //! to completion. Sessions are in-memory by design, so the client logs in
 //! again — but the *award* it was acknowledged is never lost.
 
+mod common;
+
 use faucets_core::bid::BidRequest;
-use faucets_core::daemon::FaucetsDaemon;
 use faucets_core::ids::{ClusterId, JobId};
 use faucets_core::money::Money;
 use faucets_core::qos::{PayoffFn, QosBuilder};
-use faucets_net::fd::{spawn_fd_with, FdHandle, FdOptions};
+use faucets_net::fd::{FdHandle, FdOptions};
 use faucets_net::fs::{spawn_fs_durable, FsOptions};
 use faucets_net::prelude::*;
-use faucets_sched::adaptive::ResizeCostModel;
-use faucets_sched::cluster::Cluster;
-use faucets_sched::equipartition::Equipartition;
-use faucets_sched::machine::MachineSpec;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -36,27 +33,11 @@ fn spawn_daemon(
     aspect: SocketAddr,
     clock: Clock,
 ) -> FdHandle {
-    let machine = MachineSpec::commodity(ClusterId(1), "turing", 64);
-    let daemon = FaucetsDaemon::new(
-        machine.server_info("127.0.0.1", 0),
-        ["namd".to_string()],
-        Box::new(faucets_core::market::Baseline),
-        Money::from_units_f64(0.01),
-    );
-    let cluster = Cluster::new(machine, Box::new(Equipartition), ResizeCostModel::default());
-    spawn_fd_with(
-        "127.0.0.1:0",
-        daemon,
-        cluster,
-        fs,
-        aspect,
-        clock,
-        FdOptions {
-            store,
-            ..FdOptions::default()
-        },
-    )
-    .expect("FD")
+    let opts = FdOptions {
+        store,
+        ..FdOptions::default()
+    };
+    common::spawn_cs(1, "turing", 64, fs, aspect, clock, opts)
 }
 
 fn durable_fs(addr: &str, clock: Clock, store: PathBuf) -> faucets_net::fs::FsHandle {

@@ -7,16 +7,13 @@
 //! it from matching) — and an AppSpector that loses replies and sheds
 //! requests, which still hears of every job.
 
-use faucets_core::daemon::FaucetsDaemon;
+mod common;
+
 use faucets_core::ids::ClusterId;
 use faucets_core::money::Money;
 use faucets_core::qos::{PayoffFn, QosBuilder};
-use faucets_net::fd::{spawn_fd_with, FdHandle, FdOptions};
+use faucets_net::fd::{FdHandle, FdOptions};
 use faucets_net::prelude::*;
-use faucets_sched::adaptive::ResizeCostModel;
-use faucets_sched::cluster::Cluster;
-use faucets_sched::equipartition::Equipartition;
-use faucets_sched::machine::MachineSpec;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -43,15 +40,15 @@ fn spawn_cluster(
     aspect: SocketAddr,
     clock: Clock,
 ) -> FdHandle {
-    let machine = MachineSpec::commodity(cluster, format!("cs{cluster}"), 64);
-    let daemon = FaucetsDaemon::new(
-        machine.server_info("127.0.0.1", 0),
-        ["namd".to_string()],
-        Box::new(faucets_core::market::Baseline),
-        Money::from_units_f64(0.01),
-    );
-    let cluster = Cluster::new(machine, Box::new(Equipartition), ResizeCostModel::default());
-    spawn_fd_with("127.0.0.1:0", daemon, cluster, fs, aspect, clock, opts).expect("FD")
+    common::spawn_cs(
+        cluster.0,
+        &format!("cs{cluster}"),
+        64,
+        fs,
+        aspect,
+        clock,
+        opts,
+    )
 }
 
 fn scratch_dir(name: &str) -> PathBuf {

@@ -3,14 +3,9 @@
 //! must keep holding one: the census counts every thread of the process,
 //! and a second test running beside it would be counted too.
 
-use faucets_core::daemon::FaucetsDaemon;
-use faucets_core::ids::ClusterId;
-use faucets_core::money::Money;
+mod common;
+
 use faucets_net::prelude::*;
-use faucets_sched::adaptive::ResizeCostModel;
-use faucets_sched::cluster::Cluster;
-use faucets_sched::equipartition::Equipartition;
-use faucets_sched::machine::MachineSpec;
 use std::time::{Duration, Instant};
 
 fn threads() -> usize {
@@ -27,25 +22,11 @@ fn an_fd_adds_its_service_threads_and_shutdown_takes_them_away() {
     let clock = Clock::new(100.0);
     let fs = spawn_fs("127.0.0.1:0", clock.clone(), 31).unwrap();
     let aspect = spawn_appspector("127.0.0.1:0", fs.service.addr, 8).unwrap();
-    let machine = MachineSpec::commodity(ClusterId(4), "census", 16);
-    let daemon = FaucetsDaemon::new(
-        machine.server_info("127.0.0.1", 0),
-        ["namd".to_string()],
-        Box::new(faucets_core::market::Baseline),
-        Money::from_units_f64(0.01),
-    );
-    let cluster = Cluster::new(machine, Box::new(Equipartition), ResizeCostModel::default());
     let before = threads();
 
-    let fd = spawn_fd(
-        "127.0.0.1:0",
-        daemon,
-        cluster,
-        fs.service.addr,
-        aspect.service.addr,
-        clock,
-    )
-    .unwrap();
+    let (fs_addr, as_addr) = (fs.service.addr, aspect.service.addr);
+    let opts = FdOptions::default();
+    let fd = common::spawn_cs(4, "census", 16, fs_addr, as_addr, clock, opts);
     // Long enough for the pump's first rounds, and for any thread they
     // might start.
     std::thread::sleep(Duration::from_millis(100));

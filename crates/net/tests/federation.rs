@@ -7,17 +7,13 @@
 //! or a telemetry counter under a bounded deadline — never a bare sleep
 //! sized by hope.
 
+mod common;
+
 use faucets_core::auth::SessionToken;
-use faucets_core::daemon::FaucetsDaemon;
 use faucets_core::directory::{ServerInfo, ServerListing, ServerStatus};
 use faucets_core::ids::{ClusterId, UserId};
-use faucets_core::money::Money;
 use faucets_core::qos::{QosBuilder, QosContract};
 use faucets_net::prelude::*;
-use faucets_sched::adaptive::ResizeCostModel;
-use faucets_sched::cluster::Cluster;
-use faucets_sched::equipartition::Equipartition;
-use faucets_sched::machine::MachineSpec;
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -115,28 +111,12 @@ fn qos() -> QosContract {
 /// The 64-PE `namd` daemon `fed-cs` (cluster 1), homed at `home` with
 /// `fallback` as its heartbeat failover.
 fn spawn_fd_at(home: &FsHandle, fallback: &FsHandle, aspect: &AsHandle, clock: &Clock) -> FdHandle {
-    let machine = MachineSpec::commodity(ClusterId(1), "fed-cs", 64);
-    let daemon = FaucetsDaemon::new(
-        machine.server_info("127.0.0.1", 0),
-        ["namd".to_string()],
-        Box::new(faucets_core::market::Baseline),
-        Money::from_units_f64(0.01),
-    );
-    let cluster = Cluster::new(machine, Box::new(Equipartition), ResizeCostModel::default());
     let opts = FdOptions {
         fs_fallbacks: vec![fallback.service.addr],
         ..FdOptions::default()
     };
-    spawn_fd_with(
-        "127.0.0.1:0",
-        daemon,
-        cluster,
-        home.service.addr,
-        aspect.service.addr,
-        clock.clone(),
-        opts,
-    )
-    .expect("FD")
+    let (fs, aspect, clock) = (home.service.addr, aspect.service.addr, clock.clone());
+    common::spawn_cs(1, "fed-cs", 64, fs, aspect, clock, opts)
 }
 
 #[test]
@@ -456,23 +436,8 @@ fn duplicate_directory_rows_solicit_one_bid_per_cluster() {
     .expect("fake FS");
     let aspect = spawn_appspector("127.0.0.1:0", fake_fs.addr, 8).expect("AS");
 
-    let machine = MachineSpec::commodity(ClusterId(9), "dup-cs", 64);
-    let daemon = FaucetsDaemon::new(
-        machine.server_info("127.0.0.1", 0),
-        ["namd".to_string()],
-        Box::new(faucets_core::market::Baseline),
-        Money::from_units_f64(0.01),
-    );
-    let cluster = Cluster::new(machine, Box::new(Equipartition), ResizeCostModel::default());
-    let fd = spawn_fd(
-        "127.0.0.1:0",
-        daemon,
-        cluster,
-        fake_fs.addr,
-        aspect.service.addr,
-        clock.clone(),
-    )
-    .expect("FD");
+    let (as_addr, opts) = (aspect.service.addr, FdOptions::default());
+    let fd = common::spawn_cs(9, "dup-cs", 64, fake_fs.addr, as_addr, clock.clone(), opts);
     await_until("the FD to register with the fake FS", || {
         seen.lock().is_some()
     });

@@ -5,34 +5,23 @@
 //! round" (breaker stays closed), the serve layer's typed shed, the
 //! deadline-shed fast path, and the retry loop's deadline cap.
 
+mod common;
+
 use faucets_core::auth::SessionToken;
 use faucets_core::bid::BidRequest;
-use faucets_core::daemon::FaucetsDaemon;
 use faucets_core::ids::{ClusterId, JobId};
-use faucets_core::money::Money;
 use faucets_core::qos::QosBuilder;
-use faucets_net::fd::{spawn_fd_with, FdHandle, FdOptions};
+use faucets_net::fd::{FdHandle, FdOptions};
 use faucets_net::overload::breaker_state;
 use faucets_net::prelude::*;
 use faucets_net::proto::is_overload_error;
-use faucets_sched::adaptive::ResizeCostModel;
-use faucets_sched::cluster::Cluster;
-use faucets_sched::equipartition::Equipartition;
 use faucets_sched::machine::MachineSpec;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 fn spawn_daemon(fs: SocketAddr, aspect: SocketAddr, clock: Clock, opts: FdOptions) -> FdHandle {
-    let machine = MachineSpec::commodity(ClusterId(1), "turing", 64);
-    let daemon = FaucetsDaemon::new(
-        machine.server_info("127.0.0.1", 0),
-        ["namd".to_string()],
-        Box::new(faucets_core::market::Baseline),
-        Money::from_units_f64(0.01),
-    );
-    let cluster = Cluster::new(machine, Box::new(Equipartition), ResizeCostModel::default());
-    spawn_fd_with("127.0.0.1:0", daemon, cluster, fs, aspect, clock, opts).expect("FD")
+    common::spawn_cs(1, "turing", 64, fs, aspect, clock, opts)
 }
 
 fn session(fs: SocketAddr, name: &str) -> (faucets_core::ids::UserId, SessionToken) {

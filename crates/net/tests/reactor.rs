@@ -10,14 +10,9 @@
 //! a handle readout under a bounded deadline — never a bare sleep sized
 //! by hope.
 
-use faucets_core::daemon::FaucetsDaemon;
-use faucets_core::ids::ClusterId;
-use faucets_core::money::Money;
+mod common;
+
 use faucets_net::prelude::*;
-use faucets_sched::adaptive::ResizeCostModel;
-use faucets_sched::cluster::Cluster;
-use faucets_sched::equipartition::Equipartition;
-use faucets_sched::machine::MachineSpec;
 use faucets_sim::check::for_seeds;
 use faucets_telemetry::metrics::Registry;
 use rand::rngs::StdRng;
@@ -718,23 +713,9 @@ fn fd_pump_shutdown_is_prompt() {
     let clock = Clock::new(100.0);
     let fs = spawn_fs("127.0.0.1:0", clock.clone(), 17).unwrap();
     let aspect = spawn_appspector("127.0.0.1:0", fs.service.addr, 8).unwrap();
-    let machine = MachineSpec::commodity(ClusterId(3), "prompt", 16);
-    let daemon = FaucetsDaemon::new(
-        machine.server_info("127.0.0.1", 0),
-        ["namd".to_string()],
-        Box::new(faucets_core::market::Baseline),
-        Money::from_units_f64(0.01),
-    );
-    let cluster = Cluster::new(machine, Box::new(Equipartition), ResizeCostModel::default());
-    let fd = spawn_fd(
-        "127.0.0.1:0",
-        daemon,
-        cluster,
-        fs.service.addr,
-        aspect.service.addr,
-        clock,
-    )
-    .unwrap();
+    let (fs_addr, as_addr) = (fs.service.addr, aspect.service.addr);
+    let opts = FdOptions::default();
+    let fd = common::spawn_cs(3, "prompt", 16, fs_addr, as_addr, clock, opts);
 
     let t = Instant::now();
     fd.shutdown();

@@ -14,16 +14,14 @@
 //! unacknowledged one is allowed to die with the primary — so the
 //! assertions never depend on where the kill lands.
 
-use faucets_core::daemon::FaucetsDaemon;
+mod common;
+
 use faucets_core::ids::{ClusterId, JobId};
 use faucets_core::money::Money;
 use faucets_core::qos::{PayoffFn, QosBuilder};
-use faucets_net::fd::{spawn_fd_with, FdHandle, FdOptions};
+use faucets_net::fd::{FdHandle, FdOptions};
 use faucets_net::prelude::*;
 use faucets_net::replica::{spawn_replica, Journal, ReplicaHandle, ReplicaOptions};
-use faucets_sched::adaptive::ResizeCostModel;
-use faucets_sched::cluster::Cluster;
-use faucets_sched::equipartition::Equipartition;
 use faucets_sched::machine::MachineSpec;
 use faucets_store::{
     pick_primary, prepare_promotion, read_epoch, Durable, StoreError, StoreOptions,
@@ -53,28 +51,12 @@ fn spawn_primary_fd(
     aspect: SocketAddr,
     clock: Clock,
 ) -> FdHandle {
-    let machine = MachineSpec::commodity(ClusterId(1), "turing", 64);
-    let daemon = FaucetsDaemon::new(
-        machine.server_info("127.0.0.1", 0),
-        ["namd".to_string()],
-        Box::new(faucets_core::market::Baseline),
-        Money::from_units_f64(0.01),
-    );
-    let cluster = Cluster::new(machine, Box::new(Equipartition), ResizeCostModel::default());
-    spawn_fd_with(
-        "127.0.0.1:0",
-        daemon,
-        cluster,
-        fs,
-        aspect,
-        clock,
-        FdOptions {
-            store: Some(store),
-            replication,
-            ..FdOptions::default()
-        },
-    )
-    .expect("FD")
+    let opts = FdOptions {
+        store: Some(store),
+        replication,
+        ..FdOptions::default()
+    };
+    common::spawn_cs(1, "turing", 64, fs, aspect, clock, opts)
 }
 
 fn follower_daemon(service: &str, dir: PathBuf) -> ReplicaHandle {

@@ -11,18 +11,14 @@
 //! promoting without quorum (dual-primary factory) and deposing a
 //! healthy primary because the wall clock jumped.
 
-use faucets_core::daemon::FaucetsDaemon;
-use faucets_core::ids::ClusterId;
+mod common;
+
 use faucets_core::money::Money;
 use faucets_core::qos::{PayoffFn, QosBuilder};
-use faucets_net::fd::{spawn_fd_with, FdHandle, FdOptions};
+use faucets_net::fd::{FdHandle, FdOptions};
 use faucets_net::prelude::*;
 use faucets_net::replica::{spawn_replica, ReplicaHandle, ReplicaOptions};
 use faucets_net::sentinel::{spawn_sentinel, SentinelOptions};
-use faucets_sched::adaptive::ResizeCostModel;
-use faucets_sched::cluster::Cluster;
-use faucets_sched::equipartition::Equipartition;
-use faucets_sched::machine::MachineSpec;
 use parking_lot::Mutex;
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -44,28 +40,12 @@ fn spawn_primary_fd(
     aspect: SocketAddr,
     clock: Clock,
 ) -> FdHandle {
-    let machine = MachineSpec::commodity(ClusterId(cluster_id), "turing", 64);
-    let daemon = FaucetsDaemon::new(
-        machine.server_info("127.0.0.1", 0),
-        ["namd".to_string()],
-        Box::new(faucets_core::market::Baseline),
-        Money::from_units_f64(0.01),
-    );
-    let cluster = Cluster::new(machine, Box::new(Equipartition), ResizeCostModel::default());
-    spawn_fd_with(
-        "127.0.0.1:0",
-        daemon,
-        cluster,
-        fs,
-        aspect,
-        clock,
-        FdOptions {
-            store: Some(store),
-            replication,
-            ..FdOptions::default()
-        },
-    )
-    .expect("FD")
+    let opts = FdOptions {
+        store: Some(store),
+        replication,
+        ..FdOptions::default()
+    };
+    common::spawn_cs(cluster_id, "turing", 64, fs, aspect, clock, opts)
 }
 
 fn follower_daemon(service: &str, dir: PathBuf) -> ReplicaHandle {

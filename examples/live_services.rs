@@ -9,80 +9,43 @@
 //!
 //! Run with: `cargo run -p faucets-examples --bin live_services`
 
-use faucets_core::daemon::FaucetsDaemon;
-use faucets_core::ids::ClusterId;
-use faucets_core::market::{Baseline, UtilizationInterpolated};
 use faucets_core::money::Money;
 use faucets_core::qos::{PayoffFn, QosBuilder};
+use faucets_grid::prelude::{JobMix, ScenarioBuilder};
+use faucets_load::prelude::launch;
 use faucets_net::prelude::*;
-use faucets_sched::adaptive::ResizeCostModel;
-use faucets_sched::cluster::Cluster;
-use faucets_sched::equipartition::Equipartition;
-use faucets_sched::machine::MachineSpec;
 use faucets_sim::time::SimTime;
 
-fn spawn_cluster(
-    id: u64,
-    name: &str,
-    pes: u32,
-    strategy_is_baseline: bool,
-    fs: std::net::SocketAddr,
-    aspect: std::net::SocketAddr,
-    clock: Clock,
-) -> FdHandle {
-    let machine = MachineSpec::commodity(ClusterId(id), name, pes);
-    let strategy: Box<dyn faucets_core::market::BidStrategy> = if strategy_is_baseline {
-        Box::new(Baseline)
-    } else {
-        Box::new(UtilizationInterpolated::default())
-    };
-    let daemon = FaucetsDaemon::new(
-        machine.server_info("127.0.0.1", 0),
-        ["namd".to_string(), "cfd".to_string()],
-        strategy,
-        Money::from_units_f64(0.01),
-    );
-    let cluster = Cluster::new(machine, Box::new(Equipartition), ResizeCostModel::default());
-    spawn_fd("127.0.0.1:0", daemon, cluster, fs, aspect, clock).expect("spawn FD")
-}
-
 fn main() {
-    // 1 wall second = 10 simulated minutes.
-    let clock = Clock::new(600.0);
+    // The grid, described once: the same builder runs it in the simulator.
+    let mix = JobMix {
+        apps: vec!["namd".into(), "cfd".into()],
+        ..JobMix::default()
+    };
+    let scenario = ScenarioBuilder::new(2026)
+        .cluster(128, "equipartition", "baseline")
+        .cluster(256, "equipartition", "util-interp")
+        .mix(mix);
 
     println!("Starting the Faucets services on localhost...");
-    let fs = spawn_fs("127.0.0.1:0", clock.clone(), 2026).expect("spawn FS");
-    let aspect = spawn_appspector("127.0.0.1:0", fs.service.addr, 64).expect("spawn AppSpector");
-    let fd1 = spawn_cluster(
-        1,
-        "turing",
-        128,
-        true,
-        fs.service.addr,
-        aspect.service.addr,
-        clock.clone(),
-    );
-    let fd2 = spawn_cluster(
-        2,
-        "lemieux",
-        256,
-        false,
-        fs.service.addr,
-        aspect.service.addr,
-        clock.clone(),
-    );
-    println!("  FS         at {}", fs.service.addr);
-    println!("  AppSpector at {}", aspect.service.addr);
-    println!("  FD turing  at {} (baseline bids)", fd1.service.addr);
+    // 1 wall second = 10 simulated minutes.
+    let grid = launch(&scenario, Clock::new(600.0), |_| FdOptions::default()).expect("launch");
+    let (at, clock) = (&grid.target, &grid.target.clock);
+    println!("  FS         at {}", grid.fs.service.addr);
+    println!("  AppSpector at {}", grid.appspector.service.addr);
     println!(
-        "  FD lemieux at {} (util-interpolated bids)",
-        fd2.service.addr
+        "  FD cs1     at {} (baseline bids)",
+        grid.fds[0].service.addr
+    );
+    println!(
+        "  FD cs2     at {} (util-interpolated bids)",
+        grid.fds[1].service.addr
     );
 
     println!("\nRegistering user 'alice' and logging in...");
     let mut client = FaucetsClient::register(
-        fs.service.addr,
-        aspect.service.addr,
+        at.fs[0],
+        at.appspector,
         clock.clone(),
         "alice",
         "molecular-dynamics",
@@ -138,6 +101,7 @@ fn main() {
     println!("Downloaded output.dat: {}", String::from_utf8_lossy(&out));
 
     println!("\nShutting down services.");
-    fd1.shutdown();
-    fd2.shutdown();
+    for fd in grid.fds {
+        fd.shutdown();
+    }
 }

@@ -2,62 +2,37 @@
 //! localhost — register FDs with the FS, authenticate, match, bid, award,
 //! stage files, execute, monitor through AppSpector, download outputs.
 
-use faucets_core::daemon::FaucetsDaemon;
 use faucets_core::ids::ClusterId;
-use faucets_core::market::{Baseline, SelectionPolicy, UtilizationInterpolated};
+use faucets_core::market::SelectionPolicy;
 use faucets_core::money::Money;
 use faucets_core::qos::{PayoffFn, QosBuilder};
+use faucets_grid::prelude::{JobMix, ScenarioBuilder};
+use faucets_load::prelude::{launch, GridTarget, LiveGrid};
 use faucets_net::prelude::*;
-use faucets_sched::adaptive::ResizeCostModel;
-use faucets_sched::cluster::Cluster;
-use faucets_sched::equipartition::Equipartition;
-use faucets_sched::machine::MachineSpec;
 use std::time::Duration;
 
-struct Grid {
-    fs: FsHandle,
-    aspect: AsHandle,
-    fds: Vec<FdHandle>,
-    clock: Clock,
+/// Two Compute Servers exporting `namd`: `cs1`, 128 PEs bidding
+/// baseline, and `cs2`, 256 PEs bidding util-interp.
+fn two_clusters() -> ScenarioBuilder {
+    let mix = JobMix {
+        apps: vec!["namd".into()],
+        ..JobMix::default()
+    };
+    ScenarioBuilder::new(99)
+        .cluster(128, "equipartition", "baseline")
+        .cluster(256, "equipartition", "util-interp")
+        .mix(mix)
 }
 
-fn launch(speedup: f64) -> Grid {
-    let clock = Clock::new(speedup);
-    let fs = spawn_fs("127.0.0.1:0", clock.clone(), 99).unwrap();
-    let aspect = spawn_appspector("127.0.0.1:0", fs.service.addr, 32).unwrap();
-    let mut fds = vec![];
-    for (i, pes, baseline) in [(1u64, 128u32, true), (2, 256, false)] {
-        let machine = MachineSpec::commodity(ClusterId(i), format!("cs{i}"), pes);
-        let strategy: Box<dyn faucets_core::market::BidStrategy> = if baseline {
-            Box::new(Baseline)
-        } else {
-            Box::new(UtilizationInterpolated::default())
-        };
-        let daemon = FaucetsDaemon::new(
-            machine.server_info("127.0.0.1", 0),
-            ["namd".to_string()],
-            strategy,
-            Money::from_units_f64(0.01),
-        );
-        let cluster = Cluster::new(machine, Box::new(Equipartition), ResizeCostModel::default());
-        fds.push(
-            spawn_fd(
-                "127.0.0.1:0",
-                daemon,
-                cluster,
-                fs.service.addr,
-                aspect.service.addr,
-                clock.clone(),
-            )
-            .unwrap(),
-        );
-    }
-    Grid {
-        fs,
-        aspect,
-        fds,
-        clock,
-    }
+fn live(speedup: f64) -> LiveGrid {
+    launch(&two_clusters(), Clock::new(speedup), |_| {
+        FdOptions::default()
+    })
+    .unwrap()
+}
+
+fn client(at: &GridTarget, name: &str) -> FaucetsClient {
+    FaucetsClient::register(at.fs[0], at.appspector, at.clock.clone(), name, "pw").unwrap()
 }
 
 fn quick_qos(clock: &Clock, cpu_seconds: f64) -> faucets_core::qos::QosContract {
@@ -77,19 +52,13 @@ fn quick_qos(clock: &Clock, cpu_seconds: f64) -> faucets_core::qos::QosContract 
 
 #[test]
 fn full_submission_monitoring_download_flow() {
-    let grid = launch(2_000.0);
-    let mut client = FaucetsClient::register(
-        grid.fs.service.addr,
-        grid.aspect.service.addr,
-        grid.clock.clone(),
-        "alice",
-        "pw",
-    )
-    .expect("register+login");
+    let grid = live(2_000.0);
+    let clock = &grid.target.clock;
+    let mut client = client(&grid.target, "alice");
 
     let sub = client
         .submit(
-            quick_qos(&grid.clock, 8.0 * 600.0),
+            quick_qos(clock, 8.0 * 600.0),
             &[("in.dat".into(), vec![7u8; 64])],
         )
         .expect("job placed");
@@ -122,21 +91,14 @@ fn full_submission_monitoring_download_flow() {
 
 #[test]
 fn least_cost_selection_picks_cheaper_bid() {
-    let grid = launch(5_000.0);
-    let mut client = FaucetsClient::register(
-        grid.fs.service.addr,
-        grid.aspect.service.addr,
-        grid.clock.clone(),
-        "bob",
-        "pw",
-    )
-    .unwrap();
+    let grid = live(5_000.0);
+    let mut client = client(&grid.target, "bob");
     client.selection = SelectionPolicy::LeastCost;
 
     // Idle machines: baseline bids 1.0, util-interp bids k(1-α)=0.5 → the
     // interpolated cluster (cs-2) must win.
     let sub = client
-        .submit(quick_qos(&grid.clock, 8.0 * 300.0), &[])
+        .submit(quick_qos(&grid.target.clock, 8.0 * 300.0), &[])
         .unwrap();
     assert_eq!(
         sub.cluster,
@@ -147,18 +109,9 @@ fn least_cost_selection_picks_cheaper_bid() {
 
 #[test]
 fn several_users_and_jobs_share_the_grid() {
-    let grid = launch(5_000.0);
+    let grid = live(5_000.0);
     let mut clients: Vec<FaucetsClient> = (0..3)
-        .map(|i| {
-            FaucetsClient::register(
-                grid.fs.service.addr,
-                grid.aspect.service.addr,
-                grid.clock.clone(),
-                &format!("user{i}"),
-                "pw",
-            )
-            .unwrap()
-        })
+        .map(|i| client(&grid.target, &format!("user{i}")))
         .collect();
 
     let mut subs = vec![];
@@ -166,7 +119,8 @@ fn several_users_and_jobs_share_the_grid() {
         for _ in 0..2 {
             subs.push((
                 c.user,
-                c.submit(quick_qos(&grid.clock, 8.0 * 120.0), &[]).unwrap(),
+                c.submit(quick_qos(&grid.target.clock, 8.0 * 120.0), &[])
+                    .unwrap(),
             ));
         }
     }
@@ -195,13 +149,13 @@ fn several_users_and_jobs_share_the_grid() {
 
 #[test]
 fn unauthenticated_submission_is_impossible() {
-    let grid = launch(1_000.0);
+    let grid = live(1_000.0);
     // Hand-rolled client with a forged token: matching fails at the FS.
     let r = call(
         grid.fs.service.addr,
         &Request::ListServers {
             token: faucets_core::auth::SessionToken("forged".into()),
-            qos: quick_qos(&grid.clock, 100.0),
+            qos: quick_qos(&grid.target.clock, 100.0),
         },
     )
     .unwrap();
@@ -210,24 +164,14 @@ fn unauthenticated_submission_is_impossible() {
 
 #[test]
 fn concurrent_clients_stress_the_services() {
-    let grid = launch(10_000.0);
-    let fs_addr = grid.fs.service.addr;
-    let as_addr = grid.aspect.service.addr;
-    let clock = grid.clock.clone();
+    let grid = live(10_000.0);
 
     // Six clients submit in parallel threads against the same services.
     let handles: Vec<_> = (0..6)
         .map(|i| {
-            let clock = clock.clone();
+            let at = grid.target.clone();
             std::thread::spawn(move || {
-                let mut c = FaucetsClient::register(
-                    fs_addr,
-                    as_addr,
-                    clock.clone(),
-                    &format!("stress{i}"),
-                    "pw",
-                )
-                .expect("register");
+                let (mut c, clock) = (client(&at, &format!("stress{i}")), &at.clock);
                 let mut jobs = vec![];
                 for _ in 0..3 {
                     let qos = QosBuilder::new("namd", 8, 32, 8.0 * 60.0)
