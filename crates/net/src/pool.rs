@@ -13,22 +13,26 @@
 //!
 //! The safety invariant is *poison on error*: a checked-out stream that saw
 //! any failure — a frame fault, a timeout, a short read, a reply nothing
-//! asked for — is closed, never returned, because a desynchronised stream
-//! would pay the next caller the previous caller's reply. Idle sockets are
-//! additionally bounded per peer, evicted after [`PoolConfig::idle_ttl`]
-//! (every peer's, whenever a socket is dialled), and health-checked with a
-//! non-blocking peek at checkout so a peer that restarted while we were
-//! idle costs a reconnect, not an error.
+//! asked for, a byte past its reply — is closed, never returned, because a
+//! desynchronised stream would pay the next caller the previous caller's
+//! reply. Idle sockets are additionally bounded per peer, evicted after
+//! [`PoolConfig::idle_ttl`] (every peer's, whenever a socket is dialled),
+//! and health-checked at checkout with one nonblocking peek, so a peer that
+//! restarted while we were idle costs a reconnect, not an error. A socket
+//! keeps the timeouts last set on it, and a call sets one only when it
+//! changes: a warm lone call is a peek, a write and (mostly) one read.
 //!
 //! Everything the pool does is counted in the caller's metric registry
 //! under a `pool` label: `net_pool_{hits,misses,evictions,poisoned,
 //! stale_retries}_total` and the `net_pool_open_conns` gauge.
 
 use crate::proto::Response;
+use crate::reactor::idle_open;
 use faucets_telemetry::metrics::Registry;
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
+use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -62,15 +66,26 @@ impl Default for PoolConfig {
 
 /// The client side's one connect, and so the one place its socket is
 /// configured: small RPC frames must not wait out Nagle's algorithm.
-fn dial(addr: SocketAddr, within: Duration) -> io::Result<TcpStream> {
+fn dial(addr: SocketAddr, within: Duration) -> io::Result<Socket> {
     let stream = TcpStream::connect_timeout(&addr, within)?;
     stream.set_nodelay(true)?;
-    Ok(stream)
+    Ok(Socket {
+        stream,
+        read: None,
+        write: None,
+    })
+}
+
+/// A socket of the pool and the timeouts last set on it (`None`: unknown).
+struct Socket {
+    stream: TcpStream,
+    read: Option<Duration>,
+    write: Option<Duration>,
 }
 
 /// One idle socket and when it went idle.
 struct IdleConn {
-    stream: TcpStream,
+    socket: Socket,
     since: Instant,
 }
 
@@ -122,24 +137,10 @@ impl ConnPool {
     }
 
     /// Close a socket the pool owns (evicted, over cap, or poisoned).
-    fn discard(&self, stream: TcpStream, reg: &Registry) {
-        drop(stream);
+    fn discard(&self, socket: Socket, reg: &Registry) {
+        drop(socket);
         self.open.fetch_sub(1, Ordering::SeqCst);
         self.set_open_gauge(reg);
-    }
-
-    /// Is this idle socket still usable? A healthy idle stream has nothing
-    /// to read: `peek` must block. `Ok(0)` means the peer closed it;
-    /// `Ok(n)` means unsolicited bytes are waiting — a desynchronised
-    /// stream we must never hand to a caller.
-    fn healthy(stream: &TcpStream) -> bool {
-        if stream.set_nonblocking(true).is_err() {
-            return false;
-        }
-        let mut byte = [0u8; 1];
-        let usable =
-            matches!(stream.peek(&mut byte), Err(e) if e.kind() == io::ErrorKind::WouldBlock);
-        usable && stream.set_nonblocking(false).is_ok()
     }
 
     /// Close the sockets of `peer` idle for longer than `idle_ttl`; they
@@ -150,7 +151,7 @@ impl ConnPool {
         for dead in peer.drain(..dead) {
             reg.counter("net_pool_evictions_total", &self.labels())
                 .inc();
-            self.discard(dead.stream, reg);
+            self.discard(dead.socket, reg);
         }
     }
 
@@ -177,41 +178,35 @@ impl ConnPool {
         fresh: bool,
         reg: &Registry,
     ) -> io::Result<PooledConn> {
-        let lend = |stream, reused| PooledConn {
-            stream: Some(stream),
+        let lend = |socket, reused| PooledConn {
+            socket: Some(socket),
             addr,
             reused,
             pool: Arc::clone(self),
         };
-        loop {
-            if fresh {
-                break;
-            }
-            let candidate = {
-                let mut idle = self.idle.lock();
-                let Some(peer) = idle.get_mut(&addr) else {
-                    break;
-                };
-                self.evict_expired(peer, reg);
-                peer.pop()
-            };
-            let Some(candidate) = candidate else { break };
-            if Self::healthy(&candidate.stream) {
+        let next_idle = || {
+            let mut idle = self.idle.lock();
+            let peer = idle.get_mut(&addr).filter(|_| !fresh)?;
+            self.evict_expired(peer, reg);
+            peer.pop()
+        };
+        while let Some(candidate) = next_idle() {
+            // A healthy idle socket has nothing to read; one gone stale
+            // while idle (peer closed, or desynced) is evicted.
+            if idle_open(candidate.socket.stream.as_raw_fd()) {
                 reg.counter("net_pool_hits_total", &self.labels()).inc();
-                return Ok(lend(candidate.stream, true));
+                return Ok(lend(candidate.socket, true));
             }
-            // Went stale while idle (peer closed or desynced): evict and
-            // try the next cached socket.
             reg.counter("net_pool_evictions_total", &self.labels())
                 .inc();
-            self.discard(candidate.stream, reg);
+            self.discard(candidate.socket, reg);
         }
         reg.counter("net_pool_misses_total", &self.labels()).inc();
         self.sweep_expired(reg);
-        let stream = dial(addr, within)?;
+        let socket = dial(addr, within)?;
         self.open.fetch_add(1, Ordering::SeqCst);
         self.set_open_gauge(reg);
-        Ok(lend(stream, false))
+        Ok(lend(socket, false))
     }
 }
 
@@ -220,7 +215,7 @@ impl ConnPool {
 /// its borrower left it clean, poisoned if not — or a plain drop (which
 /// closes the socket — the safe default for code paths that bail early).
 pub(crate) struct PooledConn {
-    stream: Option<TcpStream>,
+    socket: Option<Socket>,
     addr: SocketAddr,
     /// Whether this socket came out of the idle cache (vs a fresh
     /// connect). A reused socket that fails with a disconnect may be
@@ -231,8 +226,35 @@ pub(crate) struct PooledConn {
 
 impl PooledConn {
     /// The socket, this caller's alone: only `settle` and `drop` take it, and both end the loan.
+    fn socket(&mut self) -> &mut Socket {
+        self.socket.as_mut().expect("checked out with a socket")
+    }
+
+    /// The stream; its timeouts are set through this loan's setters.
     pub(crate) fn stream(&mut self) -> &mut TcpStream {
-        self.stream.as_mut().expect("checked out with a stream")
+        &mut self.socket().stream
+    }
+
+    /// `TcpStream::set_read_timeout`, by a system call only on a change.
+    pub(crate) fn set_read_timeout(&mut self, patience: Duration) -> io::Result<()> {
+        let Socket { stream, read, .. } = self.socket();
+        if *read != Some(patience) {
+            *read = None;
+            stream.set_read_timeout(Some(patience))?;
+            *read = Some(patience);
+        }
+        Ok(())
+    }
+
+    /// `TcpStream::set_write_timeout`, by a system call only on a change.
+    pub(crate) fn set_write_timeout(&mut self, within: Duration) -> io::Result<()> {
+        let Socket { stream, write, .. } = self.socket();
+        if *write != Some(within) {
+            *write = None;
+            stream.set_write_timeout(Some(within))?;
+            *write = Some(within);
+        }
+        Ok(())
     }
 
     /// End the loan. A socket its borrower left `clean` — nothing
@@ -240,7 +262,7 @@ impl PooledConn {
     /// or over the per-peer idle bound is closed (counted as an eviction).
     /// Any other is poisoned: closed, never lent again.
     pub(crate) fn settle(mut self, clean: bool, reg: &Registry) {
-        let Some(stream) = self.stream.take() else {
+        let Some(socket) = self.socket.take() else {
             return;
         };
         let closed_as = if clean {
@@ -248,7 +270,7 @@ impl PooledConn {
             let peer = idle.entry(self.addr).or_default();
             if peer.len() < self.pool.cfg.conns_per_peer {
                 let since = Instant::now();
-                peer.push(IdleConn { stream, since });
+                peer.push(IdleConn { socket, since });
                 return;
             }
             "net_pool_evictions_total"
@@ -256,7 +278,7 @@ impl PooledConn {
             "net_pool_poisoned_total"
         };
         reg.counter(closed_as, &self.pool.labels()).inc();
-        self.pool.discard(stream, reg);
+        self.pool.discard(socket, reg);
     }
 }
 
@@ -264,7 +286,7 @@ impl Drop for PooledConn {
     fn drop(&mut self) {
         // Never settled: close the socket and fix the count. (No registry
         // here, so the gauge catches up on the next counted pool operation.)
-        if self.stream.take().is_some() {
+        if self.socket.take().is_some() {
             self.pool.open.fetch_sub(1, Ordering::SeqCst);
         }
     }
@@ -434,14 +456,27 @@ mod tests {
         let reg = Registry::new();
         let p = pool(PoolConfig::default());
         let c1 = p.checkout(addr, CONNECT, false, &reg).unwrap();
-        let first_port = c1.stream.as_ref().unwrap().local_addr().unwrap().port();
+        let first_port = c1
+            .socket
+            .as_ref()
+            .unwrap()
+            .stream
+            .local_addr()
+            .unwrap()
+            .port();
         assert!(!c1.reused);
         c1.settle(true, &reg);
         assert_eq!(p.idle_count(), 1);
         let c2 = p.checkout(addr, CONNECT, false, &reg).unwrap();
         assert!(c2.reused, "idle socket reused");
         assert_eq!(
-            c2.stream.as_ref().unwrap().local_addr().unwrap().port(),
+            c2.socket
+                .as_ref()
+                .unwrap()
+                .stream
+                .local_addr()
+                .unwrap()
+                .port(),
             first_port,
             "the very same socket came back"
         );
@@ -466,7 +501,33 @@ mod tests {
             assert!(c.stream().nodelay().unwrap(), "reused: {reused}");
             c.settle(true, &reg);
         }
-        assert!(dial(addr, CONNECT).unwrap().nodelay().unwrap());
+        assert!(dial(addr, CONNECT).unwrap().stream.nodelay().unwrap());
+    }
+
+    #[test]
+    fn a_socket_keeps_its_timeouts_through_the_idle_cache() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let reg = Registry::new();
+        let p = pool(PoolConfig::default());
+        let (long, short) = (Duration::from_millis(300), Duration::from_millis(20));
+        let mut c = p.checkout(addr, CONNECT, false, &reg).unwrap();
+        c.set_read_timeout(long).unwrap();
+        c.set_write_timeout(short).unwrap();
+        c.settle(true, &reg);
+        let mut c = p.checkout(addr, CONNECT, false, &reg).unwrap();
+        assert!(c.reused);
+        let known = |c: &mut PooledConn| (c.socket().read, c.socket().write);
+        assert_eq!(known(&mut c), (Some(long), Some(short)), "carried back");
+        c.set_read_timeout(short).unwrap();
+        assert_eq!(
+            c.stream().read_timeout().unwrap(),
+            Some(short),
+            "a change is set"
+        );
+        // A zero timeout is refused: the socket's timeout is unknown now.
+        assert!(c.set_write_timeout(Duration::ZERO).is_err());
+        assert_eq!(known(&mut c), (Some(short), None));
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //!
 //! The repo's no-deps discipline rules out `mio`/`tokio`, so this module
 //! declares the handful of syscalls it needs (`epoll_create1`, `epoll_ctl`,
-//! `epoll_wait`, `eventfd`, `timerfd_create`, `timerfd_settime`, `poll`)
-//! directly via `extern "C"` — `std` already links libc, so the symbols
-//! resolve without adding a crate. Six pieces live here:
+//! `epoll_wait`, `eventfd`, `timerfd_create`, `timerfd_settime`, `poll`,
+//! `recv`) directly via `extern "C"` — `std` already links libc, so the
+//! symbols resolve without adding a crate. Seven pieces live here:
 //!
 //! - [`Epoll`]: one-shot readiness polling over raw fds, each registered
 //!   with a `u64` token that comes back on its event. Every worker of a
@@ -13,6 +13,7 @@
 //!   worker that took it re-arms it, so no two workers hold one fd.
 //! - `poll_ready`: the same question asked of one socket by the thread
 //!   that owns it — a client pipelining a burst has no epoll set.
+//! - `idle_open`: the pool's checkout health check, one nonblocking peek.
 //! - [`Waker`]: an `eventfd` that `ServiceHandle`'s stop writes to from
 //!   another thread to pop the workers out of `epoll_wait`.
 //! - [`Timer`]: a `timerfd`, a service's one due tick as an fd event.
@@ -53,6 +54,7 @@ extern "C" {
     fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout: i32) -> i32;
     fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
+    fn recv(fd: i32, buf: *mut u8, len: usize, flags: i32) -> isize;
 }
 
 /// `struct pollfd`: no packing quirk, the C layout on every target.
@@ -82,6 +84,8 @@ const EPOLLONESHOT: u32 = 1 << 30;
 const EFD_NONBLOCK: i32 = 0x800;
 const EFD_CLOEXEC: i32 = 0x80000;
 const CLOCK_MONOTONIC: i32 = 1;
+const MSG_PEEK: i32 = 0x2;
+const MSG_DONTWAIT: i32 = 0x40;
 
 /// NOTE: the kernel ABI packs `epoll_event` on x86-64 (12 bytes, u32 +
 /// unaligned u64). Rather than fight `repr(packed)` reference rules, we
@@ -273,6 +277,16 @@ pub(crate) fn poll_ready(fd: RawFd, want: Interest, timeout: Duration) -> io::Re
     }
 }
 
+/// Is the connected socket `fd` open with nothing to read? One
+/// `recv(MSG_PEEK | MSG_DONTWAIT)`, blocking flag untouched: only
+/// `WouldBlock` says yes; EOF, bytes waiting or another error say no.
+pub(crate) fn idle_open(fd: RawFd) -> bool {
+    let mut byte = 0u8;
+    // SAFETY: one writable byte, and `len` says one.
+    let rc = unsafe { recv(fd, &mut byte, 1, MSG_PEEK | MSG_DONTWAIT) };
+    rc < 0 && last_os_error().kind() == io::ErrorKind::WouldBlock
+}
+
 /// Cross-thread wakeup for threads parked in [`Epoll::wait`]. Backed by
 /// a nonblocking `eventfd`: `wake()` writes a counter increment (cheap,
 /// idempotent while pending) and leaves [`Waker::fd`] readable until
@@ -367,7 +381,7 @@ pub struct FrameBuf {
     max_frame: usize,
 }
 
-/// The least room [`FrameBuf::fill_from`] offers one read.
+/// The least room [`FrameBuf::read_from`] offers one read.
 const READ_ROOM: usize = 4096;
 
 impl FrameBuf {
@@ -405,22 +419,24 @@ impl FrameBuf {
         self.end += chunk.len();
     }
 
+    /// One read into the buffer's own room (at least [`READ_ROOM`]): the bytes taken, 0 at EOF.
+    pub(crate) fn read_from(&mut self, r: &mut impl io::Read) -> io::Result<usize> {
+        self.reserve(READ_ROOM);
+        let n = r.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+
     /// Drain a nonblocking socket into the buffer's own room until it
     /// would block (a read that leaves room unfilled has emptied it and
     /// saves the `WouldBlock` probe); the peer having closed its end is an
     /// error like any other.
     pub fn fill_from(&mut self, r: &mut impl io::Read) -> io::Result<()> {
         loop {
-            self.reserve(READ_ROOM);
-            let room = self.buf.len() - self.end;
-            match r.read(&mut self.buf[self.end..]) {
+            match self.read_from(r) {
                 Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-                Ok(n) => {
-                    self.end += n;
-                    if n < room {
-                        return Ok(());
-                    }
-                }
+                Ok(_) if self.end < self.buf.len() => return Ok(()),
+                Ok(_) => {}
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),

@@ -8,8 +8,8 @@ use crate::fault::FaultPlan;
 use crate::overload::BreakerSet;
 use crate::pool::{ConnPool, PoolConfig, PooledConn};
 use crate::proto::{
-    apply_receive_faults, is_disconnect_error, is_overload_error, parse_payload, read_frame_with,
-    write_frame_with, Envelope, ProtoError, Request, Response, MAX_FRAME,
+    apply_receive_faults, is_disconnect_error, is_overload_error, parse_payload, write_frame_with,
+    Envelope, ProtoError, Request, Response, MAX_FRAME,
 };
 use crate::reactor::{poll_ready, FrameBuf, Interest, WriteQueue};
 use faucets_telemetry::metrics::{global, Registry};
@@ -32,7 +32,8 @@ pub struct CallOptions {
     /// Transport-failure retry policy (server `Response::Error`s are
     /// answers, not failures, and are never retried here).
     pub retry: RetryPolicy,
-    /// Fault injection applied to this caller's traffic.
+    /// Fault injection applied to this caller's requests, and to a burst's
+    /// replies as they are received (a lone reply's are never faulted).
     pub faults: Option<Arc<FaultPlan>>,
     /// Metric registry for the caller-side attempt/retry/failure counters.
     /// `None` uses the process-global registry.
@@ -314,7 +315,7 @@ impl<'a> Leg<'a> {
         let (opts, reg) = (self.opts, self.reg());
         match pool_of(opts).checkout(self.addr, opts.connect, fresh, reg) {
             Ok(mut conn) => {
-                let sent = send(conn.stream(), self.reqs, opts, self.deadline);
+                let sent = send(&mut conn, self.reqs, opts, self.deadline);
                 Flight::Aloft(conn, sent)
             }
             Err(e) => Flight::Grounded(e),
@@ -345,11 +346,10 @@ impl<'a> Leg<'a> {
                         // `rpc_pingpong` read −9.1 % `throughput_ops_s` and
                         // +10.1 % `cpu_ms_per_op` in 5 of 5 alternating
                         // pairs (PR 18).
-                        Ok(_) if self.reqs.len() == 1 => {
-                            let reply = receive(conn.stream(), patience);
-                            let clean = reply.is_ok();
-                            (vec![reply], clean)
-                        }
+                        Ok(_) if self.reqs.len() == 1 => match receive(&mut conn, patience) {
+                            Ok((reply, clean)) => (vec![Ok(reply)], clean),
+                            Err(e) => (vec![Err(e)], false),
+                        },
                         Ok(mut burst) => {
                             let mut slots: Vec<_> = self.reqs.iter().map(|_| None).collect();
                             let stream = conn.stream();
@@ -421,12 +421,13 @@ struct EnvelopeRef<'a, T> {
 /// A fault plan may "lose" a frame: nothing of it is written, and the
 /// caller's read times out as on a real lossy wire.
 ///
-/// A lone request goes out whole, under the write timeout. A burst makes
-/// the socket nonblocking, stamps each request with its own `request_id`
-/// and writes what the socket takes at once (a checked-out socket has
-/// room): back comes what [`pipeline`] has still to write.
+/// A lone request goes out whole, under the write timeout (set only when
+/// it changed). A burst makes the socket nonblocking, stamps each request
+/// with its own `request_id` and writes what the socket takes at once (a
+/// checked-out socket has room): back comes what [`pipeline`] has still to
+/// write.
 fn send(
-    stream: &mut TcpStream,
+    conn: &mut PooledConn,
     reqs: &[Request],
     opts: &CallOptions,
     deadline: Option<Instant>,
@@ -446,8 +447,8 @@ fn send(
     };
     let mut unsent = WriteQueue::default();
     if let [req] = reqs {
-        stream.set_write_timeout(Some(opts.timeouts.write))?;
-        write_frame_with(stream, &envelope(req, None), faults)?;
+        conn.set_write_timeout(opts.timeouts.write)?;
+        write_frame_with(conn.stream(), &envelope(req, None), faults)?;
         return Ok((unsent, 0));
     }
     let first_id = NEXT_ID.fetch_add(reqs.len() as u64, Ordering::Relaxed);
@@ -456,26 +457,38 @@ fn send(
         write_frame_with(&mut frame, &envelope(req, Some(id)), faults)?;
         unsent.push(frame);
     }
-    stream.set_nonblocking(true)?;
-    match unsent.flush(stream) {
+    conn.stream().set_nonblocking(true)?;
+    match unsent.flush(conn.stream()) {
         Err(e) if e.kind() != io::ErrorKind::WouldBlock => Err(e),
         _ => Ok((unsent, first_id)),
     }
 }
 
 /// The read half for a lone request: the stream's next frame, waited for
-/// `patience`.
-fn receive(stream: &mut TcpStream, patience: Duration) -> io::Result<Response> {
-    stream.set_read_timeout(Some(patience))?;
-    read_frame_with::<_, Envelope<Response>>(stream, None)
-        .map_err(io::Error::from)?
-        .map(|e| e.msg)
-        .ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed before reply",
-            )
-        })
+/// `patience` and read until whole — in one read if it came whole — and no
+/// further, since a read past it waits out the timeout. `true` with the
+/// reply says the socket is clean: no bytes came after it (a desync).
+fn receive(conn: &mut PooledConn, patience: Duration) -> io::Result<(Response, bool)> {
+    conn.set_read_timeout(patience)?;
+    let mut reply = FrameBuf::new(MAX_FRAME as usize);
+    loop {
+        if let Some(payload) = reply.next_frame()? {
+            let env: Envelope<Response> = parse_payload(&payload)?;
+            return Ok((env.msg, reply.pending_bytes() == 0));
+        }
+        match reply.read_from(conn.stream()) {
+            Ok(0) => {
+                let why = "connection closed before reply";
+                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, why));
+            }
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                return Err(io::ErrorKind::TimedOut.into());
+            }
+            Err(e) => return Err(e),
+        }
+    }
 }
 
 /// The read half for a burst, on the caller's own thread: the frames
@@ -536,7 +549,7 @@ fn pipeline(
     if replies.pending_bytes() > 0 {
         return Err(invalid("bytes after the burst's last reply"));
     }
-    // Back to blocking: a lone request and the pool's health check assume it.
+    // Back to blocking: a lone request's read assumes it.
     stream.set_nonblocking(false)
 }
 
@@ -545,6 +558,7 @@ mod tests {
     use super::super::{serve, serve_with, ServeOptions};
     use super::*;
     use crate::fault::FaultConfig;
+    use crate::proto::read_frame_with;
 
     #[test]
     fn echo_service_round_trip() {
@@ -679,7 +693,12 @@ mod tests {
                 registry: Some(Arc::clone(&server_reg)),
                 ..ServeOptions::default()
             },
-            |_| Response::Ok,
+            |req| {
+                if matches!(req, Request::Login { .. }) {
+                    std::thread::sleep(Duration::from_millis(500));
+                }
+                Response::Ok
+            },
         )
         .unwrap();
         let pool = Arc::new(ConnPool::new("test", PoolConfig::default()));
@@ -714,6 +733,22 @@ mod tests {
             1,
             "the server accepted exactly one connection"
         );
+        // The warm socket's read timeout is the 10 s default; a call that
+        // wants less gets less.
+        let impatient = CallOptions {
+            timeouts: Timeouts::both(Duration::from_millis(50)),
+            ..opts
+        };
+        let slow = Request::Login {
+            user: "u".into(),
+            password: "p".into(),
+        };
+        let began = Instant::now();
+        let e = call_with(h.addr, &slow, &impatient).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::TimedOut, "{e}");
+        assert!(began.elapsed() < Duration::from_millis(400), "{e}");
+        let hits = call_reg.snapshot().counter_sum("net_pool_hits_total", &[]);
+        assert_eq!(hits, 10, "on the reused socket");
         h.shutdown();
     }
 
@@ -766,18 +801,26 @@ mod tests {
         // The burst left the socket in blocking mode, clean: the next lone
         // round trip takes it straight back out of the pool.
         assert_eq!(call_with(h.addr, &lone, &opts).unwrap(), Response::Ok);
+        // A lone reply of over 1 MiB reassembles across its reads.
+        let big = "x".repeat((1 << 20) + 17);
+        let login = Request::Login {
+            user: big.clone(),
+            password: "p".into(),
+        };
+        let reply = call_with(h.addr, &login, &opts).unwrap();
+        assert_eq!(reply, Response::Error(big));
         assert_eq!(
             server_reg
                 .snapshot()
                 .counter_sum("net_conns_accepted_total", &[("service", "burst")]),
             1,
-            "six calls and an 8-deep batch all shared one connection"
+            "seven calls and an 8-deep batch all shared one connection"
         );
         assert_eq!(pool.open_connections(), 1);
         let snap = call_reg.snapshot();
         let count = |name: &str| snap.counter_sum(name, &[("pool", "test-burst")]);
         assert_eq!(count("net_pool_misses_total"), 1, "one dial");
-        assert_eq!(count("net_pool_hits_total"), 6, "a burst is one checkout");
+        assert_eq!(count("net_pool_hits_total"), 7, "a burst is one checkout");
         assert_eq!(count("net_pool_poisoned_total"), 0);
         h.shutdown();
     }

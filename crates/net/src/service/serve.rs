@@ -20,6 +20,7 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
@@ -180,6 +181,9 @@ const FIRST_CONN_TOKEN: u64 = 3;
 
 /// Default for [`ServeOptions::write_buf`].
 const WRITE_BUF_CAP: usize = 4 * MAX_FRAME as usize;
+
+/// How long after a round that panicked the tick runs again.
+const TICK_AFTER_PANIC: Duration = Duration::from_millis(50);
 
 /// The most frames one turn runs: a connection with more buffered goes to
 /// the back of the ready list, so a pipelining peer cannot starve the
@@ -426,13 +430,14 @@ impl Shared {
     }
 
     /// Run the tick, once more for each nudge that landed meanwhile, arm
-    /// the timer for the next round, then re-arm the timer's fd.
+    /// the timer for the next round, then re-arm the timer's fd. A round
+    /// that panics is over: the next is due [`TICK_AFTER_PANIC`] later.
     fn run_tick(&self) {
         loop {
             let Some(tick) = self.due.lock().start() else {
                 break;
             };
-            let next = tick();
+            let next = catch_unwind(AssertUnwindSafe(|| tick())).unwrap_or(TICK_AFTER_PANIC);
             let mut due = self.due.lock();
             if !std::mem::take(&mut due.nudged) || self.stop.load(Ordering::SeqCst) {
                 due.running = false;
@@ -488,6 +493,7 @@ type Meters = HashMap<&'static str, (Counter, Histogram)>;
 /// receive-side fault injection, parsing, the metrics exemption, injected
 /// rejection, deadline shedding, tracing, the handler itself, and reply
 /// serialization (with send-side faults). `None` closes the connection.
+/// A panicking handler is answered `Response::Error` and counted.
 fn process_frame<F>(
     mut payload: Vec<u8>,
     handler: &F,
@@ -557,7 +563,10 @@ where
     // outbound call the handler makes rides the same trace.
     let mut span = trace::server_span(ctx, name, endpoint);
     let started = trace::wall_secs();
-    let resp = handler(req);
+    let resp = catch_unwind(AssertUnwindSafe(|| handler(req))).unwrap_or_else(|_| {
+        reg.counter("net_handler_panics_total", &labels).inc();
+        Response::Error(format!("{name} panicked serving {endpoint}"))
+    });
     seconds.record(trace::wall_secs() - started);
     if matches!(resp, Response::Error(_)) {
         reg.counter("net_errors_total", &labels).inc();
@@ -737,6 +746,65 @@ mod tests {
         }
         std::thread::sleep(Duration::from_millis(50));
         assert_eq!(runs.load(Ordering::SeqCst), 2, "one nudge, one more round");
+        h.shutdown();
+    }
+
+    /// A handler that panics costs its caller an error answer, not the
+    /// worker: a one-worker service answers the next call.
+    #[test]
+    fn a_panicking_handler_is_answered_and_its_worker_serves_on() {
+        let reg = Arc::new(Registry::new());
+        let opts = ServeOptions {
+            registry: Some(Arc::clone(&reg)),
+            workers: 1,
+            ..ServeOptions::default()
+        };
+        let h = serve_with("127.0.0.1:0", "fragile", opts, |req| match req {
+            Request::VerifyToken { token } if token.0 == "boom" => panic!("a handler bug"),
+            _ => Response::Ok,
+        })
+        .unwrap();
+        let opts = CallOptions {
+            timeouts: Timeouts::both(Duration::from_secs(2)),
+            ..CallOptions::default()
+        };
+        let verify = |token: &str| {
+            let token = faucets_core::auth::SessionToken(token.into());
+            call_with(h.addr, &Request::VerifyToken { token }, &opts)
+        };
+        let Ok(Response::Error(why)) = verify("boom") else {
+            panic!("the panic is answered as an error")
+        };
+        assert!(why.contains("panicked"), "{why}");
+        assert_eq!(verify("fine").unwrap(), Response::Ok, "the worker lives");
+        let labels = [("service", "fragile"), ("endpoint", "VerifyToken")];
+        let panics = reg
+            .snapshot()
+            .counter_sum("net_handler_panics_total", &labels);
+        assert_eq!(panics, 1);
+        h.shutdown();
+    }
+
+    /// A round that panics ends like any other: the tick runs again.
+    #[test]
+    fn a_tick_that_panics_runs_again() {
+        let h = serve("127.0.0.1:0", "ticking", |_| Response::Ok).unwrap();
+        let runs = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&runs);
+        h.tick(Duration::ZERO, move || {
+            if counted.fetch_add(1, Ordering::SeqCst) == 0 {
+                panic!("a round's bug");
+            }
+            Duration::from_secs(30)
+        });
+        let t = Instant::now();
+        while runs.load(Ordering::SeqCst) < 2 {
+            assert!(
+                t.elapsed() < Duration::from_secs(10),
+                "the panicked round stopped the tick"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
         h.shutdown();
     }
 

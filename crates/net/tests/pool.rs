@@ -363,23 +363,42 @@ fn misbehaving_peer(n: usize, how: Misbehaviour) -> SocketAddr {
 /// A peer that answers a burst with a reply nobody asked for, the same id
 /// twice, bytes past the last reply, or one reply short: each slot holds
 /// its own request's reply or a typed error — never another request's —
-/// the socket is poisoned, and the next call dials fresh.
+/// the socket is poisoned, and the next call dials fresh. A burst of one
+/// is a lone request: its reply, with bytes after it, is delivered, and
+/// the socket poisoned all the same.
 #[test]
 fn a_wronged_burst_fails_typed_poisons_the_socket_and_the_next_call_redials() {
-    const N: usize = 4;
     let all = [0, 1, 2, 3];
-    for (how, answered, error) in [
+    for (how, n, answered, error) in [
         // The burst stops at the first reply it cannot place.
-        (Misbehaviour::ForeignId, &[0][..], ErrorKind::InvalidData),
-        (Misbehaviour::DuplicateId, &[0][..], ErrorKind::InvalidData),
+        (Misbehaviour::ForeignId, 4, &[0][..], ErrorKind::InvalidData),
+        (
+            Misbehaviour::DuplicateId,
+            4,
+            &[0][..],
+            ErrorKind::InvalidData,
+        ),
         (
             Misbehaviour::TrailingBytes,
+            4,
             &all[..],
             ErrorKind::InvalidData,
         ),
-        (Misbehaviour::LostReply, &[0, 2, 3][..], ErrorKind::TimedOut),
+        (
+            Misbehaviour::TrailingBytes,
+            1,
+            &[0][..],
+            ErrorKind::InvalidData,
+        ),
+        (
+            Misbehaviour::LostReply,
+            4,
+            &[0, 2, 3][..],
+            ErrorKind::TimedOut,
+        ),
     ] {
-        let addr = misbehaving_peer(N, how);
+        let how = (how, n);
+        let addr = misbehaving_peer(n, how.0);
         let pool = Arc::new(ConnPool::new("wronged", PoolConfig::default()));
         let reg = Arc::new(Registry::new());
         let opts = CallOptions {
@@ -388,7 +407,7 @@ fn a_wronged_burst_fails_typed_poisons_the_socket_and_the_next_call_redials() {
             timeouts: Timeouts::both(Duration::from_millis(300)),
             ..CallOptions::default()
         };
-        let reqs = numbered_logins(N, "");
+        let reqs = numbered_logins(n, "");
         for (i, result) in call_batch(addr, &reqs, &opts).into_iter().enumerate() {
             match result {
                 Ok(reply) => {
