@@ -535,8 +535,6 @@ mod tests {
                 },
                 liveness: Liveness::Alive,
                 last_heard: SimTime::from_secs(10),
-                shard: None,
-                ring_epoch: 0,
             }],
             services: vec![("fs".to_string(), reg.snapshot())],
             jobs_monitored: 3,

@@ -93,15 +93,6 @@ pub struct ClusterRow {
     pub liveness: Liveness,
     /// When the FS last heard from this daemon (simulated time).
     pub last_heard: SimTime,
-    /// The federated FS shard that owns this entry (`None` on a
-    /// single-process FS, and on rows from pre-federation peers).
-    #[serde(default)]
-    pub shard: Option<String>,
-    /// The owning shard's consistent-hash ring generation when the row was
-    /// produced (0 when unfederated), so dashboards can tell whether two
-    /// shards' answers describe the same ring.
-    #[serde(default)]
-    pub ring_epoch: u64,
 }
 
 /// Directory entry: static info + latest dynamic status + exported apps.
@@ -272,8 +263,6 @@ impl Directory {
                 status: e.status,
                 liveness: self.grade(e, now),
                 last_heard: e.last_heard,
-                shard: None,
-                ring_epoch: 0,
             })
             .collect()
     }
@@ -366,11 +355,22 @@ mod tests {
 
     #[test]
     fn a_row_that_still_carries_replicas_decodes() {
-        // Peers built before the replica list left the row still send it.
+        // Peers built before the replica list left the row still send it,
+        // and peers built before the directory was one server still stamp
+        // a dashboard row with a shard and a ring epoch.
         let mut json = serde_json::to_string(&info(3, 64, 1024)).unwrap();
         json.insert_str(json.len() - 1, r#","replicas":["127.0.0.1:9100"]"#);
-        let row: ServerInfo = serde_json::from_str(&json).unwrap();
-        assert_eq!(row, info(3, 64, 1024));
+        let info: ServerInfo = serde_json::from_str(&json).unwrap();
+        assert_eq!(info, self::info(3, 64, 1024));
+        let row = ClusterRow {
+            info,
+            status: ServerStatus::default(),
+            liveness: Liveness::Alive,
+            last_heard: SimTime::ZERO,
+        };
+        let mut json = serde_json::to_string(&row).unwrap();
+        json.insert_str(json.len() - 1, r#","shard":"fs-a","ring_epoch":3"#);
+        assert_eq!(serde_json::from_str::<ClusterRow>(&json).unwrap(), row);
     }
 
     #[test]

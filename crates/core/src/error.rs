@@ -45,7 +45,7 @@ pub enum FaucetsError {
     BidDeclined(String),
     /// A duplicate registration (user, cluster, application).
     AlreadyExists(String),
-    /// This server (or federated shard) has minted every user id it owns.
+    /// This server has minted every user id a job id can carry.
     UserIdsExhausted,
     /// Durable storage failed: the mutation was NOT journaled and must be
     /// NACKed to whoever requested it (rendered from the store error,

@@ -22,8 +22,9 @@ use std::collections::HashSet;
 /// Rounds a job gets before it is given up.
 pub const MAX_ROUNDS: u32 = 3;
 
-/// Keep the first listing of each cluster. (During a federated ring
-/// transition two shards can list the same server.)
+/// Keep the first listing of each cluster. (A directory reply is outside
+/// input: nothing but this keeps a server it lists twice from being
+/// solicited twice.)
 pub fn dedup_by_cluster<T>(listed: &mut Vec<T>, cluster: impl Fn(&T) -> ClusterId) {
     let mut seen = HashSet::new();
     listed.retain(|row| seen.insert(cluster(row)));

@@ -162,7 +162,7 @@ impl FaucetsServer {
     }
 
     /// One match query from an already authenticated caller (the live FS
-    /// verifies a token across shards before it asks): sweep the dead,
+    /// verifies the token itself, and journals the evictions): sweep the dead,
     /// then filter the directory per [`FaucetsServer::filter_level`].
     /// Returns the servers the sweep evicted, for the caller to journal,
     /// and the candidates. Each candidate will receive one

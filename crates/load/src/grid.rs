@@ -39,11 +39,9 @@ use std::time::{Duration, Instant};
 /// Where the grid lives.
 #[derive(Debug, Clone)]
 pub struct GridTarget {
-    /// The Faucets central server endpoints: one for a single-process FS,
-    /// or every shard of a federated grid. Workers are assigned a primary
-    /// round-robin and carry the rest as their failover list, so the
-    /// harness both spreads offered load across shards and survives a
-    /// shard death mid-run. Must be non-empty.
+    /// The Central Server, then its standbys: `fs[0]` is every worker's
+    /// FS, and the rest are its failover list, in order, so the harness
+    /// survives the FS's death mid-run. Must be non-empty.
     pub fs: Vec<SocketAddr>,
     /// The AppSpector monitor.
     pub appspector: SocketAddr,
@@ -53,26 +51,13 @@ pub struct GridTarget {
 }
 
 impl GridTarget {
-    /// A single-endpoint target (the pre-federation shape).
+    /// A target with no standby FS.
     pub fn single(fs: SocketAddr, appspector: SocketAddr, clock: Clock) -> Self {
         GridTarget {
             fs: vec![fs],
             appspector,
             clock,
         }
-    }
-
-    /// The primary FS endpoint for `worker` (round-robin).
-    pub fn fs_for(&self, worker: usize) -> SocketAddr {
-        self.fs[worker % self.fs.len()]
-    }
-
-    /// The remaining endpoints for `worker`, in the order its client
-    /// should fail over to them.
-    pub fn fallbacks_for(&self, worker: usize) -> Vec<SocketAddr> {
-        (1..self.fs.len())
-            .map(|k| self.fs[(worker + k) % self.fs.len()])
-            .collect()
     }
 }
 
@@ -168,15 +153,10 @@ struct WatchItem {
 }
 
 /// Register the account if new, else log in (re-runs against a warm grid
-/// reuse their accounts). The worker's round-robin shard is primary; the
-/// other shards become the client's failover list.
-fn connect(
-    target: &GridTarget,
-    worker: usize,
-    name: &str,
-    password: &str,
-) -> Result<FaucetsClient, ClientError> {
-    let fs = target.fs_for(worker);
+/// reuse their accounts). The target's standbys become the client's
+/// failover list.
+fn connect(target: &GridTarget, name: &str, password: &str) -> Result<FaucetsClient, ClientError> {
+    let fs = target.fs[0];
     let made = match FaucetsClient::register(
         fs,
         target.appspector,
@@ -191,7 +171,7 @@ fn connect(
         Err(e) => Err(e),
     };
     made.map(|mut c| {
-        c.fs_fallbacks = target.fallbacks_for(worker);
+        c.fs_fallbacks = target.fs[1..].to_vec();
         c
     })
 }
@@ -238,10 +218,9 @@ fn watch_loop(
                 std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
                 std::collections::hash_map::Entry::Vacant(v) => {
                     let name = format!("{}{}", opts.account_prefix, item.worker);
-                    // Register-or-login: on a federated grid the account may
-                    // have died with its shard, and the failover endpoint
-                    // needs it re-created.
-                    match connect(target, item.worker, &name, &opts.password) {
+                    // Register-or-login: the account may have died with
+                    // the FS, and the standby needs it re-created.
+                    match connect(target, &name, &opts.password) {
                         Ok(c) => v.insert(c),
                         // Transient login trouble: keep the item, retry
                         // next sweep.
@@ -255,7 +234,7 @@ fn watch_loop(
                     recorder.completed(item.class, Recorder::ms_since(item.fire_at), hit);
                     false
                 }
-                // The session died (e.g. with the shard that minted it):
+                // The session died (e.g. with the FS that minted it):
                 // drop it so the next sweep re-authenticates from scratch.
                 // An `unknown job` is only a registration still in the
                 // FD's outbox, and polls again.
@@ -294,7 +273,7 @@ pub fn run_against_grid(
     let mut clients = Vec::with_capacity(n_workers);
     for i in 0..n_workers {
         let name = format!("{}{}", opts.account_prefix, i);
-        let mut c = connect(target, i, &name, &opts.password)?;
+        let mut c = connect(target, &name, &opts.password)?;
         c.call_deadline = opts.call_deadline;
         clients.push(c);
     }

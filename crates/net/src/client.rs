@@ -20,7 +20,8 @@
 //! award or staging) costs only its bid: the client goes on down the
 //! slate, and when it is spent, or a round drew no offer, solicits anew
 //! (the FS will have graded a dead daemon suspect by then). A bid naming a
-//! server the listing lacks is skipped, never awarded.
+//! server the listing lacks is skipped, never awarded. A dead FS costs a
+//! rotation to the next standby FS, and a fresh login there.
 //!
 //! ## Overload
 //!
@@ -153,12 +154,11 @@ pub struct FaucetsClient {
     fs: SocketAddr,
     appspector: SocketAddr,
     clock: Clock,
-    /// Alternative FS endpoints (federated shards). On a transport failure
-    /// talking to the FS the client rotates to the next one — sticky: the
-    /// endpoint that answered stays primary until it fails in turn.
+    /// Standby FS endpoints, rotated to in order on a transport failure at
+    /// the FS; sticky, as the one that answered stays primary.
     pub fs_fallbacks: Vec<SocketAddr>,
     /// Stored at login so the client can re-authenticate by itself when
-    /// its session dies with the shard that minted it.
+    /// its session dies with the FS that minted it.
     credentials: Option<(String, String)>,
     /// The session token (§2.2: embedded in every FD interaction).
     pub token: SessionToken,
@@ -333,9 +333,9 @@ impl FaucetsClient {
         }
     }
 
-    /// Re-authenticate after the session died (typically with the shard
-    /// that minted it). Logs in at the current FS; if the account itself
-    /// lived on the dead shard, re-creates it there first.
+    /// Re-authenticate after the session died (typically with the FS that
+    /// minted it). Logs in at the current FS; if the account itself lived
+    /// only on the dead FS, re-creates it there first.
     fn relogin(&mut self, opts: &CallOptions) -> Result<(), ClientError> {
         let Some((name, password)) = self.credentials.clone() else {
             return Err(ClientError::Rejected("no stored credentials".into()));
@@ -346,8 +346,8 @@ impl FaucetsClient {
         };
         let resp = match self.fs_call(&login_req, opts)? {
             Response::Error(_) => {
-                // Accounts are shard-local: ours is gone with its shard.
-                // Re-create it at the surviving FS and log in again.
+                // A standby FS holds no accounts: ours is gone with the
+                // FS that died. Re-create it here and log in again.
                 let create = Request::CreateUser {
                     user: name,
                     password,
@@ -432,8 +432,8 @@ impl FaucetsClient {
         let opts = self.opts();
 
         // 1. Matching servers from the FS. A rejection here may mean the
-        // session died with the shard that minted it (the failover path
-        // just rotated us to a survivor): re-authenticate once and retry
+        // session died with the FS that minted it (the failover path just
+        // rotated us to a standby): re-authenticate once and retry
         // before giving up.
         let list = |client: &mut Self| {
             let req = Request::ListServers {

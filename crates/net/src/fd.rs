@@ -42,8 +42,11 @@
 //! The FD holds no accounting data, so it remembers only the FS's own
 //! `Verified` answers, each for `HEARTBEAT_EVERY` (30 simulated seconds:
 //! the staleness the FD's view of the FS already has, and so the bound on
-//! how long a logout or an expiry takes to reach this daemon).
-//! `FdCore::verify` has the rules.
+//! how long a logout or an expiry takes to reach this daemon). Each entry
+//! keeps the user the FS named, and a bid or an award is answered only for
+//! that user. When a heartbeat finds the FS dead, the pump rotates to the
+//! next standby FS of [`FdOptions::fs_fallbacks`], registers there and
+//! empties the memo. `FdCore::verify` has the rules.
 //!
 //! ## Crash recovery
 //!
@@ -199,9 +202,9 @@ pub struct FdOptions {
     /// (models the CM probe of §2.2). Zero (the default) adds nothing;
     /// experiments set it to give the FD a known bid capacity.
     pub bid_probe_floor: Duration,
-    /// Alternative FS endpoints (federated shards). When a heartbeat fails
-    /// at the transport level the pump rotates to the next endpoint and
-    /// re-registers there, so a daemon survives the death of the shard it
+    /// Standby FS endpoints, in order. When a heartbeat fails at the
+    /// transport level the pump rotates to the next endpoint and
+    /// re-registers there, so a daemon survives the death of the FS it
     /// was pointed at. Overload answers never rotate (busy is not dead).
     pub fs_fallbacks: Vec<SocketAddr>,
 }
@@ -254,9 +257,10 @@ struct FdCore {
     gate: Arc<PayoffGate>,
     clock: Clock,
     fs: FsUpstream,
-    /// The tokens the FS answered `Verified` for, each with the simulated
-    /// instant of that answer: see [`FdCore::verify`].
-    vouched: Mutex<HashMap<SessionToken, SimTime>>,
+    /// The tokens the FS answered `Verified` for, each with the user it
+    /// named and the simulated instant of that answer: see
+    /// [`FdCore::verify`].
+    vouched: Mutex<HashMap<SessionToken, (UserId, SimTime)>>,
     appspector: SocketAddr,
     /// Runs the pump early, set once the service is bound.
     nudge: OnceLock<Nudge>,
@@ -343,7 +347,7 @@ impl FdCore {
 
     /// Announce this daemon to the FS endpoint currently trusted: at
     /// start-up, when a heartbeat finds the FS has forgotten it, and after
-    /// rotating to another shard.
+    /// rotating to the standby FS.
     fn register(&self) {
         let (info, apps) = {
             let s = self.state.lock();
@@ -379,22 +383,34 @@ impl FdCore {
     /// a `Verified` answer is remembered, stamped with the simulated
     /// instant it came back; a miss, an expired entry, a refusal and an
     /// unreachable FS all end in the FS's own words. Every insert sweeps
-    /// the expired entries, and a rotation to another shard empties the
-    /// memo (sessions die with the shard that minted them).
-    fn verify(&self, token: &SessionToken) -> Result<(), Response> {
+    /// the expired entries, and a rotation to the standby FS empties the
+    /// memo (sessions die with the FS that minted them). Returns the
+    /// token's user: a handler acts for that user only.
+    fn verify(&self, token: &SessionToken) -> Result<UserId, Response> {
         let fresh = |at: SimTime| self.clock.now().since(at) < HEARTBEAT_EVERY;
-        let vouched_at = self.vouched.lock().get(token).copied();
-        if vouched_at.is_some_and(fresh) {
+        let vouched = self.vouched.lock().get(token).copied();
+        if let Some((user, _)) = vouched.filter(|(_, at)| fresh(*at)) {
             self.m_memo_hits.inc();
-            return Ok(());
+            return Ok(user);
         }
         self.m_memo_misses.inc();
-        self.fs.verify(token)?;
+        let user = self.fs.verify(token)?;
         let now = self.clock.now();
         let mut vouched = self.vouched.lock();
-        vouched.retain(|_, at| now.since(*at) < HEARTBEAT_EVERY);
-        vouched.insert(token.clone(), now);
-        Ok(())
+        vouched.retain(|_, (_, at)| now.since(*at) < HEARTBEAT_EVERY);
+        vouched.insert(token.clone(), (user, now));
+        Ok(user)
+    }
+
+    /// [`FdCore::verify`], for a request made on behalf of `user`: a
+    /// session acts for its own user only.
+    fn verify_as(&self, token: &SessionToken, user: UserId) -> Result<(), Response> {
+        match self.verify(token)? {
+            owner if owner == user => Ok(()),
+            owner => Err(Response::Error(format!(
+                "the session of {owner} cannot act for {user}"
+            ))),
+        }
     }
 
     fn bid(&self, token: &SessionToken, request: &BidRequest) -> Response {
@@ -413,7 +429,7 @@ impl FdCore {
         if !self.opts.bid_probe_floor.is_zero() {
             std::thread::sleep(self.opts.bid_probe_floor);
         }
-        if let Err(resp) = self.verify(token) {
+        if let Err(resp) = self.verify_as(token, request.user) {
             return resp;
         }
         // Read the clock only while holding the lock: the pump also
@@ -434,7 +450,7 @@ impl FdCore {
         contract: ContractId,
         bid: Bid,
     ) -> Response {
-        if let Err(resp) = self.verify(token) {
+        if let Err(resp) = self.verify_as(token, spec.user) {
             return resp;
         }
         let (job, owner) = (spec.id, spec.user);
@@ -639,11 +655,11 @@ impl FdCore {
             // restarted). Re-register and carry on.
             Ok(Response::Error(_)) => self.register(),
             // The endpoint is dead (not merely overloaded): rotate to the
-            // next federated shard and register there, so bids keep
-            // verifying and the directory keeps listing us.
+            // standby FS and register there, so bids keep verifying and
+            // the directory keeps listing us.
             Err(e) if self.fs.rotate_after(&e) => {
                 self.m_fs_failovers.inc();
-                // Sessions die with the shard that minted them.
+                // Sessions die with the FS that minted them.
                 self.vouched.lock().clear();
                 self.register();
             }
@@ -1127,9 +1143,9 @@ mod tests {
         assert!(vouched.contains_key(&last));
     }
 
-    /// Sessions die with the shard that minted them: when the pump rotates
-    /// to a fallback shard the memo is emptied, and tokens are from then on
-    /// the new shard's to vouch for.
+    /// Sessions die with the FS that minted them: when the pump rotates
+    /// to the standby FS the memo is emptied, and tokens are from then on
+    /// the standby's to vouch for.
     #[test]
     fn a_rotation_to_a_fallback_shard_empties_the_memo() {
         let clock = memo_clock();
@@ -1152,7 +1168,7 @@ mod tests {
             assert!(std::time::Instant::now() < until, "the pump never rotated");
             std::thread::sleep(Duration::from_millis(10));
         }
-        // The surviving shard knows nothing of the old session...
+        // The standby knows nothing of the old session...
         let reply = call(fd, &bid_request(&g, g.token.clone())).unwrap();
         assert!(matches!(reply, Response::Error(_)), "{reply:?}");
         // ...and vouches for its own.
@@ -1162,14 +1178,49 @@ mod tests {
             password: password.clone(),
         };
         call(g.fs.service.addr, &create).unwrap();
-        let Response::Session { token, .. } =
+        let Response::Session { user, token } =
             call(g.fs.service.addr, &Request::Login { user, password }).unwrap()
         else {
             panic!("expected a session")
         };
+        g.user = user;
         let reply = call(fd, &bid_request(&g, token.clone())).unwrap();
         assert!(matches!(reply, Response::BidReply(_)), "{reply:?}");
         assert!(g.fd.core.vouched.lock().contains_key(&token));
+    }
+
+    /// Regression: the FD dropped the user the FS named for a token, so
+    /// any valid session could award a job in another user's name, and
+    /// the owner's own award of that job id was then answered `confirmed`
+    /// as a repeat and never ran. A session bids and awards for its own
+    /// user only.
+    #[test]
+    fn a_session_cannot_award_another_users_job() {
+        let clock = Clock::new(100.0);
+        let g = grid(&clock, 27, 64, FdOptions::default());
+        let (user, password) = ("mallory".to_string(), "p".to_string());
+        let create = Request::CreateUser {
+            user: user.clone(),
+            password: password.clone(),
+        };
+        call(g.fs.service.addr, &create).unwrap();
+        let Response::Session { user, token } =
+            call(g.fs.service.addr, &Request::Login { user, password }).unwrap()
+        else {
+            panic!("expected a session")
+        };
+        assert_ne!(user, g.user);
+        // Mallory's token on requests that name the grid's user.
+        let mut award = award_of(&g, JobId(1), 3_600.0, clock.now());
+        if let Request::Award { token: t, .. } = &mut award {
+            *t = token.clone();
+        }
+        let reply = call(g.fd.service.addr, &award).unwrap();
+        assert!(matches!(reply, Response::Error(_)), "{reply:?}");
+        assert_eq!(g.fd.active_contracts(), 0, "the FD placed the job");
+        assert_eq!(g.fd.daemon_stats().confirms, 0);
+        let reply = call(g.fd.service.addr, &bid_request(&g, token)).unwrap();
+        assert!(matches!(reply, Response::Error(_)), "{reply:?}");
     }
 
     /// Regression: a confirmed award used to send AppSpector its

@@ -21,31 +21,18 @@
 //! re-verify tokens against the FS, so an FS restart invalidates sessions
 //! and clients must log in again.
 //!
-//! ## Federation
+//! ## Standby
 //!
-//! With [`FsOptions::federation`] set, this FS becomes one shard of a
-//! federated directory (see [`crate::federation`]): the consistent-hash
-//! ring assigns each cluster id an owning shard, `RegisterCluster` and
-//! `Heartbeat` arriving at the wrong shard are forwarded to the owner
-//! (whose journal — replicated or not — is the one that records them),
-//! and directory-wide queries (`ListServers`, `ListClusters`) merge the
-//! local shard with a [`crate::proto::FedQuery`] scatter-gather across
-//! every alive peer. Accounts and session tokens remain shard-local;
-//! `VerifyToken` checks locally first and then asks the peers, so a
-//! daemon pointed at any shard can verify a token minted by any other.
-//! A `FedQuery` is always answered from local state only — the receiver
-//! never re-scatters — so cross-shard request chains are at most one hop
-//! deep and shard worker pools cannot deadlock on each other.
+//! One FS serves the grid. A second one, spawned beside it, is a standby:
+//! the FDs and clients that list it in their `fs_fallbacks` rotate to it
+//! when the FS stops answering, and register or log in there afresh.
 
-use crate::federation::{Federation, FederationOptions};
 use crate::overload::TokenBucket;
-use crate::proto::{FedQuery, Request, Response};
+use crate::proto::{Request, Response};
 use crate::replica::{Journal, ReplicationConfig};
 use crate::service::{serve, Clock, ServiceHandle};
-use faucets_core::auth::SessionToken;
 use faucets_core::directory::{ServerInfo, ServerListing};
-use faucets_core::ids::{ClusterId, UserId};
-use faucets_core::qos::QosContract;
+use faucets_core::ids::ClusterId;
 use faucets_core::server::FaucetsServer;
 use faucets_sim::time::SimTime;
 use faucets_store::{Durable, RecoveryReport, StoreOptions};
@@ -54,7 +41,6 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -146,14 +132,10 @@ pub struct FsOptions {
     /// queries per second. Queries over the budget are answered
     /// [`Response::Overloaded`] so a scanning client cannot starve
     /// registrations and heartbeats. Retunable at runtime via
-    /// [`FsHandle::query_bucket`]. Federation-internal frames
-    /// (`Gossip`/`FedQuery`) are exempt.
+    /// [`FsHandle::query_bucket`].
     pub query_rate: f64,
     /// Directory-query burst capacity (tokens banked while idle).
     pub query_burst: f64,
-    /// Run this FS as one shard of a federated directory
-    /// ([`crate::federation`]). `None` keeps the single-process behaviour.
-    pub federation: Option<FederationOptions>,
 }
 
 impl Default for FsOptions {
@@ -169,7 +151,6 @@ impl Default for FsOptions {
             // generates, low enough to cap a runaway scanner.
             query_rate: 1000.0,
             query_burst: 2000.0,
-            federation: None,
         }
     }
 }
@@ -187,14 +168,11 @@ pub struct FsHandle {
     pub recovery: Option<RecoveryReport>,
     /// The directory-query throttle (live `set_rate`/`set_burst` knobs).
     pub query_bucket: Arc<TokenBucket>,
-    /// The federation runtime, when this FS is a shard (ring/membership
-    /// readouts for tests and experiments).
-    pub federation: Option<Arc<Federation>>,
 }
 
 impl FsHandle {
     /// Graceful stop: shut the TCP service down and wait for its workers
-    /// to exit. A federated shard's gossip, the service's tick, stops too.
+    /// to exit.
     pub fn shutdown(self) {
         self.service.shutdown();
     }
@@ -208,6 +186,8 @@ pub fn spawn_fs(addr: &str, clock: Clock, seed: u64) -> io::Result<FsHandle> {
 /// Evictions are re-derivable (a stale registration restored after a crash
 /// is graded dead and swept on the next request), so journaling them only
 /// compacts the journal and must never NACK the request that noticed them.
+/// Called with the state lock released: a commit is a WAL append, a flush
+/// and, replicated, a ship round.
 fn journal_evictions(store: &Option<Journal<DirJournal>>, evicted: &[ClusterId]) {
     if let Some(store) = store {
         for cluster in evicted {
@@ -217,107 +197,29 @@ fn journal_evictions(store: &Option<Journal<DirJournal>>, evicted: &[ClusterId])
 }
 
 /// Everything one FS request handler needs, shared across worker threads.
-/// Splitting this out of the serve closure is what lets the federated
-/// paths take and *release* the state lock around network hops (scatters
-/// happen with no lock held).
+///
+/// The state lock is never held across a journal commit: a registration
+/// is committed before the lock is taken, an eviction after it is
+/// released. So a concurrent register and evict of one cluster can reach
+/// the journal in the other order than they reached the directory: the
+/// evicting request sweeps the cluster's stale row under the lock, the
+/// re-registration commits and applies, and only then is the `Evict`
+/// appended. The directory lists the cluster; a replay of the journal
+/// does not. That matters only after a restart, and there the cluster's
+/// next heartbeat is answered `unknown cluster`, on which its FD
+/// registers again: the window is one heartbeat period.
 struct FsCore {
     state: Arc<Mutex<FaucetsServer>>,
     rng: Arc<Mutex<StdRng>>,
     journal: Option<Journal<DirJournal>>,
     clock: Clock,
     bucket: Arc<TokenBucket>,
-    fed: Option<Arc<Federation>>,
     m_throttled: Counter,
     g_dir_size: Gauge,
 }
 
 impl FsCore {
-    /// Verify a token: locally first, then (federated only) by asking the
-    /// peers — accounts are shard-local, so a token minted by another shard
-    /// is only verifiable there.
-    fn verify_federated(&self, token: &SessionToken, now: SimTime) -> Result<UserId, Response> {
-        let local = self.state.lock().verify_token(token, now);
-        match local {
-            Ok(user) => Ok(user),
-            Err(e) => match &self.fed {
-                Some(fed) => match fed.scatter_verify(token) {
-                    Response::Verified { user } => Ok(user),
-                    _ => Err(Response::Error(e.to_string())),
-                },
-                None => Err(Response::Error(e.to_string())),
-            },
-        }
-    }
-
-    /// This shard's matching servers for a QoS contract (sweeps and
-    /// journals evictions as a side effect, like the pre-federation path).
-    fn local_listings(&self, qos: &QosContract, now: SimTime) -> Vec<ServerListing> {
-        let mut s = self.state.lock();
-        let (evicted, ids) = s.listings(qos, now);
-        journal_evictions(&self.journal, &evicted);
-        let listings = ids
-            .iter()
-            .filter_map(|c| {
-                s.directory.get(*c).map(|e| ServerListing {
-                    info: e.info.clone(),
-                    status: e.status,
-                })
-            })
-            .collect();
-        self.g_dir_size.set(s.directory.len() as f64);
-        listings
-    }
-
-    /// This shard's directory rows, stamped with shard name + ring epoch
-    /// when federated.
-    fn local_rows(&self, now: SimTime) -> Vec<faucets_core::directory::ClusterRow> {
-        let mut rows = self.state.lock().directory.rows(now);
-        if let Some(fed) = &self.fed {
-            let epoch = fed.ring_epoch();
-            for r in &mut rows {
-                r.shard = Some(fed.name().to_string());
-                r.ring_epoch = epoch;
-            }
-        }
-        rows
-    }
-
-    /// Answer a peer shard's [`FedQuery`] from local state only (never
-    /// re-scatter — see the module docs on bounded forwarding depth).
-    fn handle_fed_query(&self, query: &FedQuery) -> Response {
-        let now = self.clock.now();
-        match query {
-            FedQuery::Match { qos } => Response::Servers(self.local_listings(qos, now)),
-            FedQuery::Rows => Response::Clusters(self.local_rows(now)),
-            FedQuery::Verify { token } => match self.state.lock().verify_token(token, now) {
-                Ok(user) => Response::Verified { user },
-                Err(e) => Response::Error(e.to_string()),
-            },
-        }
-    }
-
     fn handle(&self, req: Request) -> Response {
-        // Shard-internal frames first: exempt from the client query
-        // throttle, and meaningless without a federation.
-        if let Some(fed) = &self.fed {
-            match &req {
-                Request::Gossip { view, .. } => return fed.handle_gossip(view),
-                Request::FedQuery { query, .. } => return self.handle_fed_query(query),
-                // Ownership routing: registrations and heartbeats belong to
-                // the ring owner's shard (and its journal).
-                Request::RegisterCluster { info, .. } => {
-                    if let Some((shard, addr)) = fed.forward_addr(info.cluster) {
-                        return fed.forward(&shard, addr, &req);
-                    }
-                }
-                Request::Heartbeat { cluster, .. } => {
-                    if let Some((shard, addr)) = fed.forward_addr(*cluster) {
-                        return fed.forward(&shard, addr, &req);
-                    }
-                }
-                _ => {}
-            }
-        }
         // Directory queries are throttled before touching the lock, so a
         // scanning client cannot starve registrations and heartbeats.
         if matches!(
@@ -329,53 +231,35 @@ impl FsCore {
             return Response::Overloaded { retry_after_ms: 25 };
         }
         let now = self.clock.now();
-        match req {
-            Request::VerifyToken { token } => match self.verify_federated(&token, now) {
-                Ok(user) => Response::Verified { user },
-                Err(resp) => resp,
-            },
-            Request::ListServers { token, qos } => {
-                if let Err(resp) = self.verify_federated(&token, now) {
-                    return resp;
-                }
-                let mut listings = self.local_listings(&qos, now);
-                if let Some(fed) = &self.fed {
-                    for resp in fed.scatter(FedQuery::Match { qos }) {
-                        if let Response::Servers(more) = resp {
-                            listings.extend(more);
-                        }
-                    }
-                    // A server reachable via two shards during a ring
-                    // transition must be listed once.
-                    let mut seen = HashSet::new();
-                    listings.retain(|l| seen.insert(l.info.cluster));
-                }
-                Response::Servers(listings)
-            }
-            Request::ListClusters { token } => {
-                if let Err(resp) = self.verify_federated(&token, now) {
-                    return resp;
-                }
-                let mut rows = self.local_rows(now);
-                if let Some(fed) = &self.fed {
-                    for resp in fed.scatter(FedQuery::Rows) {
-                        if let Response::Clusters(more) = resp {
-                            rows.extend(more);
-                        }
-                    }
-                    // Local rows come first, so during a handoff the owning
-                    // shard's stamp wins the dedupe.
-                    let mut seen = HashSet::new();
-                    rows.retain(|r| seen.insert(r.info.cluster));
-                }
-                Response::Clusters(rows)
-            }
-            other => self.handle_local(other, now),
+        if let Request::RegisterCluster { info, apps } = req {
+            return self.register(info, apps, now);
         }
+        let mut evicted = vec![];
+        let resp = self.answer(req, now, &mut evicted);
+        journal_evictions(&self.journal, &evicted);
+        resp
     }
 
-    /// The single-shard request paths (identical to the pre-federation FS).
-    fn handle_local(&self, req: Request, now: SimTime) -> Response {
+    /// Journal first: `Ok` must mean the registration survives a crash. On
+    /// a store failure the request is NACKed and the in-memory directory
+    /// is left untouched.
+    fn register(&self, info: ServerInfo, apps: Vec<String>, now: SimTime) -> Response {
+        if let Some(store) = &self.journal {
+            let (info, apps, at) = (info.clone(), apps.clone(), now);
+            if let Err(e) = store.commit(&DirRecord::Register { info, apps, at }) {
+                return Response::Error(format!("registration not durable: {e}"));
+            }
+        }
+        let mut s = self.state.lock();
+        s.register_cluster(info, apps, now);
+        self.g_dir_size.set(s.directory.len() as f64);
+        Response::Ok
+    }
+
+    /// Every request but a registration, under the state lock. The
+    /// clusters a sweep evicts go to `evicted`, for the caller to journal
+    /// once the lock is released.
+    fn answer(&self, req: Request, now: SimTime, evicted: &mut Vec<ClusterId>) -> Response {
         let mut s = self.state.lock();
         match req {
             Request::CreateUser { user, password } => {
@@ -390,28 +274,32 @@ impl FsCore {
                     Err(e) => Response::Error(e.to_string()),
                 }
             }
-            Request::RegisterCluster { info, apps } => {
-                // Journal first: `Ok` must mean the registration survives a
-                // crash. On a store failure the request is NACKed and the
-                // in-memory directory is left untouched.
-                if let Some(store) = &self.journal {
-                    if let Err(e) = store.commit(&DirRecord::Register {
-                        info: info.clone(),
-                        apps: apps.clone(),
-                        at: now,
-                    }) {
-                        return Response::Error(format!("registration not durable: {e}"));
-                    }
+            Request::VerifyToken { token } => match s.verify_token(&token, now) {
+                Ok(user) => Response::Verified { user },
+                Err(e) => Response::Error(e.to_string()),
+            },
+            Request::ListServers { token, qos } => {
+                if let Err(e) = s.verify_token(&token, now) {
+                    return Response::Error(e.to_string());
                 }
-                s.register_cluster(info, apps, now);
+                let (swept, ids) = s.listings(&qos, now);
+                *evicted = swept;
                 self.g_dir_size.set(s.directory.len() as f64);
-                Response::Ok
+                let listing = |c: &ClusterId| {
+                    let e = s.directory.get(*c)?;
+                    let (info, status) = (e.info.clone(), e.status);
+                    Some(ServerListing { info, status })
+                };
+                Response::Servers(ids.iter().filter_map(listing).collect())
             }
+            Request::ListClusters { token } => match s.verify_token(&token, now) {
+                Ok(_) => Response::Clusters(s.directory.rows(now)),
+                Err(e) => Response::Error(e.to_string()),
+            },
             Request::Heartbeat { cluster, status } => {
                 // Sweep explicitly (rather than inside `heartbeat`) so the
                 // evicted ids can be journaled.
-                let evicted = s.sweep_dead(now);
-                journal_evictions(&self.journal, &evicted);
+                *evicted = s.sweep_dead(now);
                 let known = s.heartbeat(cluster, status, now);
                 self.g_dir_size.set(s.directory.len() as f64);
                 if known {
@@ -460,18 +348,6 @@ pub fn spawn_fs_durable(
         None => (None, None),
     };
 
-    let federation = opts
-        .federation
-        .clone()
-        .map(|f| Arc::new(Federation::new(f)));
-    if let Some(fed) = &federation {
-        // Shards keep their own accounts; their clients meet at shared FDs.
-        state.lock().users.mint_ids_for_shard(fed.name());
-    }
-    let shard_label = federation
-        .as_ref()
-        .map(|f| f.name().to_string())
-        .unwrap_or_else(|| "fs".into());
     let reg = faucets_telemetry::global();
     let query_bucket = Arc::new(TokenBucket::new(opts.query_rate, opts.query_burst));
     let core = Arc::new(FsCore {
@@ -480,16 +356,10 @@ pub fn spawn_fs_durable(
         journal: store.clone(),
         clock,
         bucket: Arc::clone(&query_bucket),
-        fed: federation.clone(),
-        m_throttled: reg.counter("fs_query_throttled_total", &[("shard", &shard_label)]),
-        g_dir_size: reg.gauge("fs_directory_size", &[("shard", &shard_label)]),
+        m_throttled: reg.counter("fs_query_throttled_total", &[]),
+        g_dir_size: reg.gauge("fs_directory_size", &[]),
     });
     let service = serve(addr, "fs", move |req| core.handle(req))?;
-    if let Some(fed) = &federation {
-        // The bound address is only known now (port 0 picks one): fix the
-        // advertised self entry, then start gossiping.
-        fed.activate(&service);
-    }
 
     Ok(FsHandle {
         service,
@@ -497,17 +367,17 @@ pub fn spawn_fs_durable(
         store,
         recovery,
         query_bucket,
-        federation,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::call;
+    use crate::service::{call, call_with, CallOptions, Timeouts};
     use faucets_core::directory::{ServerInfo, ServerStatus};
     use faucets_core::ids::ClusterId;
     use faucets_core::qos::QosBuilder;
+    use std::time::Duration;
 
     fn info(id: u64) -> ServerInfo {
         ServerInfo {
@@ -642,8 +512,6 @@ mod tests {
         assert!(rows
             .iter()
             .any(|r| r.info.cluster == ClusterId(1) && r.status.queue_len == 2));
-        // A single-process FS stamps no shard on its rows.
-        assert!(rows.iter().all(|r| r.shard.is_none() && r.ring_epoch == 0));
     }
 
     #[test]
@@ -775,17 +643,73 @@ mod tests {
         assert!(matches!(r, Response::Error(_)));
     }
 
+    /// Regression: a registration used to be journaled while the handler
+    /// held the state lock, so for as long as that commit took (a WAL
+    /// append, a flush and, replicated, a ship round) every token check,
+    /// login and directory query waited. The store's fault hook parks the
+    /// registration's append; a `VerifyToken` must still be answered.
     #[test]
-    fn gossip_frames_are_rejected_without_federation() {
-        let fs = spawn_fs("127.0.0.1:0", Clock::realtime(), 9).unwrap();
-        let r = call(
-            fs.service.addr,
-            &Request::FedQuery {
-                from: "stranger".into(),
-                query: FedQuery::Rows,
+    fn tokens_verify_while_a_registration_is_being_journaled() {
+        use faucets_store::{StoreOptions, WriteFault};
+        use std::sync::mpsc;
+        let dir = scratch("parked");
+        let (parked_tx, parked_rx) = mpsc::channel::<()>();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (parked_tx, release_rx) = (Mutex::new(parked_tx), Mutex::new(release_rx));
+        let hook = move |payload: &[u8]| {
+            if payload.windows(10).any(|w| w == b"\"Register\"") {
+                let _ = parked_tx.lock().send(());
+                // Parked until the test lets go (or gives up and drops
+                // its end).
+                let _ = release_rx.lock().recv();
+            }
+            WriteFault::Deliver
+        };
+        let opts = FsOptions {
+            store: Some(dir.clone()),
+            store_opts: StoreOptions {
+                service: "fs".into(),
+                fault: Some(Arc::new(hook)),
+                ..StoreOptions::default()
             },
-        )
-        .unwrap();
-        assert!(matches!(r, Response::Error(_)), "got {r:?}");
+            ..FsOptions::default()
+        };
+        let fs = spawn_fs_durable("127.0.0.1:0", Clock::realtime(), 10, opts).unwrap();
+        let addr = fs.service.addr;
+        let (user, password) = ("u".to_string(), "p".to_string());
+        let create = Request::CreateUser {
+            user: user.clone(),
+            password: password.clone(),
+        };
+        call(addr, &create).unwrap();
+        let Response::Session { token, .. } =
+            call(addr, &Request::Login { user, password }).unwrap()
+        else {
+            panic!("expected a session")
+        };
+
+        let register = std::thread::spawn(move || {
+            let (info, apps) = (info(1), vec!["namd".into()]);
+            call(addr, &Request::RegisterCluster { info, apps })
+        });
+        parked_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the registration is journaled");
+        let patient = CallOptions {
+            timeouts: Timeouts::both(Duration::from_secs(3)),
+            ..CallOptions::default()
+        };
+        let verify = Request::VerifyToken { token };
+        let reply = call_with(addr, &verify, &patient);
+        // Unpark before judging, so a failure still shuts down cleanly.
+        release_tx.send(()).unwrap();
+        assert!(
+            matches!(reply, Ok(Response::Verified { .. })),
+            "a token check waited on the registration's journal append: {reply:?}"
+        );
+        assert_eq!(register.join().unwrap().unwrap(), Response::Ok);
+        assert!(fs.state.lock().directory.get(ClusterId(1)).is_some());
+        drop(fs);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

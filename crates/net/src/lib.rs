@@ -214,12 +214,16 @@
 //! catch-up, and the replicated commit's cost against the PR-3
 //! single-node WAL.
 //!
-//! # Federation
+//! ## One Central Server
 //!
-//! [`federation`] shards the central server itself: N FS instances split
-//! the directory by consistent hashing over cluster ids, discover each
-//! other by gossip, and answer any client's query by scatter-gathering
-//! the other shards — the E26 scale-out path. See the module docs.
+//! The grid has one FS, as in Figure 1: every directory query is answered
+//! from one process's directory. What survives its death is the standby
+//! FS: the FD and the client carry the standby's address in
+//! `fs_fallbacks`, rotate to it when a call to the FS fails at the
+//! transport level, and register (the FD) or re-create their account and
+//! log in (the client) there. Experiment E26 (`exp_federation`) measures
+//! one FS's directory-query cost against the directory's size, and kills
+//! the FS mid-stream to gate that failover.
 
 #![warn(missing_docs)]
 
@@ -227,7 +231,6 @@ pub mod appspector_srv;
 pub mod client;
 pub mod fault;
 pub mod fd;
-pub mod federation;
 pub mod fs;
 pub mod overload;
 pub mod pool;
@@ -244,7 +247,6 @@ pub mod prelude {
     pub use crate::client::{ClientError, FaucetsClient, Submission};
     pub use crate::fault::{FaultConfig, FaultPlan, FaultStats, FrameFault, Outage};
     pub use crate::fd::{spawn_fd_with, FdHandle, FdOptions};
-    pub use crate::federation::{Federation, FederationOptions, GossipView, Ring};
     pub use crate::fs::{spawn_fs, spawn_fs_durable, FsHandle, FsOptions};
     pub use crate::overload::{
         BreakerConfig, BreakerSet, CircuitBreaker, GateConfig, GateVerdict, PayoffGate, TokenBucket,

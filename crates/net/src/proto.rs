@@ -202,26 +202,6 @@ pub enum Request {
         epoch: u64,
     },
 
-    // ---- Federation (FS shard ↔ FS shard) ----
-    /// One shard pushes its gossip view to a peer; the peer merges it and
-    /// answers [`Response::Gossip`] with its own (push-pull anti-entropy).
-    Gossip {
-        /// The sending shard's name.
-        from: String,
-        /// The sender's full membership view.
-        view: crate::federation::GossipView,
-    },
-    /// One shard asks a peer to answer a directory query *from its local
-    /// shard only* (the receiver never re-scatters — forwarding depth is
-    /// bounded at one hop, so shard worker pools cannot deadlock on each
-    /// other).
-    FedQuery {
-        /// The asking shard's name.
-        from: String,
-        /// What to answer locally.
-        query: FedQuery,
-    },
-
     // ---- Observability (any service) ----
     /// Ask a service for a snapshot of its metric registry. Answered by
     /// the serve layer itself, so every Figure-1 service exposes it.
@@ -263,44 +243,11 @@ impl Request {
             Request::ReplRelease { .. } => "ReplRelease",
             Request::LeaseProbe { .. } => "LeaseProbe",
             Request::Fence { .. } => "Fence",
-            Request::Gossip { .. } => "Gossip",
-            Request::FedQuery { query, .. } => match query {
-                FedQuery::Match { .. } => "FedMatch",
-                FedQuery::Rows => "FedRows",
-                FedQuery::Verify { .. } => "FedVerify",
-            },
             Request::Metrics => "Metrics",
             Request::ListClusters { .. } => "ListClusters",
             Request::GridView { .. } => "GridView",
         }
     }
-}
-
-/// The shard-local directory questions one federated FS may ask another
-/// (carried by [`Request::FedQuery`], answered from the receiver's own
-/// shard without further network hops).
-// A wire type, built once per scatter and dropped: boxing `qos` would
-// change nothing on the wire and add an allocation per query.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum FedQuery {
-    /// Return this shard's matching servers for a QoS contract
-    /// (pre-verified by the asking shard — answered with
-    /// [`Response::Servers`]).
-    Match {
-        /// The job's requirements.
-        qos: QosContract,
-    },
-    /// Return this shard's directory rows, stamped with the shard name and
-    /// ring epoch (answered with [`Response::Clusters`]).
-    Rows,
-    /// Does this shard recognise the session token? (Answered with
-    /// [`Response::Verified`] or [`Response::Error`] — accounts are
-    /// shard-local, so verification scatters.)
-    Verify {
-        /// The token to check.
-        token: SessionToken,
-    },
 }
 
 /// Responses.
@@ -366,8 +313,6 @@ pub enum Response {
         /// Filesystem path of the released journal directory.
         dir: String,
     },
-    /// A federated shard's own gossip view, answering [`Request::Gossip`].
-    Gossip(crate::federation::GossipView),
     /// The service is at its admission bound and shed this request before
     /// doing any work (fast-fail instead of unbounded queueing). Not an
     /// error about the request itself: the caller may retry elsewhere or

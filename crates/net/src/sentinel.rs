@@ -44,7 +44,7 @@
 //!    new primary service. For an FD that respawn re-registers with the
 //!    FS under the same cluster id, flipping the directory row — clients
 //!    and daemons discover the new primary through the same
-//!    fallback-rotation they already use for federated FS shards.
+//!    fallback-rotation they already use for a standby FS.
 //!
 //! Every failover is recorded as a [`FailoverEvent`] with its measured
 //! MTTR (suspicion to promoted), and the whole pipeline is counted:

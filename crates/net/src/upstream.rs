@@ -1,5 +1,5 @@
 //! The Central Server as the FD and AppSpector reach it: the endpoint set,
-//! the rotation between federated shards, and the §2.2 token re-check —
+//! the rotation to a standby FS, and the §2.2 token re-check —
 //! written once for both services.
 
 use crate::proto::{is_overload_error, Request, Response};
@@ -10,8 +10,8 @@ use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// The FS endpoints a service may talk to (primary, then federated
-/// fallbacks) and the one it currently trusts.
+/// The FS endpoints a service may talk to (the FS, then its standbys)
+/// and the one it currently trusts.
 pub(crate) struct FsUpstream {
     endpoints: Vec<SocketAddr>,
     /// Rotation index modulo `endpoints`: request handlers verify tokens

@@ -5,19 +5,25 @@
 //! journal brings the contract back and the job still completes), and a
 //! daemon that goes silent (the Central Server grades it dead and evicts
 //! it from matching) — and an AppSpector that loses replies and sheds
-//! requests, which still hears of every job.
+//! requests, which still hears of every job. Then the Central Server's
+//! own failure: an FD and a client that lose their FS carry on at a
+//! standby FS through `fs_fallbacks`, and a client takes no directory
+//! reply at its word.
 
 mod common;
 
-use faucets_core::ids::ClusterId;
+use faucets_core::auth::SessionToken;
+use faucets_core::directory::{ServerInfo, ServerListing, ServerStatus};
+use faucets_core::ids::{ClusterId, UserId};
 use faucets_core::money::Money;
-use faucets_core::qos::{PayoffFn, QosBuilder};
+use faucets_core::qos::{PayoffFn, QosBuilder, QosContract};
 use faucets_net::fd::{FdHandle, FdOptions};
 use faucets_net::prelude::*;
+use parking_lot::Mutex;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn spawn_daemon(
     store: Option<PathBuf>,
@@ -385,4 +391,138 @@ fn a_wait_issued_as_submit_returns_ends_completed() {
         );
     }
     fd.shutdown();
+}
+
+/// Poll `ready` every few milliseconds until it holds, or fail loudly.
+fn await_until(what: &str, ready: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(15);
+    while !ready() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(3));
+    }
+}
+
+fn namd() -> QosContract {
+    QosBuilder::new("namd", 4, 16, 100.0).build().unwrap()
+}
+
+/// The Central Server dies: the FD's heartbeat rotates it to the standby
+/// FS, where it registers again, and the client rotates there on its next
+/// call, re-creates its account (a standby holds none) and submits on.
+#[test]
+fn client_and_fd_fail_over_to_a_standby_fs() {
+    let clock = Clock::new(200.0);
+    let primary = spawn_fs("127.0.0.1:0", clock.clone(), 41).unwrap();
+    let standby = spawn_fs("127.0.0.1:0", clock.clone(), 42).unwrap();
+    let aspect = spawn_appspector("127.0.0.1:0", standby.service.addr, 32).unwrap();
+
+    // The FD and the client are both homed at the primary, with the
+    // standby as fallback.
+    let opts = FdOptions {
+        fs_fallbacks: vec![standby.service.addr],
+        ..FdOptions::default()
+    };
+    let (fs, as_addr) = (primary.service.addr, aspect.service.addr);
+    let _fd = common::spawn_cs(1, "standby-cs", 64, fs, as_addr, clock.clone(), opts);
+    await_until("the FD to register with the primary", || {
+        primary.state.lock().directory.get(ClusterId(1)).is_some()
+    });
+
+    let mut client =
+        FaucetsClient::register(fs, as_addr, clock.clone(), "standby-user", "pw").expect("client");
+    client.fs_fallbacks = vec![standby.service.addr];
+    client.retry = RetryPolicy::none(); // fail over on first refusal
+    client
+        .submit(namd(), &[])
+        .expect("submit against the primary");
+
+    let failovers0 = {
+        let s = faucets_telemetry::global().snapshot();
+        s.counter_sum("client_fs_failovers_total", &[])
+    };
+    drop(primary); // kill the Central Server
+
+    await_until("the FD to rotate to the standby and re-register", || {
+        let s = faucets_telemetry::global().snapshot();
+        s.counter_sum("fd_fs_failovers_total", &[("cluster", "standby-cs")]) >= 1
+            && standby.state.lock().directory.get(ClusterId(1)).is_some()
+    });
+
+    // The client's session and account died with the primary: the next
+    // submission must rotate to the standby, re-create its account there,
+    // and still succeed.
+    client
+        .submit(namd(), &[])
+        .expect("submit after the primary died");
+    let failovers = {
+        let s = faucets_telemetry::global().snapshot();
+        s.counter_sum("client_fs_failovers_total", &[])
+    };
+    assert!(
+        failovers > failovers0,
+        "the client must have counted its FS failover"
+    );
+}
+
+/// Regression for the bid re-solicitation dedupe: an FS answer is outside
+/// input, and one that lists the same compute server twice must solicit
+/// exactly one bid.
+#[test]
+fn duplicate_directory_rows_solicit_one_bid_per_cluster() {
+    let clock = Clock::realtime();
+    let seen: Arc<Mutex<Option<ServerInfo>>> = Arc::new(Mutex::new(None));
+    let seen_h = Arc::clone(&seen);
+    let fake_fs = serve_with(
+        "127.0.0.1:0",
+        "fake-fs",
+        ServeOptions::default(),
+        move |req| match req {
+            Request::CreateUser { .. } => Response::Verified { user: UserId(7) },
+            Request::Login { .. } => Response::Session {
+                user: UserId(7),
+                token: SessionToken("fake-token".into()),
+            },
+            Request::VerifyToken { .. } => Response::Verified { user: UserId(7) },
+            Request::RegisterCluster { info, .. } => {
+                *seen_h.lock() = Some(info);
+                Response::Ok
+            }
+            Request::Heartbeat { .. } => Response::Ok,
+            Request::ListServers { .. } => {
+                let info = seen_h.lock().clone().expect("FD registered first");
+                let listing = ServerListing {
+                    info,
+                    status: ServerStatus {
+                        free_pes: 64,
+                        queue_len: 0,
+                        accepting: true,
+                        utilization: 0.0,
+                        running: 0,
+                    },
+                };
+                // The duplicated row the client must collapse.
+                Response::Servers(vec![listing.clone(), listing])
+            }
+            other => Response::Error(format!("fake fs: unexpected {other:?}")),
+        },
+    )
+    .expect("fake FS");
+    let aspect = spawn_appspector("127.0.0.1:0", fake_fs.addr, 8).expect("AS");
+
+    let (as_addr, opts) = (aspect.service.addr, FdOptions::default());
+    let fd = common::spawn_cs(9, "dup-cs", 64, fake_fs.addr, as_addr, clock.clone(), opts);
+    await_until("the FD to register with the fake FS", || {
+        seen.lock().is_some()
+    });
+
+    let mut client =
+        FaucetsClient::register(fake_fs.addr, aspect.service.addr, clock, "dup-user", "pw")
+            .expect("client");
+    let sub = client.submit(namd(), &[]).expect("submit");
+    assert_eq!(sub.bids_received, 1, "one bid per distinct cluster");
+    assert_eq!(
+        fd.daemon_stats().requests,
+        1,
+        "the duplicated listing must not double-solicit the daemon"
+    );
 }

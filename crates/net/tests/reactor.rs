@@ -2,9 +2,8 @@
 //! held as parked state (not threads), pipelined bursts surviving garbled
 //! replies and outgrowing the socket buffers, a pipelining peer's bounded
 //! share of a worker, hang-ups mid-request, and the shutdown-latency
-//! regression tests for the periodic loops (the FD pump and federation
-//! gossip, ticks on their service's epoll set; the sentinel probe loop, a
-//! thread).
+//! regression tests for the periodic loops (the FD pump, a tick on its
+//! service's epoll set; the sentinel probe loop, a thread).
 //!
 //! Deflake convention: every wait synchronizes on a telemetry readout or
 //! a handle readout under a bounded deadline — never a bare sleep sized
@@ -759,27 +758,4 @@ fn sentinel_shutdown_is_prompt_mid_interval() {
         t.elapsed()
     );
     h.shutdown();
-}
-
-/// Federation gossip is the FS service's tick: shutting a federated shard
-/// down mid-interval costs a join, not a gossip round.
-#[test]
-fn federation_stop_is_prompt_mid_interval() {
-    let opts = FsOptions {
-        federation: Some(FederationOptions {
-            gossip_interval: Duration::from_secs(30),
-            ..FederationOptions::new("prompt-shard")
-        }),
-        ..FsOptions::default()
-    };
-    let fs = spawn_fs_durable("127.0.0.1:0", Clock::realtime(), 18, opts).unwrap();
-    // Let the workers take the gossip tick's first round and arm its 30 s due.
-    std::thread::sleep(Duration::from_millis(50));
-    let t = Instant::now();
-    fs.shutdown();
-    assert!(
-        t.elapsed() < Duration::from_secs(1),
-        "the shard waited out its gossip interval: {:?}",
-        t.elapsed()
-    );
 }
