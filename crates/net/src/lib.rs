@@ -100,8 +100,8 @@
 //!   payoff gate, deadline shedding, an injected rejection) answers
 //!   [`proto::Response::Overloaded`] immediately, and callers surface it as
 //!   the typed, non-retried [`proto::ProtoError::Overloaded`]. The serve
-//!   layer keeps no inflight counter of its own: its
-//!   [`service::ServeOptions::workers`] worker threads are the bound.
+//!   layer keeps no inflight counter of its own: its worker pool, at
+//!   most [`service::ServeOptions::workers`] threads, is the bound.
 //! * **Deadlines** — callers stamp their remaining budget into the
 //!   [`proto::Envelope`] (`deadline_ms`); the serve layer sheds work whose
 //!   deadline already expired, and handlers can read
@@ -151,9 +151,10 @@
 //!   on a pooled socket of its own and under the caller's trace context,
 //!   then lands them all under one read timeout. The client uses it to
 //!   collect a whole bid round.
-//! * **Serving** — [`service::serve_with`]: its
-//!   [`service::ServeOptions::workers`] threads all wait on one one-shot
-//!   epoll set ([`reactor`]) holding the listener, the tick's timerfd,
+//! * **Serving** — [`service::serve_with`]: its worker threads, spawned
+//!   as concurrency needs them up to [`service::ServeOptions::workers`],
+//!   all wait on one one-shot epoll set ([`reactor`]) holding the
+//!   listener, the tick's timerfd,
 //!   stop and every connection (cheap parked state, no idle wakeups). The
 //!   thread that takes a connection's readiness reads it, runs up to a
 //!   fixed number of its frames in order, writes their replies in one

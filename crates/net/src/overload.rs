@@ -373,8 +373,8 @@ pub struct GateConfig {
 }
 
 impl Default for GateConfig {
-    /// Defaults that never bind behind the serve layer's default 32
-    /// worker threads: a solicitation holds its thread while it is
+    /// Defaults that never bind behind the serve layer's default ceiling
+    /// of 32 worker threads: a solicitation holds its thread while it is
     /// served and while it is queued, so at most `workers` are inside the
     /// gate at once and the reachable queue depth is `workers −
     /// max_inflight`, not `max_queue`. The gate acts when `max_inflight`

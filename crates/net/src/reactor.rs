@@ -8,9 +8,10 @@
 //! symbols resolve without adding a crate. Seven pieces live here:
 //!
 //! - [`Epoll`]: one-shot readiness polling over raw fds, each registered
-//!   with a `u64` token that comes back on its event. Every worker of a
-//!   service waits on the one set; an event disarms its fd until the
-//!   worker that took it re-arms it, so no two workers hold one fd.
+//!   with a `u64` token that comes back on its event. Every idle worker
+//!   of a service (it spawns them as concurrency needs them) waits on the
+//!   one set; an event disarms its fd until the worker that took it
+//!   re-arms it, so no two workers hold one fd.
 //! - `poll_ready`: the same question asked of one socket by the thread
 //!   that owns it — a client pipelining a burst has no epoll set.
 //! - `idle_open`: the pool's checkout health check, one nonblocking peek.

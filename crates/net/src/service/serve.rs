@@ -1,4 +1,5 @@
-//! The serve path: a leader/follower pool. Every worker thread blocks in
+//! The serve path: a leader/follower pool, its threads spawned as
+//! concurrency needs them, up to `workers`. Every waiting worker blocks in
 //! `epoll_wait` on the service's one one-shot epoll set; the thread that
 //! takes a connection's readiness reads it, runs its complete frames in
 //! order (fault injection, deadline shedding, tracing, the handler),
@@ -21,7 +22,7 @@ use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -64,9 +65,10 @@ pub struct ServeOptions {
     /// Metric registry for per-endpoint counters/latency and the `Metrics`
     /// endpoint. `None` uses the process-global registry.
     pub registry: Option<Arc<Registry>>,
-    /// Worker threads per service (default 32): the bound on concurrent
-    /// *handler* executions, not on connections. Each waits on the
-    /// service's epoll set and answers the requests it reads.
+    /// The most worker threads a service spawns, as concurrency needs
+    /// them (default 32): the bound on concurrent *handler* executions,
+    /// not on connections. Each waits on the service's epoll set and
+    /// answers the requests it reads.
     pub workers: usize,
     /// Outbound reply bytes buffered per connection before it is paused —
     /// no frames run, no reads — until the peer drains its backlog
@@ -91,7 +93,6 @@ pub struct ServiceHandle {
     /// The bound address (useful with port 0).
     pub addr: SocketAddr,
     shared: Arc<Shared>,
-    threads: Vec<JoinHandle<()>>,
 }
 
 impl ServiceHandle {
@@ -127,7 +128,11 @@ impl ServiceHandle {
         // The stop fd stays readable: each worker that takes it re-arms it
         // for the next and exits once its turn or round is done.
         self.shared.stop_fd.wake();
-        for t in self.threads.drain(..) {
+        // A worker may be spawning a successor while `stop` is set: it
+        // reads `stop` under this lock, so either it saw `stop` and spawned
+        // nothing, or its thread is in the list taken here.
+        let threads = std::mem::take(&mut *self.shared.threads.lock());
+        for t in threads {
             let _ = t.join();
         }
         // Kick every connection loose (pops clients blocked in reads).
@@ -206,6 +211,10 @@ struct Due {
 /// What the workers share with each other and the handle.
 struct Shared {
     epoll: Epoll,
+    /// Workers blocked in `epoll_wait`.
+    idle: AtomicUsize,
+    /// Every worker spawned and not yet joined.
+    threads: Mutex<Vec<JoinHandle<()>>>,
     listener: TcpListener,
     /// Open connections; a connection is out of the map while a worker
     /// runs its turn, and the one-shot arming keeps every other worker off it.
@@ -289,15 +298,18 @@ impl Conn {
 
 /// [`serve`], with explicit options.
 ///
-/// `workers` threads block in `epoll_wait` on one epoll set holding the
+/// Worker threads block in `epoll_wait` on one epoll set holding the
 /// nonblocking listener, the due tick's timerfd, a stop eventfd and every
 /// accepted socket (a connection is a few hundred bytes, not a thread).
-/// Every registration is one-shot, so each readiness goes to exactly one
+/// They are spawned as concurrency needs them, up to `workers`: one here,
+/// then a successor by each worker that takes an event while no other
+/// waits, so one watches the set even while every handler blocks. Every
+/// registration is one-shot, so each readiness goes to exactly one
 /// worker, which does the whole turn itself and re-arms the fd: a
 /// connection's turn reads it, runs its complete frames in order, at most
-/// 64, and flushes their replies in one vectored write. A connection's frames thus run one at a time, in
-/// order, so an id-less peer's replies keep request order by construction;
-/// replies echo the `request_id` either way. A reply backlog over
+/// 64, and flushes their replies in one vectored write. So a connection's
+/// frames run one at a time, in order: an id-less peer's replies keep
+/// request order by construction; all echo the `request_id`. A reply backlog over
 /// [`ServeOptions::write_buf`] re-arms the connection for writing only —
 /// no reads, no frames (TCP back-pressure) — until the peer drains it. The
 /// listener's turn accepts; the timer's runs the tick
@@ -313,11 +325,13 @@ where
 {
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
-    let local = listener.local_addr()?;
+    let addr = listener.local_addr()?;
     let reg = effective(&opts.registry);
     let labels = [("service", name)];
     let shared = Arc::new(Shared {
         epoll: Epoll::new()?,
+        idle: AtomicUsize::new(0),
+        threads: Mutex::new(Vec::new()),
         listener,
         conns: Mutex::new(HashMap::new()),
         next_token: AtomicU64::new(FIRST_CONN_TOKEN),
@@ -336,32 +350,50 @@ where
     epoll.add(shared.stop_fd.fd(), TOK_STOP, Interest::READ)?;
     epoll.add(shared.timer.fd(), TOK_TIMER, Interest::READ)?;
 
-    let handler = Arc::new(handler);
-    let mut handle = ServiceHandle {
-        addr: local,
-        shared: Arc::clone(&shared),
-        threads: Vec::with_capacity(opts.workers.max(1)),
-    };
-    for i in 0..opts.workers.max(1) {
-        let (shared, handler, opts) = (Arc::clone(&shared), Arc::clone(&handler), opts.clone());
-        handle.threads.push(
-            std::thread::Builder::new()
-                .name(format!("faucets-{name}-{i}"))
-                .spawn(move || shared.work(&*handler, &opts, name))?,
-        );
+    spawn_worker(&shared, &Arc::new(handler), &opts, name)?;
+    Ok(ServiceHandle { addr, shared })
+}
+
+/// Add a worker to `shared`'s pool, unless the service is stopping or
+/// `opts.workers` threads exist already. Start-up and growth both spawn
+/// here.
+fn spawn_worker<F>(
+    shared: &Arc<Shared>,
+    handler: &Arc<F>,
+    opts: &ServeOptions,
+    name: &'static str,
+) -> io::Result<()>
+where
+    F: Fn(Request) -> Response + Send + Sync + 'static,
+{
+    // `stop` is read under the lock the stop takes the list with.
+    let mut threads = shared.threads.lock();
+    if shared.stop.load(Ordering::SeqCst) || threads.len() >= opts.workers.max(1) {
+        return Ok(());
     }
-    Ok(handle)
+    let (shared, handler, opts) = (Arc::clone(shared), Arc::clone(handler), opts.clone());
+    let worker = std::thread::Builder::new()
+        .name(format!("faucets-{name}-{}", threads.len()))
+        .spawn(move || shared.work(&handler, &opts, name))?;
+    threads.push(worker);
+    Ok(())
 }
 
 impl Shared {
-    /// A worker's loop: take one event, do its whole turn, re-arm.
-    fn work<F>(&self, handler: &F, opts: &ServeOptions, name: &'static str)
+    /// A worker's loop: take one event, spawn a successor if no other
+    /// worker waits, do the event's whole turn, re-arm.
+    fn work<F>(self: &Arc<Self>, handler: &Arc<F>, opts: &ServeOptions, name: &'static str)
     where
         F: Fn(Request) -> Response + Send + Sync + 'static,
     {
         let mut meters = Meters::new();
         loop {
-            let ev = match self.epoll.wait(None) {
+            self.idle.fetch_add(1, Ordering::Relaxed);
+            let waited = self.epoll.wait(None);
+            // One counter's updates are totally ordered: a worker that
+            // reads 1 here was the last one waiting.
+            let alone = self.idle.fetch_sub(1, Ordering::Relaxed) == 1;
+            let ev = match waited {
                 Ok(Some(ev)) => ev,
                 Ok(None) => continue,
                 Err(_) => return,
@@ -373,6 +405,12 @@ impl Shared {
                     .modify(self.stop_fd.fd(), TOK_STOP, Interest::READ);
                 return;
             }
+            // A failed spawn leaves this worker serving with the pool it has.
+            if alone && spawn_worker(self, handler, opts, name).is_err() {
+                let reg = effective(&opts.registry);
+                reg.counter("net_worker_spawn_failures_total", &[("service", name)])
+                    .inc();
+            }
             self.h_ready.record(1.0);
             match ev.token {
                 TOK_LISTENER => self.accept(),
@@ -382,7 +420,7 @@ impl Shared {
                     if self.stop.load(Ordering::Relaxed) {
                         return None;
                     }
-                    process_frame(frame, handler, opts, name, &mut meters)
+                    process_frame(frame, &**handler, opts, name, &mut meters)
                 }),
             }
         }
@@ -783,6 +821,70 @@ mod tests {
             .counter_sum("net_handler_panics_total", &labels);
         assert_eq!(panics, 1);
         h.shutdown();
+    }
+
+    /// Calls that each run `handler` on their own connection, at once,
+    /// answered within 10 s.
+    fn call_at_once(n: usize, opts: ServeOptions, handler: impl Fn() + Send + Sync + 'static) {
+        let h = serve_with("127.0.0.1:0", "grown", opts, move |_| {
+            handler();
+            Response::Ok
+        })
+        .unwrap();
+        let addr = h.addr;
+        let callers: Vec<_> = (0..n)
+            .map(|_| {
+                std::thread::spawn(move || {
+                    let opts = CallOptions {
+                        timeouts: Timeouts::both(Duration::from_secs(10)),
+                        ..CallOptions::default()
+                    };
+                    let token = faucets_core::auth::SessionToken("t".into());
+                    call_with(addr, &Request::VerifyToken { token }, &opts)
+                })
+            })
+            .collect();
+        for c in callers {
+            assert_eq!(c.join().unwrap().unwrap(), Response::Ok);
+        }
+        h.shutdown();
+    }
+
+    /// Sixteen handlers that each wait for all sixteen are all answered:
+    /// a service that started with one worker grows one per blocked
+    /// handler, and a thread still watches the epoll set.
+    #[test]
+    fn handlers_that_wait_for_each_other_grow_the_pool() {
+        const N: usize = 16;
+        let arrived = Arc::new((Mutex::new(0), parking_lot::Condvar::new()));
+        call_at_once(N, ServeOptions::default(), move || {
+            let (count, all) = &*arrived;
+            let mut count = count.lock();
+            *count += 1;
+            all.notify_all();
+            let until = Instant::now() + Duration::from_secs(10);
+            let left = || until.saturating_duration_since(Instant::now());
+            while *count < N && !all.wait_for(&mut count, left()).timed_out() {}
+            assert_eq!(*count, N, "the handlers never all ran at once");
+        });
+    }
+
+    /// However many callers wait, no more than `workers` handlers run at
+    /// once: the ceiling binds.
+    #[test]
+    fn workers_caps_the_handlers_running_at_once() {
+        let (inside, most) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        let opts = ServeOptions {
+            workers: 2,
+            ..ServeOptions::default()
+        };
+        let seen = Arc::clone(&most);
+        call_at_once(8, opts, move || {
+            seen.fetch_max(inside.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(20));
+            inside.fetch_sub(1, Ordering::SeqCst);
+        });
+        assert_eq!(most.load(Ordering::SeqCst), 2);
     }
 
     /// A round that panics ends like any other: the tick runs again.

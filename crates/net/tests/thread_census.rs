@@ -19,20 +19,21 @@ fn threads() -> usize {
 /// request is in their hands, which is when a fan-out thread would be alive.
 #[test]
 fn a_call_batch_storm_and_a_call_many_storm_leave_the_thread_count_where_it_was() {
-    // The services and their workers start here, before the census.
+    // The services and their workers start here, before the census: one
+    // worker each, so that a peer cannot grow its pool under the storm and
+    // the census counts the client side only.
     let peak = Arc::new(AtomicUsize::new(0));
+    let one_worker = ServeOptions {
+        workers: 1,
+        ..ServeOptions::default()
+    };
     let peers: Vec<ServiceHandle> = (0..4)
         .map(|_| {
             let peak = Arc::clone(&peak);
-            serve_with(
-                "127.0.0.1:0",
-                "census",
-                ServeOptions::default(),
-                move |_| {
-                    peak.fetch_max(threads(), Ordering::SeqCst);
-                    Response::Ok
-                },
-            )
+            serve_with("127.0.0.1:0", "census", one_worker.clone(), move |_| {
+                peak.fetch_max(threads(), Ordering::SeqCst);
+                Response::Ok
+            })
             .unwrap()
         })
         .collect();
