@@ -8,8 +8,8 @@ use faucets_core::bid::BidRequest;
 use faucets_core::ids::{ContractId, JobId, UserId};
 use faucets_core::job::JobSpec;
 use faucets_core::market::{
-    Baseline, BidStrategy, ClusterView, DeadlineAware, MarketInfo, UtilizationInterpolated,
-    WeatherAware,
+    Baseline, BidStrategy, ClusterView, DeadlineAware, Forecast, MarketInfo,
+    UtilizationInterpolated, WeatherAware,
 };
 use faucets_core::money::Money;
 use faucets_core::qos::QosBuilder;
@@ -34,7 +34,7 @@ fn bench_strategies() {
         free_pes: 128,
         normalized_cost: Money::from_units_f64(0.01),
         flops_per_pe_sec: 1.0,
-        predicted_utilization: 0.65,
+        predicted_utilization: Forecast::known(0.65),
         now: SimTime::from_secs(1000),
     };
     let market = MarketInfo {

@@ -18,7 +18,7 @@ use crate::directory::{ServerInfo, ServerStatus};
 use crate::error::Result;
 use crate::ids::{ContractId, IdGen};
 use crate::job::JobSpec;
-use crate::market::strategy::{BidStrategy, ClusterView, MarketInfo};
+use crate::market::strategy::{BidStrategy, ClusterView, Forecast, MarketInfo};
 use crate::money::Money;
 use faucets_sim::time::SimTime;
 use std::collections::HashSet;
@@ -30,9 +30,6 @@ pub struct SchedulerQuote {
     pub planned_pes: u32,
     /// The completion time it can promise.
     pub est_completion: SimTime,
-    /// Predicted average utilization between now and the job's deadline —
-    /// the input to the paper's interpolated bid strategy.
-    pub predicted_utilization: f64,
 }
 
 /// The Cluster Manager (scheduler) as seen by its daemon.
@@ -57,6 +54,11 @@ pub trait ClusterManager {
 
     /// Current machine status for heartbeats (free processors, queue depth).
     fn status(&self, now: SimTime) -> ServerStatus;
+
+    /// Predicted mean utilization over `[now, horizon)`, in [0, 1], of the
+    /// running set as the last `probe` at `now` left it: asked only by a bid
+    /// whose strategy reads it (the paper's interpolated one does).
+    fn predicted_utilization(&self, now: SimTime, horizon: SimTime) -> f64;
 }
 
 /// Outcome of the phase-2 award handshake at the daemon.
@@ -146,12 +148,18 @@ impl FaucetsDaemon {
             }
         };
         let status = cm.status(now);
+        // Utilization is predicted up to the deadline, if there is one ahead.
+        let horizon = match req.qos.deadline() {
+            d if d > now && d != SimTime::MAX => d,
+            _ => quote.est_completion,
+        };
+        let forecast = || cm.predicted_utilization(now, horizon);
         let view = ClusterView {
             total_pes: self.info.total_pes,
             free_pes: status.free_pes,
             normalized_cost: self.normalized_cost,
             flops_per_pe_sec: self.info.flops_per_pe_sec,
-            predicted_utilization: quote.predicted_utilization,
+            predicted_utilization: Forecast::lazy(&forecast),
             now,
         };
         match self.strategy.multiplier(req, &view, market) {
@@ -178,6 +186,7 @@ impl FaucetsDaemon {
 
     /// Handle the phase-2 award: re-probe the scheduler (the machine may
     /// have changed since the bid) and either confirm + submit or renege.
+    /// The re-check never asks for the predicted utilization.
     pub fn handle_award(
         &mut self,
         spec: JobSpec,
@@ -210,14 +219,28 @@ impl FaucetsDaemon {
 mod tests {
     use super::*;
     use crate::ids::{ClusterId, JobId, UserId};
-    use crate::market::strategy::Baseline;
+    use crate::market::strategy;
     use crate::qos::QosBuilder;
+    use std::cell::Cell;
 
-    /// A scripted CM: feasible unless `decline` is set.
+    /// A scripted CM: feasible unless `decline` is set; counts how often
+    /// the predicted utilization is asked for, and predicts 0.5.
     struct FakeCm {
         decline: Option<DeclineReason>,
         free: u32,
         submitted: Vec<JobId>,
+        forecasts: Cell<u32>,
+    }
+
+    impl Default for FakeCm {
+        fn default() -> Self {
+            FakeCm {
+                decline: None,
+                free: 32,
+                submitted: vec![],
+                forecasts: Cell::new(0),
+            }
+        }
     }
 
     impl ClusterManager for FakeCm {
@@ -232,7 +255,6 @@ mod tests {
                     planned_pes: 8,
                     est_completion: now
                         .saturating_add(faucets_sim::time::SimDuration::from_secs(100)),
-                    predicted_utilization: 0.5,
                 }),
             }
         }
@@ -254,9 +276,17 @@ mod tests {
                 ..Default::default()
             }
         }
+        fn predicted_utilization(&self, _now: SimTime, _horizon: SimTime) -> f64 {
+            self.forecasts.set(self.forecasts.get() + 1);
+            0.5
+        }
     }
 
     fn daemon() -> FaucetsDaemon {
+        daemon_pricing_with("baseline")
+    }
+
+    fn daemon_pricing_with(strategy: &str) -> FaucetsDaemon {
         FaucetsDaemon::new(
             ServerInfo {
                 cluster: ClusterId(1),
@@ -269,7 +299,7 @@ mod tests {
                 fd_port: 9001,
             },
             ["namd".to_string()],
-            Box::new(Baseline),
+            strategy::by_name(strategy),
             Money::from_units_f64(0.01),
         )
     }
@@ -286,11 +316,7 @@ mod tests {
     #[test]
     fn offers_bid_for_known_app() {
         let mut d = daemon();
-        let mut cm = FakeCm {
-            decline: None,
-            free: 32,
-            submitted: vec![],
-        };
+        let mut cm = FakeCm::default();
         let resp =
             d.handle_bid_request(&req("namd"), &mut cm, &MarketInfo::default(), SimTime::ZERO);
         let bid = resp.offer().expect("should offer");
@@ -303,11 +329,7 @@ mod tests {
     #[test]
     fn declines_unknown_application() {
         let mut d = daemon();
-        let mut cm = FakeCm {
-            decline: None,
-            free: 32,
-            submitted: vec![],
-        };
+        let mut cm = FakeCm::default();
         let resp =
             d.handle_bid_request(&req("seti"), &mut cm, &MarketInfo::default(), SimTime::ZERO);
         assert_eq!(
@@ -323,7 +345,7 @@ mod tests {
         let mut cm = FakeCm {
             decline: Some(DeclineReason::CannotMeetDeadline),
             free: 0,
-            submitted: vec![],
+            ..FakeCm::default()
         };
         let resp =
             d.handle_bid_request(&req("namd"), &mut cm, &MarketInfo::default(), SimTime::ZERO);
@@ -336,11 +358,7 @@ mod tests {
     #[test]
     fn award_confirms_and_submits_when_feasible() {
         let mut d = daemon();
-        let mut cm = FakeCm {
-            decline: None,
-            free: 32,
-            submitted: vec![],
-        };
+        let mut cm = FakeCm::default();
         let r = req("namd");
         let resp = d.handle_bid_request(&r, &mut cm, &MarketInfo::default(), SimTime::ZERO);
         let bid = *resp.offer().unwrap();
@@ -356,11 +374,7 @@ mod tests {
     #[test]
     fn award_reneges_when_machine_changed() {
         let mut d = daemon();
-        let mut cm = FakeCm {
-            decline: None,
-            free: 32,
-            submitted: vec![],
-        };
+        let mut cm = FakeCm::default();
         let r = req("namd");
         let resp = d.handle_bid_request(&r, &mut cm, &MarketInfo::default(), SimTime::ZERO);
         let bid = *resp.offer().unwrap();
@@ -376,5 +390,59 @@ mod tests {
         );
         assert!(cm.submitted.is_empty());
         assert_eq!(d.stats.reneges, 1);
+    }
+
+    #[test]
+    fn award_never_asks_for_utilization() {
+        let mut d = daemon_pricing_with("util-interp");
+        let mut cm = FakeCm::default();
+        let r = req("namd");
+        let bid = Bid::from_multiplier(
+            crate::ids::BidId(0),
+            ClusterId(1),
+            r.job,
+            1.0,
+            1000.0,
+            d.normalized_cost,
+            SimTime::from_secs(100),
+            8,
+        );
+        let spec = JobSpec::new(r.job, r.user, r.qos, SimTime::ZERO).unwrap();
+        let out = d
+            .handle_award(spec, ContractId(0), &bid, &mut cm, SimTime::ZERO)
+            .unwrap();
+        assert_eq!(out, AwardOutcome::Confirmed);
+        assert_eq!(cm.forecasts.get(), 0);
+    }
+
+    #[test]
+    fn baseline_bid_never_asks_for_utilization() {
+        let mut d = daemon();
+        let mut cm = FakeCm::default();
+        let resp =
+            d.handle_bid_request(&req("namd"), &mut cm, &MarketInfo::default(), SimTime::ZERO);
+        assert!(resp.offer().is_some());
+        assert_eq!(cm.forecasts.get(), 0);
+    }
+
+    #[test]
+    fn utilization_pricing_bids_ask_exactly_once() {
+        // Util-interp prices the forecast 0.5 at 0.5 + 0.5 × (3.0 − 0.5);
+        // the strategies that wrap it ask once too.
+        for (strategy, multiplier) in [
+            ("util-interp", Some(1.75)),
+            ("deadline-aware", None),
+            ("weather-aware", None),
+        ] {
+            let mut d = daemon_pricing_with(strategy);
+            let mut cm = FakeCm::default();
+            let resp =
+                d.handle_bid_request(&req("namd"), &mut cm, &MarketInfo::default(), SimTime::ZERO);
+            let bid = resp.offer().expect("a feasible job is offered a bid");
+            assert_eq!(cm.forecasts.get(), 1, "{strategy}");
+            if let Some(m) = multiplier {
+                assert_eq!(bid.multiplier, m);
+            }
+        }
     }
 }

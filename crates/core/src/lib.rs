@@ -57,7 +57,7 @@
 //! let view = ClusterView {
 //!     total_pes: 256, free_pes: 256,
 //!     normalized_cost: Money::from_units_f64(0.01),
-//!     flops_per_pe_sec: 1.0, predicted_utilization: 0.0, now: SimTime::ZERO,
+//!     flops_per_pe_sec: 1.0, predicted_utilization: Forecast::known(0.0), now: SimTime::ZERO,
 //! };
 //! let market = MarketInfo::default();
 //! let bids: Vec<Bid> = [
@@ -117,7 +117,7 @@ pub mod prelude {
     pub use crate::job::{JobOutcome, JobSpec, JobState};
     pub use crate::market::{
         run_reverse_auction, Baseline, BidStrategy, ClusterView, Contract, ContractBook,
-        ContractHistory, ContractRecord, ContractState, DeadlineAware, Fixed, MarketInfo,
+        ContractHistory, ContractRecord, ContractState, DeadlineAware, Fixed, Forecast, MarketInfo,
         Mechanism, SelectionPolicy, UtilizationInterpolated, WeatherAware,
     };
     pub use crate::money::{Money, ServiceUnits};

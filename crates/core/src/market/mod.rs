@@ -19,6 +19,6 @@ pub use regulation::{BandAction, Regulator, ScreenStats};
 pub use round::{Negotiation, MAX_ROUNDS};
 pub use selection::SelectionPolicy;
 pub use strategy::{
-    Baseline, BidStrategy, ClusterView, DeadlineAware, Fixed, MarketInfo, UtilizationInterpolated,
-    WeatherAware,
+    Baseline, BidStrategy, ClusterView, DeadlineAware, Fixed, Forecast, MarketInfo,
+    UtilizationInterpolated, WeatherAware,
 };

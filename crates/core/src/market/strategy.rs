@@ -22,10 +22,10 @@ use crate::bid::BidRequest;
 use crate::money::Money;
 use faucets_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+use std::cell::OnceCell;
 
 /// A snapshot of the local Compute Server the bidding algorithm can see.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClusterView {
+pub struct ClusterView<'a> {
     /// Total processors in the machine.
     pub total_pes: u32,
     /// Processors currently idle.
@@ -36,13 +36,13 @@ pub struct ClusterView {
     pub flops_per_pe_sec: f64,
     /// Predicted average utilization of the machine between now and the
     /// proposed job's deadline, in [0, 1] — the quantity the paper's
-    /// interpolated strategy keys on.
-    pub predicted_utilization: f64,
+    /// interpolated strategy keys on. Computed on first read.
+    pub predicted_utilization: Forecast<'a>,
     /// The current time.
     pub now: SimTime,
 }
 
-impl ClusterView {
+impl ClusterView<'_> {
     /// Fraction of the machine currently idle.
     pub fn free_fraction(&self) -> f64 {
         if self.total_pes == 0 {
@@ -50,6 +50,28 @@ impl ClusterView {
         } else {
             self.free_pes as f64 / self.total_pes as f64
         }
+    }
+}
+
+/// A number computed on its first read and kept: a strategy that never
+/// reads the predicted utilization never pays for the scheduler's Gantt
+/// profile, and strategies that wrap one another pay for it once.
+pub struct Forecast<'a>(OnceCell<f64>, Option<&'a dyn Fn() -> f64>);
+
+impl<'a> Forecast<'a> {
+    /// A forecast that `compute` makes when first read.
+    pub fn lazy(compute: &'a dyn Fn() -> f64) -> Self {
+        Forecast(OnceCell::new(), Some(compute))
+    }
+
+    /// A forecast already known to be `value`.
+    pub fn known(value: f64) -> Self {
+        Forecast(OnceCell::from(value), None)
+    }
+
+    /// The forecast value.
+    pub fn get(&self) -> f64 {
+        *self.0.get_or_init(|| self.1.map_or(0.0, |f| f()))
     }
 }
 
@@ -130,7 +152,7 @@ impl BidStrategy for UtilizationInterpolated {
         view: &ClusterView,
         _market: &MarketInfo,
     ) -> Option<f64> {
-        let u = view.predicted_utilization.clamp(0.0, 1.0);
+        let u = view.predicted_utilization.get().clamp(0.0, 1.0);
         let lo = self.k * (1.0 - self.alpha);
         let hi = self.k * (1.0 + self.beta);
         Some(lo + u * (hi - lo))
@@ -294,13 +316,13 @@ mod tests {
         }
     }
 
-    fn view(free: u32, util: f64) -> ClusterView {
+    fn view(free: u32, util: f64) -> ClusterView<'static> {
         ClusterView {
             total_pes: 100,
             free_pes: free,
             normalized_cost: Money::from_units_f64(0.01),
             flops_per_pe_sec: 1.0,
-            predicted_utilization: util,
+            predicted_utilization: Forecast::known(util),
             now: SimTime::ZERO,
         }
     }

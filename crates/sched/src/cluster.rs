@@ -156,6 +156,17 @@ impl Cluster {
         self.running.iter().map(|(&id, r)| (id, r.pes()))
     }
 
+    /// The read-only view a policy probes.
+    fn context(&self, now: SimTime) -> SchedContext<'_> {
+        SchedContext {
+            now,
+            machine: &self.machine,
+            alloc: &self.alloc,
+            queue: &self.queue,
+            running: &self.running,
+        }
+    }
+
     fn advance_all(&mut self, now: SimTime) {
         for r in self.running.values_mut() {
             r.advance(now);
@@ -438,14 +449,7 @@ impl ClusterManager for Cluster {
         now: SimTime,
     ) -> std::result::Result<SchedulerQuote, DeclineReason> {
         self.advance_all(now);
-        let ctx = SchedContext {
-            now,
-            machine: &self.machine,
-            alloc: &self.alloc,
-            queue: &self.queue,
-            running: &self.running,
-        };
-        self.policy.probe(&ctx, &req.qos)
+        self.policy.probe(&self.context(now), &req.qos)
     }
 
     fn submit(
@@ -469,6 +473,10 @@ impl ClusterManager for Cluster {
             utilization: 1.0 - f64::from(free) / f64::from(total),
             running: self.running.len() as u32,
         }
+    }
+
+    fn predicted_utilization(&self, now: SimTime, horizon: SimTime) -> f64 {
+        self.context(now).gantt().mean_utilization(now, horizon)
     }
 }
 

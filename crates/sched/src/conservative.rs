@@ -11,7 +11,6 @@ use crate::policy::{Action, SchedContext, SchedPolicy};
 use faucets_core::bid::DeclineReason;
 use faucets_core::daemon::SchedulerQuote;
 use faucets_core::qos::QosContract;
-use faucets_sim::time::SimTime;
 
 /// Conservative backfilling over moldable jobs (placed at their minimum
 /// size for reservations, started at up to their maximum when they fit
@@ -90,11 +89,7 @@ impl SchedPolicy for ConservativeBackfill {
         let start = gantt
             .earliest_window(pes, dur, ctx.now)
             .ok_or(DeclineReason::InsufficientResources)?;
-        let quote = ctx.quote(qos, start, pes);
-        if qos.deadline() != SimTime::MAX && quote.est_completion > qos.deadline() {
-            return Err(DeclineReason::CannotMeetDeadline);
-        }
-        Ok(quote)
+        ctx.quote(qos, start, pes)
     }
 }
 
@@ -102,6 +97,7 @@ impl SchedPolicy for ConservativeBackfill {
 mod tests {
     use super::*;
     use crate::testutil::*;
+    use faucets_sim::time::SimTime;
 
     #[test]
     fn starts_jobs_that_fit_now() {

@@ -14,38 +14,28 @@
 use crate::policy::{equipartition_targets, Action, SchedContext, SchedPolicy};
 use faucets_core::bid::DeclineReason;
 use faucets_core::daemon::SchedulerQuote;
-use faucets_core::ids::JobId;
 use faucets_core::qos::QosContract;
-use faucets_sim::time::SimTime;
 
 /// The equipartition adaptive policy.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Equipartition;
 
 impl Equipartition {
-    /// The job list in arrival order with effective bounds (rigid running
-    /// jobs pinned), as `(id, min, max, running)`.
-    fn job_bounds(ctx: &SchedContext<'_>) -> Vec<(JobId, u32, u32, bool)> {
-        let mut jobs: Vec<(JobId, u32, u32, bool)> = vec![];
-        // Running jobs first (they arrived before anything still queued).
-        for (id, r) in ctx.running {
-            let q = &r.spec.qos;
-            if q.adaptive {
-                jobs.push((*id, q.min_pes, q.max_pes.min(ctx.machine.total_pes), true));
+    /// Every job's effective `[min, max]` in arrival order: the running set
+    /// (rigid jobs pinned at their size), the queue, then the `newcomer`.
+    fn bounds(ctx: &SchedContext<'_>, newcomer: Option<&QosContract>) -> Vec<(u32, u32)> {
+        let bound = |q: &QosContract| (q.min_pes, q.max_pes.min(ctx.machine.total_pes));
+        let mut bounds = Vec::with_capacity(ctx.running.len() + ctx.queue.len() + 1);
+        bounds.extend(ctx.running.values().map(|r| {
+            if r.spec.qos.adaptive {
+                bound(&r.spec.qos)
             } else {
-                jobs.push((*id, r.pes(), r.pes(), true));
+                (r.pes(), r.pes())
             }
-        }
-        for q in ctx.queue {
-            let qq = &q.spec.qos;
-            jobs.push((
-                q.spec.id,
-                qq.min_pes,
-                qq.max_pes.min(ctx.machine.total_pes),
-                false,
-            ));
-        }
-        jobs
+        }));
+        let queued = ctx.queue.iter().map(|q| &q.spec.qos);
+        bounds.extend(queued.chain(newcomer).map(bound));
+        bounds
     }
 }
 
@@ -55,24 +45,23 @@ impl SchedPolicy for Equipartition {
     }
 
     fn plan(&mut self, ctx: &SchedContext<'_>) -> Vec<Action> {
-        let jobs = Self::job_bounds(ctx);
-        let bounds: Vec<(u32, u32)> = jobs.iter().map(|&(_, lo, hi, _)| (lo, hi)).collect();
-        let targets = equipartition_targets(&bounds, ctx.machine.total_pes);
+        let targets = equipartition_targets(&Self::bounds(ctx, None), ctx.machine.total_pes);
+        let (running, queued) = targets.split_at(ctx.running.len());
 
         let mut actions = vec![];
-        for (&(id, _, _, running), &target) in jobs.iter().zip(&targets) {
-            if running {
-                let current = ctx.running[&id].pes();
-                if target != 0 && target != current {
-                    actions.push(Action::Resize {
-                        job: id,
-                        new_pes: target,
-                    });
-                }
-            } else if target > 0 {
+        for ((&job, r), &target) in ctx.running.iter().zip(running) {
+            if target != 0 && target != r.pes() {
+                actions.push(Action::Resize {
+                    job,
+                    new_pes: target,
+                });
+            }
+        }
+        for (q, &pes) in ctx.queue.iter().zip(queued) {
+            if pes > 0 {
                 actions.push(Action::Start {
-                    job: id,
-                    pes: target,
+                    job: q.spec.id,
+                    pes,
                 });
             }
         }
@@ -86,15 +75,7 @@ impl SchedPolicy for Equipartition {
     ) -> Result<SchedulerQuote, DeclineReason> {
         ctx.statically_feasible(qos)?;
         // Predict the share the job would get if it joined now.
-        let mut jobs = Self::job_bounds(ctx);
-        jobs.push((
-            JobId(u64::MAX),
-            qos.min_pes,
-            qos.max_pes.min(ctx.machine.total_pes),
-            false,
-        ));
-        let bounds: Vec<(u32, u32)> = jobs.iter().map(|&(_, lo, hi, _)| (lo, hi)).collect();
-        let targets = equipartition_targets(&bounds, ctx.machine.total_pes);
+        let targets = equipartition_targets(&Self::bounds(ctx, Some(qos)), ctx.machine.total_pes);
         let share = *targets.last().unwrap();
         let (start, pes) = if share >= qos.min_pes {
             (ctx.now, share)
@@ -107,11 +88,7 @@ impl SchedPolicy for Equipartition {
                 None => return Err(DeclineReason::InsufficientResources),
             }
         };
-        let quote = ctx.quote(qos, start, pes);
-        if qos.deadline() != SimTime::MAX && quote.est_completion > qos.deadline() {
-            return Err(DeclineReason::CannotMeetDeadline);
-        }
-        Ok(quote)
+        ctx.quote(qos, start, pes)
     }
 }
 
@@ -119,6 +96,7 @@ impl SchedPolicy for Equipartition {
 mod tests {
     use super::*;
     use crate::testutil::*;
+    use faucets_sim::time::SimTime;
 
     #[test]
     fn paper_internal_fragmentation_scenario() {

@@ -9,7 +9,6 @@ use crate::policy::{Action, QueuedJob, SchedContext, SchedPolicy};
 use faucets_core::bid::DeclineReason;
 use faucets_core::daemon::SchedulerQuote;
 use faucets_core::qos::QosContract;
-use faucets_sim::time::SimTime;
 
 /// Strict FCFS over moldable jobs: the head job starts when its minimum
 /// processor request fits (taking up to its maximum); nothing behind the
@@ -76,11 +75,7 @@ impl SchedPolicy for Fcfs {
         let start = gantt
             .earliest_window(pes, dur, after)
             .ok_or(DeclineReason::InsufficientResources)?;
-        let quote = ctx.quote(qos, start, pes);
-        if qos.deadline() != SimTime::MAX && quote.est_completion > qos.deadline() {
-            return Err(DeclineReason::CannotMeetDeadline);
-        }
-        Ok(quote)
+        ctx.quote(qos, start, pes)
     }
 }
 
@@ -88,6 +83,7 @@ impl SchedPolicy for Fcfs {
 mod tests {
     use super::*;
     use crate::testutil::*;
+    use faucets_sim::time::SimTime;
 
     #[test]
     fn starts_in_order_while_capacity_lasts() {

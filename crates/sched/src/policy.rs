@@ -80,20 +80,22 @@ impl SchedContext<'_> {
         qos.max_pes.min(self.machine.total_pes)
     }
 
-    /// Build a [`SchedulerQuote`] for a start at `start` on `pes`
-    /// processors, with predicted utilization integrated to the deadline.
-    pub fn quote(&self, qos: &QosContract, start: SimTime, pes: u32) -> SchedulerQuote {
-        let completion = start.saturating_add(self.wall_time(qos, pes));
-        let horizon = if qos.deadline() > self.now && qos.deadline() != SimTime::MAX {
-            qos.deadline()
-        } else {
-            completion
-        };
-        SchedulerQuote {
-            planned_pes: pes,
-            est_completion: completion,
-            predicted_utilization: self.gantt().mean_utilization(self.now, horizon),
+    /// Quote a start at `start` on `pes` processors, or decline if the job
+    /// would then miss its deadline.
+    pub fn quote(
+        &self,
+        qos: &QosContract,
+        start: SimTime,
+        pes: u32,
+    ) -> Result<SchedulerQuote, DeclineReason> {
+        let est_completion = start.saturating_add(self.wall_time(qos, pes));
+        if est_completion > qos.deadline() {
+            return Err(DeclineReason::CannotMeetDeadline);
         }
+        Ok(SchedulerQuote {
+            planned_pes: pes,
+            est_completion,
+        })
     }
 }
 
@@ -189,35 +191,21 @@ pub fn equipartition_targets(bounds: &[(u32, u32)], total: u32) -> Vec<u32> {
     // feasibility); jobs whose maximum falls below it are pinned at their
     // maximum; the share is recomputed over the rest until it stabilizes.
     let mut capacity = total;
-    loop {
-        if active.is_empty() {
-            break;
-        }
+    while !active.is_empty() {
         let share = capacity / active.len() as u32;
-        let lows: Vec<usize> = active
-            .iter()
-            .copied()
-            .filter(|&i| bounds[i].0 > share)
-            .collect();
-        if !lows.is_empty() {
-            for &i in &lows {
-                targets[i] = bounds[i].0;
-                capacity -= bounds[i].0;
+        let before = active.len();
+        let mut pin_unless = |i: usize, pes: u32, fits: bool| {
+            if !fits {
+                targets[i] = pes;
+                capacity -= pes;
             }
-            active.retain(|i| !lows.contains(i));
-            continue;
+            fits
+        };
+        active.retain(|&i| pin_unless(i, bounds[i].0, bounds[i].0 <= share));
+        if active.len() == before {
+            active.retain(|&i| pin_unless(i, bounds[i].1, bounds[i].1 >= share));
         }
-        let highs: Vec<usize> = active
-            .iter()
-            .copied()
-            .filter(|&i| bounds[i].1 < share)
-            .collect();
-        if !highs.is_empty() {
-            for &i in &highs {
-                targets[i] = bounds[i].1;
-                capacity -= bounds[i].1;
-            }
-            active.retain(|i| !highs.contains(i));
+        if active.len() < before {
             continue;
         }
         // Stable: everyone takes the equal share; the integer remainder goes

@@ -16,7 +16,6 @@ use faucets_core::daemon::SchedulerQuote;
 use faucets_core::ids::JobId;
 use faucets_core::money::Money;
 use faucets_core::qos::QosContract;
-use faucets_sim::time::SimTime;
 
 /// Priority scheduling with checkpoint-preemption.
 #[derive(Debug, Clone, Copy, Default)]
@@ -116,11 +115,7 @@ impl SchedPolicy for IntranetPriority {
         let start = gantt
             .earliest_window(pes, dur, ctx.now)
             .ok_or(DeclineReason::InsufficientResources)?;
-        let quote = ctx.quote(qos, start, pes);
-        if qos.deadline() != SimTime::MAX && quote.est_completion > qos.deadline() {
-            return Err(DeclineReason::CannotMeetDeadline);
-        }
-        Ok(quote)
+        ctx.quote(qos, start, pes)
     }
 }
 

@@ -244,10 +244,7 @@ impl SchedPolicy for Profit {
             }
         }
         let (start, pes) = best.ok_or(DeclineReason::CannotMeetDeadline)?;
-        let quote = ctx.quote(qos, start, pes);
-        if quote.est_completion > qos.deadline() {
-            return Err(DeclineReason::CannotMeetDeadline);
-        }
+        let quote = ctx.quote(qos, start, pes)?;
         if !qos.payoff.is_profitable_at(quote.est_completion) {
             return Err(DeclineReason::Unprofitable);
         }

@@ -68,6 +68,118 @@ fn allocator_always_tiles_machine() {
     });
 }
 
+/// `equipartition_targets` as first written, with a pinning loop quadratic
+/// in the number of jobs: the oracle the linear loop must agree with.
+fn equipartition_targets_oracle(bounds: &[(u32, u32)], total: u32) -> Vec<u32> {
+    let mut targets = vec![0u32; bounds.len()];
+    let mut active: Vec<usize> = vec![];
+    let mut used = 0u32;
+    for (i, &(min, _)) in bounds.iter().enumerate() {
+        if used + min <= total {
+            used += min;
+            active.push(i);
+        }
+    }
+    let mut capacity = total;
+    while !active.is_empty() {
+        let share = capacity / active.len() as u32;
+        let lows: Vec<usize> = active
+            .iter()
+            .copied()
+            .filter(|&i| bounds[i].0 > share)
+            .collect();
+        if !lows.is_empty() {
+            for &i in &lows {
+                targets[i] = bounds[i].0;
+                capacity -= bounds[i].0;
+            }
+            active.retain(|i| !lows.contains(i));
+            continue;
+        }
+        let highs: Vec<usize> = active
+            .iter()
+            .copied()
+            .filter(|&i| bounds[i].1 < share)
+            .collect();
+        if !highs.is_empty() {
+            for &i in &highs {
+                targets[i] = bounds[i].1;
+                capacity -= bounds[i].1;
+            }
+            active.retain(|i| !highs.contains(i));
+            continue;
+        }
+        let mut remainder = capacity - share * active.len() as u32;
+        for &i in &active {
+            targets[i] = share;
+        }
+        for &i in &active {
+            if remainder == 0 {
+                break;
+            }
+            if bounds[i].1 > share {
+                targets[i] += 1;
+                remainder -= 1;
+            }
+        }
+        break;
+    }
+    let mut leftover = total - targets.iter().sum::<u32>();
+    for (i, t) in targets.iter_mut().enumerate() {
+        if leftover == 0 {
+            break;
+        }
+        if *t > 0 && *t < bounds[i].1 {
+            let add = (bounds[i].1 - *t).min(leftover);
+            *t += add;
+            leftover -= add;
+        }
+    }
+    targets
+}
+
+/// The linear pinning loop decides exactly as the quadratic one did, on
+/// 0–400 jobs: `snappy_mix`'s shape on 4,096 PEs, that shape with rigid
+/// jobs among it, and random bounds on a random machine.
+#[test]
+fn equipartition_matches_the_quadratic_oracle() {
+    for_seeds(1_000, |rng| {
+        let jobs = rng.random_range(0usize..=400);
+        let shape = rng.random_range(0..3);
+        let total = if shape == 2 {
+            rng.random_range(1u32..5_000)
+        } else {
+            4_096
+        };
+        let bounds: Vec<(u32, u32)> = (0..jobs)
+            .map(|_| match shape {
+                0 => {
+                    let min = 1u32 << rng.random_range(0..=3);
+                    (min, 4 * min)
+                }
+                1 => {
+                    let min = 1u32 << rng.random_range(0..=3);
+                    let pes = rng.random_range(min..=4 * min);
+                    if rng.random_range(0..4) == 0 {
+                        (pes, pes)
+                    } else {
+                        (min, 4 * min)
+                    }
+                }
+                _ => {
+                    let min = rng.random_range(1u32..300);
+                    (min, min + rng.random_range(0u32..300))
+                }
+            })
+            .collect();
+        assert_eq!(
+            equipartition_targets(&bounds, total),
+            equipartition_targets_oracle(&bounds, total),
+            "{jobs} jobs on {total} PEs: {bounds:?}"
+        );
+    });
+}
+
 /// Equipartition targets always respect bounds and never oversubscribe.
 #[test]
 fn equipartition_respects_bounds() {

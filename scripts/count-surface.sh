@@ -32,7 +32,7 @@
 # one lowers it.
 cd "$(dirname "$0")/.." || exit 1
 
-MAX_WORKSPACE_LINES=27472  # non-test lines of every crates/*/src
+MAX_WORKSPACE_LINES=27454  # non-test lines of every crates/*/src
 MAX_NET_LINES=7456   # non-test lines of crates/net/src
 MAX_POOL_LINES=438  # of crates/net/src/pool.rs
 MAX_REPLICATE_LINES=893  # of crates/store/src/replicate.rs

@@ -401,3 +401,69 @@ fn flops_work_specs_resolve_per_machine() {
     let (done, _) = fast.run_to_idle(SimTime::ZERO);
     assert_eq!(done[0].outcome.completed_at, SimTime::from_secs(40));
 }
+
+/// A bid priced by utilization reads the Gantt profile of the running set,
+/// integrated from now to the job's deadline: the price is bit-equal to one
+/// computed from `GanttProfile::mean_utilization` directly.
+#[test]
+fn util_interp_bid_prices_the_running_sets_gantt_profile() {
+    use faucets_core::bid::BidRequest;
+    use faucets_core::ids::{ContractId, JobId, UserId};
+    use faucets_core::job::JobSpec;
+    use faucets_core::market::MarketInfo;
+    use faucets_core::money::Money;
+    use faucets_core::qos::{PayoffFn, QosBuilder, SpeedupModel};
+    use faucets_sched::gantt::GanttProfile;
+
+    let scenario = ScenarioBuilder::new(1)
+        .cluster(100, "equipartition", "util-interp")
+        .mix(JobMix {
+            apps: vec!["namd".into()],
+            ..JobMix::default()
+        });
+    let Node {
+        mut daemon,
+        mut cluster,
+    } = scenario.node(0);
+    let qos = |min: u32, max: u32, work: f64| {
+        QosBuilder::new("namd", min, max, work)
+            .speedup(SpeedupModel::Perfect)
+            .adaptive()
+    };
+    // Three jobs at their maximum of 20 PEs, finishing at 100, 300, 450 s.
+    for (id, work) in [(1, 2_000.0), (2, 6_000.0), (3, 9_000.0)] {
+        let spec = JobSpec::new(
+            JobId(id),
+            UserId(1),
+            qos(10, 20, work).build().unwrap(),
+            SimTime::ZERO,
+        );
+        cluster.submit_job(spec.unwrap(), ContractId(id), Money::ZERO, SimTime::ZERO);
+    }
+    let now = SimTime::from_secs(5);
+    let deadline = SimTime::from_secs(600);
+    let req = BidRequest {
+        job: JobId(9),
+        user: UserId(1),
+        qos: qos(10, 40, 4_000.0)
+            .payoff(PayoffFn::hard_only(
+                deadline,
+                Money::from_units(100),
+                Money::ZERO,
+            ))
+            .build()
+            .unwrap(),
+        issued_at: now,
+    };
+    let resp = daemon.handle_bid_request(&req, &mut cluster, &MarketInfo::default(), now);
+    let bid = resp.offer().expect("the job fits");
+
+    let finishes = [100, 300, 450].map(|s| (SimTime::from_secs(s), 20));
+    let u = GanttProfile::new(now, 100, 40, finishes).mean_utilization(now, deadline);
+    assert!(u > 0.0 && u < 1.0, "{u}");
+    // Util-interp's defaults: k(1 − α) + u · k(α + β) = 0.5 + u · 2.5.
+    let m = 0.5 + u * 2.5;
+    assert_eq!(bid.multiplier.to_bits(), m.to_bits());
+    let price = Money::for_cpu_seconds(4_000.0, Money::from_units_f64(0.01), m);
+    assert_eq!(bid.price, price);
+}
