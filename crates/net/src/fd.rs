@@ -24,18 +24,22 @@
 //!   three start with `FdCore::verify`. None waits on AppSpector.
 //! * **pump** — `FdCore::pump`, the service's tick
 //!   ([`ServiceHandle::tick`]): harvest completions into the outbox,
-//!   heartbeat, send the outbox (`FdCore::report`), return the time to the
-//!   next due event. An award queues its job's `RegisterJob` and nudges it.
+//!   heartbeat, send the outbox (`FdCore::report`) once its oldest entry
+//!   has waited `REPORT_LAG` or a beat is due, then the beat's telemetry,
+//!   and return the time to the next due event. An award queues its job's
+//!   `RegisterJob` and nudges the pump only if that opens a window closing,
+//!   or its job completes, before the instant the pump is armed for.
 //!
-//! There are three locks here, never taken together and never held across
-//! a call to a peer. The state mutex guards the scheduler, the contracts
-//! and the outbox; it is not held across a journal commit either (a
-//! sync-replicated commit is itself a network round trip), and the instant
-//! handed to the scheduler is read only while holding it, so scheduler
-//! time is monotone across the handlers and the pump. The memo's mutex
-//! guards the map of vouched-for tokens for the length of one lookup or
-//! one insert, and the completion queue's mutex is held for one push or
-//! one take.
+//! There are four locks here, never taken together and never held across
+//! a call to a peer. The state mutex guards the scheduler, the contracts,
+//! the outbox and the instant the pump is armed for; it is not held across
+//! a journal commit either (a sync-replicated commit is itself a network
+//! round trip), and the instant handed to the scheduler is read only while
+//! holding it, so scheduler time is monotone across the handlers and the
+//! pump. The memo's mutex guards the map of vouched-for tokens for the
+//! length of one lookup or one insert, the completion queue's mutex is
+//! held for one push or one take, and the last heartbeat's instant is the
+//! pump's, held for one read or one write.
 //!
 //! ## The token memo (§2.2, bounded)
 //!
@@ -212,6 +216,11 @@ pub struct FdOptions {
 /// Heartbeat cadence in *simulated* time.
 const HEARTBEAT_EVERY: SimDuration = SimDuration::from_secs(30);
 
+/// The longest a request waits in the outbox before a round sends it, in
+/// *simulated* time: 1/30 of [`HEARTBEAT_EVERY`], the staleness the FS's
+/// view of this daemon already has (1.67 ms of wall time at 600x).
+const REPORT_LAG: SimDuration = SimDuration::from_secs(1);
+
 impl Default for FdOptions {
     fn default() -> Self {
         FdOptions {
@@ -243,6 +252,37 @@ struct FdState {
     /// A `RegisterJob` per confirmed job and a `CompleteJob` per finished
     /// one, until AppSpector answers it ([`FdCore::report`]).
     outbox: Vec<Request>,
+    /// When the outbox's oldest entry was queued: a round sends the outbox
+    /// once it has waited [`REPORT_LAG`] (or with a beat).
+    opened: Option<SimTime>,
+    /// The simulated instant the pump is armed for: set by a round in the
+    /// acquisition that reads the next completion, cleared (`None`) while a
+    /// round runs. An award runs the pump early only if it queued something
+    /// due before it.
+    armed: Option<SimTime>,
+}
+
+impl FdState {
+    /// Queue `req` for AppSpector at `now`: into an empty outbox, it opens
+    /// a window.
+    fn queue(&mut self, req: Request, now: SimTime) {
+        self.opened.get_or_insert(now);
+        self.outbox.push(req);
+    }
+
+    /// Take the whole outbox, closing its window.
+    fn take_outbox(&mut self) -> Vec<Request> {
+        self.opened = None;
+        std::mem::take(&mut self.outbox)
+    }
+
+    /// The next instant a round has work, heartbeats aside: the scheduler's
+    /// next completion or the close of the outbox's window.
+    fn next_due(&self) -> Option<SimTime> {
+        let window = self.opened.map(|at| at + REPORT_LAG);
+        let next = self.cluster.next_completion();
+        next.into_iter().chain(window).min()
+    }
 }
 
 /// Everything one FD request handler and the pump need, shared in one
@@ -335,11 +375,12 @@ impl FdCore {
                 s.cluster
                     .submit_job(e.spec.clone(), e.contract, e.price, now);
                 s.contracts.insert(e.spec.id);
-                s.outbox.push(Request::RegisterJob {
+                let register = Request::RegisterJob {
                     job: e.spec.id,
                     owner: e.owner,
                     cluster: self.cluster_id,
-                });
+                };
+                s.queue(register, now);
             }
             j.contracts.len()
         })
@@ -469,7 +510,7 @@ impl FdCore {
         if let Err(e) = self.commit(accept) {
             return Response::Error(format!("award not journaled: {e}"));
         }
-        let outcome = {
+        let (outcome, early) = {
             let mut guard = self.state.lock();
             let (s, now) = (&mut *guard, self.clock.now());
             // A repeat of an award this FD holds (a retry whose reply was
@@ -488,21 +529,25 @@ impl FdCore {
             // released in between, the pump can complete the job first,
             // and its `contracts.remove` (and `CompleteJob`) would run
             // before this insert (and `RegisterJob`).
-            if matches!(outcome, Ok(AwardOutcome::Confirmed)) {
+            let confirmed = matches!(outcome, Ok(AwardOutcome::Confirmed));
+            if confirmed {
                 s.contracts.insert(job);
-                s.outbox.push(Request::RegisterJob {
+                let register = Request::RegisterJob {
                     job,
                     owner,
                     cluster: self.cluster_id,
-                });
+                };
+                s.queue(register, now);
             }
-            outcome
+            // Run the pump early only if the window this opened closes, or
+            // a job completes, before the instant it is armed for. While a
+            // round runs nothing is armed, and the nudge is kept for after.
+            let sooner = |armed| s.next_due().is_some_and(|at| at < armed);
+            (outcome, confirmed && s.armed.is_none_or(sooner))
         };
         match outcome {
             Ok(AwardOutcome::Confirmed) => {
-                // Run the pump: it tells AppSpector of the job and
-                // re-paces against the new next completion.
-                if let Some(nudge) = self.nudge.get() {
+                if let Some(nudge) = self.nudge.get().filter(|_| early) {
                     nudge.nudge();
                 }
                 Response::AwardReply {
@@ -574,57 +619,77 @@ impl FdCore {
         }
     }
 
-    /// One round: drive the scheduler clock, report jobs and telemetry to
-    /// AppSpector, heartbeat the FS if one is due. Returns the wall time
-    /// until the next due event.
+    /// One round: drive the scheduler clock, heartbeat the FS if a beat is
+    /// due, and send AppSpector the outbox if its window has closed or a
+    /// beat is due, then a beat's telemetry. Returns the wall time until
+    /// the next due event.
     fn pump(&self) -> Duration {
         // Event-paced, not polled every 5 ms: an award runs a round early
-        // (the next completion may have moved closer), and the cap bounds
-        // any one wait. Heartbeats are paced in *simulated* time (the FS
-        // liveness window is simulated seconds), so any clock speedup
-        // keeps the FD alive.
+        // when it queued something due before the armed instant, and the
+        // cap bounds any one wait. Heartbeats and the report window are
+        // paced in *simulated* time (the FS liveness window is simulated
+        // seconds), so any clock speedup keeps the FD alive.
         const PACE_CAP: Duration = Duration::from_millis(500);
         let last_heartbeat = *self.last_heartbeat.lock();
         // Under the lock (the clock read inside it, monotone with the
-        // handlers): harvest completions into the outbox, drop their
-        // contracts and staged files, take the outbox, and read a
-        // heartbeat's report if one is due. The journal and peers after.
+        // handlers): disarm, harvest completions into the outbox, drop
+        // their contracts and staged files, take the outbox if it is due,
+        // and read a heartbeat's report if one is due. The journal and
+        // peers after.
         let (now, outbox, beat) = {
             let mut guard = self.state.lock();
             let (s, now) = (&mut *guard, self.clock.now());
+            s.armed = None;
             for c in s.cluster.on_time(now) {
                 let job = c.outcome.job;
                 s.contracts.remove(&job);
                 let mut outputs = s.staged.remove(&job).unwrap_or_default();
                 let report = format!("completed at {now}").into_bytes();
                 outputs.push(("output.dat".into(), report));
-                s.outbox.push(Request::CompleteJob { job, outputs });
+                s.queue(Request::CompleteJob { job, outputs }, now);
             }
             let due =
                 last_heartbeat == SimTime::ZERO || now.since(last_heartbeat) >= HEARTBEAT_EVERY;
             let beat = due.then(|| (s.cluster.status(now), s.cluster.running_jobs().collect()));
-            (now, std::mem::take(&mut s.outbox), beat)
+            let lagged = s.opened.is_some_and(|at| now.since(at) >= REPORT_LAG);
+            let outbox = if due || lagged {
+                s.take_outbox()
+            } else {
+                vec![]
+            };
+            (now, outbox, beat)
         };
-        // Heartbeat first: a stalled AppSpector delays only its own traffic.
-        if let Some((status, running)) = beat {
+        // The FS first: a stalled AppSpector delays only its own traffic.
+        // Then the outbox, so a beat's samples find their jobs registered.
+        let running = beat.map(|(status, running)| {
             *self.last_heartbeat.lock() = now;
             let _ = self.commit(|| None);
-            self.heartbeat(now, status, running);
-        }
+            self.heartbeat(status);
+            running
+        });
         self.report(outbox);
-        // Due at whichever comes first: the scheduler's next completion or
-        // the next heartbeat, converted from simulated to wall time.
+        if let Some(running) = running {
+            self.sample(now, running);
+        }
+        // Due at whichever comes first: the scheduler's next completion,
+        // the close of the outbox's window or the next heartbeat, armed
+        // in the acquisition that reads them and converted to wall time.
         let beat = *self.last_heartbeat.lock() + HEARTBEAT_EVERY;
-        let next = self.state.lock().cluster.next_completion();
-        self.clock
-            .wall_until(next.map_or(beat, |at| at.min(beat)))
-            .min(PACE_CAP)
+        let due = {
+            let mut s = self.state.lock();
+            let due = s.next_due().map_or(beat, |at| at.min(beat));
+            s.armed = Some(due);
+            due
+        };
+        self.clock.wall_until(due).min(PACE_CAP)
     }
 
-    /// Send AppSpector the outbox's `RegisterJob`s in one batch, then, if
-    /// all were answered, its `CompleteJob`s in another (one mixed batch
+    /// Send AppSpector the `RegisterJob`s of `outbox` in one batch, then,
+    /// if all were answered, its `CompleteJob`s in another (one mixed batch
     /// could run a completion before its registration). The unanswered go
-    /// back for the next round; an answered `CompleteJob` awaits a commit.
+    /// back to the head of the outbox, in a window that opens now (or at
+    /// its newer entries' opening), so a silent AppSpector is retried once
+    /// per window; an answered `CompleteJob` awaits a commit.
     fn report(&self, outbox: Vec<Request>) {
         let registers = |r: &Request| matches!(r, Request::RegisterJob { .. });
         let (register, complete): (Vec<_>, Vec<_>) = outbox.into_iter().partition(registers);
@@ -643,12 +708,17 @@ impl FdCore {
                 }
             }
         }
-        self.state.lock().outbox.extend(unanswered);
+        if unanswered.is_empty() {
+            return;
+        }
+        let mut guard = self.state.lock();
+        let (s, now) = (&mut *guard, self.clock.now());
+        s.opened.get_or_insert(now);
+        s.outbox.splice(0..0, unanswered);
     }
 
-    /// One heartbeat to the FS, then one telemetry sample per running job
-    /// to AppSpector, in one best-effort burst (dropped if it fails).
-    fn heartbeat(&self, now: SimTime, status: ServerStatus, running: Vec<(JobId, u32)>) {
+    /// One heartbeat to the FS.
+    fn heartbeat(&self, status: ServerStatus) {
         let cluster = self.cluster_id;
         match self.fs.call(&Request::Heartbeat { cluster, status }) {
             // "unknown cluster": the FS evicted us as dead (or was itself
@@ -665,6 +735,11 @@ impl FdCore {
             }
             _ => {}
         }
+    }
+
+    /// One telemetry sample per running job to AppSpector, in one
+    /// best-effort burst (dropped if it fails).
+    fn sample(&self, now: SimTime, running: Vec<(JobId, u32)>) {
         let mut samples = Vec::with_capacity(running.len());
         for (job, pes) in running {
             let sample = TelemetrySample {
@@ -717,7 +792,7 @@ impl FdHandle {
     /// the outbox once more, and journal what no commit carried yet.
     pub fn shutdown(self) {
         self.service.shutdown();
-        let outbox = std::mem::take(&mut self.core.state.lock().outbox);
+        let outbox = self.core.state.lock().take_outbox();
         self.core.report(outbox);
         let _ = self.core.commit(|| None);
     }
@@ -794,6 +869,8 @@ pub fn spawn_fd_with(
             staged: HashMap::new(),
             contracts: HashSet::new(),
             outbox: Vec::new(),
+            opened: None,
+            armed: None,
         }),
     });
 
@@ -828,12 +905,13 @@ mod tests {
     use super::*;
     use crate::appspector_srv::{spawn_appspector, AsHandle};
     use crate::fs::{spawn_fs, FsHandle};
-    use crate::service::{call, call_with, Timeouts};
+    use crate::service::{call, call_with, serve_with, ServeOptions, Timeouts};
     use faucets_core::qos::QosBuilder;
     use faucets_sched::adaptive::ResizeCostModel;
     use faucets_sched::equipartition::Equipartition;
     use faucets_sched::machine::MachineSpec;
     use faucets_store::WriteFault;
+    use faucets_telemetry::Registry;
     use std::sync::mpsc;
 
     /// One FS, one AppSpector, one Baseline FD (cluster 1, exporting
@@ -864,28 +942,11 @@ mod tests {
             Some(_) => None,
             None => Some(spawn_appspector("127.0.0.1:0", fs.service.addr, 8).unwrap()),
         };
-        let machine = MachineSpec::commodity(ClusterId(1), "turing", pes);
-        let daemon = FaucetsDaemon::new(
-            machine.server_info("127.0.0.1", 0),
-            ["namd".to_string()],
-            Box::new(faucets_core::market::Baseline),
-            Money::from_units_f64(0.01),
-        );
-        let cluster = Cluster::new(machine, Box::new(Equipartition), ResizeCostModel::default());
         let fs_addr = fs.service.addr;
         let as_addr = appspector
             .or(aspect.as_ref().map(|a| a.service.addr))
             .unwrap();
-        let fd = spawn_fd_with(
-            "127.0.0.1:0",
-            daemon,
-            cluster,
-            fs_addr,
-            as_addr,
-            clock.clone(),
-            opts,
-        )
-        .unwrap();
+        let fd = spawn_turing(clock, pes, fs_addr, as_addr, opts);
         let (user, password) = ("u".to_string(), "p".to_string());
         let create = Request::CreateUser {
             user: user.clone(),
@@ -904,6 +965,26 @@ mod tests {
             user,
             token,
         }
+    }
+
+    /// The grid's FD alone: cluster 1, `turing`, exporting `namd`.
+    fn spawn_turing(
+        clock: &Clock,
+        pes: u32,
+        fs: SocketAddr,
+        appspector: SocketAddr,
+        opts: FdOptions,
+    ) -> FdHandle {
+        let machine = MachineSpec::commodity(ClusterId(1), "turing", pes);
+        let daemon = FaucetsDaemon::new(
+            machine.server_info("127.0.0.1", 0),
+            ["namd".to_string()],
+            Box::new(faucets_core::market::Baseline),
+            Money::from_units_f64(0.01),
+        );
+        let cluster = Cluster::new(machine, Box::new(Equipartition), ResizeCostModel::default());
+        let addr = "127.0.0.1:0";
+        spawn_fd_with(addr, daemon, cluster, fs, appspector, clock.clone(), opts).unwrap()
     }
 
     fn scratch(name: &str) -> PathBuf {
@@ -1522,5 +1603,216 @@ mod tests {
         drop(follower);
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&fdir);
+    }
+
+    /// Scheduling slack the report-window tests allow, in wall time: a
+    /// missed nudge shows as a wait of up to `PACE_CAP` (500 ms), five
+    /// times this.
+    const SLACK: Duration = Duration::from_millis(100);
+
+    /// `SLACK` on `clock`, in simulated time.
+    fn slack(clock: &Clock) -> SimDuration {
+        SimDuration::from_secs_f64(SLACK.as_secs_f64() * clock.speedup())
+    }
+
+    fn confirm(g: &Grid, award: &Request) {
+        let reply = call(g.fd.service.addr, award).unwrap();
+        let confirmed = matches!(
+            reply,
+            Response::AwardReply {
+                confirmed: true,
+                ..
+            }
+        );
+        assert!(confirmed, "{reply:?}");
+    }
+
+    /// The requests a stand-in AppSpector was sent, each with the
+    /// simulated instant it was handled.
+    type Heard = Arc<Mutex<Vec<(Request, SimTime)>>>;
+
+    /// Poll `heard` until it holds `n` requests that `pick` selects, for
+    /// at most 10 s.
+    fn hear(heard: &Heard, n: usize, pick: impl Fn(&Request) -> bool) -> Vec<(Request, SimTime)> {
+        let until = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            let got: Vec<_> = heard
+                .lock()
+                .iter()
+                .filter(|(r, _)| pick(r))
+                .cloned()
+                .collect();
+            if got.len() >= n || std::time::Instant::now() > until {
+                return got;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// A stand-in AppSpector that answers everything `Ok` and keeps what
+    /// it heard, on its own metric registry.
+    fn stand_in(clock: &Clock, reg: &Arc<Registry>) -> (ServiceHandle, Heard) {
+        let heard = Heard::default();
+        let (log, clock) = (Arc::clone(&heard), clock.clone());
+        let opts = ServeOptions {
+            registry: Some(Arc::clone(reg)),
+            ..ServeOptions::default()
+        };
+        let service = serve_with("127.0.0.1:0", "stand-in", opts, move |req| {
+            log.lock().push((req, clock.now()));
+            Response::Ok
+        })
+        .unwrap();
+        (service, heard)
+    }
+
+    fn is_register(r: &Request) -> bool {
+        matches!(r, Request::RegisterJob { .. })
+    }
+
+    /// The window's bound: at an idle FD a lone award's `RegisterJob`, and
+    /// its job's `CompleteJob`, each reach AppSpector within `REPORT_LAG`
+    /// (and the slack) of the instant it was queued.
+    #[test]
+    fn appspector_hears_within_the_report_lag() {
+        // 10x: `REPORT_LAG` is 100 ms of wall time, a beat 3 s.
+        let clock = Clock::new(10.0);
+        let reg = Arc::new(Registry::new());
+        let (aspect, heard) = stand_in(&clock, &reg);
+        let g = grid_at(&clock, 31, 64, FdOptions::default(), Some(aspect.addr));
+        std::thread::sleep(Duration::from_millis(50));
+        // Two simulated seconds of work: 200 ms of wall time.
+        confirm(&g, &award_of(&g, JobId(1), 2.0, clock.now()));
+        let awarded = clock.now();
+        let finish = g.fd.core.state.lock().cluster.next_completion().unwrap();
+        let bound = REPORT_LAG + slack(&clock);
+        let registered = hear(&heard, 1, is_register);
+        let at = registered.first().expect("the job was registered").1;
+        assert!(
+            at.since(awarded) <= bound,
+            "registered {}",
+            at.since(awarded)
+        );
+        let completes = |r: &Request| matches!(r, Request::CompleteJob { .. });
+        let completed = hear(&heard, 1, completes);
+        let at = completed.first().expect("the job was completed").1;
+        assert!(at.since(finish) <= bound, "completed {}", at.since(finish));
+    }
+
+    /// 16 back-to-back awards inside one window reach AppSpector in one
+    /// batch: its service takes at most three ready events (the pooled
+    /// socket's accept, its frames, one spare). An award per round, as
+    /// before the window, read 16 to 17.
+    #[test]
+    fn a_window_of_awards_reaches_appspector_in_one_batch() {
+        let clock = Clock::new(10.0);
+        let reg = Arc::new(Registry::new());
+        let (aspect, heard) = stand_in(&clock, &reg);
+        let g = grid_at(&clock, 32, 64, FdOptions::default(), Some(aspect.addr));
+        let events = || {
+            let snap = reg.snapshot();
+            snap.histogram_sum("net_reactor_ready_events", &[("service", "stand-in")])
+                .count
+        };
+        // The token is vouched for before the window opens.
+        let reply = call(g.fd.service.addr, &bid_request(&g, g.token.clone())).unwrap();
+        assert!(matches!(reply, Response::BidReply(_)), "{reply:?}");
+        let before = events();
+        let started = clock.now();
+        for job in 1..=16 {
+            confirm(&g, &award_of(&g, JobId(job), 3_600.0, clock.now()));
+        }
+        let awarded = clock.now();
+        assert_eq!(hear(&heard, 16, is_register).len(), 16);
+        let events = events() - before;
+        // On a machine that stalled past the window these were honest
+        // extra batches.
+        if awarded.since(started) < REPORT_LAG {
+            assert!(events <= 3, "{events} ready events for 16 awards");
+        }
+    }
+
+    /// Pacing: an award that lands while a round runs, of a job that
+    /// completes before anything the pump was armed for, is still
+    /// harvested within the slack of its completion.
+    #[test]
+    fn an_award_during_a_round_is_harvested_on_time() {
+        // 2x: `REPORT_LAG` is 500 ms of wall time, a beat 15 s.
+        let clock = Clock::new(2.0);
+        let (parked_tx, parked_rx) = mpsc::channel::<()>();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (parked_tx, release_rx) = (Mutex::new(parked_tx), Mutex::new(release_rx));
+        // Holds the round that sends job 1's registration until released.
+        let aspect = serve("127.0.0.1:0", "parking", move |req| {
+            if matches!(req, Request::RegisterJob { job: JobId(1), .. }) {
+                let _ = parked_tx.lock().send(());
+                let _ = release_rx.lock().recv_timeout(Duration::from_secs(2));
+            }
+            Response::Ok
+        })
+        .unwrap();
+        let g = grid_at(&clock, 33, 64, FdOptions::default(), Some(aspect.addr));
+        confirm(&g, &award_of(&g, JobId(1), 36_000.0, clock.now()));
+        parked_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a round sends the registration");
+        // A tenth of a simulated second of work: 50 ms of wall time, ten
+        // times sooner than its own window closes.
+        confirm(&g, &award_of(&g, JobId(2), 0.1, clock.now()));
+        let finish = g.fd.core.state.lock().cluster.next_completion().unwrap();
+        release_tx.send(()).unwrap();
+        let until = std::time::Instant::now() + Duration::from_secs(10);
+        while g.fd.completed() == 0 && std::time::Instant::now() < until {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let at = clock.now();
+        assert_eq!(g.fd.completed(), 1, "the short job never completed");
+        assert!(
+            at <= finish + slack(&clock),
+            "harvested {} late",
+            at.since(finish)
+        );
+    }
+
+    /// Regression: a beat round sent its telemetry before the outbox, so
+    /// AppSpector refused the samples of jobs whose `RegisterJob` was in
+    /// that outbox. The first round after a restart is such a round for
+    /// every restored job, whose first sample came a beat late.
+    #[test]
+    fn a_restored_job_shows_its_first_beats_sample() {
+        let dir = scratch("restored-sample");
+        let opts = FdOptions {
+            store: Some(dir.clone()),
+            ..FdOptions::default()
+        };
+        let clock = Clock::new(100.0);
+        let g = grid(&clock, 34, 64, opts.clone());
+        confirm(&g, &award_of(&g, JobId(1), 36_000.0, clock.now()));
+        let Grid { fs, fd, token, .. } = g;
+        fd.kill();
+        // An AppSpector that never heard of the job.
+        let aspect = spawn_appspector("127.0.0.1:0", fs.service.addr, 8).unwrap();
+        let restarted = clock.now();
+        let fd = spawn_turing(&clock, 64, fs.service.addr, aspect.service.addr, opts);
+        let watch = Request::Watch {
+            token,
+            job: JobId(1),
+        };
+        let until = std::time::Instant::now() + Duration::from_secs(10);
+        let first = loop {
+            if let Ok(Response::Snapshot(snap)) = call(aspect.service.addr, &watch) {
+                if let Some(sample) = snap.samples.first() {
+                    break sample.at;
+                }
+            }
+            assert!(std::time::Instant::now() < until, "no sample arrived");
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        assert!(
+            first.since(restarted) < HEARTBEAT_EVERY,
+            "the first sample is from {first}, a beat after the restart at {restarted}"
+        );
+        drop(fd);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
