@@ -8,9 +8,11 @@
 //! 1. **FD contracts** — a durable daemon confirms a batch of awards, is
 //!    killed mid-run, and restarts from its journal: every acknowledged
 //!    contract is restored and completes.
-//! 2. **FS directory** — the Central Server is killed after acknowledging
-//!    a registration and restarts on the same port: the cluster is listed
-//!    without any re-registration traffic.
+//! 2. **FS accounts** — the Central Server is killed after acknowledging
+//!    an account and restarts on the same port on a fresh clock: the user
+//!    logs in under the same id and the name stays taken. The directory
+//!    is soft state: the FD that outlived the FS is listed again once its
+//!    heartbeat has made it register, within one heartbeat period.
 //! 3. **Accounting ledger** — a seeded storm of transfers, half of it
 //!    under injected write faults (fail/torn/garbled appends via the E19
 //!    `FaultPlan` adapted through `store_hook`). Faulted commits are
@@ -23,12 +25,13 @@
 //! `--jobs`, `--transfers`, `--records` resize the run.
 
 use faucets_bench::{
-    commodity, kill_and_recover, probe_record, scratch, spawn_cluster, Bound, ExitCode, GridTarget,
-    Report,
+    commodity, kill_and_recover, probe_record, register, scratch, spawn_cluster, Bound, ExitCode,
+    GridTarget, Report,
 };
 use faucets_core::accounting::{AccountId, DurableLedger};
 use faucets_core::ids::{ClusterId, UserId};
 use faucets_core::money::Money;
+use faucets_core::qos::QosBuilder;
 use faucets_net::fd::FdOptions;
 use faucets_net::fs::{spawn_fs_durable, FsOptions};
 use faucets_net::prelude::*;
@@ -39,32 +42,50 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Scenario 2: kill the Central Server after an acknowledged registration;
-/// restart it on the same port; the cluster is listed from the journal
-/// alone.
+/// Scenario 2: kill the Central Server after an acknowledged account;
+/// restart it on the same port on a fresh clock, as a new process. The
+/// account is back under its id from the journal; the live FD is listed
+/// again after its next heartbeat.
 fn fs_kill_restart(r: &mut Report) {
-    let clock = Clock::new(1_000.0);
+    const SPEEDUP: f64 = 100.0;
     let store = scratch("e21", "fs");
     let opts = || FsOptions {
         store: Some(store.clone()),
         ..FsOptions::default()
     };
-    let fs = spawn_fs_durable("127.0.0.1:0", clock.clone(), 72, opts()).expect("FS");
+    let fs = spawn_fs_durable("127.0.0.1:0", Clock::new(SPEEDUP), 72, opts()).expect("FS");
     let addr = fs.service.addr;
     let aspect = spawn_appspector("127.0.0.1:0", addr, 8).expect("AS");
-    let at = GridTarget::single(addr, aspect.service.addr, clock.clone());
-    // A daemon registers (acknowledged = journaled), then dies with the FS.
+    let at = GridTarget::single(addr, aspect.service.addr, Clock::new(SPEEDUP));
     let fd = spawn_cluster(&commodity(72, 1), 0, &at, FdOptions::default()).expect("FD");
-    let listed = |fs: &FsHandle| fs.state.lock().directory.get(ClusterId(1)).is_some();
-    r.check("fs.registered", listed(&fs));
-    fd.kill();
+    let before = register(&at, "erin").user;
     drop(fs);
 
-    let fs2 = spawn_fs_durable(&addr.to_string(), clock, 72, opts()).expect("FS restart");
-    let replayed = fs2.recovery.clone().expect("durable FS").replayed_records;
-    // Recovered from the journal alone: the daemon is still down.
-    r.check("fs.registration_recovered", listed(&fs2));
-    r.metric("fs.replayed_records", replayed, "count");
+    let clock = Clock::new(SPEEDUP);
+    let fs2 = spawn_fs_durable(&addr.to_string(), clock.clone(), 72, opts()).expect("FS restart");
+    let session = FaucetsClient::login(addr, aspect.service.addr, clock.clone(), "erin", "pw")
+        .expect("erin logs in at the restarted FS");
+    r.check("fs.account_recovered", session.user == before);
+    let taken = FaucetsClient::register(addr, aspect.service.addr, clock.clone(), "erin", "x");
+    r.check("fs.name_still_taken", taken.is_err());
+    // How long the directory takes to relearn the FD that outlived the FS.
+    let listed = || {
+        let token = session.token.clone();
+        let qos = QosBuilder::new("namd", 4, 16, 100.0).build().expect("qos");
+        let reply = call(addr, &Request::ListServers { token, qos });
+        matches!(reply, Ok(Response::Servers(s)) if s.iter().any(|s| s.info.cluster == ClusterId(1)))
+    };
+    r.wait("the FD's relisting", listed);
+    // Wall milliseconds since the restart; one heartbeat period is 30
+    // simulated seconds.
+    let relisted_ms = clock.now().as_secs_f64() * 1e3 / SPEEDUP;
+    r.gate(
+        "fs.relisted_ms",
+        relisted_ms,
+        Bound::le(1.5 * 30e3 / SPEEDUP),
+    );
+    fd.shutdown();
+    drop(fs2);
     let _ = std::fs::remove_dir_all(&store);
 }
 

@@ -109,10 +109,19 @@ pub fn hex(bytes: &[u8]) -> String {
 #[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct SessionToken(pub String);
 
-struct UserRecord {
-    id: UserId,
-    salt: [u8; 16],
-    password_hash: [u8; 32],
+/// One user account: what [`UserDb::mint`] makes and [`UserDb::insert`]
+/// files, and what a durable Central Server journals between the two. It
+/// holds the salted hash, never the password.
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub struct Account {
+    /// The name the user logs in with.
+    pub name: String,
+    /// The id minted for it.
+    pub id: UserId,
+    /// Per-account salt.
+    pub salt: [u8; 16],
+    /// SHA-256 of salt and password.
+    pub password_hash: [u8; 32],
 }
 
 struct SessionRecord {
@@ -124,10 +133,14 @@ struct SessionRecord {
 /// carries: the ids a database may mint.
 const USER_ID_BITS: u32 = 32;
 
+/// The longest user name an account may have, in bytes. A name is
+/// journaled and shipped to every follower with its account.
+pub const MAX_USER_NAME_BYTES: usize = 64;
+
 /// The Faucets Server's user database with salted password storage and
 /// expiring session tokens.
 pub struct UserDb {
-    by_name: HashMap<String, UserRecord>,
+    by_name: HashMap<String, Account>,
     sessions: HashMap<SessionToken, SessionRecord>,
     /// The next id to mint.
     next_user: u64,
@@ -152,13 +165,23 @@ impl UserDb {
         sha256(&buf)
     }
 
-    /// Create a user account. Fails if the name is taken.
-    pub fn add_user<R: Rng + ?Sized>(
+    /// Make an account for `name` under the next id without filing it:
+    /// the caller files it with [`UserDb::insert`], after journaling it if
+    /// it must survive a restart. Fails if the name is empty, longer than
+    /// [`MAX_USER_NAME_BYTES`] or taken. The id is spent even if the
+    /// account is never inserted, so no id is minted twice.
+    pub fn mint<R: Rng + ?Sized>(
         &mut self,
         name: &str,
         password: &str,
         rng: &mut R,
-    ) -> Result<UserId> {
+    ) -> Result<Account> {
+        if name.is_empty() || name.len() > MAX_USER_NAME_BYTES {
+            return Err(FaucetsError::InvalidUserName(format!(
+                "a user name is 1 to {MAX_USER_NAME_BYTES} bytes, not {}",
+                name.len()
+            )));
+        }
         if self.by_name.contains_key(name) {
             return Err(FaucetsError::AlreadyExists(format!("user '{name}'")));
         }
@@ -170,15 +193,20 @@ impl UserDb {
         let mut salt = [0u8; 16];
         rng.fill(&mut salt);
         let password_hash = Self::hash_password(&salt, password);
-        self.by_name.insert(
-            name.to_string(),
-            UserRecord {
-                id,
-                salt,
-                password_hash,
-            },
-        );
-        Ok(id)
+        let name = name.to_string();
+        Ok(Account {
+            name,
+            id,
+            salt,
+            password_hash,
+        })
+    }
+
+    /// File a minted or replayed account. Ids minted afterwards follow
+    /// the highest id filed.
+    pub fn insert(&mut self, account: Account) {
+        self.next_user = self.next_user.max(account.id.0 + 1);
+        self.by_name.insert(account.name.clone(), account);
     }
 
     /// Authenticate with userid/password; mints a session token on success.
@@ -240,6 +268,13 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    fn add(db: &mut UserDb, name: &str, password: &str, rng: &mut StdRng) -> Result<UserId> {
+        let account = db.mint(name, password, rng)?;
+        let id = account.id;
+        db.insert(account);
+        Ok(id)
+    }
+
     #[test]
     fn sha256_known_vectors() {
         // FIPS 180-4 / NIST test vectors.
@@ -269,7 +304,7 @@ mod tests {
     fn password_round_trip() {
         let mut rng = StdRng::seed_from_u64(1);
         let mut db = UserDb::new(SimDuration::from_hours(1));
-        let uid = db.add_user("alice", "hunter2", &mut rng).unwrap();
+        let uid = add(&mut db, "alice", "hunter2", &mut rng).unwrap();
         let (got, token) = db
             .authenticate("alice", "hunter2", SimTime::ZERO, &mut rng)
             .unwrap();
@@ -281,7 +316,7 @@ mod tests {
     fn wrong_password_rejected() {
         let mut rng = StdRng::seed_from_u64(2);
         let mut db = UserDb::new(SimDuration::from_hours(1));
-        db.add_user("alice", "hunter2", &mut rng).unwrap();
+        add(&mut db, "alice", "hunter2", &mut rng).unwrap();
         assert!(matches!(
             db.authenticate("alice", "hunter3", SimTime::ZERO, &mut rng),
             Err(FaucetsError::AuthFailed(_))
@@ -295,16 +330,33 @@ mod tests {
     fn duplicate_usernames_rejected() {
         let mut rng = StdRng::seed_from_u64(3);
         let mut db = UserDb::new(SimDuration::from_hours(1));
-        db.add_user("alice", "a", &mut rng).unwrap();
-        assert!(db.add_user("alice", "b", &mut rng).is_err());
+        add(&mut db, "alice", "a", &mut rng).unwrap();
+        assert!(add(&mut db, "alice", "b", &mut rng).is_err());
         assert_eq!(db.user_count(), 1);
+    }
+
+    #[test]
+    fn replayed_accounts_keep_their_ids_and_advance_the_next() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut primary = UserDb::new(SimDuration::from_hours(1));
+        let alice = primary.mint("alice", "pw", &mut rng).unwrap();
+        primary.mint("lost", "pw", &mut rng).unwrap(); // never filed
+        let bob = primary.mint("bob", "pw", &mut rng).unwrap();
+        let mut replayed = UserDb::new(SimDuration::from_hours(1));
+        replayed.insert(alice.clone());
+        replayed.insert(bob.clone());
+        let (id, _) = replayed
+            .authenticate("alice", "pw", SimTime::ZERO, &mut rng)
+            .unwrap();
+        assert_eq!(id, alice.id);
+        assert_eq!(add(&mut replayed, "carol", "pw", &mut rng), Ok(UserId(3)));
     }
 
     #[test]
     fn tokens_expire() {
         let mut rng = StdRng::seed_from_u64(4);
         let mut db = UserDb::new(SimDuration::from_secs(100));
-        db.add_user("alice", "pw", &mut rng).unwrap();
+        add(&mut db, "alice", "pw", &mut rng).unwrap();
         let (_, token) = db
             .authenticate("alice", "pw", SimTime::ZERO, &mut rng)
             .unwrap();
@@ -329,8 +381,8 @@ mod tests {
     fn same_password_different_users_different_hashes() {
         let mut rng = StdRng::seed_from_u64(5);
         let mut db = UserDb::new(SimDuration::from_hours(1));
-        db.add_user("alice", "samepw", &mut rng).unwrap();
-        db.add_user("bob", "samepw", &mut rng).unwrap();
+        add(&mut db, "alice", "samepw", &mut rng).unwrap();
+        add(&mut db, "bob", "samepw", &mut rng).unwrap();
         let a = db.by_name["alice"].password_hash;
         let b = db.by_name["bob"].password_hash;
         assert_ne!(a, b, "salting must differentiate identical passwords");

@@ -47,6 +47,8 @@ pub enum FaucetsError {
     AlreadyExists(String),
     /// This server has minted every user id a job id can carry.
     UserIdsExhausted,
+    /// A user name that is empty or too long to be an account's.
+    InvalidUserName(String),
     /// Durable storage failed: the mutation was NOT journaled and must be
     /// NACKed to whoever requested it (rendered from the store error,
     /// which is not `Clone`).
@@ -82,6 +84,7 @@ impl fmt::Display for FaucetsError {
             FaucetsError::BidDeclined(why) => write!(f, "bid declined: {why}"),
             FaucetsError::AlreadyExists(what) => write!(f, "already exists: {what}"),
             FaucetsError::UserIdsExhausted => write!(f, "this server has no user id left"),
+            FaucetsError::InvalidUserName(why) => write!(f, "invalid user name: {why}"),
             FaucetsError::Storage(why) => write!(f, "durable storage failure: {why}"),
         }
     }

@@ -80,14 +80,17 @@ impl FaucetsServer {
 
     // -- user management ----------------------------------------------------
 
-    /// Create a user account.
+    /// Create a user account ([`UserDb::mint`], then [`UserDb::insert`]).
     pub fn create_user<R: Rng + ?Sized>(
         &mut self,
         name: &str,
         password: &str,
         rng: &mut R,
     ) -> Result<UserId> {
-        self.users.add_user(name, password, rng)
+        let account = self.users.mint(name, password, rng)?;
+        let id = account.id;
+        self.users.insert(account);
+        Ok(id)
     }
 
     /// Authenticate a user; mints a session token.
@@ -133,11 +136,9 @@ impl FaucetsServer {
 
     /// Evict daemons that have been silent past the dead timeout; runs on
     /// every heartbeat and match so the directory never accumulates
-    /// corpses. Returns the evicted ids.
-    pub fn sweep_dead(&mut self, now: SimTime) -> Vec<ClusterId> {
-        let evicted = self.directory.evict_dead(now);
-        self.stats.evictions += evicted.len() as u64;
-        evicted
+    /// corpses.
+    fn sweep_dead(&mut self, now: SimTime) {
+        self.stats.evictions += self.directory.evict_dead(now).len() as u64;
     }
 
     /// The union of applications exported anywhere on the grid — "the list
@@ -149,8 +150,11 @@ impl FaucetsServer {
             .collect()
     }
 
-    /// Serve a client's request for matching Compute Servers. The token is
-    /// authenticated first; the rest is [`FaucetsServer::listings`].
+    /// Serve a client's request for matching Compute Servers: authenticate
+    /// the token, sweep the dead, then filter the directory per
+    /// [`FaucetsServer::filter_level`]. Each candidate will receive one
+    /// request-for-bids message, which is what
+    /// [`ServerStats::rfb_messages`] accounts.
     pub fn match_servers(
         &mut self,
         token: &SessionToken,
@@ -158,26 +162,11 @@ impl FaucetsServer {
         now: SimTime,
     ) -> Result<Vec<ClusterId>> {
         self.verify_token(token, now)?;
-        Ok(self.listings(qos, now).1)
-    }
-
-    /// One match query from an already authenticated caller (the live FS
-    /// verifies the token itself, and journals the evictions): sweep the dead,
-    /// then filter the directory per [`FaucetsServer::filter_level`].
-    /// Returns the servers the sweep evicted, for the caller to journal,
-    /// and the candidates. Each candidate will receive one
-    /// request-for-bids message, which is what
-    /// [`ServerStats::rfb_messages`] accounts.
-    pub fn listings(
-        &mut self,
-        qos: &QosContract,
-        now: SimTime,
-    ) -> (Vec<ClusterId>, Vec<ClusterId>) {
         self.stats.matches += 1;
-        let evicted = self.sweep_dead(now);
+        self.sweep_dead(now);
         let candidates = self.directory.candidates(qos, self.filter_level, now);
         self.stats.rfb_messages += candidates.len() as u64;
-        (evicted, candidates)
+        Ok(candidates)
     }
 
     // -- market support (§5.2.1) ---------------------------------------------

@@ -334,8 +334,8 @@ impl FaucetsClient {
     }
 
     /// Re-authenticate after the session died (typically with the FS that
-    /// minted it). Logs in at the current FS; if the account itself lived
-    /// only on the dead FS, re-creates it there first.
+    /// minted it). Logs in at the current FS; if that FS does not know the
+    /// account, re-creates it there first.
     fn relogin(&mut self, opts: &CallOptions) -> Result<(), ClientError> {
         let Some((name, password)) = self.credentials.clone() else {
             return Err(ClientError::Rejected("no stored credentials".into()));
@@ -346,8 +346,8 @@ impl FaucetsClient {
         };
         let resp = match self.fs_call(&login_req, opts)? {
             Response::Error(_) => {
-                // A standby FS holds no accounts: ours is gone with the
-                // FS that died. Re-create it here and log in again.
+                // Only a standby FS that holds no replicated journal has
+                // lost our account: re-create it there and log in again.
                 let create = Request::CreateUser {
                     user: name,
                     password,

@@ -6,20 +6,16 @@
 //!
 //! ## Durability
 //!
-//! With [`FsOptions::store`] set, cluster registrations are journaled to a
-//! [`faucets_store::DurableStore`] *before* the directory is mutated, so a
-//! `RegisterCluster` that was answered `Ok` survives an FS crash: on
-//! restart the journal is replayed and every registered cluster reappears
-//! with its recorded `last_heard`. If the append fails it is NACKed
-//! (`Response::Error`) and the in-memory directory is left untouched —
-//! "registered" means "durable". Heartbeats are deliberately *not*
-//! journaled: `last_heard`/`ServerStatus` are soft state that the next
-//! heartbeat refreshes, and a daemon restored with a stale `last_heard`
-//! that has since died is simply re-graded dead and swept. Evictions are
-//! journaled best-effort (they compact the journal but are re-derivable
-//! from silence). User accounts and session tokens stay in-memory: daemons
-//! re-verify tokens against the FS, so an FS restart invalidates sessions
-//! and clients must log in again.
+//! With [`FsOptions::store`] set, user accounts are journaled to a
+//! [`faucets_store::DurableStore`]: a `CreateUser` answered `Verified`
+//! survives an FS crash, and on restart the journal is replayed, so every
+//! account logs in under the id it was minted and the next account gets
+//! the next id. If the append fails the request is NACKed
+//! (`Response::Error`) and no account is created. Accounts are the one
+//! thing the FS cannot relearn. The directory and sessions are soft
+//! state: an FD whose heartbeat a restarted FS answers "unknown cluster"
+//! registers again, so it is listed within one heartbeat period, and a
+//! client logs in again.
 //!
 //! ## Standby
 //!
@@ -31,10 +27,10 @@ use crate::overload::TokenBucket;
 use crate::proto::{Request, Response};
 use crate::replica::{Journal, ReplicationConfig};
 use crate::service::{serve, Clock, ServiceHandle};
-use faucets_core::directory::{ServerInfo, ServerListing};
+use faucets_core::auth::Account;
+use faucets_core::directory::ServerListing;
 use faucets_core::ids::ClusterId;
 use faucets_core::server::FaucetsServer;
-use faucets_sim::time::SimTime;
 use faucets_store::{Durable, RecoveryReport, StoreOptions};
 use faucets_telemetry::{Counter, Gauge};
 use parking_lot::Mutex;
@@ -45,72 +41,24 @@ use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// One journaled directory mutation (see [`DirJournal`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum DirRecord {
-    /// A Compute Server registered (or re-registered) with the FS.
-    Register {
-        /// Static description of the cluster.
-        info: ServerInfo,
-        /// Applications it exports ("Known Applications", §2.2).
-        apps: Vec<String>,
-        /// When the registration arrived; restored as `last_heard`.
-        at: SimTime,
-    },
-    /// A cluster was evicted after missing its liveness window.
-    Evict {
-        /// The evicted cluster.
-        cluster: ClusterId,
-    },
-}
-
-/// One durable registration row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DirRow {
-    /// Static description of the cluster.
-    pub info: ServerInfo,
-    /// Applications it exports.
-    pub apps: Vec<String>,
-    /// Last contact recorded in the journal (registration time; heartbeats
-    /// are soft state and not journaled).
-    pub last_heard: SimTime,
-}
-
-/// The durable state machine behind the FS directory: the set of live
-/// registrations, keyed by cluster. Registrations are few, so rows are a
-/// plain `Vec` (which also keeps the JSON snapshot free of non-string map
-/// keys).
+/// The durable state behind the FS: every account, in the order minted.
+/// A record is one [`Account`].
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct DirJournal {
-    /// Registered clusters, in registration order.
-    pub rows: Vec<DirRow>,
-}
+pub struct Accounts(pub Vec<Account>);
 
-impl Durable for DirJournal {
-    type Record = DirRecord;
-    type Snapshot = DirJournal;
+impl Durable for Accounts {
+    type Record = Account;
+    type Snapshot = Accounts;
 
-    fn apply(&mut self, rec: &DirRecord) {
-        match rec {
-            DirRecord::Register { info, apps, at } => {
-                self.rows.retain(|r| r.info.cluster != info.cluster);
-                self.rows.push(DirRow {
-                    info: info.clone(),
-                    apps: apps.clone(),
-                    last_heard: *at,
-                });
-            }
-            DirRecord::Evict { cluster } => {
-                self.rows.retain(|r| r.info.cluster != *cluster);
-            }
-        }
+    fn apply(&mut self, rec: &Account) {
+        self.0.push(rec.clone());
     }
 
-    fn snapshot(&self) -> DirJournal {
+    fn snapshot(&self) -> Accounts {
         self.clone()
     }
 
-    fn restore(snap: DirJournal) -> Self {
+    fn restore(snap: Accounts) -> Self {
         snap
     }
 }
@@ -118,13 +66,13 @@ impl Durable for DirJournal {
 /// Options for [`spawn_fs_durable`].
 #[derive(Clone)]
 pub struct FsOptions {
-    /// Directory for the durable registration journal. `None` keeps the
-    /// directory purely in memory (the seed behaviour).
+    /// Directory for the durable account journal. `None` keeps accounts
+    /// purely in memory.
     pub store: Option<PathBuf>,
     /// Store tuning: telemetry label, compaction cadence, fsync, injected
     /// write faults. Only consulted when `store` is set.
     pub store_opts: StoreOptions,
-    /// Replicate the registration journal to follower daemons
+    /// Replicate the account journal to follower daemons
     /// ([`crate::replica::spawn_replica`]). Only consulted when `store` is
     /// set. The service name the followers must host is `fs`.
     pub replication: Option<ReplicationConfig>,
@@ -161,9 +109,9 @@ pub struct FsHandle {
     pub service: ServiceHandle,
     /// The shared server state (inspectable by tests/tools).
     pub state: Arc<Mutex<FaucetsServer>>,
-    /// The registration journal, when durability is enabled — single-node
-    /// or replicated per [`FsOptions::replication`].
-    pub store: Option<Journal<DirJournal>>,
+    /// The account journal, when durability is enabled — single-node or
+    /// replicated per [`FsOptions::replication`].
+    pub store: Option<Journal<Accounts>>,
     /// What recovery found on startup, when durability is enabled.
     pub recovery: Option<RecoveryReport>,
     /// The directory-query throttle (live `set_rate`/`set_burst` knobs).
@@ -183,35 +131,15 @@ pub fn spawn_fs(addr: &str, clock: Clock, seed: u64) -> io::Result<FsHandle> {
     spawn_fs_durable(addr, clock, seed, FsOptions::default())
 }
 
-/// Evictions are re-derivable (a stale registration restored after a crash
-/// is graded dead and swept on the next request), so journaling them only
-/// compacts the journal and must never NACK the request that noticed them.
-/// Called with the state lock released: a commit is a WAL append, a flush
-/// and, replicated, a ship round.
-fn journal_evictions(store: &Option<Journal<DirJournal>>, evicted: &[ClusterId]) {
-    if let Some(store) = store {
-        for cluster in evicted {
-            let _ = store.commit(&DirRecord::Evict { cluster: *cluster });
-        }
-    }
-}
-
 /// Everything one FS request handler needs, shared across worker threads.
-///
-/// The state lock is never held across a journal commit: a registration
-/// is committed before the lock is taken, an eviction after it is
-/// released. So a concurrent register and evict of one cluster can reach
-/// the journal in the other order than they reached the directory: the
-/// evicting request sweeps the cluster's stale row under the lock, the
-/// re-registration commits and applies, and only then is the `Evict`
-/// appended. The directory lists the cluster; a replay of the journal
-/// does not. That matters only after a restart, and there the cluster's
-/// next heartbeat is answered `unknown cluster`, on which its FD
-/// registers again: the window is one heartbeat period.
+/// The state lock is never held across a journal commit.
 struct FsCore {
     state: Arc<Mutex<FaucetsServer>>,
     rng: Arc<Mutex<StdRng>>,
-    journal: Option<Journal<DirJournal>>,
+    journal: Option<Journal<Accounts>>,
+    /// Held by one `CreateUser` from mint to insert, so no two accounts
+    /// take one name and the journal holds them in minting order.
+    minting: Mutex<()>,
     clock: Clock,
     bucket: Arc<TokenBucket>,
     m_throttled: Counter,
@@ -230,44 +158,12 @@ impl FsCore {
             self.m_throttled.inc();
             return Response::Overloaded { retry_after_ms: 25 };
         }
+        if let Request::CreateUser { user, password } = req {
+            return self.create_user(&user, &password);
+        }
         let now = self.clock.now();
-        if let Request::RegisterCluster { info, apps } = req {
-            return self.register(info, apps, now);
-        }
-        let mut evicted = vec![];
-        let resp = self.answer(req, now, &mut evicted);
-        journal_evictions(&self.journal, &evicted);
-        resp
-    }
-
-    /// Journal first: `Ok` must mean the registration survives a crash. On
-    /// a store failure the request is NACKed and the in-memory directory
-    /// is left untouched.
-    fn register(&self, info: ServerInfo, apps: Vec<String>, now: SimTime) -> Response {
-        if let Some(store) = &self.journal {
-            let (info, apps, at) = (info.clone(), apps.clone(), now);
-            if let Err(e) = store.commit(&DirRecord::Register { info, apps, at }) {
-                return Response::Error(format!("registration not durable: {e}"));
-            }
-        }
-        let mut s = self.state.lock();
-        s.register_cluster(info, apps, now);
-        self.g_dir_size.set(s.directory.len() as f64);
-        Response::Ok
-    }
-
-    /// Every request but a registration, under the state lock. The
-    /// clusters a sweep evicts go to `evicted`, for the caller to journal
-    /// once the lock is released.
-    fn answer(&self, req: Request, now: SimTime, evicted: &mut Vec<ClusterId>) -> Response {
         let mut s = self.state.lock();
         match req {
-            Request::CreateUser { user, password } => {
-                match s.create_user(&user, &password, &mut *self.rng.lock()) {
-                    Ok(id) => Response::Verified { user: id },
-                    Err(e) => Response::Error(e.to_string()),
-                }
-            }
             Request::Login { user, password } => {
                 match s.login(&user, &password, now, &mut *self.rng.lock()) {
                     Ok((id, token)) => Response::Session { user: id, token },
@@ -278,28 +174,28 @@ impl FsCore {
                 Ok(user) => Response::Verified { user },
                 Err(e) => Response::Error(e.to_string()),
             },
-            Request::ListServers { token, qos } => {
-                if let Err(e) = s.verify_token(&token, now) {
-                    return Response::Error(e.to_string());
+            Request::ListServers { token, qos } => match s.match_servers(&token, &qos, now) {
+                Ok(ids) => {
+                    self.g_dir_size.set(s.directory.len() as f64);
+                    let listing = |c: &ClusterId| {
+                        let e = s.directory.get(*c)?;
+                        let (info, status) = (e.info.clone(), e.status);
+                        Some(ServerListing { info, status })
+                    };
+                    Response::Servers(ids.iter().filter_map(listing).collect())
                 }
-                let (swept, ids) = s.listings(&qos, now);
-                *evicted = swept;
-                self.g_dir_size.set(s.directory.len() as f64);
-                let listing = |c: &ClusterId| {
-                    let e = s.directory.get(*c)?;
-                    let (info, status) = (e.info.clone(), e.status);
-                    Some(ServerListing { info, status })
-                };
-                Response::Servers(ids.iter().filter_map(listing).collect())
-            }
+                Err(e) => Response::Error(e.to_string()),
+            },
             Request::ListClusters { token } => match s.verify_token(&token, now) {
                 Ok(_) => Response::Clusters(s.directory.rows(now)),
                 Err(e) => Response::Error(e.to_string()),
             },
+            Request::RegisterCluster { info, apps } => {
+                s.register_cluster(info, apps, now);
+                self.g_dir_size.set(s.directory.len() as f64);
+                Response::Ok
+            }
             Request::Heartbeat { cluster, status } => {
-                // Sweep explicitly (rather than inside `heartbeat`) so the
-                // evicted ids can be journaled.
-                *evicted = s.sweep_dead(now);
                 let known = s.heartbeat(cluster, status, now);
                 self.g_dir_size.set(s.directory.len() as f64);
                 if known {
@@ -311,10 +207,34 @@ impl FsCore {
             other => Response::Error(format!("FS cannot handle {other:?}")),
         }
     }
+
+    /// Journal first: `Verified` must mean the account survives a crash.
+    /// On a store failure the request is NACKed and no account is filed
+    /// (its id stays spent).
+    fn create_user(&self, name: &str, password: &str) -> Response {
+        let _minting = self.minting.lock();
+        let minted = self
+            .state
+            .lock()
+            .users
+            .mint(name, password, &mut *self.rng.lock());
+        let account = match minted {
+            Ok(account) => account,
+            Err(e) => return Response::Error(e.to_string()),
+        };
+        if let Some(store) = &self.journal {
+            if let Err(e) = store.commit(&account) {
+                return Response::Error(format!("account not durable: {e}"));
+            }
+        }
+        let user = account.id;
+        self.state.lock().users.insert(account);
+        Response::Verified { user }
+    }
 }
 
-/// [`spawn_fs`], with a durable registration journal: registrations are
-/// journaled before they are acknowledged, and replayed on restart.
+/// [`spawn_fs`], with a durable account journal: accounts are journaled
+/// before they are acknowledged, and replayed on restart.
 pub fn spawn_fs_durable(
     addr: &str,
     clock: Clock,
@@ -324,25 +244,20 @@ pub fn spawn_fs_durable(
     let state = Arc::new(Mutex::new(FaucetsServer::with_defaults()));
     let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(seed)));
 
-    // Recover the journal and replay registrations before taking traffic.
+    // Recover the journal and replay accounts before taking traffic.
     let (store, recovery) = match &opts.store {
         Some(dir) => {
             let (store, report) = Journal::open(
                 dir,
-                DirJournal::default(),
+                Accounts::default(),
                 "fs",
                 opts.store_opts.clone(),
                 opts.replication.as_ref(),
             )
             .map_err(io::Error::other)?;
-            {
-                let mut s = state.lock();
-                store.read(|j| {
-                    for row in &j.rows {
-                        s.register_cluster(row.info.clone(), row.apps.clone(), row.last_heard);
-                    }
-                });
-            }
+            let mut s = state.lock();
+            store.read(|accounts| accounts.0.iter().for_each(|a| s.users.insert(a.clone())));
+            drop(s);
             (Some(store), Some(report))
         }
         None => (None, None),
@@ -354,6 +269,7 @@ pub fn spawn_fs_durable(
         state: Arc::clone(&state),
         rng,
         journal: store.clone(),
+        minting: Mutex::new(()),
         clock,
         bucket: Arc::clone(&query_bucket),
         m_throttled: reg.counter("fs_query_throttled_total", &[]),
@@ -375,7 +291,7 @@ mod tests {
     use super::*;
     use crate::service::{call, call_with, CallOptions, Timeouts};
     use faucets_core::directory::{ServerInfo, ServerStatus};
-    use faucets_core::ids::ClusterId;
+    use faucets_core::ids::{ClusterId, UserId};
     use faucets_core::qos::QosBuilder;
     use std::time::Duration;
 
@@ -533,65 +449,168 @@ mod tests {
         dir
     }
 
-    #[test]
-    fn registration_survives_fs_restart() {
-        let dir = scratch("restart");
-        let opts = FsOptions {
-            store: Some(dir.clone()),
-            ..FsOptions::default()
-        };
-        let fs = spawn_fs_durable("127.0.0.1:0", Clock::realtime(), 4, opts.clone()).unwrap();
-        let r = call(
-            fs.service.addr,
-            &Request::RegisterCluster {
-                info: info(1),
-                apps: vec!["namd".into()],
+    fn durable(dir: &std::path::Path, fault: Option<faucets_store::StoreFaultFn>) -> FsOptions {
+        FsOptions {
+            store: Some(dir.to_path_buf()),
+            store_opts: StoreOptions {
+                service: "fs".into(),
+                fault,
+                ..StoreOptions::default()
             },
-        )
-        .unwrap();
-        assert_eq!(r, Response::Ok);
-        drop(fs); // crash: no deregistration, nothing flushed beyond the WAL
+            ..FsOptions::default()
+        }
+    }
 
-        let fs = spawn_fs_durable("127.0.0.1:0", Clock::realtime(), 4, opts).unwrap();
-        let report = fs.recovery.as_ref().expect("durable FS reports recovery");
-        assert!(report.replayed_records >= 1, "report: {report:?}");
-        let s = fs.state.lock();
-        let e = s
-            .directory
-            .get(ClusterId(1))
-            .expect("registration recovered");
-        assert_eq!(e.info.name, "cs1");
-        assert!(e.exported_apps.contains("namd"));
-        drop(s);
+    fn create(addr: std::net::SocketAddr, user: &str) -> Response {
+        let (user, password) = (user.to_string(), "pw".to_string());
+        call(addr, &Request::CreateUser { user, password }).unwrap()
+    }
+
+    fn login(addr: std::net::SocketAddr, user: &str) -> Response {
+        let (user, password) = (user.to_string(), "pw".to_string());
+        call(addr, &Request::Login { user, password }).unwrap()
+    }
+
+    #[test]
+    fn account_survives_fs_restart() {
+        let dir = scratch("restart");
+        let fs =
+            spawn_fs_durable("127.0.0.1:0", Clock::realtime(), 4, durable(&dir, None)).unwrap();
+        let addr = fs.service.addr;
+        let Response::Verified { user: alice } = create(addr, "alice") else {
+            panic!("alice's account is created")
+        };
+        assert!(matches!(create(addr, "bob"), Response::Verified { .. }));
+        drop(fs); // crash: nothing flushed beyond the WAL
+
+        // A new process: a fresh clock, a fresh rng, the same journal.
+        let fs =
+            spawn_fs_durable("127.0.0.1:0", Clock::realtime(), 5, durable(&dir, None)).unwrap();
+        let addr = fs.service.addr;
+        assert_eq!(fs.recovery.as_ref().unwrap().replayed_records, 2);
+        assert!(
+            matches!(login(addr, "alice"), Response::Session { user, .. } if user == alice),
+            "alice logs in under the id she was minted"
+        );
+        assert!(
+            matches!(create(addr, "alice"), Response::Error(e) if e.contains("already exists")),
+            "her name is still taken"
+        );
+        assert_eq!(
+            create(addr, "carol"),
+            Response::Verified { user: UserId(2) },
+            "the next account gets the next id, never a replayed one"
+        );
+        drop(fs);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn unjournaled_registration_is_nacked() {
-        use faucets_store::{StoreOptions, WriteFault};
+    fn unjournaled_account_is_nacked() {
+        use faucets_store::WriteFault;
         let dir = scratch("nack");
-        let opts = FsOptions {
-            store: Some(dir.clone()),
-            store_opts: StoreOptions {
-                service: "fs".into(),
-                fault: Some(std::sync::Arc::new(|_: &[u8]| WriteFault::Fail)),
-                ..StoreOptions::default()
-            },
-            ..FsOptions::default()
-        };
-        let fs = spawn_fs_durable("127.0.0.1:0", Clock::realtime(), 5, opts).unwrap();
-        let r = call(
-            fs.service.addr,
-            &Request::RegisterCluster {
-                info: info(1),
-                apps: vec!["namd".into()],
-            },
+        let fail: faucets_store::StoreFaultFn = Arc::new(|_: &[u8]| WriteFault::Fail);
+        let fs = spawn_fs_durable(
+            "127.0.0.1:0",
+            Clock::realtime(),
+            5,
+            durable(&dir, Some(fail)),
         )
         .unwrap();
-        // The append failed, so the client is NACKed and the directory does
-        // NOT list the cluster — "registered" always means "durable".
-        assert!(matches!(r, Response::Error(_)), "got {r:?}");
-        assert!(fs.state.lock().directory.get(ClusterId(1)).is_none());
+        // The append failed, so the caller is NACKed and no account exists
+        // — "created" always means "durable".
+        let r = create(fs.service.addr, "alice");
+        assert!(
+            matches!(&r, Response::Error(e) if e.starts_with("account not durable")),
+            "got {r:?}"
+        );
+        assert!(matches!(
+            login(fs.service.addr, "alice"),
+            Response::Error(_)
+        ));
+        assert_eq!(fs.state.lock().users.user_count(), 0);
+        drop(fs);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A name is journaled and shipped to every follower with its account,
+    /// so one that no account may have is refused before anything is
+    /// minted or journaled.
+    fn refuses_the_name(name: &str, tag: &str) {
+        let dir = scratch(tag);
+        let fs =
+            spawn_fs_durable("127.0.0.1:0", Clock::realtime(), 11, durable(&dir, None)).unwrap();
+        let r = create(fs.service.addr, name);
+        assert!(
+            matches!(&r, Response::Error(e) if e.contains("invalid user name")),
+            "got {r:?}"
+        );
+        assert_eq!(
+            fs.store.as_ref().unwrap().read(|a| a.0.len()),
+            0,
+            "nothing journaled"
+        );
+        assert_eq!(
+            create(fs.service.addr, "alice"),
+            Response::Verified { user: UserId(0) },
+            "nothing minted"
+        );
+        drop(fs);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn create_user_refuses_an_empty_name() {
+        refuses_the_name("", "empty-name");
+    }
+
+    #[test]
+    fn create_user_refuses_an_overlong_name() {
+        let longest = "a".repeat(faucets_core::auth::MAX_USER_NAME_BYTES);
+        refuses_the_name(&format!("{longest}a"), "long-name");
+    }
+
+    /// The directory is soft state: a durable FS that restarts as a new
+    /// process, on a fresh clock, lists only the clusters that registered
+    /// with it, none that registered with the process before it.
+    #[test]
+    fn a_fresh_clock_lists_no_cluster_that_has_not_registered_since() {
+        let dir = scratch("fresh-clock");
+        let register = |addr, id: u64| {
+            let (info, apps) = (info(id), vec!["namd".into()]);
+            call(addr, &Request::RegisterCluster { info, apps }).unwrap()
+        };
+        let fs =
+            spawn_fs_durable("127.0.0.1:0", Clock::new(1_000.0), 12, durable(&dir, None)).unwrap();
+        // 100 simulated seconds in, two clusters register; then the FS dies.
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(register(fs.service.addr, 1), Response::Ok);
+        assert_eq!(register(fs.service.addr, 2), Response::Ok);
+        drop(fs);
+
+        let fs =
+            spawn_fs_durable("127.0.0.1:0", Clock::new(1_000.0), 12, durable(&dir, None)).unwrap();
+        let addr = fs.service.addr;
+        assert_eq!(register(addr, 2), Response::Ok);
+        create(addr, "u");
+        let Response::Session { token, .. } = login(addr, "u") else {
+            panic!("expected a session")
+        };
+        let qos = QosBuilder::new("namd", 4, 16, 100.0).build().unwrap();
+        let list = Request::ListServers {
+            token: token.clone(),
+            qos,
+        };
+        let Response::Servers(servers) = call(addr, &list).unwrap() else {
+            panic!("expected server list")
+        };
+        let listed: Vec<ClusterId> = servers.iter().map(|s| s.info.cluster).collect();
+        assert_eq!(listed, vec![ClusterId(2)]);
+        let Response::Clusters(rows) = call(addr, &Request::ListClusters { token }).unwrap() else {
+            panic!("expected cluster rows")
+        };
+        assert_eq!(rows.len(), 1);
+        drop(fs);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -643,21 +662,21 @@ mod tests {
         assert!(matches!(r, Response::Error(_)));
     }
 
-    /// Regression: a registration used to be journaled while the handler
-    /// held the state lock, so for as long as that commit took (a WAL
-    /// append, a flush and, replicated, a ship round) every token check,
-    /// login and directory query waited. The store's fault hook parks the
-    /// registration's append; a `VerifyToken` must still be answered.
+    /// The state lock is not held across an account's journal commit (a
+    /// WAL append, a flush and, replicated, a ship round), so token checks
+    /// and logins go on meanwhile. The store's fault hook parks the new
+    /// account's append; a `VerifyToken` and an existing user's `Login`
+    /// must still be answered.
     #[test]
-    fn tokens_verify_while_a_registration_is_being_journaled() {
-        use faucets_store::{StoreOptions, WriteFault};
+    fn tokens_verify_while_an_account_is_being_journaled() {
+        use faucets_store::WriteFault;
         use std::sync::mpsc;
         let dir = scratch("parked");
         let (parked_tx, parked_rx) = mpsc::channel::<()>();
         let (release_tx, release_rx) = mpsc::channel::<()>();
         let (parked_tx, release_rx) = (Mutex::new(parked_tx), Mutex::new(release_rx));
         let hook = move |payload: &[u8]| {
-            if payload.windows(10).any(|w| w == b"\"Register\"") {
+            if payload.windows(8).any(|w| w == b"\"parked\"") {
                 let _ = parked_tx.lock().send(());
                 // Parked until the test lets go (or gives up and drops
                 // its end).
@@ -665,50 +684,45 @@ mod tests {
             }
             WriteFault::Deliver
         };
-        let opts = FsOptions {
-            store: Some(dir.clone()),
-            store_opts: StoreOptions {
-                service: "fs".into(),
-                fault: Some(Arc::new(hook)),
-                ..StoreOptions::default()
-            },
-            ..FsOptions::default()
-        };
-        let fs = spawn_fs_durable("127.0.0.1:0", Clock::realtime(), 10, opts).unwrap();
+        let fs = spawn_fs_durable(
+            "127.0.0.1:0",
+            Clock::realtime(),
+            10,
+            durable(&dir, Some(Arc::new(hook))),
+        )
+        .unwrap();
         let addr = fs.service.addr;
-        let (user, password) = ("u".to_string(), "p".to_string());
-        let create = Request::CreateUser {
-            user: user.clone(),
-            password: password.clone(),
-        };
-        call(addr, &create).unwrap();
-        let Response::Session { token, .. } =
-            call(addr, &Request::Login { user, password }).unwrap()
-        else {
+        create(addr, "u");
+        let Response::Session { token, .. } = login(addr, "u") else {
             panic!("expected a session")
         };
 
-        let register = std::thread::spawn(move || {
-            let (info, apps) = (info(1), vec!["namd".into()]);
-            call(addr, &Request::RegisterCluster { info, apps })
-        });
+        let parked = std::thread::spawn(move || create(addr, "parked"));
         parked_rx
             .recv_timeout(Duration::from_secs(10))
-            .expect("the registration is journaled");
+            .expect("the account is journaled");
         let patient = CallOptions {
             timeouts: Timeouts::both(Duration::from_secs(3)),
             ..CallOptions::default()
         };
-        let verify = Request::VerifyToken { token };
-        let reply = call_with(addr, &verify, &patient);
+        let verify = call_with(addr, &Request::VerifyToken { token }, &patient);
+        let (user, password) = ("u".to_string(), "pw".to_string());
+        let relogin = call_with(addr, &Request::Login { user, password }, &patient);
         // Unpark before judging, so a failure still shuts down cleanly.
         release_tx.send(()).unwrap();
         assert!(
-            matches!(reply, Ok(Response::Verified { .. })),
-            "a token check waited on the registration's journal append: {reply:?}"
+            matches!(verify, Ok(Response::Verified { .. })),
+            "a token check waited on the account's journal append: {verify:?}"
         );
-        assert_eq!(register.join().unwrap().unwrap(), Response::Ok);
-        assert!(fs.state.lock().directory.get(ClusterId(1)).is_some());
+        assert!(
+            matches!(relogin, Ok(Response::Session { .. })),
+            "a login waited on the account's journal append: {relogin:?}"
+        );
+        assert_eq!(
+            parked.join().unwrap(),
+            Response::Verified { user: UserId(1) }
+        );
+        assert_eq!(fs.state.lock().users.user_count(), 2);
         drop(fs);
         let _ = std::fs::remove_dir_all(&dir);
     }

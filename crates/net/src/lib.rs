@@ -67,10 +67,11 @@
 //!   failed append NACKs the award, so "accepted" always means
 //!   "durable"); a restarted daemon replays the log, re-registers with
 //!   the FS, and resumes the contracts it had accepted before the crash.
-//! * **Central Server** — with [`fs::FsOptions::store`] set, cluster
-//!   registrations ride the same WAL engine and survive an FS restart;
-//!   sessions are in-memory by design, so clients re-login and daemons
-//!   re-register on the heartbeat error path. Experiment E21
+//! * **Central Server** — with [`fs::FsOptions::store`] set, user
+//!   accounts ride the same WAL engine and survive an FS restart under
+//!   the ids they were minted; the directory and sessions are soft state,
+//!   so clients log in again and daemons re-register on the heartbeat
+//!   error path. Experiment E21
 //!   (`exp_durability`) kill-9s each durable service mid-workload and
 //!   asserts nothing acknowledged is lost.
 //!

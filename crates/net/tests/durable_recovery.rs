@@ -1,12 +1,15 @@
-//! E21 satellite: a *simultaneous* FS + FD crash mid-negotiation.
+//! E21 satellite: a *simultaneous* FS + FD crash mid-negotiation, and
+//! what a restarted FS relearns.
 //!
 //! The client wins an award, then both the Central Server and the daemon
 //! die before the job finishes. Each restarts from its own durable store:
-//! the FS directory comes back from the registration journal (no
-//! re-registration needed — the daemon is still down when we check), the
-//! FD resubmits the journaled contract to its scheduler, and the job runs
-//! to completion. Sessions are in-memory by design, so the client logs in
-//! again — but the *award* it was acknowledged is never lost.
+//! the FS keeps the client's account from its account journal, the FD
+//! resubmits the journaled contract to its scheduler, and the job runs to
+//! completion. Sessions are in-memory by design, so the client logs in
+//! again, under the same user id and without re-creating its account, and
+//! the *award* it was acknowledged is never lost. The directory is soft
+//! state: a restarted FS replays no row of it, and lists a live FD once
+//! that FD's next heartbeat has made it register again.
 
 mod common;
 
@@ -97,19 +100,10 @@ fn award_survives_fs_and_fd_restart() {
     drop(fs);
 
     // The FS restarts on the SAME port (so the AppSpector's verification
-    // calls keep working) from its registration journal. The daemon is
-    // still down, so the directory entry it finds can only have come from
-    // the journal.
+    // calls keep working) from its account journal.
     let fs2 = durable_fs(&fs_addr.to_string(), clock.clone(), fs_store.clone());
     let report = fs2.recovery.as_ref().expect("durable FS");
-    assert!(
-        report.replayed_records >= 1 || report.snapshot_loaded,
-        "recovery found the journaled registration: {report:?}"
-    );
-    assert!(
-        fs2.state.lock().directory.get(ClusterId(1)).is_some(),
-        "cluster registration survived the FS restart without re-registration"
-    );
+    assert_eq!(report.replayed_records, 1, "one account: {report:?}");
 
     // The FD restarts from its contract journal and resumes the award.
     let fd2 = spawn_daemon(
@@ -125,10 +119,17 @@ fn award_survives_fs_and_fd_restart() {
     );
 
     // Sessions are in-memory by design: the old token died with the FS.
-    // The client logs in afresh and watches the SAME job id complete.
+    // The account did not: the client logs in afresh, under its old id,
+    // and watches the SAME job id complete.
     let mut client2 =
-        FaucetsClient::register(fs_addr, aspect.service.addr, clock.clone(), "erin", "pw")
+        FaucetsClient::login(fs_addr, aspect.service.addr, clock.clone(), "erin", "pw")
             .expect("re-login after FS restart");
+    assert_eq!(client2.user, client.user, "the account kept its id");
+    assert_eq!(
+        fs2.state.lock().users.user_count(),
+        1,
+        "and was not re-created"
+    );
     // The restarted daemon is the configured one from its first request
     // on: it bids on the app it exports, at its own Baseline price
     // ($0.01/cpu-s x 100 cpu-s), not as a stand-in that knows no app.
@@ -161,4 +162,50 @@ fn award_survives_fs_and_fd_restart() {
     fd2.shutdown();
     let _ = std::fs::remove_dir_all(&fs_store);
     let _ = std::fs::remove_dir_all(&fd_store);
+}
+
+/// A live FD is listed by a restarted FS within one heartbeat period
+/// (30 simulated seconds) plus slack: its heartbeat is answered "unknown
+/// cluster" and it registers again. The restarted FS runs on a fresh
+/// clock, as a new process does, and replays no directory row.
+#[test]
+fn a_restarted_fs_lists_a_live_fd_within_one_heartbeat() {
+    const SPEEDUP: f64 = 100.0;
+    let fs_store = scratch("relist");
+    let fs = durable_fs("127.0.0.1:0", Clock::new(SPEEDUP), fs_store.clone());
+    let fs_addr = fs.service.addr;
+    let aspect = spawn_appspector("127.0.0.1:0", fs_addr, 16).unwrap();
+    let fd = spawn_daemon(None, fs_addr, aspect.service.addr, Clock::new(SPEEDUP));
+    assert!(fs.state.lock().directory.get(ClusterId(1)).is_some());
+    drop(fs);
+
+    let clock = Clock::new(SPEEDUP);
+    let fs2 = durable_fs(&fs_addr.to_string(), clock.clone(), fs_store.clone());
+    let report = fs2.recovery.as_ref().expect("durable FS");
+    assert_eq!(report.replayed_records, 0, "no directory row replayed");
+    let client =
+        FaucetsClient::register(fs_addr, aspect.service.addr, clock.clone(), "fay", "pw").unwrap();
+    let qos = QosBuilder::new("namd", 4, 16, 100.0).build().unwrap();
+    let list = Request::ListServers {
+        token: client.token.clone(),
+        qos,
+    };
+    let listed = || match call(fs_addr, &list) {
+        Ok(Response::Servers(s)) => s.iter().any(|s| s.info.cluster == ClusterId(1)),
+        _ => false,
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while !listed() && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let relisted = clock.now();
+    assert!(listed(), "the live FD was never listed again");
+    assert!(
+        relisted <= faucets_sim::time::SimTime::from_secs(30 + 15),
+        "listed after {relisted}, more than one heartbeat period plus slack"
+    );
+
+    fd.shutdown();
+    drop(fs2);
+    let _ = std::fs::remove_dir_all(&fs_store);
 }

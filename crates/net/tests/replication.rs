@@ -16,13 +16,12 @@
 
 mod common;
 
-use faucets_core::ids::{ClusterId, JobId};
+use faucets_core::ids::{JobId, UserId};
 use faucets_core::money::Money;
 use faucets_core::qos::{PayoffFn, QosBuilder};
 use faucets_net::fd::{FdHandle, FdOptions};
 use faucets_net::prelude::*;
 use faucets_net::replica::{spawn_replica, Journal, ReplicaHandle, ReplicaOptions};
-use faucets_sched::machine::MachineSpec;
 use faucets_store::{
     pick_primary, prepare_promotion, read_epoch, Durable, StoreError, StoreOptions,
 };
@@ -673,12 +672,13 @@ fn replica_links_dial_once_and_ride_out_a_follower_restart() {
     }
 }
 
-/// The Central Server's registration journal, sync-replicated
-/// ([`FsOptions::replication`]): an acknowledged registration is on the
-/// follower, one made while the follower is down is NACKed, and an FS
-/// promoted from the follower's directory lists what was acknowledged.
+/// The Central Server's account journal, sync-replicated
+/// ([`FsOptions::replication`]): an acknowledged account is on the
+/// follower, one created while the follower is down is NACKed, and an FS
+/// promoted from the follower's journal logs each acknowledged user in
+/// under the id it was minted and mints the next id for a new one.
 #[test]
-fn fs_registrations_survive_promotion_of_the_follower() {
+fn fs_accounts_survive_promotion_of_the_follower() {
     let clock = Clock::new(1.0);
     let p_dir = scratch("fs-primary");
     let f_dir = scratch("fs-follower");
@@ -697,25 +697,26 @@ fn fs_registrations_survive_promotion_of_the_follower() {
         },
     )
     .expect("FS");
-    let fs_addr = fs.service.addr;
-    let register = |id: u64| {
-        let machine = MachineSpec::commodity(ClusterId(id), format!("cs{id}"), 64);
-        let info = machine.server_info("127.0.0.1", 9000 + id as u16);
-        let apps = vec!["namd".to_string()];
-        call(fs_addr, &Request::RegisterCluster { info, apps }).unwrap()
+    let create = |addr, user: &str| {
+        let (user, password) = (user.to_string(), "pw".to_string());
+        call(addr, &Request::CreateUser { user, password }).unwrap()
     };
 
-    for id in [1, 2] {
-        assert!(matches!(register(id), Response::Ok));
-    }
+    let Response::Verified { user: alice } = create(fs.service.addr, "alice") else {
+        panic!("alice's account is created")
+    };
+    assert!(matches!(
+        create(fs.service.addr, "bob"),
+        Response::Verified { .. }
+    ));
     let pos = follower.position("fs").expect("the follower hosts fs");
-    assert_eq!(pos.acked, 2, "an acknowledged registration is replicated");
+    assert_eq!(pos.acked, 2, "an acknowledged account is replicated");
 
-    // With the follower down a registration cannot be made durable on the
-    // quorum, so the daemon is told so and will register again.
+    // With the follower down an account cannot be made durable on the
+    // quorum, so the caller is told so and nothing is created.
     follower.kill();
-    match register(3) {
-        Response::Error(e) => assert!(e.starts_with("registration not durable"), "{e}"),
+    match create(fs.service.addr, "carol") {
+        Response::Error(e) => assert!(e.starts_with("account not durable"), "{e}"),
         other => panic!("expected a NACK, got {other:?}"),
     }
     drop(fs);
@@ -724,7 +725,7 @@ fn fs_registrations_survive_promotion_of_the_follower() {
     let promoted = spawn_fs_durable(
         "127.0.0.1:0",
         clock,
-        73,
+        74,
         FsOptions {
             store: Some(f_dir.clone()),
             ..FsOptions::default()
@@ -733,25 +734,18 @@ fn fs_registrations_survive_promotion_of_the_follower() {
     .expect("promoted FS");
     assert_eq!(promoted.recovery.as_ref().unwrap().replayed_records, 2);
     let addr = promoted.service.addr;
-    let (user, password) = ("ops".to_string(), "pw".to_string());
-    call(
-        addr,
-        &Request::CreateUser {
-            user: user.clone(),
-            password: password.clone(),
-        },
-    )
-    .unwrap();
-    let Response::Session { token, .. } = call(addr, &Request::Login { user, password }).unwrap()
-    else {
-        panic!("login at the promoted FS")
-    };
-    let Response::Clusters(rows) = call(addr, &Request::ListClusters { token }).unwrap() else {
-        panic!("cluster rows")
-    };
-    let mut listed: Vec<ClusterId> = rows.iter().map(|r| r.info.cluster).collect();
-    listed.sort();
-    assert_eq!(listed, vec![ClusterId(1), ClusterId(2)]);
+    let (user, password) = ("alice".to_string(), "pw".to_string());
+    let login = call(addr, &Request::Login { user, password }).unwrap();
+    assert!(
+        matches!(login, Response::Session { user, .. } if user == alice),
+        "alice logs in at the promoted FS under her id: {login:?}"
+    );
+    assert!(matches!(create(addr, "alice"), Response::Error(_)));
+    assert_eq!(
+        create(addr, "dave"),
+        Response::Verified { user: UserId(2) },
+        "the promoted FS mints the next id, not 0"
+    );
     promoted.shutdown();
     let _ = std::fs::remove_dir_all(&p_dir);
     let _ = std::fs::remove_dir_all(&f_dir);

@@ -55,7 +55,7 @@
 //!
 //! The [`Durable`] trait (apply/snapshot/restore) is the porting surface:
 //! the FD contract journal, the accounting ledger, and the Central Server
-//! directory each implement it and gain incremental journaling, periodic
+//! accounts each implement it and gain incremental journaling, periodic
 //! compaction, and kill -9 recovery from one code path.
 
 #![warn(missing_docs)]
