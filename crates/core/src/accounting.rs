@@ -349,11 +349,6 @@ impl<A: Amount + Serialize + DeserializeOwned> DurableLedger<A> {
         self.store.read(|l| l.accounts())
     }
 
-    /// Run `f` against the ledger under the store lock.
-    pub fn with_ledger<R>(&self, f: impl FnOnce(&Ledger<A>) -> R) -> R {
-        self.store.read(f)
-    }
-
     /// Force a snapshot + WAL truncation now.
     pub fn compact(&self) -> Result<()> {
         self.store

@@ -255,11 +255,6 @@ impl UserDb {
     pub fn user_count(&self) -> usize {
         self.by_name.len()
     }
-
-    /// Number of live sessions (including not-yet-swept expired ones).
-    pub fn session_count(&self) -> usize {
-        self.sessions.len()
-    }
 }
 
 #[cfg(test)]
@@ -366,7 +361,7 @@ mod tests {
             Err(FaucetsError::InvalidToken)
         ));
         db.sweep(SimTime::from_secs(101));
-        assert_eq!(db.session_count(), 0);
+        assert!(db.sessions.is_empty());
     }
 
     #[test]

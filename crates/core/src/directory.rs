@@ -195,11 +195,6 @@ impl Directory {
         );
     }
 
-    /// Remove a server (administrative deregistration).
-    pub fn deregister(&mut self, cluster: ClusterId) -> bool {
-        self.entries.remove(&cluster).is_some()
-    }
-
     /// Record a heartbeat/poll response.
     pub fn heartbeat(&mut self, cluster: ClusterId, status: ServerStatus, now: SimTime) -> bool {
         match self.entries.get_mut(&cluster) {
@@ -218,7 +213,7 @@ impl Directory {
     }
 
     /// Heartbeat-derived health of `cluster` at `now`, or `None` if it is
-    /// not registered (never registered, deregistered, or evicted).
+    /// not registered (never registered, or evicted).
     pub fn liveness(&self, cluster: ClusterId, now: SimTime) -> Option<Liveness> {
         self.entries.get(&cluster).map(|e| self.grade(e, now))
     }
@@ -594,14 +589,5 @@ mod tests {
         d.register(info(1, 64, 1024), ["namd".to_string()], SimTime::ZERO);
         assert!(d.evict_dead(SimTime::from_hours(1000)).is_empty());
         assert_eq!(d.len(), 1);
-    }
-
-    #[test]
-    fn deregister() {
-        let mut d = dir();
-        assert!(d.deregister(ClusterId(3)));
-        assert!(!d.deregister(ClusterId(3)));
-        assert_eq!(d.len(), 2);
-        assert!(d.get(ClusterId(3)).is_none());
     }
 }

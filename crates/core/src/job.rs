@@ -1,9 +1,8 @@
 //! Jobs and their lifecycle.
 //!
 //! A [`JobSpec`] is what a client submits: identity, QoS contract, and
-//! submission metadata. [`JobState`] tracks a job through the Faucets
-//! pipeline — bidding, staging, running (possibly shrinking/expanding or
-//! migrating), completion — mirroring the flow described in §2 of the paper.
+//! submission metadata; a [`JobOutcome`] is what a finished job leaves for
+//! metrics and billing.
 
 use crate::ids::{ClusterId, JobId, UserId};
 use crate::qos::QosContract;
@@ -38,94 +37,6 @@ impl JobSpec {
             qos,
             submitted_at,
         })
-    }
-}
-
-/// Where a job is in its life.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum JobState {
-    /// Submitted; request-for-bids in flight.
-    Bidding,
-    /// A bid was accepted; contract awarded to a cluster, awaiting
-    /// confirmation (two-phase protocol, §5.3).
-    Awarded(ClusterId),
-    /// Input files uploading to the chosen cluster (§2).
-    Staging(ClusterId),
-    /// Queued at the cluster, not yet running.
-    Queued(ClusterId),
-    /// Running on the cluster with the given processor allocation.
-    Running {
-        /// Executing cluster.
-        cluster: ClusterId,
-        /// Current processor count (changes for adaptive jobs).
-        pes: u32,
-    },
-    /// Being checkpointed for restart or migration (§3, §4.1).
-    Checkpointing(ClusterId),
-    /// Moving between clusters.
-    Migrating {
-        /// Source cluster.
-        from: ClusterId,
-        /// Destination cluster.
-        to: ClusterId,
-    },
-    /// Finished successfully at the given time.
-    Completed(SimTime),
-    /// Rejected by the market (no acceptable bid) or by all schedulers.
-    Rejected,
-    /// Failed or killed.
-    Failed,
-}
-
-impl JobState {
-    /// True for states where the job occupies processors.
-    pub fn is_active(&self) -> bool {
-        matches!(self, JobState::Running { .. } | JobState::Checkpointing(_))
-    }
-
-    /// True for terminal states.
-    pub fn is_terminal(&self) -> bool {
-        matches!(
-            self,
-            JobState::Completed(_) | JobState::Rejected | JobState::Failed
-        )
-    }
-
-    /// The cluster currently responsible for the job, if any.
-    pub fn cluster(&self) -> Option<ClusterId> {
-        match *self {
-            JobState::Awarded(c)
-            | JobState::Staging(c)
-            | JobState::Queued(c)
-            | JobState::Running { cluster: c, .. }
-            | JobState::Checkpointing(c) => Some(c),
-            JobState::Migrating { to, .. } => Some(to),
-            _ => None,
-        }
-    }
-
-    /// Whether `next` is a legal successor state. The state machine is the
-    /// §2 pipeline plus the adaptive/migration loops of §3–4.
-    pub fn can_transition_to(&self, next: &JobState) -> bool {
-        use JobState::*;
-        match (self, next) {
-            (Bidding, Awarded(_)) | (Bidding, Rejected) => true,
-            (Awarded(a), Staging(b)) => a == b,
-            (Awarded(_), Rejected) => true, // renege in two-phase commit
-            (Staging(a), Queued(b)) => a == b,
-            (Staging(_), Failed) => true,
-            (Queued(a), Running { cluster, .. }) => a == cluster,
-            (Queued(_), Failed) | (Queued(_), Rejected) => true,
-            (Running { cluster: a, .. }, Running { cluster: b, .. }) => a == b, // resize
-            (Running { .. }, Completed(_)) | (Running { .. }, Failed) => true,
-            (Running { cluster: a, .. }, Checkpointing(b)) => a == b,
-            (Checkpointing(a), Queued(b)) => a == b, // restart later, same cluster
-            (Checkpointing(from), Migrating { from: f, .. }) => from == f,
-            (Checkpointing(_), Failed) => true,
-            (Migrating { to, .. }, Queued(c)) => to == c,
-            (Migrating { .. }, Failed) => true,
-            _ => false,
-        }
     }
 }
 
@@ -184,82 +95,6 @@ mod tests {
         let mut qos = spec().qos;
         qos.min_pes = 0;
         assert!(JobSpec::new(JobId(1), UserId(2), qos, SimTime::ZERO).is_err());
-    }
-
-    #[test]
-    fn legal_pipeline_transitions() {
-        use JobState::*;
-        let c = ClusterId(3);
-        let chain = [
-            Bidding,
-            Awarded(c),
-            Staging(c),
-            Queued(c),
-            Running { cluster: c, pes: 8 },
-            Running { cluster: c, pes: 4 }, // shrink
-            Completed(SimTime::from_secs(50)),
-        ];
-        for w in chain.windows(2) {
-            assert!(w[0].can_transition_to(&w[1]), "{:?} -> {:?}", w[0], w[1]);
-        }
-    }
-
-    #[test]
-    fn migration_path() {
-        use JobState::*;
-        let a = ClusterId(1);
-        let b = ClusterId(2);
-        let chain = [
-            Running { cluster: a, pes: 8 },
-            Checkpointing(a),
-            Migrating { from: a, to: b },
-            Queued(b),
-            Running {
-                cluster: b,
-                pes: 16,
-            },
-        ];
-        for w in chain.windows(2) {
-            assert!(w[0].can_transition_to(&w[1]), "{:?} -> {:?}", w[0], w[1]);
-        }
-    }
-
-    #[test]
-    fn illegal_transitions_rejected() {
-        use JobState::*;
-        let a = ClusterId(1);
-        let b = ClusterId(2);
-        assert!(!Bidding.can_transition_to(&Running { cluster: a, pes: 1 }));
-        assert!(
-            !Awarded(a).can_transition_to(&Staging(b)),
-            "award/staging cluster mismatch"
-        );
-        assert!(!Running { cluster: a, pes: 2 }.can_transition_to(&Running { cluster: b, pes: 2 }));
-        assert!(!Completed(SimTime::ZERO).can_transition_to(&Bidding));
-        assert!(!Rejected.can_transition_to(&Awarded(a)));
-    }
-
-    #[test]
-    fn state_predicates() {
-        use JobState::*;
-        assert!(Running {
-            cluster: ClusterId(0),
-            pes: 4
-        }
-        .is_active());
-        assert!(!Queued(ClusterId(0)).is_active());
-        assert!(Completed(SimTime::ZERO).is_terminal());
-        assert!(Failed.is_terminal());
-        assert!(!Bidding.is_terminal());
-        assert_eq!(
-            Migrating {
-                from: ClusterId(1),
-                to: ClusterId(2)
-            }
-            .cluster(),
-            Some(ClusterId(2))
-        );
-        assert_eq!(Bidding.cluster(), None);
     }
 
     #[test]

@@ -114,7 +114,7 @@ pub mod prelude {
     pub use crate::directory::{Directory, FilterLevel, ServerInfo, ServerStatus};
     pub use crate::error::{FaucetsError, Result};
     pub use crate::ids::{BidId, ClusterId, ContractId, IdGen, JobId, OrgId, UserId};
-    pub use crate::job::{JobOutcome, JobSpec, JobState};
+    pub use crate::job::{JobOutcome, JobSpec};
     pub use crate::market::{
         run_reverse_auction, Baseline, BidStrategy, ClusterView, Contract, ContractBook,
         ContractHistory, ContractRecord, ContractState, DeadlineAware, Fixed, Forecast, MarketInfo,

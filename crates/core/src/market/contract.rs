@@ -181,11 +181,6 @@ impl ContractBook {
         self.contracts.get(&id)
     }
 
-    /// The live (most recent) contract for a job.
-    pub fn for_job(&self, job: JobId) -> Option<&Contract> {
-        self.by_job.get(&job).and_then(|id| self.contracts.get(id))
-    }
-
     /// All contracts in a given state.
     pub fn in_state(&self, state: ContractState) -> impl Iterator<Item = &Contract> {
         self.contracts.values().filter(move |c| c.state == state)
@@ -245,7 +240,7 @@ mod tests {
         // Now the runner-up can be awarded.
         let second = book.award(bid(1, 3), SimTime::from_secs(1)).unwrap();
         book.confirm(second).unwrap();
-        assert_eq!(book.for_job(JobId(1)).unwrap().cluster, ClusterId(3));
+        assert_eq!(book.get(second).unwrap().cluster, ClusterId(3));
         assert_eq!(book.len(), 2);
     }
 

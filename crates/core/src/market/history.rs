@@ -8,8 +8,7 @@
 //!
 //! [`ContractHistory`] retains a sliding window of settled contracts and
 //! derives the [`MarketInfo`] snapshot handed to bid-generation algorithms:
-//! a recency-weighted average multiplier (the price index) and a demand
-//! trend.
+//! a recency-weighted average multiplier (the price index).
 
 use crate::ids::{ClusterId, JobId};
 use crate::market::strategy::MarketInfo;
@@ -35,23 +34,6 @@ pub struct ContractRecord {
     pub min_pes: u32,
     /// When the contract settled.
     pub at: SimTime,
-}
-
-/// A size-class histogram bucket boundary set: jobs are grouped by
-/// `min_pes` into `<=8`, `<=64`, `<=512`, `>512` classes.
-const SIZE_CLASS_BOUNDS: [u32; 3] = [8, 64, 512];
-
-/// Index of the size class for a given `min_pes`.
-pub fn size_class(min_pes: u32) -> usize {
-    SIZE_CLASS_BOUNDS
-        .iter()
-        .position(|&b| min_pes <= b)
-        .unwrap_or(SIZE_CLASS_BOUNDS.len())
-}
-
-/// Human-readable label for a size class index.
-pub fn size_class_label(idx: usize) -> &'static str {
-    ["pes<=8", "pes<=64", "pes<=512", "pes>512"][idx.min(3)]
 }
 
 /// The sliding-window contract history service.
@@ -126,40 +108,6 @@ impl ContractHistory {
         Some(self.records.iter().map(|r| r.multiplier).sum::<f64>() / self.records.len() as f64)
     }
 
-    /// Average multiplier per job-size class (the §5.2.1 histogram
-    /// summaries); `None` entries had no contracts in the window.
-    pub fn multiplier_by_size_class(&self) -> [Option<f64>; 4] {
-        let mut sums = [0.0f64; 4];
-        let mut counts = [0u64; 4];
-        for r in &self.records {
-            let c = size_class(r.min_pes);
-            sums[c] += r.multiplier;
-            counts[c] += 1;
-        }
-        std::array::from_fn(|i| (counts[i] > 0).then(|| sums[i] / counts[i] as f64))
-    }
-
-    /// Total contracted CPU-seconds in the window — the demand signal used
-    /// for "trends for future usage".
-    pub fn window_demand_cpu_seconds(&self) -> f64 {
-        self.records.iter().map(|r| r.cpu_seconds).sum()
-    }
-
-    /// Demand trend: ratio of demand in the newer half of the window to the
-    /// older half (> 1 = rising). `None` without data in both halves.
-    pub fn demand_trend(&self, now: SimTime) -> Option<f64> {
-        let half = SimTime(now.as_micros().saturating_sub(self.window.as_micros() / 2));
-        let (mut old, mut new) = (0.0, 0.0);
-        for r in &self.records {
-            if r.at < half {
-                old += r.cpu_seconds;
-            } else {
-                new += r.cpu_seconds;
-            }
-        }
-        (old > 0.0 && new > 0.0).then(|| new / old)
-    }
-
     /// The market snapshot handed to bidding algorithms.
     pub fn market_info(&self, grid_utilization: Option<f64>) -> MarketInfo {
         MarketInfo {
@@ -211,41 +159,6 @@ mod tests {
         assert_eq!(h.len(), 0);
         assert!(h.is_empty());
         assert_eq!(h.total_recorded(), 3);
-    }
-
-    #[test]
-    fn size_classes() {
-        assert_eq!(size_class(1), 0);
-        assert_eq!(size_class(8), 0);
-        assert_eq!(size_class(9), 1);
-        assert_eq!(size_class(64), 1);
-        assert_eq!(size_class(65), 2);
-        assert_eq!(size_class(513), 3);
-        assert_eq!(size_class_label(3), "pes>512");
-    }
-
-    #[test]
-    fn histogram_by_size_class() {
-        let mut h = ContractHistory::new(SimDuration::from_hours(1));
-        h.record(rec(1, 1.0, 4, 1.0));
-        h.record(rec(2, 3.0, 4, 1.0));
-        h.record(rec(3, 2.0, 100, 1.0));
-        let by_class = h.multiplier_by_size_class();
-        assert_eq!(by_class[0], Some(2.0));
-        assert_eq!(by_class[1], None);
-        assert_eq!(by_class[2], Some(2.0));
-        assert_eq!(by_class[3], None);
-    }
-
-    #[test]
-    fn demand_trend_detects_rise() {
-        let mut h = ContractHistory::new(SimDuration::from_secs(100));
-        // Older half (t in [100,150)): 100 cpu-s. Newer half: 300 cpu-s.
-        h.record(rec(110, 1.0, 4, 100.0));
-        h.record(rec(180, 1.0, 4, 300.0));
-        let trend = h.demand_trend(SimTime::from_secs(200)).unwrap();
-        assert!((trend - 3.0).abs() < 1e-9);
-        assert_eq!(h.window_demand_cpu_seconds(), 400.0);
     }
 
     #[test]

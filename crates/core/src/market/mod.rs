@@ -14,7 +14,7 @@ pub mod strategy;
 pub use agents::{DistributedEvaluation, EvalOutcome};
 pub use auction::{equilibrium_ask, run_reverse_auction, AuctionResult, Mechanism};
 pub use contract::{Contract, ContractBook, ContractState};
-pub use history::{size_class, size_class_label, ContractHistory, ContractRecord};
+pub use history::{ContractHistory, ContractRecord};
 pub use regulation::{BandAction, Regulator, ScreenStats};
 pub use round::{Negotiation, MAX_ROUNDS};
 pub use selection::SelectionPolicy;

@@ -69,24 +69,6 @@ macro_rules! currency {
                 Some($name(rounded as i64))
             }
 
-            /// Checked [`Self::mul_f64`]: `None` when the scale factor is
-            /// NaN/infinite or the product leaves the `i64` micro-unit
-            /// range. Accounting paths use this so a bad multiplier
-            /// surfaces as a rejected transaction instead of a silent
-            /// zero-or-saturated amount that breaks conservation across a
-            /// charge/refund round-trip.
-            pub fn try_mul_f64(self, f: f64) -> Option<Self> {
-                let product = self.0 as f64 * f;
-                if !product.is_finite() {
-                    return None;
-                }
-                let rounded = product.round();
-                if rounded < i64::MIN as f64 || rounded >= i64::MAX as f64 {
-                    return None;
-                }
-                Some($name(rounded as i64))
-            }
-
             /// True if strictly negative.
             pub fn is_negative(self) -> bool {
                 self.0 < 0
@@ -171,13 +153,6 @@ impl Money {
     pub fn for_cpu_seconds(cpu_seconds: f64, rate: Money, multiplier: f64) -> Money {
         rate.mul_f64(cpu_seconds * multiplier)
     }
-
-    /// Checked [`Money::for_cpu_seconds`]: `None` when the conversion
-    /// would go through a NaN/infinite factor or overflow — the billing
-    /// path rejects the bid instead of pricing it at $0.00.
-    pub fn try_for_cpu_seconds(cpu_seconds: f64, rate: Money, multiplier: f64) -> Option<Money> {
-        rate.try_mul_f64(cpu_seconds * multiplier)
-    }
 }
 
 #[cfg(test)]
@@ -222,19 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn try_mul_rejects_non_finite_and_overflow() {
-        let m = Money::from_units(10);
-        assert_eq!(m.try_mul_f64(2.5), Some(Money::from_units(25)));
-        assert_eq!(m.try_mul_f64(f64::NAN), None);
-        assert_eq!(m.try_mul_f64(f64::INFINITY), None);
-        assert_eq!(m.try_mul_f64(f64::NEG_INFINITY), None);
-        assert_eq!(m.try_mul_f64(1e18), None, "overflows i64 micro-units");
-        // The unchecked version silently turns NaN into $0.00 — the drift
-        // this satellite closes off in accounting paths.
-        assert_eq!(m.mul_f64(f64::NAN), Money::ZERO);
-    }
-
-    #[test]
     fn try_from_units_rejects_non_finite_and_overflow() {
         assert_eq!(
             ServiceUnits::try_from_units_f64(1.5),
@@ -245,20 +207,6 @@ mod tests {
         assert_eq!(ServiceUnits::try_from_units_f64(1e15), None);
         // Boundary: the largest whole-unit value that still fits.
         assert!(ServiceUnits::try_from_units_f64(9.2e12).is_some());
-    }
-
-    #[test]
-    fn charge_refund_round_trip_conserves() {
-        // A charge computed with a checked conversion refunds to exactly
-        // zero drift; the regression this guards is a NaN multiplier
-        // minting a $0.00 charge whose "refund" then moves real money.
-        let rate = Money::from_units_f64(0.01);
-        let charge = Money::try_for_cpu_seconds(3600.0, rate, 1.4).unwrap();
-        let mut balance = Money::from_units(100);
-        balance -= charge;
-        balance += charge; // refund the identical amount
-        assert_eq!(balance, Money::from_units(100));
-        assert_eq!(Money::try_for_cpu_seconds(3600.0, rate, f64::NAN), None);
     }
 
     #[test]

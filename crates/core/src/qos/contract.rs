@@ -141,12 +141,6 @@ impl QosContract {
         SimDuration::from_secs_f64(secs)
     }
 
-    /// Earliest possible completion when started at `start` with `pes`
-    /// processors on a machine with the given per-PE speed.
-    pub fn completion_at(&self, start: SimTime, pes: u32, flops_per_pe_sec: f64) -> SimTime {
-        start.saturating_add(self.wall_time_on(pes, flops_per_pe_sec))
-    }
-
     /// The hard deadline (after which the payoff turns into a penalty).
     pub fn deadline(&self) -> SimTime {
         self.payoff.hard_deadline
@@ -161,15 +155,6 @@ impl QosContract {
             / self.cpu_seconds(flops_per_pe_sec).max(f64::MIN_POSITIVE)
     }
 
-    /// Effective total memory demand in MB.
-    pub fn total_mem_demand_mb(&self) -> u64 {
-        if self.total_mem_mb > 0 {
-            self.total_mem_mb
-        } else {
-            self.mem_per_pe_mb * self.max_pes as u64
-        }
-    }
-
     /// Peak per-PE memory over phases (falls back to the declared per-PE
     /// requirement for monolithic jobs).
     pub fn peak_mem_per_pe_mb(&self) -> u64 {
@@ -179,11 +164,6 @@ impl QosContract {
     /// Can this job run at all on a node with `node_mem_mb` per processor?
     pub fn fits_node_memory(&self, node_mem_mb: u64) -> bool {
         self.peak_mem_per_pe_mb() <= node_mem_mb
-    }
-
-    /// The range of processor counts the job accepts.
-    pub fn pes_range(&self) -> std::ops::RangeInclusive<u32> {
-        self.min_pes..=self.max_pes
     }
 }
 
@@ -292,7 +272,7 @@ mod tests {
     fn builder_produces_valid_contract() {
         let q = basic();
         assert_eq!(q.env.app, "namd");
-        assert_eq!(q.pes_range(), 16..=64);
+        assert_eq!((q.min_pes, q.max_pes), (16, 64));
         assert!(!q.adaptive);
         assert_eq!(q.deadline(), SimTime::from_hours(2));
     }
@@ -304,16 +284,6 @@ mod tests {
         assert_eq!(q.wall_time_on(16, 1.0), SimDuration::from_secs(225));
         // On 64 pes at eff 0.8: 3600/(64*0.8) = 70.3125 s.
         assert_eq!(q.wall_time_on(64, 1.0), SimDuration::from_secs_f64(70.3125));
-    }
-
-    #[test]
-    fn completion_at_adds_wall_time() {
-        let q = basic();
-        let t0 = SimTime::from_secs(1000);
-        assert_eq!(
-            q.completion_at(t0, 16, 1.0),
-            t0 + SimDuration::from_secs(225)
-        );
     }
 
     #[test]
@@ -360,7 +330,6 @@ mod tests {
             .mem_per_pe_mb(512)
             .build()
             .unwrap();
-        assert_eq!(q.total_mem_demand_mb(), 512 * 10);
         assert!(q.fits_node_memory(512));
         assert!(!q.fits_node_memory(256));
     }

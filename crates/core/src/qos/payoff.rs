@@ -93,11 +93,6 @@ impl PayoffFn {
     pub fn is_profitable_at(&self, completion: SimTime) -> bool {
         !self.payoff_at(completion).is_negative()
     }
-
-    /// The last completion time that still earns the full (soft) payoff.
-    pub fn full_value_until(&self) -> SimTime {
-        self.soft_deadline
-    }
 }
 
 #[cfg(test)]
@@ -185,10 +180,5 @@ mod tests {
         assert!(bad.validate().is_err());
 
         assert!(f().validate().is_ok());
-    }
-
-    #[test]
-    fn full_value_until_is_soft_deadline() {
-        assert_eq!(f().full_value_until(), SimTime::from_secs(100));
     }
 }

@@ -7,7 +7,6 @@
 //! Note that to be useful, such a phase must last for several minutes, to
 //! justify the overhead of moving the job."*
 
-use faucets_sim::time::SimDuration;
 use serde::{Deserialize, Serialize};
 
 /// One phase of a phased application.
@@ -39,14 +38,6 @@ impl PhaseStructure {
         PhaseStructure {
             phases: vec![],
             iterations: 0,
-        }
-    }
-
-    /// A structure with the given phases repeated `iterations` times.
-    pub fn iterative(phases: Vec<Phase>, iterations: u32) -> Self {
-        PhaseStructure {
-            phases,
-            iterations: iterations.max(1),
         }
     }
 
@@ -84,28 +75,6 @@ impl PhaseStructure {
             .max()
             .unwrap_or(fallback)
     }
-
-    /// Given the whole job's wall time, the duration of a single occurrence
-    /// of phase `idx` (work fraction scaled by iterations).
-    pub fn phase_duration(&self, idx: usize, total_wall: SimDuration) -> Option<SimDuration> {
-        let p = self.phases.get(idx)?;
-        Some(total_wall.mul_f64(p.work_fraction / self.iterations.max(1) as f64))
-    }
-
-    /// §2.1: a phase is worth migrating for only if a single occurrence lasts
-    /// at least `min_worthwhile` ("several minutes").
-    pub fn migratable_phases(
-        &self,
-        total_wall: SimDuration,
-        min_worthwhile: SimDuration,
-    ) -> Vec<usize> {
-        (0..self.phases.len())
-            .filter(|&i| {
-                self.phase_duration(i, total_wall)
-                    .is_some_and(|d| d >= min_worthwhile)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -113,8 +82,8 @@ mod tests {
     use super::*;
 
     fn phased() -> PhaseStructure {
-        PhaseStructure::iterative(
-            vec![
+        PhaseStructure {
+            phases: vec![
                 Phase {
                     name: "compute".into(),
                     work_fraction: 0.8,
@@ -128,8 +97,8 @@ mod tests {
                     comm_intensity: 0.9,
                 },
             ],
-            4,
-        )
+            iterations: 4,
+        }
     }
 
     #[test]
@@ -158,37 +127,5 @@ mod tests {
     #[test]
     fn peak_memory() {
         assert_eq!(phased().peak_mem_per_pe_mb(0), 2048);
-    }
-
-    #[test]
-    fn phase_durations_split_by_iterations() {
-        let p = phased();
-        let total = SimDuration::from_hours(4);
-        // compute: 0.8 * 4h / 4 iters = 48m per occurrence.
-        assert_eq!(p.phase_duration(0, total), Some(SimDuration::from_mins(48)));
-        assert_eq!(p.phase_duration(1, total), Some(SimDuration::from_mins(12)));
-        assert_eq!(p.phase_duration(9, total), None);
-    }
-
-    #[test]
-    fn migratable_requires_several_minutes() {
-        let p = phased();
-        let total = SimDuration::from_hours(4);
-        // Threshold 20 minutes: only the 48-minute compute phase qualifies.
-        assert_eq!(
-            p.migratable_phases(total, SimDuration::from_mins(20)),
-            vec![0]
-        );
-        // Threshold 5 minutes: both qualify.
-        assert_eq!(
-            p.migratable_phases(total, SimDuration::from_mins(5)),
-            vec![0, 1]
-        );
-    }
-
-    #[test]
-    fn iterations_clamped_to_one() {
-        let p = PhaseStructure::iterative(phased().phases, 0);
-        assert_eq!(p.iterations, 1);
     }
 }

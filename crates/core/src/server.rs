@@ -18,7 +18,6 @@ use crate::market::strategy::MarketInfo;
 use crate::qos::QosContract;
 use faucets_sim::time::{SimDuration, SimTime};
 use rand::Rng;
-use std::collections::BTreeSet;
 
 /// Message-traffic counters for the E9 scalability accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -141,15 +140,6 @@ impl FaucetsServer {
         self.stats.evictions += self.directory.evict_dead(now).len() as u64;
     }
 
-    /// The union of applications exported anywhere on the grid — "the list
-    /// of applications clients can run".
-    pub fn known_applications(&self) -> BTreeSet<String> {
-        self.directory
-            .all()
-            .flat_map(|e| e.exported_apps.iter().cloned())
-            .collect()
-    }
-
     /// Serve a client's request for matching Compute Servers: authenticate
     /// the token, sweep the dead, then filter the directory per
     /// [`FaucetsServer::filter_level`]. Each candidate will receive one
@@ -266,14 +256,6 @@ mod tests {
         assert_eq!(s.stats.rfb_messages, 2);
         // Token verification happened for login + match.
         assert_eq!(s.stats.verifications, 1);
-    }
-
-    #[test]
-    fn known_applications_union() {
-        let (s, _) = server();
-        let apps = s.known_applications();
-        assert!(apps.contains("namd") && apps.contains("cfd"));
-        assert_eq!(apps.len(), 2);
     }
 
     #[test]

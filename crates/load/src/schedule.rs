@@ -175,16 +175,6 @@ impl Schedule {
         self.entries.is_empty()
     }
 
-    /// Mean offered arrival rate over the horizon, jobs per sim second.
-    pub fn offered_rate(&self) -> f64 {
-        let h = self.horizon.as_secs_f64();
-        if h <= 0.0 {
-            0.0
-        } else {
-            self.entries.len() as f64 / h
-        }
-    }
-
     /// Canonical serialized form — what the determinism test compares
     /// byte for byte, and what a soak can archive next to its report.
     pub fn to_json_bytes(&self) -> Vec<u8> {

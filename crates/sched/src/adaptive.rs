@@ -113,16 +113,6 @@ impl CheckpointCostModel {
             self.fixed_secs + self.image_mb(qos, pes) as f64 / self.read_mb_per_sec,
         )
     }
-
-    /// Total time to migrate a job to another cluster: checkpoint + WAN
-    /// transfer + restart (§4.1: "Jobs may also have to be check-pointed and
-    /// restarted at a later point in time and possibly at another
-    /// (subcontracted) Compute Server").
-    pub fn migration_time(&self, qos: &QosContract, pes: u32) -> SimDuration {
-        let transfer =
-            SimDuration::from_secs_f64(self.image_mb(qos, pes) as f64 / self.wan_mb_per_sec);
-        self.checkpoint_time(qos, pes) + transfer + self.restart_time(qos, pes)
-    }
 }
 
 #[cfg(test)]
@@ -180,14 +170,5 @@ mod tests {
         assert!(big > small);
         // Restart reads faster than checkpoint writes.
         assert!(m.restart_time(&qos(), 64) < m.checkpoint_time(&qos(), 64));
-    }
-
-    #[test]
-    fn migration_dominated_by_wan() {
-        let m = CheckpointCostModel::default();
-        let mig = m.migration_time(&qos(), 10);
-        // 1000 MB over 20 MB/s = 50 s WAN alone.
-        assert!(mig > SimDuration::from_secs(50));
-        assert!(mig > m.checkpoint_time(&qos(), 10) + m.restart_time(&qos(), 10));
     }
 }

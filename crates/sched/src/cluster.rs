@@ -55,8 +55,6 @@ pub struct CheckpointedJob {
     pub price: Money,
     /// Checkpoint image size, MB (drives migration transfer time).
     pub image_mb: u64,
-    /// The original submission time (for response-time accounting).
-    pub original_submit: SimTime,
 }
 
 /// One Compute Server's scheduler.
@@ -68,10 +66,8 @@ pub struct Cluster {
     queue: Vec<QueuedJob>,
     policy: Box<dyn SchedPolicy>,
     resize_cost: ResizeCostModel,
-    checkpoint_cost: CheckpointCostModel,
     /// Metrics accumulated since construction.
     pub metrics: ClusterMetrics,
-    rejected: Vec<JobId>,
     /// Preemptions performed (checkpoint + requeue).
     pub preemptions: u64,
     /// Telemetry: scheduling decisions taken (the CM-schedule hop of a
@@ -101,19 +97,11 @@ impl Cluster {
             queue: vec![],
             policy,
             resize_cost,
-            checkpoint_cost: CheckpointCostModel::default(),
             metrics,
-            rejected: vec![],
             preemptions: 0,
             m_reschedules,
             m_reschedule_seconds,
         }
-    }
-
-    /// Replace the checkpoint/restart/migration cost model.
-    pub fn with_checkpoint_model(mut self, m: CheckpointCostModel) -> Self {
-        self.checkpoint_cost = m;
-        self
     }
 
     /// The installed policy's name.
@@ -134,11 +122,6 @@ impl Cluster {
     /// Jobs waiting in the queue.
     pub fn queue_len(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Jobs rejected so far (admission or feasibility).
-    pub fn rejected_jobs(&self) -> &[JobId] {
-        &self.rejected
     }
 
     /// Fragmentation statistics from the allocator.
@@ -218,7 +201,6 @@ impl Cluster {
         for job in rejects {
             if let Some(idx) = self.queue.iter().position(|q| q.spec.id == job) {
                 self.queue.remove(idx);
-                self.rejected.push(job);
                 self.metrics.rejected += 1;
             }
         }
@@ -340,11 +322,10 @@ impl Cluster {
     }
 
     /// Checkpoint a running job and remove it from the machine, returning a
-    /// token that can be resubmitted here ([`Cluster::requeue_checkpointed`])
-    /// or migrated to another cluster (§4.1's "subcontracted Compute
-    /// Server"). The checkpoint/restart overhead is folded into the
-    /// remaining work at the job's minimum-size execution rate — the
-    /// standard conservative model for coordinated checkpointing.
+    /// token that can be resubmitted to another cluster (§4.1's "subcontracted
+    /// Compute Server"). The checkpoint/restart overhead is folded into the
+    /// remaining work at the job's minimum-size execution rate — the standard
+    /// conservative model for coordinated checkpointing.
     pub fn checkpoint_and_evict(&mut self, job: JobId, now: SimTime) -> Option<CheckpointedJob> {
         let mut r = self.running.remove(&job)?;
         r.advance(now);
@@ -353,11 +334,12 @@ impl Cluster {
         self.metrics.set_busy(now, self.alloc.used_pes());
 
         let qos = &r.spec.qos;
-        let overhead_secs = (self.checkpoint_cost.checkpoint_time(qos, r.pes())
-            + self.checkpoint_cost.restart_time(qos, qos.min_pes))
+        let cost = CheckpointCostModel::default();
+        let overhead_secs = (cost.checkpoint_time(qos, r.pes())
+            + cost.restart_time(qos, qos.min_pes))
         .as_secs_f64();
         let min_rate = qos.speedup.work_rate(qos.min_pes, qos.min_pes, qos.max_pes);
-        let image_mb = self.checkpoint_cost.image_mb(qos, r.pes());
+        let image_mb = cost.image_mb(qos, r.pes());
 
         // Respec the job with its remaining work plus the overhead; the
         // payoff function (deadlines) is untouched.
@@ -368,20 +350,7 @@ impl Cluster {
             contract: r.contract,
             price: r.price,
             image_mb,
-            original_submit: r.spec.submitted_at,
         })
-    }
-
-    /// Return a checkpointed job to this cluster's queue (automatic restart,
-    /// §3/§5.5.4) and reschedule.
-    pub fn requeue_checkpointed(&mut self, cj: CheckpointedJob, now: SimTime) {
-        self.queue.push(QueuedJob {
-            spec: cj.spec,
-            contract: cj.contract,
-            price: cj.price,
-            arrived: now,
-        });
-        self.reschedule(now);
     }
 
     /// Remove and return every queued (not yet started) job — used when a
@@ -591,7 +560,6 @@ mod tests {
             Money::ZERO,
             SimTime::ZERO,
         );
-        assert_eq!(c.rejected_jobs(), &[JobId(2)]);
         assert_eq!(c.metrics.rejected, 1);
         assert_eq!(c.queue_len(), 0);
     }

@@ -82,11 +82,6 @@ impl ClusterMetrics {
         let until = now.max(self.busy.last_time());
         self.busy.mean_until(until) / self.total_pes as f64
     }
-
-    /// Busy-processor·seconds delivered so far (the integral).
-    pub fn busy_pe_seconds(&self) -> f64 {
-        self.busy.integral()
-    }
 }
 
 #[cfg(test)]
@@ -113,7 +108,6 @@ mod tests {
                                                // Integral = 1000 pe·s over 30 s on 100 pes → 1/3.
         let u = m.utilization(SimTime::from_secs(30));
         assert!((u - 1.0 / 3.0).abs() < 1e-9);
-        assert!((m.busy_pe_seconds() - 1000.0).abs() < 1e-9);
     }
 
     #[test]

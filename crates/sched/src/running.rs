@@ -131,12 +131,6 @@ impl RunningJob {
             self.resume_at = now.saturating_add(pause);
         }
     }
-
-    /// Pause the job until `until` (checkpoint in progress, etc.).
-    pub fn pause_until(&mut self, now: SimTime, until: SimTime) {
-        self.advance(now);
-        self.resume_at = self.resume_at.max(until);
-    }
 }
 
 #[cfg(test)]
@@ -226,17 +220,6 @@ mod tests {
         assert_eq!(
             r.est_finish(SimTime::from_secs(10)),
             SimTime::from_secs(100)
-        );
-    }
-
-    #[test]
-    fn pause_until_delays_finish() {
-        let mut r = running(10);
-        r.pause_until(SimTime::from_secs(20), SimTime::from_secs(60));
-        // 800 cpu-s left; finish = 60 + 80 = 140.
-        assert_eq!(
-            r.est_finish(SimTime::from_secs(20)),
-            SimTime::from_secs(140)
         );
     }
 

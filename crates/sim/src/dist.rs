@@ -2,10 +2,10 @@
 //!
 //! Implemented from first principles on top of `rand`'s uniform source so the
 //! dependency set stays small and the math is auditable: inverse-transform
-//! sampling for exponential/Pareto/Weibull, Box–Muller for the normal family.
-//! Parallel-workload literature (and the paper's own framing of "patterns of
-//! job submissions") calls for heavy-tailed runtimes and Poisson-like
-//! arrivals, which these primitives provide.
+//! sampling for the exponential, Box–Muller for the log-normal. Parallel-
+//! workload literature (and the paper's own framing of "patterns of job
+//! submissions") calls for Poisson-like arrivals and log-normal runtimes,
+//! which these primitives provide.
 
 use rand::Rng;
 
@@ -91,74 +91,6 @@ impl Dist for Exp {
     }
 }
 
-/// Pareto (power-law) with scale `x_min` and shape `alpha`; heavy-tailed for
-/// small `alpha`. Used for job runtimes, which are famously heavy-tailed.
-#[derive(Debug, Clone, Copy)]
-pub struct Pareto {
-    /// Minimum value (scale); must be positive.
-    pub x_min: f64,
-    /// Tail exponent (shape); must be positive.
-    pub alpha: f64,
-}
-
-impl Pareto {
-    /// A Pareto with the given scale and shape.
-    pub fn new(x_min: f64, alpha: f64) -> Self {
-        assert!(x_min > 0.0 && alpha > 0.0, "pareto params must be positive");
-        Pareto { x_min, alpha }
-    }
-}
-
-impl Dist for Pareto {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.x_min / open01(rng).powf(1.0 / self.alpha)
-    }
-    fn mean(&self) -> f64 {
-        if self.alpha <= 1.0 {
-            f64::INFINITY
-        } else {
-            self.alpha * self.x_min / (self.alpha - 1.0)
-        }
-    }
-}
-
-/// A distribution truncated to `[lo, hi]` by resampling (up to a bound, then
-/// clamping). Keeps heavy tails bounded so simulations terminate.
-#[derive(Debug, Clone, Copy)]
-pub struct Truncated<D> {
-    /// The underlying distribution.
-    pub inner: D,
-    /// Lower clamp.
-    pub lo: f64,
-    /// Upper clamp.
-    pub hi: f64,
-}
-
-impl<D: Dist> Truncated<D> {
-    /// Truncate `inner` to `[lo, hi]`.
-    pub fn new(inner: D, lo: f64, hi: f64) -> Self {
-        assert!(lo <= hi, "truncation bounds out of order");
-        Truncated { inner, lo, hi }
-    }
-}
-
-impl<D: Dist> Dist for Truncated<D> {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        for _ in 0..64 {
-            let x = self.inner.sample(rng);
-            if x >= self.lo && x <= self.hi {
-                return x;
-            }
-        }
-        self.inner.sample(rng).clamp(self.lo, self.hi)
-    }
-    fn mean(&self) -> f64 {
-        // Approximation: callers needing the exact truncated mean should
-        // estimate it empirically; we clamp the untruncated mean.
-        self.inner.mean().clamp(self.lo, self.hi)
-    }
-}
-
 /// Standard normal via Box–Muller.
 fn std_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1 = open01(rng);
@@ -196,120 +128,6 @@ impl Dist for LogNormal {
     }
     fn mean(&self) -> f64 {
         (self.mu + self.sigma * self.sigma / 2.0).exp()
-    }
-}
-
-/// Weibull with scale `lambda` and shape `k`. `k < 1` gives a heavy tail,
-/// `k = 1` is exponential.
-#[derive(Debug, Clone, Copy)]
-pub struct Weibull {
-    /// Scale; positive.
-    pub lambda: f64,
-    /// Shape; positive.
-    pub k: f64,
-}
-
-impl Weibull {
-    /// A Weibull with the given scale and shape.
-    pub fn new(lambda: f64, k: f64) -> Self {
-        assert!(lambda > 0.0 && k > 0.0, "weibull params must be positive");
-        Weibull { lambda, k }
-    }
-}
-
-impl Dist for Weibull {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.lambda * (-open01(rng).ln()).powf(1.0 / self.k)
-    }
-    fn mean(&self) -> f64 {
-        self.lambda * gamma(1.0 + 1.0 / self.k)
-    }
-}
-
-/// Lanczos approximation of the gamma function (for Weibull means).
-fn gamma(x: f64) -> f64 {
-    // g = 7, n = 9 Lanczos coefficients.
-    const G: f64 = 7.0;
-    #[allow(clippy::excessive_precision)]
-    const C: [f64; 9] = [
-        0.999_999_999_999_809_93,
-        676.520_368_121_885_1,
-        -1_259.139_216_722_402_8,
-        771.323_428_777_653_13,
-        -176.615_029_162_140_6,
-        12.507_343_278_686_905,
-        -0.138_571_095_265_720_12,
-        9.984_369_578_019_572e-6,
-        1.505_632_735_149_311_6e-7,
-    ];
-    if x < 0.5 {
-        std::f64::consts::PI / ((std::f64::consts::PI * x).sin() * gamma(1.0 - x))
-    } else {
-        let x = x - 1.0;
-        let mut a = C[0];
-        let t = x + G + 0.5;
-        for (i, &c) in C.iter().enumerate().skip(1) {
-            a += c / (x + i as f64);
-        }
-        std::f64::consts::TAU.sqrt() * t.powf(x + 0.5) * (-t).exp() * a
-    }
-}
-
-/// Discrete distribution over `0..weights.len()` with the given weights.
-#[derive(Debug, Clone)]
-pub struct Categorical {
-    cumulative: Vec<f64>,
-}
-
-impl Categorical {
-    /// Build from non-negative weights (not necessarily normalized).
-    pub fn new(weights: &[f64]) -> Self {
-        assert!(!weights.is_empty(), "categorical needs at least one weight");
-        assert!(
-            weights.iter().all(|&w| w >= 0.0),
-            "weights must be non-negative"
-        );
-        let total: f64 = weights.iter().sum();
-        assert!(total > 0.0, "at least one weight must be positive");
-        let mut cumulative = Vec::with_capacity(weights.len());
-        let mut acc = 0.0;
-        for &w in weights {
-            acc += w / total;
-            cumulative.push(acc);
-        }
-        *cumulative.last_mut().unwrap() = 1.0;
-        Categorical { cumulative }
-    }
-
-    /// Draw an index.
-    pub fn sample_index<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.random();
-        self.cumulative
-            .partition_point(|&c| c < u)
-            .min(self.cumulative.len() - 1)
-    }
-}
-
-/// Zipf-like discrete distribution over ranks `1..=n` with exponent `s`
-/// (popularity skew for e.g. which application a user submits).
-#[derive(Debug, Clone)]
-pub struct Zipf {
-    cat: Categorical,
-}
-
-impl Zipf {
-    /// A Zipf over `n` ranks with exponent `s`.
-    pub fn new(n: usize, s: f64) -> Self {
-        assert!(n > 0, "zipf needs at least one rank");
-        let weights: Vec<f64> = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).collect();
-        Zipf {
-            cat: Categorical::new(&weights),
-        }
-    }
-
-    /// Draw a rank in `1..=n`.
-    pub fn sample_rank<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        self.cat.sample_index(rng) + 1
     }
 }
 
@@ -352,37 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn pareto_respects_minimum_and_mean() {
-        let d = Pareto::new(10.0, 2.5);
-        let mut rng = StdRng::seed_from_u64(4);
-        for _ in 0..10_000 {
-            assert!(d.sample(&mut rng) >= 10.0);
-        }
-        // mean = alpha*xmin/(alpha-1) = 25/1.5
-        let expect = 2.5 * 10.0 / 1.5;
-        let m = empirical_mean(&d, 400_000, 5);
-        assert!(
-            (m - expect).abs() / expect < 0.05,
-            "pareto mean {m} != {expect}"
-        );
-    }
-
-    #[test]
-    fn pareto_heavy_tail_mean_is_infinite() {
-        assert!(Pareto::new(1.0, 0.9).mean().is_infinite());
-    }
-
-    #[test]
-    fn truncated_stays_in_bounds() {
-        let d = Truncated::new(Pareto::new(1.0, 1.1), 2.0, 100.0);
-        let mut rng = StdRng::seed_from_u64(6);
-        for _ in 0..10_000 {
-            let x = d.sample(&mut rng);
-            assert!((2.0..=100.0).contains(&x), "out of bounds: {x}");
-        }
-    }
-
-    #[test]
     fn lognormal_median_is_exp_mu() {
         let d = LogNormal::with_median(100.0, 1.0);
         let mut rng = StdRng::seed_from_u64(7);
@@ -401,51 +188,6 @@ mod tests {
             "{m} vs {}",
             d.mean()
         );
-    }
-
-    #[test]
-    fn weibull_shape_one_is_exponential() {
-        let d = Weibull::new(3.0, 1.0);
-        assert!(
-            (d.mean() - 3.0).abs() < 1e-6,
-            "gamma(2)=1 so mean=lambda, got {}",
-            d.mean()
-        );
-        let m = empirical_mean(&d, 200_000, 9);
-        assert!((m - 3.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn gamma_known_values() {
-        assert!((gamma(1.0) - 1.0).abs() < 1e-9);
-        assert!((gamma(2.0) - 1.0).abs() < 1e-9);
-        assert!((gamma(5.0) - 24.0).abs() < 1e-6);
-        assert!((gamma(0.5) - std::f64::consts::PI.sqrt()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn categorical_frequencies_match_weights() {
-        let c = Categorical::new(&[1.0, 3.0, 6.0]);
-        let mut rng = StdRng::seed_from_u64(10);
-        let mut counts = [0usize; 3];
-        for _ in 0..100_000 {
-            counts[c.sample_index(&mut rng)] += 1;
-        }
-        assert!((counts[0] as f64 / 100_000.0 - 0.1).abs() < 0.01);
-        assert!((counts[1] as f64 / 100_000.0 - 0.3).abs() < 0.01);
-        assert!((counts[2] as f64 / 100_000.0 - 0.6).abs() < 0.01);
-    }
-
-    #[test]
-    fn zipf_rank_one_most_popular() {
-        let z = Zipf::new(10, 1.0);
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut counts = [0usize; 11];
-        for _ in 0..50_000 {
-            counts[z.sample_rank(&mut rng)] += 1;
-        }
-        assert_eq!(counts[0], 0, "rank 0 never drawn");
-        assert!(counts[1] > counts[2] && counts[2] > counts[5]);
     }
 
     #[test]

@@ -27,10 +27,10 @@
 //! assert_eq!(sim.now(), SimTime::from_secs(2));
 //! ```
 
-use crate::event::{EventId, Scheduled};
-use crate::queue::{BinaryHeapQueue, EventQueue};
+use crate::event::EventId;
 use crate::time::{SimDuration, SimTime};
-use std::collections::HashSet;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, HashSet};
 
 /// The simulated system: entity state plus the event dispatch logic.
 pub trait World {
@@ -40,28 +40,41 @@ pub trait World {
     fn handle(&mut self, sched: &mut Scheduler<Self::Event>, event: Self::Event);
 }
 
+/// A pending event. Only `(time, id)` takes part in the order, and the order
+/// is reversed so that `BinaryHeap`, a max-heap, pops the earliest key first;
+/// the id breaks same-time ties in scheduling order.
+struct Pending<E> {
+    time: SimTime,
+    id: EventId,
+    payload: E,
+}
+
+impl<E> PartialEq for Pending<E> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.time, self.id) == (other.time, other.id)
+    }
+}
+impl<E> Eq for Pending<E> {}
+impl<E> PartialOrd for Pending<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<E> Ord for Pending<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.time, other.id).cmp(&(self.time, self.id))
+    }
+}
+
 /// Clock plus pending-event set; the only interface a [`World`] needs.
 pub struct Scheduler<E> {
     now: SimTime,
-    queue: Box<dyn EventQueue<E>>,
+    pending: BinaryHeap<Pending<E>>,
     next_id: u64,
     cancelled: HashSet<u64>,
-    stop_requested: bool,
-    scheduled_count: u64,
 }
 
 impl<E> Scheduler<E> {
-    fn with_queue(queue: Box<dyn EventQueue<E>>) -> Self {
-        Scheduler {
-            now: SimTime::ZERO,
-            queue,
-            next_id: 0,
-            cancelled: HashSet::new(),
-            stop_requested: false,
-            scheduled_count: 0,
-        }
-    }
-
     /// The current simulation time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -81,8 +94,11 @@ impl<E> Scheduler<E> {
         );
         let id = EventId(self.next_id);
         self.next_id += 1;
-        self.scheduled_count += 1;
-        self.queue.push(at, id, event);
+        self.pending.push(Pending {
+            time: at,
+            id,
+            payload: event,
+        });
         id
     }
 
@@ -102,29 +118,20 @@ impl<E> Scheduler<E> {
         self.cancelled.insert(id.0)
     }
 
-    /// Ask the engine to stop after the current event's handler returns.
-    pub fn request_stop(&mut self) {
-        self.stop_requested = true;
-    }
-
     /// Number of events currently pending (including not-yet-reaped
     /// cancelled events).
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.pending.len()
     }
 
-    /// Total events scheduled since construction.
-    pub fn scheduled_count(&self) -> u64 {
-        self.scheduled_count
-    }
-
-    /// Pop the next live (non-cancelled) event.
-    fn next_live(&mut self) -> Option<Scheduled<E>> {
-        while let Some(ev) = self.queue.pop() {
-            if self.cancelled.remove(&ev.id.0) {
-                continue;
+    /// Reap cancelled events off the head of the set and return the firing
+    /// time of the earliest live one, which is then the head.
+    fn next_live_time(&mut self) -> Option<SimTime> {
+        while let Some(head) = self.pending.peek() {
+            if !self.cancelled.remove(&head.id.0) {
+                return Some(head.time);
             }
-            return Some(ev);
+            self.pending.pop();
         }
         None
     }
@@ -137,8 +144,6 @@ pub enum RunOutcome {
     Drained,
     /// The time horizon was reached with events still pending.
     Horizon,
-    /// The world called [`Scheduler::request_stop`].
-    Stopped,
     /// The event budget was exhausted.
     Budget,
 }
@@ -150,27 +155,21 @@ pub struct Simulation<W: World> {
     processed: u64,
 }
 
-impl<W: World> Simulation<W>
-where
-    W::Event: 'static,
-{
-    /// A simulation over the default binary-heap pending-event set.
+impl<W: World> Simulation<W> {
+    /// A simulation of `world` with nothing pending, at time zero.
     pub fn new(world: W) -> Self {
-        Self::with_queue(world, Box::new(BinaryHeapQueue::new()))
-    }
-
-    /// A simulation over a caller-supplied pending-event set
-    /// (e.g. [`crate::calendar::CalendarQueue`]).
-    pub fn with_queue(world: W, queue: Box<dyn EventQueue<W::Event>>) -> Self {
         Simulation {
             world,
-            sched: Scheduler::with_queue(queue),
+            sched: Scheduler {
+                now: SimTime::ZERO,
+                pending: BinaryHeap::new(),
+                next_id: 0,
+                cancelled: HashSet::new(),
+            },
             processed: 0,
         }
     }
-}
 
-impl<W: World> Simulation<W> {
     /// The scheduler, for seeding initial events and inspecting the clock.
     pub fn scheduler(&mut self) -> &mut Scheduler<W::Event> {
         &mut self.sched
@@ -204,50 +203,42 @@ impl<W: World> Simulation<W> {
 
     /// Process a single event; returns `false` if none are pending.
     pub fn step(&mut self) -> bool {
-        match self.sched.next_live() {
-            Some(ev) => {
-                debug_assert!(
-                    ev.time >= self.sched.now,
-                    "event queue returned a past event"
-                );
-                self.sched.now = ev.time;
-                self.processed += 1;
-                self.world.handle(&mut self.sched, ev.payload);
-                true
-            }
-            None => false,
+        let live = self.sched.next_live_time().is_some();
+        if live {
+            self.fire_head();
         }
+        live
     }
 
-    /// Run until the queue drains, the horizon passes, a stop is requested,
-    /// or `max_events` have been processed. The clock never advances past
-    /// `horizon` (events after it remain pending).
+    /// Fire the head of the pending set, which [`Scheduler::next_live_time`]
+    /// has just found live.
+    fn fire_head(&mut self) {
+        let ev = self.sched.pending.pop().expect("a live head is pending");
+        debug_assert!(ev.time >= self.sched.now, "the heap popped a past event");
+        self.sched.now = ev.time;
+        self.processed += 1;
+        self.world.handle(&mut self.sched, ev.payload);
+    }
+
+    /// Run until the pending-event set drains, the next live event lies past
+    /// `horizon`, or `max_events` have been processed. The clock never
+    /// advances past `horizon` (events after it remain pending) and never
+    /// moves back.
     pub fn run_until(&mut self, horizon: SimTime, max_events: u64) -> RunOutcome {
-        let mut budget = max_events;
-        loop {
-            if self.sched.stop_requested {
-                self.sched.stop_requested = false;
-                return RunOutcome::Stopped;
-            }
-            if budget == 0 {
-                return RunOutcome::Budget;
-            }
-            match self.sched.queue.peek_time() {
+        for _ in 0..max_events {
+            match self.sched.next_live_time() {
                 None => return RunOutcome::Drained,
                 Some(t) if t > horizon => {
-                    self.sched.now = horizon;
+                    self.sched.now = self.sched.now.max(horizon);
                     return RunOutcome::Horizon;
                 }
-                Some(_) => {}
+                Some(_) => self.fire_head(),
             }
-            if !self.step() {
-                return RunOutcome::Drained;
-            }
-            budget -= 1;
         }
+        RunOutcome::Budget
     }
 
-    /// Run until the pending-event set drains or a stop is requested.
+    /// Run until the pending-event set drains.
     pub fn run(&mut self) -> RunOutcome {
         self.run_until(SimTime::MAX, u64::MAX)
     }
@@ -261,7 +252,6 @@ impl<W: World> Simulation<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::calendar::CalendarQueue;
 
     /// Records (time, tag) pairs; "spawn:<n>" schedules n follow-up events.
     struct Recorder {
@@ -277,9 +267,6 @@ mod tests {
                 for i in 0..n {
                     sched.schedule_in(SimDuration::from_secs(i + 1), format!("child{i}"));
                 }
-            }
-            if ev == "stop" {
-                sched.request_stop();
             }
         }
     }
@@ -360,20 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn stop_request_halts_run() {
-        let mut sim = recorder();
-        sim.scheduler()
-            .schedule_at(SimTime::from_secs(1), "stop".into());
-        sim.scheduler()
-            .schedule_at(SimTime::from_secs(2), "after".into());
-        assert_eq!(sim.run(), RunOutcome::Stopped);
-        assert_eq!(sim.world().log.len(), 1);
-        // A fresh run resumes.
-        assert_eq!(sim.run(), RunOutcome::Drained);
-        assert_eq!(sim.world().log.len(), 2);
-    }
-
-    #[test]
     fn event_budget_is_respected() {
         let mut sim = recorder();
         for i in 0..10 {
@@ -397,18 +370,45 @@ mod tests {
     }
 
     #[test]
-    fn calendar_queue_engine_agrees_with_heap_engine() {
-        let run = |queue: Box<dyn EventQueue<String>>| {
-            let mut sim = Simulation::with_queue(Recorder { log: vec![] }, queue);
-            sim.scheduler()
-                .schedule_at(SimTime::from_secs(2), "spawn:4".into());
-            sim.scheduler()
-                .schedule_at(SimTime::from_secs(1), "x".into());
-            sim.run();
-            sim.into_world().log
-        };
-        let heap = run(Box::<BinaryHeapQueue<String>>::default());
-        let cal = run(Box::<CalendarQueue<String>>::default());
-        assert_eq!(heap, cal);
+    fn empty_simulation_drains_at_once() {
+        let mut sim = recorder();
+        assert!(!sim.step());
+        assert_eq!(
+            sim.run_until(SimTime::from_secs(10), u64::MAX),
+            RunOutcome::Drained
+        );
+        assert_eq!(sim.now(), SimTime::ZERO);
+        assert_eq!(sim.scheduler().pending(), 0);
+    }
+
+    /// A cancelled head must not hide the horizon: the next live event past it
+    /// stays pending.
+    #[test]
+    fn horizon_holds_behind_a_cancelled_head() {
+        let mut sim = recorder();
+        let early = sim
+            .scheduler()
+            .schedule_at(SimTime::from_secs(5), "cancelled".into());
+        sim.scheduler()
+            .schedule_at(SimTime::from_secs(100), "far".into());
+        sim.scheduler().cancel(early);
+        let out = sim.run_until(SimTime::from_secs(10), u64::MAX);
+        assert_eq!(out, RunOutcome::Horizon);
+        assert_eq!(sim.now(), SimTime::from_secs(10));
+        assert!(sim.world().log.is_empty(), "fired {:?}", sim.world().log);
+        assert_eq!(sim.scheduler().pending(), 1);
+    }
+
+    #[test]
+    fn a_horizon_behind_the_clock_leaves_it_alone() {
+        let mut sim = recorder();
+        sim.scheduler()
+            .schedule_at(SimTime::from_secs(50), "a".into());
+        sim.scheduler()
+            .schedule_at(SimTime::from_secs(100), "b".into());
+        assert_eq!(sim.run_until(SimTime::MAX, 1), RunOutcome::Budget);
+        let out = sim.run_until(SimTime::from_secs(10), u64::MAX);
+        assert_eq!(out, RunOutcome::Horizon);
+        assert_eq!(sim.now(), SimTime::from_secs(50));
     }
 }

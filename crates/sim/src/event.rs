@@ -1,6 +1,5 @@
-//! Event identities and queue entries.
+//! Event identities.
 
-use crate::time::SimTime;
 use std::fmt;
 
 /// A unique, monotonically increasing identifier for a scheduled event.
@@ -15,49 +14,5 @@ pub struct EventId(pub u64);
 impl fmt::Debug for EventId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "ev#{}", self.0)
-    }
-}
-
-/// An event extracted from a queue: its firing time, identity, and payload.
-#[derive(Debug, Clone)]
-pub struct Scheduled<E> {
-    /// When the event fires.
-    pub time: SimTime,
-    /// Identity (also the same-time tie-breaker).
-    pub id: EventId,
-    /// The event payload handed to the world.
-    pub payload: E,
-}
-
-impl<E> Scheduled<E> {
-    /// The (time, id) key that defines queue order.
-    pub fn key(&self) -> (SimTime, EventId) {
-        (self.time, self.id)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn key_orders_by_time_then_id() {
-        let a = Scheduled {
-            time: SimTime(5),
-            id: EventId(2),
-            payload: (),
-        };
-        let b = Scheduled {
-            time: SimTime(5),
-            id: EventId(7),
-            payload: (),
-        };
-        let c = Scheduled {
-            time: SimTime(9),
-            id: EventId(0),
-            payload: (),
-        };
-        assert!(a.key() < b.key());
-        assert!(b.key() < c.key());
     }
 }

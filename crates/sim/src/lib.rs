@@ -11,11 +11,11 @@
 //! The crate is domain-agnostic: it provides
 //!
 //! * a fixed-point simulation clock ([`time`]),
-//! * an engine with cancellation, horizons and event budgets ([`engine`]),
-//! * two interchangeable pending-event sets — a binary heap ([`queue`]) and a
-//!   calendar queue ([`calendar`]) — benchmarked against each other in
-//!   experiment E10,
-//! * random-variate distributions for workload generation ([`dist`]),
+//! * an engine with cancellation, horizons and event budgets over one
+//!   pending-event set, a binary heap ordered by `(time, id)` ([`engine`];
+//!   experiment E10 measures its throughput),
+//! * the uniform, exponential and log-normal variates workload generators
+//!   draw from ([`dist`]),
 //! * O(1)-memory streaming statistics ([`stats`]), and
 //! * the seeded property-check loop the workspace's tests share ([`check`]).
 //!
@@ -23,24 +23,18 @@
 
 #![warn(missing_docs)]
 
-pub mod calendar;
 pub mod check;
 pub mod dist;
 pub mod engine;
 pub mod event;
-pub mod queue;
 pub mod stats;
 pub mod time;
 
 /// Convenient glob import for simulation users.
 pub mod prelude {
-    pub use crate::calendar::CalendarQueue;
-    pub use crate::dist::{
-        Categorical, Dist, Exp, LogNormal, Pareto, Truncated, UniformDist, Weibull, Zipf,
-    };
+    pub use crate::dist::{Dist, Exp, LogNormal, UniformDist};
     pub use crate::engine::{RunOutcome, Scheduler, Simulation, World};
-    pub use crate::event::{EventId, Scheduled};
-    pub use crate::queue::{BinaryHeapQueue, EventQueue};
-    pub use crate::stats::{Counter, P2Quantile, Replications, Summary, TimeWeighted};
+    pub use crate::event::EventId;
+    pub use crate::stats::{P2Quantile, Replications, Summary, TimeWeighted};
     pub use crate::time::{SimDuration, SimTime, MICROS_PER_SEC};
 }

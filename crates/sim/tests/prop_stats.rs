@@ -1,6 +1,6 @@
 //! Property tests for the streaming statistics collectors: the O(1)-memory
 //! estimators must stay within tolerance of the exact answers computed from
-//! the retained sample, and merging must behave exactly like concatenation.
+//! the retained sample.
 
 use faucets_sim::check::{for_seeds, vec_of};
 use faucets_sim::stats::{P2Quantile, QuantileSet, Summary};
@@ -119,37 +119,10 @@ fn heavy_tail_rank_brackets(rng: &mut StdRng) {
     }
 }
 
-/// Welford merge matches single-pass recording to float tolerance.
-#[test]
-fn summary_merge_matches_whole() {
-    for_seeds(256, |rng| {
-        let a = vec_of(rng, 0..150, |rng| rng.random_range(-1e3f64..1e3));
-        let b = vec_of(rng, 0..150, |rng| rng.random_range(-1e3f64..1e3));
-        let mut sa = Summary::new();
-        for &v in &a {
-            sa.record(v);
-        }
-        let mut sb = Summary::new();
-        for &v in &b {
-            sb.record(v);
-        }
-        let mut whole = Summary::new();
-        for &v in a.iter().chain(&b) {
-            whole.record(v);
-        }
-        sa.merge(&sb);
-        assert_eq!(sa.count(), whole.count());
-        if whole.count() > 0 {
-            assert!((sa.mean() - whole.mean()).abs() < 1e-6);
-            assert!((sa.variance() - whole.variance()).abs() < 1e-4);
-        }
-    });
-}
-
 #[test]
 fn empty_collectors_are_sane() {
     assert!(P2Quantile::new(0.5).estimate().is_nan());
-    let mut s = Summary::new();
-    s.merge(&Summary::new());
+    let s = Summary::new();
     assert_eq!(s.count(), 0);
+    assert_eq!(s.mean(), 0.0);
 }

@@ -32,7 +32,7 @@
 # one lowers it.
 cd "$(dirname "$0")/.." || exit 1
 
-MAX_WORKSPACE_LINES=27489  # non-test lines of every crates/*/src
+MAX_WORKSPACE_LINES=26603  # non-test lines of every crates/*/src
 MAX_NET_LINES=7450   # non-test lines of crates/net/src
 MAX_POOL_LINES=438  # of crates/net/src/pool.rs
 MAX_REPLICATE_LINES=893  # of crates/store/src/replicate.rs
